@@ -31,7 +31,6 @@ from .hyperhermitian import (
     HyperhermitianStructure,
     bismut_connection,
     hkt_check,
-    integrability_check,
     kt_torsion,
     nijenhuis,
     quaternionic_check,
@@ -72,7 +71,6 @@ __all__ = [
     "hkt_obstruction_report",
     "holonomy_algebra",
     "hyperkahler_detector",
-    "integrability_check",
     "kt_torsion",
     "lee_form",
     "levi_civita",

@@ -10,12 +10,15 @@ as strings.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .curvature import (
     CheckOutcome,
+    DtTraces,
+    LeeForm,
+    RicciPackage,
     chern_norm_check,
     curvature_relation_check,
     dt_traces,
@@ -34,21 +37,29 @@ from .holonomy import (
     slnh_membership,
 )
 from .hyperhermitian import (
+    HktResult,
+    HyperhermitianStructure,
     bismut_connection,
     hkt_check,
-    integrability_check,
     type_check_12_21,
 )
-from .invariant import curvature_tensor, levi_civita, validate_lie_algebra
+from .invariant import (
+    Connection,
+    CurvatureTensor,
+    LieAlgebra,
+    curvature_tensor,
+    levi_civita,
+    validate_lie_algebra,
+)
 from .linalg import is_zero_matrix
 from .obata import (
     complex_trace_A,
     difference_tensor,
-    obata_connection,
+    obata_from_difference,
     obata_oracle_solver,
     trace_identities,
 )
-from .tensors import KForm, form_to_cube
+from .tensors import Cube, KForm, cube_is_zero, form_to_cube
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -81,27 +92,61 @@ def _outcome(check: CheckOutcome) -> dict[str, object]:
     return out
 
 
+# Sections that a stage fills in; one that no stage reaches stays None.
+_SECTIONS = (
+    "identity_suites", "dt_traces", "bismut", "obata",
+    "holonomy", "verdict", "obstruction", "theorem_checks",
+)
+
+
+@dataclass(frozen=True)
+class _Torsion:
+    """The common torsion and the objects built from it."""
+
+    t: KForm
+    lee: LeeForm
+    skew: Connection
+    a_cube: Cube
+
+
+@dataclass(frozen=True)
+class _TorsionFree:
+    """What later stages read of the torsion-free connection."""
+
+    curvature: CurvatureTensor
+    ricci: RicciPackage
+    holonomy_dim: int
+    all_trace_free: bool
+    obstruction_verdict: str
+
+
 def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
+    """The report for one entry. Stages run in order, and each builds its
+    objects once and hands them on: validation and Nijenhuis tensors, common
+    torsion and connections, the torsion-free block, the HKT identity suites
+    and the verdict.
+    """
     start = time.perf_counter()
     alg, h = entry.lie, entry.structure
     violations: list[str] = []
 
-    report: dict[str, object] = {
-        "report_schema_version": REPORT_SCHEMA_VERSION,
-        "entry": entry.name,
-        "n": entry.n,
-        "dim": entry.dim,
-    }
-
-    jacobi = validate_lie_algebra(alg)
-    first_bad_s = integrability_check(h, alg)
-    report["validation"] = {
-        "jacobi": jacobi is None,
-        "integrable": first_bad_s is None,
-        "first_nonintegrable": first_bad_s,
-    }
-
     hkt = hkt_check(h, alg)
+    report = _validation_stage(entry, hkt)
+    tor = None
+    if hkt.ok:
+        t = hkt.torsion
+        tor = _Torsion(t, lee_form(t, h, alg), bismut_connection(t, alg), difference_tensor(t, h))
+    tf = None
+    if hkt.first_nonintegrable is None:
+        tf = _torsion_free_stage(tor, h, alg, report, violations)
+    dtt = _identity_stage(tor, tf, h, alg, report, violations) if tor else None
+    report["verdict"] = _verdict_stage(tor, tf, dtt, violations)
+    report["theorem_violations"] = violations
+    report["elapsed_ms"] = int(round((time.perf_counter() - start) * 1000))
+    return report
+
+
+def _validation_stage(entry: CatalogEntry, hkt: HktResult) -> dict[str, object]:
     hkt_section: dict[str, object] = {"ok": hkt.ok}
     if hkt.ok:
         hkt_section["torsion"] = _wire_form(hkt.torsion)
@@ -110,231 +155,193 @@ def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
         hkt_section["reason"] = hkt.reason
         if hkt.first_difference is not None:
             hkt_section["first_difference"] = _jsonify(hkt.first_difference)
-    report["hkt"] = hkt_section
-
-    lc = levi_civita(alg)
-    r_g = curvature_tensor(lc, alg)
-
+    report: dict[str, object] = {
+        "report_schema_version": REPORT_SCHEMA_VERSION,
+        "entry": entry.name,
+        "n": entry.n,
+        "dim": entry.dim,
+        "validation": {
+            "jacobi": validate_lie_algebra(entry.lie) is None,
+            "integrable": hkt.first_nonintegrable is None,
+            "first_nonintegrable": hkt.first_nonintegrable,
+        },
+        "hkt": hkt_section,
+        "lee": None,
+    }
+    # HKT reports list the torsion-free connection ahead of the identity
+    # suites; the goldens pin this key order.
     if hkt.ok:
-        t = hkt.torsion
-        lee = lee_form(t, h, alg)
-        theta_zero = lee.theta.is_zero()
-        d_theta_zero = lee.d_theta.is_zero()
-        report["lee"] = {
-            "theta": _wire_form(lee.theta),
-            "d_theta": _wire_form(lee.d_theta),
-            "classification": lee.classification,
-        }
+        report["obata"] = None
+    report.update(dict.fromkeys(_SECTIONS))
+    return report
 
-        skew = bismut_connection(t, alg)
-        a_cube = difference_tensor(t, h)
-        ob = obata_connection(h, alg, t)
-        solver_conn, certificate = obata_oracle_solver(h, alg)
+
+def _torsion_free_stage(
+    tor: _Torsion | None,
+    h: HyperhermitianStructure,
+    alg: LieAlgebra,
+    report: dict[str, object],
+    violations: list[str],
+) -> _TorsionFree:
+    """The solver always runs, for its uniqueness certificate. With a common
+    torsion the connection comes from the difference tensor and must agree
+    with the solver's."""
+    solver_conn, certificate = obata_oracle_solver(h, alg)
+    if tor is None:
+        ob, routes_agree = solver_conn, None
+    else:
+        ob = obata_from_difference(tor.skew, tor.a_cube, h, alg)
         routes_agree = ob.gamma == solver_conn.gamma
         if not routes_agree:
             violations.append("difference-tensor and solver connections disagree")
-        r_ob = curvature_tensor(ob, alg)
-        pkg_ob = ricci_package(r_ob, h)
-        hol_ob = holonomy_algebra(ob, alg)
-        sl_ok, sl_cert = slnh_membership(hol_ob, h)
-        if not sl_cert.all_quaternion_linear:
-            violations.append(
-                "structural defect: holonomy generator of the torsion-free"
-                " connection is not quaternion-linear"
-            )
-        obata_flat = all(
-            not r_ob[i][j][k][l]
-            for i in range(alg.dim)
-            for j in range(alg.dim)
-            for k in range(alg.dim)
-            for l in range(alg.dim)
+    r_ob = curvature_tensor(ob, alg)
+    pkg_ob = ricci_package(r_ob, h)
+    hol_ob = holonomy_algebra(ob, alg)
+    sl_ok, sl_cert = slnh_membership(hol_ob, h)
+    if not sl_cert.all_quaternion_linear:
+        violations.append(
+            "structural defect: holonomy generator of the torsion-free"
+            " connection is not quaternion-linear"
         )
-        report["obata"] = {
-            "route": "difference-tensor",
-            "routes_agree": routes_agree,
-            "solver_certificate": asdict(certificate),
-            "flat": obata_flat,
-            "holonomy_dim": hol_ob.dim,
-        }
+    obstruction = hkt_obstruction_report(pkg_ob, h)
+    report["obata"] = {
+        "route": "solver" if tor is None else "difference-tensor",
+        "routes_agree": routes_agree,
+        "solver_certificate": asdict(certificate),
+        "flat": all(cube_is_zero(r_i) for r_i in r_ob),
+        "holonomy_dim": hol_ob.dim,
+    }
+    report["holonomy"] = {
+        "obata_dim": hol_ob.dim,
+        "gl_membership": sl_cert.all_quaternion_linear,
+        "sl_membership": sl_ok,
+        "certificate": _jsonify(asdict(sl_cert)),
+    }
+    report["obstruction"] = {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
+    return _TorsionFree(r_ob, pkg_ob, hol_ob.dim, sl_cert.all_trace_free, obstruction.verdict)
 
-        suite = obata_identity_suite(pkg_ob, lee, h)
-        r_b = curvature_tensor(skew, alg)
-        t_cube = form_to_cube(t)
-        curv_rel = curvature_relation_check(r_b, r_ob, a_cube, t_cube, skew, alg)
-        star = star_scalar(r_g, h, t, lee, lc, alg)
-        type_res = type_check_12_21(t, h)
-        trace_res = trace_identities(a_cube, h, lee.theta)
-        ctrace_res = complex_trace_A(a_cube, h, lee.theta)
-        chern = chern_norm_check(t, h)
-        report["identity_suites"] = {
-            "obata_suite": {key: _outcome(val) for key, val in suite.items()},
-            "curvature_relation": _outcome(curv_rel),
-            "star_scalar": {
-                "value": _jsonify(Fraction(star.value)),
-                "components": {k: _jsonify(Fraction(v)) for k, v in star.components.items()},
-                "checks": {key: _outcome(val) for key, val in star.checks.items()},
-            },
-            "torsion_type": {
-                "ok": type_res.ok,
-                **(
-                    {}
-                    if type_res.ok
-                    else {
-                        "counterexample": _jsonify(
-                            (type_res.family, type_res.label, type_res.indices, type_res.value)
-                        )
-                    }
-                ),
-            },
-            "difference_trace": {"ok": trace_res.ok, "failures": list(trace_res.failures)},
-            "difference_trace_complex": {
-                "ok": ctrace_res.ok,
-                "failures": list(ctrace_res.failures),
-            },
-            "chern_norms": {
-                "ok": chern.ok,
-                "norms": _jsonify([Fraction(x) for x in chern.norms]),
-                "torsion_norm_sq": _jsonify(Fraction(chern.torsion_norm_sq)),
-            },
-        }
-        for key, val in suite.items():
-            if not val.ok:
-                violations.append(f"obata identity failed: {key}")
-        for key, val in star.checks.items():
-            if not val.ok:
-                violations.append(f"scalar identity failed: {key}")
-        for flag, label in (
-            (curv_rel.ok, "curvature relation"),
-            (type_res.ok, "torsion type decomposition"),
-            (trace_res.ok, "difference-tensor trace"),
-            (ctrace_res.ok, "complex difference-tensor trace"),
-            (chern.ok, "chern norm relation"),
-        ):
-            if not flag:
-                violations.append(f"identity failed: {label}")
 
-        dtt = dt_traces(t, h, alg)
-        report["dt_traces"] = {
-            "h": _jsonify(Fraction(dtt.h_value)),
-            "strong": dtt.strong,
-            "almost_strong": dtt.almost_strong,
-            "traces_coincide": dtt.traces_coincide,
-        }
-        if not dtt.traces_coincide:
-            violations.append("dT partial traces differ across the three complex structures")
+def _identity_stage(
+    tor: _Torsion,
+    tf: _TorsionFree,
+    h: HyperhermitianStructure,
+    alg: LieAlgebra,
+    report: dict[str, object],
+    violations: list[str],
+) -> DtTraces:
+    """HKT only: the Lee form, identity suite, dT trace, skew-torsion
+    connection and detector sections."""
+    t, lee, skew, a_cube = tor.t, tor.lee, tor.skew, tor.a_cube
+    report["lee"] = {
+        "theta": _wire_form(lee.theta),
+        "d_theta": _wire_form(lee.d_theta),
+        "classification": lee.classification,
+    }
+    suite = obata_identity_suite(tf.ricci, lee, h)
+    r_b = curvature_tensor(skew, alg)
+    curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew, alg)
+    lc = levi_civita(alg)
+    star = star_scalar(curvature_tensor(lc, alg), h, t, lee, lc, alg)
+    type_res = type_check_12_21(t, h)
+    type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
+    trace_res = trace_identities(a_cube, h, lee.theta)
+    ctrace_res = complex_trace_A(a_cube, h, lee.theta)
+    chern = chern_norm_check(t, h)
+    report["identity_suites"] = {
+        "obata_suite": {key: _outcome(val) for key, val in suite.items()},
+        "curvature_relation": _outcome(curv_rel),
+        "star_scalar": {
+            "value": _jsonify(Fraction(star.value)),
+            "components": {k: _jsonify(Fraction(v)) for k, v in star.components.items()},
+            "checks": {key: _outcome(val) for key, val in star.checks.items()},
+        },
+        "torsion_type": _outcome(CheckOutcome(type_res.ok, type_cex)),
+        "difference_trace": {"ok": trace_res.ok, "failures": list(trace_res.failures)},
+        "difference_trace_complex": {
+            "ok": ctrace_res.ok,
+            "failures": list(ctrace_res.failures),
+        },
+        "chern_norms": {
+            "ok": chern.ok,
+            "norms": _jsonify([Fraction(x) for x in chern.norms]),
+            "torsion_norm_sq": _jsonify(Fraction(chern.torsion_norm_sq)),
+        },
+    }
+    for key, val in suite.items():
+        if not val.ok:
+            violations.append(f"obata identity failed: {key}")
+    for key, val in star.checks.items():
+        if not val.ok:
+            violations.append(f"scalar identity failed: {key}")
+    for flag, label in (
+        (curv_rel.ok, "curvature relation"),
+        (type_res.ok, "torsion type decomposition"),
+        (trace_res.ok, "difference-tensor trace"),
+        (ctrace_res.ok, "complex difference-tensor trace"),
+        (chern.ok, "chern norm relation"),
+    ):
+        if not flag:
+            violations.append(f"identity failed: {label}")
 
-        pkg_b = ricci_package(r_b, h)
-        hol_b = holonomy_algebra(skew, alg)
-        bismut_section = {
-            "holonomy_dim": hol_b.dim,
-            "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),
-            "generators_quaternion_linear": all(
-                glnh_membership(g, h) for g in hol_b.generators
-            ),
-            "rho_zero": pkg_b.rho.is_zero(),
-            "rho_s_zero": all(f.is_zero() for f in pkg_b.rho_s),
-        }
-        report["bismut"] = bismut_section
-        if not bismut_section["rho_zero"] or not bismut_section["rho_s_zero"]:
-            violations.append("skew-torsion connection has nonvanishing Ricci 2-forms")
+    dtt = dt_traces(t, h, alg)
+    report["dt_traces"] = {
+        "h": _jsonify(Fraction(dtt.h_value)),
+        "strong": dtt.strong,
+        "almost_strong": dtt.almost_strong,
+        "traces_coincide": dtt.traces_coincide,
+    }
+    if not dtt.traces_coincide:
+        violations.append("dT partial traces differ across the three complex structures")
 
-        obstruction = hkt_obstruction_report(pkg_ob, h)
-        detector = hyperkahler_detector(
-            theta_zero, dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
+    pkg_b = ricci_package(r_b, h)
+    hol_b = holonomy_algebra(skew, alg)
+    bismut_section = {
+        "holonomy_dim": hol_b.dim,
+        "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),
+        "generators_quaternion_linear": all(glnh_membership(g, h) for g in hol_b.generators),
+        "rho_zero": pkg_b.rho.is_zero(),
+        "rho_s_zero": all(f.is_zero() for f in pkg_b.rho_s),
+    }
+    report["bismut"] = bismut_section
+    if not bismut_section["rho_zero"] or not bismut_section["rho_s_zero"]:
+        violations.append("skew-torsion connection has nonvanishing Ricci 2-forms")
+
+    detector = hyperkahler_detector(
+        lee.theta.is_zero(), dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
+    )
+    if detector.verdict == "THEOREM VIOLATION":
+        violations.append(
+            "vanishing Lee form with a vanishing trace condition but nonzero torsion"
         )
-        if detector.verdict == "THEOREM VIOLATION":
-            violations.append(
-                "vanishing Lee form with a vanishing trace condition but nonzero torsion"
-            )
-        report["holonomy"] = {
-            "obata_dim": hol_ob.dim,
-            "gl_membership": sl_cert.all_quaternion_linear,
-            "sl_membership": sl_ok,
-            "certificate": _jsonify(asdict(sl_cert)),
-        }
-        ricci_zero = is_zero_matrix(pkg_ob.ric)
-        try:
-            verdict = classify(
-                True,
-                t.is_zero(),
-                theta_zero,
-                d_theta_zero,
-                dtt.strong,
-                dtt.almost_strong,
-                hol_ob.dim,
-                ricci_zero,
-                sl_cert.all_trace_free,
-                obstruction.verdict,
-            )
-            report["verdict"] = _jsonify(asdict(verdict))
-        except RuntimeError as exc:
-            violations.append(str(exc))
-            report["verdict"] = {"error": str(exc)}
-        report["obstruction"] = {
-            "flags": list(obstruction.flags),
-            "verdict": obstruction.verdict,
-        }
-        report["theorem_checks"] = {
-            "hyperkahler_detector": _jsonify(asdict(detector)),
-        }
-    else:
-        report["lee"] = None
-        report["identity_suites"] = None
-        report["dt_traces"] = None
-        report["bismut"] = None
-        if first_bad_s is None:
-            ob, certificate = obata_oracle_solver(h, alg)
-            r_ob = curvature_tensor(ob, alg)
-            pkg_ob = ricci_package(r_ob, h)
-            hol_ob = holonomy_algebra(ob, alg)
-            sl_ok, sl_cert = slnh_membership(hol_ob, h)
-            if not sl_cert.all_quaternion_linear:
-                violations.append(
-                    "structural defect: holonomy generator of the torsion-free"
-                    " connection is not quaternion-linear"
-                )
-            obstruction = hkt_obstruction_report(pkg_ob, h)
-            obata_flat = all(
-                not r_ob[i][j][k][l]
-                for i in range(alg.dim)
-                for j in range(alg.dim)
-                for k in range(alg.dim)
-                for l in range(alg.dim)
-            )
-            report["obata"] = {
-                "route": "solver",
-                "routes_agree": None,
-                "solver_certificate": asdict(certificate),
-                "flat": obata_flat,
-                "holonomy_dim": hol_ob.dim,
-            }
-            report["holonomy"] = {
-                "obata_dim": hol_ob.dim,
-                "gl_membership": sl_cert.all_quaternion_linear,
-                "sl_membership": sl_ok,
-                "certificate": _jsonify(asdict(sl_cert)),
-            }
-        else:
-            obstruction = None
-            report["obata"] = None
-            report["holonomy"] = None
-        obstruction_verdict = obstruction.verdict if obstruction else "inconclusive"
+    report["theorem_checks"] = {"hyperkahler_detector": _jsonify(asdict(detector))}
+    return dtt
+
+
+def _verdict_stage(
+    tor: _Torsion | None, tf: _TorsionFree | None, dtt: DtTraces | None, violations: list[str]
+) -> dict[str, object]:
+    hol_dim = tf.holonomy_dim if tf else 0
+    obstruction = tf.obstruction_verdict if tf else "inconclusive"
+    if tor is None:
+        verdict = classify(False, None, None, None, None, None, hol_dim, True, True, obstruction)
+        return _jsonify(asdict(verdict))
+    try:
         verdict = classify(
-            False, None, None, None, None, None,
-            report["holonomy"]["obata_dim"] if report["holonomy"] else 0,
-            True, True, obstruction_verdict,
+            True,
+            tor.t.is_zero(),
+            tor.lee.theta.is_zero(),
+            tor.lee.d_theta.is_zero(),
+            dtt.strong,
+            dtt.almost_strong,
+            hol_dim,
+            is_zero_matrix(tf.ricci.ric),
+            tf.all_trace_free,
+            obstruction,
         )
-        report["verdict"] = _jsonify(asdict(verdict))
-        report["obstruction"] = (
-            {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
-            if obstruction
-            else None
-        )
-        report["theorem_checks"] = None
-
-    report["theorem_violations"] = violations
-    report["elapsed_ms"] = int(round((time.perf_counter() - start) * 1000))
-    return report
+    except RuntimeError as exc:
+        violations.append(str(exc))
+        return {"error": str(exc)}
+    return _jsonify(asdict(verdict))
 
 
 def expected_mismatches(entry: CatalogEntry, report: dict[str, object]) -> list[str]:

@@ -26,10 +26,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .exact import format_scalar, parse_scalar
+from .exact import Scalar, format_scalar, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra, validate_lie_algebra
 from .linalg import Matrix, identity, invert, mat_mul
@@ -95,7 +94,7 @@ def _parse_structure_constants(raw: object, dim: int) -> BracketTable:
     if not isinstance(raw, list):
         raise CatalogError("structure_constants: expected a list")
     brackets: BracketTable = {}
-    seen: dict[tuple[int, int, int], Fraction] = {}
+    seen: dict[tuple[int, int, int], Scalar] = {}
     for t, item in enumerate(raw):
         path = f"structure_constants[{t}]"
         if not isinstance(item, list) or len(item) != 4:

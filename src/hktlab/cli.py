@@ -1,5 +1,6 @@
 """Command-line surface: validate inputs, run analyses, compute holonomy,
-and manage the example catalog.
+and manage the example catalog. `analyze --all` runs the entries one after
+another, in name order.
 
 Exit codes: 0 success, 1 input error, 2 I/O error, 3 theorem violation
 (an exact identity the engine guarantees failed, meaning a defect, not a
@@ -11,12 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .analyze import analyze_entry
 from .catalog import CatalogEntry, CatalogError, available_entries, load, save
 from .holonomy import glnh_membership, holonomy_algebra, is_g_skew, slnh_membership
-from .hyperhermitian import bismut_connection, hkt_check, integrability_check
+from .hyperhermitian import bismut_connection, hkt_check
 from .invariant import levi_civita
 from .obata import obata_connection
 
@@ -201,9 +201,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.path or args.builtin:
             raise _UsageError("--all cannot be combined with a path or --builtin")
         entries = sorted(available_entries().values(), key=lambda e: e.name)
-        with ThreadPoolExecutor(max_workers=min(4, len(entries))) as pool:
-            reports = list(pool.map(analyze_entry, entries))
-        reports.sort(key=lambda r: r["entry"])
+        reports = [analyze_entry(entry) for entry in entries]
     else:
         reports = [analyze_entry(_resolve_entry(args))]
     if args.format == "json":
@@ -228,11 +226,11 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
             return EXIT_INPUT
         conn = bismut_connection(res.torsion, alg)
     else:
-        if integrability_check(h, alg) is not None:
+        res = hkt_check(h, alg)
+        if res.first_nonintegrable is not None:
             print("torsion-free route requires an integrable structure", file=sys.stderr)
             return EXIT_INPUT
-        res = hkt_check(h, alg)
-        conn = obata_connection(h, alg, res.torsion if res.ok else None)
+        conn = obata_connection(h, alg, res.torsion)
     hol = holonomy_algebra(conn, alg)
     print(f"connection: {args.connection}")
     print(f"generators: {len(hol.generators)}")

@@ -20,17 +20,19 @@ Scalar = int | Fraction
 _WIRE_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
-def parse_scalar(raw: object) -> Fraction:
-    """Parse a wire-format rational. Rejects floats and malformed strings."""
+def parse_scalar(raw: object) -> Scalar:
+    """Parse a wire-format rational: an int when integral, else a Fraction.
+    Rejects floats and malformed strings."""
     if isinstance(raw, bool):
         raise ValueError(f"not a rational: {raw!r}")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str) and _WIRE_RE.match(raw):
         try:
-            return Fraction(raw)
+            value = Fraction(raw)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator: {raw!r}") from None
+        return value.numerator if value.denominator == 1 else value
     raise ValueError(f"not a rational: {raw!r}")
 
 

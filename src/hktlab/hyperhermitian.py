@@ -116,15 +116,6 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube)
 
 
-def integrability_check(h: HyperhermitianStructure, alg: LieAlgebra) -> int | None:
-    """None when every J_s is integrable, else the first failing s (1-based)."""
-    for s in (1, 2, 3):
-        cube, _ = nijenhuis(alg, h.j(s))
-        if not cube_is_zero(cube):
-            return s
-    return None
-
-
 def p_minus(a: KForm, j: Matrix) -> KForm:
     """Projection of a 3-form onto its (3,0)+(0,3) part for J:
     (1/4)[a(X,Y,Z) - a(JX,JY,Z) - a(JX,Y,JZ) - a(X,JY,JZ)].
@@ -145,7 +136,12 @@ def kt_torsion(j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
     T = J dF + N, valid exactly when N is totally skew.
     """
-    n_cube, n_form = nijenhuis(alg, j)
+    return _kt_torsion(j, h, alg, nijenhuis(alg, j)[1])
+
+
+def _kt_torsion(
+    j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra, n_form: KForm | None
+) -> KForm:
     if n_form is None:
         raise ValueError(
             "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
@@ -157,21 +153,26 @@ def kt_torsion(j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
 @dataclass(frozen=True)
 class HktResult:
     ok: bool
+    first_nonintegrable: int | None
     torsion: KForm | None = None
     reason: str | None = None
     first_difference: tuple[tuple[int, int], tuple[int, int, int], Scalar, Scalar] | None = None
 
 
 def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
-    """Do the three candidate torsions agree? On success returns the common
-    torsion 3-form and asserts the structure is integrable (a common torsion
-    with nonvanishing Nijenhuis tensors is contradictory)."""
+    """Do the three candidate torsions agree? The Nijenhuis tensors, computed
+    once, give both the candidates and first_nonintegrable (the first
+    non-integrable J_s, or None). On success returns the common torsion and
+    asserts integrability (a common torsion with nonvanishing Nijenhuis
+    tensors is contradictory)."""
+    tensors = [nijenhuis(alg, h.j(s)) for s in (1, 2, 3)]
+    first_bad = next((s for s, (cube, _) in enumerate(tensors, 1) if not cube_is_zero(cube)), None)
     candidates: list[KForm] = []
-    for s in (1, 2, 3):
+    for s, (_, n_form) in enumerate(tensors, 1):
         try:
-            candidates.append(kt_torsion(h.j(s), h, alg))
+            candidates.append(_kt_torsion(h.j(s), h, alg, n_form))
         except ValueError as exc:
-            return HktResult(ok=False, reason=f"J{s}: {exc}")
+            return HktResult(ok=False, first_nonintegrable=first_bad, reason=f"J{s}: {exc}")
     base = candidates[0]
     for s in (2, 3):
         other = candidates[s - 1]
@@ -182,16 +183,15 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
                 if v1 != v2:
                     return HktResult(
                         ok=False,
+                        first_nonintegrable=first_bad,
                         reason="candidate torsions differ",
                         first_difference=((1, s), key, v1, v2),
                     )
-    for s in (1, 2, 3):
-        cube, _ = nijenhuis(alg, h.j(s))
-        if not cube_is_zero(cube):
-            raise RuntimeError(
-                "common torsion with nonvanishing Nijenhuis tensor; structure inconsistent"
-            )
-    return HktResult(ok=True, torsion=base)
+    if first_bad is not None:
+        raise RuntimeError(
+            "common torsion with nonvanishing Nijenhuis tensor; structure inconsistent"
+        )
+    return HktResult(ok=True, first_nonintegrable=None, torsion=base)
 
 
 # Mixed-family index triples. The three-structure type identity couples the

@@ -194,10 +194,22 @@ def obata_connection(
     exactly either way.
     """
     if hkt_torsion is not None:
-        base = bismut_connection(hkt_torsion, alg)
-        conn = Connection(h.dim, cube_add(base.gamma, difference_tensor(hkt_torsion, h)))
-    else:
-        conn, _ = obata_oracle_solver(h, alg)
+        return obata_from_difference(
+            bismut_connection(hkt_torsion, alg), difference_tensor(hkt_torsion, h), h, alg
+        )
+    conn, _ = obata_oracle_solver(h, alg)
+    return _verified(conn, h, alg)
+
+
+def obata_from_difference(
+    skew: Connection, a: Cube, h: HyperhermitianStructure, alg: LieAlgebra
+) -> Connection:
+    """The skew-torsion connection plus the difference tensor A, with the
+    torsion-free hypercomplex postconditions verified exactly."""
+    return _verified(Connection(h.dim, cube_add(skew.gamma, a)), h, alg)
+
+
+def _verified(conn: Connection, h: HyperhermitianStructure, alg: LieAlgebra) -> Connection:
     if not cube_is_zero(torsion_cube(conn, alg)):
         raise RuntimeError("constructed connection has torsion; internal defect")
     for s in (1, 2, 3):

@@ -74,10 +74,6 @@ class KForm:
         return sign * self.comps.get(tuple(sorted(idx)), 0)
 
 
-def kform_zero(dim: int, degree: int) -> KForm:
-    return KForm(dim, degree, {})
-
-
 def basis_form(dim: int, indices: tuple[int, ...], value: Scalar = 1) -> KForm:
     """The form value * e^{i1} ^ ... ^ e^{ik} for strictly increasing indices."""
     return KForm(dim, len(indices), {tuple(indices): value})
@@ -90,10 +86,6 @@ def form_add(a: KForm, b: KForm) -> KForm:
     for idx, v in b.comps.items():
         comps[idx] = comps.get(idx, 0) + v
     return KForm(a.dim, a.degree, comps)
-
-
-def form_sub(a: KForm, b: KForm) -> KForm:
-    return form_add(a, form_scale(b, -1))
 
 
 def form_scale(a: KForm, s: Scalar) -> KForm:
@@ -217,13 +209,6 @@ def cube_scale(a: Cube, s: Scalar) -> Cube:
 
 def cube_is_zero(a: Cube) -> bool:
     return all(not x for plane in a for row in plane for x in row)
-
-
-def cube_eq(a: Cube, b: Cube) -> bool:
-    n = len(a)
-    return all(
-        a[i][j][k] == b[i][j][k] for i in range(n) for j in range(n) for k in range(n)
-    )
 
 
 def _contract_slot(cube: Cube, m: Matrix, slot: int) -> Cube:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,14 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def without_elapsed(text):
+    return re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+
+
+def golden_text(name):
+    return without_elapsed((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_analyze_json_matches_golden(capsys, name):
     rc, out, err = run(capsys, "analyze", "--builtin", name, "--format", "json")
@@ -43,6 +52,18 @@ def test_analyze_json_matches_golden(capsys, name):
     golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
     golden.pop("elapsed_ms")
     assert report == golden
+    # the printed text too, so key order and scalar types are pinned
+    assert without_elapsed(out) == golden_text(name)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_exported_entry_reloads_to_golden(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    rc, out, err = run(capsys, "catalog", "--export", name, str(path))
+    assert rc == 0
+    rc, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert rc == 0 and err == ""
+    assert without_elapsed(out) == golden_text(name)
 
 
 def test_analyze_all_json(capsys):

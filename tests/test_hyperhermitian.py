@@ -10,7 +10,6 @@ from hktlab.hyperhermitian import (
     fundamental_form,
     fundamental_forms,
     hkt_check,
-    integrability_check,
     kt_torsion,
     nijenhuis,
     p_minus,
@@ -73,7 +72,7 @@ def test_nijenhuis_vanishes_on_catalog(cat):
             cube, form = nijenhuis(entry.lie, entry.structure.j(s))
             assert cube_is_zero(cube)
             assert form is not None and form.is_zero()
-        assert integrability_check(entry.structure, entry.lie) is None
+        assert hkt_check(entry.structure, entry.lie).first_nonintegrable is None
 
 
 SWAP_BRACKETS = {
@@ -131,7 +130,7 @@ def test_p_minus_projects_out_mixed_part(cat):
 def test_kt_torsion_requires_skew_nijenhuis():
     heis = LieAlgebra(4, {(1, 2): {3: 1}})
     h = builtin_by_name()["torus4"].structure
-    assert integrability_check(h, heis) == 1
+    assert hkt_check(h, heis).first_nonintegrable == 1
     with pytest.raises(ValueError, match="not totally skew"):
         kt_torsion(h.j(1), h, heis)
     with pytest.raises(ValueError, match="not totally skew"):

@@ -18,7 +18,7 @@ from hktlab.obata import (
 )
 from hktlab.curvature import lee_form
 from hktlab.linalg import mat_vec
-from hktlab.tensors import cube_add, cube_eq, cube_is_zero, form_to_cube
+from hktlab.tensors import cube_add, cube_is_zero, form_to_cube
 
 from oracle_impl import HKT_NAMES, ALL_NAMES
 
@@ -65,7 +65,7 @@ def test_general_route_agrees_with_hkt_route(cat, torsions):
     for name in HKT_NAMES:
         h = cat[name].structure
         t_cube = form_to_cube(torsions[name])
-        assert cube_eq(obata_b_tensor(t_cube, h), difference_tensor(torsions[name], h)), name
+        assert obata_b_tensor(t_cube, h) == difference_tensor(torsions[name], h), name
 
 
 def test_obata_routes_agree_everywhere(cat, torsions):
@@ -106,7 +106,7 @@ def test_obata_is_bismut_plus_difference(cat, torsions):
         skew = bismut_connection(t, entry.lie)
         a = difference_tensor(t, entry.structure)
         conn = obata_connection(entry.structure, entry.lie, t)
-        assert cube_eq(conn.gamma, cube_add(skew.gamma, a)), name
+        assert conn.gamma == cube_add(skew.gamma, a), name
 
 
 def test_hc_only8_connection_values(cat):

@@ -13,7 +13,6 @@ from hktlab.tensors import (
     form_scale,
     form_to_cube,
     j_twist,
-    kform_zero,
     norm_sq,
     norm_weight,
     orthonormal_frame,
@@ -56,7 +55,7 @@ def test_kform_drops_zero_components():
     f = KForm(3, 2, {(0, 1): 0, (0, 2): 5})
     assert f.comps == {(0, 2): 5}
     assert not f.is_zero()
-    assert kform_zero(3, 2).is_zero()
+    assert KForm(3, 2).is_zero()
 
 
 def test_evaluate_signs_and_repeats():
@@ -118,7 +117,7 @@ def test_norm_convention_is_full_index_sum():
     assert norm_weight(3) == 6
     assert norm_sq(basis_form(4, (0, 1, 2))) == 6
     assert norm_sq(basis_form(4, (0,), 2)) == 4
-    assert norm_sq(kform_zero(4, 2)) == 0
+    assert norm_sq(KForm(4, 2)) == 0
 
 
 def test_form_cube_round_trip():
