@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -183,10 +184,9 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
 
 def load(path: str | Path, allow_unknown: bool = False) -> CatalogEntry:
     """Parse and fully validate one wire document."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CatalogError(f"{path}: parse error: {exc}") from None
     return _document_to_entry(doc, str(path), allow_unknown)
 
@@ -366,11 +366,16 @@ def builtin_by_name() -> dict[str, CatalogEntry]:
 
 
 def available_entries() -> dict[str, CatalogEntry]:
-    """Builtins plus any *.json entries from HKTLAB_CATALOG_DIR."""
+    """Builtins plus any *.json entries from HKTLAB_CATALOG_DIR. A file the
+    loader rejects is skipped with a warning on stderr naming it."""
     entries = builtin_by_name()
     extra_dir = os.environ.get("HKTLAB_CATALOG_DIR")
     if extra_dir:
         for path in sorted(Path(extra_dir).glob("*.json")):
-            entry = load(path)
+            try:
+                entry = load(path)
+            except CatalogError as exc:
+                print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+                continue
             entries[entry.name] = entry
     return entries

@@ -29,11 +29,6 @@ class CheckOutcome:
     ok: bool
     counterexample: tuple | None = None
 
-    def describe(self) -> str:
-        if self.ok:
-            return "ok"
-        return f"fails at {self.counterexample}"
-
 
 @dataclass(frozen=True)
 class RicciPackage:

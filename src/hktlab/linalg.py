@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over rational scalars.
+"""Exact linear algebra over rational scalars.
 
 Matrices are lists of row lists; vectors are flat lists. Entries are ints
-or Fractions. Sizes stay tiny (ambient dimension at most 16, solver systems
-a few hundred rows), so straightforward Gaussian elimination is plenty;
-inner loops skip zero entries because the inputs are very sparse in
-practice.
+or Fractions. The one Gaussian elimination is `RowSpan`, which keeps a
+row space in sparse reduced echelon form (rows as {column: Fraction}
+dicts), because the solver systems and holonomy generators are almost all
+zeros. `rref` and `det` are read off a `RowSpan`; `rank`, `nullspace`,
+`solve_unique` and `invert` go through `rref`.
 """
 
 from __future__ import annotations
@@ -89,35 +90,18 @@ def vec_scale(u: Vector, s: Scalar) -> Vector:
     return [s * x for x in u]
 
 
-def _fractionize(a: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in a]
-
-
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form. Returns (R, pivot column list)."""
-    m = _fractionize(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        if inv != 1:
-            m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                row_r = m[r]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], row_r)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(a[0]) if a else 0
+    span = RowSpan(cols)
+    for row in a:
+        span._insert(row)
+    pivots = sorted(span._rows)
+    reduced = [[Fraction(0)] * cols for _ in a]
+    for out, pivot in zip(reduced, pivots):
+        for j, x in span._rows[pivot].items():
+            out[j] = x
+    return reduced, pivots
 
 
 def rank(a: Matrix) -> int:
@@ -170,25 +154,18 @@ def invert(a: Matrix) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish elimination with row pivoting."""
-    n = len(a)
-    m = _fractionize(a)
-    sign = 1
+    """Product of the pivot values, signed by the order the pivots appear."""
+    span = RowSpan(len(a))
+    order: list[int] = []
     result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
+    for row in a:
+        step = span._insert(row)
+        if step is None:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        pivot = m[c][c]
-        result *= pivot
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pivot
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[c])]
-    return sign * result
+        order.append(step[0])
+        result *= step[1]
+    inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1 :])
+    return -result if inversions % 2 else result
 
 
 def leading_minors_positive(a: Matrix) -> bool:
@@ -196,43 +173,59 @@ def leading_minors_positive(a: Matrix) -> bool:
     return all(det([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
 
 
-class RowSpan:
-    """Incrementally maintained row space in reduced echelon form.
+def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+    """target -= f * row in place, dropping entries that cancel."""
+    for j, y in row.items():
+        x = target.get(j, 0) - f * y
+        if x:
+            target[j] = x
+        else:
+            del target[j]
 
-    Used for exact rank growth while closing holonomy algebras: `add`
-    returns True when the vector enlarges the span.
+
+class RowSpan:
+    """Row space kept in sparse reduced echelon form; the package's one
+    Gaussian elimination.
+
+    Each stored row is a {column: Fraction} dict keyed by its pivot: 1 at
+    its own pivot, 0 at every other pivot and left of its pivot. The
+    holonomy closure uses `add` for exact rank growth (True when the vector
+    enlarges the span); `rref` and `det` are built on `_insert`.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for pivot, row in self._rows.items():
-            if v[pivot]:
-                f = v[pivot]
-                v = [x - f * y if y else x for x, y in zip(v, row)]
+    def _reduce(self, vec: Vector) -> dict[int, Fraction]:
+        v = {j: Fraction(x) for j, x in enumerate(vec) if x}
+        # Stored rows vanish at every other pivot, so one pass clears them all.
+        for pivot in [j for j in v if j in self._rows]:
+            _subtract(v, v[pivot], self._rows[pivot])
         return v
 
+    def _insert(self, vec: Vector) -> tuple[int, Fraction] | None:
+        """Add vec; return (new pivot, value vec was divided by), or None
+        when vec already lies in the span."""
+        v = self._reduce(vec)
+        if not v:
+            return None
+        pivot = min(v)
+        value = v[pivot]
+        if value != 1:
+            v = {j: x / value for j, x in v.items()}
+        for row in self._rows.values():
+            if pivot in row:
+                _subtract(row, row[pivot], v)
+        self._rows[pivot] = v
+        return pivot, value
+
     def contains(self, vec: Vector) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(vec)
 
     def add(self, vec: Vector) -> bool:
-        v = self._reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        if inv != 1:
-            v = [x * inv for x in v]
-        for p, row in self._rows.items():
-            if row[pivot]:
-                f = row[pivot]
-                self._rows[p] = [x - f * y if y else x for x, y in zip(row, v)]
-        self._rows[pivot] = v
-        return True
+        return self._insert(vec) is not None

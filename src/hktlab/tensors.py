@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .exact import Scalar, exact_sqrt
-from .linalg import Matrix, Vector, dot, vec_scale, vec_sub
+from .linalg import Matrix, Vector, dot, mat_vec, vec_scale, vec_sub
 
 MAX_DIM = 16
 
@@ -283,10 +283,10 @@ def orthonormal_frame(g: Matrix) -> list[Vector]:
         v: Vector = [Fraction(1) if i == a else Fraction(0) for i in range(n)]
         for f in frame:
             # subtract g-projection onto the established frame vectors
-            coeff = dot(mat_vec_g(g, v), f)
+            coeff = dot(mat_vec(g, v), f)
             if coeff:
                 v = vec_sub(v, vec_scale(f, coeff))
-        length_sq = dot(mat_vec_g(g, v), v)
+        length_sq = dot(mat_vec(g, v), v)
         if length_sq <= 0:
             raise ValueError("metric is not positive-definite")
         try:
@@ -298,7 +298,3 @@ def orthonormal_frame(g: Matrix) -> list[Vector]:
             ) from None
         frame.append(vec_scale(v, 1 / length))
     return frame
-
-
-def mat_vec_g(g: Matrix, v: Vector) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in g]

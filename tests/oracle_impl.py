@@ -28,6 +28,45 @@ def perm_parity(perm: tuple[int, ...]) -> int:
     return sign
 
 
+def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Dense column-by-column Gauss-Jordan elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        if inv != 1:
+            m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                row_r = m[r]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], row_r)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def naive_det(a: Matrix) -> Fraction:
+    """Leibniz formula: signed sum over all permutations."""
+    n = len(a)
+    total = Fraction(0)
+    for sigma in permutations(range(n)):
+        term = Fraction(perm_parity(sigma))
+        for i in range(n):
+            term *= a[i][sigma[i]]
+        total += term
+    return total
+
+
 def naive_wedge_eval(a: KForm, b: KForm, idx: tuple[int, ...]) -> Fraction:
     """(a ^ b)(X_idx) via the full permutation sum divided by p! q!."""
     p, q = a.degree, b.degree

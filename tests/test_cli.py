@@ -238,3 +238,26 @@ def test_env_catalog_dir_extends_builtins(capsys, tmp_path, monkeypatch, cat):
     assert rc == 0 and out.startswith("ok: usertorus")
     rc, out, err = run(capsys, "catalog", "--list")
     assert rc == 0 and "usertorus" in out
+
+
+def test_env_catalog_dir_skips_rejected_file(capsys, tmp_path, monkeypatch, cat):
+    doc = serialize(cat["torus4"])
+    doc["name"] = "usertorus"
+    (tmp_path / "usertorus.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "broken.json").write_text('{"schema_version": "1"}', encoding="utf-8")
+    monkeypatch.setenv("HKTLAB_CATALOG_DIR", str(tmp_path))
+    for name in ("hopf4", "usertorus"):
+        rc, out, err = run(capsys, "check", "--builtin", name)
+        assert rc == 0 and out.startswith(f"ok: {name}")
+        assert err.count("warning:") == 1
+        assert "broken.json" in err and "name: missing required field" in err
+    rc, out, err = run(capsys, "catalog", "--list")
+    assert rc == 0 and "usertorus" in out and "broken.json" in err
+
+
+def test_check_non_utf8_file_is_invalid_input(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    rc, out, err = run(capsys, "check", str(path))
+    assert rc == 1
+    assert "invalid input:" in err and "parse error" in err

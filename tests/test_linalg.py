@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hktlab import linalg
 from hktlab.linalg import (
     LinAlgError,
     RowSpan,
@@ -19,14 +20,16 @@ from hktlab.linalg import (
     solve_unique,
     trace,
 )
+from oracle_impl import naive_det, naive_rref
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
 )
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
 
 
-def square(n):
-    return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+def square(n, entries=rationals):
+    return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
 def test_rref_known():
@@ -131,3 +134,42 @@ def test_rowspan_rank_agrees_with_rref(rows):
     assert span.rank == rank(rows)
     for r in rows:
         assert span.contains(list(r))
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(sparse_rationals, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@given(sparse_matrices())
+@settings(max_examples=80)
+def test_rref_matches_dense_oracle(a):
+    assert rref(a) == naive_rref(a)
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: square(n, sparse_rationals)))
+@settings(max_examples=80)
+def test_det_matches_leibniz(a):
+    assert det(a) == naive_det(a)
+
+
+def test_rref_and_det_bypass_rowspan_add(monkeypatch):
+    calls = []
+    original = linalg.RowSpan.add
+
+    def counting_add(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
+    a = [[0, 2, 1], [1, 0, 3], [4, 1, 0]]
+    rref(a)
+    det(a)
+    rank(a)
+    invert(a)
+    assert calls == []
+    assert RowSpan(3).add([1, 0, 0])
+    assert len(calls) == 1
