@@ -59,7 +59,7 @@ from .obata import (
     obata_oracle_solver,
     trace_identities,
 )
-from .tensors import Cube, KForm, cube_is_zero, form_to_cube
+from .tensors import Cube, KForm, form_to_cube
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -208,7 +208,7 @@ def _torsion_free_stage(
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
         "solver_certificate": asdict(certificate),
-        "flat": all(cube_is_zero(r_i) for r_i in r_ob),
+        "flat": all(is_zero_matrix(r_ij) for r_i in r_ob for r_ij in r_i),
         "holonomy_dim": hol_ob.dim,
     }
     report["holonomy"] = {

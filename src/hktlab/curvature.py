@@ -8,8 +8,10 @@ point at exact basis tuples.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
@@ -93,7 +95,7 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
         j = h.j(s)
         # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a]
         contracted = [
-            sum(ct[r][a][m] * j[m][a] for a in range(dim) for m in range(dim) if j[m][a])
+            sum(ct.get((r, a, m), 0) * j[m][a] for a in range(dim) for m in range(dim) if j[m][a])
             for r in range(dim)
         ]
         theta_s = [
@@ -264,30 +266,34 @@ def curvature_relation_check(
     R_ob(X,Y,Z,U) = R(X,Y,Z,U) + (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
                   + A(T(X,Y),Z,U) + A(X,A(Y,Z),U) - A(Y,A(X,Z),U),
 
-    verified on every basis quadruple.
+    verified on every basis quadruple. The correction terms are built from
+    the nonzero entries of A, T and nabla A alone; the comparison then runs
+    over every quadruple in lexicographic order.
     """
     dim = alg.dim
-    nabla_a = [covariant_derivative_cube(skew_conn, i, a) for i in range(dim)]
+    by_first, by_middle = defaultdict(list), defaultdict(list)
+    for (p, m, q), v in a.items():
+        by_first[p].append((m, q, v))
+        by_middle[m].append((p, q, v))
+    correction: dict[tuple[int, int, int, int], Scalar] = defaultdict(int)
+    # (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
     for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(dim):
-                    torsion_term = sum(
-                        t_cube[i][j][m] * a[m][k][l] for m in range(dim) if t_cube[i][j][m]
-                    )
-                    aa_term = sum(
-                        a[j][k][m] * a[i][m][l] - a[i][k][m] * a[j][m][l]
-                        for m in range(dim)
-                    )
-                    rhs = (
-                        r_skew[i][j][k][l]
-                        + nabla_a[i][j][k][l]
-                        - nabla_a[j][i][k][l]
-                        + torsion_term
-                        + aa_term
-                    )
-                    if r_ob[i][j][k][l] != rhs:
-                        return CheckOutcome(False, (i, j, k, l))
+        for (j, k, l), v in covariant_derivative_cube(skew_conn, i, a).items():
+            correction[(i, j, k, l)] += v
+            correction[(j, i, k, l)] -= v
+    # A(T(X,Y),Z,U)
+    for (i, j, m), t in t_cube.items():
+        for k, l, v in by_first[m]:
+            correction[(i, j, k, l)] += t * v
+    # A(X,A(Y,Z),U) - A(Y,A(X,Z),U)
+    for (p, k, m), v in a.items():
+        for q, l, w in by_middle[m]:
+            correction[(q, p, k, l)] += v * w
+            correction[(p, q, k, l)] -= v * w
+    for idx in product(range(dim), repeat=4):
+        i, j, k, l = idx
+        if r_ob[i][j][k][l] != r_skew[i][j][k][l] + correction.get(idx, 0):
+            return CheckOutcome(False, idx)
     return CheckOutcome(True)
 
 
@@ -341,12 +347,7 @@ def star_scalar(
         )
     dt = ce_differential(alg, t)
     double_trace = _double_j_trace(dt, h.j(1))
-    delta_theta = sum(
-        lc.gamma[a][a][m] * lee.theta.evaluate((m,))
-        for a in range(dim)
-        for m in range(dim)
-        if lc.gamma[a][a][m]
-    )
+    delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)
     checks: dict[str, CheckOutcome] = {}

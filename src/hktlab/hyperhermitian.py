@@ -29,11 +29,9 @@ from .tensors import (
     Cube,
     KForm,
     cube_add,
-    cube_is_zero,
     cube_pullback,
     cube_scale,
     cube_to_form,
-    cube_zero,
     form_add,
     form_to_cube,
     j_twist,
@@ -96,13 +94,13 @@ def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
 def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
-    Returns the lowered cube n[i][j][k] (orthonormal frame) and its 3-form
+    Returns the lowered cube n[(i, j, k)] (orthonormal frame) and its 3-form
     reading when totally skew, else None.
     """
     dim = alg.dim
     basis = identity(dim)
     j_cols = [[j[r][c] for r in range(dim)] for c in range(dim)]
-    cube = cube_zero(dim)
+    cube: Cube = {}
     for a, b in combinations(range(dim), 2):
         ja, jb = j_cols[a], j_cols[b]
         term = bracket_vectors(alg, ja, jb)
@@ -111,9 +109,9 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
         term = [t - u for t, u in zip(term, bracket_vectors(alg, basis[a], basis[b]))]
         for k, v in enumerate(term):
             if v:
-                cube[a][b][k] = v
-                cube[b][a][k] = -v
-    return cube, cube_to_form(cube)
+                cube[(a, b, k)] = v
+                cube[(b, a, k)] = -v
+    return cube, cube_to_form(cube, dim)
 
 
 def p_minus(a: KForm, j: Matrix) -> KForm:
@@ -126,7 +124,7 @@ def p_minus(a: KForm, j: Matrix) -> KForm:
         cube_pullback(c, None, j, j),
     )
     combined = cube_scale(cube_add(c, cube_scale(mixed, -1)), Fraction(1, 4))
-    form = cube_to_form(combined)
+    form = cube_to_form(combined, a.dim)
     if form is None:
         raise RuntimeError("projector output not antisymmetric; input was not a form")
     return form
@@ -166,7 +164,7 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     asserts integrability (a common torsion with nonvanishing Nijenhuis
     tensors is contradictory)."""
     tensors = [nijenhuis(alg, h.j(s)) for s in (1, 2, 3)]
-    first_bad = next((s for s, (cube, _) in enumerate(tensors, 1) if not cube_is_zero(cube)), None)
+    first_bad = next((s for s, (cube, _) in enumerate(tensors, 1) if cube), None)
     candidates: list[KForm] = []
     for s, (_, n_form) in enumerate(tensors, 1):
         try:
@@ -211,13 +209,10 @@ class TypeCheckResult:
 
 
 def _first_nonzero(cube: Cube) -> tuple[tuple[int, int, int], Scalar] | None:
-    n = len(cube)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if cube[i][j][k]:
-                    return (i, j, k), cube[i][j][k]
-    return None
+    if not cube:
+        return None
+    idx = min(cube)
+    return idx, cube[idx]
 
 
 def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:

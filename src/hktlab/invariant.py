@@ -6,9 +6,10 @@ antisymmetric completion is implicit. All tensor work happens in an
 orthonormal frame (the loader rebases inputs), so raising and lowering
 indices is free and every trace below is a plain index sum.
 
-Connection coefficients are stored lowered, gamma[i][j][k] = <nabla_{e_i}
-e_j, e_k>. The operator matrix of nabla_{e_i} acting on coordinate vectors
-is L_i[k][j] = gamma[i][j][k].
+Connection coefficients are stored lowered as a cube (the sparse
+{(i, j, k): value} format of `tensors`, which never stores a zero):
+gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k>. The operator matrix of
+nabla_{e_i} acting on coordinate vectors is L_i[k][j] = gamma[(i, j, k)].
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import combinations
 
 from .exact import Scalar
 from .linalg import Matrix, Vector, mat_mul, mat_sub
-from .tensors import Cube, KForm, MAX_DIM, cube_to_form, cube_zero
+from .tensors import Cube, KForm, MAX_DIM, cube_add, cube_pullback, cube_scale, cube_to_form
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
 
@@ -142,7 +143,7 @@ def ce_differential(alg: LieAlgebra, a: KForm) -> KForm:
 class Connection:
     """Left-invariant connection in lowered coefficients.
 
-    gamma[i][j][k] = <nabla_{e_i} e_j, e_k> in the orthonormal frame.
+    gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k> in the orthonormal frame.
     metric_flag caches whether the connection is metric (gamma skew in the
     last two slots).
     """
@@ -152,18 +153,16 @@ class Connection:
     metric_flag: bool = field(init=False)
 
     def __post_init__(self):
-        flag = all(
-            self.gamma[i][j][k] == -self.gamma[i][k][j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            for k in range(j, self.dim)
-        )
+        flag = all(self.gamma.get((i, k, j), 0) == -v for (i, j, k), v in self.gamma.items())
         object.__setattr__(self, "metric_flag", flag)
 
     def operator(self, i: int) -> Matrix:
         """Matrix of nabla_{e_i} acting on coordinate vectors."""
-        g = self.gamma[i]
-        return [[g[j][k] for j in range(self.dim)] for k in range(self.dim)]
+        op = [[0] * self.dim for _ in range(self.dim)]
+        for (a, j, k), v in self.gamma.items():
+            if a == i:
+                op[k][j] = v
+        return op
 
 
 def connection_operators(conn: Connection) -> list[Matrix]:
@@ -175,7 +174,7 @@ def levi_civita(alg: LieAlgebra) -> Connection:
     Gamma_ijk = (c_ijk - c_jki + c_kij) / 2 with c_ijk = <[e_i,e_j], e_k>.
     """
     dim = alg.dim
-    gamma = cube_zero(dim)
+    gamma: Cube = {}
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -185,31 +184,31 @@ def levi_civita(alg: LieAlgebra) -> Connection:
                     + structure_constant(alg, k, i, j)
                 )
                 if value:
-                    gamma[i][j][k] = Fraction(value, 2)
+                    gamma[(i, j, k)] = Fraction(value, 2)
     return Connection(dim, gamma)
 
 
 def torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
-    """Lowered torsion t[i][j][k] = <T(e_i,e_j), e_k>."""
+    """Lowered torsion t[(i, j, k)] = <T(e_i,e_j), e_k>."""
     dim = conn.dim
-    out = cube_zero(dim)
+    out: Cube = {}
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 v = (
-                    conn.gamma[i][j][k]
-                    - conn.gamma[j][i][k]
+                    conn.gamma.get((i, j, k), 0)
+                    - conn.gamma.get((j, i, k), 0)
                     - structure_constant(alg, i, j, k)
                 )
                 if v:
-                    out[i][j][k] = v
+                    out[(i, j, k)] = v
     return out
 
 
 def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
     """Torsion as a cube plus, when totally skew, the same data as a 3-form."""
     cube = torsion_cube(conn, alg)
-    return cube, cube_to_form(cube)
+    return cube, cube_to_form(cube, conn.dim)
 
 
 def curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], Matrix]:
@@ -255,25 +254,14 @@ def covariant_derivative_cube(conn: Connection, i: int, a: Cube) -> Cube:
     """(nabla_{e_i} A)(Y,Z,U) for an invariant 3-index tensor A.
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(nabla_i Y, Z, U) - A(Y, nabla_i Z, U) - A(Y, Z, nabla_i U).
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U) with L = nabla_{e_i}.
     """
-    dim = conn.dim
-    g_i = conn.gamma[i]
-    out = cube_zero(dim)
-    for j in range(dim):
-        for k in range(dim):
-            for l in range(dim):
-                total: Scalar = 0
-                for m in range(dim):
-                    if g_i[j][m]:
-                        total += g_i[j][m] * a[m][k][l]
-                    if g_i[k][m]:
-                        total += g_i[k][m] * a[j][m][l]
-                    if g_i[l][m]:
-                        total += g_i[l][m] * a[j][k][m]
-                if total:
-                    out[j][k][l] = -total
-    return out
+    op = conn.operator(i)
+    total = cube_add(
+        cube_add(cube_pullback(a, op, None, None), cube_pullback(a, None, op, None)),
+        cube_pullback(a, None, None, op),
+    )
+    return cube_scale(total, -1)
 
 
 def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> LieAlgebra:

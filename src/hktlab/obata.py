@@ -25,11 +25,9 @@ from .tensors import (
     Cube,
     KForm,
     cube_add,
-    cube_is_zero,
     cube_map_output,
     cube_pullback,
     cube_scale,
-    cube_zero,
     form_to_cube,
 )
 
@@ -77,18 +75,7 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
 
 def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
     """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
-    dim = len(a)
-    for s in (1, 2, 3):
-        j = h.j(s)
-        pulled = cube_pullback(a, None, j, j)
-        if not all(
-            pulled[i][jx][k] == a[i][jx][k]
-            for i in range(dim)
-            for jx in range(dim)
-            for k in range(dim)
-        ):
-            return False
-    return True
+    return all(cube_pullback(a, None, h.j(s), h.j(s)) == a for s in (1, 2, 3))
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
@@ -157,7 +144,7 @@ def obata_oracle_solver(
                 " complex structures"
             ) from exc
         raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
-    gamma = cube_zero(dim)
+    gamma: Cube = {}
     for i in range(dim):
         op = [[0] * dim for _ in range(dim)]
         for t, c in enumerate(cbasis):
@@ -170,7 +157,7 @@ def obata_oracle_solver(
         for jdx in range(dim):
             for k in range(dim):
                 if op[k][jdx]:
-                    gamma[i][jdx][k] = op[k][jdx]
+                    gamma[(i, jdx, k)] = op[k][jdx]
     certificate = SolverCertificate(
         commutant_dim=d_c,
         unknowns=unknowns,
@@ -210,7 +197,7 @@ def obata_from_difference(
 
 
 def _verified(conn: Connection, h: HyperhermitianStructure, alg: LieAlgebra) -> Connection:
-    if not cube_is_zero(torsion_cube(conn, alg)):
+    if torsion_cube(conn, alg):
         raise RuntimeError("constructed connection has torsion; internal defect")
     for s in (1, 2, 3):
         if not preserves_endomorphism(conn, h.j(s)):
@@ -226,10 +213,10 @@ class TraceReport:
 
 def trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
     """sum_a A(X, e_a, e_a) = -2 theta(X) and sum_a A(X, e_a, J_s e_a) = 0."""
-    dim = len(a)
+    dim = h.dim
     failures: list[str] = []
     for x in range(dim):
-        plain = sum(a[x][i][i] for i in range(dim))
+        plain = sum(a.get((x, i, i), 0) for i in range(dim))
         want = -2 * theta.evaluate((x,))
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")
@@ -237,22 +224,29 @@ def trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> Trace
         j = h.j(s)
         for x in range(dim):
             twisted = sum(
-                a[x][i][m] * j[m][i] for i in range(dim) for m in range(dim) if j[m][i]
+                a.get((x, i, m), 0) * j[m][i] for i in range(dim) for m in range(dim) if j[m][i]
             )
             if twisted:
                 failures.append(f"J{s} trace at X=e{x}: {twisted} != 0")
     return TraceReport(ok=not failures, failures=tuple(failures))
 
 
+class UnsupportedInputError(ValueError):
+    """A structure the loader accepts but the engine cannot analyze yet:
+    the fault is in the input's frame, not in an identity."""
+
+
 def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
     """Pairs (f, J1 f) covering the basis, for J1 a signed permutation.
 
     Requires the identity metric (the engine's internal frame) and a
-    J1-adapted basis; fails loudly otherwise.
+    J1-adapted basis; raises UnsupportedInputError otherwise.
     """
     dim = h.dim
     if not all(h.metric[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim)):
-        raise ValueError("adapted frame requires the identity metric; rebase the input first")
+        raise UnsupportedInputError(
+            "adapted frame requires the identity metric; rebase the input first"
+        )
     j1 = h.j(1)
     basis = identity(dim)
     used = [False] * dim
@@ -263,10 +257,14 @@ def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
         column = [j1[r][a] for r in range(dim)]
         support = [(r, v) for r, v in enumerate(column) if v]
         if len(support) != 1 or support[0][1] not in (1, -1):
-            raise ValueError("frame not J1-adapted: J1 is not a signed basis permutation")
+            raise UnsupportedInputError(
+                "frame not J1-adapted: J1 is not a signed basis permutation"
+            )
         target = support[0][0]
         if target == a or used[target]:
-            raise ValueError("frame not J1-adapted: basis does not split into J1-pairs")
+            raise UnsupportedInputError(
+                "frame not J1-adapted: basis does not split into J1-pairs"
+            )
         used[a] = used[target] = True
         pairs.append((basis[a], column))
     return pairs
@@ -274,7 +272,7 @@ def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
 
 def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
     return sum(
-        uj * vk * a[x][jdx][k]
+        uj * vk * a.get((x, jdx, k), 0)
         for jdx, uj in enumerate(u)
         if uj
         for k, vk in enumerate(v)
@@ -288,7 +286,7 @@ def complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceR
     Real part: sum over pairs of A(X,f,f) + A(X,J1f,J1f) = -2 theta(X).
     Imaginary part: sum over pairs of A(X,f,J1f) - A(X,J1f,f) = 0.
     """
-    dim = len(a)
+    dim = h.dim
     pairs = adapted_frame(h)
     failures: list[str] = []
     for x in range(dim):

@@ -7,7 +7,11 @@ Endomorphisms and metrics are plain matrices with the column convention
 M[i][j] = coefficient of e_i in (M e_j).
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
-tensors) are kept as dense "cubes": nested lists t[i][j][k].
+tensors, connection coefficients) are kept as "cubes": dicts
+{(i, j, k): value} of their nonzero entries, in the same idiom as
+KForm.comps. Every function here that returns a cube keeps the invariant
+that a cube never stores a zero, so `not cube` tests for the zero tensor
+and `==` compares two tensors entry for entry.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from itertools import combinations, permutations
 from math import factorial
 
 from .exact import Scalar, exact_sqrt
-from .linalg import Matrix, Vector, dot, mat_vec, vec_scale, vec_sub
+from .linalg import Matrix, Vector, dot, mat_vec, transpose, vec_scale, vec_sub
 
 MAX_DIM = 16
 
-Cube = list[list[list[Scalar]]]
+Cube = dict[tuple[int, int, int], Scalar]
 
 
 def perm_sign(seq: tuple[int, ...]) -> int:
@@ -158,77 +162,44 @@ def norm_sq(a: KForm) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# dense cubes (3-index tensors, not necessarily antisymmetric)
-
-def cube_zero(dim: int) -> Cube:
-    return [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-
+# cubes (3-index tensors, not necessarily antisymmetric)
 
 def form_to_cube(a: KForm) -> Cube:
     if a.degree != 3:
         raise ValueError("expected a 3-form")
-    dim = a.dim
-    cube = cube_zero(dim)
-    for (i, j, k), v in a.comps.items():
-        for tgt in permutations((i, j, k)):
-            cube[tgt[0]][tgt[1]][tgt[2]] = perm_sign(tgt) * v
-    return cube
+    return {tgt: perm_sign(tgt) * v for idx, v in a.comps.items() for tgt in permutations(idx)}
 
 
-def cube_to_form(cube: Cube) -> KForm | None:
+def cube_to_form(cube: Cube, dim: int) -> KForm | None:
     """Reinterpret a cube as a 3-form, or None when not totally skew."""
-    dim = len(cube)
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                v = cube[i][j][k]
-                if len({i, j, k}) < 3:
-                    if v:
-                        return None
-                    continue
-                s = perm_sign((i, j, k))
-                key = tuple(sorted((i, j, k)))
-                expected = comps.get(key)
-                if expected is None:
-                    comps[key] = s * v
-                elif expected != s * v:
-                    return None
-    return KForm(dim, 3, comps)
+    form = KForm(dim, 3, {idx: v for idx, v in cube.items() if idx[0] < idx[1] < idx[2]})
+    return form if form_to_cube(form) == cube else None
 
 
 def cube_add(a: Cube, b: Cube) -> Cube:
-    n = len(a)
-    return [[[a[i][j][k] + b[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
+    out = dict(a)
+    for idx, v in b.items():
+        total = out.get(idx, 0) + v
+        if total:
+            out[idx] = total
+        else:
+            del out[idx]
+    return out
 
 
 def cube_scale(a: Cube, s: Scalar) -> Cube:
-    n = len(a)
-    return [[[s * a[i][j][k] for k in range(n)] for j in range(n)] for i in range(n)]
-
-
-def cube_is_zero(a: Cube) -> bool:
-    return all(not x for plane in a for row in plane for x in row)
+    return {idx: s * v for idx, v in a.items()} if s else {}
 
 
 def _contract_slot(cube: Cube, m: Matrix, slot: int) -> Cube:
-    """Replace slot arguments by M-images: out(.., e_i, ..) = in(.., M e_i, ..)."""
-    n = len(cube)
-    out = cube_zero(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = cube[i][j][k]
-                if not v:
-                    continue
-                r = (i, j, k)[slot]
-                for t in range(n):
-                    f = m[r][t]
-                    if f:
-                        idx = [i, j, k]
-                        idx[slot] = t
-                        out[idx[0]][idx[1]][idx[2]] += v * f
-    return out
+    """Replace slot arguments by M-images: out(.., e_t, ..) = in(.., M e_t, ..)."""
+    rows = [[(t, f) for t, f in enumerate(row) if f] for row in m]
+    out: Cube = {}
+    for idx, v in cube.items():
+        for t, f in rows[idx[slot]]:
+            key = idx[:slot] + (t,) + idx[slot + 1 :]
+            out[key] = out.get(key, 0) + v * f
+    return {idx: v for idx, v in out.items() if v}
 
 
 def cube_pullback(cube: Cube, m1: Matrix | None, m2: Matrix | None, m3: Matrix | None) -> Cube:
@@ -241,25 +212,13 @@ def cube_pullback(cube: Cube, m1: Matrix | None, m2: Matrix | None, m3: Matrix |
 
 
 def cube_map_output(cube: Cube, m: Matrix) -> Cube:
-    """Apply M to the vector-valued slot: out[i][j][.] = M (in[i][j][.])."""
-    n = len(cube)
-    out = cube_zero(n)
-    for i in range(n):
-        for j in range(n):
-            col = cube[i][j]
-            for r in range(n):
-                v = col[r]
-                if not v:
-                    continue
-                for t in range(n):
-                    if m[t][r]:
-                        out[i][j][t] += m[t][r] * v
-    return out
+    """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
+    return _contract_slot(cube, transpose(m), 2)
 
 
 def cube_norm_sq(cube: Cube) -> Scalar:
     """Full-index-sum squared norm (no reweighting: the sum is literal)."""
-    return sum(x * x for plane in cube for row in plane for x in row)
+    return sum(v * v for v in cube.values())
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from math import factorial
 
 from hktlab.invariant import Connection, LieAlgebra, bracket_vectors, structure_constant
 from hktlab.linalg import Matrix, Vector, mat_vec
-from hktlab.tensors import KForm
+from hktlab.tensors import Cube, KForm
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
 ALL_NAMES = HKT_NAMES + ("hc_only8",)
@@ -151,3 +151,68 @@ def naive_nijenhuis_vec(alg: LieAlgebra, j: Matrix, x: Vector, y: Vector) -> Vec
     t3 = mat_vec(j, bracket_vectors(alg, x, jy))
     t4 = bracket_vectors(alg, x, y)
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+
+
+DenseCube = list[list[list[Fraction]]]
+
+
+def dense_cube(cube: Cube, dim: int) -> DenseCube:
+    """The nested-list copy t[i][j][k] of a sparse cube, zeros included."""
+    out = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), v in cube.items():
+        out[i][j][k] = v
+    return out
+
+
+def naive_covariant_derivative(conn: Connection, i: int, a: Cube) -> DenseCube:
+    """(nabla_{e_i} A)(Y,Z,U) = -A(nabla_i Y, Z, U) - A(Y, nabla_i Z, U)
+    - A(Y, Z, nabla_i U), one dense sum per entry; returns a dense cube."""
+    dim = conn.dim
+    g_i = dense_cube(conn.gamma, dim)[i]
+    a = dense_cube(a, dim)
+    out = dense_cube({}, dim)
+    for j in range(dim):
+        for k in range(dim):
+            for l in range(dim):
+                total = 0
+                for m in range(dim):
+                    if g_i[j][m]:
+                        total += g_i[j][m] * a[m][k][l]
+                    if g_i[k][m]:
+                        total += g_i[k][m] * a[j][m][l]
+                    if g_i[l][m]:
+                        total += g_i[l][m] * a[j][k][m]
+                if total:
+                    out[j][k][l] = -total
+    return out
+
+
+def naive_curvature_relation(
+    r_skew, r_ob, a: Cube, t_cube: Cube, skew_conn: Connection, alg: LieAlgebra
+) -> tuple[bool, tuple[int, int, int, int] | None]:
+    """R_ob = R + (nabla_X A)_Y - (nabla_Y A)_X + A(T(X,Y)) + [A_X, A_Y] with
+    every term summed densely on every quadruple; (ok, first failing one)."""
+    dim = alg.dim
+    nabla_a = [naive_covariant_derivative(skew_conn, i, a) for i in range(dim)]
+    a, t_cube = dense_cube(a, dim), dense_cube(t_cube, dim)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                for l in range(dim):
+                    torsion_term = sum(
+                        t_cube[i][j][m] * a[m][k][l] for m in range(dim) if t_cube[i][j][m]
+                    )
+                    aa_term = sum(
+                        a[j][k][m] * a[i][m][l] - a[i][k][m] * a[j][m][l]
+                        for m in range(dim)
+                    )
+                    rhs = (
+                        r_skew[i][j][k][l]
+                        + nabla_a[i][j][k][l]
+                        - nabla_a[j][i][k][l]
+                        + torsion_term
+                        + aa_term
+                    )
+                    if r_ob[i][j][k][l] != rhs:
+                        return False, (i, j, k, l)
+    return True, None

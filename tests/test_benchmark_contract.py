@@ -1,0 +1,54 @@
+"""The names the benchmark's per-layer metrics refer to.
+
+The traced benchmark run wraps the package's public functions and reads
+their spans by `module.function` name; a name it cannot find stops the run.
+These tests read BENCHMARK.json and fail when such a name is renamed, moved
+or made private, and when the curvature tensor stops being the nested lists
+the benchmark's curvature probe iterates.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from hktlab.invariant import curvature_tensor, levi_civita
+from hktlab.linalg import RowSpan
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+TIMED_SUFFIXES = (".calls", ".s", ".self_s")
+
+
+def timed_names() -> list[str]:
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    names = set()
+    for metric in spec["per_layer"]:
+        for suffix in TIMED_SUFFIXES:
+            if metric["name"].endswith(suffix):
+                names.add(metric["name"][: -len(suffix)])
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", timed_names())
+def test_per_layer_name_is_a_public_function(name):
+    if name == "linalg.RowSpan.add":
+        assert inspect.isfunction(RowSpan.add)
+        return
+    module_name, function_name = name.split(".")
+    module = importlib.import_module(f"hktlab.{module_name}")
+    function = getattr(module, function_name, None)
+    assert not function_name.startswith("_"), name
+    assert inspect.isfunction(function), name
+    assert function.__module__ == module.__name__, name
+
+
+def test_curvature_tensor_is_nested_lists(catalog):
+    for entry in catalog.values():
+        r = curvature_tensor(levi_civita(entry.lie), entry.lie)
+        level = [r]
+        for _ in range(4):
+            assert all(isinstance(x, list) and len(x) == entry.dim for x in level), entry.name
+            level = [y for x in level for y in x]
+        assert not any(isinstance(x, list) for x in level), entry.name

@@ -15,12 +15,17 @@ from hktlab.curvature import (
     star_scalar,
 )
 from hktlab.hyperhermitian import bismut_connection
-from hktlab.invariant import curvature_tensor, levi_civita, ce_differential
+from hktlab.invariant import (
+    ce_differential,
+    covariant_derivative_cube,
+    curvature_tensor,
+    levi_civita,
+)
 from hktlab.linalg import is_zero_matrix
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import basis_form, form_to_cube, norm_sq
+from hktlab.tensors import basis_form, cube_add, cube_scale, form_to_cube, norm_sq
 
-from oracle_impl import HKT_NAMES
+from oracle_impl import HKT_NAMES, dense_cube, naive_covariant_derivative, naive_curvature_relation
 
 # frozen scalar table: (|T|^2, |theta|^2, delta_theta, dT double trace, star scalar)
 SCALARS = {
@@ -183,7 +188,7 @@ def test_curvature_relation_detects_corruption(cat, torsions):
     skew = bismut_connection(t, entry.lie)
     conn = obata_connection(entry.structure, entry.lie, t)
     a = difference_tensor(t, entry.structure)
-    wrong = [[[2 * x for x in row] for row in plane] for plane in a]
+    wrong = {idx: 2 * v for idx, v in a.items()}
     outcome = curvature_relation_check(
         curvature_tensor(skew, entry.lie),
         curvature_tensor(conn, entry.lie),
@@ -194,6 +199,44 @@ def test_curvature_relation_detects_corruption(cat, torsions):
     )
     assert not outcome.ok
     assert outcome.counterexample is not None
+
+
+def test_covariant_derivative_matches_dense_oracle(cat, torsions):
+    for name in HKT_NAMES:
+        entry = cat[name]
+        t = torsions[name]
+        a = difference_tensor(t, entry.structure)
+        for conn in (bismut_connection(t, entry.lie), levi_civita(entry.lie)):
+            for i in range(entry.dim):
+                sparse = dense_cube(covariant_derivative_cube(conn, i, a), entry.dim)
+                assert sparse == naive_covariant_derivative(conn, i, a), (name, i)
+
+
+@pytest.mark.parametrize("corruption", ["double_a", "r_ob_entry", "t_entry"])
+def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
+    # the sparse check and the dense loop agree on ok and on the first
+    # failing quadruple, on clean entries and under each corruption
+    for name in HKT_NAMES:
+        entry = cat[name]
+        t = torsions[name]
+        skew = bismut_connection(t, entry.lie)
+        r_skew = curvature_tensor(skew, entry.lie)
+        r_ob = curvature_tensor(obata_connection(entry.structure, entry.lie, t), entry.lie)
+        a = difference_tensor(t, entry.structure)
+        t_cube = form_to_cube(t)
+        if corruption == "double_a":
+            a = cube_scale(a, 2)
+        elif corruption == "r_ob_entry":
+            r_ob[1][2][3][0] += 1
+        else:
+            t_cube = cube_add(t_cube, {(0, 1, 2): 1})
+        args = (r_skew, r_ob, a, t_cube, skew, entry.lie)
+        outcome = curvature_relation_check(*args)
+        assert (outcome.ok, outcome.counterexample) == naive_curvature_relation(*args), name
+        # on the torus entries A = 0, so only the curvature corruption shows
+        assert outcome.ok == (name.startswith("torus") and corruption != "r_ob_entry"), name
+        if corruption == "r_ob_entry":
+            assert outcome.counterexample == (1, 2, 3, 0), name
 
 
 def test_bismut_ricci_forms_vanish(cat, torsions):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hktlab.catalog import builtin_by_name
-from hktlab.hyperhermitian import bismut_connection, preserves_endomorphism
-from hktlab.invariant import LieAlgebra, torsion_cube
+from hktlab.hyperhermitian import bismut_connection, nijenhuis, preserves_endomorphism
+from hktlab.invariant import LieAlgebra, covariant_derivative_cube, levi_civita, torsion_cube
 from hktlab.obata import (
     adapted_frame,
     commutant_basis,
@@ -18,7 +18,7 @@ from hktlab.obata import (
 )
 from hktlab.curvature import lee_form
 from hktlab.linalg import mat_vec
-from hktlab.tensors import cube_add, cube_is_zero, form_to_cube
+from hktlab.tensors import cube_add, form_to_cube
 
 from oracle_impl import HKT_NAMES, ALL_NAMES
 
@@ -46,11 +46,11 @@ def test_commutant_members_commute(cat):
 
 def test_difference_tensor_hopf4_values(cat, torsions):
     a = difference_tensor(torsions["hopf4"], cat["hopf4"].structure)
-    assert a[1][2][3] == 1
-    assert a[0][1][1] == 1
-    assert a[1][1][0] == -1
-    assert a[0][0][0] == 1
-    assert a[1][0][1] == 1
+    assert a[(1, 2, 3)] == 1
+    assert a[(0, 1, 1)] == 1
+    assert a[(1, 1, 0)] == -1
+    assert a[(0, 0, 0)] == 1
+    assert a[(1, 0, 1)] == 1
 
 
 def test_difference_tensor_invariance_on_hkt(cat, torsions):
@@ -94,7 +94,7 @@ def test_obata_postconditions(cat, torsions):
     for name in ALL_NAMES:
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions.get(name))
-        assert cube_is_zero(torsion_cube(conn, entry.lie)), name
+        assert torsion_cube(conn, entry.lie) == {}, name
         for s in (1, 2, 3):
             assert preserves_endomorphism(conn, entry.structure.j(s)), name
 
@@ -111,14 +111,25 @@ def test_obata_is_bismut_plus_difference(cat, torsions):
 
 def test_hc_only8_connection_values(cat):
     conn, _ = obata_oracle_solver(cat["hc_only8"].structure, cat["hc_only8"].lie)
-    nonzero = {
-        (i, j, k): conn.gamma[i][j][k]
-        for i in range(8)
-        for j in range(8)
-        for k in range(8)
-        if conn.gamma[i][j][k]
-    }
+    nonzero = {idx: v for idx, v in conn.gamma.items() if v}
     assert nonzero == {(0, 4, 4): 1, (0, 5, 5): 1, (0, 6, 6): 1, (0, 7, 7): 1}
+
+
+def test_builtin_cubes_store_no_zero(cat, torsions):
+    for name in ALL_NAMES:
+        entry = cat[name]
+        alg, h = entry.lie, entry.structure
+        t = torsions.get(name)
+        solved, _ = obata_oracle_solver(h, alg)
+        cubes = [nijenhuis(alg, h.j(s))[0] for s in (1, 2, 3)]
+        cubes += [c.gamma for c in (levi_civita(alg), solved, obata_connection(h, alg, t))]
+        if t is not None:
+            skew = bismut_connection(t, alg)
+            a = difference_tensor(t, h)
+            cubes += [skew.gamma, torsion_cube(skew, alg), a, obata_b_tensor(form_to_cube(t), h)]
+            cubes += [covariant_derivative_cube(skew, i, a) for i in range(entry.dim)]
+        for cube in cubes:
+            assert 0 not in cube.values(), name
 
 
 def test_solver_rejects_nonintegrable():

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hktlab.tensors import (
     KForm,
     basis_form,
+    cube_add,
+    cube_map_output,
     cube_pullback,
+    cube_scale,
     cube_to_form,
     form_add,
     form_scale,
@@ -123,15 +126,14 @@ def test_norm_convention_is_full_index_sum():
 def test_form_cube_round_trip():
     f = KForm(4, 3, {(0, 1, 2): Fraction(5, 2), (1, 2, 3): -1})
     cube = form_to_cube(f)
-    assert cube[0][1][2] == Fraction(5, 2)
-    assert cube[1][0][2] == Fraction(-5, 2)
-    assert cube_to_form(cube).comps == f.comps
+    assert cube[(0, 1, 2)] == Fraction(5, 2)
+    assert cube[(1, 0, 2)] == Fraction(-5, 2)
+    assert cube_to_form(cube, 4).comps == f.comps
 
 
 def test_cube_to_form_rejects_non_skew():
-    cube = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    cube[0][1][2] = 1
-    assert cube_to_form(cube) is None
+    cube = {(0, 1, 2): 1}
+    assert cube_to_form(cube, 3) is None
 
 
 def test_cube_pullback_identity_slots():
@@ -139,7 +141,37 @@ def test_cube_pullback_identity_slots():
     cube = form_to_cube(f)
     assert cube_pullback(cube, None, None, None) == cube
     minus = [[-(i == j) for j in range(4)] for i in range(4)]
-    assert cube_pullback(cube, minus, minus, minus)[0][1][2] == -1
+    assert cube_pullback(cube, minus, minus, minus)[(0, 1, 2)] == -1
+
+
+# small values, so that sums of products cancel often
+small = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2)])
+random_cube = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), small.filter(bool) | rationals.filter(bool), max_size=12
+)
+random_matrix = st.lists(st.lists(small, min_size=4, max_size=4), min_size=4, max_size=4)
+
+
+@given(random_cube, random_form(4, 3), random_matrix, random_matrix, small | rationals)
+@settings(max_examples=60)
+def test_cube_results_store_no_zero(cube, form, m1, m2, s):
+    negated = cube_scale(cube, -1)
+    assert cube_add(cube, negated) == {}
+    results = [
+        form_to_cube(form),
+        cube_scale(cube, s),
+        cube_scale(cube, 0),
+        negated,
+        cube_add(cube, form_to_cube(form)),
+        cube_add(cube, cube_pullback(cube, m1, m1, m1)),
+        cube_pullback(cube, m1, None, None),
+        cube_pullback(cube, None, m1, m2),
+        cube_pullback(cube, m2, m1, m2),
+        cube_map_output(cube, m1),
+        cube_map_output(cube_pullback(cube, m2, None, None), m1),
+    ]
+    for result in results:
+        assert 0 not in result.values()
 
 
 def test_j_twist_known():
