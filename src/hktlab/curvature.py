@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
@@ -23,7 +23,17 @@ from .invariant import (
     covariant_derivative_cube,
 )
 from .linalg import Matrix
-from .tensors import Cube, KForm, cube_norm_sq, cube_pullback, cube_scale, cube_add, form_to_cube, norm_sq
+from .tensors import (
+    Cube,
+    KForm,
+    cube_norm_sq,
+    cube_pullback,
+    cube_scale,
+    cube_add,
+    form_to_cube,
+    norm_sq,
+    perm_sign,
+)
 
 
 @dataclass(frozen=True)
@@ -387,30 +397,31 @@ def dt_traces(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> DtTraces
     the almost-strong test (full partial-trace 2-tensor vanishes), and the
     strong test dT = 0. The three J-versions of the partial trace must agree.
     """
-    dim = h.dim
     dt = ce_differential(alg, t)
-    partials: list[Matrix] = []
-    for s in (1, 2, 3):
-        j = h.j(s)
-        p = [[0] * dim for _ in range(dim)]
-        for x in range(dim):
-            for y in range(dim):
-                total: Scalar = 0
-                for a in range(dim):
-                    for r in range(dim):
-                        if not j[r][a]:
-                            continue
-                        for m in range(dim):
-                            if j[m][y]:
-                                v = dt.evaluate((a, r, x, m))
-                                if v:
-                                    total += j[r][a] * j[m][y] * v
-                p[x][y] = total
-        partials.append(p)
+    partials = [_j_partial_trace(dt, h.j(s)) for s in (1, 2, 3)]
     coincide = partials[0] == partials[1] == partials[2]
-    h_value = Fraction(-sum(partials[0][x][x] for x in range(dim)), 4)
-    almost = all(not v for row in partials[0] for v in row)
-    return DtTraces(h_value, dt.is_zero(), almost, coincide)
+    h_value = Fraction(-sum(v for (x, y), v in partials[0].items() if x == y), 4)
+    return DtTraces(h_value, dt.is_zero(), not partials[0], coincide)
+
+
+# each reordering of four slots with its sign
+_ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4)))
+
+
+def _j_partial_trace(form4: KForm, j: Matrix) -> dict[tuple[int, int], Scalar]:
+    """Nonzero entries P[(x, y)] = sum_a form4(e_a, J e_a, e_x, J e_y), built
+    from the stored components of form4, each in every signed slot order,
+    and the nonzeros of J."""
+    by_row = [[(y, v) for y, v in enumerate(row) if v] for row in j]
+    out: dict[tuple[int, int], Scalar] = {}
+    for idx, value in form4.comps.items():
+        for order, sign in _ORDERINGS_4:
+            a, r, x, m = (idx[o] for o in order)
+            if j[r][a] and by_row[m]:
+                f = sign * value * j[r][a]
+                for y, jmy in by_row[m]:
+                    out[(x, y)] = out.get((x, y), 0) + f * jmy
+    return {key: v for key, v in out.items() if v}
 
 
 @dataclass(frozen=True)

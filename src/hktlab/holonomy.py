@@ -11,11 +11,12 @@ quaternionic algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
 from .invariant import Connection, LieAlgebra, connection_operators, curvature_operators
-from .linalg import Matrix, RowSpan, commutator, is_zero_matrix, trace
+from .linalg import Matrix, Row, RowSpan, commutator, is_zero_matrix, trace
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,9 @@ class HolonomyAlgebra:
     dim: int
 
 
-def _flatten(m: Matrix) -> list[Scalar]:
-    return [x for row in m for x in row]
+def _flatten(m: Matrix) -> Row:
+    """The matrix as one sparse row, entry (i, j) in column i * n + j."""
+    return {k: x for k, x in enumerate(chain.from_iterable(m)) if x}
 
 
 def holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:

@@ -2,10 +2,15 @@
 
 Matrices are lists of row lists; vectors are flat lists. Entries are ints
 or Fractions. The one Gaussian elimination is `RowSpan`, which keeps a
-row space in sparse reduced echelon form (rows as {column: Fraction}
-dicts), because the solver systems and holonomy generators are almost all
-zeros. `rref` and `det` are read off a `RowSpan`; `rank`, `nullspace`,
-`solve_unique` and `invert` go through `rref`.
+row space in sparse reduced echelon form. Its input and stored rows are
+sparse rows, {column: value} dicts without zeros (the idiom of
+`KForm.comps` and of the cubes), because the solver systems and holonomy
+generators are almost all zeros.
+
+`nullspace` and `solve_unique` take sparse rows and an explicit column
+count and read their answers straight off a `RowSpan`'s stored rows. The
+dense `Matrix` calls `rref`, `rank`, `invert` and `det` convert each row
+once on entry; `rank` and `invert` go through `rref`.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .exact import Scalar
 
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
+Row = dict[int, Scalar]  # sparse row: {column: value}, no zero stored
 
 
 class LinAlgError(Exception):
@@ -90,12 +96,14 @@ def vec_scale(u: Vector, s: Scalar) -> Vector:
     return [s * x for x in u]
 
 
+def _sparse(row: Vector) -> Row:
+    return {j: x for j, x in enumerate(row) if x}
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form. Returns (R, pivot column list)."""
     cols = len(a[0]) if a else 0
-    span = RowSpan(cols)
-    for row in a:
-        span._insert(row)
+    span = _span_of([_sparse(row) for row in a], cols)
     pivots = sorted(span._rows)
     reduced = [[Fraction(0)] * cols for _ in a]
     for out, pivot in zip(reduced, pivots):
@@ -108,40 +116,40 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    cols = len(a[0])
-    pivot_set = set(pivots)
-    basis: list[Vector] = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        v: Vector = [0] * cols
-        v[free] = 1
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -reduced[row_idx][free]
-        basis.append(v)
-    return basis
+def _span_of(rows: list[Row], length: int) -> RowSpan:
+    span = RowSpan(length)
+    for row in rows:
+        span._insert(row)
+    return span
 
 
-def solve_unique(a: Matrix, b: Vector) -> Vector:
-    """Solve a x = b, requiring the solution to exist and be unique."""
-    cols = len(a[0]) if a else 0
-    augmented = [list(row) + [bv] for row, bv in zip(a, b)]
-    reduced, pivots = rref(augmented)
-    if cols in pivots:
+def nullspace(rows: list[Row], cols: int) -> list[Row]:
+    """Basis of the right nullspace of the sparse rows over `cols` columns,
+    one vector per free column f, in column order: {f: 1} and -row_p[f]
+    at each pivot p."""
+    span = _span_of(rows, cols)
+    basis: dict[int, Row] = {f: {f: 1} for f in range(cols) if f not in span._rows}
+    for pivot, row in span._rows.items():
+        for j, x in row.items():
+            if j != pivot:
+                basis[j][pivot] = -x
+    return list(basis.values())
+
+
+def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
+    """Solve a x = b, requiring the solution to exist and be unique.
+
+    Each sparse row holds one equation over columns 0..cols-1, with its
+    right-hand side in column `cols`. Returns the nonzero entries of x and
+    the rank of the system.
+    """
+    span = _span_of(rows, cols + 1)
+    if cols in span._rows:
         raise LinAlgError("inconsistent system: no solution")
-    if len(pivots) < cols:
-        raise LinAlgError(
-            f"solution not unique: rank {len(pivots)} < {cols} unknowns"
-        )
-    x: Vector = [0] * cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = reduced[row_idx][cols]
-    return x
+    if span.rank < cols:
+        raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
+    x = {pivot: row[cols] for pivot, row in span._rows.items() if cols in row}
+    return x, span.rank
 
 
 def invert(a: Matrix) -> Matrix:
@@ -159,7 +167,7 @@ def det(a: Matrix) -> Fraction:
     order: list[int] = []
     result = Fraction(1)
     for row in a:
-        step = span._insert(row)
+        step = span._insert(_sparse(row))
         if step is None:
             return Fraction(0)
         order.append(step[0])
@@ -187,10 +195,11 @@ class RowSpan:
     """Row space kept in sparse reduced echelon form; the package's one
     Gaussian elimination.
 
-    Each stored row is a {column: Fraction} dict keyed by its pivot: 1 at
-    its own pivot, 0 at every other pivot and left of its pivot. The
-    holonomy closure uses `add` for exact rank growth (True when the vector
-    enlarges the span); `rref` and `det` are built on `_insert`.
+    Rows go in as sparse rows. Each stored row is a {column: Fraction}
+    dict keyed by its pivot: 1 at its own pivot, 0 at every other pivot and
+    left of its pivot. The holonomy closure uses `add` for exact rank
+    growth (True when the row enlarges the span); the module's other
+    eliminations are built on `_insert`.
     """
 
     def __init__(self, length: int):
@@ -201,14 +210,14 @@ class RowSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Vector) -> dict[int, Fraction]:
-        v = {j: Fraction(x) for j, x in enumerate(vec) if x}
+    def _reduce(self, vec: Row) -> dict[int, Fraction]:
+        v = {j: Fraction(x) for j, x in vec.items()}
         # Stored rows vanish at every other pivot, so one pass clears them all.
         for pivot in [j for j in v if j in self._rows]:
             _subtract(v, v[pivot], self._rows[pivot])
         return v
 
-    def _insert(self, vec: Vector) -> tuple[int, Fraction] | None:
+    def _insert(self, vec: Row) -> tuple[int, Fraction] | None:
         """Add vec; return (new pivot, value vec was divided by), or None
         when vec already lies in the span."""
         v = self._reduce(vec)
@@ -224,8 +233,8 @@ class RowSpan:
         self._rows[pivot] = v
         return pivot, value
 
-    def contains(self, vec: Vector) -> bool:
+    def contains(self, vec: Row) -> bool:
         return not self._reduce(vec)
 
-    def add(self, vec: Vector) -> bool:
+    def add(self, vec: Row) -> bool:
         return self._insert(vec) is not None

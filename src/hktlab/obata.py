@@ -6,7 +6,9 @@ Two independent construction routes:
   difference tensor A built out of the torsion, and
 * a linear-system solver that imposes torsion-freeness on connections whose
   operators commute with all three complex structures; its rank certifies
-  uniqueness.
+  uniqueness. The commutant and the torsion-free equations are written as
+  sparse rows from the nonzeros of the J_s and of the commutant basis, and
+  the connection is assembled from the nonzero solution coefficients.
 
 Plus the trace identities tying A to the Lee form, and their complex-frame
 refinement over a J1-adapted basis.
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, preserves_endomorphism
-from .invariant import Connection, LieAlgebra, structure_constant, torsion_cube
-from .linalg import LinAlgError, Matrix, Vector, identity, nullspace, solve_unique
+from .invariant import Connection, LieAlgebra, torsion_cube
+from .linalg import LinAlgError, Matrix, Row, Vector, identity, nullspace, solve_unique
 from .tensors import (
     Cube,
     KForm,
@@ -79,25 +81,28 @@ def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
-    """Basis of {M : M J_s = J_s M for s = 1,2,3} via an exact nullspace."""
+    """Basis of {M : M J_s = J_s M for s = 1,2,3} via an exact nullspace.
+
+    Entry (p, q) of M J_s - J_s M is one sparse equation over the unknowns
+    M[a][b] (column a * dim + b), built from the nonzeros of J_s.
+    """
     dim = h.dim
-    rows: list[Vector] = []
+    rows: list[Row] = []
     for s in (1, 2, 3):
         j = h.j(s)
+        by_column = [[(r, j[r][q]) for r in range(dim) if j[r][q]] for q in range(dim)]
+        by_row = [[(r, x) for r, x in enumerate(j[p]) if x] for p in range(dim)]
         for p in range(dim):
             for q in range(dim):
-                row: Vector = [0] * (dim * dim)
-                for r in range(dim):
-                    if j[r][q]:
-                        row[p * dim + r] += j[r][q]
-                    if j[p][r]:
-                        row[r * dim + q] -= j[p][r]
-                if any(row):
+                row: Row = {p * dim + r: x for r, x in by_column[q]}
+                for r, x in by_row[p]:
+                    row[r * dim + q] = row.get(r * dim + q, 0) - x
+                row = {col: x for col, x in row.items() if x}
+                if row:
                     rows.append(row)
-    basis_vectors = nullspace(rows)
     return [
-        [[vec[a * dim + b] for b in range(dim)] for a in range(dim)]
-        for vec in basis_vectors
+        [[vec.get(a * dim + b, 0) for b in range(dim)] for a in range(dim)]
+        for vec in nullspace(rows, dim * dim)
     ]
 
 
@@ -117,26 +122,37 @@ def obata_oracle_solver(
     operators. Each operator is constrained to the commutant of the three
     complex structures; torsion-freeness then becomes a linear system whose
     unique solvability certifies the connection's uniqueness.
+
+    Unknown i * d_c + t is the coefficient of the t-th commutant basis
+    element in the operator of e_i. Equation (i < j, l) is the e_l
+    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one sparse row
+    with the structure constant in the right-hand-side column.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
     d_c = len(cbasis)
     unknowns = dim * d_c
-    rows: list[Vector] = []
-    rhs: list[Scalar] = []
+    # (l, j) -> [(t, c_t[l][j])] and t -> [(l, j, c_t[l][j])], nonzeros only
+    by_entry: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    support: list[list[tuple[int, int, Scalar]]] = []
+    for t, c in enumerate(cbasis):
+        support.append([(a, b, x) for a in range(dim) for b, x in enumerate(c[a]) if x])
+        for a, b, x in support[t]:
+            by_entry.setdefault((a, b), []).append((t, x))
+    rows: list[Row] = []
     for i in range(dim):
         for j in range(i + 1, dim):
+            bracket = alg.brackets.get((i, j), {})
             for l in range(dim):
-                row: Vector = [0] * unknowns
-                for t, c in enumerate(cbasis):
-                    if c[l][j]:
-                        row[i * d_c + t] += c[l][j]
-                    if c[l][i]:
-                        row[j * d_c + t] -= c[l][i]
+                # the two blocks of unknowns (i and j) never share a column
+                row: Row = {i * d_c + t: x for t, x in by_entry.get((l, j), ())}
+                for t, x in by_entry.get((l, i), ()):
+                    row[j * d_c + t] = -x
+                if l in bracket:
+                    row[unknowns] = bracket[l]
                 rows.append(row)
-                rhs.append(structure_constant(alg, i, j, l))
     try:
-        x = solve_unique(rows, rhs)
+        x, rank = solve_unique(rows, unknowns)
     except LinAlgError as exc:
         if "inconsistent" in str(exc):
             raise ValueError(
@@ -144,25 +160,18 @@ def obata_oracle_solver(
                 " complex structures"
             ) from exc
         raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
-    gamma: Cube = {}
-    for i in range(dim):
-        op = [[0] * dim for _ in range(dim)]
-        for t, c in enumerate(cbasis):
-            coeff = x[i * d_c + t]
-            if coeff:
-                for a in range(dim):
-                    for b in range(dim):
-                        if c[a][b]:
-                            op[a][b] += coeff * c[a][b]
-        for jdx in range(dim):
-            for k in range(dim):
-                if op[k][jdx]:
-                    gamma[(i, jdx, k)] = op[k][jdx]
+    # Gamma_i = sum_t x[i * d_c + t] c_t, stored as gamma[(i, j, k)] = Gamma_i[k][j]
+    sums: Cube = {}
+    for col, coeff in x.items():
+        i, t = divmod(col, d_c)
+        for a, b, value in support[t]:
+            sums[(i, b, a)] = sums.get((i, b, a), 0) + coeff * value
+    gamma: Cube = {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
     certificate = SolverCertificate(
         commutant_dim=d_c,
         unknowns=unknowns,
         equations=len(rows),
-        rank=unknowns,
+        rank=rank,
         unique=True,
     )
     return Connection(dim, gamma), certificate

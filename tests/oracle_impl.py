@@ -7,12 +7,24 @@ sparsity tricks of the package under test.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
-from hktlab.invariant import Connection, LieAlgebra, bracket_vectors, structure_constant
-from hktlab.linalg import Matrix, Vector, mat_vec
+from hktlab.catalog import CatalogEntry, load, serialize
+from hktlab.curvature import DtTraces
+from hktlab.hyperhermitian import HyperhermitianStructure
+from hktlab.invariant import (
+    Connection,
+    LieAlgebra,
+    bracket_vectors,
+    ce_differential,
+    structure_constant,
+)
+from hktlab.linalg import LinAlgError, Matrix, Row, Vector, mat_vec
+from hktlab.obata import SolverCertificate
 from hktlab.tensors import Cube, KForm
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
@@ -53,6 +65,54 @@ def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+def sparse(row: Vector) -> Row:
+    """The sparse row {column: value} of a dense row, zeros dropped."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: Row, cols: int) -> Vector:
+    """The dense row of a sparse one, zeros filled in."""
+    return [row.get(j, 0) for j in range(cols)]
+
+
+def naive_nullspace(a: Matrix) -> list[Vector]:
+    """Basis of the right nullspace read off naive_rref, one vector per free
+    column."""
+    if not a:
+        return []
+    reduced, pivots = naive_rref(a)
+    cols = len(a[0])
+    pivot_set = set(pivots)
+    basis: list[Vector] = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        v: Vector = [0] * cols
+        v[free] = 1
+        for row_idx, pc in enumerate(pivots):
+            v[pc] = -reduced[row_idx][free]
+        basis.append(v)
+    return basis
+
+
+def naive_solve_unique(a: Matrix, b: Vector) -> Vector:
+    """Solve a x = b through naive_rref of the augmented matrix, requiring
+    the solution to exist and be unique."""
+    cols = len(a[0]) if a else 0
+    augmented = [list(row) + [bv] for row, bv in zip(a, b)]
+    reduced, pivots = naive_rref(augmented)
+    if cols in pivots:
+        raise LinAlgError("inconsistent system: no solution")
+    if len(pivots) < cols:
+        raise LinAlgError(
+            f"solution not unique: rank {len(pivots)} < {cols} unknowns"
+        )
+    x: Vector = [0] * cols
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = reduced[row_idx][cols]
+    return x
 
 
 def naive_det(a: Matrix) -> Fraction:
@@ -216,3 +276,139 @@ def naive_curvature_relation(
                     if r_ob[i][j][k][l] != rhs:
                         return False, (i, j, k, l)
     return True, None
+
+
+def naive_commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
+    """Basis of {M : M J_s = J_s M for s = 1,2,3}: one dense equation per
+    entry of each commutator, solved with naive_nullspace."""
+    dim = h.dim
+    rows: list[Vector] = []
+    for s in (1, 2, 3):
+        j = h.j(s)
+        for p in range(dim):
+            for q in range(dim):
+                row: Vector = [0] * (dim * dim)
+                for r in range(dim):
+                    if j[r][q]:
+                        row[p * dim + r] += j[r][q]
+                    if j[p][r]:
+                        row[r * dim + q] -= j[p][r]
+                if any(row):
+                    rows.append(row)
+    basis_vectors = naive_nullspace(rows)
+    return [
+        [[vec[a * dim + b] for b in range(dim)] for a in range(dim)]
+        for vec in basis_vectors
+    ]
+
+
+def naive_obata_oracle_solver(
+    h: HyperhermitianStructure, alg: LieAlgebra
+) -> tuple[Connection, SolverCertificate]:
+    """The torsion-free quaternion-linear connection from dense equations
+    over the naive commutant basis, solved with naive_solve_unique."""
+    dim = h.dim
+    cbasis = naive_commutant_basis(h)
+    d_c = len(cbasis)
+    unknowns = dim * d_c
+    rows: list[Vector] = []
+    rhs: list = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for l in range(dim):
+                row: Vector = [0] * unknowns
+                for t, c in enumerate(cbasis):
+                    if c[l][j]:
+                        row[i * d_c + t] += c[l][j]
+                    if c[l][i]:
+                        row[j * d_c + t] -= c[l][i]
+                rows.append(row)
+                rhs.append(structure_constant(alg, i, j, l))
+    x = naive_solve_unique(rows, rhs)
+    gamma: Cube = {}
+    for i in range(dim):
+        op = [[0] * dim for _ in range(dim)]
+        for t, c in enumerate(cbasis):
+            coeff = x[i * d_c + t]
+            if coeff:
+                for a in range(dim):
+                    for b in range(dim):
+                        if c[a][b]:
+                            op[a][b] += coeff * c[a][b]
+        for jdx in range(dim):
+            for k in range(dim):
+                if op[k][jdx]:
+                    gamma[(i, jdx, k)] = op[k][jdx]
+    certificate = SolverCertificate(
+        commutant_dim=d_c,
+        unknowns=unknowns,
+        equations=len(rows),
+        rank=unknowns,
+        unique=True,
+    )
+    return Connection(dim, gamma), certificate
+
+
+def naive_dt_traces(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> DtTraces:
+    """dT trace data with each partial trace P[x][y] = sum over a, r, m of
+    J[r][a] J[m][y] dT(e_a, e_r, e_x, e_m), one evaluation per term."""
+    dim = h.dim
+    dt = ce_differential(alg, t)
+    partials: list[Matrix] = []
+    for s in (1, 2, 3):
+        j = h.j(s)
+        p = [[0] * dim for _ in range(dim)]
+        for x in range(dim):
+            for y in range(dim):
+                total = 0
+                for a in range(dim):
+                    for r in range(dim):
+                        if not j[r][a]:
+                            continue
+                        for m in range(dim):
+                            if j[m][y]:
+                                v = dt.evaluate((a, r, x, m))
+                                if v:
+                                    total += j[r][a] * j[m][y] * v
+                p[x][y] = total
+        partials.append(p)
+    coincide = partials[0] == partials[1] == partials[2]
+    h_value = Fraction(-sum(partials[0][x][x] for x in range(dim)), 4)
+    almost = all(not v for row in partials[0] for v in row)
+    return DtTraces(h_value, dt.is_zero(), almost, coincide)
+
+
+def _block_diag(a: list[list], b: list[list]) -> list[list]:
+    da, db = len(a), len(b)
+    return [list(row) + ["0"] * db for row in a] + [["0"] * da + list(row) for row in b]
+
+
+def direct_sum(first: dict, second: dict) -> dict:
+    """Wire document of first + second: the second summand's brackets
+    shifted by the first's dimension, metric and J_s block-diagonal."""
+    shift = first["dim"]
+    constants = [list(item) for item in first["structure_constants"]]
+    constants += [
+        [i + shift, j + shift, k + shift, value]
+        for i, j, k, value in second["structure_constants"]
+    ]
+    doc = {
+        "schema_version": first["schema_version"],
+        "name": f"{first['name']}+{second['name']}",
+        "description": f"direct sum {first['name']} + {second['name']}",
+        "n": first["n"] + second["n"],
+        "dim": first["dim"] + second["dim"],
+        "structure_constants": constants,
+        "metric": _block_diag(first["metric"], second["metric"]),
+    }
+    for key in ("j1", "j2", "j3"):
+        doc[key] = _block_diag(first[key], second[key])
+    return doc
+
+
+def direct_sum_entry(first: CatalogEntry, second: CatalogEntry, directory: Path) -> CatalogEntry:
+    """first + second, written as a wire document to `directory` and loaded
+    back through the catalog loader."""
+    path = directory / f"{first.name}+{second.name}.json"
+    path.write_text(json.dumps(direct_sum(serialize(first), serialize(second))), encoding="utf-8")
+    return load(path)

@@ -23,6 +23,8 @@ COUNTED = (
     "bismut_connection",
     "difference_tensor",
     "obata_oracle_solver",
+    "commutant_basis",
+    "rref",
 )
 
 
@@ -70,3 +72,10 @@ def test_holonomy_obata_uses_difference_route(calls, capsys):
     assert "connection: obata" in capsys.readouterr().out
     assert calls["nijenhuis"] == 3
     assert calls["obata_oracle_solver"] == 0
+
+
+@pytest.mark.parametrize("name", ["hopf8", "hc_only8"])
+def test_solver_stays_off_dense_rref(calls, cat, name):
+    analyze_entry(cat[name])
+    assert calls["commutant_basis"] == 1
+    assert calls["rref"] == 0

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.curvature import (
@@ -14,7 +17,7 @@ from hktlab.curvature import (
     ricci_package,
     star_scalar,
 )
-from hktlab.hyperhermitian import bismut_connection
+from hktlab.hyperhermitian import bismut_connection, hkt_check
 from hktlab.invariant import (
     ce_differential,
     covariant_derivative_cube,
@@ -23,9 +26,16 @@ from hktlab.invariant import (
 )
 from hktlab.linalg import is_zero_matrix
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import basis_form, cube_add, cube_scale, form_to_cube, norm_sq
+from hktlab.tensors import KForm, basis_form, cube_add, cube_scale, form_to_cube, norm_sq
 
-from oracle_impl import HKT_NAMES, dense_cube, naive_covariant_derivative, naive_curvature_relation
+from oracle_impl import (
+    HKT_NAMES,
+    dense_cube,
+    direct_sum_entry,
+    naive_covariant_derivative,
+    naive_curvature_relation,
+    naive_dt_traces,
+)
 
 # frozen scalar table: (|T|^2, |theta|^2, delta_theta, dT double trace, star scalar)
 SCALARS = {
@@ -124,6 +134,46 @@ def test_dt_traces_table(cat, torsions):
         assert rep.strong == strong, name
         assert rep.almost_strong == almost, name
         assert rep.traces_coincide, name
+
+
+def test_dt_traces_matches_dense_oracle(cat, torsions, tmp_path):
+    cases = [(cat[name], torsions[name]) for name in HKT_NAMES]
+    nil12 = direct_sum_entry(cat["nil8"], cat["hopf4"], tmp_path)
+    cases.append((nil12, hkt_check(nil12.structure, nil12.lie).torsion))
+    for entry, t in cases:
+        got = dt_traces(t, entry.structure, entry.lie)
+        assert got == naive_dt_traces(t, entry.structure, entry.lie), entry.name
+
+
+three_forms = st.dictionaries(
+    st.sampled_from(list(combinations(range(8), 3))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    max_size=4,
+)
+
+
+@given(st.sampled_from(["nil8", "hopf8"]), three_forms)
+@settings(max_examples=40)
+def test_dt_traces_on_random_forms_matches_dense_oracle(cat, name, comps):
+    entry = cat[name]
+    t = KForm(8, 3, comps)
+    assert dt_traces(t, entry.structure, entry.lie) == naive_dt_traces(t, entry.structure, entry.lie)
+
+
+@pytest.mark.parametrize(
+    "name, comps, almost",
+    [("nil8", {(3, 4, 6): -1}, False), ("hopf8", {(0, 1, 4): 1, (0, 4, 5): 1}, True)],
+)
+def test_dt_traces_false_branches(cat, name, comps, almost):
+    # neither 3-form is closed and the J1, J2, J3 partial traces differ; on
+    # hopf8 the J1 partial trace of d(e^014 + e^045) cancels to zero
+    entry = cat[name]
+    t = KForm(8, 3, comps)
+    got = dt_traces(t, entry.structure, entry.lie)
+    assert got == naive_dt_traces(t, entry.structure, entry.lie)
+    assert not got.traces_coincide
+    assert got.almost_strong == almost
+    assert not got.strong
 
 
 def test_nil8_dt_value(cat, torsions):

@@ -15,7 +15,7 @@ from hktlab.invariant import connection_operators, levi_civita
 from hktlab.linalg import RowSpan, commutator, identity, zeros
 from hktlab.obata import obata_connection
 
-from oracle_impl import ALL_NAMES, HKT_NAMES
+from oracle_impl import ALL_NAMES, HKT_NAMES, sparse
 
 LC_DIMS = {
     "torus4": 0,
@@ -71,13 +71,13 @@ def test_holonomy_span_is_closed(cat, torsions):
         hol = holonomy_algebra(conn, alg)
         span = RowSpan(alg.dim * alg.dim)
         for g in hol.generators:
-            span.add([x for row in g for x in row])
+            span.add(sparse([x for row in g for x in row]))
         assert span.rank == hol.dim
         ops = connection_operators(conn)
         extra = [commutator(op, g) for op in ops for g in hol.generators]
         extra += [commutator(a, b) for a in hol.generators for b in hol.generators]
         for cand in extra:
-            assert not span.add([x for row in cand for x in row]), name
+            assert not span.add(sparse([x for row in cand for x in row])), name
 
 
 def test_glnh_membership_units(cat):

@@ -20,12 +20,17 @@ from hktlab.linalg import (
     solve_unique,
     trace,
 )
-from oracle_impl import naive_det, naive_rref
+from oracle_impl import dense, naive_det, naive_nullspace, naive_rref, naive_solve_unique, sparse
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
 )
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def system(a, b):
+    """Sparse rows of the augmented matrix [a | b]."""
+    return [sparse(list(row) + [bv]) for row, bv in zip(a, b)]
 
 
 def square(n, entries=rationals):
@@ -43,26 +48,26 @@ def test_rref_known():
 def test_rank_and_nullspace():
     a = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert rank(a) == 2
-    basis = nullspace(a)
+    basis = nullspace([sparse(r) for r in a], 3)
     assert len(basis) == 1
     for v in basis:
-        assert all(x == 0 for x in mat_vec(a, v))
+        assert all(x == 0 for x in mat_vec(a, dense(v, 3)))
 
 
 def test_solve_unique_exact():
     a = [[2, 1], [1, 3]]
-    x = solve_unique(a, [5, 10])
-    assert mat_vec(a, x) == [Fraction(5), Fraction(10)]
+    x, _ = solve_unique(system(a, [5, 10]), 2)
+    assert mat_vec(a, dense(x, 2)) == [Fraction(5), Fraction(10)]
 
 
 def test_solve_inconsistent():
     with pytest.raises(LinAlgError, match="no solution"):
-        solve_unique([[1, 1], [1, 1]], [1, 2])
+        solve_unique(system([[1, 1], [1, 1]], [1, 2]), 2)
 
 
 def test_solve_underdetermined():
     with pytest.raises(LinAlgError, match="not unique"):
-        solve_unique([[1, 1], [2, 2]], [1, 2])
+        solve_unique(system([[1, 1], [2, 2]], [1, 2]), 2)
 
 
 def test_det_known():
@@ -92,7 +97,7 @@ def test_leading_minors():
 def test_rank_bounds_and_nullity(a):
     r = rank(a)
     assert 0 <= r <= 3
-    assert len(nullspace(a)) == 3 - r
+    assert len(nullspace([sparse(row) for row in a], 3)) == 3 - r
 
 
 @given(square(3))
@@ -118,11 +123,11 @@ def test_commutator_trace_free(a, b):
 def test_rowspan_incremental_matches_batch_rank():
     rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]]
     span = RowSpan(3)
-    added = [span.add(list(r)) for r in rows]
+    added = [span.add(sparse(r)) for r in rows]
     assert added == [True, False, True, False]
     assert span.rank == rank(rows)
-    assert span.contains([3, 7, 1])
-    assert not span.contains([0, 0, 1])
+    assert span.contains(sparse([3, 7, 1]))
+    assert not span.contains(sparse([0, 0, 1]))
 
 
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=6))
@@ -130,10 +135,10 @@ def test_rowspan_incremental_matches_batch_rank():
 def test_rowspan_rank_agrees_with_rref(rows):
     span = RowSpan(4)
     for r in rows:
-        span.add(list(r))
+        span.add(sparse(r))
     assert span.rank == rank(rows)
     for r in rows:
-        assert span.contains(list(r))
+        assert span.contains(sparse(r))
 
 
 @st.composite
@@ -171,5 +176,46 @@ def test_rref_and_det_bypass_rowspan_add(monkeypatch):
     rank(a)
     invert(a)
     assert calls == []
-    assert RowSpan(3).add([1, 0, 0])
+    assert RowSpan(3).add(sparse([1, 0, 0]))
     assert len(calls) == 1
+
+
+@st.composite
+def sparse_systems(draw):
+    """(a, b) with a sparse rational a: b = a x for a drawn x (consistent,
+    unique when a has full column rank) or b drawn freely (often
+    inconsistent); wide or zero-heavy a makes it rank-deficient."""
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(sparse_rationals, min_size=cols, max_size=cols)
+    a = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        b = mat_vec(a, draw(st.lists(rationals, min_size=cols, max_size=cols)))
+    else:
+        b = draw(st.lists(sparse_rationals, min_size=rows, max_size=rows))
+    return a, b
+
+
+@given(sparse_systems())
+@settings(max_examples=60)
+def test_solve_unique_matches_dense_oracle(system_ab):
+    a, b = system_ab
+    cols = len(a[0])
+    try:
+        want = naive_solve_unique(a, b)
+    except LinAlgError as exc:
+        with pytest.raises(LinAlgError) as got:
+            solve_unique(system(a, b), cols)
+        assert str(got.value) == str(exc)
+        return
+    x, solved_rank = solve_unique(system(a, b), cols)
+    assert dense(x, cols) == want
+    assert 0 not in x.values()
+    assert solved_rank == cols
+
+
+@given(sparse_matrices())
+@settings(max_examples=40)
+def test_nullspace_matches_dense_oracle(a):
+    cols = len(a[0])
+    assert nullspace([sparse(r) for r in a], cols) == [sparse(v) for v in naive_nullspace(a)]

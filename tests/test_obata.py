@@ -20,7 +20,13 @@ from hktlab.curvature import lee_form
 from hktlab.linalg import mat_vec
 from hktlab.tensors import cube_add, form_to_cube
 
-from oracle_impl import HKT_NAMES, ALL_NAMES
+from oracle_impl import (
+    HKT_NAMES,
+    ALL_NAMES,
+    direct_sum_entry,
+    naive_commutant_basis,
+    naive_obata_oracle_solver,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,12 @@ def test_commutant_dimension(cat):
     # commutant of the quaternionic triple is gl(n, H): dimension 4 n^2
     assert len(commutant_basis(cat["torus4"].structure)) == 4
     assert len(commutant_basis(cat["torus8"].structure)) == 16
+
+
+def test_commutant_basis_matches_dense_oracle(cat):
+    for name in ALL_NAMES:
+        h = cat[name].structure
+        assert commutant_basis(h) == naive_commutant_basis(h), name
 
 
 def test_commutant_members_commute(cat):
@@ -130,6 +142,26 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
             cubes += [covariant_derivative_cube(skew, i, a) for i in range(entry.dim)]
         for cube in cubes:
             assert 0 not in cube.values(), name
+
+
+def test_solver_matches_dense_oracle(cat):
+    for name in ALL_NAMES:
+        entry = cat[name]
+        conn, cert = obata_oracle_solver(entry.structure, entry.lie)
+        want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
+        assert conn.gamma == want_conn.gamma, name
+        assert cert == want_cert, name
+
+
+def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
+    # hc12 = hc_only8 + torus4: dim 12, not HKT, so the analysis takes its
+    # torsion-free connection from the solver
+    entry = direct_sum_entry(cat["hc_only8"], cat["torus4"], tmp_path)
+    conn, cert = obata_oracle_solver(entry.structure, entry.lie)
+    want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
+    assert conn.gamma == want_conn.gamma
+    assert cert == want_cert
+    assert cert.unknowns == 12 * 36 and cert.rank == cert.unknowns
 
 
 def test_solver_rejects_nonintegrable():
