@@ -3,20 +3,32 @@ of the structure.
 
 The algebra is generated by the curvature operators, closed under brackets
 with the connection operators and under mutual commutators; rank growth is
-tracked exactly. Membership tests: quaternion-linear (commutes with all
-three complex structures) and additionally real-trace-free for the special
-quaternionic algebra.
+tracked exactly by a `RowSpan` over the flattened entries. The closure
+works on sparse matrices ({row: {column: value}}, no zero stored) with the
+one kernel `linalg.sparse_commutator`, and brackets each unordered pair of
+basis elements once. The generators come back as dense matrices for the
+membership tests: quaternion-linear (commutes with all three complex
+structures) and additionally real-trace-free for the special quaternionic
+algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
 from .invariant import Connection, LieAlgebra, connection_operators, curvature_operators
-from .linalg import Matrix, Row, RowSpan, commutator, is_zero_matrix, trace
+from .linalg import (
+    Matrix,
+    RowSpan,
+    SparseMatrix,
+    commutator,
+    dense_matrix,
+    is_zero_matrix,
+    sparse_commutator,
+    trace,
+)
 
 
 @dataclass(frozen=True)
@@ -25,33 +37,42 @@ class HolonomyAlgebra:
     dim: int
 
 
-def _flatten(m: Matrix) -> Row:
-    """The matrix as one sparse row, entry (i, j) in column i * n + j."""
-    return {k: x for k, x in enumerate(chain.from_iterable(m)) if x}
-
-
 def holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:
     """Smallest space containing the curvature operators and closed under
     commutators with the connection operators and with itself.
+
+    Each basis element is popped from the queue once. Popping `current`
+    skips [current, b] when b was popped while `current` was already in the
+    basis: -[current, b] was offered to the span then, and the span only
+    grows, so the accepted basis is the same. Generators are returned in
+    the order they entered the basis.
     """
     n = conn.dim
     ops = connection_operators(conn)
     span = RowSpan(n * n)
-    basis: list[Matrix] = []
-    queue: list[Matrix] = []
+    basis: list[SparseMatrix] = []
+    popped_at: list[int] = []  # basis size when the element was popped, 0 before
+    queue: list[int] = []
+
+    def offer(m: SparseMatrix) -> None:
+        if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
+            queue.append(len(basis))
+            basis.append(m)
+            popped_at.append(0)
+
     for seed in curvature_operators(conn, alg).values():
-        if span.add(_flatten(seed)):
-            basis.append(seed)
-            queue.append(seed)
+        offer(seed)
     while queue:
-        current = queue.pop()
-        candidates = [commutator(op, current) for op in ops]
-        candidates.extend(commutator(current, b) for b in basis)
+        c = queue.pop()
+        current = basis[c]
+        popped_at[c] = len(basis)
+        candidates = [sparse_commutator(op, current) for op in ops]
+        candidates.extend(
+            sparse_commutator(current, b) for b, seen in zip(basis, popped_at) if seen <= c
+        )
         for cand in candidates:
-            if not is_zero_matrix(cand) and span.add(_flatten(cand)):
-                basis.append(cand)
-                queue.append(cand)
-    return HolonomyAlgebra(tuple(basis), span.rank)
+            offer(cand)
+    return HolonomyAlgebra(tuple(dense_matrix(m, n) for m in basis), span.rank)
 
 
 def glnh_membership(m: Matrix, h: HyperhermitianStructure) -> bool:

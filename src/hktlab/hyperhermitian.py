@@ -13,16 +13,23 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import Scalar
-from .invariant import Connection, LieAlgebra, bracket_vectors, ce_differential, levi_civita
+from .invariant import (
+    Connection,
+    LieAlgebra,
+    bracket_vectors,
+    ce_differential,
+    connection_operators,
+    levi_civita,
+)
 from .linalg import (
     Matrix,
-    commutator,
     identity,
-    is_zero_matrix,
     mat_eq,
     mat_mul,
     mat_scale,
     mat_vec,
+    sparse_commutator,
+    sparse_matrix,
     transpose,
 )
 from .tensors import (
@@ -254,4 +261,5 @@ def bismut_connection(t: KForm, alg: LieAlgebra) -> Connection:
 
 def preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
     """nabla m = 0 for an invariant endomorphism: [L_i, m] = 0 for all i."""
-    return all(is_zero_matrix(commutator(conn.operator(i), m)) for i in range(conn.dim))
+    sparse_m = sparse_matrix(m)
+    return all(not sparse_commutator(op, sparse_m) for op in connection_operators(conn))

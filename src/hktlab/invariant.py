@@ -10,6 +10,13 @@ Connection coefficients are stored lowered as a cube (the sparse
 {(i, j, k): value} format of `tensors`, which never stores a zero):
 gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k>. The operator matrix of
 nabla_{e_i} acting on coordinate vectors is L_i[k][j] = gamma[(i, j, k)].
+`connection_operators` and `curvature_operators` return these operators
+as `linalg.SparseMatrix` ({row: {column: value}}, no zero stored), built
+from the nonzeros with `linalg.sparse_commutator`; `Connection.operator`
+is the dense matrix of one L_i, and `curvature_tensor` is a dense dim^4
+nested list filled from the nonzero curvature entries.
+
+The Jacobi check reads each triple's defect off the sparse bracket table.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import Scalar
-from .linalg import Matrix, Vector, mat_mul, mat_sub
+from .linalg import Matrix, SparseMatrix, Vector, sparse_commutator, sparse_subtract
 from .tensors import Cube, KForm, MAX_DIM, cube_add, cube_pullback, cube_scale, cube_to_form
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
@@ -57,17 +64,11 @@ def structure_constant(alg: LieAlgebra, i: int, j: int, k: int) -> Scalar:
     return -alg.brackets.get((j, i), {}).get(k, 0)
 
 
-def bracket_basis(alg: LieAlgebra, i: int, j: int) -> Vector:
-    """[e_i, e_j] as a coordinate vector."""
-    out: Vector = [0] * alg.dim
-    if i == j:
-        return out
-    sign = 1
-    if i > j:
-        i, j, sign = j, i, -1
-    for k, v in alg.brackets.get((i, j), {}).items():
-        out[k] = sign * v
-    return out
+def _bracket(alg: LieAlgebra, i: int, j: int) -> dict[int, Scalar]:
+    """[e_i, e_j] as {k: c^k_ij}, antisymmetrized in (i, j)."""
+    if i <= j:
+        return alg.brackets.get((i, j), {})
+    return {k: -v for k, v in alg.brackets.get((j, i), {}).items()}
 
 
 def bracket_vectors(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
@@ -84,25 +85,22 @@ def bracket_vectors(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
     return out
 
 
-def jacobi_defect(alg: LieAlgebra, i: int, j: int, k: int) -> Vector:
-    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
-    basis = [[1 if a == b else 0 for b in range(alg.dim)] for a in range(alg.dim)]
-    total: Vector = [0] * alg.dim
-    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = bracket_basis(alg, a, b)
-        term = bracket_vectors(alg, inner, basis[c])
-        total = [t + x for t, x in zip(total, term)]
-    return total
-
-
 def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:
     """First Jacobi violation as ((i,j,k), defect vector), or None when valid.
+
+    The defect is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
+    summed from the nonzero structure constants into a dense vector that
+    starts at int zeros.
 
     Antisymmetry is structural here (only i < j keys are stored); wire-level
     antisymmetry conflicts are reported by the catalog loader.
     """
     for i, j, k in combinations(range(alg.dim), 3):
-        defect = jacobi_defect(alg, i, j, k)
+        defect: Vector = [0] * alg.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in _bracket(alg, a, b).items():
+                for l, y in _bracket(alg, m, c).items():
+                    defect[l] += x * y
         if any(defect):
             return (i, j, k), defect
     return None
@@ -165,8 +163,12 @@ class Connection:
         return op
 
 
-def connection_operators(conn: Connection) -> list[Matrix]:
-    return [conn.operator(i) for i in range(conn.dim)]
+def connection_operators(conn: Connection) -> list[SparseMatrix]:
+    """The operators L_i[k][j] = gamma[(i, j, k)], from one pass over gamma."""
+    ops: list[SparseMatrix] = [{} for _ in range(conn.dim)]
+    for (i, j, k), v in conn.gamma.items():
+        ops[i].setdefault(k, {})[j] = v
+    return ops
 
 
 def levi_civita(alg: LieAlgebra) -> Connection:
@@ -211,17 +213,14 @@ def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube, conn.dim)
 
 
-def curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], Matrix]:
-    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as matrices, keys i < j."""
-    dim = conn.dim
+def curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], SparseMatrix]:
+    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as sparse matrices, keys i < j."""
     ops = connection_operators(conn)
-    out: dict[tuple[int, int], Matrix] = {}
-    for i, j in combinations(range(dim), 2):
-        r = mat_sub(mat_mul(ops[i], ops[j]), mat_mul(ops[j], ops[i]))
-        for m, c in (alg.brackets.get((i, j), {})).items():
-            if c:
-                lm = ops[m]
-                r = [[rv - c * lv for rv, lv in zip(rrow, lrow)] for rrow, lrow in zip(r, lm)]
+    out: dict[tuple[int, int], SparseMatrix] = {}
+    for i, j in combinations(range(conn.dim), 2):
+        r = sparse_commutator(ops[i], ops[j])
+        for m, c in alg.brackets.get((i, j), {}).items():
+            sparse_subtract(r, c, ops[m])
         out[(i, j)] = r
     return out
 
@@ -241,12 +240,10 @@ def curvature_tensor(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
         [[[0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)
     ]
     for (i, j), m in ops.items():
-        for k in range(dim):
-            for l in range(dim):
-                v = m[l][k]
-                if v:
-                    r[i][j][k][l] = v
-                    r[j][i][k][l] = -v
+        for l, row in m.items():
+            for k, v in row.items():
+                r[i][j][k][l] = v
+                r[j][i][k][l] = -v
     return r
 
 

@@ -11,10 +11,18 @@ generators are almost all zeros.
 count and read their answers straight off a `RowSpan`'s stored rows. The
 dense `Matrix` calls `rref`, `rank`, `invert` and `det` convert each row
 once on entry; `rank` and `invert` go through `rref`.
+
+The operator algebra of a connection (its connection and curvature
+operators and the holonomy closure) uses the sparse matrix format
+{row: sparse row}, which stores no zero and no empty row, so `not m` is
+the zero test. `sparse_commutator` is its one product kernel and
+`sparse_subtract` its one linear update; `sparse_matrix` and
+`dense_matrix` convert at the boundary with the dense `Matrix` code.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .exact import Scalar
@@ -22,6 +30,7 @@ from .exact import Scalar
 Vector = list[Scalar]
 Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: {column: value}, no zero stored
+SparseMatrix = dict[int, Row]  # {row: sparse row}, no zero and no empty row stored
 
 
 class LinAlgError(Exception):
@@ -98,6 +107,46 @@ def vec_scale(u: Vector, s: Scalar) -> Vector:
 
 def _sparse(row: Vector) -> Row:
     return {j: x for j, x in enumerate(row) if x}
+
+
+def sparse_matrix(a: Matrix) -> SparseMatrix:
+    return {i: row for i, row in enumerate(map(_sparse, a)) if row}
+
+
+def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
+    out = zeros(n, n)
+    for i, row in m.items():
+        for j, x in row.items():
+            out[i][j] = x
+    return out
+
+
+def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab - ba from the nonzeros of a and b; entries and rows that cancel
+    are dropped, so a commuting pair gives {}."""
+    acc: dict[int, dict[int, Scalar]] = {}
+    for left, right, combine in ((a, b, operator.add), (b, a, operator.sub)):
+        for i, row in left.items():
+            out = None
+            for k, x in row.items():
+                right_k = right.get(k)
+                if right_k:
+                    if out is None:
+                        out = acc.setdefault(i, {})
+                    for j, y in right_k.items():
+                        out[j] = combine(out.get(j, 0), x * y)
+    return {i: kept for i, row in acc.items() if (kept := {j: x for j, x in row.items() if x})}
+
+
+def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:
+    """target -= f * m in place, dropping entries and rows that cancel."""
+    if not f:
+        return
+    for i, row in m.items():
+        out = target.setdefault(i, {})
+        _subtract(out, f, row)
+        if not out:
+            del target[i]
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -181,7 +230,7 @@ def leading_minors_positive(a: Matrix) -> bool:
     return all(det([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
 
 
-def _subtract(target: dict[int, Fraction], f: Fraction, row: dict[int, Fraction]) -> None:
+def _subtract(target: Row, f: Scalar, row: Row) -> None:
     """target -= f * row in place, dropping entries that cancel."""
     for j, y in row.items():
         x = target.get(j, 0) - f * y

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from pathlib import Path
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.curvature import DtTraces
+from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure
 from hktlab.invariant import (
     Connection,
@@ -23,7 +24,18 @@ from hktlab.invariant import (
     ce_differential,
     structure_constant,
 )
-from hktlab.linalg import LinAlgError, Matrix, Row, Vector, mat_vec
+from hktlab.linalg import (
+    LinAlgError,
+    Matrix,
+    Row,
+    RowSpan,
+    Vector,
+    commutator,
+    is_zero_matrix,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+)
 from hktlab.obata import SolverCertificate
 from hktlab.tensors import Cube, KForm
 
@@ -201,6 +213,91 @@ def naive_curvature_operator(conn: Connection, alg: LieAlgebra, i: int, j: int) 
         for row in range(dim):
             out[row][col] = Fraction(v1[row]) - Fraction(v2[row]) - v3[row]
     return out
+
+
+def naive_connection_operators(conn: Connection) -> list[Matrix]:
+    return [conn.operator(i) for i in range(conn.dim)]
+
+
+def naive_curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], Matrix]:
+    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as dense matrices, keys i < j."""
+    dim = conn.dim
+    ops = naive_connection_operators(conn)
+    out: dict[tuple[int, int], Matrix] = {}
+    for i, j in combinations(range(dim), 2):
+        r = mat_sub(mat_mul(ops[i], ops[j]), mat_mul(ops[j], ops[i]))
+        for m, c in (alg.brackets.get((i, j), {})).items():
+            if c:
+                lm = ops[m]
+                r = [[rv - c * lv for rv, lv in zip(rrow, lrow)] for rrow, lrow in zip(r, lm)]
+        out[(i, j)] = r
+    return out
+
+
+def naive_flatten(m: Matrix) -> Row:
+    """The matrix as one sparse row, entry (i, j) in column i * n + j."""
+    return {k: x for k, x in enumerate(chain.from_iterable(m)) if x}
+
+
+def naive_holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:
+    """Dense closure: every basis element bracketed with every connection
+    operator and with every basis element present when it is popped."""
+    n = conn.dim
+    ops = naive_connection_operators(conn)
+    span = RowSpan(n * n)
+    basis: list[Matrix] = []
+    queue: list[Matrix] = []
+    for seed in naive_curvature_operators(conn, alg).values():
+        if span.add(naive_flatten(seed)):
+            basis.append(seed)
+            queue.append(seed)
+    while queue:
+        current = queue.pop()
+        candidates = [commutator(op, current) for op in ops]
+        candidates.extend(commutator(current, b) for b in basis)
+        for cand in candidates:
+            if not is_zero_matrix(cand) and span.add(naive_flatten(cand)):
+                basis.append(cand)
+                queue.append(cand)
+    return HolonomyAlgebra(tuple(basis), span.rank)
+
+
+def naive_preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
+    """[L_i, m] = 0 for every dense connection operator L_i."""
+    return all(is_zero_matrix(commutator(conn.operator(i), m)) for i in range(conn.dim))
+
+
+def naive_bracket_basis(alg: LieAlgebra, i: int, j: int) -> Vector:
+    """[e_i, e_j] as a coordinate vector."""
+    out: Vector = [0] * alg.dim
+    if i == j:
+        return out
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -1
+    for k, v in alg.brackets.get((i, j), {}).items():
+        out[k] = sign * v
+    return out
+
+
+def naive_jacobi_defect(alg: LieAlgebra, i: int, j: int, k: int) -> Vector:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]."""
+    basis = [[1 if a == b else 0 for b in range(alg.dim)] for a in range(alg.dim)]
+    total: Vector = [0] * alg.dim
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = naive_bracket_basis(alg, a, b)
+        term = bracket_vectors(alg, inner, basis[c])
+        total = [t + x for t, x in zip(total, term)]
+    return total
+
+
+def naive_validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:
+    """First Jacobi violation from dense bracket vectors, or None."""
+    for i, j, k in combinations(range(alg.dim), 3):
+        defect = naive_jacobi_defect(alg, i, j, k)
+        if any(defect):
+            return (i, j, k), defect
+    return None
 
 
 def naive_nijenhuis_vec(alg: LieAlgebra, j: Matrix, x: Vector, y: Vector) -> Vector:

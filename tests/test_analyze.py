@@ -11,6 +11,11 @@ import hktlab
 from hktlab import cli
 from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name
+from hktlab.holonomy import holonomy_algebra
+from hktlab.hyperhermitian import preserves_endomorphism
+from hktlab.invariant import curvature_operators, levi_civita
+from hktlab.linalg import RowSpan
+from hktlab.obata import obata_connection
 
 MODULES = [hktlab] + [
     importlib.import_module(f"hktlab.{info.name}")
@@ -25,6 +30,8 @@ COUNTED = (
     "obata_oracle_solver",
     "commutant_basis",
     "rref",
+    "mat_mul",
+    "commutator",
 )
 
 
@@ -43,6 +50,13 @@ def calls(monkeypatch):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+    add = RowSpan.add
+
+    def counted_add(self, row):
+        counts["RowSpan.add"] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(RowSpan, "add", counted_add)
     return counts
 
 
@@ -79,3 +93,25 @@ def test_solver_stays_off_dense_rref(calls, cat, name):
     analyze_entry(cat[name])
     assert calls["commutant_basis"] == 1
     assert calls["rref"] == 0
+
+
+def test_holonomy_closure_brackets_each_pair_once(calls, cat):
+    alg = cat["nil8"].lie
+    conn = levi_civita(alg)
+    calls.clear()
+    assert holonomy_algebra(conn, alg).dim == 21
+    # the dense closure, which brackets both orders of each pair, made 532
+    assert calls["RowSpan.add"] == 336
+
+
+def test_operator_algebra_stays_off_dense_products(calls, cat):
+    entry = cat["nil8"]
+    alg, h = entry.lie, entry.structure
+    lc = levi_civita(alg)
+    ob = obata_connection(h, alg)
+    calls.clear()
+    holonomy_algebra(lc, alg)
+    curvature_operators(lc, alg)
+    assert all(preserves_endomorphism(ob, h.j(s)) for s in (1, 2, 3))
+    assert calls["mat_mul"] == 0
+    assert calls["commutator"] == 0

@@ -3,8 +3,10 @@
 The traced benchmark run wraps the package's public functions and reads
 their spans by `module.function` name; a name it cannot find stops the run.
 These tests read BENCHMARK.json and fail when such a name is renamed, moved
-or made private, and when the curvature tensor stops being the nested lists
-the benchmark's curvature probe iterates.
+or made private, when the curvature tensor stops being the nested lists
+the benchmark's curvature probe iterates, and when the holonomy closure
+stops growing its span through the public `RowSpan.add` that the
+benchmark's `linalg.RowSpan.add` probes count.
 """
 
 import importlib
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from hktlab.holonomy import holonomy_algebra
 from hktlab.invariant import curvature_tensor, levi_civita
 from hktlab.linalg import RowSpan
 
@@ -52,3 +55,17 @@ def test_curvature_tensor_is_nested_lists(catalog):
             assert all(isinstance(x, list) and len(x) == entry.dim for x in level), entry.name
             level = [y for x in level for y in x]
         assert not any(isinstance(x, list) for x in level), entry.name
+
+
+def test_holonomy_closure_grows_span_through_rowspan_add(catalog, monkeypatch):
+    calls = []
+    add = RowSpan.add
+
+    def counted_add(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(RowSpan, "add", counted_add)
+    alg = catalog["nil8"].lie
+    holonomy_algebra(levi_civita(alg), alg)
+    assert calls

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.holonomy import (
@@ -10,12 +14,25 @@ from hktlab.holonomy import (
     is_g_skew,
     slnh_membership,
 )
-from hktlab.hyperhermitian import bismut_connection
-from hktlab.invariant import connection_operators, levi_civita
-from hktlab.linalg import RowSpan, commutator, identity, zeros
+from hktlab.hyperhermitian import bismut_connection, hkt_check
+from hktlab.invariant import (
+    Connection,
+    LieAlgebra,
+    connection_operators,
+    curvature_operators,
+    levi_civita,
+)
+from hktlab.linalg import RowSpan, commutator, dense_matrix, identity, zeros
 from hktlab.obata import obata_connection
 
-from oracle_impl import ALL_NAMES, HKT_NAMES, sparse
+from oracle_impl import (
+    ALL_NAMES,
+    HKT_NAMES,
+    direct_sum_entry,
+    naive_curvature_operators,
+    naive_holonomy_algebra,
+    sparse,
+)
 
 LC_DIMS = {
     "torus4": 0,
@@ -73,11 +90,84 @@ def test_holonomy_span_is_closed(cat, torsions):
         for g in hol.generators:
             span.add(sparse([x for row in g for x in row]))
         assert span.rank == hol.dim
-        ops = connection_operators(conn)
+        ops = [dense_matrix(op, alg.dim) for op in connection_operators(conn)]
         extra = [commutator(op, g) for op in ops for g in hol.generators]
         extra += [commutator(a, b) for a in hol.generators for b in hol.generators]
         for cand in extra:
             assert not span.add(sparse([x for row in cand for x in row])), name
+
+
+def applicable_connections(entry):
+    """Levi-Civita always, Bismut when HKT, Obata when integrable."""
+    alg, h = entry.lie, entry.structure
+    res = hkt_check(h, alg)
+    conns = {"levicivita": levi_civita(alg)}
+    if res.ok:
+        conns["bismut"] = bismut_connection(res.torsion, alg)
+    if res.first_nonintegrable is None:
+        conns["obata"] = obata_connection(h, alg, res.torsion)
+    return conns
+
+
+def assert_matches_dense_oracle(entry):
+    for label, conn in applicable_connections(entry).items():
+        name = f"{entry.name} {label}"
+        ops = curvature_operators(conn, entry.lie)
+        want_ops = naive_curvature_operators(conn, entry.lie)
+        assert list(ops) == list(want_ops), name
+        assert [dense_matrix(m, entry.dim) for m in ops.values()] == list(want_ops.values()), name
+        got, want = holonomy_algebra(conn, entry.lie), naive_holonomy_algebra(conn, entry.lie)
+        assert got.dim == want.dim, name
+        assert got.generators == want.generators, name
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_holonomy_matches_dense_oracle(cat, name):
+    assert_matches_dense_oracle(cat[name])
+
+
+@pytest.mark.parametrize("summands", [("nil8", "hopf4"), ("hc_only8", "torus4")])
+def test_holonomy_matches_dense_oracle_on_direct_sum(cat, summands, tmp_path):
+    first, second = summands
+    assert_matches_dense_oracle(direct_sum_entry(cat[first], cat[second], tmp_path))
+
+
+SMALL_ALGEBRAS = (
+    LieAlgebra(3),
+    LieAlgebra(4),
+    LieAlgebra(5),
+    LieAlgebra(3, {(0, 1): {2: 1}}),
+    LieAlgebra(4, {(1, 2): {3: 2}, (1, 3): {2: -2}, (2, 3): {1: 2}}),
+)
+
+
+@st.composite
+def random_connections(draw):
+    """An arbitrary, usually non-metric, connection on a small algebra: a
+    few int and Fraction coefficients at random places."""
+    alg = draw(st.sampled_from(SMALL_ALGEBRAS))
+    index = st.integers(0, alg.dim - 1)
+    values = st.one_of(
+        st.integers(-1, 1),
+        st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=3),
+    )
+    size = draw(st.integers(1, 2 * alg.dim))
+    cells = draw(st.dictionaries(st.tuples(index, index, index), values, max_size=size))
+    return Connection(alg.dim, {idx: v for idx, v in cells.items() if v}), alg
+
+
+@given(random_connections())
+@example((Connection(3, {(0, 1, 0): 1, (2, 0, 1): 1, (2, 2, 0): 1}), LieAlgebra(3)))
+@example((Connection(4, {(0, 0, 1): 1, (0, 3, 0): 1, (1, 0, 3): 1}), LieAlgebra(4)))
+@settings(max_examples=100, deadline=None)
+def test_holonomy_matches_dense_oracle_on_random_connections(case):
+    # each example needs [current, b] for a b popped before current entered
+    # the basis (in the second, popped right before): skipping it loses a
+    # generator
+    conn, alg = case
+    got, want = holonomy_algebra(conn, alg), naive_holonomy_algebra(conn, alg)
+    assert got.dim == want.dim
+    assert got.generators == want.generators
 
 
 def test_glnh_membership_units(cat):

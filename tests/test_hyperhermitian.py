@@ -17,7 +17,7 @@ from hktlab.hyperhermitian import (
     quaternionic_check,
     type_check_12_21,
 )
-from hktlab.invariant import LieAlgebra, ce_differential, torsion
+from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.linalg import identity
 from hktlab.tensors import (
     cube_add,
@@ -28,7 +28,7 @@ from hktlab.tensors import (
     j_twist,
 )
 
-from oracle_impl import HKT_NAMES, naive_nijenhuis_vec
+from oracle_impl import HKT_NAMES, naive_nijenhuis_vec, naive_preserves_endomorphism
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,17 @@ def test_bismut_has_prescribed_torsion_and_parallel_structure(cat, torsions):
         assert tform is not None and tform.comps == t.comps
         for s in (1, 2, 3):
             assert preserves_endomorphism(conn, entry.structure.j(s))
+
+
+def test_preserves_endomorphism_matches_dense_oracle(cat):
+    for name, entry in cat.items():
+        conn = levi_civita(entry.lie)
+        for s in (1, 2, 3):
+            j = entry.structure.j(s)
+            got = preserves_endomorphism(conn, j)
+            assert got == naive_preserves_endomorphism(conn, j), name
+            # only on the abelian tori is the Levi-Civita connection flat
+            assert got == name.startswith("torus"), name
 
 
 def test_bismut_vanishes_on_hopf4(cat, torsions):

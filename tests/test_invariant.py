@@ -19,10 +19,15 @@ from hktlab.invariant import (
     torsion_cube,
     validate_lie_algebra,
 )
-from hktlab.linalg import invert
+from hktlab.linalg import dense_matrix, invert
 from hktlab.tensors import KForm, basis_form, wedge, form_scale, form_add
 
-from oracle_impl import naive_curvature_operator, naive_d_eval, naive_koszul
+from oracle_impl import (
+    naive_curvature_operator,
+    naive_d_eval,
+    naive_koszul,
+    naive_validate_lie_algebra,
+)
 
 HOPF4 = LieAlgebra(4, {(1, 2): {3: 2}, (1, 3): {2: -2}, (2, 3): {1: 2}})
 NIL8 = LieAlgebra(
@@ -76,6 +81,29 @@ def test_jacobi_detection():
     assert any(vec)
     assert validate_lie_algebra(HOPF4) is None
     assert validate_lie_algebra(NIL8) is None
+
+
+@st.composite
+def bracket_tables(draw):
+    """Random bracket tables on dim 3-6 with int and Fraction constants;
+    most of them fail the Jacobi identity."""
+    dim = draw(st.integers(min_value=3, max_value=6))
+    constants = st.dictionaries(
+        st.integers(0, dim - 1), st.one_of(st.integers(-2, 2), rationals), min_size=1, max_size=2
+    )
+    pairs = draw(
+        st.lists(st.sampled_from(list(combinations(range(dim), 2))), min_size=2, max_size=6)
+    )
+    return LieAlgebra(dim, {pair: draw(constants) for pair in pairs})
+
+
+@given(bracket_tables())
+@settings(max_examples=80)
+def test_jacobi_check_matches_dense_oracle(alg):
+    got, want = validate_lie_algebra(alg), naive_validate_lie_algebra(alg)
+    assert got == want
+    # the loader prints the defect with repr, so element types must agree too
+    assert repr(got) == repr(want)
 
 
 def test_differential_sign_pin():
@@ -156,7 +184,7 @@ def test_curvature_operators_against_naive(alg):
     lc = levi_civita(alg)
     ops = curvature_operators(lc, alg)
     for (i, j), op in ops.items():
-        assert op == naive_curvature_operator(lc, alg, i, j)
+        assert dense_matrix(op, alg.dim) == naive_curvature_operator(lc, alg, i, j)
 
 
 def test_curvature_tensor_hopf4_values():

@@ -9,6 +9,7 @@ from hktlab.linalg import (
     LinAlgError,
     RowSpan,
     commutator,
+    dense_matrix,
     det,
     invert,
     leading_minors_positive,
@@ -18,6 +19,9 @@ from hktlab.linalg import (
     rank,
     rref,
     solve_unique,
+    sparse_commutator,
+    sparse_matrix,
+    sparse_subtract,
     trace,
 )
 from oracle_impl import dense, naive_det, naive_nullspace, naive_rref, naive_solve_unique, sparse
@@ -118,6 +122,49 @@ def test_invert_round_trip(a):
 @settings(max_examples=30)
 def test_commutator_trace_free(a, b):
     assert trace(commutator(a, b)) == 0
+
+
+@st.composite
+def mostly_zero_pairs(draw):
+    """Two n x n matrices (n <= 8) with at most 2n nonzero cells each,
+    int and Fraction entries mixed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = st.one_of(st.integers(-3, 3), rationals)
+
+    def matrix():
+        cells = draw(st.dictionaries(cell, entries, max_size=2 * n))
+        return [[cells.get((i, j), 0) for j in range(n)] for i in range(n)]
+
+    return matrix(), matrix()
+
+
+def stores_no_zero(m):
+    return all(row and all(row.values()) for row in m.values())
+
+
+@given(mostly_zero_pairs(), st.integers(-2, 2))
+@settings(max_examples=80)
+def test_sparse_kernels_match_dense(pair, f):
+    a, b = pair
+    n = len(a)
+    sa, sb = sparse_matrix(a), sparse_matrix(b)
+    assert stores_no_zero(sa) and dense_matrix(sa, n) == a
+    a_squared = sparse_matrix(mat_mul(a, a))
+    for x, y in ((sa, sb), (sb, sa), (sa, a_squared)):
+        got = sparse_commutator(x, y)
+        assert stores_no_zero(got)
+        assert dense_matrix(got, n) == commutator(dense_matrix(x, n), dense_matrix(y, n))
+    # commuting pairs cancel to the empty matrix
+    assert sparse_commutator(sa, sa) == {}
+    assert sparse_commutator(sa, a_squared) == {}
+    target = sparse_matrix(a)
+    sparse_subtract(target, f, sb)
+    assert stores_no_zero(target)
+    assert dense_matrix(target, n) == [[x - f * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    sparse_subtract(target, -f, sb)
+    sparse_subtract(target, 1, sa)
+    assert target == {}
 
 
 def test_rowspan_incremental_matches_batch_rank():
