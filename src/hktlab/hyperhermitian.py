@@ -16,7 +16,6 @@ from .exact import Scalar
 from .invariant import (
     Connection,
     LieAlgebra,
-    bracket_vectors,
     ce_differential,
     connection_operators,
     levi_civita,
@@ -27,7 +26,6 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_scale,
-    mat_vec,
     sparse_commutator,
     sparse_matrix,
     transpose,
@@ -102,20 +100,49 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
     Returns the lowered cube n[(i, j, k)] (orthonormal frame) and its 3-form
-    reading when totally skew, else None.
+    reading when totally skew, else None. The four terms of each pair are
+    built from the nonzero brackets and the nonzeros of J's columns.
     """
     dim = alg.dim
-    basis = identity(dim)
-    j_cols = [[j[r][c] for r in range(dim)] for c in range(dim)]
+    j_cols = [[(r, j[r][c]) for r in range(dim) if j[r][c]] for c in range(dim)]
+
+    def bracket(x: list[tuple[int, Scalar]], y: list[tuple[int, Scalar]]) -> dict[int, Scalar]:
+        # entries that cancel stay, with their type, as in a dense sum
+        out: dict[int, Scalar] = {}
+        for i, xi in x:
+            for m, yj in y:
+                if i == m:
+                    continue
+                comps = alg.brackets.get((i, m), {}) if i < m else alg.brackets.get((m, i), {})
+                for k, v in comps.items():
+                    out[k] = out.get(k, 0) + xi * yj * (v if i < m else -v)
+        return out
+
+    def apply_j(w: dict[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
+        for c, wc in w.items():
+            if wc:
+                for r, x in j_cols[c]:
+                    out[r] = out.get(r, 0) + x * wc
+        return out
+
+    def fraction_in_product(w: dict[int, Scalar], r: int) -> bool:
+        # The dense (J w)[r] sums j[r][c] * w[c] over every c with w[c] != 0,
+        # zeros of J included: it is a Fraction when any factor there is.
+        return any(isinstance(wc, Fraction) or isinstance(j[r][c], Fraction) for c, wc in w.items() if wc)
+
     cube: Cube = {}
     for a, b in combinations(range(dim), 2):
         ja, jb = j_cols[a], j_cols[b]
-        term = bracket_vectors(alg, ja, jb)
-        term = [t - u for t, u in zip(term, mat_vec(j, bracket_vectors(alg, ja, basis[b])))]
-        term = [t - u for t, u in zip(term, mat_vec(j, bracket_vectors(alg, basis[a], jb)))]
-        term = [t - u for t, u in zip(term, bracket_vectors(alg, basis[a], basis[b]))]
-        for k, v in enumerate(term):
+        t1 = bracket(ja, jb)
+        w2, w3 = bracket(ja, [(b, 1)]), bracket([(a, 1)], jb)
+        t2, t3 = apply_j(w2), apply_j(w3)
+        t4 = alg.brackets.get((a, b), {})
+        for k in sorted(t1.keys() | t2.keys() | t3.keys() | t4.keys()):
+            v = t1.get(k, 0) - t2.get(k, 0) - t3.get(k, 0) - t4.get(k, 0)
             if v:
+                if type(v) is int and (fraction_in_product(w2, k) or fraction_in_product(w3, k)):
+                    v = Fraction(v)
                 cube[(a, b, k)] = v
                 cube[(b, a, k)] = -v
     return cube, cube_to_form(cube, dim)

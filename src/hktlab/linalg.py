@@ -2,15 +2,19 @@
 
 Matrices are lists of row lists; vectors are flat lists. Entries are ints
 or Fractions. The one Gaussian elimination is `RowSpan`, which keeps a
-row space in sparse reduced echelon form. Its input and stored rows are
-sparse rows, {column: value} dicts without zeros (the idiom of
+row space in sparse, fraction-free reduced echelon form. Its input rows
+are sparse rows, {column: value} dicts without zeros (the idiom of
 `KForm.comps` and of the cubes), because the solver systems and holonomy
-generators are almost all zeros.
+generators are almost all zeros; its stored rows are primitive integer
+rows, so the elimination runs on Python ints.
 
 `nullspace` and `solve_unique` take sparse rows and an explicit column
-count and read their answers straight off a `RowSpan`'s stored rows. The
-dense `Matrix` calls `rref`, `rank`, `invert` and `det` convert each row
-once on entry; `rank` and `invert` go through `rref`.
+count and read their answers off a `RowSpan`'s stored rows, dividing by
+the pivot entry at the boundary, so every value they return is a
+Fraction (apart from the 1 of each free column). The dense `Matrix` calls
+`rref`, `rank`, `invert` and `det` convert each row once on entry; `rank`
+and `invert` go through `rref`, and `det` multiplies the pivot values
+that `RowSpan._insert` reports.
 
 The operator algebra of a connection (its connection and curvature
 operators and the holonomy closure) uses the sparse matrix format
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact import Scalar
 
@@ -156,8 +161,10 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     pivots = sorted(span._rows)
     reduced = [[Fraction(0)] * cols for _ in a]
     for out, pivot in zip(reduced, pivots):
-        for j, x in span._rows[pivot].items():
-            out[j] = x
+        row = span._rows[pivot]
+        d = row[pivot]
+        for j, x in row.items():
+            out[j] = Fraction(x, d)
     return reduced, pivots
 
 
@@ -179,9 +186,10 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
     span = _span_of(rows, cols)
     basis: dict[int, Row] = {f: {f: 1} for f in range(cols) if f not in span._rows}
     for pivot, row in span._rows.items():
+        d = row[pivot]
         for j, x in row.items():
             if j != pivot:
-                basis[j][pivot] = -x
+                basis[j][pivot] = Fraction(-x, d)
     return list(basis.values())
 
 
@@ -197,7 +205,7 @@ def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
         raise LinAlgError("inconsistent system: no solution")
     if span.rank < cols:
         raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
-    x = {pivot: row[cols] for pivot, row in span._rows.items() if cols in row}
+    x = {pivot: Fraction(row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row}
     return x, span.rank
 
 
@@ -214,15 +222,16 @@ def det(a: Matrix) -> Fraction:
     """Product of the pivot values, signed by the order the pivots appear."""
     span = RowSpan(len(a))
     order: list[int] = []
-    result = Fraction(1)
+    num = den = 1
     for row in a:
         step = span._insert(_sparse(row))
         if step is None:
             return Fraction(0)
         order.append(step[0])
-        result *= step[1]
+        num *= step[1]
+        den *= step[2]
     inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1 :])
-    return -result if inversions % 2 else result
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def leading_minors_positive(a: Matrix) -> bool:
@@ -241,49 +250,107 @@ def _subtract(target: Row, f: Scalar, row: Row) -> None:
 
 
 class RowSpan:
-    """Row space kept in sparse reduced echelon form; the package's one
-    Gaussian elimination.
+    """Row space kept in fraction-free reduced echelon form; the package's
+    one Gaussian elimination.
 
-    Rows go in as sparse rows. Each stored row is a {column: Fraction}
-    dict keyed by its pivot: 1 at its own pivot, 0 at every other pivot and
-    left of its pivot. The holonomy closure uses `add` for exact rank
-    growth (True when the row enlarges the span); the module's other
-    eliminations are built on `_insert`.
+    Rows go in as sparse rows of ints and Fractions; each is scaled by the
+    lcm of its denominators once, on entry. Each stored row is a primitive
+    integer row {column: int} keyed by its pivot: gcd 1, a positive entry
+    at its own pivot, 0 at every other pivot and left of its pivot. So the
+    stored row divided by its pivot entry is the row of the reduced echelon
+    form, which the readers (`rref`, `nullspace`, `solve_unique`) build as
+    `Fraction(row[j], row[pivot])`. A reduction step is
+    v <- d*v - c*r for the stored row r with pivot entry d and the entry c
+    of v at that pivot, both divided by gcd(c, d); no Fraction is built
+    inside the elimination. A column index lists, for each column, the
+    stored rows with a nonzero there off their own pivot, so a new pivot
+    is back-substituted into exactly the rows that hold its column.
+
+    The holonomy closure uses `add` for exact rank growth (True when the
+    row enlarges the span); the module's other eliminations are built on
+    `_insert`.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._rows: dict[int, dict[int, int]] = {}
+        self._holders: dict[int, set[int]] = {}  # column -> pivots of the rows holding it
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Row) -> dict[int, Fraction]:
-        v = {j: Fraction(x) for j, x in vec.items()}
+    def _reduce(self, vec: Row) -> tuple[dict[int, int], int]:
+        """vec reduced against the stored rows, as an integer row that is
+        `scale` times the rational reduced vector, and that scale."""
+        scale = lcm(*[x.denominator for x in vec.values()])
+        v = {j: x.numerator * (scale // x.denominator) for j, x in vec.items()}
+        rows = self._rows
         # Stored rows vanish at every other pivot, so one pass clears them all.
-        for pivot in [j for j in v if j in self._rows]:
-            _subtract(v, v[pivot], self._rows[pivot])
-        return v
+        for pivot in [j for j in v if j in rows]:
+            row = rows[pivot]
+            c, d = v[pivot], row[pivot]
+            if d != 1:
+                g = gcd(c, d)
+                c //= g
+                m = d // g
+                if m != 1:
+                    scale *= m
+                    for j in v:
+                        v[j] *= m
+            _subtract(v, c, row)
+        return v, scale
 
-    def _insert(self, vec: Row) -> tuple[int, Fraction] | None:
-        """Add vec; return (new pivot, value vec was divided by), or None
-        when vec already lies in the span."""
-        v = self._reduce(vec)
+    def _insert(self, vec: Row) -> tuple[int, int, int] | None:
+        """Add vec; return (new pivot, value, scale), where value / scale is
+        the pivot entry of the reduced vec, or None when vec already lies in
+        the span."""
+        v, scale = self._reduce(vec)
         if not v:
             return None
         pivot = min(v)
         value = v[pivot]
-        if value != 1:
-            v = {j: x / value for j, x in v.items()}
-        for row in self._rows.values():
-            if pivot in row:
-                _subtract(row, row[pivot], v)
-        self._rows[pivot] = v
-        return pivot, value
+        g = gcd(*v.values())
+        if value < 0:
+            g = -g
+        if g != 1:
+            for j in v:
+                v[j] //= g
+        d = v[pivot]
+        rows, holders = self._rows, self._holders
+        for p in holders.pop(pivot, ()):
+            row = rows[p]
+            c = row[pivot]
+            if d != 1:
+                g = gcd(c, d)
+                c //= g
+                m = d // g
+                if m != 1:
+                    for j in row:
+                        row[j] *= m
+            for j, y in v.items():
+                x = row.get(j, 0) - c * y
+                if not x:
+                    del row[j]
+                    if j != pivot:
+                        holders[j].discard(p)
+                else:
+                    if j not in row:
+                        holders.setdefault(j, set()).add(p)
+                    row[j] = x
+            if row[p] != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for j in row:
+                        row[j] //= g
+        for j in v:
+            if j != pivot:
+                holders.setdefault(j, set()).add(pivot)
+        rows[pivot] = v
+        return pivot, value, scale
 
     def contains(self, vec: Row) -> bool:
-        return not self._reduce(vec)
+        return not self._reduce(vec)[0]
 
     def add(self, vec: Row) -> bool:
         return self._insert(vec) is not None

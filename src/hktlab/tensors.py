@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 
 from .exact import Scalar, exact_sqrt
@@ -121,29 +121,45 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, comps)
 
 
-def _minor_det3(m: Matrix, rows: tuple[int, int, int], cols: tuple[int, int, int]) -> Scalar:
-    r0, r1, r2 = rows
-    c0, c1, c2 = cols
-    return (
-        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-    )
-
-
 def j_twist(a: KForm, j: Matrix) -> KForm:
-    """The 3-form (X,Y,Z) -> -a(JX, JY, JZ)."""
+    """The 3-form (X,Y,Z) -> -a(JX, JY, JZ).
+
+    Each stored component a_I is pushed through the nonzeros of the rows
+    i in I of J: a choice of distinct columns (c0, c1, c2), one nonzero per
+    row, adds the signed product to the 3x3 minor det J[I][sorted cols].
+    An output component sums a_I * minor over the nonzero minors. The
+    value is that of the full minor expansion; its type is too: a minor
+    over a block of J holding a Fraction (a zero included) is a Fraction,
+    so such an output stays a Fraction even when its value is integral.
+    """
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for out_idx in combinations(range(a.dim), 3):
-        total: Scalar = 0
-        for in_idx, v in a.comps.items():
-            d = _minor_det3(j, in_idx, out_idx)
+    rows = [[(c, x) for c, x in enumerate(row) if x] for row in j]
+    fraction_cells = {
+        (r, c) for r, row in enumerate(j) for c, x in enumerate(row) if isinstance(x, Fraction)
+    }
+    totals: dict[tuple[int, int, int], Scalar] = {}
+    fraction_minor: set[tuple[int, int, int]] = set()
+    for idx, v in a.comps.items():
+        i0, i1, i2 = idx
+        minors: dict[tuple[int, int, int], Scalar] = {}
+        for c0, x0 in rows[i0]:
+            for c1, x1 in rows[i1]:
+                for c2, x2 in rows[i2]:
+                    sign = perm_sign((c0, c1, c2))
+                    if sign:
+                        out = tuple(sorted((c0, c1, c2)))
+                        minors[out] = minors.get(out, 0) + sign * x0 * x1 * x2
+        for out, d in minors.items():
             if d:
-                total += v * d
+                totals[out] = totals.get(out, 0) + v * d
+                if fraction_cells and any((r, c) in fraction_cells for r in idx for c in out):
+                    fraction_minor.add(out)
+    comps: dict[tuple[int, ...], Scalar] = {}
+    for out in sorted(totals):
+        total = totals[out]
         if total:
-            comps[out_idx] = -total
+            comps[out] = -(Fraction(total) if out in fraction_minor else total)
     return KForm(a.dim, 3, comps)
 
 

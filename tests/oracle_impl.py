@@ -14,6 +14,7 @@ from math import factorial
 from pathlib import Path
 
 from hktlab.catalog import CatalogEntry, load, serialize
+from hktlab.exact import Scalar
 from hktlab.curvature import DtTraces
 from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure
@@ -31,13 +32,14 @@ from hktlab.linalg import (
     RowSpan,
     Vector,
     commutator,
+    identity,
     is_zero_matrix,
     mat_mul,
     mat_sub,
     mat_vec,
 )
 from hktlab.obata import SolverCertificate
-from hktlab.tensors import Cube, KForm
+from hktlab.tensors import Cube, KForm, cube_to_form
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
 ALL_NAMES = HKT_NAMES + ("hc_only8",)
@@ -308,6 +310,55 @@ def naive_nijenhuis_vec(alg: LieAlgebra, j: Matrix, x: Vector, y: Vector) -> Vec
     t3 = mat_vec(j, bracket_vectors(alg, x, jy))
     t4 = bracket_vectors(alg, x, y)
     return [a - b - c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+
+
+def naive_nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
+    """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
+
+    Returns the lowered cube n[(i, j, k)] (orthonormal frame) and its 3-form
+    reading when totally skew, else None.
+    """
+    dim = alg.dim
+    basis = identity(dim)
+    j_cols = [[j[r][c] for r in range(dim)] for c in range(dim)]
+    cube: Cube = {}
+    for a, b in combinations(range(dim), 2):
+        ja, jb = j_cols[a], j_cols[b]
+        term = bracket_vectors(alg, ja, jb)
+        term = [t - u for t, u in zip(term, mat_vec(j, bracket_vectors(alg, ja, basis[b])))]
+        term = [t - u for t, u in zip(term, mat_vec(j, bracket_vectors(alg, basis[a], jb)))]
+        term = [t - u for t, u in zip(term, bracket_vectors(alg, basis[a], basis[b]))]
+        for k, v in enumerate(term):
+            if v:
+                cube[(a, b, k)] = v
+                cube[(b, a, k)] = -v
+    return cube, cube_to_form(cube, dim)
+
+
+def _minor_det3(m: Matrix, rows: tuple[int, int, int], cols: tuple[int, int, int]) -> Scalar:
+    r0, r1, r2 = rows
+    c0, c1, c2 = cols
+    return (
+        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
+        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
+        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
+    )
+
+
+def naive_j_twist(a: KForm, j: Matrix) -> KForm:
+    """The 3-form (X,Y,Z) -> -a(JX, JY, JZ)."""
+    if a.degree != 3:
+        raise ValueError("j_twist requires a 3-form")
+    comps: dict[tuple[int, ...], Scalar] = {}
+    for out_idx in combinations(range(a.dim), 3):
+        total: Scalar = 0
+        for in_idx, v in a.comps.items():
+            d = _minor_det3(j, in_idx, out_idx)
+            if d:
+                total += v * d
+        if total:
+            comps[out_idx] = -total
+    return KForm(a.dim, 3, comps)
 
 
 DenseCube = list[list[list[Fraction]]]

@@ -12,7 +12,7 @@ from hktlab import cli
 from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name
 from hktlab.holonomy import holonomy_algebra
-from hktlab.hyperhermitian import preserves_endomorphism
+from hktlab.hyperhermitian import hkt_check, preserves_endomorphism
 from hktlab.invariant import curvature_operators, levi_civita
 from hktlab.linalg import RowSpan
 from hktlab.obata import obata_connection
@@ -31,6 +31,7 @@ COUNTED = (
     "commutant_basis",
     "rref",
     "mat_mul",
+    "mat_vec",
     "commutator",
 )
 
@@ -115,3 +116,11 @@ def test_operator_algebra_stays_off_dense_products(calls, cat):
     assert all(preserves_endomorphism(ob, h.j(s)) for s in (1, 2, 3))
     assert calls["mat_mul"] == 0
     assert calls["commutator"] == 0
+
+
+@pytest.mark.parametrize("name", ["hopf8", "hc_only8", "nil8"])
+def test_hkt_check_stays_off_dense_mat_vec(calls, cat, name):
+    entry = cat[name]
+    hkt_check(entry.structure, entry.lie)
+    assert calls["nijenhuis"] == 3
+    assert calls["mat_vec"] == 0

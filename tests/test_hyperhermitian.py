@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.hyperhermitian import (
@@ -20,6 +23,7 @@ from hktlab.hyperhermitian import (
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.linalg import identity
 from hktlab.tensors import (
+    KForm,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -28,7 +32,15 @@ from hktlab.tensors import (
     j_twist,
 )
 
-from oracle_impl import HKT_NAMES, naive_nijenhuis_vec, naive_preserves_endomorphism
+from oracle_impl import (
+    ALL_NAMES,
+    HKT_NAMES,
+    direct_sum_entry,
+    naive_j_twist,
+    naive_nijenhuis,
+    naive_nijenhuis_vec,
+    naive_preserves_endomorphism,
+)
 
 
 @pytest.fixture(scope="module")
@@ -235,3 +247,60 @@ def test_mixed_family_orientation_pin(cat, torsions):
     assert cyclic_residual[(0, 1, 1)] == 4
     for triple in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
         assert residual(*triple) != {}, triple
+
+
+def assert_hkt_tensors_match_dense_oracle(alg, h):
+    """nijenhuis and the j_twist of each dF against the dense oracles; repr
+    compares int/Fraction types and the key order as well as values."""
+    for s in (1, 2, 3):
+        j = h.j(s)
+        assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
+        df = ce_differential(alg, fundamental_form(h.metric, j))
+        assert repr(j_twist(df, j)) == repr(naive_j_twist(df, j))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_hkt_tensors_match_dense_oracle_on_builtins(cat, name):
+    entry = cat[name]
+    assert_hkt_tensors_match_dense_oracle(entry.lie, entry.structure)
+
+
+@pytest.mark.parametrize("first, second", [("nil8", "hopf4"), ("hc_only8", "torus4")])
+def test_hkt_tensors_match_dense_oracle_on_sums(cat, tmp_path, first, second):
+    entry = direct_sum_entry(cat[first], cat[second], tmp_path)
+    assert_hkt_tensors_match_dense_oracle(entry.lie, entry.structure)
+
+
+def test_swap_structure_tensors_match_dense_oracle():
+    alg, j = swap_structure()
+    assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
+    df = ce_differential(alg, fundamental_form(identity(8), j))
+    assert repr(j_twist(df, j)) == repr(naive_j_twist(df, j))
+
+
+# Mostly zeros, int and Fraction ones, so that a dense sum over a row can
+# take the Fraction type from a zero or from a term the sparse sum skips.
+mixed_scalars = st.sampled_from([0, 0, Fraction(0), 1, -1, 2, Fraction(1), Fraction(-1, 2)])
+
+
+@st.composite
+def rational_inputs(draw):
+    """A bracket table, a rational J (any matrix, not only a signed
+    permutation) and a 3-form, all with mixed int and Fraction entries."""
+    dim = draw(st.integers(min_value=3, max_value=6))
+    square = st.lists(mixed_scalars, min_size=dim, max_size=dim)
+    j = draw(st.lists(square, min_size=dim, max_size=dim))
+    pairs = st.sampled_from(list(combinations(range(dim), 2)))
+    targets = st.dictionaries(st.integers(0, dim - 1), mixed_scalars, max_size=3)
+    alg = LieAlgebra(dim, draw(st.dictionaries(pairs, targets, max_size=2 * dim)))
+    triples = st.sampled_from(list(combinations(range(dim), 3)))
+    form = KForm(dim, 3, draw(st.dictionaries(triples, mixed_scalars, max_size=6)))
+    return alg, j, form
+
+
+@given(rational_inputs())
+@settings(max_examples=80, deadline=None)
+def test_hkt_tensors_match_dense_oracle_on_rational_j(inputs):
+    alg, j, form = inputs
+    assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
+    assert repr(j_twist(form, j)) == repr(naive_j_twist(form, j))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -266,3 +267,81 @@ def test_solve_unique_matches_dense_oracle(system_ab):
 def test_nullspace_matches_dense_oracle(a):
     cols = len(a[0])
     assert nullspace([sparse(r) for r in a], cols) == [sparse(v) for v in naive_nullspace(a)]
+
+
+@given(sparse_matrices())
+@settings(max_examples=40)
+def test_span_readers_return_fractions(a):
+    """`==` lets Fraction(1) pass for 1, so the types are checked apart:
+    every rref entry, every solved value and every nullspace value off its
+    free column is a Fraction."""
+    reduced, pivots = rref(a)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    cols = len(a[0])
+    free_columns = [f for f in range(cols) if f not in pivots]
+    vectors = nullspace([sparse(r) for r in a], cols)
+    assert len(vectors) == len(free_columns)
+    for v, free in zip(vectors, free_columns):
+        assert v[free] == 1 and type(v[free]) is int
+        assert all(type(x) is Fraction for j, x in v.items() if j != free)
+
+
+@given(sparse_systems())
+@settings(max_examples=40)
+def test_solve_unique_returns_fractions(system_ab):
+    a, b = system_ab
+    try:
+        x, _ = solve_unique(system(a, b), len(a[0]))
+    except LinAlgError:
+        return
+    assert all(type(v) is Fraction for v in x.values())
+
+
+def assert_fraction_free_echelon(span):
+    """Each stored row is a primitive integer row: ints only, gcd 1, a
+    positive entry at its own pivot, nothing left of it and 0 at every
+    other pivot; the column index lists exactly the rows holding a column
+    off their pivot."""
+    holders = {}
+    for pivot, row in span._rows.items():
+        assert row and all(type(x) is int and x for x in row.values())
+        assert min(row) == pivot and row[pivot] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(j in span._rows for j in row if j != pivot)
+        for j in row:
+            if j != pivot:
+                holders.setdefault(j, set()).add(pivot)
+    assert {j: s for j, s in span._holders.items() if s} == holders
+
+
+@given(st.lists(st.lists(sparse_rationals, min_size=6, max_size=6), min_size=1, max_size=8))
+@settings(max_examples=80)
+def test_rowspan_stores_primitive_integer_rows(rows):
+    span = RowSpan(6)
+    for r in rows:
+        span.add(sparse(r))
+        assert_fraction_free_echelon(span)
+    assert span.rank == rank(rows)
+
+
+HILBERT6 = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
+
+
+def test_hilbert_matrix_against_dense_oracles():
+    """An ill-conditioned pinned example: the 6 x 6 Hilbert matrix has
+    entries 1/(i+j+1), an integer inverse and a tiny determinant."""
+    h = HILBERT6
+    assert det(h) == naive_det(h) == Fraction(1, 186313420339200000)
+    inverse = invert(h)
+    augmented = [row + [Fraction(int(i == j)) for j in range(6)] for i, row in enumerate(h)]
+    assert inverse == [row[6:] for row in naive_rref(augmented)[0]]
+    assert all(type(x) is Fraction and x.denominator == 1 for row in inverse for x in row)
+    assert inverse[0][0] == 36 and inverse[5][5] == 698544
+    assert mat_mul(h, inverse) == [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
+    b = [1, 0, -1, 2, 0, Fraction(1, 3)]
+    x, solved_rank = solve_unique(system(h, b), 6)
+    assert dense(x, 6) == naive_solve_unique(h, b) and solved_rank == 6
+    span = RowSpan(6)
+    for row in h:
+        span.add(sparse(row))
+    assert_fraction_free_echelon(span)
