@@ -45,9 +45,10 @@ from .hyperhermitian import (
 )
 from .invariant import (
     Connection,
-    CurvatureTensor,
+    Curvature,
     LieAlgebra,
-    curvature_tensor,
+    ce_differential,
+    curvature_operators,
     levi_civita,
     validate_lie_algebra,
 )
@@ -104,7 +105,9 @@ class _Torsion:
     """The common torsion and the objects built from it."""
 
     t: KForm
+    dt: KForm
     lee: LeeForm
+    lc: Connection
     skew: Connection
     a_cube: Cube
 
@@ -113,7 +116,7 @@ class _Torsion:
 class _TorsionFree:
     """What later stages read of the torsion-free connection."""
 
-    curvature: CurvatureTensor
+    curvature: Curvature
     ricci: RicciPackage
     holonomy_dim: int
     all_trace_free: bool
@@ -134,8 +137,9 @@ def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
     report = _validation_stage(entry, hkt)
     tor = None
     if hkt.ok:
-        t = hkt.torsion
-        tor = _Torsion(t, lee_form(t, h, alg), bismut_connection(t, alg), difference_tensor(t, h))
+        t, lc = hkt.torsion, levi_civita(alg)
+        dt, lee = ce_differential(alg, t), lee_form(t, h, alg)
+        tor = _Torsion(t, dt, lee, lc, bismut_connection(t, lc), difference_tensor(t, h))
     tf = None
     if hkt.first_nonintegrable is None:
         tf = _torsion_free_stage(tor, h, alg, report, violations)
@@ -194,9 +198,9 @@ def _torsion_free_stage(
         routes_agree = ob.gamma == solver_conn.gamma
         if not routes_agree:
             violations.append("difference-tensor and solver connections disagree")
-    r_ob = curvature_tensor(ob, alg)
+    r_ob = curvature_operators(ob, alg)
     pkg_ob = ricci_package(r_ob, h)
-    hol_ob = holonomy_algebra(ob, alg)
+    hol_ob = holonomy_algebra(ob, r_ob)
     sl_ok, sl_cert = slnh_membership(hol_ob, h)
     if not sl_cert.all_quaternion_linear:
         violations.append(
@@ -208,7 +212,7 @@ def _torsion_free_stage(
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
         "solver_certificate": asdict(certificate),
-        "flat": all(is_zero_matrix(r_ij) for r_i in r_ob for r_ij in r_i),
+        "flat": not any(r_ob.values()),
         "holonomy_dim": hol_ob.dim,
     }
     report["holonomy"] = {
@@ -238,10 +242,9 @@ def _identity_stage(
         "classification": lee.classification,
     }
     suite = obata_identity_suite(tf.ricci, lee, h)
-    r_b = curvature_tensor(skew, alg)
+    r_b = curvature_operators(skew, alg)
     curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew, alg)
-    lc = levi_civita(alg)
-    star = star_scalar(curvature_tensor(lc, alg), h, t, lee, lc, alg)
+    star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, tor.dt)
     type_res = type_check_12_21(t, h)
     type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
     trace_res = trace_identities(a_cube, h, lee.theta)
@@ -283,7 +286,7 @@ def _identity_stage(
         if not flag:
             violations.append(f"identity failed: {label}")
 
-    dtt = dt_traces(t, h, alg)
+    dtt = dt_traces(tor.dt, h)
     report["dt_traces"] = {
         "h": _jsonify(Fraction(dtt.h_value)),
         "strong": dtt.strong,
@@ -294,7 +297,7 @@ def _identity_stage(
         violations.append("dT partial traces differ across the three complex structures")
 
     pkg_b = ricci_package(r_b, h)
-    hol_b = holonomy_algebra(skew, alg)
+    hol_b = holonomy_algebra(skew, r_b)
     bismut_section = {
         "holonomy_dim": hol_b.dim,
         "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),

@@ -18,7 +18,7 @@ from .analyze import analyze_entry
 from .catalog import CatalogEntry, CatalogError, available_entries, load, save
 from .holonomy import glnh_membership, holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import bismut_connection, hkt_check
-from .invariant import levi_civita
+from .invariant import curvature_operators, levi_civita
 from .obata import UnsupportedInputError, obata_connection
 
 EXIT_OK = 0
@@ -225,14 +225,14 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
         if not res.ok:
             print(f"no common skew-torsion connection: {res.reason}", file=sys.stderr)
             return EXIT_INPUT
-        conn = bismut_connection(res.torsion, alg)
+        conn = bismut_connection(res.torsion, levi_civita(alg))
     else:
         res = hkt_check(h, alg)
         if res.first_nonintegrable is not None:
             print("torsion-free route requires an integrable structure", file=sys.stderr)
             return EXIT_INPUT
         conn = obata_connection(h, alg, res.torsion)
-    hol = holonomy_algebra(conn, alg)
+    hol = holonomy_algebra(conn, curvature_operators(conn, alg))
     print(f"connection: {args.connection}")
     print(f"generators: {len(hol.generators)}")
     print(f"holonomy dimension: {hol.dim}")

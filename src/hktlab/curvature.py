@@ -1,9 +1,10 @@
 """Ricci-type curvature data, the Lee form, and the identity suites.
 
-Everything here consumes lowered curvature tensors r[i][j][k][l] over the
-orthonormal frame, together with the structure triple. Identity checks
-return outcome records carrying the first counterexample so reports can
-point at exact basis tuples.
+Curvature arrives as the sparse operators of `invariant.curvature_operators`
+({(i, j): SparseMatrix}, i < j) over the orthonormal frame, with the
+lowered curvature r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is
+summed from their nonzeros. Identity checks return outcome records carrying
+the first counterexample so reports can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
 from .invariant import (
     Connection,
-    CurvatureTensor,
+    Curvature,
     LieAlgebra,
     ce_differential,
     covariant_derivative_cube,
@@ -53,37 +54,36 @@ class RicciPackage:
     scal_s: tuple[Scalar, Scalar, Scalar]
 
 
-def ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> RicciPackage:
+def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
+    """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
+    ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
+    rho_s(i, j) = 1/2 sum v J_s[l][k]."""
     dim = h.dim
-    ric = [[sum(r[a][x][y][a] for a in range(dim)) for y in range(dim)] for x in range(dim)]
-    rho_comps: dict[tuple[int, ...], Scalar] = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            v = sum(r[x][y][a][a] for a in range(dim))
-            if v:
-                rho_comps[(x, y)] = v
-    rho = KForm(dim, 2, rho_comps)
-    rho_s_forms = []
-    for s in (1, 2, 3):
-        j = h.j(s)
-        comps: dict[tuple[int, ...], Scalar] = {}
-        for x in range(dim):
-            for y in range(x + 1, dim):
-                v = sum(
-                    r[x][y][a][m] * j[m][a]
-                    for a in range(dim)
-                    for m in range(dim)
-                    if j[m][a] and r[x][y][a][m]
-                )
-                if v:
-                    comps[(x, y)] = Fraction(v, 2)
-        rho_s_forms.append(KForm(dim, 2, comps))
+    js = [h.j(s) for s in (1, 2, 3)]
+    ric: Matrix = [[0] * dim for _ in range(dim)]
+    forms: list[dict[tuple[int, ...], Scalar]] = [{}, {}, {}, {}]  # rho, rho_1..rho_3
+    for (i, j), op in curvature.items():
+        sums: list[Scalar] = [0, 0, 0, 0]
+        for l, row in op.items():
+            for k, v in row.items():
+                if l == i:
+                    ric[j][k] += v
+                elif l == j:
+                    ric[i][k] -= v
+                if l == k:
+                    sums[0] += v
+                for s, jm in enumerate(js, 1):
+                    if jm[l][k]:
+                        sums[s] += v * jm[l][k]
+        for s, total in enumerate(sums):
+            if total:
+                forms[s][(i, j)] = Fraction(total, 2) if s else total
     scal = sum(ric[a][a] for a in range(dim))
     scal_s = tuple(
-        sum(h.j(s)[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if h.j(s)[m][a])
-        for s in (1, 2, 3)
+        sum(jm[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if jm[m][a]) for jm in js
     )
-    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s)
+    rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
+    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s)
 
 
 @dataclass(frozen=True)
@@ -263,8 +263,8 @@ def obata_identity_suite(
 
 
 def curvature_relation_check(
-    r_skew: CurvatureTensor,
-    r_ob: CurvatureTensor,
+    skew_curvature: Curvature,
+    ob_curvature: Curvature,
     a: Cube,
     t_cube: Cube,
     skew_conn: Connection,
@@ -276,51 +276,53 @@ def curvature_relation_check(
     R_ob(X,Y,Z,U) = R(X,Y,Z,U) + (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
                   + A(T(X,Y),Z,U) + A(X,A(Y,Z),U) - A(Y,A(X,Z),U),
 
-    verified on every basis quadruple. The correction terms are built from
-    the nonzero entries of A, T and nabla A alone; the comparison then runs
-    over every quadruple in lexicographic order.
+    verified on every basis quadruple. The residual R_ob - R - correction
+    is summed from the nonzeros of both curvatures and of A, T and nabla A;
+    the first failing quadruple is its least nonzero key.
     """
     dim = alg.dim
     by_first, by_middle = defaultdict(list), defaultdict(list)
     for (p, m, q), v in a.items():
         by_first[p].append((m, q, v))
         by_middle[m].append((p, q, v))
-    correction: dict[tuple[int, int, int, int], Scalar] = defaultdict(int)
+    residual: dict[tuple[int, int, int, int], Scalar] = defaultdict(int)
+    for sign, curvature in ((1, ob_curvature), (-1, skew_curvature)):
+        for (i, j), op in curvature.items():
+            for l, row in op.items():
+                for k, v in row.items():
+                    residual[(i, j, k, l)] += sign * v
+                    residual[(j, i, k, l)] -= sign * v
     # (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
     for i in range(dim):
         for (j, k, l), v in covariant_derivative_cube(skew_conn, i, a).items():
-            correction[(i, j, k, l)] += v
-            correction[(j, i, k, l)] -= v
+            residual[(i, j, k, l)] -= v
+            residual[(j, i, k, l)] += v
     # A(T(X,Y),Z,U)
     for (i, j, m), t in t_cube.items():
         for k, l, v in by_first[m]:
-            correction[(i, j, k, l)] += t * v
+            residual[(i, j, k, l)] -= t * v
     # A(X,A(Y,Z),U) - A(Y,A(X,Z),U)
     for (p, k, m), v in a.items():
         for q, l, w in by_middle[m]:
-            correction[(q, p, k, l)] += v * w
-            correction[(p, q, k, l)] -= v * w
-    for idx in product(range(dim), repeat=4):
-        i, j, k, l = idx
-        if r_ob[i][j][k][l] != r_skew[i][j][k][l] + correction.get(idx, 0):
-            return CheckOutcome(False, idx)
-    return CheckOutcome(True)
+            residual[(q, p, k, l)] -= v * w
+            residual[(p, q, k, l)] += v * w
+    failures = [idx for idx, v in residual.items() if v]
+    return CheckOutcome(False, min(failures)) if failures else CheckOutcome(True)
+
+
+# each reordering of four slots with its sign
+_ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4)))
 
 
 def _double_j_trace(form4: KForm, j: Matrix) -> Scalar:
-    """sum_{a,b} form4(e_a, J e_a, e_b, J e_b)."""
-    dim = form4.dim
+    """sum_{a,b} form4(e_a, J e_a, e_b, J e_b), from the stored components of
+    form4, each in every signed slot order, and the nonzeros of J."""
     total: Scalar = 0
-    for a in range(dim):
-        for r in range(dim):
-            if not j[r][a]:
-                continue
-            for b in range(dim):
-                for m in range(dim):
-                    if j[m][b]:
-                        v = form4.evaluate((a, r, b, m))
-                        if v:
-                            total += j[r][a] * j[m][b] * v
+    for idx, value in form4.comps.items():
+        for order, sign in _ORDERINGS_4:
+            a, r, b, m = (idx[o] for o in order)
+            if j[r][a] and j[m][b]:
+                total += j[r][a] * j[m][b] * sign * value
     return total
 
 
@@ -332,18 +334,18 @@ class StarScalarReport:
 
 
 def star_scalar(
-    r_g: CurvatureTensor,
+    lc_curvature: Curvature,
     h: HyperhermitianStructure,
     t: KForm,
     lee: LeeForm,
     lc: Connection,
-    alg: LieAlgebra,
+    dt: KForm,
 ) -> StarScalarReport:
     """The *-scalar curvature of the Levi-Civita connection and the exact
-    scalar identities tying it to torsion and Lee-form data.
+    scalar identities tying it to torsion, dT and Lee-form data.
     """
     dim = h.dim
-    pkg = ricci_package(r_g, h)
+    pkg = ricci_package(lc_curvature, h)
     stars = []
     for s in (1, 2, 3):
         j = h.j(s)
@@ -355,7 +357,6 @@ def star_scalar(
                 if j[m][a]
             )
         )
-    dt = ce_differential(alg, t)
     double_trace = _double_j_trace(dt, h.j(1))
     delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     theta_sq = norm_sq(lee.theta)
@@ -392,20 +393,15 @@ class DtTraces:
     traces_coincide: bool
 
 
-def dt_traces(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> DtTraces:
+def dt_traces(dt: KForm, h: HyperhermitianStructure) -> DtTraces:
     """Trace data of dT: the scalar h = -1/4 sum dT(e_a, J1 e_a, e_b, J1 e_b),
     the almost-strong test (full partial-trace 2-tensor vanishes), and the
     strong test dT = 0. The three J-versions of the partial trace must agree.
     """
-    dt = ce_differential(alg, t)
     partials = [_j_partial_trace(dt, h.j(s)) for s in (1, 2, 3)]
     coincide = partials[0] == partials[1] == partials[2]
     h_value = Fraction(-sum(v for (x, y), v in partials[0].items() if x == y), 4)
     return DtTraces(h_value, dt.is_zero(), not partials[0], coincide)
-
-
-# each reordering of four slots with its sign
-_ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4)))
 
 
 def _j_partial_trace(form4: KForm, j: Matrix) -> dict[tuple[int, int], Scalar]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
-from .invariant import Connection, LieAlgebra, connection_operators, curvature_operators
+from .invariant import Connection, Curvature, connection_operators
 from .linalg import (
     Matrix,
     RowSpan,
@@ -37,9 +37,9 @@ class HolonomyAlgebra:
     dim: int
 
 
-def holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:
-    """Smallest space containing the curvature operators and closed under
-    commutators with the connection operators and with itself.
+def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
+    """Smallest space containing the curvature operators of `conn` and
+    closed under commutators with the connection operators and with itself.
 
     Each basis element is popped from the queue once. Popping `current`
     skips [current, b] when b was popped while `current` was already in the
@@ -60,7 +60,7 @@ def holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:
             basis.append(m)
             popped_at.append(0)
 
-    for seed in curvature_operators(conn, alg).values():
+    for seed in curvature.values():
         offer(seed)
     while queue:
         c = queue.pop()

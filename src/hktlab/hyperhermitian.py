@@ -18,7 +18,6 @@ from .invariant import (
     LieAlgebra,
     ce_differential,
     connection_operators,
-    levi_civita,
 )
 from .linalg import (
     Matrix,
@@ -279,11 +278,10 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
     return TypeCheckResult(True)
 
 
-def bismut_connection(t: KForm, alg: LieAlgebra) -> Connection:
-    """Levi-Civita plus half the (totally skew) torsion, lowered."""
-    lc = levi_civita(alg)
+def bismut_connection(t: KForm, lc: Connection) -> Connection:
+    """Levi-Civita `lc` plus half the (totally skew) torsion, lowered."""
     half_t = cube_scale(form_to_cube(t), Fraction(1, 2))
-    return Connection(alg.dim, cube_add(lc.gamma, half_t))
+    return Connection(lc.dim, cube_add(lc.gamma, half_t))
 
 
 def preserves_endomorphism(conn: Connection, m: Matrix) -> bool:

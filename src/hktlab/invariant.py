@@ -12,15 +12,17 @@ gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k>. The operator matrix of
 nabla_{e_i} acting on coordinate vectors is L_i[k][j] = gamma[(i, j, k)].
 `connection_operators` and `curvature_operators` return these operators
 as `linalg.SparseMatrix` ({row: {column: value}}, no zero stored), built
-from the nonzeros with `linalg.sparse_commutator`; `Connection.operator`
-is the dense matrix of one L_i, and `curvature_tensor` is a dense dim^4
-nested list filled from the nonzero curvature entries.
+from the nonzeros with `linalg.sparse_commutator`. The curvature operators
+{(i, j): R(e_i, e_j)}, i < j, are the one curvature format every reader
+takes; `curvature_tensor` is their dense dim^4 nested-list view, and
+`Connection.operator` the dense matrix of one L_i.
 
-The Jacobi check reads each triple's defect off the sparse bracket table.
+`levi_civita` and the Jacobi check read the sparse bracket table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -173,21 +175,19 @@ def connection_operators(conn: Connection) -> list[SparseMatrix]:
 
 def levi_civita(alg: LieAlgebra) -> Connection:
     """Koszul formula in an orthonormal frame:
-    Gamma_ijk = (c_ijk - c_jki + c_kij) / 2 with c_ijk = <[e_i,e_j], e_k>.
+    Gamma_ijk = (c_ijk - c_jki + c_kij) / 2 with c_ijk = <[e_i,e_j], e_k>,
+    read off the stored brackets: each c^k_ab (a < b) lands in six slots.
     """
-    dim = alg.dim
-    gamma: Cube = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                value = (
-                    structure_constant(alg, i, j, k)
-                    - structure_constant(alg, j, k, i)
-                    + structure_constant(alg, k, i, j)
-                )
-                if value:
-                    gamma[(i, j, k)] = Fraction(value, 2)
-    return Connection(dim, gamma)
+    twice: dict[tuple[int, int, int], Scalar] = defaultdict(int)
+    for (a, b), comps in alg.brackets.items():
+        for k, v in comps.items():
+            for key, sign in (
+                ((a, b, k), 1), ((b, a, k), -1), ((k, a, b), -1),
+                ((k, b, a), 1), ((b, k, a), 1), ((a, k, b), -1),
+            ):
+                twice[key] += sign * v
+    gamma = {key: Fraction(v, 2) for key, v in sorted(twice.items()) if v}
+    return Connection(alg.dim, gamma)
 
 
 def torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
@@ -213,10 +213,14 @@ def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube, conn.dim)
 
 
-def curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], SparseMatrix]:
-    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as sparse matrices, keys i < j."""
+Curvature = dict[tuple[int, int], SparseMatrix]
+
+
+def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
+    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as sparse matrices, keys i < j;
+    the lowered curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]."""
     ops = connection_operators(conn)
-    out: dict[tuple[int, int], SparseMatrix] = {}
+    out: Curvature = {}
     for i, j in combinations(range(conn.dim), 2):
         r = sparse_commutator(ops[i], ops[j])
         for m, c in alg.brackets.get((i, j), {}).items():
@@ -229,7 +233,7 @@ CurvatureTensor = list[list[list[list[Scalar]]]]
 
 
 def curvature_tensor(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
-    """Lowered curvature r[i][j][k][l] = <R(e_i,e_j) e_k, e_l>.
+    """Lowered curvature r[i][j][k][l] = <R(e_i,e_j) e_k, e_l>, dense.
 
     Antisymmetric in (i, j) by construction; not necessarily in (k, l)
     unless the connection is metric.

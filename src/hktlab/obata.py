@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, preserves_endomorphism
-from .invariant import Connection, LieAlgebra, torsion_cube
+from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, Matrix, Row, Vector, identity, nullspace, solve_unique
 from .tensors import (
     Cube,
@@ -190,9 +190,8 @@ def obata_connection(
     exactly either way.
     """
     if hkt_torsion is not None:
-        return obata_from_difference(
-            bismut_connection(hkt_torsion, alg), difference_tensor(hkt_torsion, h), h, alg
-        )
+        skew = bismut_connection(hkt_torsion, levi_civita(alg))
+        return obata_from_difference(skew, difference_tensor(hkt_torsion, h), h, alg)
     conn, _ = obata_oracle_solver(h, alg)
     return _verified(conn, h, alg)
 

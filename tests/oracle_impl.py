@@ -15,11 +15,13 @@ from pathlib import Path
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
-from hktlab.curvature import DtTraces
+from hktlab.curvature import DtTraces, RicciPackage
 from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure
 from hktlab.invariant import (
     Connection,
+    Curvature,
+    CurvatureTensor,
     LieAlgebra,
     bracket_vectors,
     ce_differential,
@@ -393,6 +395,69 @@ def naive_covariant_derivative(conn: Connection, i: int, a: Cube) -> DenseCube:
                 if total:
                     out[j][k][l] = -total
     return out
+
+
+def dense_curvature(curvature: Curvature, dim: int) -> CurvatureTensor:
+    """The nested-list copy r[i][j][k][l] = R(e_i, e_j)[l][k] of sparse
+    curvature operators (keys i < j), zeros included."""
+    r = [[[[0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    for (i, j), op in curvature.items():
+        for l, row in op.items():
+            for k, v in row.items():
+                r[i][j][k][l] = v
+                r[j][i][k][l] = -v
+    return r
+
+
+def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> RicciPackage:
+    """Every Ricci-type trace as a dense sum over the nested-list curvature."""
+    dim = h.dim
+    ric = [[sum(r[a][x][y][a] for a in range(dim)) for y in range(dim)] for x in range(dim)]
+    rho_comps: dict[tuple[int, ...], Scalar] = {}
+    for x in range(dim):
+        for y in range(x + 1, dim):
+            v = sum(r[x][y][a][a] for a in range(dim))
+            if v:
+                rho_comps[(x, y)] = v
+    rho = KForm(dim, 2, rho_comps)
+    rho_s_forms = []
+    for s in (1, 2, 3):
+        j = h.j(s)
+        comps: dict[tuple[int, ...], Scalar] = {}
+        for x in range(dim):
+            for y in range(x + 1, dim):
+                v = sum(
+                    r[x][y][a][m] * j[m][a]
+                    for a in range(dim)
+                    for m in range(dim)
+                    if j[m][a] and r[x][y][a][m]
+                )
+                if v:
+                    comps[(x, y)] = Fraction(v, 2)
+        rho_s_forms.append(KForm(dim, 2, comps))
+    scal = sum(ric[a][a] for a in range(dim))
+    scal_s = tuple(
+        sum(h.j(s)[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if h.j(s)[m][a])
+        for s in (1, 2, 3)
+    )
+    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s)
+
+
+def naive_double_j_trace(form4: KForm, j: Matrix) -> Scalar:
+    """sum_{a,b} form4(e_a, J e_a, e_b, J e_b), one evaluation per term."""
+    dim = form4.dim
+    total: Scalar = 0
+    for a in range(dim):
+        for r in range(dim):
+            if not j[r][a]:
+                continue
+            for b in range(dim):
+                for m in range(dim):
+                    if j[m][b]:
+                        v = form4.evaluate((a, r, b, m))
+                        if v:
+                            total += j[r][a] * j[m][b] * v
+    return total
 
 
 def naive_curvature_relation(

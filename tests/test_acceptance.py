@@ -35,7 +35,7 @@ from hktlab.holonomy import (
     slnh_membership,
 )
 from hktlab.hyperhermitian import bismut_connection, fundamental_forms, hkt_check
-from hktlab.invariant import curvature_tensor, levi_civita
+from hktlab.invariant import ce_differential, curvature_operators, levi_civita
 from hktlab.linalg import is_zero_matrix
 from hktlab.obata import (
     complex_trace_A,
@@ -74,9 +74,9 @@ def _bundle(entry: CatalogEntry) -> Bundle:
     t = res.torsion if res.ok else None
     lee = lee_form(t, entry.structure, entry.lie) if res.ok else None
     conn_ob = obata_connection(entry.structure, entry.lie, t)
-    r_ob = curvature_tensor(conn_ob, entry.lie)
+    r_ob = curvature_operators(conn_ob, entry.lie)
     pkg_ob = ricci_package(r_ob, entry.structure)
-    hol_ob = holonomy_algebra(conn_ob, entry.lie)
+    hol_ob = holonomy_algebra(conn_ob, r_ob)
     return Bundle(entry, t, lee, conn_ob, r_ob, pkg_ob, hol_ob)
 
 
@@ -125,9 +125,9 @@ def test_criterion_04_curvature_relation(bundles):
     # plus difference-tensor terms on every basis quadruple
     for name in HKT_NAMES:
         b = bundles[name]
-        skew = bismut_connection(b.torsion, b.entry.lie)
+        skew = bismut_connection(b.torsion, levi_civita(b.entry.lie))
         outcome = curvature_relation_check(
-            curvature_tensor(skew, b.entry.lie),
+            curvature_operators(skew, b.entry.lie),
             b.r_ob,
             difference_tensor(b.torsion, b.entry.structure),
             form_to_cube(b.torsion),
@@ -252,7 +252,7 @@ def test_criterion_06_scalar_identities(bundles):
         assert star == Fraction(doubles[0], 8) + Fraction(t_sq, 12), name
 
         engine = star_scalar(
-            curvature_tensor(lc, entry.lie), h, t, b.lee, lc, entry.lie
+            curvature_operators(lc, entry.lie), h, t, b.lee, lc, ce_differential(entry.lie, t)
         )
         assert engine.value == star, name
         assert all(c.ok for c in engine.checks.values()), name
@@ -270,11 +270,12 @@ def test_criterion_07_skew_torsion_ricci_and_holonomy(bundles):
     # holonomy generators are metric-skew and quaternion-linear
     for name in HKT_NAMES:
         b = bundles[name]
-        skew = bismut_connection(b.torsion, b.entry.lie)
-        pkg = ricci_package(curvature_tensor(skew, b.entry.lie), b.entry.structure)
+        skew = bismut_connection(b.torsion, levi_civita(b.entry.lie))
+        r_skew = curvature_operators(skew, b.entry.lie)
+        pkg = ricci_package(r_skew, b.entry.structure)
         assert pkg.rho.is_zero(), name
         assert all(f.is_zero() for f in pkg.rho_s), name
-        hol = holonomy_algebra(skew, b.entry.lie)
+        hol = holonomy_algebra(skew, r_skew)
         assert all(is_g_skew(g) for g in hol.generators), name
         assert all(glnh_membership(g, b.entry.structure) for g in hol.generators), name
 
@@ -305,15 +306,16 @@ def test_criterion_09_hyperkahler_detector(bundles):
     for name in HKT_NAMES:
         b = bundles[name]
         lc = levi_civita(b.entry.lie)
+        dt = ce_differential(b.entry.lie, b.torsion)
         star = star_scalar(
-            curvature_tensor(lc, b.entry.lie),
+            curvature_operators(lc, b.entry.lie),
             b.entry.structure,
             b.torsion,
             b.lee,
             lc,
-            b.entry.lie,
+            dt,
         )
-        traces = dt_traces(b.torsion, b.entry.structure, b.entry.lie)
+        traces = dt_traces(dt, b.entry.structure)
         theta_zero = b.lee.theta.is_zero()
         torsion_zero = b.torsion.is_zero()
         if theta_zero and (traces.h_value == 0 or star.value == 0 or traces.almost_strong):
@@ -331,8 +333,6 @@ def test_criterion_10_infrastructure(bundles, tmp_path, capsys):
     cat = builtin_by_name()
     # the invariant differential squares to zero on every fundamental form
     for name, entry in cat.items():
-        from hktlab.invariant import ce_differential
-
         for f in fundamental_forms(entry.structure):
             df = ce_differential(entry.lie, f)
             assert ce_differential(entry.lie, df).is_zero(), name

@@ -25,6 +25,9 @@ MODULES = [hktlab] + [
 COUNTED = (
     "nijenhuis",
     "levi_civita",
+    "curvature_operators",
+    "curvature_tensor",
+    "ce_differential",
     "bismut_connection",
     "difference_tensor",
     "obata_oracle_solver",
@@ -71,8 +74,13 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["nijenhuis"] == 3
     assert calls["bismut_connection"] <= 1
     assert calls["difference_tensor"] == 1
-    assert calls["levi_civita"] <= 2
+    assert calls["levi_civita"] == 1
     assert calls["obata_oracle_solver"] == 1
+    # one curvature per connection (torsion-free, skew-torsion, Levi-Civita),
+    # never the dense tensor; dT once beside the three dF and d(theta)
+    assert calls["curvature_operators"] == 3
+    assert calls["curvature_tensor"] == 0
+    assert calls["ce_differential"] == 5
 
 
 def test_non_hkt_analysis_skips_levi_civita(calls, cat):
@@ -80,6 +88,8 @@ def test_non_hkt_analysis_skips_levi_civita(calls, cat):
     assert calls["nijenhuis"] == 3
     assert calls["levi_civita"] == 0
     assert calls["obata_oracle_solver"] == 1
+    assert calls["curvature_operators"] == 1
+    assert calls["curvature_tensor"] == 0
 
 
 def test_holonomy_obata_uses_difference_route(calls, capsys):
@@ -99,8 +109,9 @@ def test_solver_stays_off_dense_rref(calls, cat, name):
 def test_holonomy_closure_brackets_each_pair_once(calls, cat):
     alg = cat["nil8"].lie
     conn = levi_civita(alg)
+    curvature = curvature_operators(conn, alg)
     calls.clear()
-    assert holonomy_algebra(conn, alg).dim == 21
+    assert holonomy_algebra(conn, curvature).dim == 21
     # the dense closure, which brackets both orders of each pair, made 532
     assert calls["RowSpan.add"] == 336
 
@@ -111,8 +122,7 @@ def test_operator_algebra_stays_off_dense_products(calls, cat):
     lc = levi_civita(alg)
     ob = obata_connection(h, alg)
     calls.clear()
-    holonomy_algebra(lc, alg)
-    curvature_operators(lc, alg)
+    holonomy_algebra(lc, curvature_operators(lc, alg))
     assert all(preserves_endomorphism(ob, h.j(s)) for s in (1, 2, 3))
     assert calls["mat_mul"] == 0
     assert calls["commutator"] == 0

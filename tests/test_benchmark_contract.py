@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from hktlab.holonomy import holonomy_algebra
-from hktlab.invariant import curvature_tensor, levi_civita
+from hktlab.invariant import curvature_operators, curvature_tensor, levi_civita
 from hktlab.linalg import RowSpan
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
@@ -67,5 +67,6 @@ def test_holonomy_closure_grows_span_through_rowspan_add(catalog, monkeypatch):
 
     monkeypatch.setattr(RowSpan, "add", counted_add)
     alg = catalog["nil8"].lie
-    holonomy_algebra(levi_civita(alg), alg)
+    lc = levi_civita(alg)
+    holonomy_algebra(lc, curvature_operators(lc, alg))
     assert calls

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.curvature import (
+    _double_j_trace,
     chern_norm_check,
     curvature_relation_check,
     dt_traces,
@@ -19,9 +20,10 @@ from hktlab.curvature import (
 )
 from hktlab.hyperhermitian import bismut_connection, hkt_check
 from hktlab.invariant import (
+    Connection,
     ce_differential,
     covariant_derivative_cube,
-    curvature_tensor,
+    curvature_operators,
     levi_civita,
 )
 from hktlab.linalg import is_zero_matrix
@@ -29,12 +31,16 @@ from hktlab.obata import difference_tensor, obata_connection
 from hktlab.tensors import KForm, basis_form, cube_add, cube_scale, form_to_cube, norm_sq
 
 from oracle_impl import (
+    ALL_NAMES,
     HKT_NAMES,
     dense_cube,
+    dense_curvature,
     direct_sum_entry,
     naive_covariant_derivative,
     naive_curvature_relation,
+    naive_double_j_trace,
     naive_dt_traces,
+    naive_ricci_package,
 )
 
 # frozen scalar table: (|T|^2, |theta|^2, delta_theta, dT double trace, star scalar)
@@ -54,7 +60,7 @@ def cat():
 
 def test_levi_civita_ricci_hopf4(cat):
     entry = cat["hopf4"]
-    r = curvature_tensor(levi_civita(entry.lie), entry.lie)
+    r = curvature_operators(levi_civita(entry.lie), entry.lie)
     pkg = ricci_package(r, entry.structure)
     assert pkg.ric == [
         [0, 0, 0, 0],
@@ -66,6 +72,45 @@ def test_levi_civita_ricci_hopf4(cat):
     assert pkg.rho.is_zero()
     assert pkg.rho_s[0].comps == {(2, 3): -1}
     assert pkg.scal_s == (0, 0, 0)
+
+
+def test_ricci_package_matches_dense_oracle(cat, torsions, tmp_path):
+    # the sparse traces equal the dense sums over the nested-list curvature,
+    # for the Levi-Civita, skew-torsion and torsion-free connections
+    cases = [(cat[name], torsions.get(name)) for name in ALL_NAMES]
+    for first, second in (("nil8", "hopf4"), ("hc_only8", "torus4")):
+        entry = direct_sum_entry(cat[first], cat[second], tmp_path)
+        res = hkt_check(entry.structure, entry.lie)
+        cases.append((entry, res.torsion if res.ok else None))
+    for entry, t in cases:
+        alg, h = entry.lie, entry.structure
+        lc = levi_civita(alg)
+        conns = {"levicivita": lc, "obata": obata_connection(h, alg, t)}
+        if t is not None:
+            conns["bismut"] = bismut_connection(t, lc)
+        for label, conn in conns.items():
+            curvature = curvature_operators(conn, alg)
+            want = naive_ricci_package(dense_curvature(curvature, entry.dim), h)
+            assert ricci_package(curvature, h) == want, (entry.name, label)
+
+
+@given(st.sampled_from(["torus4", "hopf4", "nil8"]), st.data())
+@settings(max_examples=60)
+def test_ricci_package_on_random_connections_matches_dense_oracle(cat, name, data):
+    # arbitrary, usually non-metric and non-flat connections: their curvature
+    # has the diagonal entries R(e_i, e_j)[i][i] that feed ric and rho at once
+    entry = cat[name]
+    index = st.integers(0, entry.dim - 1)
+    values = st.one_of(
+        st.integers(-1, 1), st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    )
+    cells = data.draw(
+        st.dictionaries(st.tuples(index, index, index), values, max_size=2 * entry.dim)
+    )
+    conn = Connection(entry.dim, {idx: v for idx, v in cells.items() if v})
+    curvature = curvature_operators(conn, entry.lie)
+    want = naive_ricci_package(dense_curvature(curvature, entry.dim), entry.structure)
+    assert ricci_package(curvature, entry.structure) == want
 
 
 def test_lee_form_values(cat, torsions):
@@ -96,7 +141,8 @@ def test_scalar_table(cat, torsions):
         t = torsions[name]
         lee = lee_form(t, entry.structure, entry.lie)
         lc = levi_civita(entry.lie)
-        rep = star_scalar(curvature_tensor(lc, entry.lie), entry.structure, t, lee, lc, entry.lie)
+        dt = ce_differential(entry.lie, t)
+        rep = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dt)
         assert norm_sq(t) == t_sq, name
         assert norm_sq(lee.theta) == theta_sq, name
         assert rep.components["delta_theta"] == delta, name
@@ -129,7 +175,7 @@ def test_dt_traces_table(cat, torsions):
     }
     for name, (h_value, strong, almost) in expect.items():
         entry = cat[name]
-        rep = dt_traces(torsions[name], entry.structure, entry.lie)
+        rep = dt_traces(ce_differential(entry.lie, torsions[name]), entry.structure)
         assert rep.h_value == h_value, name
         assert rep.strong == strong, name
         assert rep.almost_strong == almost, name
@@ -141,7 +187,7 @@ def test_dt_traces_matches_dense_oracle(cat, torsions, tmp_path):
     nil12 = direct_sum_entry(cat["nil8"], cat["hopf4"], tmp_path)
     cases.append((nil12, hkt_check(nil12.structure, nil12.lie).torsion))
     for entry, t in cases:
-        got = dt_traces(t, entry.structure, entry.lie)
+        got = dt_traces(ce_differential(entry.lie, t), entry.structure)
         assert got == naive_dt_traces(t, entry.structure, entry.lie), entry.name
 
 
@@ -157,7 +203,25 @@ three_forms = st.dictionaries(
 def test_dt_traces_on_random_forms_matches_dense_oracle(cat, name, comps):
     entry = cat[name]
     t = KForm(8, 3, comps)
-    assert dt_traces(t, entry.structure, entry.lie) == naive_dt_traces(t, entry.structure, entry.lie)
+    dt = ce_differential(entry.lie, t)
+    assert dt_traces(dt, entry.structure) == naive_dt_traces(t, entry.structure, entry.lie)
+
+
+four_forms = st.dictionaries(
+    st.sampled_from(list(combinations(range(8), 4))),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    max_size=4,
+)
+
+
+@given(st.sampled_from(["nil8", "hopf8", "hc_only8"]), four_forms)
+@settings(max_examples=40)
+def test_double_j_trace_on_random_forms_matches_dense_oracle(cat, name, comps):
+    form4 = KForm(8, 4, comps)
+    for s in (1, 2, 3):
+        j = cat[name].structure.j(s)
+        got, want = _double_j_trace(form4, j), naive_double_j_trace(form4, j)
+        assert (got, type(got)) == (want, type(want))
 
 
 @pytest.mark.parametrize(
@@ -169,7 +233,7 @@ def test_dt_traces_false_branches(cat, name, comps, almost):
     # hopf8 the J1 partial trace of d(e^014 + e^045) cancels to zero
     entry = cat[name]
     t = KForm(8, 3, comps)
-    got = dt_traces(t, entry.structure, entry.lie)
+    got = dt_traces(ce_differential(entry.lie, t), entry.structure)
     assert got == naive_dt_traces(t, entry.structure, entry.lie)
     assert not got.traces_coincide
     assert got.almost_strong == almost
@@ -196,7 +260,7 @@ def test_obata_identity_suite_all_green(cat, torsions):
         t = torsions[name]
         lee = lee_form(t, entry.structure, entry.lie)
         conn = obata_connection(entry.structure, entry.lie, t)
-        pkg = ricci_package(curvature_tensor(conn, entry.lie), entry.structure)
+        pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
         suite = obata_identity_suite(pkg, lee, entry.structure)
         for key, outcome in suite.items():
             assert outcome.ok, (name, key, outcome.counterexample)
@@ -208,7 +272,7 @@ def test_obata_ricci_matches_d_lee_exactly(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions[name])
-        pkg = ricci_package(curvature_tensor(conn, entry.lie), entry.structure)
+        pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
         assert is_zero_matrix(pkg.ric), name
         assert pkg.rho.is_zero(), name
         assert all(f.is_zero() for f in pkg.rho_s), name
@@ -219,11 +283,11 @@ def test_curvature_relation_on_all_hkt(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         t = torsions[name]
-        skew = bismut_connection(t, entry.lie)
+        skew = bismut_connection(t, levi_civita(entry.lie))
         conn = obata_connection(entry.structure, entry.lie, t)
         outcome = curvature_relation_check(
-            curvature_tensor(skew, entry.lie),
-            curvature_tensor(conn, entry.lie),
+            curvature_operators(skew, entry.lie),
+            curvature_operators(conn, entry.lie),
             difference_tensor(t, entry.structure),
             form_to_cube(t),
             skew,
@@ -235,13 +299,13 @@ def test_curvature_relation_on_all_hkt(cat, torsions):
 def test_curvature_relation_detects_corruption(cat, torsions):
     entry = cat["hopf4"]
     t = torsions["hopf4"]
-    skew = bismut_connection(t, entry.lie)
+    skew = bismut_connection(t, levi_civita(entry.lie))
     conn = obata_connection(entry.structure, entry.lie, t)
     a = difference_tensor(t, entry.structure)
     wrong = {idx: 2 * v for idx, v in a.items()}
     outcome = curvature_relation_check(
-        curvature_tensor(skew, entry.lie),
-        curvature_tensor(conn, entry.lie),
+        curvature_operators(skew, entry.lie),
+        curvature_operators(conn, entry.lie),
         wrong,
         form_to_cube(t),
         skew,
@@ -256,7 +320,7 @@ def test_covariant_derivative_matches_dense_oracle(cat, torsions):
         entry = cat[name]
         t = torsions[name]
         a = difference_tensor(t, entry.structure)
-        for conn in (bismut_connection(t, entry.lie), levi_civita(entry.lie)):
+        for conn in (bismut_connection(t, levi_civita(entry.lie)), levi_civita(entry.lie)):
             for i in range(entry.dim):
                 sparse = dense_cube(covariant_derivative_cube(conn, i, a), entry.dim)
                 assert sparse == naive_covariant_derivative(conn, i, a), (name, i)
@@ -269,20 +333,23 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
     for name in HKT_NAMES:
         entry = cat[name]
         t = torsions[name]
-        skew = bismut_connection(t, entry.lie)
-        r_skew = curvature_tensor(skew, entry.lie)
-        r_ob = curvature_tensor(obata_connection(entry.structure, entry.lie, t), entry.lie)
+        skew = bismut_connection(t, levi_civita(entry.lie))
+        r_skew = curvature_operators(skew, entry.lie)
+        r_ob = curvature_operators(obata_connection(entry.structure, entry.lie, t), entry.lie)
         a = difference_tensor(t, entry.structure)
         t_cube = form_to_cube(t)
         if corruption == "double_a":
             a = cube_scale(a, 2)
         elif corruption == "r_ob_entry":
-            r_ob[1][2][3][0] += 1
+            # the lowered entry r_ob[1][2][3][0] is R_(1,2)[0][3]
+            row = r_ob[(1, 2)].setdefault(0, {})
+            row[3] = row.get(3, 0) + 1
         else:
             t_cube = cube_add(t_cube, {(0, 1, 2): 1})
-        args = (r_skew, r_ob, a, t_cube, skew, entry.lie)
-        outcome = curvature_relation_check(*args)
-        assert (outcome.ok, outcome.counterexample) == naive_curvature_relation(*args), name
+        rest = (a, t_cube, skew, entry.lie)
+        outcome = curvature_relation_check(r_skew, r_ob, *rest)
+        dense = (dense_curvature(r_skew, entry.dim), dense_curvature(r_ob, entry.dim))
+        assert (outcome.ok, outcome.counterexample) == naive_curvature_relation(*dense, *rest), name
         # on the torus entries A = 0, so only the curvature corruption shows
         assert outcome.ok == (name.startswith("torus") and corruption != "r_ob_entry"), name
         if corruption == "r_ob_entry":
@@ -292,8 +359,8 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
 def test_bismut_ricci_forms_vanish(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
-        skew = bismut_connection(torsions[name], entry.lie)
-        pkg = ricci_package(curvature_tensor(skew, entry.lie), entry.structure)
+        skew = bismut_connection(torsions[name], levi_civita(entry.lie))
+        pkg = ricci_package(curvature_operators(skew, entry.lie), entry.structure)
         assert pkg.rho.is_zero(), name
         assert all(f.is_zero() for f in pkg.rho_s), name
 
@@ -302,7 +369,7 @@ def test_obstruction_report_clean_on_catalog(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions[name])
-        pkg = ricci_package(curvature_tensor(conn, entry.lie), entry.structure)
+        pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
         rep = hkt_obstruction_report(pkg, entry.structure)
         assert rep.flags == ()
         assert rep.verdict == "inconclusive"
@@ -312,7 +379,7 @@ def test_obstruction_report_flags_fabricated_data(cat):
     # a symmetric nonzero Ricci must trip the first flag
     entry = cat["torus4"]
     conn = obata_connection(entry.structure, entry.lie, None)
-    pkg = ricci_package(curvature_tensor(conn, entry.lie), entry.structure)
+    pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
     fake = type(pkg)(
         ric=[[1 if i == j else 0 for j in range(4)] for i in range(4)],
         rho=pkg.rho,
@@ -341,10 +408,9 @@ def test_detector_consistent_on_catalog(cat, torsions):
         t = torsions[name]
         lee = lee_form(t, entry.structure, entry.lie)
         lc = levi_civita(entry.lie)
-        star = star_scalar(
-            curvature_tensor(lc, entry.lie), entry.structure, t, lee, lc, entry.lie
-        )
-        traces = dt_traces(t, entry.structure, entry.lie)
+        dt = ce_differential(entry.lie, t)
+        star = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dt)
+        traces = dt_traces(dt, entry.structure)
         rep = hyperkahler_detector(
             lee.theta.is_zero(), traces.h_value, star.value, traces.almost_strong, t.is_zero()
         )

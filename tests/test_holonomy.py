@@ -52,7 +52,9 @@ def cat():
 
 def test_levi_civita_holonomy_dims(cat):
     for name, want in LC_DIMS.items():
-        hol = holonomy_algebra(levi_civita(cat[name].lie), cat[name].lie)
+        alg = cat[name].lie
+        lc = levi_civita(alg)
+        hol = holonomy_algebra(lc, curvature_operators(lc, alg))
         assert hol.dim == want, name
         assert len(hol.generators) == want, name
         # metric connection: every generator lies in the orthogonal algebra
@@ -62,7 +64,8 @@ def test_levi_civita_holonomy_dims(cat):
 def test_bismut_holonomy_dims(cat, torsions):
     for name, want in BISMUT_DIMS.items():
         entry = cat[name]
-        hol = holonomy_algebra(bismut_connection(torsions[name], entry.lie), entry.lie)
+        skew = bismut_connection(torsions[name], levi_civita(entry.lie))
+        hol = holonomy_algebra(skew, curvature_operators(skew, entry.lie))
         assert hol.dim == want, name
         assert all(is_g_skew(g) for g in hol.generators), name
         assert all(glnh_membership(g, entry.structure) for g in hol.generators), name
@@ -72,7 +75,7 @@ def test_obata_holonomy_trivial_on_catalog(cat, torsions):
     for name in ALL_NAMES:
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions.get(name))
-        hol = holonomy_algebra(conn, entry.lie)
+        hol = holonomy_algebra(conn, curvature_operators(conn, entry.lie))
         assert hol.dim == 0, name
         assert hol.generators == ()
 
@@ -81,11 +84,11 @@ def test_holonomy_span_is_closed(cat, torsions):
     # adding any further bracket must not grow the span
     for name, conn in (
         ("hopf4", levi_civita(cat["hopf4"].lie)),
-        ("nil8", bismut_connection(torsions["nil8"], cat["nil8"].lie)),
+        ("nil8", bismut_connection(torsions["nil8"], levi_civita(cat["nil8"].lie))),
         ("hc_only8", levi_civita(cat["hc_only8"].lie)),
     ):
         alg = cat[name].lie
-        hol = holonomy_algebra(conn, alg)
+        hol = holonomy_algebra(conn, curvature_operators(conn, alg))
         span = RowSpan(alg.dim * alg.dim)
         for g in hol.generators:
             span.add(sparse([x for row in g for x in row]))
@@ -103,7 +106,7 @@ def applicable_connections(entry):
     res = hkt_check(h, alg)
     conns = {"levicivita": levi_civita(alg)}
     if res.ok:
-        conns["bismut"] = bismut_connection(res.torsion, alg)
+        conns["bismut"] = bismut_connection(res.torsion, levi_civita(alg))
     if res.first_nonintegrable is None:
         conns["obata"] = obata_connection(h, alg, res.torsion)
     return conns
@@ -116,7 +119,7 @@ def assert_matches_dense_oracle(entry):
         want_ops = naive_curvature_operators(conn, entry.lie)
         assert list(ops) == list(want_ops), name
         assert [dense_matrix(m, entry.dim) for m in ops.values()] == list(want_ops.values()), name
-        got, want = holonomy_algebra(conn, entry.lie), naive_holonomy_algebra(conn, entry.lie)
+        got, want = holonomy_algebra(conn, ops), naive_holonomy_algebra(conn, entry.lie)
         assert got.dim == want.dim, name
         assert got.generators == want.generators, name
 
@@ -165,7 +168,8 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
     # the basis (in the second, popped right before): skipping it loses a
     # generator
     conn, alg = case
-    got, want = holonomy_algebra(conn, alg), naive_holonomy_algebra(conn, alg)
+    got = holonomy_algebra(conn, curvature_operators(conn, alg))
+    want = naive_holonomy_algebra(conn, alg)
     assert got.dim == want.dim
     assert got.generators == want.generators
 
@@ -225,7 +229,8 @@ def test_slnh_on_catalog_holonomies(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions[name])
-        ok, cert = slnh_membership(holonomy_algebra(conn, entry.lie), entry.structure)
+        hol = holonomy_algebra(conn, curvature_operators(conn, entry.lie))
+        ok, cert = slnh_membership(hol, entry.structure)
         assert ok, name
         assert cert.first_violation is None, name
 

@@ -191,7 +191,7 @@ def test_bismut_has_prescribed_torsion_and_parallel_structure(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         t = torsions[name]
-        conn = bismut_connection(t, entry.lie)
+        conn = bismut_connection(t, levi_civita(entry.lie))
         assert conn.metric_flag
         _, tform = torsion(conn, entry.lie)
         assert tform is not None and tform.comps == t.comps
@@ -211,7 +211,7 @@ def test_preserves_endomorphism_matches_dense_oracle(cat):
 
 
 def test_bismut_vanishes_on_hopf4(cat, torsions):
-    conn = bismut_connection(torsions["hopf4"], cat["hopf4"].lie)
+    conn = bismut_connection(torsions["hopf4"], levi_civita(cat["hopf4"].lie))
     assert conn.gamma == {}
 
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from hktlab.linalg import dense_matrix, invert
 from hktlab.tensors import KForm, basis_form, wedge, form_scale, form_add
 
 from oracle_impl import (
+    direct_sum_entry,
     naive_curvature_operator,
     naive_d_eval,
     naive_koszul,
@@ -157,6 +158,25 @@ def test_levi_civita_against_koszul(alg):
         for j in range(alg.dim):
             for k in range(alg.dim):
                 assert lc.gamma.get((i, j, k), 0) == naive_koszul(alg, i, j, k)
+
+
+def test_levi_civita_matches_koszul_on_catalog_and_sums(catalog, tmp_path):
+    # the Koszul sum read off the stored brackets gives the dense formula's
+    # nonzeros, each with the dense formula's type, in lexicographic order
+    entries = list(catalog.values()) + [
+        direct_sum_entry(catalog["nil8"], catalog["hopf4"], tmp_path),
+        direct_sum_entry(catalog["hc_only8"], catalog["torus4"], tmp_path),
+    ]
+    for entry in entries:
+        alg = entry.lie
+        want = {
+            idx: v
+            for idx in product(range(alg.dim), repeat=3)
+            if (v := naive_koszul(alg, *idx))
+        }
+        gamma = levi_civita(alg).gamma
+        assert list(gamma.items()) == list(want.items()), entry.name
+        assert [type(v) for v in gamma.values()] == [type(v) for v in want.values()], entry.name
 
 
 def test_levi_civita_metric_and_torsion_free():

@@ -115,7 +115,7 @@ def test_obata_is_bismut_plus_difference(cat, torsions):
     for name in HKT_NAMES:
         entry = cat[name]
         t = torsions[name]
-        skew = bismut_connection(t, entry.lie)
+        skew = bismut_connection(t, levi_civita(entry.lie))
         a = difference_tensor(t, entry.structure)
         conn = obata_connection(entry.structure, entry.lie, t)
         assert conn.gamma == cube_add(skew.gamma, a), name
@@ -136,7 +136,7 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
         cubes = [nijenhuis(alg, h.j(s))[0] for s in (1, 2, 3)]
         cubes += [c.gamma for c in (levi_civita(alg), solved, obata_connection(h, alg, t))]
         if t is not None:
-            skew = bismut_connection(t, alg)
+            skew = bismut_connection(t, levi_civita(alg))
             a = difference_tensor(t, h)
             cubes += [skew.gamma, torsion_cube(skew, alg), a, obata_b_tensor(form_to_cube(t), h)]
             cubes += [covariant_derivative_cube(skew, i, a) for i in range(entry.dim)]
