@@ -28,6 +28,8 @@ def parse_scalar(raw: object) -> Scalar:
     if isinstance(raw, int):
         return raw
     if isinstance(raw, str) and _WIRE_RE.match(raw):
+        if "/" not in raw:
+            return int(raw)
         try:
             value = Fraction(raw)
         except ZeroDivisionError:

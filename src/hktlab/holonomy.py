@@ -1,15 +1,15 @@
 """Holonomy Lie algebra of an invariant connection and the classification
 of the structure.
 
-The algebra is generated by the curvature operators, closed under brackets
-with the connection operators and under mutual commutators; rank growth is
-tracked exactly by a `RowSpan` over the flattened entries. The closure
-works on sparse matrices ({row: {column: value}}, no zero stored) with the
-one kernel `linalg.sparse_commutator`, and brackets each unordered pair of
-basis elements once. The generators come back as dense matrices for the
-membership tests: quaternion-linear (commutes with all three complex
-structures) and additionally real-trace-free for the special quaternionic
-algebra.
+The algebra is generated by the curvature operators and closed under
+brackets with the connection operators only (Kostant's description of the
+holonomy algebra of an invariant connection); rank growth is tracked
+exactly by a `RowSpan` over the flattened entries. The closure works on
+sparse matrices ({row: {column: value}}, no zero stored) with the one
+kernel `linalg.sparse_commutator`. The generators come back as dense
+matrices for the membership tests: quaternion-linear (commutes with all
+three complex structures) and additionally real-trace-free for the special
+quaternionic algebra.
 """
 
 from __future__ import annotations
@@ -38,40 +38,35 @@ class HolonomyAlgebra:
 
 
 def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
-    """Smallest space containing the curvature operators of `conn` and
-    closed under commutators with the connection operators and with itself.
+    """Smallest space h containing the curvature operators and closed under
+    commutators with the connection operators L_k; `curvature` must be
+    `curvature_operators(conn, alg)`. Each basis element is bracketed once
+    with each L_k, `dim * hol_dim` commutators in all, and the generators
+    come back in the order they entered the basis.
 
-    Each basis element is popped from the queue once. Popping `current`
-    skips [current, b] when b was popped while `current` was already in the
-    basis: -[current, b] was offered to the span then, and the span only
-    grows, so the accepted basis is the same. Generators are returned in
-    the order they entered the basis.
+    h is closed under its own commutators too: for A in h the Jacobi
+    identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
+    [R(e_i, e_j), A] = [L_i, [L_j, A]] - [L_j, [L_i, A]] - sum_m c^m_ij [L_m, A]
+    in h, and induction on the length of the ad(L) word that builds an
+    element of h from a seed gives [h, h] in h.
     """
     n = conn.dim
     ops = connection_operators(conn)
     span = RowSpan(n * n)
     basis: list[SparseMatrix] = []
-    popped_at: list[int] = []  # basis size when the element was popped, 0 before
-    queue: list[int] = []
+    queue: list[SparseMatrix] = []
 
     def offer(m: SparseMatrix) -> None:
         if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
-            queue.append(len(basis))
             basis.append(m)
-            popped_at.append(0)
+            queue.append(m)
 
     for seed in curvature.values():
         offer(seed)
     while queue:
-        c = queue.pop()
-        current = basis[c]
-        popped_at[c] = len(basis)
-        candidates = [sparse_commutator(op, current) for op in ops]
-        candidates.extend(
-            sparse_commutator(current, b) for b, seen in zip(basis, popped_at) if seen <= c
-        )
-        for cand in candidates:
-            offer(cand)
+        current = queue.pop()
+        for op in ops:
+            offer(sparse_commutator(op, current))
     return HolonomyAlgebra(tuple(dense_matrix(m, n) for m in basis), span.rank)
 
 

@@ -17,7 +17,8 @@ from the nonzeros with `linalg.sparse_commutator`. The curvature operators
 takes; `curvature_tensor` is their dense dim^4 nested-list view, and
 `Connection.operator` the dense matrix of one L_i.
 
-`levi_civita` and the Jacobi check read the sparse bracket table.
+`levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
+the sparse bracket table.
 """
 
 from __future__ import annotations
@@ -113,30 +114,32 @@ def ce_differential(alg: LieAlgebra, a: KForm) -> KForm:
 
     (da)(X_0..X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q], ...rest...).
     d o d = 0 exactly when the Jacobi identity holds.
+
+    Summed from the nonzeros: c^m_ij (i < j) meets each stored a_J with m at
+    place s of J and i, j outside R = J - {m}, and adds (-1)^(p+q+s) c^m_ij a_J
+    at the sorted tuple I of R + {i, j}, p and q the places of i and j in I.
+    The terms of one (I, i, j) are summed first and dropped when they
+    cancel, as in the defining sum.
     """
     if a.degree >= a.dim:
         raise ValueError("differential of a top-degree form is not stored")
-    dim = a.dim
-    out: dict[tuple[int, ...], Scalar] = {}
-    for idx in combinations(range(dim), a.degree + 1):
-        total: Scalar = 0
-        for p in range(len(idx)):
-            for q in range(p + 1, len(idx)):
-                key = (idx[p], idx[q]) if idx[p] < idx[q] else (idx[q], idx[p])
-                comps = alg.brackets.get(key, {})
-                if not comps:
-                    continue
-                rest = idx[:p] + idx[p + 1 : q] + idx[q + 1 :]
-                inner: Scalar = 0
-                for m, c in comps.items():
-                    val = a.evaluate((m,) + rest)
-                    if val:
-                        inner += c * val
-                if inner:
-                    total += -inner if (p + q) % 2 else inner
-        if total:
-            out[idx] = total
-    return KForm(dim, a.degree + 1, out)
+    by_index = defaultdict(list)  # m -> (J - {m}, place of m in J, a_J)
+    for idx, v in a.comps.items():
+        for s, m in enumerate(idx):
+            by_index[m].append((idx[:s] + idx[s + 1 :], s, v))
+    inner: dict[tuple[tuple[int, ...], int, int], Scalar] = defaultdict(int)
+    for (i, j), comps in alg.brackets.items():
+        for m, c in comps.items():
+            for rest, s, v in by_index.get(m, ()):
+                if i not in rest and j not in rest:
+                    idx = tuple(sorted(rest + (i, j)))
+                    term = c * v
+                    inner[(idx, i, j)] += -term if (idx.index(i) + idx.index(j) + s) % 2 else term
+    totals: dict[tuple[int, ...], Scalar] = defaultdict(int)
+    for (idx, _, _), v in inner.items():
+        if v:
+            totals[idx] += v
+    return KForm(a.dim, a.degree + 1, {idx: totals[idx] for idx in sorted(totals)})
 
 
 @dataclass(frozen=True)
@@ -191,20 +194,18 @@ def levi_civita(alg: LieAlgebra) -> Connection:
 
 
 def torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
-    """Lowered torsion t[(i, j, k)] = <T(e_i,e_j), e_k>."""
-    dim = conn.dim
-    out: Cube = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                v = (
-                    conn.gamma.get((i, j, k), 0)
-                    - conn.gamma.get((j, i, k), 0)
-                    - structure_constant(alg, i, j, k)
-                )
-                if v:
-                    out[(i, j, k)] = v
-    return out
+    """Lowered torsion t[(i, j, k)] = <T(e_i,e_j), e_k>
+    = gamma[(i, j, k)] - gamma[(j, i, k)] - c^k_ij, summed from the nonzeros
+    of gamma and of the bracket table."""
+    out: dict[tuple[int, int, int], Scalar] = defaultdict(int)
+    for (i, j, k), v in conn.gamma.items():
+        out[(i, j, k)] += v
+        out[(j, i, k)] -= v
+    for (i, j), comps in alg.brackets.items():
+        for k, c in comps.items():
+            out[(i, j, k)] -= c
+            out[(j, i, k)] += c
+    return {key: v for key, v in sorted(out.items()) if v}
 
 
 def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:

@@ -184,6 +184,52 @@ def naive_d_eval(alg: LieAlgebra, a: KForm, idx: tuple[int, ...]) -> Fraction:
     return total
 
 
+def naive_ce_differential(alg: LieAlgebra, a: KForm) -> KForm:
+    """(da)(X_0..X_k) = sum_{p<q} (-1)^{p+q} a([X_p, X_q], ...rest...),
+    evaluated on every (k+1)-subset of the basis."""
+    if a.degree >= a.dim:
+        raise ValueError("differential of a top-degree form is not stored")
+    dim = a.dim
+    out: dict[tuple[int, ...], Scalar] = {}
+    for idx in combinations(range(dim), a.degree + 1):
+        total: Scalar = 0
+        for p in range(len(idx)):
+            for q in range(p + 1, len(idx)):
+                key = (idx[p], idx[q]) if idx[p] < idx[q] else (idx[q], idx[p])
+                comps = alg.brackets.get(key, {})
+                if not comps:
+                    continue
+                rest = idx[:p] + idx[p + 1 : q] + idx[q + 1 :]
+                inner: Scalar = 0
+                for m, c in comps.items():
+                    val = a.evaluate((m,) + rest)
+                    if val:
+                        inner += c * val
+                if inner:
+                    total += -inner if (p + q) % 2 else inner
+        if total:
+            out[idx] = total
+    return KForm(dim, a.degree + 1, out)
+
+
+def naive_torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
+    """t[(i, j, k)] = gamma[(i, j, k)] - gamma[(j, i, k)] - c^k_ij over
+    every index triple."""
+    dim = conn.dim
+    out: Cube = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                v = (
+                    conn.gamma.get((i, j, k), 0)
+                    - conn.gamma.get((j, i, k), 0)
+                    - structure_constant(alg, i, j, k)
+                )
+                if v:
+                    out[(i, j, k)] = v
+    return out
+
+
 def naive_koszul(alg: LieAlgebra, i: int, j: int, k: int) -> Fraction:
     """Levi-Civita coefficient for the orthonormal frame:
     2 Gamma_ijk = c^k_ij - c^j_ik - c^i_jk."""

@@ -14,6 +14,15 @@ def test_parse_plain_integers():
     assert parse_scalar(-3) == -3
 
 
+@pytest.mark.parametrize(
+    "raw, want", [("-0", 0), ("007", 7), ("-007", -7), ("12", 12), ("-" + "9" * 40, -int("9" * 40))]
+)
+def test_parse_integer_strings_to_int(raw, want):
+    value = parse_scalar(raw)
+    assert value == want
+    assert type(value) is int
+
+
 def test_parse_fractions():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("-9/6") == Fraction(-3, 2)

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hktlab.invariant import (
@@ -19,14 +19,18 @@ from hktlab.invariant import (
     torsion_cube,
     validate_lie_algebra,
 )
+from hktlab.hyperhermitian import bismut_connection, fundamental_forms, hkt_check
 from hktlab.linalg import dense_matrix, invert
+from hktlab.obata import obata_connection
 from hktlab.tensors import KForm, basis_form, wedge, form_scale, form_add
 
 from oracle_impl import (
     direct_sum_entry,
+    naive_ce_differential,
     naive_curvature_operator,
     naive_d_eval,
     naive_koszul,
+    naive_torsion_cube,
     naive_validate_lie_algebra,
 )
 
@@ -146,6 +150,70 @@ def test_graded_leibniz(a, b):
     assert lhs.comps == rhs.comps
 
 
+def catalog_and_sums(catalog, tmp_path):
+    return list(catalog.values()) + [
+        direct_sum_entry(catalog["nil8"], catalog["hopf4"], tmp_path),
+        direct_sum_entry(catalog["hc_only8"], catalog["torus4"], tmp_path),
+    ]
+
+
+def full_form(dim, degree):
+    """Every component nonzero, ints and Fractions mixed."""
+    keys = combinations(range(dim), degree)
+    return KForm(
+        dim,
+        degree,
+        {k: (-1) ** n * (Fraction(n + 1, 3) if n % 3 else n + 1) for n, k in enumerate(keys)},
+    )
+
+
+def test_differential_matches_dense_oracle_on_catalog_and_sums(catalog, tmp_path):
+    # the nonzeros, their types and their order agree with the sum over
+    # every (k+1)-subset of the basis
+    for entry in catalog_and_sums(catalog, tmp_path):
+        alg = entry.lie
+        forms = [full_form(alg.dim, degree) for degree in (1, 2, 3)]
+        forms += list(fundamental_forms(entry.structure))
+        res = hkt_check(entry.structure, alg)
+        if res.ok:
+            forms.append(res.torsion)
+        for a in forms:
+            got, want = ce_differential(alg, a), naive_ce_differential(alg, a)
+            assert got == want, (entry.name, a.degree)
+            assert list(got.comps.items()) == list(want.comps.items()), (entry.name, a.degree)
+            assert [type(v) for v in got.comps.values()] == [
+                type(v) for v in want.comps.values()
+            ], (entry.name, a.degree)
+
+
+@st.composite
+def brackets_and_forms(draw):
+    """A random bracket table and a random form of degree 1 to 3 on it,
+    with sparse int and Fraction components."""
+    alg = draw(bracket_tables())
+    degree = draw(st.integers(1, min(3, alg.dim - 1)))
+    keys = st.sampled_from(list(combinations(range(alg.dim), degree)))
+    comps = draw(st.dictionaries(keys, st.one_of(st.integers(-2, 2), rationals), max_size=8))
+    return alg, KForm(alg.dim, degree, comps)
+
+
+@given(brackets_and_forms())
+@example(
+    # da(e0, e1, e2): the (0, 1) terms are Fractions that cancel, the (1, 2)
+    # term is an int, so the component is the int 1
+    (
+        LieAlgebra(5, {(0, 1): {3: 1, 4: 1}, (1, 2): {3: 1}}),
+        KForm(5, 2, {(0, 3): 1, (2, 3): Fraction(1, 2), (2, 4): Fraction(-1, 2)}),
+    )
+)
+@settings(max_examples=100)
+def test_differential_matches_dense_oracle_on_random_brackets(case):
+    alg, a = case
+    got, want = ce_differential(alg, a), naive_ce_differential(alg, a)
+    assert list(got.comps.items()) == list(want.comps.items())
+    assert [type(v) for v in got.comps.values()] == [type(v) for v in want.comps.values()]
+
+
 def test_differential_rejects_top_degree():
     with pytest.raises(ValueError):
         ce_differential(HOPF4, basis_form(4, (0, 1, 2, 3)))
@@ -163,10 +231,7 @@ def test_levi_civita_against_koszul(alg):
 def test_levi_civita_matches_koszul_on_catalog_and_sums(catalog, tmp_path):
     # the Koszul sum read off the stored brackets gives the dense formula's
     # nonzeros, each with the dense formula's type, in lexicographic order
-    entries = list(catalog.values()) + [
-        direct_sum_entry(catalog["nil8"], catalog["hopf4"], tmp_path),
-        direct_sum_entry(catalog["hc_only8"], catalog["torus4"], tmp_path),
-    ]
+    entries = catalog_and_sums(catalog, tmp_path)
     for entry in entries:
         alg = entry.lie
         want = {
@@ -177,6 +242,22 @@ def test_levi_civita_matches_koszul_on_catalog_and_sums(catalog, tmp_path):
         gamma = levi_civita(alg).gamma
         assert list(gamma.items()) == list(want.items()), entry.name
         assert [type(v) for v in gamma.values()] == [type(v) for v in want.values()], entry.name
+
+
+def test_torsion_cube_matches_dense_oracle_on_catalog_and_sums(catalog, tmp_path):
+    for entry in catalog_and_sums(catalog, tmp_path):
+        alg, h = entry.lie, entry.structure
+        res = hkt_check(h, alg)
+        lc = levi_civita(alg)
+        conns = [lc, Connection(alg.dim, {})]
+        if res.ok:
+            conns.append(bismut_connection(res.torsion, lc))
+        if res.first_nonintegrable is None:
+            conns.append(obata_connection(h, alg, res.torsion))
+        for conn in conns:
+            got, want = torsion_cube(conn, alg), naive_torsion_cube(conn, alg)
+            assert list(got.items()) == list(want.items()), entry.name
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()], entry.name
 
 
 def test_levi_civita_metric_and_torsion_free():
