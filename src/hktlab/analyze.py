@@ -29,17 +29,12 @@ from .curvature import (
     ricci_package,
     star_scalar,
 )
-from .holonomy import (
-    classify,
-    glnh_membership,
-    holonomy_algebra,
-    is_g_skew,
-    slnh_membership,
-)
+from .holonomy import classify, holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import (
     HktResult,
     HyperhermitianStructure,
     bismut_connection,
+    glnh_membership,
     hkt_check,
     type_check_12_21,
 )
@@ -351,20 +346,14 @@ def expected_mismatches(entry: CatalogEntry, report: dict[str, object]) -> list[
     """Compare an entry's expected map against a computed report; the
     regression surface for the shipped catalog.
     """
-    verdict = report.get("verdict") or {}
-    obata = report.get("obata") or {}
-    actual: dict[str, object] = {
-        "hkt": (report["hkt"] or {}).get("ok"),
-        "hyperkahler": verdict.get("hyperkahler") if isinstance(verdict, dict) else None,
-        "balanced": verdict.get("balanced") if isinstance(verdict, dict) else None,
-        "strong": verdict.get("strong") if isinstance(verdict, dict) else None,
-        "almost_strong": verdict.get("almost_strong") if isinstance(verdict, dict) else None,
-        "d_theta_zero": verdict.get("d_theta_zero") if isinstance(verdict, dict) else None,
-        "sl_tier": verdict.get("sl_tier") if isinstance(verdict, dict) else None,
-        "hopf_caveat": verdict.get("hopf_caveat") if isinstance(verdict, dict) else None,
-        "obstruction_verdict": (report.get("obstruction") or {}).get("verdict", "inconclusive"),
-        "obata_holonomy_dim": obata.get("holonomy_dim") if isinstance(obata, dict) else None,
-    }
+    verdict = report["verdict"]  # the verdict record, or {"error": ...}
+    actual: dict[str, object] = {"hkt": report["hkt"]["ok"]}
+    for key in (
+        "hyperkahler", "balanced", "strong", "almost_strong", "d_theta_zero", "sl_tier", "hopf_caveat"
+    ):
+        actual[key] = verdict.get(key)
+    actual["obstruction_verdict"] = (report["obstruction"] or {}).get("verdict", "inconclusive")
+    actual["obata_holonomy_dim"] = (report["obata"] or {}).get("holonomy_dim")
     mismatches = []
     for key, want in entry.expected.items():
         if key not in actual:

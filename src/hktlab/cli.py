@@ -16,8 +16,8 @@ import sys
 
 from .analyze import analyze_entry
 from .catalog import CatalogEntry, CatalogError, available_entries, load, save
-from .holonomy import glnh_membership, holonomy_algebra, is_g_skew, slnh_membership
-from .hyperhermitian import bismut_connection, hkt_check
+from .holonomy import holonomy_algebra, is_g_skew, slnh_membership
+from .hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from .invariant import curvature_operators, levi_civita
 from .obata import UnsupportedInputError, obata_connection
 

@@ -280,7 +280,6 @@ def curvature_relation_check(
     is summed from the nonzeros of both curvatures and of A, T and nabla A;
     the first failing quadruple is its least nonzero key.
     """
-    dim = alg.dim
     by_first, by_middle = defaultdict(list), defaultdict(list)
     for (p, m, q), v in a.items():
         by_first[p].append((m, q, v))
@@ -293,8 +292,8 @@ def curvature_relation_check(
                     residual[(i, j, k, l)] += sign * v
                     residual[(j, i, k, l)] -= sign * v
     # (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
-    for i in range(dim):
-        for (j, k, l), v in covariant_derivative_cube(skew_conn, i, a).items():
+    for i, op in enumerate(skew_conn.operators):
+        for (j, k, l), v in covariant_derivative_cube(op, a).items():
             residual[(i, j, k, l)] -= v
             residual[(j, i, k, l)] += v
     # A(T(X,Y),Z,U)
@@ -434,8 +433,7 @@ def chern_norm_check(t: KForm, h: HyperhermitianStructure) -> ChernReport:
     ct = form_to_cube(t)
     torsion_sq = norm_sq(t)
     norms = []
-    for s in (1, 2, 3):
-        j = h.j(s)
+    for j in h.j_sparse:
         c_s = cube_scale(
             cube_add(cube_pullback(ct, None, j, j), cube_pullback(ct, j, None, j)),
             Fraction(1, 2),

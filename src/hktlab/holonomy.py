@@ -6,10 +6,11 @@ brackets with the connection operators only (Kostant's description of the
 holonomy algebra of an invariant connection); rank growth is tracked
 exactly by a `RowSpan` over the flattened entries. The closure works on
 sparse matrices ({row: {column: value}}, no zero stored) with the one
-kernel `linalg.sparse_commutator`. The generators come back as dense
-matrices for the membership tests: quaternion-linear (commutes with all
-three complex structures) and additionally real-trace-free for the special
-quaternionic algebra.
+kernel `linalg.sparse_commutator`, and the generators come back in that
+format for the membership tests: quaternion-linear
+(`hyperhermitian.glnh_membership`, commutes with the sparse J1, J2, J3),
+metric-skew, and additionally real-trace-free for the special quaternionic
+algebra.
 """
 
 from __future__ import annotations
@@ -17,23 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Scalar
-from .hyperhermitian import HyperhermitianStructure
-from .invariant import Connection, Curvature, connection_operators
-from .linalg import (
-    Matrix,
-    RowSpan,
-    SparseMatrix,
-    commutator,
-    dense_matrix,
-    is_zero_matrix,
-    sparse_commutator,
-    trace,
-)
+from .hyperhermitian import HyperhermitianStructure, glnh_membership
+from .invariant import Connection, Curvature
+from .linalg import RowSpan, SparseMatrix, sparse_commutator, sparse_trace
 
 
 @dataclass(frozen=True)
 class HolonomyAlgebra:
-    generators: tuple[Matrix, ...]
+    generators: tuple[SparseMatrix, ...]
     dim: int
 
 
@@ -51,7 +43,7 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     element of h from a seed gives [h, h] in h.
     """
     n = conn.dim
-    ops = connection_operators(conn)
+    ops = conn.operators
     span = RowSpan(n * n)
     basis: list[SparseMatrix] = []
     queue: list[SparseMatrix] = []
@@ -67,19 +59,13 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
         current = queue.pop()
         for op in ops:
             offer(sparse_commutator(op, current))
-    return HolonomyAlgebra(tuple(dense_matrix(m, n) for m in basis), span.rank)
+    return HolonomyAlgebra(tuple(basis), span.rank)
 
 
-def glnh_membership(m: Matrix, h: HyperhermitianStructure) -> bool:
-    """Quaternion-linearity: commutes with J1, J2, J3 exactly."""
-    return all(is_zero_matrix(commutator(m, h.j(s))) for s in (1, 2, 3))
-
-
-def is_g_skew(m: Matrix) -> bool:
+def is_g_skew(m: SparseMatrix) -> bool:
     """Skewness in the orthonormal frame (membership in the metric's
-    orthogonal Lie algebra)."""
-    n = len(m)
-    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+    orthogonal Lie algebra): m[j][i] = -m[i][j] at every nonzero m[i][j]."""
+    return all(m.get(j, {}).get(i, 0) == -x for i, row in m.items() for j, x in row.items())
 
 
 @dataclass(frozen=True)
@@ -105,7 +91,7 @@ def slnh_membership(
             all_ql = False
             if first is None:
                 first = (idx, "not quaternion-linear", None)
-        tr = trace(gen)
+        tr = sparse_trace(gen)
         if tr:
             all_tf = False
             if first is None:

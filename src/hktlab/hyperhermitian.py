@@ -3,24 +3,22 @@
 Quaternion relations, Nijenhuis tensors, integrability, fundamental forms,
 torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
-structures.
+structures. A structure holds J1, J2, J3 both dense (`j_ops`, read by
+`nijenhuis` and `j_twist`, whose output types follow J's entries) and
+sparse (`j_sparse`, built once, read by every cube pullback and bracket).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
 from .exact import Scalar
-from .invariant import (
-    Connection,
-    LieAlgebra,
-    ce_differential,
-    connection_operators,
-)
+from .invariant import Connection, LieAlgebra, ce_differential
 from .linalg import (
     Matrix,
+    SparseMatrix,
     identity,
     mat_eq,
     mat_mul,
@@ -44,11 +42,16 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class HyperhermitianStructure:
-    """A metric plus an ordered triple of anticommuting complex structures."""
+    """A metric plus an ordered triple of anticommuting complex structures;
+    j_sparse holds the triple as sparse matrices."""
 
     dim: int
     j_ops: tuple[Matrix, Matrix, Matrix]
     metric: Matrix
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "j_sparse", tuple(map(sparse_matrix, self.j_ops)))
 
     def j(self, s: int) -> Matrix:
         """1-based accessor: j(1), j(2), j(3)."""
@@ -75,6 +78,12 @@ def quaternionic_check(h: HyperhermitianStructure) -> list[str]:
     return violations
 
 
+def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
+    """Quaternion-linearity: m commutes with J1, J2, J3 exactly. On the
+    operators L_i of a connection it says the connection preserves all three."""
+    return all(not sparse_commutator(m, j) for j in h.j_sparse)
+
+
 def fundamental_form(metric: Matrix, j: Matrix) -> KForm:
     """F(X, Y) = g(X, J Y) as a 2-form."""
     dim = len(j)
@@ -89,10 +98,6 @@ def fundamental_form(metric: Matrix, j: Matrix) -> KForm:
             if gj[i][k]:
                 comps[(i, k)] = gj[i][k]
     return KForm(dim, 2, comps)
-
-
-def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
-    return tuple(fundamental_form(h.metric, h.j(s)) for s in (1, 2, 3))
 
 
 def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
@@ -145,22 +150,6 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
                 cube[(a, b, k)] = v
                 cube[(b, a, k)] = -v
     return cube, cube_to_form(cube, dim)
-
-
-def p_minus(a: KForm, j: Matrix) -> KForm:
-    """Projection of a 3-form onto its (3,0)+(0,3) part for J:
-    (1/4)[a(X,Y,Z) - a(JX,JY,Z) - a(JX,Y,JZ) - a(X,JY,JZ)].
-    """
-    c = form_to_cube(a)
-    mixed = cube_add(
-        cube_add(cube_pullback(c, j, j, None), cube_pullback(c, j, None, j)),
-        cube_pullback(c, None, j, j),
-    )
-    combined = cube_scale(cube_add(c, cube_scale(mixed, -1)), Fraction(1, 4))
-    form = cube_to_form(combined, a.dim)
-    if form is None:
-        raise RuntimeError("projector output not antisymmetric; input was not a form")
-    return form
 
 
 def kt_torsion(j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
@@ -251,8 +240,7 @@ def _first_nonzero(cube: Cube) -> tuple[tuple[int, int, int], Scalar] | None:
 def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
     """Both families of (1,2)+(2,1)-type identities for the torsion form."""
     c = form_to_cube(t)
-    for s in (1, 2, 3):
-        j = h.j(s)
+    for s, j in enumerate(h.j_sparse, 1):
         residual = cube_add(
             c,
             cube_scale(
@@ -267,7 +255,7 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
         if hit:
             return TypeCheckResult(False, "single", (s,), hit[0], hit[1])
     for i, j, k in MIXED_TRIPLES:
-        ji, jj, jk = h.j(i), h.j(j), h.j(k)
+        ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
         residual = cube_add(
             cube_add(cube_pullback(c, ji, ji, None), cube_scale(cube_pullback(c, jk, jk, None), -1)),
             cube_scale(cube_add(cube_pullback(c, jk, ji, jj), cube_pullback(c, ji, jk, jj)), -1),
@@ -282,9 +270,3 @@ def bismut_connection(t: KForm, lc: Connection) -> Connection:
     """Levi-Civita `lc` plus half the (totally skew) torsion, lowered."""
     half_t = cube_scale(form_to_cube(t), Fraction(1, 2))
     return Connection(lc.dim, cube_add(lc.gamma, half_t))
-
-
-def preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
-    """nabla m = 0 for an invariant endomorphism: [L_i, m] = 0 for all i."""
-    sparse_m = sparse_matrix(m)
-    return all(not sparse_commutator(op, sparse_m) for op in connection_operators(conn))

@@ -10,12 +10,12 @@ Connection coefficients are stored lowered as a cube (the sparse
 {(i, j, k): value} format of `tensors`, which never stores a zero):
 gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k>. The operator matrix of
 nabla_{e_i} acting on coordinate vectors is L_i[k][j] = gamma[(i, j, k)].
-`connection_operators` and `curvature_operators` return these operators
-as `linalg.SparseMatrix` ({row: {column: value}}, no zero stored), built
-from the nonzeros with `linalg.sparse_commutator`. The curvature operators
-{(i, j): R(e_i, e_j)}, i < j, are the one curvature format every reader
-takes; `curvature_tensor` is their dense dim^4 nested-list view, and
-`Connection.operator` the dense matrix of one L_i.
+`Connection.operators` (built once per connection, on first read) and
+`curvature_operators` hold these operators as `linalg.SparseMatrix`
+({row: {column: value}}, no zero stored), built from the nonzeros with
+`linalg.sparse_commutator`. The curvature operators {(i, j): R(e_i, e_j)},
+i < j, are the one curvature format every reader takes; `curvature_tensor`
+is their dense dim^4 nested-list view.
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
 the sparse bracket table.
@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .exact import Scalar
@@ -58,15 +59,6 @@ class LieAlgebra:
         object.__setattr__(self, "brackets", clean)
 
 
-def structure_constant(alg: LieAlgebra, i: int, j: int, k: int) -> Scalar:
-    """c^k_ij, antisymmetrized in (i, j)."""
-    if i == j:
-        return 0
-    if i < j:
-        return alg.brackets.get((i, j), {}).get(k, 0)
-    return -alg.brackets.get((j, i), {}).get(k, 0)
-
-
 def _bracket(alg: LieAlgebra, i: int, j: int) -> dict[int, Scalar]:
     """[e_i, e_j] as {k: c^k_ij}, antisymmetrized in (i, j)."""
     if i <= j:
@@ -93,12 +85,16 @@ def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector]
 
     The defect is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
     summed from the nonzero structure constants into a dense vector that
-    starts at int zeros.
+    starts at int zeros. Only triples holding a pair with a nonzero bracket
+    can have a nonzero defect, so only those are walked, in sorted order.
 
     Antisymmetry is structural here (only i < j keys are stored); wire-level
     antisymmetry conflicts are reported by the catalog loader.
     """
-    for i, j, k in combinations(range(alg.dim), 3):
+    triples = {
+        tuple(sorted((i, j, k))) for i, j in alg.brackets for k in range(alg.dim) if k not in (i, j)
+    }
+    for i, j, k in sorted(triples):
         defect: Vector = [0] * alg.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, x in _bracket(alg, a, b).items():
@@ -148,7 +144,8 @@ class Connection:
 
     gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k> in the orthonormal frame.
     metric_flag caches whether the connection is metric (gamma skew in the
-    last two slots).
+    last two slots); `operators` holds the operators L_i[k][j] =
+    gamma[(i, j, k)], built from one pass over gamma on first read.
     """
 
     dim: int
@@ -159,21 +156,12 @@ class Connection:
         flag = all(self.gamma.get((i, k, j), 0) == -v for (i, j, k), v in self.gamma.items())
         object.__setattr__(self, "metric_flag", flag)
 
-    def operator(self, i: int) -> Matrix:
-        """Matrix of nabla_{e_i} acting on coordinate vectors."""
-        op = [[0] * self.dim for _ in range(self.dim)]
-        for (a, j, k), v in self.gamma.items():
-            if a == i:
-                op[k][j] = v
-        return op
-
-
-def connection_operators(conn: Connection) -> list[SparseMatrix]:
-    """The operators L_i[k][j] = gamma[(i, j, k)], from one pass over gamma."""
-    ops: list[SparseMatrix] = [{} for _ in range(conn.dim)]
-    for (i, j, k), v in conn.gamma.items():
-        ops[i].setdefault(k, {})[j] = v
-    return ops
+    @cached_property
+    def operators(self) -> tuple[SparseMatrix, ...]:
+        ops: tuple[SparseMatrix, ...] = tuple({} for _ in range(self.dim))
+        for (i, j, k), v in self.gamma.items():
+            ops[i].setdefault(k, {})[j] = v
+        return ops
 
 
 def levi_civita(alg: LieAlgebra) -> Connection:
@@ -220,7 +208,7 @@ Curvature = dict[tuple[int, int], SparseMatrix]
 def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
     """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as sparse matrices, keys i < j;
     the lowered curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]."""
-    ops = connection_operators(conn)
+    ops = conn.operators
     out: Curvature = {}
     for i, j in combinations(range(conn.dim), 2):
         r = sparse_commutator(ops[i], ops[j])
@@ -252,13 +240,13 @@ def curvature_tensor(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
     return r
 
 
-def covariant_derivative_cube(conn: Connection, i: int, a: Cube) -> Cube:
-    """(nabla_{e_i} A)(Y,Z,U) for an invariant 3-index tensor A.
+def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
+    """(nabla_{e_i} A)(Y,Z,U) for an invariant 3-index tensor A, with op the
+    connection operator L = nabla_{e_i} (`Connection.operators[i]`).
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U) with L = nabla_{e_i}.
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U).
     """
-    op = conn.operator(i)
     total = cube_add(
         cube_add(cube_pullback(a, op, None, None), cube_pullback(a, None, op, None)),
         cube_pullback(a, None, None, op),

@@ -16,12 +16,12 @@ Fraction (apart from the 1 of each free column). The dense `Matrix` calls
 and `invert` go through `rref`, and `det` multiplies the pivot values
 that `RowSpan._insert` reports.
 
-The operator algebra of a connection (its connection and curvature
-operators and the holonomy closure) uses the sparse matrix format
-{row: sparse row}, which stores no zero and no empty row, so `not m` is
-the zero test. `sparse_commutator` is its one product kernel and
-`sparse_subtract` its one linear update; `sparse_matrix` and
-`dense_matrix` convert at the boundary with the dense `Matrix` code.
+Every endomorphism the engine brackets or tests (the complex structures,
+the connection and curvature operators, the holonomy generators) uses the
+sparse matrix format {row: sparse row}, which stores no zero and no empty
+row, so `not m` is the zero test. `sparse_commutator` is its one product
+kernel, `sparse_subtract` its one linear update and `sparse_trace` its
+trace; `sparse_matrix` converts a dense `Matrix` once, at the boundary.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a: Matrix, s: Scalar) -> Matrix:
@@ -82,14 +78,6 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def trace(a: Matrix) -> Scalar:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
 
@@ -118,14 +106,6 @@ def sparse_matrix(a: Matrix) -> SparseMatrix:
     return {i: row for i, row in enumerate(map(_sparse, a)) if row}
 
 
-def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
-    out = zeros(n, n)
-    for i, row in m.items():
-        for j, x in row.items():
-            out[i][j] = x
-    return out
-
-
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """ab - ba from the nonzeros of a and b; entries and rows that cancel
     are dropped, so a commuting pair gives {}."""
@@ -141,6 +121,10 @@ def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
                     for j, y in right_k.items():
                         out[j] = combine(out.get(j, 0), x * y)
     return {i: kept for i, row in acc.items() if (kept := {j: x for j, x in row.items() if x})}
+
+
+def sparse_trace(m: SparseMatrix) -> Scalar:
+    return sum(row.get(i, 0) for i, row in m.items())
 
 
 def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:

@@ -20,18 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Scalar
-from .hyperhermitian import HyperhermitianStructure, bismut_connection, preserves_endomorphism
+from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, Matrix, Row, Vector, identity, nullspace, solve_unique
-from .tensors import (
-    Cube,
-    KForm,
-    cube_add,
-    cube_map_output,
-    cube_pullback,
-    cube_scale,
-    form_to_cube,
-)
+from .tensors import Cube, KForm, cube_add, cube_pullback, cube_scale, form_to_cube
 
 
 def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
@@ -41,43 +33,12 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     2A(X,Y,Z) = -T(X,J1Y,J1Z) - T(J1X,J1Y,Z) - T(X,J3Y,J3Z) - T(J1X,J3Y,J2Z).
     """
     ct = form_to_cube(t)
-    j1, j2, j3 = h.j(1), h.j(2), h.j(3)
+    j1, j2, j3 = h.j_sparse
     total = cube_add(
         cube_add(cube_pullback(ct, None, j1, j1), cube_pullback(ct, j1, j1, None)),
         cube_add(cube_pullback(ct, None, j3, j3), cube_pullback(ct, j1, j3, j2)),
     )
     return cube_scale(total, Fraction(-1, 2))
-
-
-def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
-    """General-route difference tensor from the torsion of any connection
-    whose operators commute with the three complex structures:
-
-    -4B(X,Y) = T(X,Y) - J1 T(X,J1Y) - J2 T(X,J2Y) - J3 T(X,J3Y)
-             + T(J1X,J1Y) + J1 T(J1X,Y) - J2 T(J1X,J3Y) + J3 T(J1X,J2Y).
-
-    Input and output are lowered cubes over the orthonormal frame.
-    """
-    j1, j2, j3 = h.j(1), h.j(2), h.j(3)
-    terms = [
-        t_cube,
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, j1, None), j1), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, j2, None), j2), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, j3, None), j3), -1),
-        cube_pullback(t_cube, j1, j1, None),
-        cube_map_output(cube_pullback(t_cube, j1, None, None), j1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, j1, j3, None), j2), -1),
-        cube_map_output(cube_pullback(t_cube, j1, j2, None), j3),
-    ]
-    total = terms[0]
-    for term in terms[1:]:
-        total = cube_add(total, term)
-    return cube_scale(total, Fraction(-1, 4))
-
-
-def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
-    """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
-    return all(cube_pullback(a, None, h.j(s), h.j(s)) == a for s in (1, 2, 3))
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
@@ -207,9 +168,8 @@ def obata_from_difference(
 def _verified(conn: Connection, h: HyperhermitianStructure, alg: LieAlgebra) -> Connection:
     if torsion_cube(conn, alg):
         raise RuntimeError("constructed connection has torsion; internal defect")
-    for s in (1, 2, 3):
-        if not preserves_endomorphism(conn, h.j(s)):
-            raise RuntimeError(f"constructed connection does not preserve J{s}; internal defect")
+    if not all(glnh_membership(op, h) for op in conn.operators):
+        raise RuntimeError("constructed connection does not preserve J1, J2, J3; internal defect")
     return conn
 
 

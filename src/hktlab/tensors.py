@@ -3,8 +3,11 @@
 Everything lives over a fixed basis e_0 .. e_{dim-1} of a real vector space
 with dim <= 16. A KForm stores its components on strictly increasing index
 tuples; evaluation on arbitrary tuples unpacks the permutation sign.
-Endomorphisms and metrics are plain matrices with the column convention
-M[i][j] = coefficient of e_i in (M e_j).
+Endomorphisms and metrics are matrices with the column convention
+M[i][j] = coefficient of e_i in (M e_j); the slots of `cube_pullback` take
+them in the sparse `linalg.SparseMatrix` format ({row: {column: value}},
+no zero stored), as the complex structures and connection operators are
+held.
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
 tensors, connection coefficients) are kept as "cubes": dicts
@@ -22,7 +25,7 @@ from itertools import permutations
 from math import factorial
 
 from .exact import Scalar, exact_sqrt
-from .linalg import Matrix, Vector, dot, mat_vec, transpose, vec_scale, vec_sub
+from .linalg import Matrix, SparseMatrix, Vector, dot, mat_vec, vec_scale, vec_sub
 
 MAX_DIM = 16
 
@@ -78,11 +81,6 @@ class KForm:
         return sign * self.comps.get(tuple(sorted(idx)), 0)
 
 
-def basis_form(dim: int, indices: tuple[int, ...], value: Scalar = 1) -> KForm:
-    """The form value * e^{i1} ^ ... ^ e^{ik} for strictly increasing indices."""
-    return KForm(dim, len(indices), {tuple(indices): value})
-
-
 def form_add(a: KForm, b: KForm) -> KForm:
     if (a.dim, a.degree) != (b.dim, b.degree):
         raise ValueError("form shape mismatch")
@@ -90,10 +88,6 @@ def form_add(a: KForm, b: KForm) -> KForm:
     for idx, v in b.comps.items():
         comps[idx] = comps.get(idx, 0) + v
     return KForm(a.dim, a.degree, comps)
-
-
-def form_scale(a: KForm, s: Scalar) -> KForm:
-    return KForm(a.dim, a.degree, {idx: s * v for idx, v in a.comps.items()})
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
@@ -207,29 +201,25 @@ def cube_scale(a: Cube, s: Scalar) -> Cube:
     return {idx: s * v for idx, v in a.items()} if s else {}
 
 
-def _contract_slot(cube: Cube, m: Matrix, slot: int) -> Cube:
+def _contract_slot(cube: Cube, m: SparseMatrix, slot: int) -> Cube:
     """Replace slot arguments by M-images: out(.., e_t, ..) = in(.., M e_t, ..)."""
-    rows = [[(t, f) for t, f in enumerate(row) if f] for row in m]
     out: Cube = {}
     for idx, v in cube.items():
-        for t, f in rows[idx[slot]]:
+        for t, f in m.get(idx[slot], {}).items():
             key = idx[:slot] + (t,) + idx[slot + 1 :]
             out[key] = out.get(key, 0) + v * f
     return {idx: v for idx, v in out.items() if v}
 
 
-def cube_pullback(cube: Cube, m1: Matrix | None, m2: Matrix | None, m3: Matrix | None) -> Cube:
-    """out(X,Y,Z) = in(M1 X, M2 Y, M3 Z); None means the identity."""
+def cube_pullback(
+    cube: Cube, m1: SparseMatrix | None, m2: SparseMatrix | None, m3: SparseMatrix | None
+) -> Cube:
+    """out(X,Y,Z) = in(M1 X, M2 Y, M3 Z) for sparse M_s; None means the identity."""
     out = cube
     for slot, m in enumerate((m1, m2, m3)):
         if m is not None:
             out = _contract_slot(out, m, slot)
     return out
-
-
-def cube_map_output(cube: Cube, m: Matrix) -> Cube:
-    """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
-    return _contract_slot(cube, transpose(m), 2)
 
 
 def cube_norm_sq(cube: Cube) -> Scalar:

@@ -2,7 +2,9 @@
 
 Everything here is written straight from the defining formulas with full
 permutation sums and explicit vector expansions, deliberately ignoring the
-sparsity tricks of the package under test.
+sparsity tricks of the package under test. The dense matrix helpers and
+the test-only tensor functions that the sparse package no longer needs
+live here too, as the references the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
 from hktlab.curvature import DtTraces, RicciPackage
 from hktlab.holonomy import HolonomyAlgebra
-from hktlab.hyperhermitian import HyperhermitianStructure
+from hktlab.hyperhermitian import HyperhermitianStructure, fundamental_form
 from hktlab.invariant import (
     Connection,
     Curvature,
@@ -25,23 +27,32 @@ from hktlab.invariant import (
     LieAlgebra,
     bracket_vectors,
     ce_differential,
-    structure_constant,
 )
 from hktlab.linalg import (
     LinAlgError,
     Matrix,
     Row,
     RowSpan,
+    SparseMatrix,
     Vector,
-    commutator,
     identity,
     is_zero_matrix,
     mat_mul,
-    mat_sub,
     mat_vec,
+    sparse_matrix,
+    transpose,
+    zeros,
 )
 from hktlab.obata import SolverCertificate
-from hktlab.tensors import Cube, KForm, cube_to_form
+from hktlab.tensors import (
+    Cube,
+    KForm,
+    cube_add,
+    cube_pullback,
+    cube_scale,
+    cube_to_form,
+    form_to_cube,
+)
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
 ALL_NAMES = HKT_NAMES + ("hc_only8",)
@@ -81,6 +92,123 @@ def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
+
+
+# ---------------------------------------------------------------------------
+# dense matrices and the test-only tensor functions
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def trace(a: Matrix) -> Scalar:
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
+    out = zeros(n, n)
+    for i, row in m.items():
+        for j, x in row.items():
+            out[i][j] = x
+    return out
+
+
+def dense_operator(conn: Connection, i: int) -> Matrix:
+    """Matrix of nabla_{e_i} acting on coordinate vectors, from gamma."""
+    op = [[0] * conn.dim for _ in range(conn.dim)]
+    for (a, j, k), v in conn.gamma.items():
+        if a == i:
+            op[k][j] = v
+    return op
+
+
+def dense_glnh_membership(m: Matrix, h: HyperhermitianStructure) -> bool:
+    """Quaternion-linearity of a dense matrix: commutes with J1, J2, J3."""
+    return all(is_zero_matrix(commutator(m, h.j(s))) for s in (1, 2, 3))
+
+
+def dense_is_g_skew(m: Matrix) -> bool:
+    n = len(m)
+    return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+
+
+def structure_constant(alg: LieAlgebra, i: int, j: int, k: int) -> Scalar:
+    """c^k_ij, antisymmetrized in (i, j)."""
+    if i == j:
+        return 0
+    if i < j:
+        return alg.brackets.get((i, j), {}).get(k, 0)
+    return -alg.brackets.get((j, i), {}).get(k, 0)
+
+
+def basis_form(dim: int, indices: tuple[int, ...], value: Scalar = 1) -> KForm:
+    """The form value * e^{i1} ^ ... ^ e^{ik} for strictly increasing indices."""
+    return KForm(dim, len(indices), {tuple(indices): value})
+
+
+def form_scale(a: KForm, s: Scalar) -> KForm:
+    return KForm(a.dim, a.degree, {idx: s * v for idx, v in a.comps.items()})
+
+
+def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
+    return tuple(fundamental_form(h.metric, h.j(s)) for s in (1, 2, 3))
+
+
+def p_minus(a: KForm, j: Matrix) -> KForm:
+    """Projection of a 3-form onto its (3,0)+(0,3) part for J:
+    (1/4)[a(X,Y,Z) - a(JX,JY,Z) - a(JX,Y,JZ) - a(X,JY,JZ)].
+    """
+    c, sj = form_to_cube(a), sparse_matrix(j)
+    mixed = cube_add(
+        cube_add(cube_pullback(c, sj, sj, None), cube_pullback(c, sj, None, sj)),
+        cube_pullback(c, None, sj, sj),
+    )
+    combined = cube_scale(cube_add(c, cube_scale(mixed, -1)), Fraction(1, 4))
+    form = cube_to_form(combined, a.dim)
+    if form is None:
+        raise RuntimeError("projector output not antisymmetric; input was not a form")
+    return form
+
+
+def cube_map_output(cube: Cube, m: Matrix) -> Cube:
+    """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
+    return cube_pullback(cube, None, None, sparse_matrix(transpose(m)))
+
+
+def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
+    """General-route difference tensor from the torsion of any connection
+    whose operators commute with the three complex structures:
+
+    -4B(X,Y) = T(X,Y) - J1 T(X,J1Y) - J2 T(X,J2Y) - J3 T(X,J3Y)
+             + T(J1X,J1Y) + J1 T(J1X,Y) - J2 T(J1X,J3Y) + J3 T(J1X,J2Y).
+
+    Input and output are lowered cubes over the orthonormal frame.
+    """
+    j1, j2, j3 = h.j(1), h.j(2), h.j(3)
+    s1, s2, s3 = h.j_sparse
+    terms = [
+        t_cube,
+        cube_scale(cube_map_output(cube_pullback(t_cube, None, s1, None), j1), -1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, None, s2, None), j2), -1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, None, s3, None), j3), -1),
+        cube_pullback(t_cube, s1, s1, None),
+        cube_map_output(cube_pullback(t_cube, s1, None, None), j1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, s1, s3, None), j2), -1),
+        cube_map_output(cube_pullback(t_cube, s1, s2, None), j3),
+    ]
+    total = terms[0]
+    for term in terms[1:]:
+        total = cube_add(total, term)
+    return cube_scale(total, Fraction(-1, 4))
+
+
+def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
+    """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
+    return all(cube_pullback(a, None, j, j) == a for j in h.j_sparse)
 
 
 def sparse(row: Vector) -> Row:
@@ -244,7 +372,7 @@ def naive_koszul(alg: LieAlgebra, i: int, j: int, k: int) -> Fraction:
 def naive_curvature_operator(conn: Connection, alg: LieAlgebra, i: int, j: int) -> Matrix:
     """R(e_i, e_j) = [L_i, L_j] - nabla_{[e_i, e_j]} as an operator matrix."""
     dim = conn.dim
-    li, lj = conn.operator(i), conn.operator(j)
+    li, lj = dense_operator(conn, i), dense_operator(conn, j)
     out = [[Fraction(0)] * dim for _ in range(dim)]
     for col in range(dim):
         basis = [1 if r == col else 0 for r in range(dim)]
@@ -258,7 +386,7 @@ def naive_curvature_operator(conn: Connection, alg: LieAlgebra, i: int, j: int) 
         v3 = [Fraction(0)] * dim
         for m, c in enumerate(bracket):
             if c:
-                lm_col = mat_vec(conn.operator(m), basis)
+                lm_col = mat_vec(dense_operator(conn, m), basis)
                 v3 = [x + Fraction(c) * y for x, y in zip(v3, lm_col)]
         for row in range(dim):
             out[row][col] = Fraction(v1[row]) - Fraction(v2[row]) - v3[row]
@@ -266,7 +394,7 @@ def naive_curvature_operator(conn: Connection, alg: LieAlgebra, i: int, j: int) 
 
 
 def naive_connection_operators(conn: Connection) -> list[Matrix]:
-    return [conn.operator(i) for i in range(conn.dim)]
+    return [dense_operator(conn, i) for i in range(conn.dim)]
 
 
 def naive_curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[int, int], Matrix]:
@@ -314,7 +442,7 @@ def naive_holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra
 
 def naive_preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
     """[L_i, m] = 0 for every dense connection operator L_i."""
-    return all(is_zero_matrix(commutator(conn.operator(i), m)) for i in range(conn.dim))
+    return all(is_zero_matrix(commutator(op, m)) for op in naive_connection_operators(conn))
 
 
 def naive_bracket_basis(alg: LieAlgebra, i: int, j: int) -> Vector:

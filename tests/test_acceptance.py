@@ -27,14 +27,8 @@ from hktlab.curvature import (
     ricci_package,
     star_scalar,
 )
-from hktlab.holonomy import (
-    HOPF_CAVEAT_TEXT,
-    glnh_membership,
-    holonomy_algebra,
-    is_g_skew,
-    slnh_membership,
-)
-from hktlab.hyperhermitian import bismut_connection, fundamental_forms, hkt_check
+from hktlab.holonomy import HOPF_CAVEAT_TEXT, holonomy_algebra, is_g_skew, slnh_membership
+from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from hktlab.invariant import ce_differential, curvature_operators, levi_civita
 from hktlab.linalg import is_zero_matrix
 from hktlab.obata import (
@@ -49,6 +43,7 @@ from hktlab.tensors import form_to_cube, norm_sq, wedge
 from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
+    fundamental_forms,
     naive_curvature_operator,
     naive_d_eval,
     naive_koszul,

@@ -4,6 +4,7 @@ the expensive builders during one analysis or one CLI call."""
 import importlib
 import pkgutil
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -12,8 +13,8 @@ from hktlab import cli
 from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name
 from hktlab.holonomy import holonomy_algebra
-from hktlab.hyperhermitian import hkt_check, preserves_endomorphism
-from hktlab.invariant import curvature_operators, levi_civita
+from hktlab.hyperhermitian import glnh_membership, hkt_check
+from hktlab.invariant import Connection, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan
 from hktlab.obata import obata_connection
 
@@ -36,7 +37,9 @@ COUNTED = (
     "mat_mul",
     "mat_vec",
     "commutator",
+    "dense_matrix",
     "sparse_commutator",
+    "sparse_matrix",
 )
 
 
@@ -62,6 +65,15 @@ def calls(monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(RowSpan, "add", counted_add)
+    build = Connection.operators.func
+
+    def counted_build(self):
+        counts["Connection.operators"] += 1
+        return build(self)
+
+    operators = cached_property(counted_build)
+    operators.__set_name__(Connection, "operators")
+    monkeypatch.setattr(Connection, "operators", operators)
     return counts
 
 
@@ -98,6 +110,8 @@ def test_holonomy_obata_uses_difference_route(calls, capsys):
     assert "connection: obata" in capsys.readouterr().out
     assert calls["nijenhuis"] == 3
     assert calls["obata_oracle_solver"] == 0
+    # the postcondition check, the curvature and the closure share one build
+    assert calls["Connection.operators"] == 1
 
 
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8"])
@@ -127,9 +141,31 @@ def test_operator_algebra_stays_off_dense_products(calls, cat):
     ob = obata_connection(h, alg)
     calls.clear()
     holonomy_algebra(lc, curvature_operators(lc, alg))
-    assert all(preserves_endomorphism(ob, h.j(s)) for s in (1, 2, 3))
+    assert all(glnh_membership(op, h) for op in ob.operators)
     assert calls["mat_mul"] == 0
     assert calls["commutator"] == 0
+
+
+def test_each_connection_builds_its_operators_once(calls, cat):
+    analyze_entry(cat["nil8"])
+    # one build per connection read: torsion-free, skew-torsion, Levi-Civita;
+    # the solver's connection is only compared with the torsion-free one
+    assert calls["Connection.operators"] == 3
+    calls.clear()
+    analyze_entry(cat["hc_only8"])
+    assert calls["Connection.operators"] == 1
+
+
+def test_structure_holds_its_sparse_complex_structures(calls, cat):
+    analyze_entry(cat["hopf8"])
+    analyze_entry(cat["hopf8"])
+    assert calls["sparse_matrix"] <= 3
+
+
+def test_analysis_stays_off_dense_operators(calls, cat):
+    analyze_entry(cat["nil8"])
+    assert calls["commutator"] == 0
+    assert calls["dense_matrix"] == 0
 
 
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8", "nil8"])

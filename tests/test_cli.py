@@ -9,9 +9,9 @@ from hktlab import cli
 from hktlab.catalog import CatalogEntry, builtin_by_name, load, save, serialize
 from hktlab.hyperhermitian import HyperhermitianStructure
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import identity, invert, mat_mul, mat_sub, transpose
+from hktlab.linalg import identity, invert, mat_mul, transpose
 
-from oracle_impl import ALL_NAMES
+from oracle_impl import ALL_NAMES, mat_sub
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -9,30 +9,28 @@ from hktlab.holonomy import (
     HOPF_CAVEAT_TEXT,
     HolonomyAlgebra,
     classify,
-    glnh_membership,
     holonomy_algebra,
     is_g_skew,
     slnh_membership,
 )
-from hktlab.hyperhermitian import bismut_connection, hkt_check
-from hktlab.invariant import (
-    Connection,
-    LieAlgebra,
-    connection_operators,
-    curvature_operators,
-    levi_civita,
-)
-from hktlab.linalg import RowSpan, commutator, dense_matrix, identity, zeros
+from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
+from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
+from hktlab.linalg import RowSpan, identity, sparse_matrix, sparse_trace
 from hktlab.obata import obata_connection
 
 from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
+    commutator,
+    dense_glnh_membership,
+    dense_is_g_skew,
+    dense_matrix,
     direct_sum_entry,
     naive_curvature_operators,
     naive_flatten,
     naive_holonomy_algebra,
     sparse,
+    trace,
 )
 
 LC_DIMS = {
@@ -84,12 +82,13 @@ def test_obata_holonomy_trivial_on_catalog(cat, torsions):
 def assert_span_is_closed(conn, alg, hol, name=None):
     # adding any further bracket must not grow the span
     span = RowSpan(alg.dim * alg.dim)
-    for g in hol.generators:
+    generators = [dense_matrix(g, alg.dim) for g in hol.generators]
+    for g in generators:
         span.add(sparse([x for row in g for x in row]))
     assert span.rank == hol.dim, name
-    ops = [dense_matrix(op, alg.dim) for op in connection_operators(conn)]
-    extra = [commutator(op, g) for op in ops for g in hol.generators]
-    extra += [commutator(a, b) for a in hol.generators for b in hol.generators]
+    ops = [dense_matrix(op, alg.dim) for op in conn.operators]
+    extra = [commutator(op, g) for op in ops for g in generators]
+    extra += [commutator(a, b) for a in generators for b in generators]
     for cand in extra:
         assert not span.add(sparse([x for row in cand for x in row])), name
 
@@ -125,7 +124,7 @@ def assert_matches_dense_oracle(entry):
         assert [dense_matrix(m, entry.dim) for m in ops.values()] == list(want_ops.values()), name
         got, want = holonomy_algebra(conn, ops), naive_holonomy_algebra(conn, entry.lie)
         assert got.dim == want.dim, name
-        assert got.generators == want.generators, name
+        assert tuple(dense_matrix(g, entry.dim) for g in got.generators) == want.generators, name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -181,28 +180,59 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
     span = RowSpan(alg.dim * alg.dim)
     for g in want.generators:
         span.add(naive_flatten(g))
-    assert not any(span.add(naive_flatten(g)) for g in got.generators)
+    assert not any(span.add(naive_flatten(dense_matrix(g, alg.dim))) for g in got.generators)
     assert_span_is_closed(conn, alg, got)
+    # non-metric connections give generators that are not skew and not
+    # trace-free, with int and Fraction traces
+    for g in got.generators:
+        dense = dense_matrix(g, alg.dim)
+        assert is_g_skew(g) == dense_is_g_skew(dense)
+        tr = sparse_trace(g)
+        assert (tr, type(tr)) == (trace(dense), type(trace(dense)))
 
 
 def test_glnh_membership_units(cat):
     h4 = cat["hopf4"].structure
-    assert glnh_membership(identity(4), h4)
+    assert glnh_membership(sparse_matrix(identity(4)), h4)
     # J1 anticommutes with J2, so it is not quaternion-linear itself
-    assert not glnh_membership(h4.j(1), h4)
-    e01 = zeros(4, 4)
-    e01[0][1] = 1
+    assert not glnh_membership(h4.j_sparse[0], h4)
+    e01 = {0: {1: 1}}
     assert not glnh_membership(e01, h4)
 
 
 def test_is_g_skew_units():
-    m = zeros(3, 3)
-    m[0][1], m[1][0] = 2, -2
+    m = {0: {1: 2}, 1: {0: -2}}
     assert is_g_skew(m)
-    m[2][2] = 1
+    m[2] = {2: 1}
     assert not is_g_skew(m)
-    sym = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    sym = {0: {1: 1}, 1: {0: 1}}
     assert not is_g_skew(sym)
+    # the transpose entry is missing, so it reads as 0 against -2
+    assert not is_g_skew({0: {1: 2}})
+    assert not is_g_skew({1: {1: Fraction(1, 2)}})
+    assert is_g_skew({})
+
+
+def assert_sparse_membership_matches_dense(entry):
+    h = entry.structure
+    for label, conn in applicable_connections(entry).items():
+        hol = holonomy_algebra(conn, curvature_operators(conn, entry.lie))
+        for idx, g in enumerate(hol.generators):
+            name = f"{entry.name} {label} generator {idx}"
+            dense = dense_matrix(g, entry.dim)
+            assert glnh_membership(g, h) == dense_glnh_membership(dense, h), name
+            assert is_g_skew(g) == dense_is_g_skew(dense), name
+            got, want = sparse_trace(g), trace(dense)
+            assert (got, type(got)) == (want, type(want)), name
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_sparse_membership_matches_dense_oracle(cat, name):
+    assert_sparse_membership_matches_dense(cat[name])
+
+
+def test_sparse_membership_matches_dense_oracle_on_direct_sum(cat, tmp_path):
+    assert_sparse_membership_matches_dense(direct_sum_entry(cat["nil8"], cat["hopf8"], tmp_path))
 
 
 def test_slnh_certificate_trivial_algebra(cat):
@@ -216,7 +246,7 @@ def test_slnh_certificate_trivial_algebra(cat):
 
 def test_slnh_certificate_traceful_generator(cat):
     h4 = cat["hopf4"].structure
-    hol = HolonomyAlgebra((identity(4),), 1)
+    hol = HolonomyAlgebra((sparse_matrix(identity(4)),), 1)
     ok, cert = slnh_membership(hol, h4)
     assert not ok
     assert cert.all_quaternion_linear
@@ -226,9 +256,7 @@ def test_slnh_certificate_traceful_generator(cat):
 
 def test_slnh_certificate_non_quaternion_linear(cat):
     h4 = cat["hopf4"].structure
-    bad = zeros(4, 4)
-    bad[0][1] = 1
-    bad[1][0] = -1
+    bad = {0: {1: 1}, 1: {0: -1}}
     hol = HolonomyAlgebra((bad,), 1)
     ok, cert = slnh_membership(hol, h4)
     assert not ok

@@ -14,24 +14,28 @@ from hktlab.invariant import (
     curvature_tensor,
     levi_civita,
     rebase_algebra,
-    structure_constant,
     torsion,
     torsion_cube,
     validate_lie_algebra,
 )
-from hktlab.hyperhermitian import bismut_connection, fundamental_forms, hkt_check
-from hktlab.linalg import dense_matrix, invert
+from hktlab.hyperhermitian import bismut_connection, hkt_check
+from hktlab.linalg import invert
 from hktlab.obata import obata_connection
-from hktlab.tensors import KForm, basis_form, wedge, form_scale, form_add
+from hktlab.tensors import KForm, wedge, form_add
 
 from oracle_impl import (
+    basis_form,
+    dense_matrix,
     direct_sum_entry,
+    form_scale,
+    fundamental_forms,
     naive_ce_differential,
     naive_curvature_operator,
     naive_d_eval,
     naive_koszul,
     naive_torsion_cube,
     naive_validate_lie_algebra,
+    structure_constant,
 )
 
 HOPF4 = LieAlgebra(4, {(1, 2): {3: 2}, (1, 3): {2: -2}, (2, 3): {1: 2}})
@@ -277,7 +281,8 @@ def test_connection_operator_layout():
     gamma = {(0, 1, 2): 5}
     conn = Connection(3, gamma)
     # nabla_{e_0} e_1 = 5 e_2, so column 1 of L_0 has a 5 in row 2
-    assert conn.operator(0)[2][1] == 5
+    assert conn.operators[0][2][1] == 5
+    assert conn.operators == ({2: {1: 5}}, {}, {})
 
 
 @pytest.mark.parametrize("alg", [HOPF4, NIL8])

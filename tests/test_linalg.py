@@ -9,8 +9,6 @@ from hktlab import linalg
 from hktlab.linalg import (
     LinAlgError,
     RowSpan,
-    commutator,
-    dense_matrix,
     det,
     invert,
     leading_minors_positive,
@@ -23,9 +21,19 @@ from hktlab.linalg import (
     sparse_commutator,
     sparse_matrix,
     sparse_subtract,
+    sparse_trace,
+)
+from oracle_impl import (
+    commutator,
+    dense,
+    dense_matrix,
+    naive_det,
+    naive_nullspace,
+    naive_rref,
+    naive_solve_unique,
+    sparse,
     trace,
 )
-from oracle_impl import dense, naive_det, naive_nullspace, naive_rref, naive_solve_unique, sparse
 
 rationals = st.fractions(
     min_value=Fraction(-8), max_value=Fraction(8), max_denominator=6
@@ -151,6 +159,9 @@ def test_sparse_kernels_match_dense(pair, f):
     n = len(a)
     sa, sb = sparse_matrix(a), sparse_matrix(b)
     assert stores_no_zero(sa) and dense_matrix(sa, n) == a
+    # against the dense copy: a sparse matrix keeps no Fraction(0)
+    got_trace, want_trace = sparse_trace(sa), trace(dense_matrix(sa, n))
+    assert (got_trace, type(got_trace)) == (want_trace, type(want_trace))
     a_squared = sparse_matrix(mat_mul(a, a))
     for x, y in ((sa, sb), (sb, sa), (sa, a_squared)):
         got = sparse_commutator(x, y)

@@ -1,0 +1,82 @@
+"""Every public module-level function of the package has a reader.
+
+A public function (no leading underscore) defined at the top level of
+`src/hktlab/*.py` must meet one of these:
+
+- package code outside its own definition names it (an `ast.Name` load),
+  in its own module or in another;
+- it is exported in `hktlab.__all__`;
+- BENCHMARK.json names it as a per-layer metric (`module.function.*`);
+- it is listed in KEPT, with the reason it stays.
+
+A function that meets none of them is called by nothing in the package:
+move it next to the tests that use it (`tests/oracle_impl.py`) or delete
+it.
+"""
+
+import ast
+import json
+from collections import defaultdict
+from pathlib import Path
+
+import hktlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
+
+KEPT = {
+    "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"
+    " (ROADMAP direction 3)",
+}
+
+
+def _readers() -> dict[str, set[tuple[str, str | None]]]:
+    """name -> the (module, top-level definition or None) places that load it."""
+    readers = defaultdict(set)
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    readers[sub.id].add((path.stem, owner))
+    return readers
+
+
+def _public_functions() -> list[tuple[str, str]]:
+    return [
+        (path.stem, node.name)
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _benchmarked() -> set[tuple[str, str]]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {tuple(metric["name"].split(".")[:2]) for metric in spec["per_layer"]}
+
+
+def _covered(module: str, name: str, readers, benchmarked) -> bool:
+    return (
+        bool(readers.get(name, set()) - {(module, name)})
+        or name in hktlab.__all__
+        or (module, name) in benchmarked
+    )
+
+
+def test_every_public_function_has_a_reader():
+    readers, benchmarked = _readers(), _benchmarked()
+    unread = [
+        f"{module}.{name}"
+        for module, name in _public_functions()
+        if name not in KEPT and not _covered(module, name, readers, benchmarked)
+    ]
+    assert unread == []
+
+
+def test_kept_functions_need_keeping():
+    readers, benchmarked = _readers(), _benchmarked()
+    public = {name: module for module, name in _public_functions()}
+    for name in KEPT:
+        assert name in public, name
+        assert not _covered(public[name], name, readers, benchmarked), name

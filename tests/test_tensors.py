@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hktlab.linalg import sparse_matrix
 from hktlab.tensors import (
     KForm,
-    basis_form,
     cube_add,
-    cube_map_output,
     cube_pullback,
     cube_scale,
     cube_to_form,
     form_add,
-    form_scale,
     form_to_cube,
     j_twist,
     norm_sq,
@@ -23,7 +21,7 @@ from hktlab.tensors import (
     wedge,
 )
 
-from oracle_impl import naive_wedge_eval
+from oracle_impl import basis_form, cube_map_output, form_scale, naive_wedge_eval
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -140,7 +138,7 @@ def test_cube_pullback_identity_slots():
     f = basis_form(4, (0, 1, 2))
     cube = form_to_cube(f)
     assert cube_pullback(cube, None, None, None) == cube
-    minus = [[-(i == j) for j in range(4)] for i in range(4)]
+    minus = {i: {i: -1} for i in range(4)}
     assert cube_pullback(cube, minus, minus, minus)[(0, 1, 2)] == -1
 
 
@@ -157,18 +155,19 @@ random_matrix = st.lists(st.lists(small, min_size=4, max_size=4), min_size=4, ma
 def test_cube_results_store_no_zero(cube, form, m1, m2, s):
     negated = cube_scale(cube, -1)
     assert cube_add(cube, negated) == {}
+    s1, s2 = sparse_matrix(m1), sparse_matrix(m2)
     results = [
         form_to_cube(form),
         cube_scale(cube, s),
         cube_scale(cube, 0),
         negated,
         cube_add(cube, form_to_cube(form)),
-        cube_add(cube, cube_pullback(cube, m1, m1, m1)),
-        cube_pullback(cube, m1, None, None),
-        cube_pullback(cube, None, m1, m2),
-        cube_pullback(cube, m2, m1, m2),
+        cube_add(cube, cube_pullback(cube, s1, s1, s1)),
+        cube_pullback(cube, s1, None, None),
+        cube_pullback(cube, None, s1, s2),
+        cube_pullback(cube, s2, s1, s2),
         cube_map_output(cube, m1),
-        cube_map_output(cube_pullback(cube, m2, None, None), m1),
+        cube_map_output(cube_pullback(cube, s2, None, None), m1),
     ]
     for result in results:
         assert 0 not in result.values()
