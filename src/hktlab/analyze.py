@@ -238,7 +238,7 @@ def _identity_stage(
     }
     suite = obata_identity_suite(tf.ricci, lee, h)
     r_b = curvature_operators(skew, alg)
-    curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew, alg)
+    curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew)
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, tor.dt)
     type_res = type_check_12_21(t, h)
     type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)

@@ -12,7 +12,8 @@ Wire schema (version "1"): UTF-8 JSON object with keys
                          (or "p", or a JSON integer)
     metric          dim x dim dense row-major rationals
     j1, j2, j3      dim x dim dense row-major rationals, column j holds
-                    the image of basis vector j
+                    the image of basis vector j; the loaded structure
+                    holds them only as sparse matrices
     expected        optional map of expected classifier outcomes
 
 Unknown keys are rejected unless the loader is told to tolerate them.
@@ -32,7 +33,7 @@ from pathlib import Path
 from .exact import Scalar, format_scalar, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra, validate_lie_algebra
-from .linalg import Matrix, identity, invert, mat_mul
+from .linalg import Matrix, SparseMatrix, identity, invert, mat_mul, sparse_matrix
 from .tensors import MAX_DIM, is_symmetric, orthonormal_frame
 
 
@@ -152,7 +153,7 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
     if dim > MAX_DIM:
         raise CatalogError(f"dim: {dim} exceeds the supported maximum {MAX_DIM}")
     metric = _parse_matrix(doc["metric"], dim, "metric")
-    j_ops = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}") for s in (1, 2, 3))
+    j_rows = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}") for s in (1, 2, 3))
     brackets = _parse_structure_constants(doc["structure_constants"], dim)
     expected = doc.get("expected", {})
     if not isinstance(expected, dict):
@@ -173,12 +174,12 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         base_change = [[frame[a][i] for a in range(dim)] for i in range(dim)]
         inverse = invert(base_change)
         lie = rebase_algebra(lie, frame, inverse)
-        j_ops = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_ops)
+        j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
         metric = identity(dim)
-    structure = HyperhermitianStructure(dim, (j_ops[0], j_ops[1], j_ops[2]), metric)
-    issues = quaternionic_check(structure)
+    issues = quaternionic_check(j_rows, metric)
     if issues:
         raise CatalogError("quaternion relations: " + "; ".join(issues))
+    structure = HyperhermitianStructure(dim, tuple(map(sparse_matrix, j_rows)), metric)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 
 
@@ -206,8 +207,11 @@ def serialize(entry: CatalogEntry) -> dict[str, object]:
         "structure_constants": triples,
         "metric": [[format_scalar(x) for x in row] for row in entry.structure.metric],
     }
-    for s in (1, 2, 3):
-        doc[f"j{s}"] = [[format_scalar(x) for x in row] for row in entry.structure.j(s)]
+    dim = entry.dim
+    for s, j in enumerate(entry.structure.j_sparse, 1):
+        doc[f"j{s}"] = [
+            [format_scalar(j.get(r, {}).get(c, 0)) for c in range(dim)] for r in range(dim)
+        ]
     if entry.expected:
         doc["expected"] = entry.expected
     return doc
@@ -226,14 +230,12 @@ _J2_BLOCK = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 _J3_BLOCK = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
 
 
-def _block_j(block: tuple[tuple[int, ...], ...], n: int) -> Matrix:
-    dim = 4 * n
-    out = [[0 for _ in range(dim)] for _ in range(dim)]
-    for b in range(n):
-        for r in range(4):
-            for c in range(4):
-                out[4 * b + r][4 * b + c] = block[r][c]
-    return out
+def _block_j(block: tuple[tuple[int, ...], ...], n: int) -> SparseMatrix:
+    return {
+        4 * b + r: {4 * b + c: x for c, x in enumerate(row) if x}
+        for b in range(n)
+        for r, row in enumerate(block)
+    }
 
 
 def _standard_structure(n: int) -> HyperhermitianStructure:

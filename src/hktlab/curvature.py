@@ -3,8 +3,14 @@
 Curvature arrives as the sparse operators of `invariant.curvature_operators`
 ({(i, j): SparseMatrix}, i < j) over the orthonormal frame, with the
 lowered curvature r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is
-summed from their nonzeros. Identity checks return outcome records carrying
-the first counterexample so reports can point at exact basis tuples.
+summed from their nonzeros. The complex structures are read as the sparse
+J's of the structure: the J-traces (the scalar traces of Ric and of the
+rho_s, the Lee form, the J-trace of d(theta)) go through
+`tensors.j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
+`tensors.bilinear_pullback`, each Ric pullback built once per J in the
+`RicciPackage` and read by both the identity suite and the obstruction
+report. Identity checks return outcome records carrying the first
+counterexample so reports can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -23,15 +29,18 @@ from .invariant import (
     ce_differential,
     covariant_derivative_cube,
 )
-from .linalg import Matrix
+from .linalg import Matrix, SparseMatrix
 from .tensors import (
+    Bilinear,
     Cube,
     KForm,
+    bilinear_pullback,
     cube_norm_sq,
     cube_pullback,
     cube_scale,
     cube_add,
     form_to_cube,
+    j_trace,
     norm_sq,
     perm_sign,
 )
@@ -45,26 +54,28 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class RicciPackage:
-    """All Ricci-type traces of one curvature tensor."""
+    """All Ricci-type traces of one curvature tensor, and the pullbacks
+    ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read."""
 
     ric: Matrix
     rho: KForm
     rho_s: tuple[KForm, KForm, KForm]
     scal: Scalar
     scal_s: tuple[Scalar, Scalar, Scalar]
+    ric_j: tuple[Matrix, Matrix, Matrix]
 
 
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
     """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
-    rho_s(i, j) = 1/2 sum v J_s[l][k]."""
+    rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
     dim = h.dim
-    js = [h.j(s) for s in (1, 2, 3)]
     ric: Matrix = [[0] * dim for _ in range(dim)]
     forms: list[dict[tuple[int, ...], Scalar]] = [{}, {}, {}, {}]  # rho, rho_1..rho_3
     for (i, j), op in curvature.items():
         sums: list[Scalar] = [0, 0, 0, 0]
         for l, row in op.items():
+            j_rows = [jm.get(l, {}) for jm in h.j_sparse]
             for k, v in row.items():
                 if l == i:
                     ric[j][k] += v
@@ -72,18 +83,22 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
                     ric[i][k] -= v
                 if l == k:
                     sums[0] += v
-                for s, jm in enumerate(js, 1):
-                    if jm[l][k]:
-                        sums[s] += v * jm[l][k]
+                for s, j_row in enumerate(j_rows, 1):
+                    if k in j_row:
+                        sums[s] += v * j_row[k]
         for s, total in enumerate(sums):
             if total:
                 forms[s][(i, j)] = Fraction(total, 2) if s else total
     scal = sum(ric[a][a] for a in range(dim))
-    scal_s = tuple(
-        sum(jm[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if jm[m][a]) for jm in js
-    )
+    scal_s = tuple(j_trace(lambda a, m: ric[m][a], jm) for jm in h.j_sparse)
+    ric_j = tuple(bilinear_pullback(lambda p, q: ric[p][q], jm, jm, dim) for jm in h.j_sparse)
     rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
-    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s)
+    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s, ric_j)
+
+
+def _bilinear(form: KForm) -> Bilinear:
+    """A 2-form as the bilinear form (x, y) -> form(e_x, e_y)."""
+    return lambda x, y: form.evaluate((x, y))
 
 
 @dataclass(frozen=True)
@@ -101,18 +116,14 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     dim = h.dim
     ct = form_to_cube(t)
     candidates: list[list[Scalar]] = []
-    for s in (1, 2, 3):
-        j = h.j(s)
-        # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a]
-        contracted = [
-            sum(ct.get((r, a, m), 0) * j[m][a] for a in range(dim) for m in range(dim) if j[m][a])
-            for r in range(dim)
-        ]
-        theta_s = [
-            Fraction(-sum(j[r][x] * contracted[r] for r in range(dim) if j[r][x]), 2)
-            for x in range(dim)
-        ]
-        candidates.append(theta_s)
+    for j in h.j_sparse:
+        # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a], then theta(e_x) = -1/2 S(J e_x)
+        contracted = [j_trace(lambda a, m: ct.get((r, a, m), 0), j) for r in range(dim)]
+        pulled: list[Scalar] = [0] * dim
+        for r, row in j.items():
+            for x, v in row.items():
+                pulled[x] += v * contracted[r]
+        candidates.append([Fraction(-total, 2) for total in pulled])
     if not (candidates[0] == candidates[1] == candidates[2]):
         raise ValueError("not HKT torsion: the three Lee form candidates differ")
     theta = KForm(dim, 1, {(x,): v for x, v in enumerate(candidates[0]) if v})
@@ -126,140 +137,54 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     return LeeForm(theta, d_theta, classification)
 
 
-def _ric_j_pull(ric: Matrix, j: Matrix, x: int, y: int) -> Scalar:
-    """Ric(J X, J Y) on basis vectors."""
-    return sum(
-        j[p][x] * j[q][y] * ric[p][q]
-        for p in range(len(ric))
-        if j[p][x]
-        for q in range(len(ric))
-        if j[q][y]
-    )
-
-
 def obata_identity_suite(
     pkg: RicciPackage, lee: LeeForm, h: HyperhermitianStructure
 ) -> dict[str, CheckOutcome]:
     """Exact identity suite tying the torsion-free hypercomplex connection's
-    Ricci data to the Lee form. Keys are stable descriptive ids.
+    Ricci data to the Lee form. Keys are stable descriptive ids; each check
+    reports its first failing index tuple, in loop order.
     """
     dim = h.dim
-    ric, rho, rho_s = pkg.ric, pkg.rho, pkg.rho_s
-    d_theta = lee.d_theta
-    suite: dict[str, CheckOutcome] = {}
-
-    def first_fail(predicate) -> tuple | None:
-        for args in predicate():
-            return args
-        return None
-
-    def ricci_j_conjugation():
-        for s in (1, 2, 3):
-            j = h.j(s)
-            for x in range(dim):
-                for y in range(dim):
-                    lhs = _ric_j_pull(ric, j, x, y) + ric[y][x]
-                    rhs = 2 * sum(j[p][x] * rho_s[s - 1].evaluate((p, y)) for p in range(dim) if j[p][x])
-                    if lhs != rhs:
-                        yield (s, x, y)
-
-    suite["ricci-j-conjugation"] = CheckOutcome(
-        (ce := first_fail(ricci_j_conjugation)) is None, ce
-    )
-
-    def ricci_antisym_rho():
-        for x in range(dim):
-            for y in range(dim):
-                if ric[x][y] - ric[y][x] != -rho.evaluate((x, y)):
-                    yield (x, y)
-
-    suite["ricci-antisymmetry-vs-rho"] = CheckOutcome(
-        (ce := first_fail(ricci_antisym_rho)) is None, ce
-    )
-
-    def ricci_equals_d_lee():
-        for x in range(dim):
-            for y in range(dim):
-                if ric[x][y] != d_theta.evaluate((x, y)):
-                    yield (x, y)
-
-    suite["ricci-equals-d-lee"] = CheckOutcome(
-        (ce := first_fail(ricci_equals_d_lee)) is None, ce
-    )
-
-    def rho_minus_2_d_lee():
-        for x in range(dim):
-            for y in range(dim):
-                if rho.evaluate((x, y)) != -2 * d_theta.evaluate((x, y)):
-                    yield (x, y)
-
-    suite["rho-equals-minus-2-d-lee"] = CheckOutcome(
-        (ce := first_fail(rho_minus_2_d_lee)) is None, ce
-    )
-
-    def rho_s_vanish():
-        for s in (1, 2, 3):
-            if not rho_s[s - 1].is_zero():
-                yield (s,)
-
-    suite["rho-s-vanish"] = CheckOutcome((ce := first_fail(rho_s_vanish)) is None, ce)
-
-    def d_lee_j_invariant():
-        for s in (1, 2, 3):
-            j = h.j(s)
-            for x in range(dim):
-                for y in range(x + 1, dim):
-                    pulled = sum(
-                        j[p][x] * j[q][y] * d_theta.evaluate((p, q))
-                        for p in range(dim)
-                        if j[p][x]
-                        for q in range(dim)
-                        if j[q][y]
-                    )
-                    if pulled != d_theta.evaluate((x, y)):
-                        yield (s, x, y)
-
-    suite["d-lee-j-invariant"] = CheckOutcome(
-        (ce := first_fail(d_lee_j_invariant)) is None, ce
-    )
-
-    def ricci_j_invariant():
-        for s in (1, 2, 3):
-            j = h.j(s)
-            for x in range(dim):
-                for y in range(dim):
-                    if _ric_j_pull(ric, j, x, y) != ric[x][y]:
-                        yield (s, x, y)
-
-    suite["ricci-j-invariant"] = CheckOutcome(
-        (ce := first_fail(ricci_j_invariant)) is None, ce
-    )
-
-    def scalars_vanish():
-        if pkg.scal:
-            yield ("scal", pkg.scal)
-        for s in (1, 2, 3):
-            if pkg.scal_s[s - 1]:
-                yield (f"scal_{s}", pkg.scal_s[s - 1])
-
-    suite["scalars-vanish"] = CheckOutcome((ce := first_fail(scalars_vanish)) is None, ce)
-
-    def d_lee_trace_free():
-        for s in (1, 2, 3):
-            j = h.j(s)
-            total = sum(
-                j[m][a] * d_theta.evaluate((a, m))
-                for a in range(dim)
-                for m in range(dim)
-                if j[m][a]
-            )
-            if total:
-                yield (s, total)
-
-    suite["d-lee-trace-free"] = CheckOutcome(
-        (ce := first_fail(d_lee_trace_free)) is None, ce
-    )
-    return suite
+    ric, rho, rho_s, ric_j, d_theta = pkg.ric, pkg.rho, pkg.rho_s, pkg.ric_j, lee.d_theta
+    cells = [(x, y) for x in range(dim) for y in range(dim)]
+    # rho_s(J_s X, Y) and d(theta)(J_s X, J_s Y)
+    rho_j = [bilinear_pullback(_bilinear(f), j, None, dim) for f, j in zip(rho_s, h.j_sparse)]
+    d_theta_j = [bilinear_pullback(_bilinear(d_theta), j, j, dim) for j in h.j_sparse]
+    scalars = [("scal", pkg.scal)] + [(f"scal_{s}", v) for s, v in enumerate(pkg.scal_s, 1)]
+    failures = {
+        "ricci-j-conjugation": (
+            (s, x, y)
+            for s in (1, 2, 3)
+            for x, y in cells
+            if ric_j[s - 1][x][y] + ric[y][x] != 2 * rho_j[s - 1][x][y]
+        ),
+        "ricci-antisymmetry-vs-rho": (
+            (x, y) for x, y in cells if ric[x][y] - ric[y][x] != -rho.evaluate((x, y))
+        ),
+        "ricci-equals-d-lee": ((x, y) for x, y in cells if ric[x][y] != d_theta.evaluate((x, y))),
+        "rho-equals-minus-2-d-lee": (
+            (x, y) for x, y in cells if rho.evaluate((x, y)) != -2 * d_theta.evaluate((x, y))
+        ),
+        "rho-s-vanish": ((s,) for s, f in enumerate(rho_s, 1) if not f.is_zero()),
+        "d-lee-j-invariant": (
+            (s, x, y)
+            for s in (1, 2, 3)
+            for x, y in cells
+            if x < y and d_theta_j[s - 1][x][y] != d_theta.evaluate((x, y))
+        ),
+        "ricci-j-invariant": (
+            (s, x, y) for s in (1, 2, 3) for x, y in cells if ric_j[s - 1][x][y] != ric[x][y]
+        ),
+        "scalars-vanish": (item for item in scalars if item[1]),
+        "d-lee-trace-free": (
+            (s, total)
+            for s, j in enumerate(h.j_sparse, 1)
+            if (total := j_trace(_bilinear(d_theta), j))
+        ),
+    }
+    return {
+        key: CheckOutcome((ce := next(found, None)) is None, ce) for key, found in failures.items()
+    }
 
 
 def curvature_relation_check(
@@ -268,7 +193,6 @@ def curvature_relation_check(
     a: Cube,
     t_cube: Cube,
     skew_conn: Connection,
-    alg: LieAlgebra,
 ) -> CheckOutcome:
     """Reconstruct the torsion-free connection's curvature from the
     skew-torsion connection's curvature plus difference-tensor terms:
@@ -313,15 +237,16 @@ def curvature_relation_check(
 _ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4)))
 
 
-def _double_j_trace(form4: KForm, j: Matrix) -> Scalar:
+def _double_j_trace(form4: KForm, j: SparseMatrix) -> Scalar:
     """sum_{a,b} form4(e_a, J e_a, e_b, J e_b), from the stored components of
     form4, each in every signed slot order, and the nonzeros of J."""
     total: Scalar = 0
     for idx, value in form4.comps.items():
         for order, sign in _ORDERINGS_4:
             a, r, b, m = (idx[o] for o in order)
-            if j[r][a] and j[m][b]:
-                total += j[r][a] * j[m][b] * sign * value
+            x, y = j.get(r, {}).get(a), j.get(m, {}).get(b)
+            if x and y:
+                total += x * y * sign * value
     return total
 
 
@@ -343,20 +268,13 @@ def star_scalar(
     """The *-scalar curvature of the Levi-Civita connection and the exact
     scalar identities tying it to torsion, dT and Lee-form data.
     """
-    dim = h.dim
     pkg = ricci_package(lc_curvature, h)
-    stars = []
-    for s in (1, 2, 3):
-        j = h.j(s)
-        stars.append(
-            sum(
-                j[m][a] * pkg.rho_s[s - 1].evaluate((m, a))
-                for a in range(dim)
-                for m in range(dim)
-                if j[m][a]
-            )
-        )
-    double_trace = _double_j_trace(dt, h.j(1))
+    # sum_a rho_s(J_s e_a, e_a)
+    stars = [
+        j_trace(lambda a, m, rho=rho: rho.evaluate((m, a)), j)
+        for rho, j in zip(pkg.rho_s, h.j_sparse)
+    ]
+    double_trace = _double_j_trace(dt, h.j_sparse[0])
     delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)
@@ -397,24 +315,24 @@ def dt_traces(dt: KForm, h: HyperhermitianStructure) -> DtTraces:
     the almost-strong test (full partial-trace 2-tensor vanishes), and the
     strong test dT = 0. The three J-versions of the partial trace must agree.
     """
-    partials = [_j_partial_trace(dt, h.j(s)) for s in (1, 2, 3)]
+    partials = [_j_partial_trace(dt, j) for j in h.j_sparse]
     coincide = partials[0] == partials[1] == partials[2]
     h_value = Fraction(-sum(v for (x, y), v in partials[0].items() if x == y), 4)
     return DtTraces(h_value, dt.is_zero(), not partials[0], coincide)
 
 
-def _j_partial_trace(form4: KForm, j: Matrix) -> dict[tuple[int, int], Scalar]:
+def _j_partial_trace(form4: KForm, j: SparseMatrix) -> dict[tuple[int, int], Scalar]:
     """Nonzero entries P[(x, y)] = sum_a form4(e_a, J e_a, e_x, J e_y), built
     from the stored components of form4, each in every signed slot order,
     and the nonzeros of J."""
-    by_row = [[(y, v) for y, v in enumerate(row) if v] for row in j]
     out: dict[tuple[int, int], Scalar] = {}
     for idx, value in form4.comps.items():
         for order, sign in _ORDERINGS_4:
             a, r, x, m = (idx[o] for o in order)
-            if j[r][a] and by_row[m]:
-                f = sign * value * j[r][a]
-                for y, jmy in by_row[m]:
+            jra, row_m = j.get(r, {}).get(a), j.get(m)
+            if jra and row_m:
+                f = sign * value * jra
+                for y, jmy in row_m.items():
                     out[(x, y)] = out.get((x, y), 0) + f * jmy
     return {key: v for key, v in out.items() if v}
 
@@ -460,15 +378,8 @@ def hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) -> Obs
     skew = all(ric[x][y] == -ric[y][x] for x in range(dim) for y in range(dim))
     if not skew:
         flags.append("ricci not skew-symmetric")
-    else:
-        one_one = all(
-            _ric_j_pull(ric, h.j(s), x, y) == ric[x][y]
-            for s in (1, 2, 3)
-            for x in range(dim)
-            for y in range(dim)
-        )
-        if not one_one:
-            flags.append("ricci skew but not (1,1)")
+    elif any(pulled != ric for pulled in pkg.ric_j):
+        flags.append("ricci skew but not (1,1)")
     for s in (1, 2, 3):
         if not pkg.rho_s[s - 1].is_zero():
             flags.append(f"rho_{s} nonzero")

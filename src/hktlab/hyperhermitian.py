@@ -3,14 +3,15 @@
 Quaternion relations, Nijenhuis tensors, integrability, fundamental forms,
 torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
-structures. A structure holds J1, J2, J3 both dense (`j_ops`, read by
-`nijenhuis` and `j_twist`, whose output types follow J's entries) and
-sparse (`j_sparse`, built once, read by every cube pullback and bracket).
+structures. A structure holds J1, J2, J3 only as sparse matrices
+(`j_sparse`, no zero stored), built once where the structure is built;
+every reader here takes them in that format. `quaternionic_check`
+validates the dense rows of a wire document before a structure exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,12 +25,13 @@ from .linalg import (
     mat_mul,
     mat_scale,
     sparse_commutator,
-    sparse_matrix,
+    sparse_transpose,
     transpose,
 )
 from .tensors import (
     Cube,
     KForm,
+    bilinear_pullback,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -42,38 +44,30 @@ from .tensors import (
 
 @dataclass(frozen=True)
 class HyperhermitianStructure:
-    """A metric plus an ordered triple of anticommuting complex structures;
-    j_sparse holds the triple as sparse matrices."""
+    """A metric plus an ordered triple of anticommuting complex structures,
+    held as sparse matrices."""
 
     dim: int
-    j_ops: tuple[Matrix, Matrix, Matrix]
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
     metric: Matrix
-    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "j_sparse", tuple(map(sparse_matrix, self.j_ops)))
-
-    def j(self, s: int) -> Matrix:
-        """1-based accessor: j(1), j(2), j(3)."""
-        return self.j_ops[s - 1]
 
 
-def quaternionic_check(h: HyperhermitianStructure) -> list[str]:
-    """All quaternion-relation and compatibility violations, [] when clean."""
+def quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matrix) -> list[str]:
+    """All quaternion-relation and compatibility violations of the dense
+    J1, J2, J3 and metric, [] when clean."""
+    j1, j2, j3 = j_rows
     violations: list[str] = []
-    minus_id = mat_scale(identity(h.dim), -1)
-    for s in (1, 2, 3):
-        if not mat_eq(mat_mul(h.j(s), h.j(s)), minus_id):
+    minus_id = mat_scale(identity(len(metric)), -1)
+    for s, j in enumerate(j_rows, 1):
+        if not mat_eq(mat_mul(j, j), minus_id):
             violations.append(f"J{s}^2 != -identity")
-    j1j2 = mat_mul(h.j(1), h.j(2))
-    j2j1 = mat_mul(h.j(2), h.j(1))
-    if not mat_eq(j1j2, h.j(3)):
+    if not mat_eq(mat_mul(j1, j2), j3):
         violations.append("J1*J2 != J3")
-    if not mat_eq(j2j1, mat_scale(h.j(3), -1)):
+    if not mat_eq(mat_mul(j2, j1), mat_scale(j3, -1)):
         violations.append("J2*J1 != -J3")
-    for s in (1, 2, 3):
-        pulled = mat_mul(transpose(h.j(s)), mat_mul(h.metric, h.j(s)))
-        if not mat_eq(pulled, h.metric):
+    for s, j in enumerate(j_rows, 1):
+        pulled = mat_mul(transpose(j), mat_mul(metric, j))
+        if not mat_eq(pulled, metric):
             violations.append(f"metric not J{s}-invariant")
     return violations
 
@@ -84,10 +78,10 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     return all(not sparse_commutator(m, j) for j in h.j_sparse)
 
 
-def fundamental_form(metric: Matrix, j: Matrix) -> KForm:
+def fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
     """F(X, Y) = g(X, J Y) as a 2-form."""
-    dim = len(j)
-    gj = mat_mul(metric, j)
+    dim = len(metric)
+    gj = bilinear_pullback(lambda p, q: metric[p][q], None, j, dim)
     comps: dict[tuple[int, ...], Scalar] = {}
     for i in range(dim):
         if gj[i][i]:
@@ -100,7 +94,7 @@ def fundamental_form(metric: Matrix, j: Matrix) -> KForm:
     return KForm(dim, 2, comps)
 
 
-def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
+def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
     Returns the lowered cube n[(i, j, k)] (orthonormal frame) and its 3-form
@@ -108,7 +102,8 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
     built from the nonzero brackets and the nonzeros of J's columns.
     """
     dim = alg.dim
-    j_cols = [[(r, j[r][c]) for r in range(dim) if j[r][c]] for c in range(dim)]
+    columns = sparse_transpose(j)
+    j_cols = [list(columns.get(c, {}).items()) for c in range(dim)]
 
     def bracket(x: list[tuple[int, Scalar]], y: list[tuple[int, Scalar]]) -> dict[int, Scalar]:
         # entries that cancel stay, with their type, as in a dense sum
@@ -131,9 +126,10 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
         return out
 
     def fraction_in_product(w: dict[int, Scalar], r: int) -> bool:
-        # The dense (J w)[r] sums j[r][c] * w[c] over every c with w[c] != 0,
-        # zeros of J included: it is a Fraction when any factor there is.
-        return any(isinstance(wc, Fraction) or isinstance(j[r][c], Fraction) for c, wc in w.items() if wc)
+        # The dense (J w)[r] sums J[r][c] * w[c] over every c with w[c] != 0,
+        # zero J[r][c] included: it is a Fraction when any such factor is.
+        jr = j.get(r, {})
+        return any(isinstance(x, Fraction) for c, wc in w.items() if wc for x in (wc, jr.get(c)))
 
     cube: Cube = {}
     for a, b in combinations(range(dim), 2):
@@ -152,7 +148,7 @@ def nijenhuis(alg: LieAlgebra, j: Matrix) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube, dim)
 
 
-def kt_torsion(j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
+def kt_torsion(j: SparseMatrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
     T = J dF + N, valid exactly when N is totally skew.
     """
@@ -160,7 +156,7 @@ def kt_torsion(j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
 
 
 def _kt_torsion(
-    j: Matrix, h: HyperhermitianStructure, alg: LieAlgebra, n_form: KForm | None
+    j: SparseMatrix, h: HyperhermitianStructure, alg: LieAlgebra, n_form: KForm | None
 ) -> KForm:
     if n_form is None:
         raise ValueError(
@@ -185,12 +181,12 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     non-integrable J_s, or None). On success returns the common torsion and
     asserts integrability (a common torsion with nonvanishing Nijenhuis
     tensors is contradictory)."""
-    tensors = [nijenhuis(alg, h.j(s)) for s in (1, 2, 3)]
+    tensors = [nijenhuis(alg, j) for j in h.j_sparse]
     first_bad = next((s for s, (cube, _) in enumerate(tensors, 1) if cube), None)
     candidates: list[KForm] = []
     for s, (_, n_form) in enumerate(tensors, 1):
         try:
-            candidates.append(_kt_torsion(h.j(s), h, alg, n_form))
+            candidates.append(_kt_torsion(h.j_sparse[s - 1], h, alg, n_form))
         except ValueError as exc:
             return HktResult(ok=False, first_nonintegrable=first_bad, reason=f"J{s}: {exc}")
     base = candidates[0]

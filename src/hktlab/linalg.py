@@ -20,8 +20,9 @@ Every endomorphism the engine brackets or tests (the complex structures,
 the connection and curvature operators, the holonomy generators) uses the
 sparse matrix format {row: sparse row}, which stores no zero and no empty
 row, so `not m` is the zero test. `sparse_commutator` is its one product
-kernel, `sparse_subtract` its one linear update and `sparse_trace` its
-trace; `sparse_matrix` converts a dense `Matrix` once, at the boundary.
+kernel, `sparse_subtract` its one linear update, `sparse_trace` its
+trace and `sparse_transpose` its column view; `sparse_matrix` converts a
+dense `Matrix` once, at the boundary.
 """
 
 from __future__ import annotations
@@ -125,6 +126,15 @@ def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
 
 def sparse_trace(m: SparseMatrix) -> Scalar:
     return sum(row.get(i, 0) for i, row in m.items())
+
+
+def sparse_transpose(m: SparseMatrix) -> SparseMatrix:
+    """The columns of m as rows, each listing its entries in row order."""
+    out: SparseMatrix = {}
+    for i in sorted(m):
+        for j, x in m[i].items():
+            out.setdefault(j, {})[i] = x
+    return out
 
 
 def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:

@@ -7,11 +7,13 @@ Two independent construction routes:
 * a linear-system solver that imposes torsion-freeness on connections whose
   operators commute with all three complex structures; its rank certifies
   uniqueness. The commutant and the torsion-free equations are written as
-  sparse rows from the nonzeros of the J_s and of the commutant basis, and
-  the connection is assembled from the nonzero solution coefficients.
+  sparse rows from the nonzeros of the sparse J_s and of the commutant
+  basis, and the connection is assembled from the nonzero solution
+  coefficients.
 
-Plus the trace identities tying A to the Lee form, and their complex-frame
-refinement over a J1-adapted basis.
+Plus the trace identities tying A to the Lee form (the twisted ones are
+`tensors.j_trace` of A(X, ., .)), and their complex-frame refinement over
+a J1-adapted basis read off the columns of the sparse J1.
 """
 
 from __future__ import annotations
@@ -22,8 +24,17 @@ from fractions import Fraction
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
-from .linalg import LinAlgError, Matrix, Row, Vector, identity, nullspace, solve_unique
-from .tensors import Cube, KForm, cube_add, cube_pullback, cube_scale, form_to_cube
+from .linalg import (
+    LinAlgError,
+    Matrix,
+    Row,
+    Vector,
+    identity,
+    nullspace,
+    solve_unique,
+    sparse_transpose,
+)
+from .tensors import Cube, KForm, cube_add, cube_pullback, cube_scale, form_to_cube, j_trace
 
 
 def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
@@ -49,14 +60,12 @@ def commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
     """
     dim = h.dim
     rows: list[Row] = []
-    for s in (1, 2, 3):
-        j = h.j(s)
-        by_column = [[(r, j[r][q]) for r in range(dim) if j[r][q]] for q in range(dim)]
-        by_row = [[(r, x) for r, x in enumerate(j[p]) if x] for p in range(dim)]
+    for j in h.j_sparse:
+        columns = sparse_transpose(j)
         for p in range(dim):
             for q in range(dim):
-                row: Row = {p * dim + r: x for r, x in by_column[q]}
-                for r, x in by_row[p]:
+                row: Row = {p * dim + r: x for r, x in columns.get(q, {}).items()}
+                for r, x in j.get(p, {}).items():
                     row[r * dim + q] = row.get(r * dim + q, 0) - x
                 row = {col: x for col, x in row.items() if x}
                 if row:
@@ -188,12 +197,9 @@ def trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> Trace
         want = -2 * theta.evaluate((x,))
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")
-    for s in (1, 2, 3):
-        j = h.j(s)
+    for s, j in enumerate(h.j_sparse, 1):
         for x in range(dim):
-            twisted = sum(
-                a.get((x, i, m), 0) * j[m][i] for i in range(dim) for m in range(dim) if j[m][i]
-            )
+            twisted = j_trace(lambda i, m: a.get((x, i, m), 0), j)
             if twisted:
                 failures.append(f"J{s} trace at X=e{x}: {twisted} != 0")
     return TraceReport(ok=not failures, failures=tuple(failures))
@@ -215,15 +221,15 @@ def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
         raise UnsupportedInputError(
             "adapted frame requires the identity metric; rebase the input first"
         )
-    j1 = h.j(1)
+    j1_columns = sparse_transpose(h.j_sparse[0])
     basis = identity(dim)
     used = [False] * dim
     pairs: list[tuple[Vector, Vector]] = []
     for a in range(dim):
         if used[a]:
             continue
-        column = [j1[r][a] for r in range(dim)]
-        support = [(r, v) for r, v in enumerate(column) if v]
+        column = j1_columns.get(a, {})
+        support = list(column.items())
         if len(support) != 1 or support[0][1] not in (1, -1):
             raise UnsupportedInputError(
                 "frame not J1-adapted: J1 is not a signed basis permutation"
@@ -234,7 +240,7 @@ def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
                 "frame not J1-adapted: basis does not split into J1-pairs"
             )
         used[a] = used[target] = True
-        pairs.append((basis[a], column))
+        pairs.append((basis[a], [column.get(r, 0) for r in range(dim)]))
     return pairs
 
 

@@ -4,10 +4,14 @@ Everything lives over a fixed basis e_0 .. e_{dim-1} of a real vector space
 with dim <= 16. A KForm stores its components on strictly increasing index
 tuples; evaluation on arbitrary tuples unpacks the permutation sign.
 Endomorphisms and metrics are matrices with the column convention
-M[i][j] = coefficient of e_i in (M e_j); the slots of `cube_pullback` take
-them in the sparse `linalg.SparseMatrix` format ({row: {column: value}},
-no zero stored), as the complex structures and connection operators are
-held.
+M[i][j] = coefficient of e_i in (M e_j). Every complex structure J is held
+in the sparse `linalg.SparseMatrix` format ({row: {column: value}}, no
+zero stored), as are the connection operators; `j_twist`, the slots of
+`cube_pullback` and the two shared contractions of a bilinear form take
+that format. A bilinear form B is read through a callable b(x, y) =
+B(e_x, e_y): `bilinear_pullback` gives the matrix of B(M1 X, M2 Y) (for
+M1 = M2 = J, the pullback J^T B J) and `j_trace` the J-trace
+sum_{a,m} J[m][a] B(e_a, e_m), both summed over the nonzeros of J.
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
 tensors, connection coefficients) are kept as "cubes": dicts
@@ -23,13 +27,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from typing import Callable
 
 from .exact import Scalar, exact_sqrt
-from .linalg import Matrix, SparseMatrix, Vector, dot, mat_vec, vec_scale, vec_sub
+from .linalg import (
+    Matrix,
+    SparseMatrix,
+    Vector,
+    dot,
+    mat_vec,
+    sparse_transpose,
+    vec_scale,
+    vec_sub,
+)
 
 MAX_DIM = 16
 
 Cube = dict[tuple[int, int, int], Scalar]
+Bilinear = Callable[[int, int], Scalar]  # b(x, y) = B(e_x, e_y)
 
 
 def perm_sign(seq: tuple[int, ...]) -> int:
@@ -115,7 +130,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, comps)
 
 
-def j_twist(a: KForm, j: Matrix) -> KForm:
+def j_twist(a: KForm, j: SparseMatrix) -> KForm:
     """The 3-form (X,Y,Z) -> -a(JX, JY, JZ).
 
     Each stored component a_I is pushed through the nonzeros of the rows
@@ -123,23 +138,22 @@ def j_twist(a: KForm, j: Matrix) -> KForm:
     row, adds the signed product to the 3x3 minor det J[I][sorted cols].
     An output component sums a_I * minor over the nonzero minors. The
     value is that of the full minor expansion; its type is too: a minor
-    over a block of J holding a Fraction (a zero included) is a Fraction,
-    so such an output stays a Fraction even when its value is integral.
+    over a block of J holding a Fraction is a Fraction, so such an output
+    stays a Fraction even when its value is integral.
     """
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
-    rows = [[(c, x) for c, x in enumerate(row) if x] for row in j]
     fraction_cells = {
-        (r, c) for r, row in enumerate(j) for c, x in enumerate(row) if isinstance(x, Fraction)
+        (r, c) for r, row in j.items() for c, x in row.items() if isinstance(x, Fraction)
     }
     totals: dict[tuple[int, int, int], Scalar] = {}
     fraction_minor: set[tuple[int, int, int]] = set()
     for idx, v in a.comps.items():
-        i0, i1, i2 = idx
+        rows = [j.get(i, {}).items() for i in idx]
         minors: dict[tuple[int, int, int], Scalar] = {}
-        for c0, x0 in rows[i0]:
-            for c1, x1 in rows[i1]:
-                for c2, x2 in rows[i2]:
+        for c0, x0 in rows[0]:
+            for c1, x1 in rows[1]:
+                for c2, x2 in rows[2]:
                     sign = perm_sign((c0, c1, c2))
                     if sign:
                         out = tuple(sorted((c0, c1, c2)))
@@ -155,6 +169,33 @@ def j_twist(a: KForm, j: Matrix) -> KForm:
         if total:
             comps[out] = -(Fraction(total) if out in fraction_minor else total)
     return KForm(a.dim, 3, comps)
+
+
+def bilinear_pullback(
+    b: Bilinear, m1: SparseMatrix | None, m2: SparseMatrix | None, dim: int
+) -> Matrix:
+    """The matrix out[x][y] = B(M1 e_x, M2 e_y) for sparse M_s, None meaning
+    the identity: the sum of M1[p][x] * M2[q][y] * b(p, q) over the
+    nonzeros of column x of M1 and column y of M2 where b(p, q) is nonzero,
+    so its types are those of a dense product that skips zero factors."""
+
+    def columns(m: SparseMatrix | None) -> list[list[tuple[int, Scalar]]]:
+        if m is None:
+            return [[(x, 1)] for x in range(dim)]
+        cols = sparse_transpose(m)
+        return [list(cols.get(x, {}).items()) for x in range(dim)]
+
+    c1, c2 = columns(m1), columns(m2)
+    return [
+        [sum(u * v * w for p, u in c1[x] for q, v in c2[y] if (w := b(p, q))) for y in range(dim)]
+        for x in range(dim)
+    ]
+
+
+def j_trace(b: Bilinear, j: SparseMatrix) -> Scalar:
+    """sum_{a,m} J[m][a] * b(a, m) over every nonzero of J, zero values of b
+    included, so a Fraction entry of J makes the trace a Fraction."""
+    return sum(x * b(a, m) for m, row in j.items() for a, x in row.items())
 
 
 # |a|^2 sums over ALL index tuples of an orthonormal frame, not just the

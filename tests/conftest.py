@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from hktlab.analyze import analyze_entry
-from hktlab.catalog import CatalogEntry, builtin_by_name
+from hktlab.catalog import CatalogEntry, builtin_by_name, load
 from hktlab.hyperhermitian import hkt_check
 from hktlab.tensors import KForm
 
@@ -9,6 +11,19 @@ from hktlab.tensors import KForm
 @pytest.fixture(scope="session")
 def catalog() -> dict[str, CatalogEntry]:
     return builtin_by_name()
+
+
+@pytest.fixture(scope="session")
+def su3_path() -> Path:
+    """su(3) with Joyce's hypercomplex structure: HKT, with a non-flat Obata
+    connection whose holonomy is all of gl(2, H). A wire document under
+    tests/data, not a builtin."""
+    return Path(__file__).parent / "data" / "su3.json"
+
+
+@pytest.fixture(scope="session")
+def su3(su3_path) -> CatalogEntry:
+    return load(su3_path)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,9 @@ Everything here is written straight from the defining formulas with full
 permutation sums and explicit vector expansions, deliberately ignoring the
 sparsity tricks of the package under test. The dense matrix helpers and
 the test-only tensor functions that the sparse package no longer needs
-live here too, as the references the tests compare against.
+live here too, as the references the tests compare against. They read
+the complex structures as dense copies (`dense_js`) of a structure's
+sparse J's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
-from hktlab.curvature import DtTraces, RicciPackage
+from hktlab.curvature import CheckOutcome, DtTraces, LeeForm, ObstructionReport, RicciPackage
 from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure, fundamental_form
 from hktlab.invariant import (
@@ -43,7 +45,7 @@ from hktlab.linalg import (
     transpose,
     zeros,
 )
-from hktlab.obata import SolverCertificate
+from hktlab.obata import SolverCertificate, TraceReport
 from hktlab.tensors import (
     Cube,
     KForm,
@@ -126,9 +128,14 @@ def dense_operator(conn: Connection, i: int) -> Matrix:
     return op
 
 
+def dense_js(h: HyperhermitianStructure) -> tuple[Matrix, Matrix, Matrix]:
+    """Dense copies of the structure's sparse J1, J2, J3."""
+    return tuple(dense_matrix(j, h.dim) for j in h.j_sparse)
+
+
 def dense_glnh_membership(m: Matrix, h: HyperhermitianStructure) -> bool:
     """Quaternion-linearity of a dense matrix: commutes with J1, J2, J3."""
-    return all(is_zero_matrix(commutator(m, h.j(s))) for s in (1, 2, 3))
+    return all(is_zero_matrix(commutator(m, j)) for j in dense_js(h))
 
 
 def dense_is_g_skew(m: Matrix) -> bool:
@@ -155,14 +162,14 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
 
 
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
-    return tuple(fundamental_form(h.metric, h.j(s)) for s in (1, 2, 3))
+    return tuple(fundamental_form(h.metric, j) for j in h.j_sparse)
 
 
-def p_minus(a: KForm, j: Matrix) -> KForm:
-    """Projection of a 3-form onto its (3,0)+(0,3) part for J:
+def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
+    """Projection of a 3-form onto its (3,0)+(0,3) part for a sparse J:
     (1/4)[a(X,Y,Z) - a(JX,JY,Z) - a(JX,Y,JZ) - a(X,JY,JZ)].
     """
-    c, sj = form_to_cube(a), sparse_matrix(j)
+    c = form_to_cube(a)
     mixed = cube_add(
         cube_add(cube_pullback(c, sj, sj, None), cube_pullback(c, sj, None, sj)),
         cube_pullback(c, None, sj, sj),
@@ -188,7 +195,7 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
 
     Input and output are lowered cubes over the orthonormal frame.
     """
-    j1, j2, j3 = h.j(1), h.j(2), h.j(3)
+    j1, j2, j3 = dense_js(h)
     s1, s2, s3 = h.j_sparse
     terms = [
         t_cube,
@@ -595,8 +602,8 @@ def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> Ricci
                 rho_comps[(x, y)] = v
     rho = KForm(dim, 2, rho_comps)
     rho_s_forms = []
-    for s in (1, 2, 3):
-        j = h.j(s)
+    js = dense_js(h)
+    for j in js:
         comps: dict[tuple[int, ...], Scalar] = {}
         for x in range(dim):
             for y in range(x + 1, dim):
@@ -611,10 +618,12 @@ def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> Ricci
         rho_s_forms.append(KForm(dim, 2, comps))
     scal = sum(ric[a][a] for a in range(dim))
     scal_s = tuple(
-        sum(h.j(s)[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if h.j(s)[m][a])
-        for s in (1, 2, 3)
+        sum(j[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if j[m][a]) for j in js
     )
-    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s)
+    ric_j = tuple(
+        [[_ric_j_pull(ric, j, x, y) for y in range(dim)] for x in range(dim)] for j in js
+    )
+    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s, ric_j)
 
 
 def naive_double_j_trace(form4: KForm, j: Matrix) -> Scalar:
@@ -670,8 +679,7 @@ def naive_commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
     entry of each commutator, solved with naive_nullspace."""
     dim = h.dim
     rows: list[Vector] = []
-    for s in (1, 2, 3):
-        j = h.j(s)
+    for j in dense_js(h):
         for p in range(dim):
             for q in range(dim):
                 row: Vector = [0] * (dim * dim)
@@ -742,8 +750,7 @@ def naive_dt_traces(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> Dt
     dim = h.dim
     dt = ce_differential(alg, t)
     partials: list[Matrix] = []
-    for s in (1, 2, 3):
-        j = h.j(s)
+    for j in dense_js(h):
         p = [[0] * dim for _ in range(dim)]
         for x in range(dim):
             for y in range(dim):
@@ -763,6 +770,244 @@ def naive_dt_traces(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> Dt
     h_value = Fraction(-sum(partials[0][x][x] for x in range(dim)), 4)
     almost = all(not v for row in partials[0] for v in row)
     return DtTraces(h_value, dt.is_zero(), almost, coincide)
+
+
+# ---------------------------------------------------------------------------
+# the dense J-contractions of the identity suites, read off dense copies of J
+
+def _ric_j_pull(ric: Matrix, j: Matrix, x: int, y: int) -> Scalar:
+    """Ric(J X, J Y) on basis vectors."""
+    return sum(
+        j[p][x] * j[q][y] * ric[p][q]
+        for p in range(len(ric))
+        if j[p][x]
+        for q in range(len(ric))
+        if j[q][y]
+    )
+
+
+def naive_lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
+    """theta(X) = -1/2 sum_a T(J_s X, e_a, J_s e_a), required to agree for
+    s = 1, 2, 3. Classification is at the invariant level, where exactness
+    of a 1-form means vanishing.
+    """
+    dim = h.dim
+    ct = form_to_cube(t)
+    candidates: list[list[Scalar]] = []
+    for s in (1, 2, 3):
+        j = dense_js(h)[s - 1]
+        # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a]
+        contracted = [
+            sum(ct.get((r, a, m), 0) * j[m][a] for a in range(dim) for m in range(dim) if j[m][a])
+            for r in range(dim)
+        ]
+        theta_s = [
+            Fraction(-sum(j[r][x] * contracted[r] for r in range(dim) if j[r][x]), 2)
+            for x in range(dim)
+        ]
+        candidates.append(theta_s)
+    if not (candidates[0] == candidates[1] == candidates[2]):
+        raise ValueError("not HKT torsion: the three Lee form candidates differ")
+    theta = KForm(dim, 1, {(x,): v for x, v in enumerate(candidates[0]) if v})
+    d_theta = ce_differential(alg, theta)
+    if theta.is_zero():
+        classification = "balanced"
+    elif d_theta.is_zero():
+        classification = "closed_nonzero"
+    else:
+        classification = "nonclosed"
+    return LeeForm(theta, d_theta, classification)
+
+
+def naive_obata_identity_suite(
+    pkg: RicciPackage, lee: LeeForm, h: HyperhermitianStructure
+) -> dict[str, CheckOutcome]:
+    """Exact identity suite tying the torsion-free hypercomplex connection's
+    Ricci data to the Lee form. Keys are stable descriptive ids.
+    """
+    dim = h.dim
+    ric, rho, rho_s = pkg.ric, pkg.rho, pkg.rho_s
+    d_theta = lee.d_theta
+    suite: dict[str, CheckOutcome] = {}
+
+    def first_fail(predicate) -> tuple | None:
+        for args in predicate():
+            return args
+        return None
+
+    def ricci_j_conjugation():
+        for s in (1, 2, 3):
+            j = dense_js(h)[s - 1]
+            for x in range(dim):
+                for y in range(dim):
+                    lhs = _ric_j_pull(ric, j, x, y) + ric[y][x]
+                    rhs = 2 * sum(j[p][x] * rho_s[s - 1].evaluate((p, y)) for p in range(dim) if j[p][x])
+                    if lhs != rhs:
+                        yield (s, x, y)
+
+    suite["ricci-j-conjugation"] = CheckOutcome(
+        (ce := first_fail(ricci_j_conjugation)) is None, ce
+    )
+
+    def ricci_antisym_rho():
+        for x in range(dim):
+            for y in range(dim):
+                if ric[x][y] - ric[y][x] != -rho.evaluate((x, y)):
+                    yield (x, y)
+
+    suite["ricci-antisymmetry-vs-rho"] = CheckOutcome(
+        (ce := first_fail(ricci_antisym_rho)) is None, ce
+    )
+
+    def ricci_equals_d_lee():
+        for x in range(dim):
+            for y in range(dim):
+                if ric[x][y] != d_theta.evaluate((x, y)):
+                    yield (x, y)
+
+    suite["ricci-equals-d-lee"] = CheckOutcome(
+        (ce := first_fail(ricci_equals_d_lee)) is None, ce
+    )
+
+    def rho_minus_2_d_lee():
+        for x in range(dim):
+            for y in range(dim):
+                if rho.evaluate((x, y)) != -2 * d_theta.evaluate((x, y)):
+                    yield (x, y)
+
+    suite["rho-equals-minus-2-d-lee"] = CheckOutcome(
+        (ce := first_fail(rho_minus_2_d_lee)) is None, ce
+    )
+
+    def rho_s_vanish():
+        for s in (1, 2, 3):
+            if not rho_s[s - 1].is_zero():
+                yield (s,)
+
+    suite["rho-s-vanish"] = CheckOutcome((ce := first_fail(rho_s_vanish)) is None, ce)
+
+    def d_lee_j_invariant():
+        for s in (1, 2, 3):
+            j = dense_js(h)[s - 1]
+            for x in range(dim):
+                for y in range(x + 1, dim):
+                    pulled = sum(
+                        j[p][x] * j[q][y] * d_theta.evaluate((p, q))
+                        for p in range(dim)
+                        if j[p][x]
+                        for q in range(dim)
+                        if j[q][y]
+                    )
+                    if pulled != d_theta.evaluate((x, y)):
+                        yield (s, x, y)
+
+    suite["d-lee-j-invariant"] = CheckOutcome(
+        (ce := first_fail(d_lee_j_invariant)) is None, ce
+    )
+
+    def ricci_j_invariant():
+        for s in (1, 2, 3):
+            j = dense_js(h)[s - 1]
+            for x in range(dim):
+                for y in range(dim):
+                    if _ric_j_pull(ric, j, x, y) != ric[x][y]:
+                        yield (s, x, y)
+
+    suite["ricci-j-invariant"] = CheckOutcome(
+        (ce := first_fail(ricci_j_invariant)) is None, ce
+    )
+
+    def scalars_vanish():
+        if pkg.scal:
+            yield ("scal", pkg.scal)
+        for s in (1, 2, 3):
+            if pkg.scal_s[s - 1]:
+                yield (f"scal_{s}", pkg.scal_s[s - 1])
+
+    suite["scalars-vanish"] = CheckOutcome((ce := first_fail(scalars_vanish)) is None, ce)
+
+    def d_lee_trace_free():
+        for s in (1, 2, 3):
+            j = dense_js(h)[s - 1]
+            total = sum(
+                j[m][a] * d_theta.evaluate((a, m))
+                for a in range(dim)
+                for m in range(dim)
+                if j[m][a]
+            )
+            if total:
+                yield (s, total)
+
+    suite["d-lee-trace-free"] = CheckOutcome(
+        (ce := first_fail(d_lee_trace_free)) is None, ce
+    )
+    return suite
+
+
+def naive_hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) -> ObstructionReport:
+    """Necessary conditions on the torsion-free connection's Ricci data for
+    a compatible HKT metric to exist. Any failure rules HKT out; passing
+    everything remains inconclusive.
+    """
+    dim = h.dim
+    flags: list[str] = []
+    ric = pkg.ric
+    skew = all(ric[x][y] == -ric[y][x] for x in range(dim) for y in range(dim))
+    if not skew:
+        flags.append("ricci not skew-symmetric")
+    else:
+        one_one = all(
+            _ric_j_pull(ric, dense_js(h)[s - 1], x, y) == ric[x][y]
+            for s in (1, 2, 3)
+            for x in range(dim)
+            for y in range(dim)
+        )
+        if not one_one:
+            flags.append("ricci skew but not (1,1)")
+    for s in (1, 2, 3):
+        if not pkg.rho_s[s - 1].is_zero():
+            flags.append(f"rho_{s} nonzero")
+    if pkg.scal or any(pkg.scal_s):
+        flags.append("scalar curvature nonzero")
+    verdict = "no compatible HKT metric" if flags else "inconclusive"
+    return ObstructionReport(tuple(flags), verdict)
+
+
+def naive_star_traces(pkg: RicciPackage, h: HyperhermitianStructure) -> list[Scalar]:
+    """The three J_s-traces of rho_s that star_scalar compares, summed densely."""
+    dim = h.dim
+    stars = []
+    for s in (1, 2, 3):
+        j = dense_js(h)[s - 1]
+        stars.append(
+            sum(
+                j[m][a] * pkg.rho_s[s - 1].evaluate((m, a))
+                for a in range(dim)
+                for m in range(dim)
+                if j[m][a]
+            )
+        )
+    return stars
+
+
+def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
+    """sum_a A(X, e_a, e_a) = -2 theta(X) and sum_a A(X, e_a, J_s e_a) = 0."""
+    dim = h.dim
+    failures: list[str] = []
+    for x in range(dim):
+        plain = sum(a.get((x, i, i), 0) for i in range(dim))
+        want = -2 * theta.evaluate((x,))
+        if plain != want:
+            failures.append(f"plain trace at X=e{x}: {plain} != {want}")
+    for s in (1, 2, 3):
+        j = dense_js(h)[s - 1]
+        for x in range(dim):
+            twisted = sum(
+                a.get((x, i, m), 0) * j[m][i] for i in range(dim) for m in range(dim) if j[m][i]
+            )
+            if twisted:
+                failures.append(f"J{s} trace at X=e{x}: {twisted} != 0")
+    return TraceReport(ok=not failures, failures=tuple(failures))
 
 
 def _block_diag(a: list[list], b: list[list]) -> list[list]:

@@ -168,6 +168,13 @@ def test_analysis_stays_off_dense_operators(calls, cat):
     assert calls["dense_matrix"] == 0
 
 
+@pytest.mark.parametrize("name", ["hopf8", "nil8", "hc_only8"])
+def test_analysis_reads_only_sparse_complex_structures(calls, cat, name):
+    # the fundamental forms and every J-contraction read the sparse J's
+    analyze_entry(cat[name])
+    assert calls["mat_mul"] == 0
+
+
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8", "nil8"])
 def test_hkt_check_stays_off_dense_mat_vec(calls, cat, name):
     entry = cat[name]

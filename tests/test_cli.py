@@ -9,9 +9,9 @@ from hktlab import cli
 from hktlab.catalog import CatalogEntry, builtin_by_name, load, save, serialize
 from hktlab.hyperhermitian import HyperhermitianStructure
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import identity, invert, mat_mul, transpose
+from hktlab.linalg import identity, invert, mat_mul, sparse_matrix, transpose
 
-from oracle_impl import ALL_NAMES, mat_sub
+from oracle_impl import ALL_NAMES, dense_js, mat_sub
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -68,6 +68,27 @@ def test_exported_entry_reloads_to_golden(capsys, tmp_path, name):
     rc, out, err = run(capsys, "analyze", str(path), "--format", "json")
     assert rc == 0 and err == ""
     assert without_elapsed(out) == golden_text(name)
+
+
+def test_su3_analysis_matches_golden(capsys, su3_path):
+    rc, out, err = run(capsys, "analyze", str(su3_path), "--format", "json")
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert isinstance(report.pop("elapsed_ms"), int)
+    golden = json.loads((GOLDEN_DIR / "su3.json").read_text(encoding="utf-8"))
+    golden.pop("elapsed_ms")
+    assert report == golden
+    assert without_elapsed(out) == golden_text("su3")
+    # the one input whose torsion-free connection is not flat
+    assert report["obata"]["flat"] is False
+
+
+def test_su3_round_trip_reproduces_golden(capsys, tmp_path, su3):
+    path = tmp_path / "su3.json"
+    save(su3, path)
+    rc, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert rc == 0 and err == ""
+    assert without_elapsed(out) == golden_text("su3")
 
 
 def test_analyze_all_json(capsys):
@@ -280,7 +301,7 @@ def test_analyze_unsupported_frame_is_input_error(capsys, tmp_path, cat):
     q_t = transpose(q)
     hopf4 = cat["hopf4"]
     lie = rebase_algebra(hopf4.lie, q_t, q_t)
-    j_ops = tuple(mat_mul(q_t, mat_mul(j, q)) for j in hopf4.structure.j_ops)
+    j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(hopf4.structure))
     entry = CatalogEntry(
         "hopf4_cayley", "hopf4 in a rotated basis", 1, 4, lie,
         HyperhermitianStructure(4, j_ops, eye), {},

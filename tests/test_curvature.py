@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.curvature import (
+    LeeForm,
+    RicciPackage,
     _double_j_trace,
     chern_norm_check,
     curvature_relation_check,
@@ -26,9 +28,9 @@ from hktlab.invariant import (
     curvature_operators,
     levi_civita,
 )
-from hktlab.linalg import is_zero_matrix
+from hktlab.linalg import is_zero_matrix, mat_mul, transpose
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, norm_sq
+from hktlab.tensors import KForm, bilinear_pullback, cube_add, cube_scale, form_to_cube, norm_sq
 
 from oracle_impl import (
     ALL_NAMES,
@@ -36,12 +38,17 @@ from oracle_impl import (
     basis_form,
     dense_cube,
     dense_curvature,
+    dense_js,
     direct_sum_entry,
     naive_covariant_derivative,
     naive_curvature_relation,
     naive_double_j_trace,
     naive_dt_traces,
+    naive_hkt_obstruction_report,
+    naive_lee_form,
+    naive_obata_identity_suite,
     naive_ricci_package,
+    naive_star_traces,
 )
 
 # frozen scalar table: (|T|^2, |theta|^2, delta_theta, dT double trace, star scalar)
@@ -219,9 +226,9 @@ four_forms = st.dictionaries(
 @settings(max_examples=40)
 def test_double_j_trace_on_random_forms_matches_dense_oracle(cat, name, comps):
     form4 = KForm(8, 4, comps)
-    for s in (1, 2, 3):
-        j = cat[name].structure.j(s)
-        got, want = _double_j_trace(form4, j), naive_double_j_trace(form4, j)
+    h = cat[name].structure
+    for j, dense in zip(h.j_sparse, dense_js(h)):
+        got, want = _double_j_trace(form4, j), naive_double_j_trace(form4, dense)
         assert (got, type(got)) == (want, type(want))
 
 
@@ -292,7 +299,6 @@ def test_curvature_relation_on_all_hkt(cat, torsions):
             difference_tensor(t, entry.structure),
             form_to_cube(t),
             skew,
-            entry.lie,
         )
         assert outcome.ok, (name, outcome.counterexample)
 
@@ -310,7 +316,6 @@ def test_curvature_relation_detects_corruption(cat, torsions):
         wrong,
         form_to_cube(t),
         skew,
-        entry.lie,
     )
     assert not outcome.ok
     assert outcome.counterexample is not None
@@ -347,10 +352,11 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
             row[3] = row.get(3, 0) + 1
         else:
             t_cube = cube_add(t_cube, {(0, 1, 2): 1})
-        rest = (a, t_cube, skew, entry.lie)
+        rest = (a, t_cube, skew)
         outcome = curvature_relation_check(r_skew, r_ob, *rest)
         dense = (dense_curvature(r_skew, entry.dim), dense_curvature(r_ob, entry.dim))
-        assert (outcome.ok, outcome.counterexample) == naive_curvature_relation(*dense, *rest), name
+        want = naive_curvature_relation(*dense, *rest, entry.lie)
+        assert (outcome.ok, outcome.counterexample) == want, name
         # on the torus entries A = 0, so only the curvature corruption shows
         assert outcome.ok == (name.startswith("torus") and corruption != "r_ob_entry"), name
         if corruption == "r_ob_entry":
@@ -387,6 +393,7 @@ def test_obstruction_report_flags_fabricated_data(cat):
         rho_s=pkg.rho_s,
         scal=4,
         scal_s=pkg.scal_s,
+        ric_j=pkg.ric_j,
     )
     rep = hkt_obstruction_report(fake, entry.structure)
     assert "ricci not skew-symmetric" in rep.flags
@@ -417,3 +424,117 @@ def test_detector_consistent_on_catalog(cat, torsions):
         )
         assert rep.consistent, name
         assert rep.verdict != "THEOREM VIOLATION", name
+
+
+# ---------------------------------------------------------------------------
+# the sparse-J readers against their dense oracles, on random nonzero data:
+# every builtin's torsion-free Ricci data is zero, so these are the checks
+# that see the J-pullbacks and J-traces of nonzero forms
+
+STRUCTURES = ALL_NAMES + ("su3",)
+
+nonzero = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+)
+
+
+@pytest.fixture(scope="module")
+def structures(cat, su3):
+    return {**cat, "su3": su3}
+
+
+def random_two_form(data, dim):
+    pairs = st.sampled_from(list(combinations(range(dim), 2)))
+    return KForm(dim, 2, data.draw(st.dictionaries(pairs, nonzero, max_size=dim)))
+
+
+def random_bilinear(data, h, shape):
+    """A sparse random matrix, made skew and then J-invariant (summed with
+    its pullbacks by J1, J2, J3) as `shape` asks."""
+    dim = h.dim
+    index = st.integers(0, dim - 1)
+    cells = data.draw(st.dictionaries(st.tuples(index, index), nonzero, max_size=dim))
+    b = [[cells.get((x, y), 0) for y in range(dim)] for x in range(dim)]
+    if shape in ("skew", "one_one"):
+        b = [[b[x][y] - b[y][x] for y in range(dim)] for x in range(dim)]
+    if shape == "one_one":
+        pulls = [mat_mul(transpose(j), mat_mul(b, j)) for j in dense_js(h)]
+        b = [[b[x][y] + sum(p[x][y] for p in pulls) for y in range(dim)] for x in range(dim)]
+    return b
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, data):
+    h = structures[name].structure
+    dim = h.dim
+    shapes = st.sampled_from(["random", "skew", "one_one"])
+    ric = random_bilinear(data, h, data.draw(shapes))
+    d_theta_matrix = random_bilinear(data, h, data.draw(st.sampled_from(["skew", "one_one"])))
+    d_theta = KForm(
+        dim, 2, {(x, y): d_theta_matrix[x][y] for x, y in combinations(range(dim), 2)}
+    )
+    if data.draw(st.booleans()):
+        # Ric = d(theta) reaches the checks past ricci-equals-d-lee
+        ric = [[d_theta.evaluate((x, y)) for y in range(dim)] for x in range(dim)]
+    scalar = st.one_of(st.just(0), nonzero)
+    pkg = RicciPackage(
+        ric,
+        random_two_form(data, dim),
+        tuple(random_two_form(data, dim) for _ in range(3)),
+        data.draw(scalar),
+        tuple(data.draw(scalar) for _ in range(3)),
+        tuple(bilinear_pullback(lambda p, q: ric[p][q], j, j, dim) for j in h.j_sparse),
+    )
+    theta = KForm(dim, 1, data.draw(st.dictionaries(st.tuples(st.integers(0, dim - 1)), nonzero)))
+    lee = LeeForm(theta, d_theta, "nonclosed")
+    assert repr(obata_identity_suite(pkg, lee, h)) == repr(naive_obata_identity_suite(pkg, lee, h))
+    assert repr(hkt_obstruction_report(pkg, h)) == repr(naive_hkt_obstruction_report(pkg, h))
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_star_traces_match_dense_oracle(structures, name, data):
+    # random, usually non-metric connections give nonzero rho_s
+    entry = structures[name]
+    h, dim = entry.structure, entry.dim
+    index = st.integers(0, dim - 1)
+    cells = data.draw(st.dictionaries(st.tuples(index, index, index), nonzero, max_size=dim))
+    conn = Connection(dim, cells)
+    curvature = curvature_operators(conn, entry.lie)
+    zero = LeeForm(KForm(dim, 1), KForm(dim, 2), "balanced")
+    report = star_scalar(curvature, h, KForm(dim, 3), zero, conn, KForm(dim, 4))
+    want = naive_star_traces(ricci_package(curvature, h), h)
+    coincide = report.checks["star-scalars-coincide"]
+    assert repr(report.value) == repr(want[0])
+    assert repr(coincide.counterexample) == repr(None if coincide.ok else tuple(want))
+    assert coincide.ok == (want[0] == want[1] == want[2])
+
+
+@pytest.mark.parametrize("name", STRUCTURES)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_lee_form_matches_dense_oracle(structures, name, data):
+    entry = structures[name]
+    dim = entry.dim
+    triples = st.sampled_from(list(combinations(range(dim), 3)))
+    t = KForm(dim, 3, data.draw(st.dictionaries(triples, nonzero, max_size=dim)))
+    try:
+        want = repr(naive_lee_form(t, entry.structure, entry.lie))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            lee_form(t, entry.structure, entry.lie)
+    else:
+        assert repr(lee_form(t, entry.structure, entry.lie)) == want
+
+
+def test_lee_form_matches_dense_oracle_on_hkt_torsions(structures, tmp_path):
+    entries = [structures[name] for name in HKT_NAMES + ("su3",)]
+    entries.append(direct_sum_entry(structures["su3"], structures["hopf4"], tmp_path))
+    for entry in entries:
+        t = hkt_check(entry.structure, entry.lie).torsion
+        got = lee_form(t, entry.structure, entry.lie)
+        assert repr(got) == repr(naive_lee_form(t, entry.structure, entry.lie)), entry.name

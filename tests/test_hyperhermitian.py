@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hktlab.catalog import builtin_by_name
 from hktlab.hyperhermitian import (
     MIXED_TRIPLES,
-    HyperhermitianStructure,
     bismut_connection,
     fundamental_form,
     glnh_membership,
@@ -19,7 +18,7 @@ from hktlab.hyperhermitian import (
     type_check_12_21,
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
-from hktlab.linalg import identity
+from hktlab.linalg import identity, sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -33,6 +32,7 @@ from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
     dense_glnh_membership,
+    dense_js,
     dense_matrix,
     direct_sum_entry,
     form_scale,
@@ -52,13 +52,13 @@ def cat():
 
 def test_quaternionic_check_clean(cat):
     for entry in cat.values():
-        assert quaternionic_check(entry.structure) == []
+        assert quaternionic_check(dense_js(entry.structure), entry.structure.metric) == []
 
 
 def test_quaternionic_check_reports_violations(cat):
     h = cat["torus4"].structure
-    broken = HyperhermitianStructure(4, (identity(4), h.j(2), h.j(3)), h.metric)
-    issues = quaternionic_check(broken)
+    _, j2, j3 = dense_js(h)
+    issues = quaternionic_check((identity(4), j2, j3), h.metric)
     assert "J1^2 != -identity" in issues
     assert any("J1*J2" in msg for msg in issues)
 
@@ -66,8 +66,8 @@ def test_quaternionic_check_reports_violations(cat):
 def test_quaternionic_check_metric_compatibility(cat):
     h = cat["torus4"].structure
     bad_metric = [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]]
-    broken = HyperhermitianStructure(4, h.j_ops, bad_metric)
-    assert any("not J" in msg and "invariant" in msg for msg in quaternionic_check(broken))
+    issues = quaternionic_check(dense_js(h), bad_metric)
+    assert any("not J" in msg and "invariant" in msg for msg in issues)
 
 
 def test_fundamental_forms_hopf4(cat):
@@ -81,8 +81,8 @@ def test_fundamental_forms_hopf4(cat):
 def test_nijenhuis_vanishes_on_catalog(cat):
     for name in HKT_NAMES + ("hc_only8",):
         entry = cat[name]
-        for s in (1, 2, 3):
-            cube, form = nijenhuis(entry.lie, entry.structure.j(s))
+        for j in entry.structure.j_sparse:
+            cube, form = nijenhuis(entry.lie, j)
             assert cube == {}
             assert form is not None and form.is_zero()
         assert hkt_check(entry.structure, entry.lie).first_nonintegrable is None
@@ -114,7 +114,7 @@ def swap_structure():
 
 def test_nijenhuis_against_naive():
     alg, j = swap_structure()
-    cube, form = nijenhuis(alg, j)
+    cube, form = nijenhuis(alg, sparse_matrix(j))
     assert form is not None and not form.is_zero()
     for a in range(8):
         for b in range(8):
@@ -126,6 +126,7 @@ def test_nijenhuis_against_naive():
 def test_nijenhuis_normalization_pin():
     # j_twist(P^-(dF), J) = -(3/4) N fixes the factor-1 Nijenhuis convention
     alg, j = swap_structure()
+    j = sparse_matrix(j)
     _, n_form = nijenhuis(alg, j)
     f = fundamental_form(identity(8), j)
     minus_part = p_minus(ce_differential(alg, f), j)
@@ -136,20 +137,21 @@ def test_p_minus_projects_out_mixed_part(cat):
     h = cat["hopf4"].structure
     res = hkt_check(h, cat["hopf4"].lie)
     # an HKT torsion is of mixed type for each complex structure
-    for s in (1, 2, 3):
-        assert p_minus(res.torsion, h.j(s)).is_zero()
+    for j in h.j_sparse:
+        assert p_minus(res.torsion, j).is_zero()
 
 
 def test_kt_torsion_requires_skew_nijenhuis():
     heis = LieAlgebra(4, {(1, 2): {3: 1}})
     h = builtin_by_name()["torus4"].structure
     assert hkt_check(h, heis).first_nonintegrable == 1
+    j1, j2, j3 = h.j_sparse
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(h.j(1), h, heis)
+        kt_torsion(j1, h, heis)
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(h.j(2), h, heis)
+        kt_torsion(j2, h, heis)
     # the third complex structure happens to be integrable here
-    cube, form = nijenhuis(heis, h.j(3))
+    cube, form = nijenhuis(heis, j3)
     assert cube == {}
 
 
@@ -209,8 +211,8 @@ def test_preserves_endomorphism_matches_dense_oracle(cat):
             want = dense_glnh_membership(dense_matrix(op, entry.dim), h)
             assert glnh_membership(op, h) == want, (name, i)
         got = all(glnh_membership(op, h) for op in conn.operators)
-        for s in (1, 2, 3):
-            assert got == naive_preserves_endomorphism(conn, h.j(s)), name
+        for j in dense_js(h):
+            assert got == naive_preserves_endomorphism(conn, j), name
             # only on the abelian tori is the Levi-Civita connection flat
             assert got == name.startswith("torus"), name
 
@@ -255,13 +257,13 @@ def test_mixed_family_orientation_pin(cat, torsions):
 
 
 def assert_hkt_tensors_match_dense_oracle(alg, h):
-    """nijenhuis and the j_twist of each dF against the dense oracles; repr
-    compares int/Fraction types and the key order as well as values."""
-    for s in (1, 2, 3):
-        j = h.j(s)
-        assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
+    """nijenhuis and the j_twist of each dF, read from the sparse J, against
+    the dense oracles on its dense copy; repr compares int/Fraction types and
+    the key order as well as values."""
+    for j, dense in zip(h.j_sparse, dense_js(h)):
+        assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, dense))
         df = ce_differential(alg, fundamental_form(h.metric, j))
-        assert repr(j_twist(df, j)) == repr(naive_j_twist(df, j))
+        assert repr(j_twist(df, j)) == repr(naive_j_twist(df, dense))
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -278,9 +280,10 @@ def test_hkt_tensors_match_dense_oracle_on_sums(cat, tmp_path, first, second):
 
 def test_swap_structure_tensors_match_dense_oracle():
     alg, j = swap_structure()
-    assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
-    df = ce_differential(alg, fundamental_form(identity(8), j))
-    assert repr(j_twist(df, j)) == repr(naive_j_twist(df, j))
+    sj = sparse_matrix(j)
+    assert repr(nijenhuis(alg, sj)) == repr(naive_nijenhuis(alg, j))
+    df = ce_differential(alg, fundamental_form(identity(8), sj))
+    assert repr(j_twist(df, sj)) == repr(naive_j_twist(df, j))
 
 
 # Mostly zeros, int and Fraction ones, so that a dense sum over a row can
@@ -306,6 +309,9 @@ def rational_inputs(draw):
 @given(rational_inputs())
 @settings(max_examples=80, deadline=None)
 def test_hkt_tensors_match_dense_oracle_on_rational_j(inputs):
+    # The sparse J stores no zero, so a Fraction(0) cell of J no longer makes
+    # an output a Fraction: the oracle reads the same J with its zeros as 0.
     alg, j, form = inputs
-    assert repr(nijenhuis(alg, j)) == repr(naive_nijenhuis(alg, j))
-    assert repr(j_twist(form, j)) == repr(naive_j_twist(form, j))
+    sj, dense = sparse_matrix(j), [[x or 0 for x in row] for row in j]
+    assert repr(nijenhuis(alg, sj)) == repr(naive_nijenhuis(alg, dense))
+    assert repr(j_twist(form, sj)) == repr(naive_j_twist(form, dense))

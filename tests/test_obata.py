@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
 from hktlab.hyperhermitian import bismut_connection, glnh_membership, nijenhuis
@@ -16,16 +18,18 @@ from hktlab.obata import (
 )
 from hktlab.curvature import lee_form
 from hktlab.linalg import mat_vec
-from hktlab.tensors import cube_add, form_to_cube
+from hktlab.tensors import KForm, cube_add, form_to_cube
 
 from oracle_impl import (
     HKT_NAMES,
     ALL_NAMES,
+    dense_js,
     difference_tensor_invariance,
     direct_sum_entry,
     form_scale,
     naive_commutant_basis,
     naive_obata_oracle_solver,
+    naive_trace_identities,
     obata_b_tensor,
 )
 
@@ -50,8 +54,7 @@ def test_commutant_basis_matches_dense_oracle(cat):
 def test_commutant_members_commute(cat):
     h = cat["hopf4"].structure
     for m in commutant_basis(h):
-        for s in (1, 2, 3):
-            j = h.j(s)
+        for j in dense_js(h):
             mj = [mat_vec(m, [j[r][c] for r in range(4)]) for c in range(4)]
             jm = [mat_vec(j, [m[r][c] for r in range(4)]) for c in range(4)]
             assert mj == jm
@@ -133,7 +136,7 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
         alg, h = entry.lie, entry.structure
         t = torsions.get(name)
         solved, _ = obata_oracle_solver(h, alg)
-        cubes = [nijenhuis(alg, h.j(s))[0] for s in (1, 2, 3)]
+        cubes = [nijenhuis(alg, j)[0] for j in h.j_sparse]
         cubes += [c.gamma for c in (levi_civita(alg), solved, obata_connection(h, alg, t))]
         if t is not None:
             skew = bismut_connection(t, levi_civita(alg))
@@ -198,13 +201,29 @@ def test_adapted_frame_pairs(cat):
     pairs = adapted_frame(h)
     assert len(pairs) == 2
     for f, jf in pairs:
-        assert mat_vec(h.j(1), f) == [Fraction(x) for x in jf]
+        assert mat_vec(dense_js(h)[0], f) == [Fraction(x) for x in jf]
 
 
 def test_adapted_frame_requires_identity_metric(cat):
     from hktlab.hyperhermitian import HyperhermitianStructure
 
     h = cat["torus4"].structure
-    scaled = HyperhermitianStructure(4, h.j_ops, [[4 * (i == j) for j in range(4)] for i in range(4)])
+    scaled = HyperhermitianStructure(4, h.j_sparse, [[4 * (i == j) for j in range(4)] for i in range(4)])
     with pytest.raises(ValueError, match="identity metric"):
         adapted_frame(scaled)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("su3",))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_trace_identities_match_dense_oracle(cat, su3, name, data):
+    # random cubes and Lee forms: the twisted traces are J-traces of A(X, ., .)
+    h = su3.structure if name == "su3" else cat[name].structure
+    index = st.integers(0, h.dim - 1)
+    values = st.one_of(
+        st.integers(-2, 2).filter(bool),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+    )
+    a = data.draw(st.dictionaries(st.tuples(index, index, index), values, max_size=2 * h.dim))
+    theta = KForm(h.dim, 1, data.draw(st.dictionaries(st.tuples(index), values, max_size=2)))
+    assert repr(trace_identities(a, h, theta)) == repr(naive_trace_identities(a, h, theta))

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.linalg import sparse_matrix
+from hktlab.linalg import mat_mul, sparse_matrix, transpose
 from hktlab.tensors import (
     KForm,
+    bilinear_pullback,
     cube_add,
     cube_pullback,
     cube_scale,
     cube_to_form,
     form_add,
     form_to_cube,
+    j_trace,
     j_twist,
     norm_sq,
     norm_weight,
@@ -179,7 +181,7 @@ def test_j_twist_known():
 
     h = builtin_by_name()["hopf4"].structure
     a = basis_form(4, (0, 2, 3), 2)
-    tw = j_twist(a, h.j(1))
+    tw = j_twist(a, h.j_sparse[0])
     # J1: e0 -> -e1, e2 -> e3, e3 -> -e2; -a(J e1, J e2, J e3) = -a(e0, e3, -e2)
     assert tw.evaluate((1, 2, 3)) == -a.evaluate((0, 3, 2)) * -1
 
@@ -206,3 +208,32 @@ def test_orthonormal_frame_irrational():
 def test_orthonormal_frame_not_positive():
     with pytest.raises(ValueError, match="positive-definite"):
         orthonormal_frame([[1, 0], [0, -1]])
+
+
+mixed_cells = st.sampled_from([0, 0, 0, Fraction(0), 1, -1, 2, Fraction(1), Fraction(-1, 2)])
+
+
+@st.composite
+def square_triples(draw):
+    n = draw(st.integers(2, 5))
+    square = st.lists(st.lists(mixed_cells, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square), draw(square)
+
+
+@given(square_triples())
+@settings(max_examples=60)
+def test_bilinear_contractions_match_dense_sums(matrices):
+    # values of M1^T B M2; with an identity slot the types of the dense
+    # product too, which skips zero factors; the J-trace sums over the
+    # nonzeros of J, zero values of B included
+    b, m1, m2 = matrices
+    dim = len(b)
+
+    def b_of(p, q):
+        return b[p][q]
+
+    got = bilinear_pullback(b_of, sparse_matrix(m1), sparse_matrix(m2), dim)
+    assert got == mat_mul(transpose(m1), mat_mul(b, m2))
+    assert repr(bilinear_pullback(b_of, None, sparse_matrix(m2), dim)) == repr(mat_mul(b, m2))
+    want = sum(m1[m][a] * b[a][m] for a in range(dim) for m in range(dim) if m1[m][a])
+    assert repr(j_trace(b_of, sparse_matrix(m1))) == repr(want)
