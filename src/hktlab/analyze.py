@@ -239,7 +239,8 @@ def _identity_stage(
     suite = obata_identity_suite(tf.ricci, lee, h)
     r_b = curvature_operators(skew, alg)
     curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew)
-    star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, tor.dt)
+    dtt = dt_traces(tor.dt, h)
+    star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
     type_res = type_check_12_21(t, h)
     type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
     trace_res = trace_identities(a_cube, h, lee.theta)
@@ -281,7 +282,6 @@ def _identity_stage(
         if not flag:
             violations.append(f"identity failed: {label}")
 
-    dtt = dt_traces(tor.dt, h)
     report["dt_traces"] = {
         "h": _jsonify(Fraction(dtt.h_value)),
         "strong": dtt.strong,

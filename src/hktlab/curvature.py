@@ -8,9 +8,12 @@ J's of the structure: the J-traces (the scalar traces of Ric and of the
 rho_s, the Lee form, the J-trace of d(theta)) go through
 `tensors.j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
 `tensors.bilinear_pullback`, each Ric pullback built once per J in the
-`RicciPackage` and read by both the identity suite and the obstruction
-report. Identity checks return outcome records carrying the first
-counterexample so reports can point at exact basis tuples.
+`RicciPackage`, on first read: only the torsion-free connection's are
+read, by both the identity suite and the obstruction report. The double
+J1-trace of dT that the *-scalar identities use is -4h, the diagonal sum
+of the J1 partial trace in `dt_traces`. Identity checks return outcome
+records carrying the first counterexample so reports can point at exact
+basis tuples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .exact import Scalar
@@ -55,14 +59,20 @@ class CheckOutcome:
 @dataclass(frozen=True)
 class RicciPackage:
     """All Ricci-type traces of one curvature tensor, and the pullbacks
-    ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read."""
+    ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read, built from
+    the sparse J's on first read."""
 
     ric: Matrix
     rho: KForm
     rho_s: tuple[KForm, KForm, KForm]
     scal: Scalar
     scal_s: tuple[Scalar, Scalar, Scalar]
-    ric_j: tuple[Matrix, Matrix, Matrix]
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
+
+    @cached_property
+    def ric_j(self) -> tuple[Matrix, Matrix, Matrix]:
+        ric, dim = self.ric, len(self.ric)
+        return tuple(bilinear_pullback(lambda p, q: ric[p][q], j, j, dim) for j in self.j_sparse)
 
 
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
@@ -91,9 +101,8 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
                 forms[s][(i, j)] = Fraction(total, 2) if s else total
     scal = sum(ric[a][a] for a in range(dim))
     scal_s = tuple(j_trace(lambda a, m: ric[m][a], jm) for jm in h.j_sparse)
-    ric_j = tuple(bilinear_pullback(lambda p, q: ric[p][q], jm, jm, dim) for jm in h.j_sparse)
     rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
-    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s, ric_j)
+    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s, h.j_sparse)
 
 
 def _bilinear(form: KForm) -> Bilinear:
@@ -237,19 +246,6 @@ def curvature_relation_check(
 _ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4)))
 
 
-def _double_j_trace(form4: KForm, j: SparseMatrix) -> Scalar:
-    """sum_{a,b} form4(e_a, J e_a, e_b, J e_b), from the stored components of
-    form4, each in every signed slot order, and the nonzeros of J."""
-    total: Scalar = 0
-    for idx, value in form4.comps.items():
-        for order, sign in _ORDERINGS_4:
-            a, r, b, m = (idx[o] for o in order)
-            x, y = j.get(r, {}).get(a), j.get(m, {}).get(b)
-            if x and y:
-                total += x * y * sign * value
-    return total
-
-
 @dataclass(frozen=True)
 class StarScalarReport:
     value: Scalar
@@ -263,10 +259,11 @@ def star_scalar(
     t: KForm,
     lee: LeeForm,
     lc: Connection,
-    dt: KForm,
+    dtt: DtTraces,
 ) -> StarScalarReport:
     """The *-scalar curvature of the Levi-Civita connection and the exact
-    scalar identities tying it to torsion, dT and Lee-form data.
+    scalar identities tying it to torsion, dT and Lee-form data. The double
+    trace sum_{a,b} dT(e_a, J1 e_a, e_b, J1 e_b) is -4h, read off `dtt`.
     """
     pkg = ricci_package(lc_curvature, h)
     # sum_a rho_s(J_s e_a, e_a)
@@ -274,7 +271,7 @@ def star_scalar(
         j_trace(lambda a, m, rho=rho: rho.evaluate((m, a)), j)
         for rho, j in zip(pkg.rho_s, h.j_sparse)
     ]
-    double_trace = _double_j_trace(dt, h.j_sparse[0])
+    double_trace = -4 * dtt.h_value
     delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)

@@ -6,8 +6,11 @@ brackets with the connection operators only (Kostant's description of the
 holonomy algebra of an invariant connection); rank growth is tracked
 exactly by a `RowSpan` over the flattened entries. The closure works on
 sparse matrices ({row: {column: value}}, no zero stored) with the one
-kernel `linalg.sparse_commutator`, and the generators come back in that
-format for the membership tests: quaternion-linear
+kernel `linalg.sparse_commutator`, on integer-scaled copies, so the
+brackets and the rank growth run on Python ints; a nonzero integer factor
+leaves the span unchanged. The generators are divided by their scales once,
+at return, and come back in the sparse format for the membership tests:
+quaternion-linear
 (`hyperhermitian.glnh_membership`, commutes with the sparse J1, J2, J3),
 metric-skew, and additionally real-trace-free for the special quaternionic
 algebra.
@@ -16,6 +19,8 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, glnh_membership
@@ -29,12 +34,28 @@ class HolonomyAlgebra:
     dim: int
 
 
+def _integer_scaled(m: SparseMatrix) -> tuple[SparseMatrix, int]:
+    """(s * m, s), with s the lcm of the denominators of m; s * m holds ints."""
+    s = lcm(*[x.denominator for row in m.values() for x in row.values()])
+    scaled = {
+        i: {j: x.numerator * (s // x.denominator) for j, x in row.items()} for i, row in m.items()
+    }
+    return scaled, s
+
+
 def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     """Smallest space h containing the curvature operators and closed under
     commutators with the connection operators L_k; `curvature` must be
     `curvature_operators(conn, alg)`. Each basis element is bracketed once
     with each L_k, `dim * hol_dim` commutators in all, and the generators
     come back in the order they entered the basis.
+
+    The closure runs on integer-scaled copies: s_k * L_k and sigma * R for
+    each seed R, with s_k and sigma the lcm of that matrix's denominators,
+    and [s_k * L_k, sigma * m] enters with scale s_k * sigma. The L_k are
+    scaled only once a nonzero seed has entered the basis, so a flat
+    connection does not scale them. Each generator is divided by its scale at
+    return: int entries at scale 1, Fractions otherwise.
 
     h is closed under its own commutators too: for A in h the Jacobi
     identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
@@ -43,23 +64,28 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     element of h from a seed gives [h, h] in h.
     """
     n = conn.dim
-    ops = conn.operators
     span = RowSpan(n * n)
-    basis: list[SparseMatrix] = []
-    queue: list[SparseMatrix] = []
+    basis: list[tuple[SparseMatrix, int]] = []  # (scale * generator, scale)
+    queue: list[tuple[SparseMatrix, int]] = []
 
-    def offer(m: SparseMatrix) -> None:
+    def offer(m: SparseMatrix, scale: int) -> None:
         if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
-            basis.append(m)
-            queue.append(m)
+            basis.append((m, scale))
+            queue.append((m, scale))
 
     for seed in curvature.values():
-        offer(seed)
+        offer(*_integer_scaled(seed))
+    ops = [_integer_scaled(op) for op in conn.operators] if queue else []
     while queue:
-        current = queue.pop()
-        for op in ops:
-            offer(sparse_commutator(op, current))
-    return HolonomyAlgebra(tuple(basis), span.rank)
+        current, scale = queue.pop()
+        for op, s in ops:
+            offer(sparse_commutator(op, current), s * scale)
+    generators = tuple(
+        m if scale == 1
+        else {i: {j: Fraction(x, scale) for j, x in row.items()} for i, row in m.items()}
+        for m, scale in basis
+    )
+    return HolonomyAlgebra(generators, span.rank)
 
 
 def is_g_skew(m: SparseMatrix) -> bool:
@@ -95,7 +121,7 @@ def slnh_membership(
         if tr:
             all_tf = False
             if first is None:
-                first = (idx, "nonzero trace", tr)
+                first = (idx, "nonzero trace", Fraction(tr))
     ok = all_ql and all_tf
     return ok, SlCertificate(len(hol.generators), all_ql, all_tf, first)
 

@@ -66,20 +66,6 @@ def _bracket(alg: LieAlgebra, i: int, j: int) -> dict[int, Scalar]:
     return {k: -v for k, v in alg.brackets.get((j, i), {}).items()}
 
 
-def bracket_vectors(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the bracket to coordinate vectors."""
-    out: Vector = [0] * alg.dim
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj or i == j:
-                continue
-            for k, v in (alg.brackets.get((i, j), {}) if i < j else alg.brackets.get((j, i), {})).items():
-                out[k] += xi * yj * (v if i < j else -v)
-    return out
-
-
 def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:
     """First Jacobi violation as ((i,j,k), defect vector), or None when valid.
 
@@ -258,12 +244,18 @@ def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> L
     """Structure constants in a new frame f_a = sum_i frame[a][i] e_i.
 
     frame_inv is the inverse of the matrix whose columns are the frame
-    vectors; it converts old coordinates to new ones.
+    vectors; it converts old coordinates to new ones. [f_a, f_b] is summed
+    in old coordinates from the nonzero frame entries and the stored brackets.
     """
     dim = alg.dim
     brackets: BracketTable = {}
     for a, b in combinations(range(dim), 2):
-        vec = bracket_vectors(alg, frame[a], frame[b])
+        vec: Vector = [0] * dim
+        for i, x in enumerate(frame[a]):
+            for j, y in enumerate(frame[b]):
+                if x and y:
+                    for k, v in _bracket(alg, i, j).items():
+                        vec[k] += x * y * v
         if not any(vec):
             continue
         new = [sum(frame_inv[c][i] * vec[i] for i in range(dim) if vec[i]) for c in range(dim)]

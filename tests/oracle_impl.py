@@ -19,7 +19,14 @@ from pathlib import Path
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
-from hktlab.curvature import CheckOutcome, DtTraces, LeeForm, ObstructionReport, RicciPackage
+from hktlab.curvature import (
+    _ORDERINGS_4,
+    CheckOutcome,
+    DtTraces,
+    LeeForm,
+    ObstructionReport,
+    RicciPackage,
+)
 from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure, fundamental_form
 from hktlab.invariant import (
@@ -27,7 +34,6 @@ from hktlab.invariant import (
     Curvature,
     CurvatureTensor,
     LieAlgebra,
-    bracket_vectors,
     ce_differential,
 )
 from hktlab.linalg import (
@@ -41,6 +47,7 @@ from hktlab.linalg import (
     is_zero_matrix,
     mat_mul,
     mat_vec,
+    sparse_commutator,
     sparse_matrix,
     transpose,
     zeros,
@@ -141,6 +148,20 @@ def dense_glnh_membership(m: Matrix, h: HyperhermitianStructure) -> bool:
 def dense_is_g_skew(m: Matrix) -> bool:
     n = len(m)
     return all(m[i][j] == -m[j][i] for i in range(n) for j in range(i, n))
+
+
+def bracket_vectors(alg: LieAlgebra, x: Vector, y: Vector) -> Vector:
+    """Bilinear extension of the bracket to coordinate vectors."""
+    out: Vector = [0] * alg.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj or i == j:
+                continue
+            for k, v in (alg.brackets.get((i, j), {}) if i < j else alg.brackets.get((j, i), {})).items():
+                out[k] += xi * yj * (v if i < j else -v)
+    return out
 
 
 def structure_constant(alg: LieAlgebra, i: int, j: int, k: int) -> Scalar:
@@ -447,6 +468,29 @@ def naive_holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra
     return HolonomyAlgebra(tuple(basis), span.rank)
 
 
+def fraction_holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
+    """The sparse closure on the operators' own entries, Fractions included:
+    each basis element bracketed once with each connection operator."""
+    n = conn.dim
+    ops = conn.operators
+    span = RowSpan(n * n)
+    basis: list[SparseMatrix] = []
+    queue: list[SparseMatrix] = []
+
+    def offer(m: SparseMatrix) -> None:
+        if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
+            basis.append(m)
+            queue.append(m)
+
+    for seed in curvature.values():
+        offer(seed)
+    while queue:
+        current = queue.pop()
+        for op in ops:
+            offer(sparse_commutator(op, current))
+    return HolonomyAlgebra(tuple(basis), span.rank)
+
+
 def naive_preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
     """[L_i, m] = 0 for every dense connection operator L_i."""
     return all(is_zero_matrix(commutator(op, m)) for op in naive_connection_operators(conn))
@@ -620,10 +664,15 @@ def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> Ricci
     scal_s = tuple(
         sum(j[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if j[m][a]) for j in js
     )
-    ric_j = tuple(
-        [[_ric_j_pull(ric, j, x, y) for y in range(dim)] for x in range(dim)] for j in js
+    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s, h.j_sparse)
+
+
+def naive_ric_j(ric: Matrix, h: HyperhermitianStructure) -> tuple[Matrix, Matrix, Matrix]:
+    """Ric(J_s ., J_s .) for s = 1, 2, 3, one dense sum per entry."""
+    dim = len(ric)
+    return tuple(
+        [[_ric_j_pull(ric, j, x, y) for y in range(dim)] for x in range(dim)] for j in dense_js(h)
     )
-    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s, ric_j)
 
 
 def naive_double_j_trace(form4: KForm, j: Matrix) -> Scalar:
@@ -640,6 +689,19 @@ def naive_double_j_trace(form4: KForm, j: Matrix) -> Scalar:
                         v = form4.evaluate((a, r, b, m))
                         if v:
                             total += j[r][a] * j[m][b] * v
+    return total
+
+
+def double_j_trace(form4: KForm, j: SparseMatrix) -> Scalar:
+    """sum_{a,b} form4(e_a, J e_a, e_b, J e_b), from the stored components of
+    form4, each in every signed slot order, and the nonzeros of J."""
+    total: Scalar = 0
+    for idx, value in form4.comps.items():
+        for order, sign in _ORDERINGS_4:
+            a, r, b, m = (idx[o] for o in order)
+            x, y = j.get(r, {}).get(a), j.get(m, {}).get(b)
+            if x and y:
+                total += x * y * sign * value
     return total
 
 

@@ -245,9 +245,8 @@ def test_criterion_06_scalar_identities(bundles):
         assert star == delta + theta_sq - Fraction(t_sq, 12), name
         assert star == Fraction(doubles[0], 8) + Fraction(t_sq, 12), name
 
-        engine = star_scalar(
-            curvature_operators(lc, entry.lie), h, t, b.lee, lc, ce_differential(entry.lie, t)
-        )
+        dtt = dt_traces(ce_differential(entry.lie, t), h)
+        engine = star_scalar(curvature_operators(lc, entry.lie), h, t, b.lee, lc, dtt)
         assert engine.value == star, name
         assert all(c.ok for c in engine.checks.values()), name
 
@@ -301,15 +300,15 @@ def test_criterion_09_hyperkahler_detector(bundles):
         b = bundles[name]
         lc = levi_civita(b.entry.lie)
         dt = ce_differential(b.entry.lie, b.torsion)
+        traces = dt_traces(dt, b.entry.structure)
         star = star_scalar(
             curvature_operators(lc, b.entry.lie),
             b.entry.structure,
             b.torsion,
             b.lee,
             lc,
-            dt,
+            traces,
         )
-        traces = dt_traces(dt, b.entry.structure)
         theta_zero = b.lee.theta.is_zero()
         torsion_zero = b.torsion.is_zero()
         if theta_zero and (traces.h_value == 0 or star.value == 0 or traces.almost_strong):

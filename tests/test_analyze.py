@@ -40,6 +40,9 @@ COUNTED = (
     "dense_matrix",
     "sparse_commutator",
     "sparse_matrix",
+    "bilinear_pullback",
+    "_double_j_trace",
+    "_j_partial_trace",
 )
 
 
@@ -94,6 +97,13 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["curvature_operators"] == 3
     assert calls["curvature_tensor"] == 0
     assert calls["ce_differential"] == 5
+    # Ric(J., J.) only for the torsion-free connection, whose package the
+    # identity suite and the obstruction report read (3), beside the suite's
+    # rho_s(J., .) and d(theta)(J., J.) (6) and the three fundamental forms (3)
+    assert calls["bilinear_pullback"] == 12
+    # the double J1-trace of dT is read off the J1 partial trace
+    assert calls["_double_j_trace"] == 0
+    assert calls["_j_partial_trace"] == 3
 
 
 def test_non_hkt_analysis_skips_levi_civita(calls, cat):

@@ -210,6 +210,42 @@ def test_holonomy_levicivita_hopf4(capsys):
     assert "holonomy dimension: 3" in out
 
 
+SU3_HOLONOMY = {
+    "obata": (
+        "connection: obata\n"
+        "generators: 16\n"
+        "holonomy dimension: 16\n"
+        "metric-skew: False\n"
+        "quaternion-linear: True\n"
+        "special quaternionic: False\n"
+        "certificate: generators=16 quaternion_linear=True trace_free=False"
+        " first_violation=(0, 'nonzero trace', Fraction(2, 1))\n"
+    ),
+    "levicivita": (
+        "connection: levicivita\n"
+        "generators: 28\n"
+        "holonomy dimension: 28\n"
+        "metric-skew: True\n"
+        "quaternion-linear: False\n"
+    ),
+    "bismut": (
+        "connection: bismut\n"
+        "generators: 1\n"
+        "holonomy dimension: 1\n"
+        "metric-skew: True\n"
+        "quaternion-linear: True\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("connection", sorted(SU3_HOLONOMY))
+def test_holonomy_su3_output(capsys, su3_path, connection):
+    # the Obata holonomy of su3 is gl(2, H): its first generator has real
+    # trace 2, which the certificate reports as a Fraction
+    rc, out, err = run(capsys, "holonomy", str(su3_path), "--connection", connection)
+    assert (rc, out, err) == (0, SU3_HOLONOMY[connection], "")
+
+
 def test_holonomy_bismut_rejected_without_common_torsion(capsys):
     rc, out, err = run(capsys, "holonomy", "--builtin", "hc_only8", "--connection", "bismut")
     assert rc == 1

@@ -9,7 +9,6 @@ from hktlab.catalog import builtin_by_name
 from hktlab.curvature import (
     LeeForm,
     RicciPackage,
-    _double_j_trace,
     chern_norm_check,
     curvature_relation_check,
     dt_traces,
@@ -30,7 +29,7 @@ from hktlab.invariant import (
 )
 from hktlab.linalg import is_zero_matrix, mat_mul, transpose
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import KForm, bilinear_pullback, cube_add, cube_scale, form_to_cube, norm_sq
+from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, norm_sq
 
 from oracle_impl import (
     ALL_NAMES,
@@ -40,6 +39,7 @@ from oracle_impl import (
     dense_curvature,
     dense_js,
     direct_sum_entry,
+    double_j_trace,
     naive_covariant_derivative,
     naive_curvature_relation,
     naive_double_j_trace,
@@ -47,6 +47,7 @@ from oracle_impl import (
     naive_hkt_obstruction_report,
     naive_lee_form,
     naive_obata_identity_suite,
+    naive_ric_j,
     naive_ricci_package,
     naive_star_traces,
 )
@@ -99,7 +100,9 @@ def test_ricci_package_matches_dense_oracle(cat, torsions, tmp_path):
         for label, conn in conns.items():
             curvature = curvature_operators(conn, alg)
             want = naive_ricci_package(dense_curvature(curvature, entry.dim), h)
-            assert ricci_package(curvature, h) == want, (entry.name, label)
+            got = ricci_package(curvature, h)
+            assert got == want, (entry.name, label)
+            assert got.ric_j == naive_ric_j(want.ric, h), (entry.name, label)
 
 
 @given(st.sampled_from(["torus4", "hopf4", "nil8"]), st.data())
@@ -118,7 +121,9 @@ def test_ricci_package_on_random_connections_matches_dense_oracle(cat, name, dat
     conn = Connection(entry.dim, {idx: v for idx, v in cells.items() if v})
     curvature = curvature_operators(conn, entry.lie)
     want = naive_ricci_package(dense_curvature(curvature, entry.dim), entry.structure)
-    assert ricci_package(curvature, entry.structure) == want
+    got = ricci_package(curvature, entry.structure)
+    assert got == want
+    assert got.ric_j == naive_ric_j(want.ric, entry.structure)
 
 
 def test_lee_form_values(cat, torsions):
@@ -150,7 +155,8 @@ def test_scalar_table(cat, torsions):
         lee = lee_form(t, entry.structure, entry.lie)
         lc = levi_civita(entry.lie)
         dt = ce_differential(entry.lie, t)
-        rep = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dt)
+        dtt = dt_traces(dt, entry.structure)
+        rep = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dtt)
         assert norm_sq(t) == t_sq, name
         assert norm_sq(lee.theta) == theta_sq, name
         assert rep.components["delta_theta"] == delta, name
@@ -199,6 +205,17 @@ def test_dt_traces_matches_dense_oracle(cat, torsions, tmp_path):
         assert got == naive_dt_traces(t, entry.structure, entry.lie), entry.name
 
 
+def test_dt_double_trace_is_minus_four_h(cat, torsions, su3, tmp_path):
+    # star_scalar reads the double J1-trace of dT off dt_traces as -4h
+    cases = [(cat[name], torsions[name]) for name in HKT_NAMES]
+    nil12 = direct_sum_entry(cat["nil8"], cat["hopf4"], tmp_path)
+    for entry in (su3, nil12):
+        cases.append((entry, hkt_check(entry.structure, entry.lie).torsion))
+    for entry, t in cases:
+        dt, h = ce_differential(entry.lie, t), entry.structure
+        assert double_j_trace(dt, h.j_sparse[0]) == -4 * dt_traces(dt, h).h_value, entry.name
+
+
 three_forms = st.dictionaries(
     st.sampled_from(list(combinations(range(8), 3))),
     st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
@@ -212,7 +229,9 @@ def test_dt_traces_on_random_forms_matches_dense_oracle(cat, name, comps):
     entry = cat[name]
     t = KForm(8, 3, comps)
     dt = ce_differential(entry.lie, t)
-    assert dt_traces(dt, entry.structure) == naive_dt_traces(t, entry.structure, entry.lie)
+    got = dt_traces(dt, entry.structure)
+    assert got == naive_dt_traces(t, entry.structure, entry.lie)
+    assert double_j_trace(dt, entry.structure.j_sparse[0]) == -4 * got.h_value
 
 
 four_forms = st.dictionaries(
@@ -228,7 +247,7 @@ def test_double_j_trace_on_random_forms_matches_dense_oracle(cat, name, comps):
     form4 = KForm(8, 4, comps)
     h = cat[name].structure
     for j, dense in zip(h.j_sparse, dense_js(h)):
-        got, want = _double_j_trace(form4, j), naive_double_j_trace(form4, dense)
+        got, want = double_j_trace(form4, j), naive_double_j_trace(form4, dense)
         assert (got, type(got)) == (want, type(want))
 
 
@@ -393,7 +412,7 @@ def test_obstruction_report_flags_fabricated_data(cat):
         rho_s=pkg.rho_s,
         scal=4,
         scal_s=pkg.scal_s,
-        ric_j=pkg.ric_j,
+        j_sparse=pkg.j_sparse,
     )
     rep = hkt_obstruction_report(fake, entry.structure)
     assert "ricci not skew-symmetric" in rep.flags
@@ -417,8 +436,8 @@ def test_detector_consistent_on_catalog(cat, torsions):
         lee = lee_form(t, entry.structure, entry.lie)
         lc = levi_civita(entry.lie)
         dt = ce_differential(entry.lie, t)
-        star = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dt)
         traces = dt_traces(dt, entry.structure)
+        star = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, traces)
         rep = hyperkahler_detector(
             lee.theta.is_zero(), traces.h_value, star.value, traces.almost_strong, t.is_zero()
         )
@@ -486,7 +505,7 @@ def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, da
         tuple(random_two_form(data, dim) for _ in range(3)),
         data.draw(scalar),
         tuple(data.draw(scalar) for _ in range(3)),
-        tuple(bilinear_pullback(lambda p, q: ric[p][q], j, j, dim) for j in h.j_sparse),
+        h.j_sparse,
     )
     theta = KForm(dim, 1, data.draw(st.dictionaries(st.tuples(st.integers(0, dim - 1)), nonzero)))
     lee = LeeForm(theta, d_theta, "nonclosed")
@@ -506,7 +525,7 @@ def test_star_traces_match_dense_oracle(structures, name, data):
     conn = Connection(dim, cells)
     curvature = curvature_operators(conn, entry.lie)
     zero = LeeForm(KForm(dim, 1), KForm(dim, 2), "balanced")
-    report = star_scalar(curvature, h, KForm(dim, 3), zero, conn, KForm(dim, 4))
+    report = star_scalar(curvature, h, KForm(dim, 3), zero, conn, dt_traces(KForm(dim, 4), h))
     want = naive_star_traces(ricci_package(curvature, h), h)
     coincide = report.checks["star-scalars-coincide"]
     assert repr(report.value) == repr(want[0])

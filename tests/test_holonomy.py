@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hktlab import holonomy
 from hktlab.catalog import builtin_by_name
 from hktlab.holonomy import (
     HOPF_CAVEAT_TEXT,
@@ -15,7 +16,7 @@ from hktlab.holonomy import (
 )
 from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
-from hktlab.linalg import RowSpan, identity, sparse_matrix, sparse_trace
+from hktlab.linalg import RowSpan, identity, sparse_commutator, sparse_matrix, sparse_trace
 from hktlab.obata import obata_connection
 
 from oracle_impl import (
@@ -26,6 +27,7 @@ from oracle_impl import (
     dense_is_g_skew,
     dense_matrix,
     direct_sum_entry,
+    fraction_holonomy_algebra,
     naive_curvature_operators,
     naive_flatten,
     naive_holonomy_algebra,
@@ -165,15 +167,34 @@ def random_connections(draw):
 @given(random_connections())
 @example((Connection(3, {(0, 1, 0): 1, (2, 0, 1): 1, (2, 2, 0): 1}), LieAlgebra(3)))
 @example((Connection(4, {(0, 0, 1): 1, (0, 3, 0): 1, (1, 0, 3): 1}), LieAlgebra(4)))
+@example(
+    (
+        Connection(4, {(0, 0, 1): Fraction(2, 5), (0, 3, 0): 1, (1, 0, 3): Fraction(-3, 5)}),
+        LieAlgebra(4),
+    )
+)
+@example(
+    (
+        Connection(
+            3, {(0, 1, 0): Fraction(1, 6), (2, 0, 1): Fraction(3, 2), (2, 2, 0): Fraction(-2, 3)}
+        ),
+        LieAlgebra(3, {(0, 1): {2: 1}}),
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_holonomy_matches_dense_oracle_on_random_connections(case):
     # the closure brackets with the connection operators only and the
     # oracle with every basis element too, so the bases may differ; the
-    # spans may not. The examples are connections on which skipping
-    # [current, b], for a b popped before current entered the basis, loses
-    # a generator of the oracle's closure.
+    # spans may not. The first two examples are connections on which
+    # skipping [current, b], for a b popped before current entered the
+    # basis, loses a generator of the oracle's closure; the last two have
+    # denominators 5 and 6, so the integer-scaled closure carries scales
+    # other than powers of 2 and 3. The generators equal, in order, those of
+    # the closure on the operators' own Fraction entries.
     conn, alg = case
-    got = holonomy_algebra(conn, curvature_operators(conn, alg))
+    curvature = curvature_operators(conn, alg)
+    got = holonomy_algebra(conn, curvature)
+    assert got.generators == fraction_holonomy_algebra(conn, curvature).generators
     want = naive_holonomy_algebra(conn, alg)
     assert got.dim == want.dim
     assert len(got.generators) == got.dim
@@ -189,6 +210,32 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
         assert is_g_skew(g) == dense_is_g_skew(dense)
         tr = sparse_trace(g)
         assert (tr, type(tr)) == (trace(dense), type(trace(dense)))
+
+
+def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
+    # the closure brackets integer-scaled copies of the operators and of the
+    # basis elements: no Fraction reaches the commutator kernel, even where
+    # the connection's own entries are halves (and 3/2 on su3)
+    seen = []
+
+    def recording(a, b):
+        seen.append(a)
+        seen.append(b)
+        return sparse_commutator(a, b)
+
+    monkeypatch.setattr(holonomy, "sparse_commutator", recording)
+    nil8, h = cat["nil8"].lie, su3.structure
+    cases = [
+        ("nil8 levicivita", levi_civita(nil8), nil8),
+        ("su3 obata", obata_connection(h, su3.lie, hkt_check(h, su3.lie).torsion), su3.lie),
+    ]
+    for name, conn, alg in cases:
+        entries = [x for op in conn.operators for row in op.values() for x in row.values()]
+        assert any(type(x) is Fraction for x in entries), name
+        seen.clear()
+        assert holonomy_algebra(conn, curvature_operators(conn, alg)).dim, name
+        assert seen, name
+        assert all(type(x) is int for m in seen for row in m.values() for x in row.values()), name
 
 
 def test_glnh_membership_units(cat):
@@ -252,6 +299,8 @@ def test_slnh_certificate_traceful_generator(cat):
     assert cert.all_quaternion_linear
     assert not cert.all_trace_free
     assert cert.first_violation == (0, "nonzero trace", 4)
+    # an int generator's trace is reported as a Fraction too
+    assert repr(cert.first_violation) == "(0, 'nonzero trace', Fraction(4, 1))"
 
 
 def test_slnh_certificate_non_quaternion_linear(cat):

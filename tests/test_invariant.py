@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hktlab.invariant import (
     Connection,
     LieAlgebra,
-    bracket_vectors,
     ce_differential,
     curvature_operators,
     curvature_tensor,
@@ -25,6 +24,7 @@ from hktlab.tensors import KForm, wedge, form_add
 
 from oracle_impl import (
     basis_form,
+    bracket_vectors,
     dense_matrix,
     direct_sum_entry,
     form_scale,
