@@ -5,11 +5,9 @@ Two independent construction routes:
 * from the skew-torsion connection of an HKT structure via the explicit
   difference tensor A built out of the torsion, and
 * a linear-system solver that imposes torsion-freeness on connections whose
-  operators commute with all three complex structures; its rank certifies
-  uniqueness. The commutant and the torsion-free equations are written as
-  sparse rows from the nonzeros of the sparse J_s and of the commutant
-  basis, and the connection is assembled from the nonzero solution
-  coefficients.
+  operators lie in the commutant of the complex structures (an integer
+  sparse-matrix basis); its rank certifies uniqueness. The equations are
+  integer sparse rows read off the basis nonzeros.
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
 `tensors.j_trace` of A(X, ., .)), and their complex-frame refinement over
@@ -20,14 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import (
     LinAlgError,
-    Matrix,
     Row,
+    SparseMatrix,
     Vector,
     identity,
     nullspace,
@@ -52,28 +51,32 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     return cube_scale(total, Fraction(-1, 2))
 
 
-def commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
-    """Basis of {M : M J_s = J_s M for s = 1,2,3} via an exact nullspace.
+def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
+    """Integer sparse-matrix basis of {M : M J_s = J_s M for s = 1,2,3}.
 
     Entry (p, q) of M J_s - J_s M is one sparse equation over the unknowns
-    M[a][b] (column a * dim + b), built from the nonzeros of J_s.
+    M[a][b] (column a * dim + b), for J1 and J2 only: requires J3 = J1 J2,
+    which `quaternionic_check` enforces at load, so the nullspace is the
+    same. Each nullspace vector is scaled once by the lcm of its denominators.
     """
     dim = h.dim
     rows: list[Row] = []
-    for j in h.j_sparse:
+    for j in h.j_sparse[:2]:
         columns = sparse_transpose(j)
         for p in range(dim):
             for q in range(dim):
                 row: Row = {p * dim + r: x for r, x in columns.get(q, {}).items()}
                 for r, x in j.get(p, {}).items():
                     row[r * dim + q] = row.get(r * dim + q, 0) - x
-                row = {col: x for col, x in row.items() if x}
-                if row:
-                    rows.append(row)
-    return [
-        [[vec.get(a * dim + b, 0) for b in range(dim)] for a in range(dim)]
-        for vec in nullspace(rows, dim * dim)
-    ]
+                rows.append({col: x for col, x in row.items() if x})
+    basis: list[SparseMatrix] = []
+    for vec in nullspace(rows, dim * dim):
+        scale = lcm(*[x.denominator for x in vec.values()])
+        m: SparseMatrix = {}
+        for col, x in vec.items():
+            m.setdefault(col // dim, {})[col % dim] = int(x * scale)
+        basis.append(m)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -94,20 +97,20 @@ def obata_oracle_solver(
     unique solvability certifies the connection's uniqueness.
 
     Unknown i * d_c + t is the coefficient of the t-th commutant basis
-    element in the operator of e_i. Equation (i < j, l) is the e_l
-    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one sparse row
-    with the structure constant in the right-hand-side column.
+    element c_t in the operator of e_i. Equation (i < j, l) is the e_l
+    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one sparse row of
+    integer coefficients c_t[l][j] and -c_t[l][i], with the structure
+    constant in the right-hand-side column.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
     d_c = len(cbasis)
     unknowns = dim * d_c
-    # (l, j) -> [(t, c_t[l][j])] and t -> [(l, j, c_t[l][j])], nonzeros only
-    by_entry: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
-    support: list[list[tuple[int, int, Scalar]]] = []
-    for t, c in enumerate(cbasis):
-        support.append([(a, b, x) for a in range(dim) for b, x in enumerate(c[a]) if x])
-        for a, b, x in support[t]:
+    # t -> [(l, j, c_t[l][j])] and (l, j) -> [(t, c_t[l][j])], nonzeros only
+    support = [[(a, b, x) for a, row in c.items() for b, x in row.items()] for c in cbasis]
+    by_entry: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for t, entries in enumerate(support):
+        for a, b, x in entries:
             by_entry.setdefault((a, b), []).append((t, x))
     rows: list[Row] = []
     for i in range(dim):
@@ -138,11 +141,7 @@ def obata_oracle_solver(
             sums[(i, b, a)] = sums.get((i, b, a), 0) + coeff * value
     gamma: Cube = {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
     certificate = SolverCertificate(
-        commutant_dim=d_c,
-        unknowns=unknowns,
-        equations=len(rows),
-        rank=rank,
-        unique=True,
+        commutant_dim=d_c, unknowns=unknowns, equations=len(rows), rank=rank, unique=True
     )
     return Connection(dim, gamma), certificate
 

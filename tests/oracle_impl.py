@@ -35,6 +35,7 @@ from hktlab.invariant import (
     CurvatureTensor,
     LieAlgebra,
     ce_differential,
+    rebase_algebra,
 )
 from hktlab.linalg import (
     LinAlgError,
@@ -44,6 +45,7 @@ from hktlab.linalg import (
     SparseMatrix,
     Vector,
     identity,
+    invert,
     is_zero_matrix,
     mat_mul,
     mat_vec,
@@ -759,6 +761,31 @@ def naive_commutant_basis(h: HyperhermitianStructure) -> list[Matrix]:
     ]
 
 
+def obata_formula(h: HyperhermitianStructure, alg: LieAlgebra) -> Cube:
+    """Obata's explicit torsion-free hypercomplex connection, no solver:
+    nabla_X Y = 1/2 ([X,Y] + J1[J1X,Y] - J2[X,J2Y] + J3[J1X,J2Y]) on the
+    basis vectors, stored as gamma[(i, j, k)] = (nabla_{e_i} e_j)_k."""
+    dim = h.dim
+    j1, j2, j3 = dense_js(h)
+    basis = identity(dim)
+    gamma: Cube = {}
+    for i, x in enumerate(basis):
+        j1x = mat_vec(j1, x)
+        for j, y in enumerate(basis):
+            j2y = mat_vec(j2, y)
+            terms = (
+                bracket_vectors(alg, x, y),
+                mat_vec(j1, bracket_vectors(alg, j1x, y)),
+                [-v for v in mat_vec(j2, bracket_vectors(alg, x, j2y))],
+                mat_vec(j3, bracket_vectors(alg, j1x, j2y)),
+            )
+            for k in range(dim):
+                value = Fraction(sum(term[k] for term in terms), 2)
+                if value:
+                    gamma[(i, j, k)] = value
+    return gamma
+
+
 def naive_obata_oracle_solver(
     h: HyperhermitianStructure, alg: LieAlgebra
 ) -> tuple[Connection, SolverCertificate]:
@@ -1098,6 +1125,29 @@ def direct_sum(first: dict, second: dict) -> dict:
     for key in ("j1", "j2", "j3"):
         doc[key] = _block_diag(first[key], second[key])
     return doc
+
+
+def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
+    """entry in the rational orthonormal basis given by the columns of the
+    Cayley transform Q = (I - S)(I + S)^-1, for the skew S with superdiagonal
+    1/2, 1/3, 1, 1/2, ... The loader accepts it, but J1 is no signed
+    permutation there, so no J1-adapted frame exists."""
+    dim = entry.dim
+    cycle = (Fraction(1, 2), Fraction(1, 3), 1)
+    s = zeros(dim, dim)
+    for k in range(dim - 1):
+        s[k][k + 1], s[k + 1][k] = cycle[k % 3], -cycle[k % 3]
+    eye = identity(dim)
+    eye_plus_s = [[e + x for e, x in zip(er, sr)] for er, sr in zip(eye, s)]
+    q = mat_mul(mat_sub(eye, s), invert(eye_plus_s))
+    # Q is orthogonal: the rows of Q^T are the new basis vectors, Q^-1 = Q^T
+    q_t = transpose(q)
+    lie = rebase_algebra(entry.lie, q_t, q_t)
+    j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(entry.structure))
+    return CatalogEntry(
+        f"{entry.name}_cayley", f"{entry.name} in a rotated basis", entry.n, dim, lie,
+        HyperhermitianStructure(dim, j_ops, eye), {},
+    )
 
 
 def direct_sum_entry(first: CatalogEntry, second: CatalogEntry, directory: Path) -> CatalogEntry:

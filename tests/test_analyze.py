@@ -131,6 +131,25 @@ def test_solver_stays_off_dense_rref(calls, cat, name):
     assert calls["rref"] == 0
 
 
+@pytest.mark.parametrize("name", ["hopf8", "hc_only8"])
+def test_commutant_imposes_j1_and_j2_only(monkeypatch, cat, name):
+    # one nullspace per analysis, over the 2 dim^2 commutator equations of
+    # J1 and J2 (hopf8: 128; the three J's gave 192)
+    fed = []
+    for module in MODULES:
+        original = vars(module).get("nullspace")
+        if original is None:
+            continue
+
+        def counted(rows, cols, _fn=original):
+            fed.append(len(rows))
+            return _fn(rows, cols)
+
+        monkeypatch.setattr(module, "nullspace", counted)
+    analyze_entry(cat[name])
+    assert fed == [2 * 8 * 8]
+
+
 def test_holonomy_closure_brackets_with_connection_operators_only(calls, cat):
     alg = cat["nil8"].lie
     conn = levi_civita(alg)

@@ -1,17 +1,13 @@
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hktlab import cli
-from hktlab.catalog import CatalogEntry, builtin_by_name, load, save, serialize
-from hktlab.hyperhermitian import HyperhermitianStructure
-from hktlab.invariant import rebase_algebra
-from hktlab.linalg import identity, invert, mat_mul, sparse_matrix, transpose
+from hktlab.catalog import builtin_by_name, load, save, serialize
 
-from oracle_impl import ALL_NAMES, dense_js, mat_sub
+from oracle_impl import ALL_NAMES, cayley_rotated
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -325,23 +321,9 @@ def test_check_non_utf8_file_is_invalid_input(capsys, tmp_path):
 
 
 def test_analyze_unsupported_frame_is_input_error(capsys, tmp_path, cat):
-    # hopf4 in the rational orthonormal basis given by the columns of the
-    # Cayley transform Q = (I - S)(I + S)^-1: the loader accepts it, but J1
-    # is no signed permutation there, so no J1-adapted frame exists
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    s = [[0, half, 0, 0], [-half, 0, third, 0], [0, -third, 0, 1], [0, 0, -1, 0]]
-    eye = identity(4)
-    eye_plus_s = [[e + x for e, x in zip(er, sr)] for er, sr in zip(eye, s)]
-    q = mat_mul(mat_sub(eye, s), invert(eye_plus_s))
-    # Q is orthogonal: the rows of Q^T are the new basis vectors, Q^-1 = Q^T
-    q_t = transpose(q)
-    hopf4 = cat["hopf4"]
-    lie = rebase_algebra(hopf4.lie, q_t, q_t)
-    j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(hopf4.structure))
-    entry = CatalogEntry(
-        "hopf4_cayley", "hopf4 in a rotated basis", 1, 4, lie,
-        HyperhermitianStructure(4, j_ops, eye), {},
-    )
+    # hopf4 in a rotated rational orthonormal basis: the loader accepts it,
+    # but J1 is no signed permutation there, so no J1-adapted frame exists
+    entry = cayley_rotated(cat["hopf4"])
     path = tmp_path / "hopf4_cayley.json"
     save(entry, path)
     rc, out, err = run(capsys, "check", str(path))

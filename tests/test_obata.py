@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,9 @@ from hktlab.tensors import KForm, cube_add, form_to_cube
 from oracle_impl import (
     HKT_NAMES,
     ALL_NAMES,
+    cayley_rotated,
     dense_js,
+    dense_matrix,
     difference_tensor_invariance,
     direct_sum_entry,
     form_scale,
@@ -31,6 +34,7 @@ from oracle_impl import (
     naive_obata_oracle_solver,
     naive_trace_identities,
     obata_b_tensor,
+    obata_formula,
 )
 
 
@@ -45,19 +49,43 @@ def test_commutant_dimension(cat):
     assert len(commutant_basis(cat["torus8"].structure)) == 16
 
 
-def test_commutant_basis_matches_dense_oracle(cat):
-    for name in ALL_NAMES:
-        h = cat[name].structure
-        assert commutant_basis(h) == naive_commutant_basis(h), name
+@pytest.fixture(scope="module")
+def commutant_inputs(cat, su3):
+    """Every builtin, su3, and hopf4 and hc_only8 in a Cayley-rotated basis
+    (dense rational J's; the rotated hc_only8's nullspace vectors carry
+    denominators, the rotated hopf4's do not)."""
+    structures = {name: cat[name].structure for name in ALL_NAMES}
+    structures["su3"] = su3.structure
+    for name in ("hopf4", "hc_only8"):
+        structures[f"{name}_cayley"] = cayley_rotated(cat[name]).structure
+    return structures
 
 
-def test_commutant_members_commute(cat):
-    h = cat["hopf4"].structure
-    for m in commutant_basis(h):
-        for j in dense_js(h):
-            mj = [mat_vec(m, [j[r][c] for r in range(4)]) for c in range(4)]
-            jm = [mat_vec(j, [m[r][c] for r in range(4)]) for c in range(4)]
-            assert mj == jm
+def test_commutant_basis_matches_dense_oracle(commutant_inputs):
+    # the sparse basis imposes J1 and J2 only, the oracle all three J's
+    scaled = []
+    for name, h in commutant_inputs.items():
+        got = [dense_matrix(m, h.dim) for m in commutant_basis(h)]
+        want = naive_commutant_basis(h)
+        assert all(type(x) is int for m in got for x in chain.from_iterable(m)), name
+        assert len(got) == len(want), name
+        if name in ALL_NAMES:
+            assert got == want, name
+            continue
+        for m, w in zip(got, want):
+            entry = next(x for x in chain.from_iterable(w) if x)
+            scale = Fraction(next(x for x in chain.from_iterable(m) if x)) / entry
+            assert scale.denominator == 1 and scale > 0, name
+            assert m == [[scale * x for x in row] for row in w], name
+            scaled.append(scale > 1)
+    # the rotated hc_only8 exercises the integer scaling
+    assert any(scaled)
+
+
+def test_commutant_members_commute(commutant_inputs):
+    for name, h in commutant_inputs.items():
+        for m in commutant_basis(h):
+            assert glnh_membership(m, h), name
 
 
 def test_difference_tensor_hopf4_values(cat, torsions):
@@ -147,13 +175,29 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
             assert 0 not in cube.values(), name
 
 
-def test_solver_matches_dense_oracle(cat):
-    for name in ALL_NAMES:
-        entry = cat[name]
+def test_solver_matches_dense_oracle(cat, su3):
+    # su3 has Fraction brackets and a non-flat Obata connection; the rotated
+    # hopf4 has dense rational J's
+    entries = [cat[name] for name in ALL_NAMES] + [su3, cayley_rotated(cat["hopf4"])]
+    for entry in entries:
         conn, cert = obata_oracle_solver(entry.structure, entry.lie)
         want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
-        assert conn.gamma == want_conn.gamma, name
-        assert cert == want_cert, name
+        assert conn.gamma == want_conn.gamma, entry.name
+        assert cert == want_cert, entry.name
+
+
+def test_solver_matches_obata_formula(cat, su3, tmp_path):
+    # Obata's explicit formula is a solver-free third route; the rotated
+    # hc_only8 has commutant vectors scaled by an lcm > 1
+    entries = [cat[name] for name in ALL_NAMES] + [su3, cayley_rotated(cat["hc_only8"])]
+    entries += [
+        direct_sum_entry(cat["nil8"], cat["hopf4"], tmp_path),
+        direct_sum_entry(cat["hc_only8"], cat["torus4"], tmp_path),
+        direct_sum_entry(su3, cat["hopf4"], tmp_path),
+    ]
+    for entry in entries:
+        conn, _ = obata_oracle_solver(entry.structure, entry.lie)
+        assert conn.gamma == obata_formula(entry.structure, entry.lie), entry.name
 
 
 def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
