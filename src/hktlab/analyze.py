@@ -49,7 +49,6 @@ from .invariant import (
 )
 from .linalg import is_zero_matrix
 from .obata import (
-    complex_trace_A,
     difference_tensor,
     obata_from_difference,
     obata_oracle_solver,
@@ -243,8 +242,7 @@ def _identity_stage(
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
     type_res = type_check_12_21(t, h)
     type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
-    trace_res = trace_identities(a_cube, h, lee.theta)
-    ctrace_res = complex_trace_A(a_cube, h, lee.theta)
+    trace_res, ctrace_res = trace_identities(a_cube, h, lee.theta)
     chern = chern_norm_check(t, h)
     report["identity_suites"] = {
         "obata_suite": {key: _outcome(val) for key, val in suite.items()},

@@ -33,7 +33,7 @@ from pathlib import Path
 from .exact import Scalar, format_scalar, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra, validate_lie_algebra
-from .linalg import Matrix, SparseMatrix, identity, invert, mat_mul, sparse_matrix
+from .linalg import Matrix, SparseMatrix, identity, mat_mul, sparse_matrix
 from .tensors import MAX_DIM, is_symmetric, orthonormal_frame
 
 
@@ -172,7 +172,9 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         except ValueError as exc:
             raise CatalogError(f"metric: non-orthonormal basis rejected: {exc}") from None
         base_change = [[frame[a][i] for a in range(dim)] for i in range(dim)]
-        inverse = invert(base_change)
+        # B = base_change is g-orthonormal (B^T g B = I), so B^-1 = B^T g:
+        # the frame vectors, as rows, times g
+        inverse = mat_mul(frame, metric)
         lie = rebase_algebra(lie, frame, inverse)
         j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
         metric = identity(dim)

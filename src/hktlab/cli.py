@@ -2,10 +2,9 @@
 and manage the example catalog. `analyze --all` runs the entries one after
 another, in name order.
 
-Exit codes: 0 success, 1 input error (a malformed document, or a valid
-one the engine does not support yet, such as a basis that is not
-J1-adapted), 2 I/O error, 3 theorem violation (an exact identity the
-engine guarantees failed, meaning a defect, not a property of the input).
+Exit codes: 0 success, 1 input error (a malformed document or a usage
+error), 2 I/O error, 3 theorem violation (an exact identity the engine
+guarantees failed, meaning a defect, not a property of the input).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .catalog import CatalogEntry, CatalogError, available_entries, load, save
 from .holonomy import holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from .invariant import curvature_operators, levi_civita
-from .obata import UnsupportedInputError, obata_connection
+from .obata import obata_connection
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -294,9 +293,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except UnsupportedInputError as exc:
-        print(f"unsupported input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (RuntimeError, ValueError) as exc:
         print(f"theorem violation or engine defect: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -12,9 +12,8 @@ rows, so the elimination runs on Python ints.
 count and read their answers off a `RowSpan`'s stored rows, dividing by
 the pivot entry at the boundary, so every value they return is a
 Fraction (apart from the 1 of each free column). The dense `Matrix` calls
-`rref`, `rank`, `invert` and `det` convert each row once on entry; `rank`
-and `invert` go through `rref`, and `det` multiplies the pivot values
-that `RowSpan._insert` reports.
+`rref` and `det` convert each row once on entry; `det` multiplies the
+pivot values that `RowSpan._insert` reports.
 
 Every endomorphism the engine brackets or tests (the complex structures,
 the connection and curvature operators, the holonomy generators) uses the
@@ -162,10 +161,6 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
-
-
 def _span_of(rows: list[Row], length: int) -> RowSpan:
     span = RowSpan(length)
     for row in rows:
@@ -201,15 +196,6 @@ def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
         raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
     x = {pivot: Fraction(row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row}
     return x, span.rank
-
-
-def invert(a: Matrix) -> Matrix:
-    n = len(a)
-    augmented = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(augmented)
-    if pivots[:n] != list(range(n)):
-        raise LinAlgError("matrix not invertible")
-    return [row[n:] for row in reduced[:n]]
 
 
 def det(a: Matrix) -> Fraction:

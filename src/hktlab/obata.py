@@ -10,8 +10,8 @@ Two independent construction routes:
   integer sparse rows read off the basis nonzeros.
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
-`tensors.j_trace` of A(X, ., .)), and their complex-frame refinement over
-a J1-adapted basis read off the columns of the sparse J1.
+`tensors.j_trace` of A(X, ., .)), and their complex-frame form, whose real
+and imaginary parts are the plain and the J1 trace, so no frame is built.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import (
     LinAlgError,
     Row,
     SparseMatrix,
-    Vector,
-    identity,
     nullspace,
     solve_unique,
     sparse_transpose,
@@ -187,87 +184,37 @@ class TraceReport:
     failures: tuple[str, ...] = ()
 
 
-def trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
-    """sum_a A(X, e_a, e_a) = -2 theta(X) and sum_a A(X, e_a, J_s e_a) = 0."""
+def trace_identities(
+    a: Cube, h: HyperhermitianStructure, theta: KForm
+) -> tuple[TraceReport, TraceReport]:
+    """The trace identities of A in a real frame and in a complex one.
+
+    Real frame: sum_a A(X, e_a, e_a) = -2 theta(X) and
+    sum_a A(X, e_a, J_s e_a) = 0. Over any orthonormal frame of pairs
+    (f, J1 f) the complex trace has the plain trace as its real part and
+    the J1 trace as its imaginary part, both frame-independent, so the
+    complex report reads the same numbers: real part -2 theta(X),
+    imaginary part 0.
+    """
     dim = h.dim
+    twisted = [
+        [j_trace(lambda i, m: a.get((x, i, m), 0), j) for x in range(dim)] for j in h.j_sparse
+    ]
     failures: list[str] = []
+    complex_failures: list[str] = []
     for x in range(dim):
         plain = sum(a.get((x, i, i), 0) for i in range(dim))
         want = -2 * theta.evaluate((x,))
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")
-    for s, j in enumerate(h.j_sparse, 1):
-        for x in range(dim):
-            twisted = j_trace(lambda i, m: a.get((x, i, m), 0), j)
-            if twisted:
-                failures.append(f"J{s} trace at X=e{x}: {twisted} != 0")
-    return TraceReport(ok=not failures, failures=tuple(failures))
-
-
-class UnsupportedInputError(ValueError):
-    """A structure the loader accepts but the engine cannot analyze yet:
-    the fault is in the input's frame, not in an identity."""
-
-
-def adapted_frame(h: HyperhermitianStructure) -> list[tuple[Vector, Vector]]:
-    """Pairs (f, J1 f) covering the basis, for J1 a signed permutation.
-
-    Requires the identity metric (the engine's internal frame) and a
-    J1-adapted basis; raises UnsupportedInputError otherwise.
-    """
-    dim = h.dim
-    if not all(h.metric[i][j] == (1 if i == j else 0) for i in range(dim) for j in range(dim)):
-        raise UnsupportedInputError(
-            "adapted frame requires the identity metric; rebase the input first"
-        )
-    j1_columns = sparse_transpose(h.j_sparse[0])
-    basis = identity(dim)
-    used = [False] * dim
-    pairs: list[tuple[Vector, Vector]] = []
-    for a in range(dim):
-        if used[a]:
-            continue
-        column = j1_columns.get(a, {})
-        support = list(column.items())
-        if len(support) != 1 or support[0][1] not in (1, -1):
-            raise UnsupportedInputError(
-                "frame not J1-adapted: J1 is not a signed basis permutation"
-            )
-        target = support[0][0]
-        if target == a or used[target]:
-            raise UnsupportedInputError(
-                "frame not J1-adapted: basis does not split into J1-pairs"
-            )
-        used[a] = used[target] = True
-        pairs.append((basis[a], [column.get(r, 0) for r in range(dim)]))
-    return pairs
-
-
-def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
-    return sum(
-        uj * vk * a.get((x, jdx, k), 0)
-        for jdx, uj in enumerate(u)
-        if uj
-        for k, vk in enumerate(v)
-        if vk
+            complex_failures.append(f"real part at X=e{x}: {plain} != {want}")
+        if twisted[0][x]:
+            complex_failures.append(f"imaginary part at X=e{x}: {twisted[0][x]} != 0")
+    for s, traces in enumerate(twisted, 1):
+        for x, value in enumerate(traces):
+            if value:
+                failures.append(f"J{s} trace at X=e{x}: {value} != 0")
+    return (
+        TraceReport(ok=not failures, failures=tuple(failures)),
+        TraceReport(ok=not complex_failures, failures=tuple(complex_failures)),
     )
-
-
-def complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
-    """Complex-frame trace of A over a J1-adapted frame.
-
-    Real part: sum over pairs of A(X,f,f) + A(X,J1f,J1f) = -2 theta(X).
-    Imaginary part: sum over pairs of A(X,f,J1f) - A(X,J1f,f) = 0.
-    """
-    dim = h.dim
-    pairs = adapted_frame(h)
-    failures: list[str] = []
-    for x in range(dim):
-        real = sum(_eval_cube(a, x, f, f) + _eval_cube(a, x, jf, jf) for f, jf in pairs)
-        imag = sum(_eval_cube(a, x, f, jf) - _eval_cube(a, x, jf, f) for f, jf in pairs)
-        want = -2 * theta.evaluate((x,))
-        if real != want:
-            failures.append(f"real part at X=e{x}: {real} != {want}")
-        if imag:
-            failures.append(f"imaginary part at X=e{x}: {imag} != 0")
-    return TraceReport(ok=not failures, failures=tuple(failures))

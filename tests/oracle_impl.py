@@ -45,10 +45,10 @@ from hktlab.linalg import (
     SparseMatrix,
     Vector,
     identity,
-    invert,
     is_zero_matrix,
     mat_mul,
     mat_vec,
+    rref,
     sparse_commutator,
     sparse_matrix,
     transpose,
@@ -118,6 +118,19 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def trace(a: Matrix) -> Scalar:
     return sum(a[i][i] for i in range(len(a)))
+
+
+def rank(a: Matrix) -> int:
+    return len(rref(a)[1])
+
+
+def invert(a: Matrix) -> Matrix:
+    n = len(a)
+    augmented = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
+    reduced, pivots = rref(augmented)
+    if pivots[:n] != list(range(n)):
+        raise LinAlgError("matrix not invertible")
+    return [row[n:] for row in reduced[:n]]
 
 
 def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
@@ -1099,6 +1112,51 @@ def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) ->
     return TraceReport(ok=not failures, failures=tuple(failures))
 
 
+def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
+    return sum(
+        uj * vk * a.get((x, j, k), 0)
+        for j, uj in enumerate(u)
+        if uj
+        for k, vk in enumerate(v)
+        if vk
+    )
+
+
+def naive_complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
+    """Complex-frame trace of A over the J1-adapted frame of pairs
+    (e_a, J1 e_a), built from the columns of J1; requires the identity
+    metric and J1 a signed basis permutation.
+
+    Real part: sum over pairs of A(X,f,f) + A(X,J1f,J1f) = -2 theta(X).
+    Imaginary part: sum over pairs of A(X,f,J1f) - A(X,J1f,f) = 0.
+    """
+    dim = h.dim
+    assert h.metric == identity(dim), "the adapted frame needs the identity metric"
+    j1 = dense_js(h)[0]
+    basis = identity(dim)
+    used = [False] * dim
+    pairs: list[tuple[Vector, Vector]] = []
+    for col in range(dim):
+        if used[col]:
+            continue
+        image = [j1[r][col] for r in range(dim)]
+        support = [r for r in range(dim) if image[r]]
+        assert len(support) == 1 and image[support[0]] in (1, -1), "J1 is no signed permutation"
+        assert support[0] != col and not used[support[0]], "the basis splits into no J1-pairs"
+        used[col] = used[support[0]] = True
+        pairs.append((basis[col], image))
+    failures: list[str] = []
+    for x in range(dim):
+        real = sum(_eval_cube(a, x, f, f) + _eval_cube(a, x, jf, jf) for f, jf in pairs)
+        imag = sum(_eval_cube(a, x, f, jf) - _eval_cube(a, x, jf, f) for f, jf in pairs)
+        want = -2 * theta.evaluate((x,))
+        if real != want:
+            failures.append(f"real part at X=e{x}: {real} != {want}")
+        if imag:
+            failures.append(f"imaginary part at X=e{x}: {imag} != 0")
+    return TraceReport(ok=not failures, failures=tuple(failures))
+
+
 def _block_diag(a: list[list], b: list[list]) -> list[list]:
     da, db = len(a), len(b)
     return [list(row) + ["0"] * db for row in a] + [["0"] * da + list(row) for row in b]
@@ -1130,8 +1188,8 @@ def direct_sum(first: dict, second: dict) -> dict:
 def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
     """entry in the rational orthonormal basis given by the columns of the
     Cayley transform Q = (I - S)(I + S)^-1, for the skew S with superdiagonal
-    1/2, 1/3, 1, 1/2, ... The loader accepts it, but J1 is no signed
-    permutation there, so no J1-adapted frame exists."""
+    1/2, 1/3, 1, 1/2, ... J1 is no signed permutation of that basis, so
+    its vectors split into no pairs (e_a, J1 e_a)."""
     dim = entry.dim
     cycle = (Fraction(1, 2), Fraction(1, 3), 1)
     s = zeros(dim, dim)

@@ -32,7 +32,6 @@ from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from hktlab.invariant import ce_differential, curvature_operators, levi_civita
 from hktlab.linalg import is_zero_matrix
 from hktlab.obata import (
-    complex_trace_A,
     difference_tensor,
     obata_connection,
     obata_oracle_solver,
@@ -83,14 +82,13 @@ def bundles():
 
 def test_criterion_01_difference_tensor_trace_identities(bundles):
     # real-frame traces against -2*theta, twisted traces vanish, and the
-    # complex-frame version over an adapted basis; every entry with a
-    # common skew torsion
+    # complex-frame version, whose real and imaginary parts are the plain
+    # and the J1 trace; every entry with a common skew torsion
     for name in HKT_NAMES:
         b = bundles[name]
         a = difference_tensor(b.torsion, b.entry.structure)
-        real = trace_identities(a, b.entry.structure, b.lee.theta)
+        real, cplx = trace_identities(a, b.entry.structure, b.lee.theta)
         assert real.ok, (name, real.failures)
-        cplx = complex_trace_A(a, b.entry.structure, b.lee.theta)
         assert cplx.ok, (name, cplx.failures)
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -15,9 +16,11 @@ from hktlab.catalog import (
     serialize,
 )
 from hktlab.hyperhermitian import hkt_check
-from hktlab.linalg import identity
+from hktlab.invariant import rebase_algebra
+from hktlab.linalg import identity, mat_mul, sparse_matrix, transpose
+from hktlab.tensors import orthonormal_frame
 
-from oracle_impl import ALL_NAMES
+from oracle_impl import ALL_NAMES, dense_js, invert
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +253,56 @@ def test_rebase_blockwise_conformal(tmp_path, cat):
         (6, 7): {5: Fraction(2, 3)},
     }
     assert hkt_check(entry.structure, entry.lie).ok
+
+
+def _in_basis(entry, p):
+    """Wire document of entry in the basis given by the columns of p, whose
+    metric is p^T p, and its Lie algebra."""
+    doc = serialize(entry)
+    p_inv = invert(p)
+    lie = rebase_algebra(entry.lie, transpose(p), p_inv)
+    doc["structure_constants"] = [
+        [i, j, k, str(v)] for (i, j), comps in sorted(lie.brackets.items()) for k, v in comps.items()
+    ]
+    doc["metric"] = [[str(x) for x in row] for row in mat_mul(transpose(p), p)]
+    for s, j in enumerate(dense_js(entry.structure), 1):
+        doc[f"j{s}"] = [[str(x) for x in row] for row in mat_mul(p_inv, mat_mul(j, p))]
+    return doc, lie
+
+
+@pytest.mark.parametrize("name, seed", [("hopf4", 1), ("hopf4", 2), ("nil8", 3), ("hopf8", 4)])
+def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, seed):
+    # g = P^T P with P rational upper-triangular: the loader's inverse B^T g
+    # of the Gram-Schmidt frame B gives the brackets and J's that inverting
+    # B by elimination gives, and, the diagonal of P being positive, the
+    # entry P was built from
+    rng = random.Random(seed)
+    entry = cat[name]
+    dim = entry.dim
+    p = [
+        [
+            Fraction(rng.randint(1, 3), rng.randint(1, 3)) if i == j
+            else Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if i < j
+            else Fraction(0)
+            for j in range(dim)
+        ]
+        for i in range(dim)
+    ]
+    doc, doc_lie = _in_basis(entry, p)
+    metric = [[Fraction(x) for x in row] for row in doc["metric"]]
+    assert any(metric[i][j] for i in range(dim) for j in range(dim) if i != j)
+    loaded = load(write_doc(tmp_path, doc))
+    frame = orthonormal_frame(metric)
+    base_change = transpose(frame)
+    inverse = invert(base_change)
+    assert loaded.lie.brackets == rebase_algebra(doc_lie, frame, inverse).brackets
+    doc_js = [[[Fraction(x) for x in row] for row in doc[f"j{s}"]] for s in (1, 2, 3)]
+    assert loaded.structure.j_sparse == tuple(
+        sparse_matrix(mat_mul(inverse, mat_mul(j, base_change))) for j in doc_js
+    )
+    assert loaded.lie.brackets == entry.lie.brackets
+    assert loaded.structure.j_sparse == entry.structure.j_sparse
+    assert loaded.structure.metric == identity(dim)
 
 
 def test_available_entries_env_dir(tmp_path, monkeypatch, cat):

@@ -320,14 +320,17 @@ def test_check_non_utf8_file_is_invalid_input(capsys, tmp_path):
     assert "invalid input:" in err and "parse error" in err
 
 
-def test_analyze_unsupported_frame_is_input_error(capsys, tmp_path, cat):
-    # hopf4 in a rotated rational orthonormal basis: the loader accepts it,
-    # but J1 is no signed permutation there, so no J1-adapted frame exists
+def test_analyze_cayley_rotated_hopf4_exits_zero(capsys, tmp_path, cat):
+    # hopf4 in a rotated rational orthonormal basis, where J1 is no signed
+    # permutation: the saved document analyzes to hopf4's verdict
     entry = cayley_rotated(cat["hopf4"])
     path = tmp_path / "hopf4_cayley.json"
     save(entry, path)
     rc, out, err = run(capsys, "check", str(path))
     assert rc == 0 and out.startswith("ok: hopf4_cayley")
     rc, out, err = run(capsys, "analyze", str(path), "--format", "json")
-    assert rc == 1
-    assert "unsupported input:" in err and "J1-adapted" in err
+    assert rc == 0, err
+    report = json.loads(out)
+    assert report["theorem_violations"] == []
+    golden = json.loads((GOLDEN_DIR / "hopf4.json").read_text(encoding="utf-8"))
+    assert report["verdict"] == golden["verdict"]

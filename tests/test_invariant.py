@@ -18,7 +18,6 @@ from hktlab.invariant import (
     validate_lie_algebra,
 )
 from hktlab.hyperhermitian import bismut_connection, hkt_check
-from hktlab.linalg import invert
 from hktlab.obata import obata_connection
 from hktlab.tensors import KForm, wedge, form_add
 
@@ -29,6 +28,7 @@ from oracle_impl import (
     direct_sum_entry,
     form_scale,
     fundamental_forms,
+    invert,
     naive_ce_differential,
     naive_curvature_operator,
     naive_d_eval,

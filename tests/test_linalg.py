@@ -10,12 +10,10 @@ from hktlab.linalg import (
     LinAlgError,
     RowSpan,
     det,
-    invert,
     leading_minors_positive,
     mat_mul,
     mat_vec,
     nullspace,
-    rank,
     rref,
     solve_unique,
     sparse_commutator,
@@ -27,10 +25,12 @@ from oracle_impl import (
     commutator,
     dense,
     dense_matrix,
+    invert,
     naive_det,
     naive_nullspace,
     naive_rref,
     naive_solve_unique,
+    rank,
     sparse,
     trace,
 )

@@ -9,28 +9,25 @@ from hktlab.catalog import builtin_by_name
 from hktlab.hyperhermitian import bismut_connection, glnh_membership, nijenhuis
 from hktlab.invariant import LieAlgebra, covariant_derivative_cube, levi_civita, torsion_cube
 from hktlab.obata import (
-    adapted_frame,
     commutant_basis,
-    complex_trace_A,
     difference_tensor,
     obata_connection,
     obata_oracle_solver,
     trace_identities,
 )
 from hktlab.curvature import lee_form
-from hktlab.linalg import mat_vec
 from hktlab.tensors import KForm, cube_add, form_to_cube
 
 from oracle_impl import (
     HKT_NAMES,
     ALL_NAMES,
     cayley_rotated,
-    dense_js,
     dense_matrix,
     difference_tensor_invariance,
     direct_sum_entry,
     form_scale,
     naive_commutant_basis,
+    naive_complex_trace_A,
     naive_obata_oracle_solver,
     naive_trace_identities,
     obata_b_tensor,
@@ -224,9 +221,8 @@ def test_trace_identities_on_hkt(cat, torsions):
         t = torsions[name]
         lee = lee_form(t, entry.structure, entry.lie)
         a = difference_tensor(t, entry.structure)
-        report = trace_identities(a, entry.structure, lee.theta)
+        report, creport = trace_identities(a, entry.structure, lee.theta)
         assert report.ok, (name, report.failures)
-        creport = complex_trace_A(a, entry.structure, lee.theta)
         assert creport.ok, (name, creport.failures)
 
 
@@ -235,26 +231,23 @@ def test_trace_identities_detect_wrong_theta(cat, torsions):
     t = torsions["hopf4"]
     a = difference_tensor(t, entry.structure)
     wrong = lee_form(t, entry.structure, entry.lie).theta
-    report = trace_identities(a, entry.structure, form_scale(wrong, 2))
+    report, creport = trace_identities(a, entry.structure, form_scale(wrong, 2))
     assert not report.ok
     assert report.failures
+    assert not creport.ok
+    assert creport.failures[0].startswith("real part at X=e")
 
 
-def test_adapted_frame_pairs(cat):
-    h = cat["hopf4"].structure
-    pairs = adapted_frame(h)
-    assert len(pairs) == 2
-    for f, jf in pairs:
-        assert mat_vec(dense_js(h)[0], f) == [Fraction(x) for x in jf]
-
-
-def test_adapted_frame_requires_identity_metric(cat):
-    from hktlab.hyperhermitian import HyperhermitianStructure
-
-    h = cat["torus4"].structure
-    scaled = HyperhermitianStructure(4, h.j_sparse, [[4 * (i == j) for j in range(4)] for i in range(4)])
-    with pytest.raises(ValueError, match="identity metric"):
-        adapted_frame(scaled)
+def _random_cube_and_theta(data, h):
+    """A random sparse cube and Lee form, int and Fraction values mixed."""
+    index = st.integers(0, h.dim - 1)
+    values = st.one_of(
+        st.integers(-2, 2).filter(bool),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
+    )
+    a = data.draw(st.dictionaries(st.tuples(index, index, index), values, max_size=2 * h.dim))
+    theta = KForm(h.dim, 1, data.draw(st.dictionaries(st.tuples(index), values, max_size=2)))
+    return a, theta
 
 
 @pytest.mark.parametrize("name", ALL_NAMES + ("su3",))
@@ -263,11 +256,18 @@ def test_adapted_frame_requires_identity_metric(cat):
 def test_trace_identities_match_dense_oracle(cat, su3, name, data):
     # random cubes and Lee forms: the twisted traces are J-traces of A(X, ., .)
     h = su3.structure if name == "su3" else cat[name].structure
-    index = st.integers(0, h.dim - 1)
-    values = st.one_of(
-        st.integers(-2, 2).filter(bool),
-        st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool),
-    )
-    a = data.draw(st.dictionaries(st.tuples(index, index, index), values, max_size=2 * h.dim))
-    theta = KForm(h.dim, 1, data.draw(st.dictionaries(st.tuples(index), values, max_size=2)))
-    assert repr(trace_identities(a, h, theta)) == repr(naive_trace_identities(a, h, theta))
+    a, theta = _random_cube_and_theta(data, h)
+    real, _ = trace_identities(a, h, theta)
+    assert repr(real) == repr(naive_trace_identities(a, h, theta))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("su3",))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_complex_trace_matches_frame_oracle(cat, su3, name, data):
+    # random cubes and Lee forms: the frame-free complex trace (plain trace
+    # and J1 trace) equals the sum over the J1-adapted pairs (e_a, J1 e_a)
+    h = su3.structure if name == "su3" else cat[name].structure
+    a, theta = _random_cube_and_theta(data, h)
+    _, cplx = trace_identities(a, h, theta)
+    assert repr(cplx) == repr(naive_complex_trace_A(a, h, theta))

@@ -4,7 +4,8 @@ A public function (no leading underscore) defined at the top level of
 `src/hktlab/*.py` must meet one of these:
 
 - package code outside its own definition names it (an `ast.Name` load),
-  in its own module or in another;
+  in its own module or in another module that imports it from the
+  package (so a local variable of the same name reads nothing);
 - it is exported in `hktlab.__all__`;
 - BENCHMARK.json names it as a per-layer metric (`module.function.*`);
 - it is listed in KEPT, with the reason it stays.
@@ -30,15 +31,40 @@ KEPT = {
 }
 
 
-def _readers() -> dict[str, set[tuple[str, str | None]]]:
-    """name -> the (module, top-level definition or None) places that load it."""
+def _package_names(tree: ast.Module, module: str) -> dict[str, tuple[str, str]]:
+    """Local name -> (defining module, name) for the module's own top-level
+    definitions and for every name it imports from the package."""
+    names = {
+        node.name: (module, node.name)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.level or node.module.startswith("hktlab.")
+        ):
+            source = node.module.rsplit(".", 1)[-1]
+            for alias in node.names:
+                names[alias.asname or alias.name] = (source, alias.name)
+    return names
+
+
+def _readers() -> dict[tuple[str, str], set[tuple[str, str | None]]]:
+    """(defining module, name) -> the (module, top-level definition or None)
+    places that load it."""
     readers = defaultdict(set)
     for path in SOURCES:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _package_names(tree, path.stem)
+        for node in tree.body:
             owner = getattr(node, "name", None)
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    readers[sub.id].add((path.stem, owner))
+                if (
+                    isinstance(sub, ast.Name)
+                    and isinstance(sub.ctx, ast.Load)
+                    and sub.id in names
+                ):
+                    readers[names[sub.id]].add((path.stem, owner))
     return readers
 
 
@@ -58,7 +84,7 @@ def _benchmarked() -> set[tuple[str, str]]:
 
 def _covered(module: str, name: str, readers, benchmarked) -> bool:
     return (
-        bool(readers.get(name, set()) - {(module, name)})
+        bool(readers.get((module, name), set()) - {(module, name)})
         or name in hktlab.__all__
         or (module, name) in benchmarked
     )
