@@ -20,6 +20,10 @@ Unknown keys are rejected unless the loader is told to tolerate them.
 Entries whose metric is not the identity are rebased to an exact
 orthonormal frame at load time; when that needs an irrational square
 root the file is rejected (supply an orthonormal basis instead).
+
+Each distinct wire string of the matrix fields is parsed once per
+document. The J's are made sparse before the quaternion relations are
+checked, and the structure keeps those sparse matrices.
 """
 
 from __future__ import annotations
@@ -75,20 +79,32 @@ def _require_int(value: object, path: str) -> int:
     return value
 
 
-def _parse_matrix(raw: object, dim: int, path: str) -> Matrix:
+def _parse_cell(cell: object, memo: dict[str, Scalar], path: str, r: int, c: int) -> Scalar:
+    try:
+        value = parse_scalar(cell)
+    except ValueError as exc:
+        raise CatalogError(f"{path}[{r}][{c}]: {exc}") from None
+    if type(cell) is str:
+        memo[cell] = value
+    return value
+
+
+def _parse_matrix(raw: object, dim: int, path: str, memo: dict[str, Scalar]) -> Matrix:
+    """The dense rows of one matrix field. `memo` maps the wire strings
+    already parsed in this document to their values, so a row whose cells
+    were all seen is read off it. It holds `str` keys only: a JSON `true`
+    equals and hashes like 1, so storing int cells would let it in, while
+    no non-str cell can equal a str key."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise CatalogError(f"{path}: expected {dim} rows")
     out: Matrix = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise CatalogError(f"{path}[{r}]: expected {dim} entries")
-        parsed = []
-        for c, cell in enumerate(row):
-            try:
-                parsed.append(parse_scalar(cell))
-            except ValueError as exc:
-                raise CatalogError(f"{path}[{r}][{c}]: {exc}") from None
-        out.append(parsed)
+        try:
+            out.append([memo[cell] for cell in row])
+        except (KeyError, TypeError):  # a new string, a non-str or an unhashable cell
+            out.append([_parse_cell(cell, memo, path, r, c) for c, cell in enumerate(row)])
     return out
 
 
@@ -152,8 +168,9 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         raise CatalogError(f"dim: expected dim = 4n with n >= 1, got n={n}, dim={dim}")
     if dim > MAX_DIM:
         raise CatalogError(f"dim: {dim} exceeds the supported maximum {MAX_DIM}")
-    metric = _parse_matrix(doc["metric"], dim, "metric")
-    j_rows = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}") for s in (1, 2, 3))
+    memo: dict[str, Scalar] = {}
+    metric = _parse_matrix(doc["metric"], dim, "metric", memo)
+    j_rows = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}", memo) for s in (1, 2, 3))
     brackets = _parse_structure_constants(doc["structure_constants"], dim)
     expected = doc.get("expected", {})
     if not isinstance(expected, dict):
@@ -178,10 +195,11 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         lie = rebase_algebra(lie, frame, inverse)
         j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
         metric = identity(dim)
-    issues = quaternionic_check(j_rows, metric)
+    j_sparse = tuple(map(sparse_matrix, j_rows))
+    issues = quaternionic_check(j_sparse, metric)
     if issues:
         raise CatalogError("quaternion relations: " + "; ".join(issues))
-    structure = HyperhermitianStructure(dim, tuple(map(sparse_matrix, j_rows)), metric)
+    structure = HyperhermitianStructure(dim, j_sparse, metric)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 
 

@@ -6,7 +6,9 @@ so callers never need to normalize. The one trap is true division of two
 bare ints (it produces a float); divide through Fraction instead.
 
 Wire format: a rational is a JSON integer or a string "p" / "p/q" with an
-optional leading minus sign and a positive denominator.
+optional leading minus sign and a positive denominator, p and q written
+in ASCII digits only (no other Unicode digit, no surrounding whitespace,
+no trailing newline).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import isqrt
 
 Scalar = int | Fraction
 
-_WIRE_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_WIRE_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_scalar(raw: object) -> Scalar:
@@ -27,7 +29,7 @@ def parse_scalar(raw: object) -> Scalar:
         raise ValueError(f"not a rational: {raw!r}")
     if isinstance(raw, int):
         return raw
-    if isinstance(raw, str) and _WIRE_RE.match(raw):
+    if isinstance(raw, str) and _WIRE_RE.fullmatch(raw):
         if "/" not in raw:
             return int(raw)
         try:

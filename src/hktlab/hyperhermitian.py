@@ -5,8 +5,10 @@ torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
 structures. A structure holds J1, J2, J3 only as sparse matrices
 (`j_sparse`, no zero stored), built once where the structure is built;
-every reader here takes them in that format. `quaternionic_check`
-validates the dense rows of a wire document before a structure exists.
+every reader here takes them in that format, `quaternionic_check`
+included, which validates the loader's sparse J's through
+`linalg.sparse_product` before a structure exists. `fundamental_form`
+reads g J off the nonzeros of the metric and of J.
 """
 
 from __future__ import annotations
@@ -20,18 +22,14 @@ from .invariant import Connection, LieAlgebra, ce_differential
 from .linalg import (
     Matrix,
     SparseMatrix,
-    identity,
-    mat_eq,
-    mat_mul,
-    mat_scale,
     sparse_commutator,
+    sparse_matrix,
+    sparse_product,
     sparse_transpose,
-    transpose,
 )
 from .tensors import (
     Cube,
     KForm,
-    bilinear_pullback,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -52,22 +50,25 @@ class HyperhermitianStructure:
     metric: Matrix
 
 
-def quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matrix) -> list[str]:
-    """All quaternion-relation and compatibility violations of the dense
-    J1, J2, J3 and metric, [] when clean."""
-    j1, j2, j3 = j_rows
+def quaternionic_check(
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], metric: Matrix
+) -> list[str]:
+    """All quaternion-relation and compatibility violations of the sparse
+    J1, J2, J3 and the metric, [] when clean. Each relation compares two
+    sparse products, which store no zero, so `==` is the matrix equality."""
+    j1, j2, j3 = j_sparse
     violations: list[str] = []
-    minus_id = mat_scale(identity(len(metric)), -1)
-    for s, j in enumerate(j_rows, 1):
-        if not mat_eq(mat_mul(j, j), minus_id):
+    minus_id = {i: {i: -1} for i in range(len(metric))}
+    for s, j in enumerate(j_sparse, 1):
+        if sparse_product(j, j) != minus_id:
             violations.append(f"J{s}^2 != -identity")
-    if not mat_eq(mat_mul(j1, j2), j3):
+    if sparse_product(j1, j2) != j3:
         violations.append("J1*J2 != J3")
-    if not mat_eq(mat_mul(j2, j1), mat_scale(j3, -1)):
+    if sparse_product(j2, j1) != {i: {k: -x for k, x in row.items()} for i, row in j3.items()}:
         violations.append("J2*J1 != -J3")
-    for s, j in enumerate(j_rows, 1):
-        pulled = mat_mul(transpose(j), mat_mul(metric, j))
-        if not mat_eq(pulled, metric):
+    g = sparse_matrix(metric)
+    for s, j in enumerate(j_sparse, 1):
+        if sparse_product(sparse_transpose(j), sparse_product(g, j)) != g:
             violations.append(f"metric not J{s}-invariant")
     return violations
 
@@ -79,18 +80,28 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
 
 
 def fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
-    """F(X, Y) = g(X, J Y) as a 2-form."""
+    """F(X, Y) = g(X, J Y) as a 2-form, with g J summed from the nonzeros of
+    g and of J's rows, each entry in the order of its middle index."""
     dim = len(metric)
-    gj = bilinear_pullback(lambda p, q: metric[p][q], None, j, dim)
+    gj: SparseMatrix = {}
+    for x, g_row in enumerate(metric):
+        out: dict[int, Scalar] = {}
+        for q, w in enumerate(g_row):
+            if w:
+                for y, v in j.get(q, {}).items():
+                    out[y] = out.get(y, 0) + v * w
+        gj[x] = out
     comps: dict[tuple[int, ...], Scalar] = {}
     for i in range(dim):
-        if gj[i][i]:
+        row = gj[i]
+        if row.get(i, 0):
             raise RuntimeError("fundamental form has a diagonal entry; compatibility broken")
         for k in range(i + 1, dim):
-            if gj[i][k] != -gj[k][i]:
+            x = row.get(k, 0)
+            if x != -gj[k].get(i, 0):
                 raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
-            if gj[i][k]:
-                comps[(i, k)] = gj[i][k]
+            if x:
+                comps[(i, k)] = x
     return KForm(dim, 2, comps)
 
 

@@ -18,7 +18,8 @@ i < j, are the one curvature format every reader takes; `curvature_tensor`
 is their dense dim^4 nested-list view.
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
-the sparse bracket table.
+the sparse bracket table; the Jacobi check completes it antisymmetrically
+once, up front.
 """
 
 from __future__ import annotations
@@ -70,24 +71,30 @@ def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector]
     """First Jacobi violation as ((i,j,k), defect vector), or None when valid.
 
     The defect is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
-    summed from the nonzero structure constants into a dense vector that
-    starts at int zeros. Only triples holding a pair with a nonzero bracket
-    can have a nonzero defect, so only those are walked, in sorted order.
+    summed from the nonzero structure constants, read off a table that
+    holds both orders of each stored pair, and returned as a dense vector
+    whose untouched entries are int zeros. Only triples holding a pair
+    with a nonzero bracket can have a nonzero defect, so only those are
+    walked, in sorted order.
 
     Antisymmetry is structural here (only i < j keys are stored); wire-level
     antisymmetry conflicts are reported by the catalog loader.
     """
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for (i, j), comps in alg.brackets.items():
+        table[(i, j)] = comps
+        table[(j, i)] = {k: -v for k, v in comps.items()}
     triples = {
         tuple(sorted((i, j, k))) for i, j in alg.brackets for k in range(alg.dim) if k not in (i, j)
     }
     for i, j, k in sorted(triples):
-        defect: Vector = [0] * alg.dim
+        defect: dict[int, Scalar] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in _bracket(alg, a, b).items():
-                for l, y in _bracket(alg, m, c).items():
-                    defect[l] += x * y
-        if any(defect):
-            return (i, j, k), defect
+            for m, x in table.get((a, b), {}).items():
+                for l, y in table.get((m, c), {}).items():
+                    defect[l] = defect.get(l, 0) + x * y
+        if any(defect.values()):
+            return (i, j, k), [defect.get(l, 0) for l in range(alg.dim)]
     return None
 
 

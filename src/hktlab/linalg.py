@@ -6,7 +6,10 @@ row space in sparse, fraction-free reduced echelon form. Its input rows
 are sparse rows, {column: value} dicts without zeros (the idiom of
 `KForm.comps` and of the cubes), because the solver systems and holonomy
 generators are almost all zeros; its stored rows are primitive integer
-rows, so the elimination runs on Python ints.
+rows, so the elimination runs on Python ints. A row of plain ints (the
+solver's rows, mostly two terms) enters as it is, with no denominator
+rescale, and a row that reduces to one entry is stored as a unit without
+a gcd; Fraction rows are rescaled to ints once, on entry.
 
 `nullspace` and `solve_unique` take sparse rows and an explicit column
 count and read their answers off a `RowSpan`'s stored rows, dividing by
@@ -18,10 +21,12 @@ pivot values that `RowSpan._insert` reports.
 Every endomorphism the engine brackets or tests (the complex structures,
 the connection and curvature operators, the holonomy generators) uses the
 sparse matrix format {row: sparse row}, which stores no zero and no empty
-row, so `not m` is the zero test. `sparse_commutator` is its one product
-kernel, `sparse_subtract` its one linear update, `sparse_trace` its
-trace and `sparse_transpose` its column view; `sparse_matrix` converts a
-dense `Matrix` once, at the boundary.
+row, so `not m` is the zero test. `sparse_commutator` and
+`sparse_product` (the loader's quaternion relations) are its product
+kernels, both summed by one accumulation over the nonzeros;
+`sparse_subtract` is its one linear update, `sparse_trace` its trace and
+`sparse_transpose` its column view; `sparse_matrix` converts a dense
+`Matrix` once, at the boundary.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: {column: value}, no zero stored
 SparseMatrix = dict[int, Row]  # {row: sparse row}, no zero and no empty row stored
 
+_INT = frozenset({int})
+
 
 class LinAlgError(Exception):
     """Raised when a linear system has no solution or no unique one."""
@@ -48,10 +55,6 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_scale(a: Matrix, s: Scalar) -> Matrix:
-    return [[s * x for x in row] for row in a]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -74,16 +77,8 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return all(not x for row in a for x in row)
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def dot(u: Vector, v: Vector) -> Scalar:
@@ -106,21 +101,39 @@ def sparse_matrix(a: Matrix) -> SparseMatrix:
     return {i: row for i, row in enumerate(map(_sparse, a)) if row}
 
 
+def _accumulate(acc: SparseMatrix, left: SparseMatrix, right: SparseMatrix, combine) -> None:
+    """acc (+ or -, by `combine`) = left * right, summed over the nonzeros;
+    entries that cancel stay until `_pruned`."""
+    for i, row in left.items():
+        out = None
+        for k, x in row.items():
+            right_k = right.get(k)
+            if right_k:
+                if out is None:
+                    out = acc.setdefault(i, {})
+                for j, y in right_k.items():
+                    out[j] = combine(out.get(j, 0), x * y)
+
+
+def _pruned(acc: SparseMatrix) -> SparseMatrix:
+    return {i: kept for i, row in acc.items() if (kept := {j: x for j, x in row.items() if x})}
+
+
+def sparse_product(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab from the nonzeros of a and b; entries and rows that cancel are
+    dropped."""
+    acc: SparseMatrix = {}
+    _accumulate(acc, a, b, operator.add)
+    return _pruned(acc)
+
+
 def sparse_commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """ab - ba from the nonzeros of a and b; entries and rows that cancel
     are dropped, so a commuting pair gives {}."""
-    acc: dict[int, dict[int, Scalar]] = {}
-    for left, right, combine in ((a, b, operator.add), (b, a, operator.sub)):
-        for i, row in left.items():
-            out = None
-            for k, x in row.items():
-                right_k = right.get(k)
-                if right_k:
-                    if out is None:
-                        out = acc.setdefault(i, {})
-                    for j, y in right_k.items():
-                        out[j] = combine(out.get(j, 0), x * y)
-    return {i: kept for i, row in acc.items() if (kept := {j: x for j, x in row.items() if x})}
+    acc: SparseMatrix = {}
+    _accumulate(acc, a, b, operator.add)
+    _accumulate(acc, b, a, operator.sub)
+    return _pruned(acc)
 
 
 def sparse_trace(m: SparseMatrix) -> Scalar:
@@ -233,8 +246,9 @@ class RowSpan:
     """Row space kept in fraction-free reduced echelon form; the package's
     one Gaussian elimination.
 
-    Rows go in as sparse rows of ints and Fractions; each is scaled by the
-    lcm of its denominators once, on entry. Each stored row is a primitive
+    Rows go in as sparse rows of ints and Fractions; a row with a Fraction
+    is scaled by the lcm of its denominators once, on entry, and an
+    all-int row is copied as it is. Each stored row is a primitive
     integer row {column: int} keyed by its pivot: gcd 1, a positive entry
     at its own pivot, 0 at every other pivot and left of its pivot. So the
     stored row divided by its pivot entry is the row of the reduced echelon
@@ -263,8 +277,12 @@ class RowSpan:
     def _reduce(self, vec: Row) -> tuple[dict[int, int], int]:
         """vec reduced against the stored rows, as an integer row that is
         `scale` times the rational reduced vector, and that scale."""
-        scale = lcm(*[x.denominator for x in vec.values()])
-        v = {j: x.numerator * (scale // x.denominator) for j, x in vec.items()}
+        if _INT.issuperset(map(type, vec.values())):  # every type(x) is int
+            scale = 1
+            v = dict(vec)
+        else:
+            scale = lcm(*[x.denominator for x in vec.values()])
+            v = {j: x.numerator * (scale // x.denominator) for j, x in vec.items()}
         rows = self._rows
         # Stored rows vanish at every other pivot, so one pass clears them all.
         for pivot in [j for j in v if j in rows]:
@@ -278,7 +296,12 @@ class RowSpan:
                     scale *= m
                     for j in v:
                         v[j] *= m
-            _subtract(v, c, row)
+            for j, y in row.items():
+                x = v.get(j, 0) - c * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
         return v, scale
 
     def _insert(self, vec: Row) -> tuple[int, int, int] | None:
@@ -290,12 +313,15 @@ class RowSpan:
             return None
         pivot = min(v)
         value = v[pivot]
-        g = gcd(*v.values())
-        if value < 0:
-            g = -g
-        if g != 1:
-            for j in v:
-                v[j] //= g
+        if len(v) == 1:
+            v[pivot] = 1
+        else:
+            g = gcd(*v.values())
+            if value < 0:
+                g = -g
+            if g != 1:
+                for j in v:
+                    v[j] //= g
         d = v[pivot]
         rows, holders = self._rows, self._holders
         for p in holders.pop(pivot, ()):

@@ -51,13 +51,13 @@ from hktlab.linalg import (
     rref,
     sparse_commutator,
     sparse_matrix,
-    transpose,
     zeros,
 )
 from hktlab.obata import SolverCertificate, TraceReport
 from hktlab.tensors import (
     Cube,
     KForm,
+    bilinear_pullback,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -110,6 +110,18 @@ def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a: Matrix, s: Scalar) -> Matrix:
+    return [[s * x for x in row] for row in a]
+
+
+def mat_eq(a: Matrix, b: Matrix) -> bool:
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -199,6 +211,43 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
 
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
     return tuple(fundamental_form(h.metric, j) for j in h.j_sparse)
+
+
+def naive_quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matrix) -> list[str]:
+    """The quaternion-relation and compatibility violations from dense
+    products, in the order and wording of `quaternionic_check`."""
+    j1, j2, j3 = j_rows
+    violations: list[str] = []
+    minus_id = mat_scale(identity(len(metric)), -1)
+    for s, j in enumerate(j_rows, 1):
+        if not mat_eq(mat_mul(j, j), minus_id):
+            violations.append(f"J{s}^2 != -identity")
+    if not mat_eq(mat_mul(j1, j2), j3):
+        violations.append("J1*J2 != J3")
+    if not mat_eq(mat_mul(j2, j1), mat_scale(j3, -1)):
+        violations.append("J2*J1 != -J3")
+    for s, j in enumerate(j_rows, 1):
+        pulled = mat_mul(transpose(j), mat_mul(metric, j))
+        if not mat_eq(pulled, metric):
+            violations.append(f"metric not J{s}-invariant")
+    return violations
+
+
+def pullback_fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
+    """F(X, Y) = g(X, J Y) from the dense pullback matrix g J, with the
+    compatibility errors of `fundamental_form`."""
+    dim = len(metric)
+    gj = bilinear_pullback(lambda p, q: metric[p][q], None, j, dim)
+    comps: dict[tuple[int, ...], Scalar] = {}
+    for i in range(dim):
+        if gj[i][i]:
+            raise RuntimeError("fundamental form has a diagonal entry; compatibility broken")
+        for k in range(i + 1, dim):
+            if gj[i][k] != -gj[k][i]:
+                raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
+            if gj[i][k]:
+                comps[(i, k)] = gj[i][k]
+    return KForm(dim, 2, comps)
 
 
 def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
@@ -533,6 +582,31 @@ def naive_jacobi_defect(alg: LieAlgebra, i: int, j: int, k: int) -> Vector:
         term = bracket_vectors(alg, inner, basis[c])
         total = [t + x for t, x in zip(total, term)]
     return total
+
+
+def walked_validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:
+    """First Jacobi violation over the triples that hold a bracketed pair,
+    each defect summed into a dense vector of int zeros from brackets
+    antisymmetrized per lookup: the result, types included, that
+    `validate_lie_algebra` must give."""
+
+    def bracket(i: int, j: int) -> dict[int, Scalar]:
+        if i <= j:
+            return alg.brackets.get((i, j), {})
+        return {k: -v for k, v in alg.brackets.get((j, i), {}).items()}
+
+    triples = {
+        tuple(sorted((i, j, k))) for i, j in alg.brackets for k in range(alg.dim) if k not in (i, j)
+    }
+    for i, j, k in sorted(triples):
+        defect: Vector = [0] * alg.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in bracket(a, b).items():
+                for l, y in bracket(m, c).items():
+                    defect[l] += x * y
+        if any(defect):
+            return (i, j, k), defect
+    return None
 
 
 def naive_validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:

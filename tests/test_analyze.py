@@ -99,8 +99,9 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["ce_differential"] == 5
     # Ric(J., J.) only for the torsion-free connection, whose package the
     # identity suite and the obstruction report read (3), beside the suite's
-    # rho_s(J., .) and d(theta)(J., J.) (6) and the three fundamental forms (3)
-    assert calls["bilinear_pullback"] == 12
+    # rho_s(J., .) and d(theta)(J., J.) (6); the fundamental forms read g J
+    # off the nonzeros
+    assert calls["bilinear_pullback"] == 9
     # the double J1-trace of dT is read off the J1 partial trace
     assert calls["_double_j_trace"] == 0
     assert calls["_j_partial_trace"] == 3

@@ -17,10 +17,10 @@ from hktlab.catalog import (
 )
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import identity, mat_mul, sparse_matrix, transpose
+from hktlab.linalg import identity, mat_mul, sparse_matrix
 from hktlab.tensors import orthonormal_frame
 
-from oracle_impl import ALL_NAMES, dense_js, invert
+from oracle_impl import ALL_NAMES, dense_js, invert, transpose
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +133,23 @@ def test_load_rejects_float_matrix_cell(tmp_path, hopf4_doc):
 def test_load_rejects_bool_matrix_cell(tmp_path, hopf4_doc):
     hopf4_doc["j1"][2][1] = True
     with pytest.raises(CatalogError, match=re.escape("j1[2][1]: not a rational")):
+        load(write_doc(tmp_path, hopf4_doc))
+
+
+@pytest.mark.parametrize("cell", ["\u0661", "\uff11\uff12", "1\n", [1], {"p": 1}])
+def test_load_rejects_malformed_cells(tmp_path, hopf4_doc, cell):
+    hopf4_doc["j1"][1][0] = cell
+    with pytest.raises(CatalogError, match=re.escape(f"j1[1][0]: not a rational: {cell!r}")):
+        load(write_doc(tmp_path, hopf4_doc))
+
+
+def test_load_rejects_bool_cell_after_equal_cells(tmp_path, hopf4_doc):
+    # "1" cells are parsed once per document; True == 1 must reuse neither
+    # them nor a JSON integer 1
+    assert hopf4_doc["j1"][0][1] == "1" and hopf4_doc["metric"][0][0] == "1"
+    hopf4_doc["j2"][0][2] = 1
+    hopf4_doc["j3"][3][3] = True
+    with pytest.raises(CatalogError, match=re.escape("j3[3][3]: not a rational: True")):
         load(write_doc(tmp_path, hopf4_doc))
 
 

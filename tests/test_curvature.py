@@ -27,7 +27,7 @@ from hktlab.invariant import (
     curvature_operators,
     levi_civita,
 )
-from hktlab.linalg import is_zero_matrix, mat_mul, transpose
+from hktlab.linalg import is_zero_matrix, mat_mul
 from hktlab.obata import difference_tensor, obata_connection
 from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, norm_sq
 
@@ -50,6 +50,7 @@ from oracle_impl import (
     naive_ric_j,
     naive_ricci_package,
     naive_star_traces,
+    transpose,
 )
 
 # frozen scalar table: (|T|^2, |theta|^2, delta_theta, dT double trace, star scalar)

@@ -28,7 +28,10 @@ def test_parse_fractions():
     assert parse_scalar("-9/6") == Fraction(-3, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "a", "1/2/3", "2e3", " 1", "1 ", "--1", "+1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "1.5", "a", "1/2/3", "2e3", " 1", "1 ", "--1", "+1", "\u0661", "\uff11\uff12", "1\n"],
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

@@ -41,7 +41,9 @@ from oracle_impl import (
     naive_nijenhuis,
     naive_nijenhuis_vec,
     naive_preserves_endomorphism,
+    naive_quaternionic_check,
     p_minus,
+    pullback_fundamental_form,
 )
 
 
@@ -52,13 +54,13 @@ def cat():
 
 def test_quaternionic_check_clean(cat):
     for entry in cat.values():
-        assert quaternionic_check(dense_js(entry.structure), entry.structure.metric) == []
+        assert quaternionic_check(entry.structure.j_sparse, entry.structure.metric) == []
 
 
 def test_quaternionic_check_reports_violations(cat):
     h = cat["torus4"].structure
-    _, j2, j3 = dense_js(h)
-    issues = quaternionic_check((identity(4), j2, j3), h.metric)
+    _, j2, j3 = h.j_sparse
+    issues = quaternionic_check((sparse_matrix(identity(4)), j2, j3), h.metric)
     assert "J1^2 != -identity" in issues
     assert any("J1*J2" in msg for msg in issues)
 
@@ -66,8 +68,90 @@ def test_quaternionic_check_reports_violations(cat):
 def test_quaternionic_check_metric_compatibility(cat):
     h = cat["torus4"].structure
     bad_metric = [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]]
-    issues = quaternionic_check(dense_js(h), bad_metric)
+    issues = quaternionic_check(h.j_sparse, bad_metric)
     assert any("not J" in msg and "invariant" in msg for msg in issues)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def perturbed_quaternion_inputs(draw):
+    """Dense J's of a shipped entry, one of them with a flipped sign, two
+    swapped rows or one rescaled entry, and the identity or a symmetric
+    perturbation of it as the metric."""
+    entry = builtin_by_name()[draw(st.sampled_from(ALL_NAMES))]
+    dim = entry.dim
+    js = [[list(row) for row in j] for j in dense_js(entry.structure)]
+    index = st.integers(0, dim - 1)
+    kind = draw(st.sampled_from(["none", "sign", "swap", "scale"]))
+    j = js[draw(st.integers(0, 2))]
+    r, c = draw(index), draw(index)
+    if kind == "sign":
+        c = next(col for col, x in enumerate(j[r]) if x)
+        j[r][c] = -j[r][c]
+    elif kind == "swap":
+        j[r], j[c] = j[c], j[r]
+    elif kind == "scale":
+        j[r][c] = draw(small_rationals)
+    metric = [[int(a == b) for b in range(dim)] for a in range(dim)]
+    for a, b, x in draw(st.lists(st.tuples(index, index, small_rationals), max_size=3)):
+        metric[a][b] = metric[b][a] = x
+    return tuple(js), metric
+
+
+@given(perturbed_quaternion_inputs())
+@settings(max_examples=80)
+def test_quaternionic_check_matches_dense_oracle(inputs):
+    js, metric = inputs
+    got = quaternionic_check(tuple(map(sparse_matrix, js)), metric)
+    assert got == naive_quaternionic_check(js, metric)
+
+
+@st.composite
+def metrics_for(draw, dim):
+    """A symmetric metric on the quaternionic blocks of size 4: a rational
+    multiple of the identity per block (J-invariant), and sometimes one
+    symmetric pair of entries reset, which mostly breaks the invariance."""
+    metric = [[0] * dim for _ in range(dim)]
+    for b in range(dim // 4):
+        scale = draw(
+            st.one_of(st.integers(1, 3), st.fractions(min_value=Fraction(1, 3), max_value=3))
+        )
+        for i in range(4 * b, 4 * b + 4):
+            metric[i][i] = scale
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        metric[a][b] = metric[b][a] = draw(small_rationals)
+    return metric
+
+
+def form_or_error(build, metric, j):
+    try:
+        return repr(build(metric, j).comps)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["hopf4", "nil8", "hc_only8"])
+@given(data=st.data())
+@settings(max_examples=40)
+def test_fundamental_form_matches_pullback_oracle(name, data):
+    h = builtin_by_name()[name].structure
+    metric = data.draw(metrics_for(h.dim))
+    for j in h.j_sparse:
+        # the same comps, types and key order, or the same compatibility error
+        got = form_or_error(fundamental_form, metric, j)
+        assert got == form_or_error(pullback_fundamental_form, metric, j)
+
+
+def test_fundamental_form_non_identity_metric_pin(cat):
+    j1 = cat["hopf8"].structure.j_sparse[0]
+    diagonal = [Fraction(1, 2)] * 4 + [3] * 4
+    metric = [[diagonal[i] if i == k else 0 for k in range(8)] for i in range(8)]
+    f = fundamental_form(metric, j1)
+    assert repr(f.comps) == repr(pullback_fundamental_form(metric, j1).comps)
+    assert f.comps == {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1, 2), (4, 5): 3, (6, 7): -3}
 
 
 def test_fundamental_forms_hopf4(cat):

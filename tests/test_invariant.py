@@ -36,6 +36,7 @@ from oracle_impl import (
     naive_torsion_cube,
     naive_validate_lie_algebra,
     structure_constant,
+    walked_validate_lie_algebra,
 )
 
 HOPF4 = LieAlgebra(4, {(1, 2): {3: 2}, (1, 3): {2: -2}, (2, 3): {1: 2}})
@@ -113,6 +114,29 @@ def test_jacobi_check_matches_dense_oracle(alg):
     assert got == want
     # the loader prints the defect with repr, so element types must agree too
     assert repr(got) == repr(want)
+
+
+def shifted(alg: LieAlgebra, by: int) -> dict:
+    return {
+        (i + by, j + by): {k + by: v for k, v in c.items()} for (i, j), c in alg.brackets.items()
+    }
+
+
+@given(bracket_tables())
+@settings(max_examples=80)
+def test_jacobi_check_matches_per_lookup_walk(alg):
+    # the table completed up front against antisymmetrizing at each lookup,
+    # on the drawn table, on valid ones and on direct sums with NIL8 in
+    # either order, so a violation can come after a valid block
+    dim = alg.dim + 8
+    sums = (
+        LieAlgebra(dim, shifted(NIL8, 0) | shifted(alg, 8)),
+        LieAlgebra(dim, shifted(alg, 0) | shifted(NIL8, alg.dim)),
+    )
+    for table in (alg, NIL8, HOPF4) + sums:
+        got, want = validate_lie_algebra(table), walked_validate_lie_algebra(table)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 def test_differential_sign_pin():

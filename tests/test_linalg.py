@@ -18,6 +18,7 @@ from hktlab.linalg import (
     solve_unique,
     sparse_commutator,
     sparse_matrix,
+    sparse_product,
     sparse_subtract,
     sparse_trace,
 )
@@ -167,6 +168,10 @@ def test_sparse_kernels_match_dense(pair, f):
         got = sparse_commutator(x, y)
         assert stores_no_zero(got)
         assert dense_matrix(got, n) == commutator(dense_matrix(x, n), dense_matrix(y, n))
+    for x, y in ((sa, sb), (sb, sa), (sa, sa)):
+        got = sparse_product(x, y)
+        assert stores_no_zero(got)
+        assert dense_matrix(got, n) == mat_mul(dense_matrix(x, n), dense_matrix(y, n))
     # commuting pairs cancel to the empty matrix
     assert sparse_commutator(sa, sa) == {}
     assert sparse_commutator(sa, a_squared) == {}
@@ -333,6 +338,41 @@ def test_rowspan_stores_primitive_integer_rows(rows):
         span.add(sparse(r))
         assert_fraction_free_echelon(span)
     assert span.rank == rank(rows)
+
+
+int_rows = st.lists(
+    st.dictionaries(st.integers(0, 5), st.integers(-4, 4).filter(bool), max_size=3),
+    min_size=1,
+    max_size=10,
+)
+
+
+@given(int_rows)
+@settings(max_examples=100)
+def test_rowspan_int_rows_match_integral_fraction_rows(rows):
+    # two-term and single-entry int rows (the solver's rows) take the int
+    # path; the same rows as integral Fractions take the rescaling path
+    ints, fractions = RowSpan(6), RowSpan(6)
+    for row in rows:
+        as_fractions = {j: Fraction(x) for j, x in row.items()}
+        assert ints.contains(row) == fractions.contains(as_fractions)
+        got, want = ints._insert(row), fractions._insert(as_fractions)
+        assert repr(got) == repr(want)
+        assert row == as_fractions  # the int path reduces a copy
+        assert repr(ints._rows) == repr(fractions._rows)
+        assert ints._holders == fractions._holders
+        assert_fraction_free_echelon(ints)
+    assert ints.rank == rank([dense(row, 6) for row in rows])
+
+
+def test_rowspan_single_entry_rows_store_unit_pivots():
+    span = RowSpan(3)
+    assert span._insert({1: 2, 2: 4}) == (1, 2, 1)
+    assert span._insert({2: -6}) == (2, -6, 1)
+    assert span._rows == {1: {1: 1}, 2: {2: 1}}
+    assert span._insert({0: Fraction(-3, 2)}) == (0, -3, 2)
+    assert span._rows[0] == {0: 1}
+    assert_fraction_free_echelon(span)
 
 
 HILBERT6 = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.linalg import mat_mul, sparse_matrix, transpose
+from hktlab.linalg import mat_mul, sparse_matrix
 from hktlab.tensors import (
     KForm,
     bilinear_pullback,
@@ -23,7 +23,7 @@ from hktlab.tensors import (
     wedge,
 )
 
-from oracle_impl import basis_form, cube_map_output, form_scale, naive_wedge_eval
+from oracle_impl import basis_form, cube_map_output, form_scale, naive_wedge_eval, transpose
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
