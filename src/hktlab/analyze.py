@@ -3,8 +3,10 @@
 Produces a JSON-ready report with stable key order: validation, the common
 skew-torsion check, Lee form, both constructions of the torsion-free
 hypercomplex connection, every identity suite, trace data, holonomy, and
-the final structure verdict. All scalars are exact; rationals serialize
-as strings.
+the final structure verdict. All scalars are exact. Each named rational
+field (forms, scalars, norms, traces) is a wire-format string; the engine
+scalars inside a counterexample or a first difference are written by
+value, an integral one as a JSON integer (see `exact`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .curvature import (
     ricci_package,
     star_scalar,
 )
+from .exact import format_scalar
 from .holonomy import classify, holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import (
     HktResult,
@@ -45,7 +48,6 @@ from .invariant import (
     ce_differential,
     curvature_operators,
     levi_civita,
-    validate_lie_algebra,
 )
 from .linalg import is_zero_matrix
 from .obata import (
@@ -60,11 +62,12 @@ REPORT_SCHEMA_VERSION = "1"
 
 
 def _jsonify(value: object) -> object:
-    """Exact JSON shape: fractions as strings, tuples as lists."""
-    if isinstance(value, bool) or value is None or isinstance(value, (str, int)):
+    """Exact JSON shape, tuples as lists and rationals by value: an integral
+    int or Fraction as a JSON integer, any other as a "p/q" string."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator if value.denominator == 1 else str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
@@ -73,10 +76,7 @@ def _jsonify(value: object) -> object:
 
 
 def _wire_form(form: KForm) -> dict[str, object]:
-    components = [
-        list(idx) + [_jsonify(v if isinstance(v, Fraction) else Fraction(v))]
-        for idx, v in sorted(form.comps.items())
-    ]
+    components = [list(idx) + [format_scalar(v)] for idx, v in sorted(form.comps.items())]
     return {"degree": form.degree, "components": components}
 
 
@@ -159,7 +159,7 @@ def _validation_stage(entry: CatalogEntry, hkt: HktResult) -> dict[str, object]:
         "n": entry.n,
         "dim": entry.dim,
         "validation": {
-            "jacobi": validate_lie_algebra(entry.lie) is None,
+            "jacobi": entry.lie.jacobi_defect is None,
             "integrable": hkt.first_nonintegrable is None,
             "first_nonintegrable": hkt.first_nonintegrable,
         },
@@ -202,6 +202,9 @@ def _torsion_free_stage(
             " connection is not quaternion-linear"
         )
     obstruction = hkt_obstruction_report(pkg_ob, h)
+    first = sl_cert.first_violation  # (generator, reason, trace or None)
+    if first is not None and first[2] is not None:
+        first = (first[0], first[1], format_scalar(first[2]))
     report["obata"] = {
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
@@ -213,7 +216,7 @@ def _torsion_free_stage(
         "obata_dim": hol_ob.dim,
         "gl_membership": sl_cert.all_quaternion_linear,
         "sl_membership": sl_ok,
-        "certificate": _jsonify(asdict(sl_cert)),
+        "certificate": _jsonify({**asdict(sl_cert), "first_violation": first}),
     }
     report["obstruction"] = {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
     return _TorsionFree(r_ob, pkg_ob, hol_ob.dim, sl_cert.all_trace_free, obstruction.verdict)
@@ -248,8 +251,8 @@ def _identity_stage(
         "obata_suite": {key: _outcome(val) for key, val in suite.items()},
         "curvature_relation": _outcome(curv_rel),
         "star_scalar": {
-            "value": _jsonify(Fraction(star.value)),
-            "components": {k: _jsonify(Fraction(v)) for k, v in star.components.items()},
+            "value": format_scalar(star.value),
+            "components": {k: format_scalar(v) for k, v in star.components.items()},
             "checks": {key: _outcome(val) for key, val in star.checks.items()},
         },
         "torsion_type": _outcome(CheckOutcome(type_res.ok, type_cex)),
@@ -260,8 +263,8 @@ def _identity_stage(
         },
         "chern_norms": {
             "ok": chern.ok,
-            "norms": _jsonify([Fraction(x) for x in chern.norms]),
-            "torsion_norm_sq": _jsonify(Fraction(chern.torsion_norm_sq)),
+            "norms": [format_scalar(x) for x in chern.norms],
+            "torsion_norm_sq": format_scalar(chern.torsion_norm_sq),
         },
     }
     for key, val in suite.items():
@@ -281,7 +284,7 @@ def _identity_stage(
             violations.append(f"identity failed: {label}")
 
     report["dt_traces"] = {
-        "h": _jsonify(Fraction(dtt.h_value)),
+        "h": format_scalar(dtt.h_value),
         "strong": dtt.strong,
         "almost_strong": dtt.almost_strong,
         "traces_coincide": dtt.traces_coincide,

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .exact import Scalar, format_scalar, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
-from .invariant import BracketTable, LieAlgebra, rebase_algebra, validate_lie_algebra
+from .invariant import BracketTable, LieAlgebra, rebase_algebra
 from .linalg import Matrix, SparseMatrix, identity, mat_mul, sparse_matrix
 from .tensors import MAX_DIM, is_symmetric, orthonormal_frame
 
@@ -177,7 +177,7 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         raise CatalogError("expected: expected a map")
 
     lie = LieAlgebra(dim, brackets)
-    defect = validate_lie_algebra(lie)
+    defect = lie.jacobi_defect
     if defect is not None:
         triple, vec = defect
         raise CatalogError(f"structure_constants: Jacobi identity fails at {triple}: defect {vec}")

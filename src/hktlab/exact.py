@@ -2,8 +2,15 @@
 
 Every scalar in the engine is a plain int or a fractions.Fraction. The two
 mix freely under Python's numeric tower and compare equal when they should,
-so callers never need to normalize. The one trap is true division of two
-bare ints (it produces a float); divide through Fraction instead.
+so callers never need to normalize, and no engine code tests which of the
+two a scalar is. The one trap is true division of two bare ints (it
+produces a float); divide through Fraction instead.
+
+The report writes a rational by its value alone. A named rational field
+goes through `format_scalar` and is always a wire-format string; a scalar
+inside a counterexample or a first difference is a JSON integer when it is
+integral and a "p/q" string otherwise, whether it arrived as an int or a
+Fraction.
 
 Wire format: a rational is a JSON integer or a string "p" / "p/q" with an
 optional leading minus sign and a positive denominator, p and q written

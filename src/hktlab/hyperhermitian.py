@@ -8,14 +8,16 @@ structures. A structure holds J1, J2, J3 only as sparse matrices
 every reader here takes them in that format, `quaternionic_check`
 included, which validates the loader's sparse J's through
 `linalg.sparse_product` before a structure exists. `fundamental_form`
-reads g J off the nonzeros of the metric and of J.
+reads g J off the nonzeros of the metric and of J. `nijenhuis` and the
+type identities are pullbacks of sparse cubes (`tensors.cube_pullback`):
+the Nijenhuis tensor is built from the bracket cube c^k_ij and J, with no
+metric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
@@ -108,55 +110,22 @@ def fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
 def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
-    Returns the lowered cube n[(i, j, k)] (orthonormal frame) and its 3-form
-    reading when totally skew, else None. The four terms of each pair are
-    built from the nonzero brackets and the nonzeros of J's columns.
+    Returns the cube n[(i, j, k)] = N(e_i, e_j)^k and its 3-form reading
+    when totally skew (the cube lowered in the orthonormal frame), else
+    None. Each term is a pullback of the bracket cube c[(i, j, k)] = c^k_ij
+    (both orders of i, j): J on an argument slot, and J applied to the
+    value slot as the pullback through J^T.
     """
-    dim = alg.dim
-    columns = sparse_transpose(j)
-    j_cols = [list(columns.get(c, {}).items()) for c in range(dim)]
-
-    def bracket(x: list[tuple[int, Scalar]], y: list[tuple[int, Scalar]]) -> dict[int, Scalar]:
-        # entries that cancel stay, with their type, as in a dense sum
-        out: dict[int, Scalar] = {}
-        for i, xi in x:
-            for m, yj in y:
-                if i == m:
-                    continue
-                comps = alg.brackets.get((i, m), {}) if i < m else alg.brackets.get((m, i), {})
-                for k, v in comps.items():
-                    out[k] = out.get(k, 0) + xi * yj * (v if i < m else -v)
-        return out
-
-    def apply_j(w: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
-        for c, wc in w.items():
-            if wc:
-                for r, x in j_cols[c]:
-                    out[r] = out.get(r, 0) + x * wc
-        return out
-
-    def fraction_in_product(w: dict[int, Scalar], r: int) -> bool:
-        # The dense (J w)[r] sums J[r][c] * w[c] over every c with w[c] != 0,
-        # zero J[r][c] included: it is a Fraction when any such factor is.
-        jr = j.get(r, {})
-        return any(isinstance(x, Fraction) for c, wc in w.items() if wc for x in (wc, jr.get(c)))
-
-    cube: Cube = {}
-    for a, b in combinations(range(dim), 2):
-        ja, jb = j_cols[a], j_cols[b]
-        t1 = bracket(ja, jb)
-        w2, w3 = bracket(ja, [(b, 1)]), bracket([(a, 1)], jb)
-        t2, t3 = apply_j(w2), apply_j(w3)
-        t4 = alg.brackets.get((a, b), {})
-        for k in sorted(t1.keys() | t2.keys() | t3.keys() | t4.keys()):
-            v = t1.get(k, 0) - t2.get(k, 0) - t3.get(k, 0) - t4.get(k, 0)
-            if v:
-                if type(v) is int and (fraction_in_product(w2, k) or fraction_in_product(w3, k)):
-                    v = Fraction(v)
-                cube[(a, b, k)] = v
-                cube[(b, a, k)] = -v
-    return cube, cube_to_form(cube, dim)
+    c: Cube = {}
+    for (a, b), comps in alg.brackets.items():
+        for k, v in comps.items():
+            c[(a, b, k)], c[(b, a, k)] = v, -v
+    jt = sparse_transpose(j)
+    n = cube_add(
+        cube_add(cube_pullback(c, j, j, None), cube_scale(c, -1)),
+        cube_scale(cube_add(cube_pullback(c, j, None, jt), cube_pullback(c, None, j, jt)), -1),
+    )
+    return n, cube_to_form(n, alg.dim)
 
 
 def kt_torsion(j: SparseMatrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:

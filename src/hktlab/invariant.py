@@ -19,7 +19,8 @@ is their dense dim^4 nested-list view.
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
 the sparse bracket table; the Jacobi check completes it antisymmetrically
-once, up front.
+once, up front. `LieAlgebra.jacobi_defect` holds its result, walked once
+per algebra on first read, for the loader and the report.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class LieAlgebra:
             if inner:
                 clean[(i, j)] = inner
         object.__setattr__(self, "brackets", clean)
+
+    @cached_property
+    def jacobi_defect(self) -> tuple[tuple[int, int, int], Vector] | None:
+        """`validate_lie_algebra` of this algebra, walked once, on first read."""
+        return validate_lie_algebra(self)
 
 
 def _bracket(alg: LieAlgebra, i: int, j: int) -> dict[int, Scalar]:

@@ -18,7 +18,9 @@ tensors, connection coefficients) are kept as "cubes": dicts
 {(i, j, k): value} of their nonzero entries, in the same idiom as
 KForm.comps. Every function here that returns a cube keeps the invariant
 that a cube never stores a zero, so `not cube` tests for the zero tensor
-and `==` compares two tensors entry for entry.
+and `==` compares two tensors entry for entry. A stored value is an int or
+a Fraction as the arithmetic leaves it; only its value is meaningful (the
+report writes each rational by value, see `exact`).
 """
 
 from __future__ import annotations
@@ -136,18 +138,11 @@ def j_twist(a: KForm, j: SparseMatrix) -> KForm:
     Each stored component a_I is pushed through the nonzeros of the rows
     i in I of J: a choice of distinct columns (c0, c1, c2), one nonzero per
     row, adds the signed product to the 3x3 minor det J[I][sorted cols].
-    An output component sums a_I * minor over the nonzero minors. The
-    value is that of the full minor expansion; its type is too: a minor
-    over a block of J holding a Fraction is a Fraction, so such an output
-    stays a Fraction even when its value is integral.
+    An output component sums a_I * minor over the nonzero minors.
     """
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
-    fraction_cells = {
-        (r, c) for r, row in j.items() for c, x in row.items() if isinstance(x, Fraction)
-    }
     totals: dict[tuple[int, int, int], Scalar] = {}
-    fraction_minor: set[tuple[int, int, int]] = set()
     for idx, v in a.comps.items():
         rows = [j.get(i, {}).items() for i in idx]
         minors: dict[tuple[int, int, int], Scalar] = {}
@@ -161,14 +156,7 @@ def j_twist(a: KForm, j: SparseMatrix) -> KForm:
         for out, d in minors.items():
             if d:
                 totals[out] = totals.get(out, 0) + v * d
-                if fraction_cells and any((r, c) in fraction_cells for r in idx for c in out):
-                    fraction_minor.add(out)
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for out in sorted(totals):
-        total = totals[out]
-        if total:
-            comps[out] = -(Fraction(total) if out in fraction_minor else total)
-    return KForm(a.dim, 3, comps)
+    return KForm(a.dim, 3, {out: -totals[out] for out in sorted(totals)})
 
 
 def bilinear_pullback(
@@ -176,8 +164,7 @@ def bilinear_pullback(
 ) -> Matrix:
     """The matrix out[x][y] = B(M1 e_x, M2 e_y) for sparse M_s, None meaning
     the identity: the sum of M1[p][x] * M2[q][y] * b(p, q) over the
-    nonzeros of column x of M1 and column y of M2 where b(p, q) is nonzero,
-    so its types are those of a dense product that skips zero factors."""
+    nonzeros of column x of M1 and column y of M2 where b(p, q) is nonzero."""
 
     def columns(m: SparseMatrix | None) -> list[list[tuple[int, Scalar]]]:
         if m is None:
@@ -193,8 +180,7 @@ def bilinear_pullback(
 
 
 def j_trace(b: Bilinear, j: SparseMatrix) -> Scalar:
-    """sum_{a,m} J[m][a] * b(a, m) over every nonzero of J, zero values of b
-    included, so a Fraction entry of J makes the trace a Fraction."""
+    """sum_{a,m} J[m][a] * b(a, m), summed over the nonzeros of J."""
     return sum(x * b(a, m) for m, row in j.items() for a, x in row.items())
 
 

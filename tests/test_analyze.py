@@ -11,7 +11,7 @@ import pytest
 import hktlab
 from hktlab import cli
 from hktlab.analyze import analyze_entry
-from hktlab.catalog import builtin_by_name
+from hktlab.catalog import builtin_by_name, load, save
 from hktlab.holonomy import holonomy_algebra
 from hktlab.hyperhermitian import glnh_membership, hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
@@ -43,6 +43,7 @@ COUNTED = (
     "bilinear_pullback",
     "_double_j_trace",
     "_j_partial_trace",
+    "validate_lie_algebra",
 )
 
 
@@ -211,3 +212,13 @@ def test_hkt_check_stays_off_dense_mat_vec(calls, cat, name):
     hkt_check(entry.structure, entry.lie)
     assert calls["nijenhuis"] == 3
     assert calls["mat_vec"] == 0
+
+
+def test_load_and_analysis_walk_the_jacobi_triples_once(calls, cat, tmp_path, su3_path):
+    # the loader's Jacobi check and the report's validation.jacobi read one
+    # cached defect
+    save(cat["hopf8"], tmp_path / "hopf8.json")
+    for path in (tmp_path / "hopf8.json", su3_path):
+        calls.clear()
+        assert analyze_entry(load(path))["validation"]["jacobi"] is True
+        assert calls["validate_lie_algebra"] == 1

@@ -5,14 +5,31 @@ rational orthonormal basis, in which J1 is no signed permutation of the
 basis vectors. The verdict and every frame-independent number of the
 report stay those of the unrotated entry. The dim-8 rotations take
 seconds each, so only the dim-4 entries run here.
+
+The report is a function of values, not of whether a scalar is an int or
+a Fraction: a scaled metric that the loader rebases away, or an entry
+recast to Fraction scalars, gives the same bytes.
 """
+
+import json
+import re
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hktlab.analyze import analyze_entry
-from hktlab.catalog import builtin_by_name
+from hktlab import cli
+from hktlab.analyze import _outcome, analyze_entry
+from hktlab.catalog import builtin_by_name, serialize
+from hktlab.curvature import CheckOutcome
+from hktlab.exact import format_scalar, parse_scalar
+from hktlab.hyperhermitian import HyperhermitianStructure
+from hktlab.invariant import LieAlgebra
 
-from oracle_impl import cayley_rotated
+from oracle_impl import ALL_NAMES, cayley_rotated
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _invariants(report: dict) -> dict:
@@ -34,3 +51,50 @@ def test_cayley_rotation_keeps_the_report(name):
     rotated = analyze_entry(cayley_rotated(entry))
     assert rotated["theorem_violations"] == []
     assert _invariants(rotated) == _invariants(analyze_entry(entry))
+
+
+def test_scaled_metric_reports_the_golden(capsys, tmp_path):
+    # metric 4 I with doubled structure constants: the orthonormal frame
+    # e_i / 2 gives back hc_only8's constants and J's, as Fractions
+    doc = serialize(builtin_by_name()["hc_only8"])
+    dim = doc["dim"]
+    doc["metric"] = [["4" if r == c else "0" for c in range(dim)] for r in range(dim)]
+    doc["structure_constants"] = [
+        [i, j, k, format_scalar(2 * parse_scalar(v))] for i, j, k, v in doc["structure_constants"]
+    ]
+    path = tmp_path / "hc_only8_scaled.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    golden = (GOLDEN_DIR / "hc_only8.json").read_text(encoding="utf-8")
+    elapsed = re.compile(r'"elapsed_ms": \d+')
+    assert elapsed.sub("", out) == elapsed.sub("", golden)
+
+
+def _as_fractions(entry):
+    """The same entry with every J entry, metric entry and bracket value a Fraction."""
+    def recast(table):
+        return {key: {k: Fraction(v) for k, v in row.items()} for key, row in table.items()}
+
+    h = entry.structure
+    structure = HyperhermitianStructure(
+        h.dim, tuple(map(recast, h.j_sparse)), [[Fraction(x) for x in row] for row in h.metric]
+    )
+    return replace(entry, lie=LieAlgebra(entry.dim, recast(entry.lie.brackets)), structure=structure)
+
+
+def _report_text(entry) -> str:
+    report = analyze_entry(entry)
+    report["elapsed_ms"] = 0
+    return json.dumps(report, indent=2)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("su3",))
+def test_fraction_scalars_keep_the_report(name, su3):
+    entry = su3 if name == "su3" else builtin_by_name()[name]
+    assert _report_text(_as_fractions(entry)) == _report_text(entry)
+
+
+def test_counterexample_scalars_are_written_by_value():
+    check = CheckOutcome(False, (1, Fraction(2), Fraction(1, 2)))
+    assert _outcome(check) == {"ok": False, "counterexample": [1, 2, "1/2"]}

@@ -13,6 +13,10 @@ A public function (no leading underscore) defined at the top level of
 A function that meets none of them is called by nothing in the package:
 move it next to the tests that use it (`tests/oracle_impl.py`) or delete
 it.
+
+Only the modules in TYPE_TESTING may test a scalar's Python type
+(`isinstance(..., Fraction)`, `type(...) is int`): the engine computes
+values, and the report decides how a rational is written.
 """
 
 import ast
@@ -20,10 +24,15 @@ import json
 from collections import defaultdict
 from pathlib import Path
 
+import pytest
+
 import hktlab
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
+
+# the wire format, RowSpan's int fast path and the report boundary
+TYPE_TESTING = {"exact", "linalg", "analyze"}
 
 KEPT = {
     "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"
@@ -106,3 +115,56 @@ def test_kept_functions_need_keeping():
     for name in KEPT:
         assert name in public, name
         assert not _covered(public[name], name, readers, benchmarked), name
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def _is_call(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _scalar_type_tests(tree: ast.AST) -> list[int]:
+    """Lines of `isinstance(..., Fraction)` and of `type(...)` compared with
+    int or Fraction."""
+    lines = []
+    for node in ast.walk(tree):
+        if _is_call(node, "isinstance") and len(node.args) == 2:
+            if "Fraction" in _names(node.args[1]):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            others = [x for x in operands if not _is_call(x, "type")]
+            if len(others) < len(operands) and {"int", "Fraction"} & set().union(*map(_names, others)):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_report_boundary_tests_a_scalar_type():
+    found = [
+        f"{path.stem}.py:{line}"
+        for path in SOURCES
+        if path.stem not in TYPE_TESTING
+        for line in _scalar_type_tests(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "code, hits",
+    [
+        ("isinstance(v, Fraction)", [1]),
+        ("isinstance(v, (int, fractions.Fraction))", [1]),
+        ("type(v) is int", [1]),
+        ("Fraction != type(v)", [1]),
+        ("isinstance(v, int)", []),  # a JSON field's kind, not a scalar's
+        ("type(cell) is str", []),
+    ],
+)
+def test_scalar_type_tests_are_found(code, hits):
+    assert _scalar_type_tests(ast.parse(code)) == hits
