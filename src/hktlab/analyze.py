@@ -49,7 +49,6 @@ from .invariant import (
     curvature_operators,
     levi_civita,
 )
-from .linalg import is_zero_matrix
 from .obata import (
     difference_tensor,
     obata_from_difference,
@@ -333,7 +332,7 @@ def _verdict_stage(
             dtt.strong,
             dtt.almost_strong,
             hol_dim,
-            is_zero_matrix(tf.ricci.ric),
+            not tf.ricci.ric,
             tf.all_trace_free,
             obstruction,
         )

@@ -3,17 +3,19 @@
 Curvature arrives as the sparse operators of `invariant.curvature_operators`
 ({(i, j): SparseMatrix}, i < j) over the orthonormal frame, with the
 lowered curvature r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is
-summed from their nonzeros. The complex structures are read as the sparse
-J's of the structure: the J-traces (the scalar traces of Ric and of the
-rho_s, the Lee form, the J-trace of d(theta)) go through
-`tensors.j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
-`tensors.bilinear_pullback`, each Ric pullback built once per J in the
+summed from their nonzeros. Every endomorphism and bilinear form here
+(the J's, Ric, the Ricci 2-forms and d(theta) through
+`tensors.form_to_matrix`, the dT partial traces) is a sparse matrix with
+B[x][y] = B(e_x, e_y). The J-traces (the scalar traces of Ric and of the
+rho_s, the Lee form, the J-trace of d(theta)) go through `tensors.j_trace`
+and `tensors.cube_j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
+`tensors.j_pullback`, each Ric pullback built once per J in the
 `RicciPackage`, on first read: only the torsion-free connection's are
 read, by both the identity suite and the obstruction report. The double
 J1-trace of dT that the *-scalar identities use is -4h, the diagonal sum
 of the J1 partial trace in `dt_traces`. Identity checks return outcome
-records carrying the first counterexample so reports can point at exact
-basis tuples.
+records carrying the first counterexample, the least nonzero cell of a
+sparse residual, so reports can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -33,17 +35,18 @@ from .invariant import (
     ce_differential,
     covariant_derivative_cube,
 )
-from .linalg import Matrix, SparseMatrix
+from .linalg import SparseMatrix, sparse_product, sparse_subtract, sparse_trace, sparse_transpose
 from .tensors import (
-    Bilinear,
     Cube,
     KForm,
-    bilinear_pullback,
+    cube_j_trace,
     cube_norm_sq,
     cube_pullback,
     cube_scale,
     cube_add,
     form_to_cube,
+    form_to_matrix,
+    j_pullback,
     j_trace,
     norm_sq,
     perm_sign,
@@ -62,7 +65,7 @@ class RicciPackage:
     ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read, built from
     the sparse J's on first read."""
 
-    ric: Matrix
+    ric: SparseMatrix
     rho: KForm
     rho_s: tuple[KForm, KForm, KForm]
     scal: Scalar
@@ -70,9 +73,8 @@ class RicciPackage:
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
     @cached_property
-    def ric_j(self) -> tuple[Matrix, Matrix, Matrix]:
-        ric, dim = self.ric, len(self.ric)
-        return tuple(bilinear_pullback(lambda p, q: ric[p][q], j, j, dim) for j in self.j_sparse)
+    def ric_j(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
+        return tuple(j_pullback(self.ric, j) for j in self.j_sparse)
 
 
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
@@ -80,17 +82,16 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
     rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
     dim = h.dim
-    ric: Matrix = [[0] * dim for _ in range(dim)]
+    ric: SparseMatrix = {}
     forms: list[dict[tuple[int, ...], Scalar]] = [{}, {}, {}, {}]  # rho, rho_1..rho_3
     for (i, j), op in curvature.items():
         sums: list[Scalar] = [0, 0, 0, 0]
+        # from r[a][x][y][a]: row j of Ric gains row i of R(e_i, e_j), row i loses row j
+        sparse_subtract(ric, -1, {j: op.get(i, {})})
+        sparse_subtract(ric, 1, {i: op.get(j, {})})
         for l, row in op.items():
             j_rows = [jm.get(l, {}) for jm in h.j_sparse]
             for k, v in row.items():
-                if l == i:
-                    ric[j][k] += v
-                elif l == j:
-                    ric[i][k] -= v
                 if l == k:
                     sums[0] += v
                 for s, j_row in enumerate(j_rows, 1):
@@ -99,15 +100,10 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
         for s, total in enumerate(sums):
             if total:
                 forms[s][(i, j)] = Fraction(total, 2) if s else total
-    scal = sum(ric[a][a] for a in range(dim))
-    scal_s = tuple(j_trace(lambda a, m: ric[m][a], jm) for jm in h.j_sparse)
+    ric_t = sparse_transpose(ric)
+    scal_s = tuple(j_trace(ric_t, jm) for jm in h.j_sparse)
     rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
-    return RicciPackage(ric, rho, tuple(rho_s), scal, scal_s, h.j_sparse)
-
-
-def _bilinear(form: KForm) -> Bilinear:
-    """A 2-form as the bilinear form (x, y) -> form(e_x, e_y)."""
-    return lambda x, y: form.evaluate((x, y))
+    return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.j_sparse)
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,11 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     candidates: list[list[Scalar]] = []
     for j in h.j_sparse:
         # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a], then theta(e_x) = -1/2 S(J e_x)
-        contracted = [j_trace(lambda a, m: ct.get((r, a, m), 0), j) for r in range(dim)]
+        contracted = cube_j_trace(ct, j)
         pulled: list[Scalar] = [0] * dim
         for r, row in j.items():
             for x, v in row.items():
-                pulled[x] += v * contracted[r]
+                pulled[x] += v * contracted.get(r, 0)
         candidates.append([Fraction(-total, 2) for total in pulled])
     if not (candidates[0] == candidates[1] == candidates[2]):
         raise ValueError("not HKT torsion: the three Lee form candidates differ")
@@ -146,54 +142,59 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     return LeeForm(theta, d_theta, classification)
 
 
+def _least_cell(*terms: tuple[Scalar, SparseMatrix]) -> tuple[int, int] | None:
+    """The least (x, y) where sum f * M is nonzero over the (f, M) terms."""
+    residual: SparseMatrix = {}
+    for f, m in terms:
+        sparse_subtract(residual, -f, m)
+    if not residual:
+        return None
+    x = min(residual)
+    return x, min(residual[x])
+
+
+def _least_per_j(terms_by_j) -> tuple[int, int, int] | None:
+    """(s, x, y): the least cell of the first s = 1, 2, 3 whose terms sum to nonzero."""
+    cells = ((s, *cell) for s, terms in enumerate(terms_by_j, 1) if (cell := _least_cell(*terms)))
+    return next(cells, None)
+
+
 def obata_identity_suite(
     pkg: RicciPackage, lee: LeeForm, h: HyperhermitianStructure
 ) -> dict[str, CheckOutcome]:
     """Exact identity suite tying the torsion-free hypercomplex connection's
     Ricci data to the Lee form. Keys are stable descriptive ids; each check
-    reports its first failing index tuple, in loop order.
+    reports its first failing index tuple in (s, x, y) order: the least
+    nonzero cell of its residual, for the least failing s.
     """
-    dim = h.dim
-    ric, rho, rho_s, ric_j, d_theta = pkg.ric, pkg.rho, pkg.rho_s, pkg.ric_j, lee.d_theta
-    cells = [(x, y) for x in range(dim) for y in range(dim)]
+    ric, ric_j = pkg.ric, pkg.ric_j
+    ric_t = sparse_transpose(ric)
+    rho, d_theta = form_to_matrix(pkg.rho), form_to_matrix(lee.d_theta)
     # rho_s(J_s X, Y) and d(theta)(J_s X, J_s Y)
-    rho_j = [bilinear_pullback(_bilinear(f), j, None, dim) for f, j in zip(rho_s, h.j_sparse)]
-    d_theta_j = [bilinear_pullback(_bilinear(d_theta), j, j, dim) for j in h.j_sparse]
+    rho_j = [
+        sparse_product(sparse_transpose(j), form_to_matrix(f))
+        for f, j in zip(pkg.rho_s, h.j_sparse)
+    ]
+    d_theta_j = [j_pullback(d_theta, j) for j in h.j_sparse]
     scalars = [("scal", pkg.scal)] + [(f"scal_{s}", v) for s, v in enumerate(pkg.scal_s, 1)]
-    failures = {
-        "ricci-j-conjugation": (
-            (s, x, y)
-            for s in (1, 2, 3)
-            for x, y in cells
-            if ric_j[s - 1][x][y] + ric[y][x] != 2 * rho_j[s - 1][x][y]
+    counterexamples = {
+        "ricci-j-conjugation": _least_per_j(
+            ((1, pulled), (1, ric_t), (-2, r)) for pulled, r in zip(ric_j, rho_j)
         ),
-        "ricci-antisymmetry-vs-rho": (
-            (x, y) for x, y in cells if ric[x][y] - ric[y][x] != -rho.evaluate((x, y))
-        ),
-        "ricci-equals-d-lee": ((x, y) for x, y in cells if ric[x][y] != d_theta.evaluate((x, y))),
-        "rho-equals-minus-2-d-lee": (
-            (x, y) for x, y in cells if rho.evaluate((x, y)) != -2 * d_theta.evaluate((x, y))
-        ),
-        "rho-s-vanish": ((s,) for s, f in enumerate(rho_s, 1) if not f.is_zero()),
-        "d-lee-j-invariant": (
-            (s, x, y)
-            for s in (1, 2, 3)
-            for x, y in cells
-            if x < y and d_theta_j[s - 1][x][y] != d_theta.evaluate((x, y))
-        ),
-        "ricci-j-invariant": (
-            (s, x, y) for s in (1, 2, 3) for x, y in cells if ric_j[s - 1][x][y] != ric[x][y]
-        ),
-        "scalars-vanish": (item for item in scalars if item[1]),
-        "d-lee-trace-free": (
-            (s, total)
-            for s, j in enumerate(h.j_sparse, 1)
-            if (total := j_trace(_bilinear(d_theta), j))
+        "ricci-antisymmetry-vs-rho": _least_cell((1, ric), (-1, ric_t), (1, rho)),
+        "ricci-equals-d-lee": _least_cell((1, ric), (-1, d_theta)),
+        "rho-equals-minus-2-d-lee": _least_cell((1, rho), (2, d_theta)),
+        "rho-s-vanish": next(((s,) for s, f in enumerate(pkg.rho_s, 1) if not f.is_zero()), None),
+        # antisymmetric residuals, so the least cell has x < y
+        "d-lee-j-invariant": _least_per_j(((1, pulled), (-1, d_theta)) for pulled in d_theta_j),
+        "ricci-j-invariant": _least_per_j(((1, pulled), (-1, ric)) for pulled in ric_j),
+        "scalars-vanish": next((item for item in scalars if item[1]), None),
+        "d-lee-trace-free": next(
+            ((s, total) for s, j in enumerate(h.j_sparse, 1) if (total := j_trace(d_theta, j))),
+            None,
         ),
     }
-    return {
-        key: CheckOutcome((ce := next(found, None)) is None, ce) for key, found in failures.items()
-    }
+    return {key: CheckOutcome(ce is None, ce) for key, ce in counterexamples.items()}
 
 
 def curvature_relation_check(
@@ -266,11 +267,8 @@ def star_scalar(
     trace sum_{a,b} dT(e_a, J1 e_a, e_b, J1 e_b) is -4h, read off `dtt`.
     """
     pkg = ricci_package(lc_curvature, h)
-    # sum_a rho_s(J_s e_a, e_a)
-    stars = [
-        j_trace(lambda a, m, rho=rho: rho.evaluate((m, a)), j)
-        for rho, j in zip(pkg.rho_s, h.j_sparse)
-    ]
+    # sum_a rho_s(J_s e_a, e_a) = -sum_a rho_s(e_a, J_s e_a)
+    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(pkg.rho_s, h.j_sparse)]
     double_trace = -4 * dtt.h_value
     delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     theta_sq = norm_sq(lee.theta)
@@ -314,24 +312,22 @@ def dt_traces(dt: KForm, h: HyperhermitianStructure) -> DtTraces:
     """
     partials = [_j_partial_trace(dt, j) for j in h.j_sparse]
     coincide = partials[0] == partials[1] == partials[2]
-    h_value = Fraction(-sum(v for (x, y), v in partials[0].items() if x == y), 4)
+    h_value = Fraction(-sparse_trace(partials[0]), 4)
     return DtTraces(h_value, dt.is_zero(), not partials[0], coincide)
 
 
-def _j_partial_trace(form4: KForm, j: SparseMatrix) -> dict[tuple[int, int], Scalar]:
-    """Nonzero entries P[(x, y)] = sum_a form4(e_a, J e_a, e_x, J e_y), built
-    from the stored components of form4, each in every signed slot order,
-    and the nonzeros of J."""
-    out: dict[tuple[int, int], Scalar] = {}
+def _j_partial_trace(form4: KForm, j: SparseMatrix) -> SparseMatrix:
+    """P[x][y] = sum_a form4(e_a, J e_a, e_x, J e_y), built from the stored
+    components of form4, each in every signed slot order, and the nonzeros
+    of J."""
+    out: SparseMatrix = {}
     for idx, value in form4.comps.items():
         for order, sign in _ORDERINGS_4:
             a, r, x, m = (idx[o] for o in order)
             jra, row_m = j.get(r, {}).get(a), j.get(m)
             if jra and row_m:
-                f = sign * value * jra
-                for y, jmy in row_m.items():
-                    out[(x, y)] = out.get((x, y), 0) + f * jmy
-    return {key: v for key, v in out.items() if v}
+                sparse_subtract(out, -sign * value * jra, {x: row_m})
+    return out
 
 
 @dataclass(frozen=True)
@@ -369,11 +365,9 @@ def hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) -> Obs
     a compatible HKT metric to exist. Any failure rules HKT out; passing
     everything remains inconclusive.
     """
-    dim = h.dim
     flags: list[str] = []
     ric = pkg.ric
-    skew = all(ric[x][y] == -ric[y][x] for x in range(dim) for y in range(dim))
-    if not skew:
+    if _least_cell((1, ric), (1, sparse_transpose(ric))):
         flags.append("ricci not skew-symmetric")
     elif any(pulled != ric for pulled in pkg.ric_j):
         flags.append("ricci skew but not (1,1)")

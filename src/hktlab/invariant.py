@@ -259,6 +259,8 @@ def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> L
     frame_inv is the inverse of the matrix whose columns are the frame
     vectors; it converts old coordinates to new ones. [f_a, f_b] is summed
     in old coordinates from the nonzero frame entries and the stored brackets.
+    A change of basis keeps the Jacobi identity exactly, so a known valid
+    `alg` passes its `jacobi_defect` of None on, and no walk repeats.
     """
     dim = alg.dim
     brackets: BracketTable = {}
@@ -275,4 +277,7 @@ def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> L
         comps = {c: v for c, v in enumerate(new) if v}
         if comps:
             brackets[(a, b)] = comps
-    return LieAlgebra(dim, brackets)
+    rebased = LieAlgebra(dim, brackets)
+    if "jacobi_defect" in vars(alg) and alg.jacobi_defect is None:
+        vars(rebased)["jacobi_defect"] = None
+    return rebased

@@ -18,15 +18,15 @@ Fraction (apart from the 1 of each free column). The dense `Matrix` calls
 `rref` and `det` convert each row once on entry; `det` multiplies the
 pivot values that `RowSpan._insert` reports.
 
-Every endomorphism the engine brackets or tests (the complex structures,
-the connection and curvature operators, the holonomy generators) uses the
-sparse matrix format {row: sparse row}, which stores no zero and no empty
-row, so `not m` is the zero test. `sparse_commutator` and
-`sparse_product` (the loader's quaternion relations) are its product
-kernels, both summed by one accumulation over the nonzeros;
-`sparse_subtract` is its one linear update, `sparse_trace` its trace and
-`sparse_transpose` its column view; `sparse_matrix` converts a dense
-`Matrix` once, at the boundary.
+Every endomorphism and bilinear form the engine brackets or tests (the
+complex structures, the connection and curvature operators, the holonomy
+generators, Ric and the other Ricci-type 2-tensors, with B[x][y] =
+B(e_x, e_y)) uses the sparse matrix format {row: sparse row}, which stores
+no zero and no empty row, so `not m` is the zero test. `sparse_commutator`
+and `sparse_product` are its product kernels, both summed by one
+accumulation over the nonzeros; `sparse_subtract` is its one linear
+update, `sparse_trace` its trace and `sparse_transpose` its column view;
+`sparse_matrix` converts a dense `Matrix` once, at the boundary.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
     return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(not x for row in a for x in row)
 
 
 def dot(u: Vector, v: Vector) -> Scalar:

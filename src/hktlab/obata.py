@@ -10,7 +10,7 @@ Two independent construction routes:
   integer sparse rows read off the basis nonzeros.
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
-`tensors.j_trace` of A(X, ., .)), and their complex-frame form, whose real
+`tensors.cube_j_trace` of A), and their complex-frame form, whose real
 and imaginary parts are the plain and the J1 trace, so no frame is built.
 """
 
@@ -30,7 +30,7 @@ from .linalg import (
     solve_unique,
     sparse_transpose,
 )
-from .tensors import Cube, KForm, cube_add, cube_pullback, cube_scale, form_to_cube, j_trace
+from .tensors import Cube, KForm, cube_add, cube_j_trace, cube_pullback, cube_scale, form_to_cube
 
 
 def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
@@ -197,9 +197,7 @@ def trace_identities(
     imaginary part 0.
     """
     dim = h.dim
-    twisted = [
-        [j_trace(lambda i, m: a.get((x, i, m), 0), j) for x in range(dim)] for j in h.j_sparse
-    ]
+    twisted = [cube_j_trace(a, j) for j in h.j_sparse]
     failures: list[str] = []
     complex_failures: list[str] = []
     for x in range(dim):
@@ -208,12 +206,11 @@ def trace_identities(
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")
             complex_failures.append(f"real part at X=e{x}: {plain} != {want}")
-        if twisted[0][x]:
+        if x in twisted[0]:
             complex_failures.append(f"imaginary part at X=e{x}: {twisted[0][x]} != 0")
     for s, traces in enumerate(twisted, 1):
-        for x, value in enumerate(traces):
-            if value:
-                failures.append(f"J{s} trace at X=e{x}: {value} != 0")
+        for x, value in sorted(traces.items()):
+            failures.append(f"J{s} trace at X=e{x}: {value} != 0")
     return (
         TraceReport(ok=not failures, failures=tuple(failures)),
         TraceReport(ok=not complex_failures, failures=tuple(complex_failures)),

@@ -3,15 +3,17 @@
 Everything lives over a fixed basis e_0 .. e_{dim-1} of a real vector space
 with dim <= 16. A KForm stores its components on strictly increasing index
 tuples; evaluation on arbitrary tuples unpacks the permutation sign.
-Endomorphisms and metrics are matrices with the column convention
-M[i][j] = coefficient of e_i in (M e_j). Every complex structure J is held
-in the sparse `linalg.SparseMatrix` format ({row: {column: value}}, no
-zero stored), as are the connection operators; `j_twist`, the slots of
-`cube_pullback` and the two shared contractions of a bilinear form take
-that format. A bilinear form B is read through a callable b(x, y) =
-B(e_x, e_y): `bilinear_pullback` gives the matrix of B(M1 X, M2 Y) (for
-M1 = M2 = J, the pullback J^T B J) and `j_trace` the J-trace
-sum_{a,m} J[m][a] B(e_a, e_m), both summed over the nonzeros of J.
+Endomorphisms are matrices with the column convention M[i][j] =
+coefficient of e_i in (M e_j). Every endomorphism and bilinear form of the
+engine but the dense metric is held in the sparse `linalg.SparseMatrix`
+format ({row: {column: value}}, no zero stored): the complex structures
+J, the connection operators, and each bilinear form B as B[x][y] =
+B(e_x, e_y). `j_twist`, the slots of `cube_pullback` and the
+J-contractions take that format: `j_pullback` gives B(J ., J .) =
+J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m) and
+`cube_j_trace` the same trace of the last two slots of a cube, each
+summed over nonzeros. `form_to_matrix` reads a 2-form as its
+antisymmetric matrix, as `form_to_cube` reads a 3-form.
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
 tensors, connection coefficients) are kept as "cubes": dicts
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Callable
 
 from .exact import Scalar, exact_sqrt
 from .linalg import (
@@ -38,6 +39,7 @@ from .linalg import (
     Vector,
     dot,
     mat_vec,
+    sparse_product,
     sparse_transpose,
     vec_scale,
     vec_sub,
@@ -46,7 +48,6 @@ from .linalg import (
 MAX_DIM = 16
 
 Cube = dict[tuple[int, int, int], Scalar]
-Bilinear = Callable[[int, int], Scalar]  # b(x, y) = B(e_x, e_y)
 
 
 def perm_sign(seq: tuple[int, ...]) -> int:
@@ -159,29 +160,25 @@ def j_twist(a: KForm, j: SparseMatrix) -> KForm:
     return KForm(a.dim, 3, {out: -totals[out] for out in sorted(totals)})
 
 
-def bilinear_pullback(
-    b: Bilinear, m1: SparseMatrix | None, m2: SparseMatrix | None, dim: int
-) -> Matrix:
-    """The matrix out[x][y] = B(M1 e_x, M2 e_y) for sparse M_s, None meaning
-    the identity: the sum of M1[p][x] * M2[q][y] * b(p, q) over the
-    nonzeros of column x of M1 and column y of M2 where b(p, q) is nonzero."""
-
-    def columns(m: SparseMatrix | None) -> list[list[tuple[int, Scalar]]]:
-        if m is None:
-            return [[(x, 1)] for x in range(dim)]
-        cols = sparse_transpose(m)
-        return [list(cols.get(x, {}).items()) for x in range(dim)]
-
-    c1, c2 = columns(m1), columns(m2)
-    return [
-        [sum(u * v * w for p, u in c1[x] for q, v in c2[y] if (w := b(p, q))) for y in range(dim)]
-        for x in range(dim)
-    ]
+def form_to_matrix(a: KForm) -> SparseMatrix:
+    """A 2-form as its antisymmetric matrix B[x][y] = a(e_x, e_y)."""
+    if a.degree != 2:
+        raise ValueError("expected a 2-form")
+    out: SparseMatrix = {}
+    for (x, y), v in a.comps.items():
+        out.setdefault(x, {})[y] = v
+        out.setdefault(y, {})[x] = -v
+    return out
 
 
-def j_trace(b: Bilinear, j: SparseMatrix) -> Scalar:
-    """sum_{a,m} J[m][a] * b(a, m), summed over the nonzeros of J."""
-    return sum(x * b(a, m) for m, row in j.items() for a, x in row.items())
+def j_pullback(b: SparseMatrix, j: SparseMatrix) -> SparseMatrix:
+    """The bilinear form B(J ., J .), the matrix J^T B J."""
+    return sparse_product(sparse_transpose(j), sparse_product(b, j))
+
+
+def j_trace(b: SparseMatrix, j: SparseMatrix) -> Scalar:
+    """sum_{a,m} J[m][a] * B[a][m], summed over the nonzeros of J and B."""
+    return sum(x * v for m, row in j.items() for a, x in row.items() if (v := b.get(a, {}).get(m)))
 
 
 # |a|^2 sums over ALL index tuples of an orthonormal frame, not just the
@@ -211,6 +208,16 @@ def cube_to_form(cube: Cube, dim: int) -> KForm | None:
     """Reinterpret a cube as a 3-form, or None when not totally skew."""
     form = KForm(dim, 3, {idx: v for idx, v in cube.items() if idx[0] < idx[1] < idx[2]})
     return form if form_to_cube(form) == cube else None
+
+
+def cube_j_trace(cube: Cube, j: SparseMatrix) -> dict[int, Scalar]:
+    """The nonzero values of r -> sum_{a,m} cube[(r, a, m)] * J[m][a]."""
+    out: dict[int, Scalar] = {}
+    for (r, a, m), v in cube.items():
+        x = j.get(m, {}).get(a)
+        if x:
+            out[r] = out.get(r, 0) + v * x
+    return {r: v for r, v in out.items() if v}
 
 
 def cube_add(a: Cube, b: Cube) -> Cube:

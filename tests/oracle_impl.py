@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial
 from pathlib import Path
+from typing import Callable
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
@@ -45,19 +46,18 @@ from hktlab.linalg import (
     SparseMatrix,
     Vector,
     identity,
-    is_zero_matrix,
     mat_mul,
     mat_vec,
     rref,
     sparse_commutator,
     sparse_matrix,
+    sparse_transpose,
     zeros,
 )
 from hktlab.obata import SolverCertificate, TraceReport
 from hktlab.tensors import (
     Cube,
     KForm,
-    bilinear_pullback,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -143,6 +143,10 @@ def invert(a: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise LinAlgError("matrix not invertible")
     return [row[n:] for row in reduced[:n]]
+
+
+def is_zero_matrix(a: Matrix) -> bool:
+    return all(not x for row in a for x in row)
 
 
 def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
@@ -231,6 +235,27 @@ def naive_quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matr
         if not mat_eq(pulled, metric):
             violations.append(f"metric not J{s}-invariant")
     return violations
+
+
+def bilinear_pullback(
+    b: Callable[[int, int], Scalar], m1: SparseMatrix | None, m2: SparseMatrix | None, dim: int
+) -> Matrix:
+    """The dense matrix out[x][y] = B(M1 e_x, M2 e_y) of a bilinear form read
+    through b(x, y) = B(e_x, e_y), for sparse M_s, None meaning the
+    identity: the sum of M1[p][x] * M2[q][y] * b(p, q) over the nonzeros of
+    column x of M1 and column y of M2 where b(p, q) is nonzero."""
+
+    def columns(m: SparseMatrix | None) -> list[list[tuple[int, Scalar]]]:
+        if m is None:
+            return [[(x, 1)] for x in range(dim)]
+        cols = sparse_transpose(m)
+        return [list(cols.get(x, {}).items()) for x in range(dim)]
+
+    c1, c2 = columns(m1), columns(m2)
+    return [
+        [sum(u * v * w for p, u in c1[x] for q, v in c2[y] if (w := b(p, q))) for y in range(dim)]
+        for x in range(dim)
+    ]
 
 
 def pullback_fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
@@ -753,14 +778,18 @@ def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> Ricci
     scal_s = tuple(
         sum(j[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if j[m][a]) for j in js
     )
-    return RicciPackage(ric, rho, tuple(rho_s_forms), scal, scal_s, h.j_sparse)
+    return RicciPackage(sparse_matrix(ric), rho, tuple(rho_s_forms), scal, scal_s, h.j_sparse)
 
 
-def naive_ric_j(ric: Matrix, h: HyperhermitianStructure) -> tuple[Matrix, Matrix, Matrix]:
+def naive_ric_j(
+    ric: SparseMatrix, h: HyperhermitianStructure
+) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
     """Ric(J_s ., J_s .) for s = 1, 2, 3, one dense sum per entry."""
-    dim = len(ric)
+    dim = h.dim
+    dense = dense_matrix(ric, dim)
     return tuple(
-        [[_ric_j_pull(ric, j, x, y) for y in range(dim)] for x in range(dim)] for j in dense_js(h)
+        sparse_matrix([[_ric_j_pull(dense, j, x, y) for y in range(dim)] for x in range(dim)])
+        for j in dense_js(h)
     )
 
 
@@ -1002,7 +1031,7 @@ def naive_obata_identity_suite(
     Ricci data to the Lee form. Keys are stable descriptive ids.
     """
     dim = h.dim
-    ric, rho, rho_s = pkg.ric, pkg.rho, pkg.rho_s
+    ric, rho, rho_s = dense_matrix(pkg.ric, dim), pkg.rho, pkg.rho_s
     d_theta = lee.d_theta
     suite: dict[str, CheckOutcome] = {}
 
@@ -1127,7 +1156,7 @@ def naive_hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) 
     """
     dim = h.dim
     flags: list[str] = []
-    ric = pkg.ric
+    ric = dense_matrix(pkg.ric, dim)
     skew = all(ric[x][y] == -ric[y][x] for x in range(dim) for y in range(dim))
     if not skew:
         flags.append("ricci not skew-symmetric")

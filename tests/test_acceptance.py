@@ -30,7 +30,6 @@ from hktlab.curvature import (
 from hktlab.holonomy import HOPF_CAVEAT_TEXT, holonomy_algebra, is_g_skew, slnh_membership
 from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from hktlab.invariant import ce_differential, curvature_operators, levi_civita
-from hktlab.linalg import is_zero_matrix
 from hktlab.obata import (
     difference_tensor,
     obata_connection,
@@ -138,7 +137,7 @@ def test_criterion_05_balanced_equivalence_and_caveat(bundles, analyses):
         b = bundles[name]
         theta_zero = b.lee.theta.is_zero()
         ricci_zero = (
-            is_zero_matrix(b.pkg_ob.ric)
+            not b.pkg_ob.ric
             and b.pkg_ob.rho.is_zero()
             and all(f.is_zero() for f in b.pkg_ob.rho_s)
             and b.pkg_ob.scal == 0

@@ -2,6 +2,7 @@
 the expensive builders during one analysis or one CLI call."""
 
 import importlib
+import json
 import pkgutil
 from collections import Counter
 from functools import cached_property
@@ -11,7 +12,8 @@ import pytest
 import hktlab
 from hktlab import cli
 from hktlab.analyze import analyze_entry
-from hktlab.catalog import builtin_by_name, load, save
+from hktlab.catalog import builtin_by_name, load, save, serialize
+from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
 from hktlab.hyperhermitian import glnh_membership, hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
@@ -40,7 +42,7 @@ COUNTED = (
     "dense_matrix",
     "sparse_commutator",
     "sparse_matrix",
-    "bilinear_pullback",
+    "j_pullback",
     "_double_j_trace",
     "_j_partial_trace",
     "validate_lie_algebra",
@@ -100,9 +102,8 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["ce_differential"] == 5
     # Ric(J., J.) only for the torsion-free connection, whose package the
     # identity suite and the obstruction report read (3), beside the suite's
-    # rho_s(J., .) and d(theta)(J., J.) (6); the fundamental forms read g J
-    # off the nonzeros
-    assert calls["bilinear_pullback"] == 9
+    # d(theta)(J., J.) (3); the fundamental forms read g J off the nonzeros
+    assert calls["j_pullback"] == 6
     # the double J1-trace of dT is read off the J1 partial trace
     assert calls["_double_j_trace"] == 0
     assert calls["_j_partial_trace"] == 3
@@ -216,9 +217,16 @@ def test_hkt_check_stays_off_dense_mat_vec(calls, cat, name):
 
 def test_load_and_analysis_walk_the_jacobi_triples_once(calls, cat, tmp_path, su3_path):
     # the loader's Jacobi check and the report's validation.jacobi read one
-    # cached defect
+    # cached defect; a metric the loader rebases away (4 I, with doubled
+    # constants) carries it across the change of frame
     save(cat["hopf8"], tmp_path / "hopf8.json")
-    for path in (tmp_path / "hopf8.json", su3_path):
+    doc = serialize(cat["hc_only8"])
+    doc["metric"] = [["4" if r == c else "0" for c in range(doc["dim"])] for r in range(doc["dim"])]
+    doc["structure_constants"] = [
+        [i, j, k, format_scalar(2 * parse_scalar(v))] for i, j, k, v in doc["structure_constants"]
+    ]
+    (tmp_path / "scaled.json").write_text(json.dumps(doc), encoding="utf-8")
+    for path in (tmp_path / "hopf8.json", su3_path, tmp_path / "scaled.json"):
         calls.clear()
         assert analyze_entry(load(path))["validation"]["jacobi"] is True
         assert calls["validate_lie_algebra"] == 1

@@ -27,7 +27,7 @@ from hktlab.invariant import (
     curvature_operators,
     levi_civita,
 )
-from hktlab.linalg import is_zero_matrix, mat_mul
+from hktlab.linalg import mat_mul, sparse_matrix
 from hktlab.obata import difference_tensor, obata_connection
 from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, norm_sq
 
@@ -72,12 +72,7 @@ def test_levi_civita_ricci_hopf4(cat):
     entry = cat["hopf4"]
     r = curvature_operators(levi_civita(entry.lie), entry.lie)
     pkg = ricci_package(r, entry.structure)
-    assert pkg.ric == [
-        [0, 0, 0, 0],
-        [0, 2, 0, 0],
-        [0, 0, 2, 0],
-        [0, 0, 0, 2],
-    ]
+    assert pkg.ric == {1: {1: 2}, 2: {2: 2}, 3: {3: 2}}
     assert pkg.scal == 6
     assert pkg.rho.is_zero()
     assert pkg.rho_s[0].comps == {(2, 3): -1}
@@ -301,7 +296,7 @@ def test_obata_ricci_matches_d_lee_exactly(cat, torsions):
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions[name])
         pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
-        assert is_zero_matrix(pkg.ric), name
+        assert not pkg.ric, name
         assert pkg.rho.is_zero(), name
         assert all(f.is_zero() for f in pkg.rho_s), name
         assert pkg.scal == 0 and pkg.scal_s == (0, 0, 0), name
@@ -408,7 +403,7 @@ def test_obstruction_report_flags_fabricated_data(cat):
     conn = obata_connection(entry.structure, entry.lie, None)
     pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
     fake = type(pkg)(
-        ric=[[1 if i == j else 0 for j in range(4)] for i in range(4)],
+        ric={i: {i: 1} for i in range(4)},
         rho=pkg.rho,
         rho_s=pkg.rho_s,
         scal=4,
@@ -501,7 +496,7 @@ def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, da
         ric = [[d_theta.evaluate((x, y)) for y in range(dim)] for x in range(dim)]
     scalar = st.one_of(st.just(0), nonzero)
     pkg = RicciPackage(
-        ric,
+        sparse_matrix(ric),
         random_two_form(data, dim),
         tuple(random_two_form(data, dim) for _ in range(3)),
         data.draw(scalar),

@@ -17,6 +17,9 @@ it.
 Only the modules in TYPE_TESTING may test a scalar's Python type
 (`isinstance(..., Fraction)`, `type(...) is int`): the engine computes
 values, and the report decides how a rational is written.
+
+Only the modules in DENSE_MATRIX may import the dense `linalg.Matrix`:
+every other endomorphism and bilinear form is a `linalg.SparseMatrix`.
 """
 
 import ast
@@ -33,6 +36,10 @@ SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
 
 # the wire format, RowSpan's int fast path and the report boundary
 TYPE_TESTING = {"exact", "linalg", "analyze"}
+
+# the linear algebra, the metric's helpers, the loader, the metric's
+# structure and the change of frame (`rebase_algebra`, `curvature_tensor`)
+DENSE_MATRIX = {"linalg", "tensors", "catalog", "hyperhermitian", "invariant"}
 
 KEPT = {
     "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"
@@ -168,3 +175,12 @@ def test_only_the_report_boundary_tests_a_scalar_type():
 )
 def test_scalar_type_tests_are_found(code, hits):
     assert _scalar_type_tests(ast.parse(code)) == hits
+
+
+def test_dense_matrix_stays_at_the_boundary():
+    found = []
+    for path in SOURCES:
+        names = _package_names(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if path.stem not in DENSE_MATRIX and ("linalg", "Matrix") in names.values():
+            found.append(path.stem)
+    assert found == []

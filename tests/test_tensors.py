@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from hktlab.linalg import mat_mul, sparse_matrix
 from hktlab.tensors import (
     KForm,
-    bilinear_pullback,
     cube_add,
+    cube_j_trace,
     cube_pullback,
     cube_scale,
     cube_to_form,
     form_add,
     form_to_cube,
+    form_to_matrix,
+    j_pullback,
     j_trace,
     j_twist,
     norm_sq,
@@ -220,20 +222,27 @@ def square_triples(draw):
     return draw(square), draw(square), draw(square)
 
 
-@given(square_triples())
+@given(square_triples(), st.data())
 @settings(max_examples=60)
-def test_bilinear_contractions_match_dense_sums(matrices):
-    # values of M1^T B M2; with an identity slot the types of the dense
-    # product too, which skips zero factors; the J-trace sums over the
-    # nonzeros of J, zero values of B included
-    b, m1, m2 = matrices
+def test_bilinear_contractions_match_dense_sums(matrices, data):
+    # sparse B (not antisymmetric) and J: the J-trace and J^T B J against
+    # dense sums, the cube J-contraction against a sum over every index, and
+    # a 2-form read as its matrix against KForm.evaluate
+    b, j, _ = matrices
     dim = len(b)
-
-    def b_of(p, q):
-        return b[p][q]
-
-    got = bilinear_pullback(b_of, sparse_matrix(m1), sparse_matrix(m2), dim)
-    assert got == mat_mul(transpose(m1), mat_mul(b, m2))
-    assert repr(bilinear_pullback(b_of, None, sparse_matrix(m2), dim)) == repr(mat_mul(b, m2))
-    want = sum(m1[m][a] * b[a][m] for a in range(dim) for m in range(dim) if m1[m][a])
-    assert repr(j_trace(b_of, sparse_matrix(m1))) == repr(want)
+    sb, sj = sparse_matrix(b), sparse_matrix(j)
+    assert j_trace(sb, sj) == sum(j[m][a] * b[a][m] for a in range(dim) for m in range(dim))
+    assert j_pullback(sb, sj) == sparse_matrix(mat_mul(transpose(j), mat_mul(b, j)))
+    index = st.integers(0, dim - 1)
+    nonzero = rationals.filter(bool)
+    cube = data.draw(st.dictionaries(st.tuples(index, index, index), nonzero, max_size=2 * dim))
+    want = {
+        r: total
+        for r in range(dim)
+        if (total := sum(cube.get((r, a, m), 0) * j[m][a] for a in range(dim) for m in range(dim)))
+    }
+    assert cube_j_trace(cube, sj) == want
+    pairs = st.sampled_from([(x, y) for x in range(dim) for y in range(x + 1, dim)])
+    form = KForm(dim, 2, data.draw(st.dictionaries(pairs, nonzero, max_size=dim)))
+    dense = [[form.evaluate((x, y)) for y in range(dim)] for x in range(dim)]
+    assert form_to_matrix(form) == sparse_matrix(dense)
