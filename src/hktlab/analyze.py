@@ -237,7 +237,7 @@ def _identity_stage(
         "d_theta": _wire_form(lee.d_theta),
         "classification": lee.classification,
     }
-    suite = obata_identity_suite(tf.ricci, lee, h)
+    suite = obata_identity_suite(tf.ricci, lee)
     r_b = curvature_operators(skew, alg)
     curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew)
     dtt = dt_traces(tor.dt, h)

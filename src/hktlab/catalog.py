@@ -19,7 +19,9 @@ Wire schema (version "1"): UTF-8 JSON object with keys
 Unknown keys are rejected unless the loader is told to tolerate them.
 Entries whose metric is not the identity are rebased to an exact
 orthonormal frame at load time; when that needs an irrational square
-root the file is rejected (supply an orthonormal basis instead).
+root the file is rejected (supply an orthonormal basis instead). The
+loaded structure keeps no metric: it is the identity in that frame, and
+`serialize` writes the identity rows.
 
 Each distinct wire string of the matrix fields is parsed once per
 document. The J's are made sparse before the quaternion relations are
@@ -194,12 +196,11 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         inverse = mat_mul(frame, metric)
         lie = rebase_algebra(lie, frame, inverse)
         j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
-        metric = identity(dim)
     j_sparse = tuple(map(sparse_matrix, j_rows))
-    issues = quaternionic_check(j_sparse, metric)
+    issues = quaternionic_check(j_sparse, dim)
     if issues:
         raise CatalogError("quaternion relations: " + "; ".join(issues))
-    structure = HyperhermitianStructure(dim, j_sparse, metric)
+    structure = HyperhermitianStructure(dim, j_sparse)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 
 
@@ -225,7 +226,7 @@ def serialize(entry: CatalogEntry) -> dict[str, object]:
         "n": entry.n,
         "dim": entry.dim,
         "structure_constants": triples,
-        "metric": [[format_scalar(x) for x in row] for row in entry.structure.metric],
+        "metric": [[format_scalar(x) for x in row] for row in identity(entry.dim)],
     }
     dim = entry.dim
     for s, j in enumerate(entry.structure.j_sparse, 1):
@@ -259,11 +260,8 @@ def _block_j(block: tuple[tuple[int, ...], ...], n: int) -> SparseMatrix:
 
 
 def _standard_structure(n: int) -> HyperhermitianStructure:
-    dim = 4 * n
     return HyperhermitianStructure(
-        dim,
-        (_block_j(_J1_BLOCK, n), _block_j(_J2_BLOCK, n), _block_j(_J3_BLOCK, n)),
-        identity(dim),
+        4 * n, (_block_j(_J1_BLOCK, n), _block_j(_J2_BLOCK, n), _block_j(_J3_BLOCK, n))
     )
 
 

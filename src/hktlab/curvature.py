@@ -159,9 +159,7 @@ def _least_per_j(terms_by_j) -> tuple[int, int, int] | None:
     return next(cells, None)
 
 
-def obata_identity_suite(
-    pkg: RicciPackage, lee: LeeForm, h: HyperhermitianStructure
-) -> dict[str, CheckOutcome]:
+def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, CheckOutcome]:
     """Exact identity suite tying the torsion-free hypercomplex connection's
     Ricci data to the Lee form. Keys are stable descriptive ids; each check
     reports its first failing index tuple in (s, x, y) order: the least
@@ -173,9 +171,9 @@ def obata_identity_suite(
     # rho_s(J_s X, Y) and d(theta)(J_s X, J_s Y)
     rho_j = [
         sparse_product(sparse_transpose(j), form_to_matrix(f))
-        for f, j in zip(pkg.rho_s, h.j_sparse)
+        for f, j in zip(pkg.rho_s, pkg.j_sparse)
     ]
-    d_theta_j = [j_pullback(d_theta, j) for j in h.j_sparse]
+    d_theta_j = [j_pullback(d_theta, j) for j in pkg.j_sparse]
     scalars = [("scal", pkg.scal)] + [(f"scal_{s}", v) for s, v in enumerate(pkg.scal_s, 1)]
     counterexamples = {
         "ricci-j-conjugation": _least_per_j(
@@ -190,7 +188,7 @@ def obata_identity_suite(
         "ricci-j-invariant": _least_per_j(((1, pulled), (-1, ric)) for pulled in ric_j),
         "scalars-vanish": next((item for item in scalars if item[1]), None),
         "d-lee-trace-free": next(
-            ((s, total) for s, j in enumerate(h.j_sparse, 1) if (total := j_trace(d_theta, j))),
+            ((s, total) for s, j in enumerate(pkg.j_sparse, 1) if (total := j_trace(d_theta, j))),
             None,
         ),
     }

@@ -7,11 +7,13 @@ structures. A structure holds J1, J2, J3 only as sparse matrices
 (`j_sparse`, no zero stored), built once where the structure is built;
 every reader here takes them in that format, `quaternionic_check`
 included, which validates the loader's sparse J's through
-`linalg.sparse_product` before a structure exists. `fundamental_form`
-reads g J off the nonzeros of the metric and of J. `nijenhuis` and the
-type identities are pullbacks of sparse cubes (`tensors.cube_pullback`):
-the Nijenhuis tensor is built from the bracket cube c^k_ij and J, with no
-metric.
+`linalg.sparse_product` before a structure exists. The structure holds
+no metric: the engine works in the orthonormal frame that the loader
+builds, so the metric is the identity there, J is compatible with it when
+J^T J = I, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
+nonzeros. `nijenhuis` and the type identities are pullbacks of sparse
+cubes (`tensors.cube_pullback`): the Nijenhuis tensor is built from the
+bracket cube c^k_ij and J.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from fractions import Fraction
 
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
-from .linalg import (
-    Matrix,
-    SparseMatrix,
-    sparse_commutator,
-    sparse_matrix,
-    sparse_product,
-    sparse_transpose,
-)
+from .linalg import SparseMatrix, sparse_commutator, sparse_product, sparse_transpose
 from .tensors import (
     Cube,
     KForm,
@@ -38,29 +33,31 @@ from .tensors import (
     cube_to_form,
     form_add,
     form_to_cube,
+    form_to_matrix,
     j_twist,
 )
 
 
 @dataclass(frozen=True)
 class HyperhermitianStructure:
-    """A metric plus an ordered triple of anticommuting complex structures,
-    held as sparse matrices."""
+    """An ordered triple of anticommuting complex structures, held as sparse
+    matrices in an orthonormal frame of the metric."""
 
     dim: int
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
-    metric: Matrix
 
 
 def quaternionic_check(
-    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], metric: Matrix
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], dim: int
 ) -> list[str]:
     """All quaternion-relation and compatibility violations of the sparse
-    J1, J2, J3 and the metric, [] when clean. Each relation compares two
-    sparse products, which store no zero, so `==` is the matrix equality."""
+    J1, J2, J3 in an orthonormal frame, [] when clean. Each relation
+    compares two sparse products, which store no zero, so `==` is the
+    matrix equality. The metric is the identity in the frame, so J^T g J = g
+    reads J^T J = I."""
     j1, j2, j3 = j_sparse
     violations: list[str] = []
-    minus_id = {i: {i: -1} for i in range(len(metric))}
+    minus_id = {i: {i: -1} for i in range(dim)}
     for s, j in enumerate(j_sparse, 1):
         if sparse_product(j, j) != minus_id:
             violations.append(f"J{s}^2 != -identity")
@@ -68,9 +65,8 @@ def quaternionic_check(
         violations.append("J1*J2 != J3")
     if sparse_product(j2, j1) != {i: {k: -x for k, x in row.items()} for i, row in j3.items()}:
         violations.append("J2*J1 != -J3")
-    g = sparse_matrix(metric)
     for s, j in enumerate(j_sparse, 1):
-        if sparse_product(sparse_transpose(j), sparse_product(g, j)) != g:
+        if sparse_product(sparse_transpose(j), j) != {i: {i: 1} for i in range(dim)}:
             violations.append(f"metric not J{s}-invariant")
     return violations
 
@@ -81,30 +77,13 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     return all(not sparse_commutator(m, j) for j in h.j_sparse)
 
 
-def fundamental_form(metric: Matrix, j: SparseMatrix) -> KForm:
-    """F(X, Y) = g(X, J Y) as a 2-form, with g J summed from the nonzeros of
-    g and of J's rows, each entry in the order of its middle index."""
-    dim = len(metric)
-    gj: SparseMatrix = {}
-    for x, g_row in enumerate(metric):
-        out: dict[int, Scalar] = {}
-        for q, w in enumerate(g_row):
-            if w:
-                for y, v in j.get(q, {}).items():
-                    out[y] = out.get(y, 0) + v * w
-        gj[x] = out
-    comps: dict[tuple[int, ...], Scalar] = {}
-    for i in range(dim):
-        row = gj[i]
-        if row.get(i, 0):
-            raise RuntimeError("fundamental form has a diagonal entry; compatibility broken")
-        for k in range(i + 1, dim):
-            x = row.get(k, 0)
-            if x != -gj[k].get(i, 0):
-                raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
-            if x:
-                comps[(i, k)] = x
-    return KForm(dim, 2, comps)
+def fundamental_form(j: SparseMatrix, dim: int) -> KForm:
+    """F(X, Y) = g(X, J Y) as a 2-form. In the orthonormal frame
+    F(e_x, e_y) = J[x][y], read off J's nonzeros above the diagonal."""
+    f = KForm(dim, 2, {(x, y): v for x in sorted(j) for y, v in sorted(j[x].items()) if x < y})
+    if form_to_matrix(f) != j:
+        raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
+    return f
 
 
 def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
@@ -128,21 +107,19 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     return n, cube_to_form(n, alg.dim)
 
 
-def kt_torsion(j: SparseMatrix, h: HyperhermitianStructure, alg: LieAlgebra) -> KForm:
+def kt_torsion(j: SparseMatrix, alg: LieAlgebra) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
     T = J dF + N, valid exactly when N is totally skew.
     """
-    return _kt_torsion(j, h, alg, nijenhuis(alg, j)[1])
+    return _kt_torsion(j, alg, nijenhuis(alg, j)[1])
 
 
-def _kt_torsion(
-    j: SparseMatrix, h: HyperhermitianStructure, alg: LieAlgebra, n_form: KForm | None
-) -> KForm:
+def _kt_torsion(j: SparseMatrix, alg: LieAlgebra, n_form: KForm | None) -> KForm:
     if n_form is None:
         raise ValueError(
             "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
         )
-    df = ce_differential(alg, fundamental_form(h.metric, j))
+    df = ce_differential(alg, fundamental_form(j, alg.dim))
     return form_add(j_twist(df, j), n_form)
 
 
@@ -166,7 +143,7 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     candidates: list[KForm] = []
     for s, (_, n_form) in enumerate(tensors, 1):
         try:
-            candidates.append(_kt_torsion(h.j_sparse[s - 1], h, alg, n_form))
+            candidates.append(_kt_torsion(h.j_sparse[s - 1], alg, n_form))
         except ValueError as exc:
             return HktResult(ok=False, first_nonintegrable=first_bad, reason=f"J{s}: {exc}")
     base = candidates[0]

@@ -142,18 +142,13 @@ class Connection:
     """Left-invariant connection in lowered coefficients.
 
     gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k> in the orthonormal frame.
-    metric_flag caches whether the connection is metric (gamma skew in the
-    last two slots); `operators` holds the operators L_i[k][j] =
-    gamma[(i, j, k)], built from one pass over gamma on first read.
+    `operators` holds the operators L_i[k][j] = gamma[(i, j, k)], built
+    from one pass over gamma on first read; the connection is metric when
+    each is skew (`holonomy.is_g_skew`).
     """
 
     dim: int
     gamma: Cube
-    metric_flag: bool = field(init=False)
-
-    def __post_init__(self):
-        flag = all(self.gamma.get((i, k, j), 0) == -v for (i, j, k), v in self.gamma.items())
-        object.__setattr__(self, "metric_flag", flag)
 
     @cached_property
     def operators(self) -> tuple[SparseMatrix, ...]:

@@ -26,7 +26,10 @@ no zero and no empty row, so `not m` is the zero test. `sparse_commutator`
 and `sparse_product` are its product kernels, both summed by one
 accumulation over the nonzeros; `sparse_subtract` is its one linear
 update, `sparse_trace` its trace and `sparse_transpose` its column view;
-`sparse_matrix` converts a dense `Matrix` once, at the boundary.
+`sparse_matrix` converts a dense `Matrix` once, at the boundary: the
+loader's J rows. The metric is dense only on the wire and in the loader's
+change of frame; the engine works in the orthonormal frame, where it is
+the identity and is not stored.
 """
 
 from __future__ import annotations

@@ -4,11 +4,13 @@ Everything lives over a fixed basis e_0 .. e_{dim-1} of a real vector space
 with dim <= 16. A KForm stores its components on strictly increasing index
 tuples; evaluation on arbitrary tuples unpacks the permutation sign.
 Endomorphisms are matrices with the column convention M[i][j] =
-coefficient of e_i in (M e_j). Every endomorphism and bilinear form of the
-engine but the dense metric is held in the sparse `linalg.SparseMatrix`
-format ({row: {column: value}}, no zero stored): the complex structures
-J, the connection operators, and each bilinear form B as B[x][y] =
-B(e_x, e_y). `j_twist`, the slots of `cube_pullback` and the
+coefficient of e_i in (M e_j). The engine works in an orthonormal frame,
+where the metric is the identity and is not stored; only the loader reads
+a dense metric, through the metric helpers at the end of this module.
+Every endomorphism and bilinear form of the engine is held in the sparse
+`linalg.SparseMatrix` format ({row: {column: value}}, no zero stored): the
+complex structures J, the connection operators, and each bilinear form B
+as B[x][y] = B(e_x, e_y). `j_twist`, the slots of `cube_pullback` and the
 J-contractions take that format: `j_pullback` gives B(J ., J .) =
 J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m) and
 `cube_j_trace` the same trace of the last two slots of a cube, each

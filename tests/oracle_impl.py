@@ -214,7 +214,7 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
 
 
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
-    return tuple(fundamental_form(h.metric, j) for j in h.j_sparse)
+    return tuple(fundamental_form(j, h.dim) for j in h.j_sparse)
 
 
 def naive_quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matrix) -> list[str]:
@@ -1227,14 +1227,13 @@ def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
 
 def naive_complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
     """Complex-frame trace of A over the J1-adapted frame of pairs
-    (e_a, J1 e_a), built from the columns of J1; requires the identity
-    metric and J1 a signed basis permutation.
+    (e_a, J1 e_a), built from the columns of J1; requires J1 a signed
+    basis permutation.
 
     Real part: sum over pairs of A(X,f,f) + A(X,J1f,J1f) = -2 theta(X).
     Imaginary part: sum over pairs of A(X,f,J1f) - A(X,J1f,f) = 0.
     """
     dim = h.dim
-    assert h.metric == identity(dim), "the adapted frame needs the identity metric"
     j1 = dense_js(h)[0]
     basis = identity(dim)
     used = [False] * dim
@@ -1307,7 +1306,7 @@ def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
     j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(entry.structure))
     return CatalogEntry(
         f"{entry.name}_cayley", f"{entry.name} in a rotated basis", entry.n, dim, lie,
-        HyperhermitianStructure(dim, j_ops, eye), {},
+        HyperhermitianStructure(dim, j_ops), {},
     )
 
 

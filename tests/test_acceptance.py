@@ -96,7 +96,7 @@ def test_criterion_02_torsion_free_ricci_identities(bundles):
     # scalar traces vanish, and d(Lee) and Ricci are J-invariant (1,1)
     for name in HKT_NAMES:
         b = bundles[name]
-        suite = obata_identity_suite(b.pkg_ob, b.lee, b.entry.structure)
+        suite = obata_identity_suite(b.pkg_ob, b.lee)
         for key, outcome in suite.items():
             assert outcome.ok, (name, key, outcome.counterexample)
 

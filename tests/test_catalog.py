@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hktlab.catalog import (
 )
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import identity, mat_mul, sparse_matrix
+from hktlab.linalg import mat_mul, sparse_matrix
 from hktlab.tensors import orthonormal_frame
 
 from oracle_impl import ALL_NAMES, dense_js, invert, transpose
@@ -26,6 +27,10 @@ from oracle_impl import ALL_NAMES, dense_js, invert, transpose
 @pytest.fixture(scope="module")
 def cat():
     return builtin_by_name()
+
+
+def identity_rows(dim):
+    return [["1" if r == c else "0" for c in range(dim)] for r in range(dim)]
 
 
 def write_doc(tmp_path, doc, name="entry.json"):
@@ -43,7 +48,8 @@ def test_builtin_names_and_dims(cat):
     assert tuple(e.name for e in builtin_catalog()) == ALL_NAMES
     for entry in cat.values():
         assert entry.dim == 4 * entry.n
-        assert entry.structure.metric == identity(entry.dim)
+        assert [f.name for f in fields(entry.structure)] == ["dim", "j_sparse"]
+        assert serialize(entry)["metric"] == identity_rows(entry.dim)
 
 
 def test_round_trip_all_builtins(cat, tmp_path):
@@ -55,8 +61,7 @@ def test_round_trip_all_builtins(cat, tmp_path):
         assert loaded.description == entry.description
         assert (loaded.n, loaded.dim) == (entry.n, entry.dim)
         assert loaded.lie.brackets == entry.lie.brackets
-        assert loaded.structure.metric == entry.structure.metric
-        assert loaded.structure.j_sparse == entry.structure.j_sparse
+        assert loaded.structure == entry.structure
         assert loaded.expected == entry.expected
         # serializing the reload reproduces the file byte for byte
         again = tmp_path / f"{name}.re.json"
@@ -238,6 +243,18 @@ def test_load_rejects_broken_quaternion_relations(tmp_path, hopf4_doc):
         load(write_doc(tmp_path, hopf4_doc))
 
 
+def test_load_rejects_metric_that_is_not_j_invariant(tmp_path, hopf4_doc):
+    # diag(1, 4, 1, 4) has the rational orthonormal frame (e0, e1/2, e2, e3/2),
+    # in which J1 and J3 are no longer orthogonal
+    for i in (1, 3):
+        hopf4_doc["metric"][i][i] = "4"
+    with pytest.raises(CatalogError) as info:
+        load(write_doc(tmp_path, hopf4_doc))
+    assert str(info.value) == (
+        "quaternion relations: metric not J1-invariant; metric not J3-invariant"
+    )
+
+
 def test_load_rejects_non_map_expected(tmp_path, hopf4_doc):
     hopf4_doc["expected"] = []
     with pytest.raises(CatalogError, match="expected: expected a map"):
@@ -249,7 +266,7 @@ def test_rebase_on_load(tmp_path, hopf4_doc, cat):
     for i in range(4):
         hopf4_doc["metric"][i][i] = "4"
     entry = load(write_doc(tmp_path, hopf4_doc))
-    assert entry.structure.metric == identity(4)
+    assert serialize(entry)["metric"] == identity_rows(4)
     assert entry.lie.brackets == {(1, 2): {3: 1}, (1, 3): {2: -1}, (2, 3): {1: 1}}
     assert entry.structure.j_sparse == cat["hopf4"].structure.j_sparse
     assert hkt_check(entry.structure, entry.lie).ok
@@ -260,7 +277,7 @@ def test_rebase_blockwise_conformal(tmp_path, cat):
     for i in range(8):
         doc["metric"][i][i] = "4" if i < 4 else "9"
     entry = load(write_doc(tmp_path, doc))
-    assert entry.structure.metric == identity(8)
+    assert serialize(entry)["metric"] == identity_rows(8)
     assert entry.lie.brackets == {
         (1, 2): {3: 1},
         (1, 3): {2: -1},
@@ -319,7 +336,7 @@ def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, s
     )
     assert loaded.lie.brackets == entry.lie.brackets
     assert loaded.structure.j_sparse == entry.structure.j_sparse
-    assert loaded.structure.metric == identity(dim)
+    assert serialize(loaded)["metric"] == identity_rows(dim)
 
 
 def test_available_entries_env_dir(tmp_path, monkeypatch, cat):

@@ -284,7 +284,7 @@ def test_obata_identity_suite_all_green(cat, torsions):
         lee = lee_form(t, entry.structure, entry.lie)
         conn = obata_connection(entry.structure, entry.lie, t)
         pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
-        suite = obata_identity_suite(pkg, lee, entry.structure)
+        suite = obata_identity_suite(pkg, lee)
         for key, outcome in suite.items():
             assert outcome.ok, (name, key, outcome.counterexample)
 
@@ -505,7 +505,7 @@ def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, da
     )
     theta = KForm(dim, 1, data.draw(st.dictionaries(st.tuples(st.integers(0, dim - 1)), nonzero)))
     lee = LeeForm(theta, d_theta, "nonclosed")
-    assert repr(obata_identity_suite(pkg, lee, h)) == repr(naive_obata_identity_suite(pkg, lee, h))
+    assert repr(obata_identity_suite(pkg, lee)) == repr(naive_obata_identity_suite(pkg, lee, h))
     assert repr(hkt_obstruction_report(pkg, h)) == repr(naive_hkt_obstruction_report(pkg, h))
 
 

@@ -18,7 +18,8 @@ from hktlab.hyperhermitian import (
     type_check_12_21,
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
-from hktlab.linalg import identity, sparse_matrix
+from hktlab.holonomy import is_g_skew
+from hktlab.linalg import identity, mat_mul, sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -54,33 +55,38 @@ def cat():
 
 def test_quaternionic_check_clean(cat):
     for entry in cat.values():
-        assert quaternionic_check(entry.structure.j_sparse, entry.structure.metric) == []
+        assert quaternionic_check(entry.structure.j_sparse, entry.dim) == []
 
 
 def test_quaternionic_check_reports_violations(cat):
     h = cat["torus4"].structure
     _, j2, j3 = h.j_sparse
-    issues = quaternionic_check((sparse_matrix(identity(4)), j2, j3), h.metric)
+    issues = quaternionic_check((sparse_matrix(identity(4)), j2, j3), h.dim)
     assert "J1^2 != -identity" in issues
     assert any("J1*J2" in msg for msg in issues)
 
 
 def test_quaternionic_check_metric_compatibility(cat):
-    h = cat["torus4"].structure
-    bad_metric = [[1, 0, 0, 0], [0, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 4]]
-    issues = quaternionic_check(h.j_sparse, bad_metric)
-    assert any("not J" in msg and "invariant" in msg for msg in issues)
+    # torus4's J's in the basis (e0, 2 e1, e2, 2 e3), whose metric
+    # diag(1, 4, 1, 4) is not J-invariant: still a quaternion triple, but
+    # not orthogonal
+    half = Fraction(1, 2)
+    p = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
+    p_inv = [[1, 0, 0, 0], [0, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, half]]
+    js = tuple(
+        sparse_matrix(mat_mul(p_inv, mat_mul(j, p))) for j in dense_js(cat["torus4"].structure)
+    )
+    assert quaternionic_check(js, 4) == ["metric not J1-invariant", "metric not J3-invariant"]
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @st.composite
-def perturbed_quaternion_inputs(draw):
-    """Dense J's of a shipped entry, one of them with a flipped sign, two
-    swapped rows or one rescaled entry, and the identity or a symmetric
-    perturbation of it as the metric."""
-    entry = builtin_by_name()[draw(st.sampled_from(ALL_NAMES))]
+def perturbed_js(draw, names=ALL_NAMES):
+    """The dimension and dense J's of a shipped entry, one of them with a
+    flipped sign, two swapped rows or one rescaled entry."""
+    entry = builtin_by_name()[draw(st.sampled_from(names))]
     dim = entry.dim
     js = [[list(row) for row in j] for j in dense_js(entry.structure)]
     index = st.integers(0, dim - 1)
@@ -94,64 +100,35 @@ def perturbed_quaternion_inputs(draw):
         j[r], j[c] = j[c], j[r]
     elif kind == "scale":
         j[r][c] = draw(small_rationals)
-    metric = [[int(a == b) for b in range(dim)] for a in range(dim)]
-    for a, b, x in draw(st.lists(st.tuples(index, index, small_rationals), max_size=3)):
-        metric[a][b] = metric[b][a] = x
-    return tuple(js), metric
+    return dim, tuple(js)
 
 
-@given(perturbed_quaternion_inputs())
+@given(perturbed_js())
 @settings(max_examples=80)
 def test_quaternionic_check_matches_dense_oracle(inputs):
-    js, metric = inputs
-    got = quaternionic_check(tuple(map(sparse_matrix, js)), metric)
-    assert got == naive_quaternionic_check(js, metric)
+    dim, js = inputs
+    got = quaternionic_check(tuple(map(sparse_matrix, js)), dim)
+    assert got == naive_quaternionic_check(js, identity(dim))
 
 
-@st.composite
-def metrics_for(draw, dim):
-    """A symmetric metric on the quaternionic blocks of size 4: a rational
-    multiple of the identity per block (J-invariant), and sometimes one
-    symmetric pair of entries reset, which mostly breaks the invariance."""
-    metric = [[0] * dim for _ in range(dim)]
-    for b in range(dim // 4):
-        scale = draw(
-            st.one_of(st.integers(1, 3), st.fractions(min_value=Fraction(1, 3), max_value=3))
-        )
-        for i in range(4 * b, 4 * b + 4):
-            metric[i][i] = scale
-    if draw(st.booleans()):
-        a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
-        metric[a][b] = metric[b][a] = draw(small_rationals)
-    return metric
-
-
-def form_or_error(build, metric, j):
+def form_or_error(build, *args):
     try:
-        return repr(build(metric, j).comps)
+        return repr(build(*args).comps)
     except RuntimeError as exc:
-        return str(exc)
+        # the oracle names a diagonal entry apart; both end the same way
+        assert str(exc).endswith("compatibility broken")
+        return "compatibility broken"
 
 
 @pytest.mark.parametrize("name", ["hopf4", "nil8", "hc_only8"])
 @given(data=st.data())
 @settings(max_examples=40)
 def test_fundamental_form_matches_pullback_oracle(name, data):
-    h = builtin_by_name()[name].structure
-    metric = data.draw(metrics_for(h.dim))
-    for j in h.j_sparse:
-        # the same comps, types and key order, or the same compatibility error
-        got = form_or_error(fundamental_form, metric, j)
-        assert got == form_or_error(pullback_fundamental_form, metric, j)
-
-
-def test_fundamental_form_non_identity_metric_pin(cat):
-    j1 = cat["hopf8"].structure.j_sparse[0]
-    diagonal = [Fraction(1, 2)] * 4 + [3] * 4
-    metric = [[diagonal[i] if i == k else 0 for k in range(8)] for i in range(8)]
-    f = fundamental_form(metric, j1)
-    assert repr(f.comps) == repr(pullback_fundamental_form(metric, j1).comps)
-    assert f.comps == {(0, 1): Fraction(1, 2), (2, 3): Fraction(-1, 2), (4, 5): 3, (6, 7): -3}
+    dim, js = data.draw(perturbed_js((name,)))
+    for j in map(sparse_matrix, js):
+        # the same comps, types and key order, or a compatibility error
+        got = form_or_error(fundamental_form, j, dim)
+        assert got == form_or_error(pullback_fundamental_form, identity(dim), j)
 
 
 def test_fundamental_forms_hopf4(cat):
@@ -212,7 +189,7 @@ def test_nijenhuis_normalization_pin():
     alg, j = swap_structure()
     j = sparse_matrix(j)
     _, n_form = nijenhuis(alg, j)
-    f = fundamental_form(identity(8), j)
+    f = fundamental_form(j, 8)
     minus_part = p_minus(ce_differential(alg, f), j)
     assert j_twist(minus_part, j).comps == form_scale(n_form, Fraction(-3, 4)).comps
 
@@ -231,9 +208,9 @@ def test_kt_torsion_requires_skew_nijenhuis():
     assert hkt_check(h, heis).first_nonintegrable == 1
     j1, j2, j3 = h.j_sparse
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(j1, h, heis)
+        kt_torsion(j1, heis)
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(j2, h, heis)
+        kt_torsion(j2, heis)
     # the third complex structure happens to be integrable here
     cube, form = nijenhuis(heis, j3)
     assert cube == {}
@@ -280,7 +257,7 @@ def test_bismut_has_prescribed_torsion_and_parallel_structure(cat, torsions):
         entry = cat[name]
         t = torsions[name]
         conn = bismut_connection(t, levi_civita(entry.lie))
-        assert conn.metric_flag
+        assert all(is_g_skew(op) for op in conn.operators)
         _, tform = torsion(conn, entry.lie)
         assert tform is not None and tform.comps == t.comps
         # nabla J_s = 0: every operator of the connection commutes with J1, J2, J3
@@ -354,7 +331,7 @@ def assert_hkt_tensors_match_dense_oracle(alg, h):
     the dense oracles on its dense copy, by value."""
     for j, dense in zip(h.j_sparse, dense_js(h)):
         assert_same_nijenhuis(nijenhuis(alg, j), naive_nijenhuis(alg, dense))
-        df = ce_differential(alg, fundamental_form(h.metric, j))
+        df = ce_differential(alg, fundamental_form(j, h.dim))
         assert j_twist(df, j).comps == naive_j_twist(df, dense).comps
 
 
@@ -374,7 +351,7 @@ def test_swap_structure_tensors_match_dense_oracle():
     alg, j = swap_structure()
     sj = sparse_matrix(j)
     assert_same_nijenhuis(nijenhuis(alg, sj), naive_nijenhuis(alg, j))
-    df = ce_differential(alg, fundamental_form(identity(8), sj))
+    df = ce_differential(alg, fundamental_form(sj, 8))
     assert j_twist(df, sj).comps == naive_j_twist(df, j).comps
 
 

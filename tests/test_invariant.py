@@ -17,6 +17,7 @@ from hktlab.invariant import (
     torsion_cube,
     validate_lie_algebra,
 )
+from hktlab.holonomy import is_g_skew
 from hktlab.hyperhermitian import bismut_connection, hkt_check
 from hktlab.obata import obata_connection
 from hktlab.tensors import KForm, wedge, form_add
@@ -290,7 +291,7 @@ def test_torsion_cube_matches_dense_oracle_on_catalog_and_sums(catalog, tmp_path
 
 def test_levi_civita_metric_and_torsion_free():
     lc = levi_civita(HOPF4)
-    assert lc.metric_flag
+    assert all(is_g_skew(op) for op in lc.operators)
     assert torsion_cube(lc, HOPF4) == {}
     cube, form = torsion(lc, HOPF4)
     assert form is not None and form.is_zero()
@@ -298,7 +299,7 @@ def test_levi_civita_metric_and_torsion_free():
 
 def test_connection_metric_flag_detects_non_metric():
     gamma = {(0, 1, 1): 1}
-    assert not Connection(3, gamma).metric_flag
+    assert not all(is_g_skew(op) for op in Connection(3, gamma).operators)
 
 
 def test_connection_operator_layout():

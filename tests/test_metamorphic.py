@@ -6,6 +6,12 @@ basis vectors. The verdict and every frame-independent number of the
 report stay those of the unrotated entry. The dim-8 rotations take
 seconds each, so only the dim-4 entries run here.
 
+An SO(3) rotation of the triple (J1, J2, J3), such as (J2, J3, J1) or
+(J1, -J2, -J3), is another hyperhermitian structure on the same algebra,
+with the same torsion, Lee form and Obata connection: the report's
+verdict and numbers stay those of the original triple, up to the order of
+the three Chern norms.
+
 The report is a function of values, not of whether a scalar is an int or
 a Fraction: a scaled metric that the loader rebases away, or an entry
 recast to Fraction scalars, gives the same bytes.
@@ -24,7 +30,7 @@ from hktlab.analyze import _outcome, analyze_entry
 from hktlab.catalog import builtin_by_name, serialize
 from hktlab.curvature import CheckOutcome
 from hktlab.exact import format_scalar, parse_scalar
-from hktlab.hyperhermitian import HyperhermitianStructure
+from hktlab.hyperhermitian import HyperhermitianStructure, quaternionic_check
 from hktlab.invariant import LieAlgebra
 
 from oracle_impl import ALL_NAMES, cayley_rotated
@@ -71,15 +77,69 @@ def test_scaled_metric_reports_the_golden(capsys, tmp_path):
     assert elapsed.sub("", out) == elapsed.sub("", golden)
 
 
+def _negated(j):
+    return {r: {c: -x for c, x in row.items()} for r, row in j.items()}
+
+
+# (J1, J2, J3) -> the triple at these signed positions: a cyclic shift either
+# way, a swap of J1 and J2 with J3 negated, and the rotation by pi about J1
+TRIPLE_ROTATIONS = (
+    ((2, 1), (3, 1), (1, 1)),
+    ((3, 1), (1, 1), (2, 1)),
+    ((2, 1), (1, 1), (3, -1)),
+    ((1, 1), (2, -1), (3, -1)),
+)
+
+
+def _triple_rotated(entry, rotation):
+    js = entry.structure.j_sparse
+    triple = tuple(js[s - 1] if sign == 1 else _negated(js[s - 1]) for s, sign in rotation)
+    assert quaternionic_check(triple, entry.dim) == []
+    return replace(entry, structure=HyperhermitianStructure(entry.dim, triple))
+
+
+def _outcomes(node, path=()):
+    """Every identity outcome of a report section: path -> ok."""
+    if not isinstance(node, dict):
+        return {}
+    found = {path: node["ok"]} if "ok" in node else {}
+    for key, child in node.items():
+        found |= _outcomes(child, path + (key,))
+    return found
+
+
+def _triple_invariants(report: dict) -> dict:
+    # the HKT-only sections are None on a non-HKT entry
+    suites = report["identity_suites"] or {}
+    return {
+        "verdict": report["verdict"],
+        "obata_dim": report["holonomy"]["obata_dim"],
+        "bismut": report["bismut"],
+        "star_scalar": suites.get("star_scalar", {}).get("value"),
+        "h": (report["dt_traces"] or {}).get("h"),
+        "chern_norms": sorted(suites.get("chern_norms", {}).get("norms", [])),
+        "obstruction": report["obstruction"],
+        "routes_agree": report["obata"]["routes_agree"],
+        "outcomes": _outcomes(suites),
+    }
+
+
+@pytest.mark.parametrize("rotation", TRIPLE_ROTATIONS)
+@pytest.mark.parametrize("name", ALL_NAMES + ("su3",))
+def test_triple_rotation_keeps_the_report(name, rotation, su3):
+    entry = su3 if name == "su3" else builtin_by_name()[name]
+    rotated = analyze_entry(_triple_rotated(entry, rotation))
+    assert rotated["theorem_violations"] == []
+    assert _triple_invariants(rotated) == _triple_invariants(analyze_entry(entry))
+
+
 def _as_fractions(entry):
-    """The same entry with every J entry, metric entry and bracket value a Fraction."""
+    """The same entry with every J entry and bracket value a Fraction."""
     def recast(table):
         return {key: {k: Fraction(v) for k, v in row.items()} for key, row in table.items()}
 
     h = entry.structure
-    structure = HyperhermitianStructure(
-        h.dim, tuple(map(recast, h.j_sparse)), [[Fraction(x) for x in row] for row in h.metric]
-    )
+    structure = HyperhermitianStructure(h.dim, tuple(map(recast, h.j_sparse)))
     return replace(entry, lie=LieAlgebra(entry.dim, recast(entry.lie.brackets)), structure=structure)
 
 

@@ -37,9 +37,9 @@ SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
 # the wire format, RowSpan's int fast path and the report boundary
 TYPE_TESTING = {"exact", "linalg", "analyze"}
 
-# the linear algebra, the metric's helpers, the loader, the metric's
-# structure and the change of frame (`rebase_algebra`, `curvature_tensor`)
-DENSE_MATRIX = {"linalg", "tensors", "catalog", "hyperhermitian", "invariant"}
+# the linear algebra, the metric's helpers, the loader and the change of
+# frame (`rebase_algebra`, `curvature_tensor`)
+DENSE_MATRIX = {"linalg", "tensors", "catalog", "invariant"}
 
 KEPT = {
     "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"
