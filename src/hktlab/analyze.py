@@ -55,7 +55,7 @@ from .obata import (
     obata_oracle_solver,
     trace_identities,
 )
-from .tensors import Cube, KForm, form_to_cube
+from .tensors import KForm, Scaled, form_to_cube
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -102,7 +102,7 @@ class _Torsion:
     lee: LeeForm
     lc: Connection
     skew: Connection
-    a_cube: Cube
+    a: Scaled
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def _torsion_free_stage(
     if tor is None:
         ob, routes_agree = solver_conn, None
     else:
-        ob = obata_from_difference(tor.skew, tor.a_cube, h, alg)
-        routes_agree = ob.gamma == solver_conn.gamma
+        ob = obata_from_difference(tor.skew, tor.a, h, alg)
+        routes_agree = ob == solver_conn
         if not routes_agree:
             violations.append("difference-tensor and solver connections disagree")
     r_ob = curvature_operators(ob, alg)
@@ -208,7 +208,7 @@ def _torsion_free_stage(
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
         "solver_certificate": asdict(certificate),
-        "flat": not any(r_ob.values()),
+        "flat": not any(r_ob.entries.values()),
         "holonomy_dim": hol_ob.dim,
     }
     report["holonomy"] = {
@@ -231,7 +231,7 @@ def _identity_stage(
 ) -> DtTraces:
     """HKT only: the Lee form, identity suite, dT trace, skew-torsion
     connection and detector sections."""
-    t, lee, skew, a_cube = tor.t, tor.lee, tor.skew, tor.a_cube
+    t, lee, skew, a = tor.t, tor.lee, tor.skew, tor.a
     report["lee"] = {
         "theta": _wire_form(lee.theta),
         "d_theta": _wire_form(lee.d_theta),
@@ -239,12 +239,12 @@ def _identity_stage(
     }
     suite = obata_identity_suite(tf.ricci, lee)
     r_b = curvature_operators(skew, alg)
-    curv_rel = curvature_relation_check(r_b, tf.curvature, a_cube, form_to_cube(t), skew)
+    curv_rel = curvature_relation_check(r_b, tf.curvature, a, form_to_cube(t), skew)
     dtt = dt_traces(tor.dt, h)
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
     type_res = type_check_12_21(t, h)
     type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
-    trace_res, ctrace_res = trace_identities(a_cube, h, lee.theta)
+    trace_res, ctrace_res = trace_identities(a, h, lee.theta)
     chern = chern_norm_check(t, h)
     report["identity_suites"] = {
         "obata_suite": {key: _outcome(val) for key, val in suite.items()},

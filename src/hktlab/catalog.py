@@ -198,8 +198,11 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
     j_sparse = tuple(map(sparse_matrix, j_rows))
     issues = quaternionic_check(j_sparse, dim)
-    if issues:
-        raise CatalogError("quaternion relations: " + "; ".join(issues))
+    relations = [issue for issue in issues if not issue.startswith("metric ")]
+    if relations:
+        raise CatalogError("quaternion relations: " + "; ".join(relations))
+    if issues:  # J^T J = I fails: the metric is not J-invariant
+        raise CatalogError("metric: " + "; ".join(x.removeprefix("metric ") for x in issues))
     structure = HyperhermitianStructure(dim, j_sparse)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 

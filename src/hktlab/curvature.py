@@ -1,21 +1,19 @@
 """Ricci-type curvature data, the Lee form, and the identity suites.
 
-Curvature arrives as the sparse operators of `invariant.curvature_operators`
-({(i, j): SparseMatrix}, i < j) over the orthonormal frame, with the
-lowered curvature r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is
-summed from their nonzeros. Every endomorphism and bilinear form here
+Curvature arrives as the int operators of `invariant.curvature_operators`
+over one scale, with the lowered curvature r[i][j][k][l] =
+R(e_i, e_j)[l][k]; every trace below is summed from their nonzeros on ints
+and divided by the scale once. Every endomorphism and bilinear form here
 (the J's, Ric, the Ricci 2-forms and d(theta) through
 `tensors.form_to_matrix`, the dT partial traces) is a sparse matrix with
-B[x][y] = B(e_x, e_y). The J-traces (the scalar traces of Ric and of the
-rho_s, the Lee form, the J-trace of d(theta)) go through `tensors.j_trace`
-and `tensors.cube_j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
+B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
+`tensors.cube_j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
 `tensors.j_pullback`, each Ric pullback built once per J in the
 `RicciPackage`, on first read: only the torsion-free connection's are
-read, by both the identity suite and the obstruction report. The double
-J1-trace of dT that the *-scalar identities use is -4h, the diagonal sum
-of the J1 partial trace in `dt_traces`. Identity checks return outcome
-records carrying the first counterexample, the least nonzero cell of a
-sparse residual, so reports can point at exact basis tuples.
+read. The double J1-trace of dT that the *-scalar identities use is -4h,
+read off `dt_traces`. Identity checks return outcome records carrying the
+first counterexample, the least nonzero cell of a sparse residual, so
+reports can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from math import lcm
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure
@@ -39,6 +38,7 @@ from .linalg import SparseMatrix, sparse_product, sparse_subtract, sparse_trace,
 from .tensors import (
     Cube,
     KForm,
+    Scaled,
     cube_j_trace,
     cube_norm_sq,
     cube_pullback,
@@ -46,6 +46,7 @@ from .tensors import (
     cube_add,
     form_to_cube,
     form_to_matrix,
+    integer_scaled,
     j_pullback,
     j_trace,
     norm_sq,
@@ -81,14 +82,14 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
     """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
     rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
-    dim = h.dim
-    ric: SparseMatrix = {}
+    dim, scale = h.dim, curvature.scale
+    sums_ric: SparseMatrix = {}
     forms: list[dict[tuple[int, ...], Scalar]] = [{}, {}, {}, {}]  # rho, rho_1..rho_3
-    for (i, j), op in curvature.items():
+    for (i, j), op in curvature.entries.items():
         sums: list[Scalar] = [0, 0, 0, 0]
         # from r[a][x][y][a]: row j of Ric gains row i of R(e_i, e_j), row i loses row j
-        sparse_subtract(ric, -1, {j: op.get(i, {})})
-        sparse_subtract(ric, 1, {i: op.get(j, {})})
+        sparse_subtract(sums_ric, -1, {j: op.get(i, {})})
+        sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
         for l, row in op.items():
             j_rows = [jm.get(l, {}) for jm in h.j_sparse]
             for k, v in row.items():
@@ -99,7 +100,8 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
                         sums[s] += v * j_row[k]
         for s, total in enumerate(sums):
             if total:
-                forms[s][(i, j)] = Fraction(total, 2) if s else total
+                forms[s][(i, j)] = Fraction(total, 2 * scale if s else scale)
+    ric = {x: {y: Fraction(v, scale) for y, v in row.items()} for x, row in sums_ric.items()}
     ric_t = sparse_transpose(ric)
     scal_s = tuple(j_trace(ric_t, jm) for jm in h.j_sparse)
     rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
@@ -198,7 +200,7 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, CheckOutc
 def curvature_relation_check(
     skew_curvature: Curvature,
     ob_curvature: Curvature,
-    a: Cube,
+    a: Scaled,
     t_cube: Cube,
     skew_conn: Connection,
 ) -> CheckOutcome:
@@ -209,34 +211,42 @@ def curvature_relation_check(
                   + A(T(X,Y),Z,U) + A(X,A(Y,Z),U) - A(Y,A(X,Z),U),
 
     verified on every basis quadruple. The residual R_ob - R - correction
-    is summed from the nonzeros of both curvatures and of A, T and nabla A;
-    the first failing quadruple is its least nonzero key.
+    is summed from the nonzeros of both curvatures and of A, T and nabla A,
+    on ints over the lcm of their scales; the first failing quadruple is its
+    least nonzero key.
     """
+    cube, t = a.entries, integer_scaled(t_cube)
+    scale = lcm(ob_curvature.scale, skew_curvature.scale, skew_conn.scale * a.scale)
+    scale = lcm(scale, t.scale * a.scale, a.scale * a.scale)
     by_first, by_middle = defaultdict(list), defaultdict(list)
-    for (p, m, q), v in a.items():
+    for (p, m, q), v in cube.items():
         by_first[p].append((m, q, v))
         by_middle[m].append((p, q, v))
     residual: dict[tuple[int, int, int, int], Scalar] = defaultdict(int)
     for sign, curvature in ((1, ob_curvature), (-1, skew_curvature)):
-        for (i, j), op in curvature.items():
+        f = sign * (scale // curvature.scale)
+        for (i, j), op in curvature.entries.items():
             for l, row in op.items():
                 for k, v in row.items():
-                    residual[(i, j, k, l)] += sign * v
-                    residual[(j, i, k, l)] -= sign * v
+                    residual[(i, j, k, l)] += f * v
+                    residual[(j, i, k, l)] -= f * v
     # (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
+    f = scale // (skew_conn.scale * a.scale)
     for i, op in enumerate(skew_conn.operators):
-        for (j, k, l), v in covariant_derivative_cube(op, a).items():
-            residual[(i, j, k, l)] -= v
-            residual[(j, i, k, l)] += v
+        for (j, k, l), v in covariant_derivative_cube(op, cube).items():
+            residual[(i, j, k, l)] -= f * v
+            residual[(j, i, k, l)] += f * v
     # A(T(X,Y),Z,U)
-    for (i, j, m), t in t_cube.items():
+    f = scale // (t.scale * a.scale)
+    for (i, j, m), x in t.entries.items():
         for k, l, v in by_first[m]:
-            residual[(i, j, k, l)] -= t * v
+            residual[(i, j, k, l)] -= f * x * v
     # A(X,A(Y,Z),U) - A(Y,A(X,Z),U)
-    for (p, k, m), v in a.items():
+    f = scale // (a.scale * a.scale)
+    for (p, k, m), v in cube.items():
         for q, l, w in by_middle[m]:
-            residual[(q, p, k, l)] -= v * w
-            residual[(p, q, k, l)] += v * w
+            residual[(q, p, k, l)] -= f * v * w
+            residual[(p, q, k, l)] += f * v * w
     failures = [idx for idx, v in residual.items() if v]
     return CheckOutcome(False, min(failures)) if failures else CheckOutcome(True)
 
@@ -268,24 +278,19 @@ def star_scalar(
     # sum_a rho_s(J_s e_a, e_a) = -sum_a rho_s(e_a, J_s e_a)
     stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(pkg.rho_s, h.j_sparse)]
     double_trace = -4 * dtt.h_value
-    delta_theta = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
+    div = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
+    delta_theta = Fraction(div, lc.scale)
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)
-    checks: dict[str, CheckOutcome] = {}
     coincide = stars[0] == stars[1] == stars[2]
-    checks["star-scalars-coincide"] = CheckOutcome(coincide, None if coincide else tuple(stars))
-    want_torsion = Fraction(double_trace, 8) + Fraction(torsion_sq, 12)
-    checks["star-scalar-from-torsion"] = CheckOutcome(
-        stars[0] == want_torsion, None if stars[0] == want_torsion else (stars[0], want_torsion)
-    )
-    want_lee = delta_theta + theta_sq - Fraction(torsion_sq, 12)
-    checks["star-scalar-from-lee"] = CheckOutcome(
-        stars[0] == want_lee, None if stars[0] == want_lee else (stars[0], want_lee)
-    )
-    want_old = 8 * delta_theta + 8 * theta_sq - Fraction(4 * torsion_sq, 3)
-    checks["dt-double-trace-vs-lee"] = CheckOutcome(
-        double_trace == want_old, None if double_trace == want_old else (double_trace, want_old)
-    )
+    checks = {"star-scalars-coincide": CheckOutcome(coincide, None if coincide else tuple(stars))}
+    t_12 = Fraction(torsion_sq, 12)
+    for key, got, want in (
+        ("star-scalar-from-torsion", stars[0], Fraction(double_trace, 8) + t_12),
+        ("star-scalar-from-lee", stars[0], delta_theta + theta_sq - t_12),
+        ("dt-double-trace-vs-lee", double_trace, 8 * (delta_theta + theta_sq) - 16 * t_12),
+    ):
+        checks[key] = CheckOutcome(got == want, None if got == want else (got, want))
     components = {
         "delta_theta": delta_theta,
         "theta_norm_sq": theta_sq,

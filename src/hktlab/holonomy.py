@@ -6,21 +6,20 @@ brackets with the connection operators only (Kostant's description of the
 holonomy algebra of an invariant connection); rank growth is tracked
 exactly by a `RowSpan` over the flattened entries. The closure works on
 sparse matrices ({row: {column: value}}, no zero stored) with the one
-kernel `linalg.sparse_commutator`, on integer-scaled copies, so the
-brackets and the rank growth run on Python ints; a nonzero integer factor
-leaves the span unchanged. The generators are divided by their scales once,
-at return, and come back in the sparse format for the membership tests:
-quaternion-linear
-(`hyperhermitian.glnh_membership`, commutes with the sparse J1, J2, J3),
-metric-skew, and additionally real-trace-free for the special quaternionic
-algebra.
+kernel `linalg.sparse_commutator`, on the int operators of the connection
+and the curvature, so the brackets and the rank growth run on Python
+ints; a nonzero integer factor leaves the span unchanged. Each generator
+is an int matrix with its least scale beside it, and the membership tests
+read the int matrix: quaternion-linear (`hyperhermitian.glnh_membership`,
+commutes with the sparse J1, J2, J3), metric-skew, and additionally
+real-trace-free for the special quaternionic algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, glnh_membership
@@ -30,17 +29,11 @@ from .linalg import RowSpan, SparseMatrix, sparse_commutator, sparse_trace
 
 @dataclass(frozen=True)
 class HolonomyAlgebra:
+    """Generator k is generators[k] / scales[k], int over its least scale."""
+
     generators: tuple[SparseMatrix, ...]
+    scales: tuple[int, ...]
     dim: int
-
-
-def _integer_scaled(m: SparseMatrix) -> tuple[SparseMatrix, int]:
-    """(s * m, s), with s the lcm of the denominators of m; s * m holds ints."""
-    s = lcm(*[x.denominator for row in m.values() for x in row.values()])
-    scaled = {
-        i: {j: x.numerator * (s // x.denominator) for j, x in row.items()} for i, row in m.items()
-    }
-    return scaled, s
 
 
 def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
@@ -50,12 +43,9 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     with each L_k, `dim * hol_dim` commutators in all, and the generators
     come back in the order they entered the basis.
 
-    The closure runs on integer-scaled copies: s_k * L_k and sigma * R for
-    each seed R, with s_k and sigma the lcm of that matrix's denominators,
-    and [s_k * L_k, sigma * m] enters with scale s_k * sigma. The L_k are
-    scaled only once a nonzero seed has entered the basis, so a flat
-    connection does not scale them. Each generator is divided by its scale at
-    return: int entries at scale 1, Fractions otherwise.
+    The closure runs on ints: a basis element m over scale t gives
+    [ops_k, m] over s t, with L_k = ops_k / s; each element enters the basis
+    divided by the gcd of its entries and its scale.
 
     h is closed under its own commutators too: for A in h the Jacobi
     identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
@@ -63,29 +53,26 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     in h, and induction on the length of the ad(L) word that builds an
     element of h from a seed gives [h, h] in h.
     """
-    n = conn.dim
+    n, ops, s = conn.dim, conn.operators, conn.scale
     span = RowSpan(n * n)
     basis: list[tuple[SparseMatrix, int]] = []  # (scale * generator, scale)
     queue: list[tuple[SparseMatrix, int]] = []
 
     def offer(m: SparseMatrix, scale: int) -> None:
         if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
-            basis.append((m, scale))
-            queue.append((m, scale))
+            g = gcd(scale, *(x for row in m.values() for x in row.values()))
+            m = {i: {j: x // g for j, x in row.items()} for i, row in m.items()}
+            basis.append((m, scale // g))
+            queue.append(basis[-1])
 
-    for seed in curvature.values():
-        offer(*_integer_scaled(seed))
-    ops = [_integer_scaled(op) for op in conn.operators] if queue else []
+    for seed in curvature.entries.values():
+        offer(seed, curvature.scale)
     while queue:
         current, scale = queue.pop()
-        for op, s in ops:
+        for op in ops:
             offer(sparse_commutator(op, current), s * scale)
-    generators = tuple(
-        m if scale == 1
-        else {i: {j: Fraction(x, scale) for j, x in row.items()} for i, row in m.items()}
-        for m, scale in basis
-    )
-    return HolonomyAlgebra(generators, span.rank)
+    generators, scales = zip(*basis) if basis else ((), ())
+    return HolonomyAlgebra(generators, scales, span.rank)
 
 
 def is_g_skew(m: SparseMatrix) -> bool:
@@ -107,12 +94,12 @@ def slnh_membership(
 ) -> tuple[bool, SlCertificate]:
     """Special quaternionic membership of the holonomy algebra: every
     generator quaternion-linear with zero real trace. The certificate
-    records the first violating generator, if any.
+    records the first violating generator, if any, and its trace.
     """
     first: tuple[int, str, Scalar | None] | None = None
     all_ql = True
     all_tf = True
-    for idx, gen in enumerate(hol.generators):
+    for idx, (gen, scale) in enumerate(zip(hol.generators, hol.scales)):
         if not glnh_membership(gen, h):
             all_ql = False
             if first is None:
@@ -121,7 +108,7 @@ def slnh_membership(
         if tr:
             all_tf = False
             if first is None:
-                first = (idx, "nonzero trace", Fraction(tr))
+                first = (idx, "nonzero trace", Fraction(tr, scale))
     ok = all_ql and all_tf
     return ok, SlCertificate(len(hol.generators), all_ql, all_tf, first)
 

@@ -19,7 +19,6 @@ bracket cube c^k_ij and J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
@@ -220,6 +219,7 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
 
 
 def bismut_connection(t: KForm, lc: Connection) -> Connection:
-    """Levi-Civita `lc` plus half the (totally skew) torsion, lowered."""
-    half_t = cube_scale(form_to_cube(t), Fraction(1, 2))
-    return Connection(lc.dim, cube_add(lc.gamma, half_t))
+    """Levi-Civita `lc` plus half the (totally skew) torsion, lowered: with
+    lc = gamma / s, the cube 2 gamma + s T over the scale 2 s."""
+    twice = cube_add(cube_scale(lc.gamma, 2), cube_scale(form_to_cube(t), lc.scale))
+    return Connection(lc.dim, twice, 2 * lc.scale)

@@ -6,16 +6,16 @@ antisymmetric completion is implicit. All tensor work happens in an
 orthonormal frame (the loader rebases inputs), so raising and lowering
 indices is free and every trace below is a plain index sum.
 
-Connection coefficients are stored lowered as a cube (the sparse
-{(i, j, k): value} format of `tensors`, which never stores a zero):
-gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k>. The operator matrix of
-nabla_{e_i} acting on coordinate vectors is L_i[k][j] = gamma[(i, j, k)].
-`Connection.operators` (built once per connection, on first read) and
-`curvature_operators` hold these operators as `linalg.SparseMatrix`
-({row: {column: value}}, no zero stored), built from the nonzeros with
+Connection coefficients are stored lowered as an int cube over one least
+scale s (`tensors.integer_scaled`): gamma[(i, j, k)] / s =
+<nabla_{e_i} e_j, e_k>, and the operator of nabla_{e_i} on coordinate
+vectors is L_i[k][j] = gamma[(i, j, k)] / s. `Connection.operators` (built
+once per connection, on first read) and `curvature_operators` hold the int
+operators as `linalg.SparseMatrix`, built from the nonzeros with
 `linalg.sparse_commutator`. The curvature operators {(i, j): R(e_i, e_j)},
-i < j, are the one curvature format every reader takes; `curvature_tensor`
-is their dense dim^4 nested-list view.
+i < j, int over one least scale, are the one curvature format every reader
+takes; a reader sums over the ints and divides once, and
+`curvature_tensor` is their dense dim^4 nested-list view.
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
 the sparse bracket table; the Jacobi check completes it antisymmetrically
@@ -30,10 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 
 from .exact import Scalar
 from .linalg import Matrix, SparseMatrix, Vector, sparse_commutator, sparse_subtract
-from .tensors import Cube, KForm, MAX_DIM, cube_add, cube_pullback, cube_scale, cube_to_form
+from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_add, cube_pullback, cube_to_form
+from .tensors import integer_scaled
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
 
@@ -141,14 +143,21 @@ def ce_differential(alg: LieAlgebra, a: KForm) -> KForm:
 class Connection:
     """Left-invariant connection in lowered coefficients.
 
-    gamma[(i, j, k)] = <nabla_{e_i} e_j, e_k> in the orthonormal frame.
-    `operators` holds the operators L_i[k][j] = gamma[(i, j, k)], built
-    from one pass over gamma on first read; the connection is metric when
-    each is skew (`holonomy.is_g_skew`).
+    gamma[(i, j, k)] / scale = <nabla_{e_i} e_j, e_k> in the orthonormal
+    frame, made int over the least scale on construction. `operators` holds
+    the int operators scale * L_i, L_i[k][j] = gamma[(i, j, k)] / scale,
+    built from one pass over gamma on first read; the connection is metric
+    when each is skew (`holonomy.is_g_skew`).
     """
 
     dim: int
     gamma: Cube
+    scale: int = 1
+
+    def __post_init__(self):
+        scaled = integer_scaled(self.gamma, self.scale)
+        object.__setattr__(self, "gamma", scaled.entries)
+        object.__setattr__(self, "scale", scaled.scale)
 
     @cached_property
     def operators(self) -> tuple[SparseMatrix, ...]:
@@ -161,7 +170,8 @@ class Connection:
 def levi_civita(alg: LieAlgebra) -> Connection:
     """Koszul formula in an orthonormal frame:
     Gamma_ijk = (c_ijk - c_jki + c_kij) / 2 with c_ijk = <[e_i,e_j], e_k>,
-    read off the stored brackets: each c^k_ab (a < b) lands in six slots.
+    read off the stored brackets: each c^k_ab (a < b) lands in six slots of
+    the cube of 2 Gamma, held at scale 2.
     """
     twice: dict[tuple[int, int, int], Scalar] = defaultdict(int)
     for (a, b), comps in alg.brackets.items():
@@ -171,23 +181,23 @@ def levi_civita(alg: LieAlgebra) -> Connection:
                 ((k, b, a), 1), ((b, k, a), 1), ((a, k, b), -1),
             ):
                 twice[key] += sign * v
-    gamma = {key: Fraction(v, 2) for key, v in sorted(twice.items()) if v}
-    return Connection(alg.dim, gamma)
+    return Connection(alg.dim, {key: v for key, v in sorted(twice.items()) if v}, 2)
 
 
 def torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
     """Lowered torsion t[(i, j, k)] = <T(e_i,e_j), e_k>
-    = gamma[(i, j, k)] - gamma[(j, i, k)] - c^k_ij, summed from the nonzeros
-    of gamma and of the bracket table."""
+    = (gamma[(i, j, k)] - gamma[(j, i, k)] - s c^k_ij) / s, summed from the
+    nonzeros of gamma and of the bracket table, s the connection's scale."""
+    s = conn.scale
     out: dict[tuple[int, int, int], Scalar] = defaultdict(int)
     for (i, j, k), v in conn.gamma.items():
         out[(i, j, k)] += v
         out[(j, i, k)] -= v
     for (i, j), comps in alg.brackets.items():
         for k, c in comps.items():
-            out[(i, j, k)] -= c
-            out[(j, i, k)] += c
-    return {key: v for key, v in sorted(out.items()) if v}
+            out[(i, j, k)] -= s * c
+            out[(j, i, k)] += s * c
+    return {key: Fraction(v, s) for key, v in sorted(out.items()) if v}
 
 
 def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
@@ -196,20 +206,27 @@ def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube, conn.dim)
 
 
-Curvature = dict[tuple[int, int], SparseMatrix]
+Curvature = Scaled  # entries {(i, j): R(e_i, e_j) * scale}, i < j
 
 
 def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
-    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]} as sparse matrices, keys i < j;
-    the lowered curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]."""
-    ops = conn.operators
-    out: Curvature = {}
+    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]}, keys i < j; the lowered
+    curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]. With L_i = ops_i / s
+    and d the lcm of the bracket denominators, d s^2 R(e_i, e_j) =
+    [d ops_i, ops_j] - sum_m (d c^m_ij) s ops_m on ints, then reduced."""
+    ops, s = conn.operators, conn.scale
+    d = lcm(*[c.denominator for comps in alg.brackets.values() for c in comps.values()])
+    left = [{k: {j: d * x for j, x in row.items()} for k, row in op.items()} for op in ops]
+    out: dict[tuple[int, int], SparseMatrix] = {}
     for i, j in combinations(range(conn.dim), 2):
-        r = sparse_commutator(ops[i], ops[j])
+        out[(i, j)] = r = sparse_commutator(left[i], ops[j])
         for m, c in alg.brackets.get((i, j), {}).items():
-            sparse_subtract(r, c, ops[m])
-        out[(i, j)] = r
-    return out
+            sparse_subtract(r, c.numerator * (d // c.denominator) * s, ops[m])
+    g = gcd(d * s * s, *(x for r in out.values() for row in r.values() for x in row.values()))
+    for row in (row for r in out.values() for row in r.values()):
+        for k in row:
+            row[k] //= g
+    return Scaled(out, d * s * s // g)
 
 
 CurvatureTensor = list[list[list[list[Scalar]]]]
@@ -222,15 +239,15 @@ def curvature_tensor(conn: Connection, alg: LieAlgebra) -> CurvatureTensor:
     unless the connection is metric.
     """
     dim = conn.dim
-    ops = curvature_operators(conn, alg)
+    curvature = curvature_operators(conn, alg)
     r: CurvatureTensor = [
         [[[0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)
     ]
-    for (i, j), m in ops.items():
+    for (i, j), m in curvature.entries.items():
         for l, row in m.items():
             for k, v in row.items():
-                r[i][j][k][l] = v
-                r[j][i][k][l] = -v
+                r[i][j][k][l] = Fraction(v, curvature.scale)
+                r[j][i][k][l] = -r[i][j][k][l]
     return r
 
 
@@ -239,13 +256,11 @@ def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
     connection operator L = nabla_{e_i} (`Connection.operators[i]`).
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U).
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U). On int operators
+    and entries the result is int, over the product of their scales.
     """
-    total = cube_add(
-        cube_add(cube_pullback(a, op, None, None), cube_pullback(a, None, op, None)),
-        cube_pullback(a, None, None, op),
-    )
-    return cube_scale(total, -1)
+    total = cube_add(cube_pullback(a, op, None, None), cube_pullback(a, None, op, None))
+    return {idx: -v for idx, v in cube_add(total, cube_pullback(a, None, None, op)).items()}
 
 
 def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> LieAlgebra:

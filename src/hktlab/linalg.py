@@ -6,30 +6,25 @@ row space in sparse, fraction-free reduced echelon form. Its input rows
 are sparse rows, {column: value} dicts without zeros (the idiom of
 `KForm.comps` and of the cubes), because the solver systems and holonomy
 generators are almost all zeros; its stored rows are primitive integer
-rows, so the elimination runs on Python ints. A row of plain ints (the
-solver's rows, mostly two terms) enters as it is, with no denominator
-rescale, and a row that reduces to one entry is stored as a unit without
-a gcd; Fraction rows are rescaled to ints once, on entry.
-
-`nullspace` and `solve_unique` take sparse rows and an explicit column
-count and read their answers off a `RowSpan`'s stored rows, dividing by
-the pivot entry at the boundary, so every value they return is a
-Fraction (apart from the 1 of each free column). The dense `Matrix` calls
-`rref` and `det` convert each row once on entry; `det` multiplies the
-pivot values that `RowSpan._insert` reports.
+rows, so the elimination runs on Python ints. A row of plain ints enters
+as it is and a row that reduces to one entry is stored as a unit without
+a gcd; Fraction rows are rescaled to ints once, on entry. `nullspace`,
+`solve_unique`, `rref` and `det` read their answers off the stored rows:
+`nullspace` and `rref` as Fractions, `solve_unique` as int entries over
+one least scale, `det` as the product of the pivot values.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy
 generators, Ric and the other Ricci-type 2-tensors, with B[x][y] =
 B(e_x, e_y)) uses the sparse matrix format {row: sparse row}, which stores
-no zero and no empty row, so `not m` is the zero test. `sparse_commutator`
-and `sparse_product` are its product kernels, both summed by one
-accumulation over the nonzeros; `sparse_subtract` is its one linear
-update, `sparse_trace` its trace and `sparse_transpose` its column view;
-`sparse_matrix` converts a dense `Matrix` once, at the boundary: the
-loader's J rows. The metric is dense only on the wire and in the loader's
-change of frame; the engine works in the orthonormal frame, where it is
-the identity and is not stored.
+no zero and no empty row, so `not m` is the zero test. The connection and
+curvature operators and the holonomy generators are int matrices over a
+scale held beside them, which no zero, commutation or skewness test and
+no span rank depends on. `sparse_commutator` and `sparse_product` are the
+product kernels, both summed by one accumulation over the nonzeros;
+`sparse_subtract` is the one linear update, `sparse_trace` the trace and
+`sparse_transpose` the column view; `sparse_matrix` converts the loader's
+dense J rows once.
 """
 
 from __future__ import annotations
@@ -194,20 +189,22 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
     return list(basis.values())
 
 
-def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
+def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int, int]:
     """Solve a x = b, requiring the solution to exist and be unique.
 
     Each sparse row holds one equation over columns 0..cols-1, with its
-    right-hand side in column `cols`. Returns the nonzero entries of x and
-    the rank of the system.
+    right-hand side in column `cols`. Returns the nonzero entries of
+    scale * x, all int, the least such scale and the rank of the system.
     """
     span = _span_of(rows, cols + 1)
     if cols in span._rows:
         raise LinAlgError("inconsistent system: no solution")
     if span.rank < cols:
         raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
-    x = {pivot: Fraction(row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row}
-    return x, span.rank
+    held = [(pivot, row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row]
+    scale = lcm(*[d for _, _, d in held])
+    g = gcd(scale, *[v * (scale // d) for _, v, d in held])
+    return {pivot: v * (scale // d) // g for pivot, v, d in held}, scale // g, span.rank
 
 
 def det(a: Matrix) -> Fraction:
@@ -251,8 +248,8 @@ class RowSpan:
     integer row {column: int} keyed by its pivot: gcd 1, a positive entry
     at its own pivot, 0 at every other pivot and left of its pivot. So the
     stored row divided by its pivot entry is the row of the reduced echelon
-    form, which the readers (`rref`, `nullspace`, `solve_unique`) build as
-    `Fraction(row[j], row[pivot])`. A reduction step is
+    form, which the readers (`rref`, `nullspace`, `solve_unique`) read as
+    row[j] / row[pivot]. A reduction step is
     v <- d*v - c*r for the stored row r with pivot entry d and the entry c
     of v at that pivot, both divided by gcd(c, d); no Fraction is built
     inside the elimination. A column index lists, for each column, the

@@ -12,13 +12,13 @@ Two independent construction routes:
 Plus the trace identities tying A to the Lee form (the twisted ones are
 `tensors.cube_j_trace` of A), and their complex-frame form, whose real
 and imaginary parts are the plain and the J1 trace, so no frame is built.
+A and both connections are int over one scale each (`tensors.Scaled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
@@ -30,10 +30,11 @@ from .linalg import (
     solve_unique,
     sparse_transpose,
 )
-from .tensors import Cube, KForm, cube_add, cube_j_trace, cube_pullback, cube_scale, form_to_cube
+from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
+from .tensors import form_to_cube, integer_scaled
 
 
-def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
+def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
     """Lowered difference A between the torsion-free hypercomplex connection
     and the skew-torsion one, expressed through the torsion alone:
 
@@ -45,7 +46,7 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
         cube_add(cube_pullback(ct, None, j1, j1), cube_pullback(ct, j1, j1, None)),
         cube_add(cube_pullback(ct, None, j3, j3), cube_pullback(ct, j1, j3, j2)),
     )
-    return cube_scale(total, Fraction(-1, 2))
+    return integer_scaled(cube_scale(total, -1), 2)
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
@@ -54,7 +55,7 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     Entry (p, q) of M J_s - J_s M is one sparse equation over the unknowns
     M[a][b] (column a * dim + b), for J1 and J2 only: requires J3 = J1 J2,
     which `quaternionic_check` enforces at load, so the nullspace is the
-    same. Each nullspace vector is scaled once by the lcm of its denominators.
+    same. Each nullspace vector is made int once (`tensors.integer_scaled`).
     """
     dim = h.dim
     rows: list[Row] = []
@@ -68,10 +69,9 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
                 rows.append({col: x for col, x in row.items() if x})
     basis: list[SparseMatrix] = []
     for vec in nullspace(rows, dim * dim):
-        scale = lcm(*[x.denominator for x in vec.values()])
         m: SparseMatrix = {}
-        for col, x in vec.items():
-            m.setdefault(col // dim, {})[col % dim] = int(x * scale)
+        for col, x in integer_scaled(vec).entries.items():
+            m.setdefault(col // dim, {})[col % dim] = x
         basis.append(m)
     return basis
 
@@ -97,7 +97,8 @@ def obata_oracle_solver(
     element c_t in the operator of e_i. Equation (i < j, l) is the e_l
     component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one sparse row of
     integer coefficients c_t[l][j] and -c_t[l][i], with the structure
-    constant in the right-hand-side column.
+    constant in the right-hand-side column. The solution, int over one
+    scale, is summed with the int basis on ints.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
@@ -122,7 +123,7 @@ def obata_oracle_solver(
                     row[unknowns] = bracket[l]
                 rows.append(row)
     try:
-        x, rank = solve_unique(rows, unknowns)
+        x, scale, rank = solve_unique(rows, unknowns)
     except LinAlgError as exc:
         if "inconsistent" in str(exc):
             raise ValueError(
@@ -130,17 +131,17 @@ def obata_oracle_solver(
                 " complex structures"
             ) from exc
         raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
-    # Gamma_i = sum_t x[i * d_c + t] c_t, stored as gamma[(i, j, k)] = Gamma_i[k][j]
-    sums: Cube = {}
+    # scale * Gamma_i = sum_t x[i * d_c + t] c_t, stored as gamma[(i, j, k)] = Gamma_i[k][j]
+    sums: dict[tuple[int, int, int], int] = {}
     for col, coeff in x.items():
         i, t = divmod(col, d_c)
         for a, b, value in support[t]:
             sums[(i, b, a)] = sums.get((i, b, a), 0) + coeff * value
-    gamma: Cube = {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
+    gamma = {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
     certificate = SolverCertificate(
         commutant_dim=d_c, unknowns=unknowns, equations=len(rows), rank=rank, unique=True
     )
-    return Connection(dim, gamma), certificate
+    return Connection(dim, gamma, scale), certificate
 
 
 def obata_connection(
@@ -163,11 +164,13 @@ def obata_connection(
 
 
 def obata_from_difference(
-    skew: Connection, a: Cube, h: HyperhermitianStructure, alg: LieAlgebra
+    skew: Connection, a: Scaled, h: HyperhermitianStructure, alg: LieAlgebra
 ) -> Connection:
-    """The skew-torsion connection plus the difference tensor A, with the
-    torsion-free hypercomplex postconditions verified exactly."""
-    return _verified(Connection(h.dim, cube_add(skew.gamma, a)), h, alg)
+    """The skew-torsion connection plus the difference tensor A, summed on
+    ints over the product of their scales, with the torsion-free
+    hypercomplex postconditions verified exactly."""
+    gamma = cube_add(cube_scale(skew.gamma, a.scale), cube_scale(a.entries, skew.scale))
+    return _verified(Connection(h.dim, gamma, skew.scale * a.scale), h, alg)
 
 
 def _verified(conn: Connection, h: HyperhermitianStructure, alg: LieAlgebra) -> Connection:
@@ -185,7 +188,7 @@ class TraceReport:
 
 
 def trace_identities(
-    a: Cube, h: HyperhermitianStructure, theta: KForm
+    a: Scaled, h: HyperhermitianStructure, theta: KForm
 ) -> tuple[TraceReport, TraceReport]:
     """The trace identities of A in a real frame and in a complex one.
 
@@ -194,23 +197,24 @@ def trace_identities(
     (f, J1 f) the complex trace has the plain trace as its real part and
     the J1 trace as its imaginary part, both frame-independent, so the
     complex report reads the same numbers: real part -2 theta(X),
-    imaginary part 0.
+    imaginary part 0. Each trace is summed on A's ints, then divided once.
     """
-    dim = h.dim
-    twisted = [cube_j_trace(a, j) for j in h.j_sparse]
+    dim, cube, scale = h.dim, a.entries, a.scale
+    twisted = [cube_j_trace(cube, j) for j in h.j_sparse]
     failures: list[str] = []
     complex_failures: list[str] = []
     for x in range(dim):
-        plain = sum(a.get((x, i, i), 0) for i in range(dim))
+        plain = Fraction(sum(cube.get((x, i, i), 0) for i in range(dim)), scale)
         want = -2 * theta.evaluate((x,))
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")
             complex_failures.append(f"real part at X=e{x}: {plain} != {want}")
         if x in twisted[0]:
-            complex_failures.append(f"imaginary part at X=e{x}: {twisted[0][x]} != 0")
+            imaginary = Fraction(twisted[0][x], scale)
+            complex_failures.append(f"imaginary part at X=e{x}: {imaginary} != 0")
     for s, traces in enumerate(twisted, 1):
         for x, value in sorted(traces.items()):
-            failures.append(f"J{s} trace at X=e{x}: {value} != 0")
+            failures.append(f"J{s} trace at X=e{x}: {Fraction(value, scale)} != 0")
     return (
         TraceReport(ok=not failures, failures=tuple(failures)),
         TraceReport(ok=not complex_failures, failures=tuple(complex_failures)),

@@ -4,18 +4,15 @@ Everything lives over a fixed basis e_0 .. e_{dim-1} of a real vector space
 with dim <= 16. A KForm stores its components on strictly increasing index
 tuples; evaluation on arbitrary tuples unpacks the permutation sign.
 Endomorphisms are matrices with the column convention M[i][j] =
-coefficient of e_i in (M e_j). The engine works in an orthonormal frame,
-where the metric is the identity and is not stored; only the loader reads
-a dense metric, through the metric helpers at the end of this module.
-Every endomorphism and bilinear form of the engine is held in the sparse
-`linalg.SparseMatrix` format ({row: {column: value}}, no zero stored): the
-complex structures J, the connection operators, and each bilinear form B
-as B[x][y] = B(e_x, e_y). `j_twist`, the slots of `cube_pullback` and the
-J-contractions take that format: `j_pullback` gives B(J ., J .) =
-J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m) and
-`cube_j_trace` the same trace of the last two slots of a cube, each
-summed over nonzeros. `form_to_matrix` reads a 2-form as its
-antisymmetric matrix, as `form_to_cube` reads a 3-form.
+coefficient of e_i in (M e_j), held in the sparse `linalg.SparseMatrix`
+format, and each bilinear form B as B[x][y] = B(e_x, e_y). The engine
+works in an orthonormal frame, where the metric is the identity and is not
+stored; only the loader reads a dense metric, through the metric helpers at
+the end of this module. `j_pullback` gives B(J ., J .) = J^T B J, `j_trace`
+the J-trace sum_{a,m} J[m][a] B(e_a, e_m) and `cube_j_trace` the same
+trace of the last two slots of a cube, each summed over nonzeros.
+`form_to_matrix` reads a 2-form as its antisymmetric matrix, as
+`form_to_cube` reads a 3-form.
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
 tensors, connection coefficients) are kept as "cubes": dicts
@@ -23,8 +20,9 @@ tensors, connection coefficients) are kept as "cubes": dicts
 KForm.comps. Every function here that returns a cube keeps the invariant
 that a cube never stores a zero, so `not cube` tests for the zero tensor
 and `==` compares two tensors entry for entry. A stored value is an int or
-a Fraction as the arithmetic leaves it; only its value is meaningful (the
-report writes each rational by value, see `exact`).
+a Fraction as the arithmetic leaves it (the report writes each rational by
+value, see `exact`); the connection coefficients and the difference
+tensor are held `integer_scaled`, as int entries over one least scale.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .exact import Scalar, exact_sqrt
 from .linalg import (
@@ -204,6 +202,23 @@ def form_to_cube(a: KForm) -> Cube:
     if a.degree != 3:
         raise ValueError("expected a 3-form")
     return {tgt: perm_sign(tgt) * v for idx, v in a.comps.items() for tgt in permutations(idx)}
+
+
+@dataclass(frozen=True)
+class Scaled:
+    """entries / scale: int entries over the least positive int scale, as a
+    cube (the difference tensor) or as {(i, j): operator} (a curvature)."""
+
+    entries: dict
+    scale: int
+
+
+def integer_scaled(cube: Cube, scale: int = 1) -> Scaled:
+    """cube / scale held as `Scaled`, zeros dropped; `==` compares values."""
+    den = lcm(*[v.denominator for v in cube.values()])
+    ints = {idx: v.numerator * (den // v.denominator) for idx, v in cube.items() if v}
+    g = gcd(scale * den, *ints.values())
+    return Scaled({idx: v // g for idx, v in ints.items()}, scale * den // g)
 
 
 def cube_to_form(cube: Cube, dim: int) -> KForm | None:

@@ -12,11 +12,12 @@ sparse J's.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar
@@ -51,13 +52,15 @@ from hktlab.linalg import (
     rref,
     sparse_commutator,
     sparse_matrix,
+    sparse_subtract,
     sparse_transpose,
     zeros,
 )
-from hktlab.obata import SolverCertificate, TraceReport
+from hktlab.obata import SolverCertificate, TraceReport, commutant_basis
 from hktlab.tensors import (
     Cube,
     KForm,
+    Scaled,
     cube_add,
     cube_pullback,
     cube_scale,
@@ -158,9 +161,10 @@ def dense_matrix(m: SparseMatrix, n: int) -> Matrix:
 
 
 def dense_operator(conn: Connection, i: int) -> Matrix:
-    """Matrix of nabla_{e_i} acting on coordinate vectors, from gamma."""
+    """Matrix of nabla_{e_i} acting on coordinate vectors, from the values
+    of gamma."""
     op = [[0] * conn.dim for _ in range(conn.dim)]
-    for (a, j, k), v in conn.gamma.items():
+    for (a, j, k), v in conn_values(conn).items():
         if a == i:
             op[k][j] = v
     return op
@@ -461,13 +465,14 @@ def naive_torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
     """t[(i, j, k)] = gamma[(i, j, k)] - gamma[(j, i, k)] - c^k_ij over
     every index triple."""
     dim = conn.dim
+    gamma = conn_values(conn)
     out: Cube = {}
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 v = (
-                    conn.gamma.get((i, j, k), 0)
-                    - conn.gamma.get((j, i, k), 0)
+                    gamma.get((i, j, k), 0)
+                    - gamma.get((j, i, k), 0)
                     - structure_constant(alg, i, j, k)
                 )
                 if v:
@@ -554,14 +559,16 @@ def naive_holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra
             if not is_zero_matrix(cand) and span.add(naive_flatten(cand)):
                 basis.append(cand)
                 queue.append(cand)
-    return HolonomyAlgebra(tuple(basis), span.rank)
+    return HolonomyAlgebra(tuple(basis), (1,) * len(basis), span.rank)
 
 
-def fraction_holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
-    """The sparse closure on the operators' own entries, Fractions included:
-    each basis element bracketed once with each connection operator."""
-    n = conn.dim
-    ops = conn.operators
+def fraction_holonomy_algebra(
+    ops: tuple[SparseMatrix, ...], curvature: dict[tuple[int, int], SparseMatrix]
+) -> HolonomyAlgebra:
+    """The sparse closure on the rational operators' own entries, Fractions
+    included: each basis element bracketed once with each connection
+    operator; every generator at scale 1."""
+    n = len(ops)
     span = RowSpan(n * n)
     basis: list[SparseMatrix] = []
     queue: list[SparseMatrix] = []
@@ -577,7 +584,7 @@ def fraction_holonomy_algebra(conn: Connection, curvature: Curvature) -> Holonom
         current = queue.pop()
         for op in ops:
             offer(sparse_commutator(op, current))
-    return HolonomyAlgebra(tuple(basis), span.rank)
+    return HolonomyAlgebra(tuple(basis), (1,) * len(basis), span.rank)
 
 
 def naive_preserves_endomorphism(conn: Connection, m: Matrix) -> bool:
@@ -717,7 +724,7 @@ def naive_covariant_derivative(conn: Connection, i: int, a: Cube) -> DenseCube:
     """(nabla_{e_i} A)(Y,Z,U) = -A(nabla_i Y, Z, U) - A(Y, nabla_i Z, U)
     - A(Y, Z, nabla_i U), one dense sum per entry; returns a dense cube."""
     dim = conn.dim
-    g_i = dense_cube(conn.gamma, dim)[i]
+    g_i = dense_cube(conn_values(conn), dim)[i]
     a = dense_cube(a, dim)
     out = dense_cube({}, dim)
     for j in range(dim):
@@ -737,10 +744,10 @@ def naive_covariant_derivative(conn: Connection, i: int, a: Cube) -> DenseCube:
 
 
 def dense_curvature(curvature: Curvature, dim: int) -> CurvatureTensor:
-    """The nested-list copy r[i][j][k][l] = R(e_i, e_j)[l][k] of sparse
-    curvature operators (keys i < j), zeros included."""
+    """The nested-list copy r[i][j][k][l] = R(e_i, e_j)[l][k] of the values
+    of sparse curvature operators (keys i < j), zeros included."""
     r = [[[[0] * dim for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for (i, j), op in curvature.items():
+    for (i, j), op in curvature_values(curvature).items():
         for l, row in op.items():
             for k, v in row.items():
                 r[i][j][k][l] = v
@@ -1316,3 +1323,161 @@ def direct_sum_entry(first: CatalogEntry, second: CatalogEntry, directory: Path)
     path = directory / f"{first.name}+{second.name}.json"
     path.write_text(json.dumps(direct_sum(serialize(first), serialize(second))), encoding="utf-8")
     return load(path)
+
+
+# ---------------------------------------------------------------------------
+# integer-scaled objects: their rational values, their canonical form, and
+# the Fraction implementations they replaced, kept as references
+
+
+def rational(cube: Cube, scale: int) -> Cube:
+    """The values cube / scale, entry by entry."""
+    return {idx: Fraction(v, scale) for idx, v in cube.items()}
+
+
+def conn_values(conn: Connection) -> Cube:
+    return rational(conn.gamma, conn.scale)
+
+
+def scaled_values(a: Scaled) -> Cube:
+    return rational(a.entries, a.scale)
+
+
+def matrix_values(m: SparseMatrix, scale: int) -> SparseMatrix:
+    return {i: {j: Fraction(x, scale) for j, x in row.items()} for i, row in m.items()}
+
+
+def curvature_values(curvature: Curvature) -> dict[tuple[int, int], SparseMatrix]:
+    return {key: matrix_values(op, curvature.scale) for key, op in curvature.entries.items()}
+
+
+def generator_values(hol: HolonomyAlgebra) -> tuple[SparseMatrix, ...]:
+    return tuple(matrix_values(g, s) for g, s in zip(hol.generators, hol.scales))
+
+
+def is_canonical(values: Iterable[Scalar], scale: int) -> bool:
+    """Every entry an int, scale a positive int, and the gcd of the scale
+    and all entries 1: the least scale that makes every entry an int."""
+    values = list(values)
+    return (
+        all(type(v) is int for v in values)
+        and type(scale) is int
+        and scale >= 1
+        and gcd(scale, *values) == 1
+    )
+
+
+def matrix_entries(m: SparseMatrix) -> list[Scalar]:
+    return [x for row in m.values() for x in row.values()]
+
+
+def curvature_is_canonical(curvature: Curvature) -> bool:
+    entries = [x for op in curvature.entries.values() for x in matrix_entries(op)]
+    return is_canonical(entries, curvature.scale)
+
+
+def fraction_levi_civita(alg: LieAlgebra) -> Cube:
+    """The Koszul sum with each coefficient a Fraction(twice, 2)."""
+    twice: dict[tuple[int, int, int], Scalar] = defaultdict(int)
+    for (a, b), comps in alg.brackets.items():
+        for k, v in comps.items():
+            for key, sign in (
+                ((a, b, k), 1), ((b, a, k), -1), ((k, a, b), -1),
+                ((k, b, a), 1), ((b, k, a), 1), ((a, k, b), -1),
+            ):
+                twice[key] += sign * v
+    return {key: Fraction(v, 2) for key, v in sorted(twice.items()) if v}
+
+
+def fraction_bismut_connection(t: KForm, lc: Cube) -> Cube:
+    """Levi-Civita coefficients plus half the torsion, in Fractions."""
+    return cube_add(lc, cube_scale(form_to_cube(t), Fraction(1, 2)))
+
+
+def fraction_difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
+    """-1/2 of the four torsion pullbacks, in Fractions."""
+    ct = form_to_cube(t)
+    j1, j2, j3 = h.j_sparse
+    total = cube_add(
+        cube_add(cube_pullback(ct, None, j1, j1), cube_pullback(ct, j1, j1, None)),
+        cube_add(cube_pullback(ct, None, j3, j3), cube_pullback(ct, j1, j3, j2)),
+    )
+    return cube_scale(total, Fraction(-1, 2))
+
+
+def fraction_solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
+    """solve_unique with a Fraction read off per solved entry."""
+    span = RowSpan(cols + 1)
+    for row in rows:
+        span.add(row)
+    if cols in span._rows:
+        raise LinAlgError("inconsistent system: no solution")
+    if span.rank < cols:
+        raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
+    x = {pivot: Fraction(row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row}
+    return x, span.rank
+
+
+def fraction_obata_oracle_solver(h: HyperhermitianStructure, alg: LieAlgebra) -> Cube:
+    """The solver route's coefficients, summed from Fraction solutions."""
+    dim = h.dim
+    cbasis = commutant_basis(h)
+    d_c = len(cbasis)
+    unknowns = dim * d_c
+    support = [[(a, b, x) for a, row in c.items() for b, x in row.items()] for c in cbasis]
+    by_entry: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for t, entries in enumerate(support):
+        for a, b, x in entries:
+            by_entry[(a, b)].append((t, x))
+    rows: list[Row] = []
+    for i, j in combinations(range(dim), 2):
+        bracket = alg.brackets.get((i, j), {})
+        for l in range(dim):
+            row: Row = {i * d_c + t: x for t, x in by_entry[(l, j)]}
+            for t, x in by_entry[(l, i)]:
+                row[j * d_c + t] = -x
+            if l in bracket:
+                row[unknowns] = bracket[l]
+            rows.append(row)
+    x, _ = fraction_solve_unique(rows, unknowns)
+    sums: Cube = {}
+    for col, coeff in x.items():
+        i, t = divmod(col, d_c)
+        for a, b, value in support[t]:
+            sums[(i, b, a)] = sums.get((i, b, a), 0) + coeff * value
+    return {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
+
+
+def fraction_torsion_cube(gamma: Cube, alg: LieAlgebra) -> Cube:
+    """gamma[(i, j, k)] - gamma[(j, i, k)] - c^k_ij on rational coefficients."""
+    out: dict[tuple[int, int, int], Scalar] = defaultdict(int)
+    for (i, j, k), v in gamma.items():
+        out[(i, j, k)] += v
+        out[(j, i, k)] -= v
+    for (i, j), comps in alg.brackets.items():
+        for k, c in comps.items():
+            out[(i, j, k)] -= c
+            out[(j, i, k)] += c
+    return {key: v for key, v in sorted(out.items()) if v}
+
+
+def fraction_operators(gamma: Cube, dim: int) -> tuple[SparseMatrix, ...]:
+    """The rational operators L_i[k][j] = gamma[(i, j, k)]."""
+    ops: tuple[SparseMatrix, ...] = tuple({} for _ in range(dim))
+    for (i, j, k), v in gamma.items():
+        ops[i].setdefault(k, {})[j] = v
+    return ops
+
+
+def fraction_curvature_operators(
+    gamma: Cube, alg: LieAlgebra
+) -> dict[tuple[int, int], SparseMatrix]:
+    """[L_i, L_j] - sum_m c^m_ij L_m on the rational operators."""
+    ops = fraction_operators(gamma, alg.dim)
+    out: dict[tuple[int, int], SparseMatrix] = {}
+    for i, j in combinations(range(alg.dim), 2):
+        r = sparse_commutator(ops[i], ops[j])
+        for m, c in alg.brackets.get((i, j), {}).items():
+            sparse_subtract(r, c, ops[m])
+        out[(i, j)] = r
+    return out

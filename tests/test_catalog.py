@@ -250,9 +250,7 @@ def test_load_rejects_metric_that_is_not_j_invariant(tmp_path, hopf4_doc):
         hopf4_doc["metric"][i][i] = "4"
     with pytest.raises(CatalogError) as info:
         load(write_doc(tmp_path, hopf4_doc))
-    assert str(info.value) == (
-        "quaternion relations: metric not J1-invariant; metric not J3-invariant"
-    )
+    assert str(info.value) == "metric: not J1-invariant; not J3-invariant"
 
 
 def test_load_rejects_non_map_expected(tmp_path, hopf4_doc):

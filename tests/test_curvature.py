@@ -29,7 +29,7 @@ from hktlab.invariant import (
 )
 from hktlab.linalg import mat_mul, sparse_matrix
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, norm_sq
+from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, integer_scaled, norm_sq
 
 from oracle_impl import (
     ALL_NAMES,
@@ -50,6 +50,8 @@ from oracle_impl import (
     naive_ric_j,
     naive_ricci_package,
     naive_star_traces,
+    rational,
+    scaled_values,
     transpose,
 )
 
@@ -324,7 +326,7 @@ def test_curvature_relation_detects_corruption(cat, torsions):
     skew = bismut_connection(t, levi_civita(entry.lie))
     conn = obata_connection(entry.structure, entry.lie, t)
     a = difference_tensor(t, entry.structure)
-    wrong = {idx: 2 * v for idx, v in a.items()}
+    wrong = integer_scaled(cube_scale(a.entries, 2), a.scale)
     outcome = curvature_relation_check(
         curvature_operators(skew, entry.lie),
         curvature_operators(conn, entry.lie),
@@ -343,8 +345,12 @@ def test_covariant_derivative_matches_dense_oracle(cat, torsions):
         a = difference_tensor(t, entry.structure)
         for conn in (bismut_connection(t, levi_civita(entry.lie)), levi_civita(entry.lie)):
             for i, op in enumerate(conn.operators):
-                sparse = dense_cube(covariant_derivative_cube(op, a), entry.dim)
-                assert sparse == naive_covariant_derivative(conn, i, a), (name, i)
+                # int operator times int entries: over the product of the scales
+                cube = covariant_derivative_cube(op, a.entries)
+                assert all(type(v) is int for v in cube.values()), (name, i)
+                sparse = dense_cube(rational(cube, conn.scale * a.scale), entry.dim)
+                want = naive_covariant_derivative(conn, i, scaled_values(a))
+                assert sparse == want, (name, i)
 
 
 @pytest.mark.parametrize("corruption", ["double_a", "r_ob_entry", "t_entry"])
@@ -360,17 +366,16 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
         a = difference_tensor(t, entry.structure)
         t_cube = form_to_cube(t)
         if corruption == "double_a":
-            a = cube_scale(a, 2)
+            a = integer_scaled(cube_scale(a.entries, 2), a.scale)
         elif corruption == "r_ob_entry":
             # the lowered entry r_ob[1][2][3][0] is R_(1,2)[0][3]
-            row = r_ob[(1, 2)].setdefault(0, {})
+            row = r_ob.entries[(1, 2)].setdefault(0, {})
             row[3] = row.get(3, 0) + 1
         else:
             t_cube = cube_add(t_cube, {(0, 1, 2): 1})
-        rest = (a, t_cube, skew)
-        outcome = curvature_relation_check(r_skew, r_ob, *rest)
+        outcome = curvature_relation_check(r_skew, r_ob, a, t_cube, skew)
         dense = (dense_curvature(r_skew, entry.dim), dense_curvature(r_ob, entry.dim))
-        want = naive_curvature_relation(*dense, *rest, entry.lie)
+        want = naive_curvature_relation(*dense, scaled_values(a), t_cube, skew, entry.lie)
         assert (outcome.ok, outcome.counterexample) == want, name
         # on the torus entries A = 0, so only the curvature corruption shows
         assert outcome.ok == (name.startswith("torus") and corruption != "r_ob_entry"), name

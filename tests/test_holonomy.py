@@ -23,11 +23,18 @@ from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
     commutator,
+    conn_values,
+    curvature_values,
     dense_glnh_membership,
     dense_is_g_skew,
     dense_matrix,
     direct_sum_entry,
+    fraction_curvature_operators,
     fraction_holonomy_algebra,
+    fraction_operators,
+    generator_values,
+    is_canonical,
+    matrix_entries,
     naive_curvature_operators,
     naive_flatten,
     naive_holonomy_algebra,
@@ -84,11 +91,11 @@ def test_obata_holonomy_trivial_on_catalog(cat, torsions):
 def assert_span_is_closed(conn, alg, hol, name=None):
     # adding any further bracket must not grow the span
     span = RowSpan(alg.dim * alg.dim)
-    generators = [dense_matrix(g, alg.dim) for g in hol.generators]
+    generators = [dense_matrix(g, alg.dim) for g in generator_values(hol)]
     for g in generators:
         span.add(sparse([x for row in g for x in row]))
     assert span.rank == hol.dim, name
-    ops = [dense_matrix(op, alg.dim) for op in conn.operators]
+    ops = [dense_matrix(op, alg.dim) for op in fraction_operators(conn_values(conn), alg.dim)]
     extra = [commutator(op, g) for op in ops for g in generators]
     extra += [commutator(a, b) for a in generators for b in generators]
     for cand in extra:
@@ -120,13 +127,15 @@ def applicable_connections(entry):
 def assert_matches_dense_oracle(entry):
     for label, conn in applicable_connections(entry).items():
         name = f"{entry.name} {label}"
-        ops = curvature_operators(conn, entry.lie)
+        curvature = curvature_operators(conn, entry.lie)
+        ops = curvature_values(curvature)
         want_ops = naive_curvature_operators(conn, entry.lie)
         assert list(ops) == list(want_ops), name
         assert [dense_matrix(m, entry.dim) for m in ops.values()] == list(want_ops.values()), name
-        got, want = holonomy_algebra(conn, ops), naive_holonomy_algebra(conn, entry.lie)
+        got, want = holonomy_algebra(conn, curvature), naive_holonomy_algebra(conn, entry.lie)
         assert got.dim == want.dim, name
-        assert tuple(dense_matrix(g, entry.dim) for g in got.generators) == want.generators, name
+        got_generators = tuple(dense_matrix(g, entry.dim) for g in generator_values(got))
+        assert got_generators == want.generators, name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -189,33 +198,38 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
     # skipping [current, b], for a b popped before current entered the
     # basis, loses a generator of the oracle's closure; the last two have
     # denominators 5 and 6, so the integer-scaled closure carries scales
-    # other than powers of 2 and 3. The generators equal, in order, those of
-    # the closure on the operators' own Fraction entries.
+    # other than powers of 2 and 3. The generators equal, in order and by
+    # value, those of the closure on the operators' own Fraction entries,
+    # and each is an int matrix over its least scale.
     conn, alg = case
     curvature = curvature_operators(conn, alg)
     got = holonomy_algebra(conn, curvature)
-    assert got.generators == fraction_holonomy_algebra(conn, curvature).generators
+    gamma = conn_values(conn)
+    want_fraction = fraction_holonomy_algebra(
+        fraction_operators(gamma, alg.dim), fraction_curvature_operators(gamma, alg)
+    )
+    assert generator_values(got) == want_fraction.generators
+    assert all(is_canonical(matrix_entries(g), s) for g, s in zip(got.generators, got.scales))
     want = naive_holonomy_algebra(conn, alg)
     assert got.dim == want.dim
-    assert len(got.generators) == got.dim
+    assert len(got.generators) == len(got.scales) == got.dim
     span = RowSpan(alg.dim * alg.dim)
     for g in want.generators:
         span.add(naive_flatten(g))
-    assert not any(span.add(naive_flatten(dense_matrix(g, alg.dim))) for g in got.generators)
+    assert not any(span.add(naive_flatten(dense_matrix(g, alg.dim))) for g in generator_values(got))
     assert_span_is_closed(conn, alg, got)
     # non-metric connections give generators that are not skew and not
-    # trace-free, with int and Fraction traces
-    for g in got.generators:
-        dense = dense_matrix(g, alg.dim)
+    # trace-free; skewness reads the int matrix, the trace is its value
+    for g, value in zip(got.generators, generator_values(got)):
+        dense = dense_matrix(value, alg.dim)
         assert is_g_skew(g) == dense_is_g_skew(dense)
-        tr = sparse_trace(g)
-        assert (tr, type(tr)) == (trace(dense), type(trace(dense)))
+        assert sparse_trace(value) == trace(dense)
 
 
 def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
-    # the closure brackets integer-scaled copies of the operators and of the
-    # basis elements: no Fraction reaches the commutator kernel, even where
-    # the connection's own entries are halves (and 3/2 on su3)
+    # the closure brackets the connection's int operators and int basis
+    # elements: no Fraction reaches the commutator kernel, even where the
+    # connection's values are halves (and 3/2 on su3)
     seen = []
 
     def recording(a, b):
@@ -231,7 +245,7 @@ def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
     ]
     for name, conn, alg in cases:
         entries = [x for op in conn.operators for row in op.values() for x in row.values()]
-        assert any(type(x) is Fraction for x in entries), name
+        assert conn.scale > 1 and all(type(x) is int for x in entries), name
         seen.clear()
         assert holonomy_algebra(conn, curvature_operators(conn, alg)).dim, name
         assert seen, name
@@ -264,13 +278,14 @@ def assert_sparse_membership_matches_dense(entry):
     h = entry.structure
     for label, conn in applicable_connections(entry).items():
         hol = holonomy_algebra(conn, curvature_operators(conn, entry.lie))
-        for idx, g in enumerate(hol.generators):
+        for idx, (g, scale) in enumerate(zip(hol.generators, hol.scales)):
             name = f"{entry.name} {label} generator {idx}"
             dense = dense_matrix(g, entry.dim)
             assert glnh_membership(g, h) == dense_glnh_membership(dense, h), name
             assert is_g_skew(g) == dense_is_g_skew(dense), name
             got, want = sparse_trace(g), trace(dense)
             assert (got, type(got)) == (want, type(want)), name
+            assert type(got) is int and scale >= 1, name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -283,7 +298,7 @@ def test_sparse_membership_matches_dense_oracle_on_direct_sum(cat, tmp_path):
 
 
 def test_slnh_certificate_trivial_algebra(cat):
-    hol = HolonomyAlgebra((), 0)
+    hol = HolonomyAlgebra((), (), 0)
     ok, cert = slnh_membership(hol, cat["torus4"].structure)
     assert ok
     assert cert.generator_count == 0
@@ -293,7 +308,7 @@ def test_slnh_certificate_trivial_algebra(cat):
 
 def test_slnh_certificate_traceful_generator(cat):
     h4 = cat["hopf4"].structure
-    hol = HolonomyAlgebra((sparse_matrix(identity(4)),), 1)
+    hol = HolonomyAlgebra((sparse_matrix(identity(4)),), (1,), 1)
     ok, cert = slnh_membership(hol, h4)
     assert not ok
     assert cert.all_quaternion_linear
@@ -301,12 +316,15 @@ def test_slnh_certificate_traceful_generator(cat):
     assert cert.first_violation == (0, "nonzero trace", 4)
     # an int generator's trace is reported as a Fraction too
     assert repr(cert.first_violation) == "(0, 'nonzero trace', Fraction(4, 1))"
+    # and divided by the generator's scale
+    _, cert = slnh_membership(HolonomyAlgebra((sparse_matrix(identity(4)),), (6,), 1), h4)
+    assert repr(cert.first_violation) == "(0, 'nonzero trace', Fraction(2, 3))"
 
 
 def test_slnh_certificate_non_quaternion_linear(cat):
     h4 = cat["hopf4"].structure
     bad = {0: {1: 1}, 1: {0: -1}}
-    hol = HolonomyAlgebra((bad,), 1)
+    hol = HolonomyAlgebra((bad,), (1,), 1)
     ok, cert = slnh_membership(hol, h4)
     assert not ok
     assert not cert.all_quaternion_linear

@@ -17,25 +17,45 @@ from hktlab.invariant import (
     torsion_cube,
     validate_lie_algebra,
 )
-from hktlab.holonomy import is_g_skew
+from hktlab.holonomy import holonomy_algebra, is_g_skew
 from hktlab.hyperhermitian import bismut_connection, hkt_check
-from hktlab.obata import obata_connection
-from hktlab.tensors import KForm, wedge, form_add
+from hktlab.obata import (
+    difference_tensor,
+    obata_connection,
+    obata_from_difference,
+    obata_oracle_solver,
+)
+from hktlab.tensors import KForm, cube_add, wedge, form_add
 
 from oracle_impl import (
     basis_form,
     bracket_vectors,
+    conn_values,
+    curvature_is_canonical,
+    curvature_values,
     dense_matrix,
     direct_sum_entry,
     form_scale,
+    fraction_bismut_connection,
+    fraction_curvature_operators,
+    fraction_difference_tensor,
+    fraction_holonomy_algebra,
+    fraction_levi_civita,
+    fraction_obata_oracle_solver,
+    fraction_operators,
+    fraction_torsion_cube,
     fundamental_forms,
+    generator_values,
     invert,
+    is_canonical,
+    matrix_entries,
     naive_ce_differential,
     naive_curvature_operator,
     naive_d_eval,
     naive_koszul,
     naive_torsion_cube,
     naive_validate_lie_algebra,
+    scaled_values,
     structure_constant,
     walked_validate_lie_algebra,
 )
@@ -254,12 +274,13 @@ def test_levi_civita_against_koszul(alg):
     for i in range(alg.dim):
         for j in range(alg.dim):
             for k in range(alg.dim):
-                assert lc.gamma.get((i, j, k), 0) == naive_koszul(alg, i, j, k)
+                assert conn_values(lc).get((i, j, k), 0) == naive_koszul(alg, i, j, k)
 
 
 def test_levi_civita_matches_koszul_on_catalog_and_sums(catalog, tmp_path):
     # the Koszul sum read off the stored brackets gives the dense formula's
-    # nonzeros, each with the dense formula's type, in lexicographic order
+    # nonzeros as values, in lexicographic order, held as int entries over
+    # the least scale
     entries = catalog_and_sums(catalog, tmp_path)
     for entry in entries:
         alg = entry.lie
@@ -268,9 +289,9 @@ def test_levi_civita_matches_koszul_on_catalog_and_sums(catalog, tmp_path):
             for idx in product(range(alg.dim), repeat=3)
             if (v := naive_koszul(alg, *idx))
         }
-        gamma = levi_civita(alg).gamma
-        assert list(gamma.items()) == list(want.items()), entry.name
-        assert [type(v) for v in gamma.values()] == [type(v) for v in want.values()], entry.name
+        lc = levi_civita(alg)
+        assert list(conn_values(lc).items()) == list(want.items()), entry.name
+        assert is_canonical(lc.gamma.values(), lc.scale), entry.name
 
 
 def test_torsion_cube_matches_dense_oracle_on_catalog_and_sums(catalog, tmp_path):
@@ -286,7 +307,7 @@ def test_torsion_cube_matches_dense_oracle_on_catalog_and_sums(catalog, tmp_path
         for conn in conns:
             got, want = torsion_cube(conn, alg), naive_torsion_cube(conn, alg)
             assert list(got.items()) == list(want.items()), entry.name
-            assert [type(v) for v in got.values()] == [type(v) for v in want.values()], entry.name
+            assert is_canonical(conn.gamma.values(), conn.scale), entry.name
 
 
 def test_levi_civita_metric_and_torsion_free():
@@ -310,11 +331,22 @@ def test_connection_operator_layout():
     assert conn.operators == ({2: {1: 5}}, {}, {})
 
 
+def test_connection_is_canonical_on_construction():
+    # Fractions are cleared and common factors of the scale divided out,
+    # so equal values give equal connections
+    conn = Connection(3, {(0, 1, 2): Fraction(5, 6), (1, 1, 1): Fraction(-1, 4)})
+    assert (conn.gamma, conn.scale) == ({(0, 1, 2): 10, (1, 1, 1): -3}, 12)
+    assert Connection(3, {(0, 1, 2): 4, (1, 1, 1): 6}, 4) == Connection(
+        3, {(0, 1, 2): 1, (1, 1, 1): Fraction(3, 2)}
+    )
+    assert (Connection(3, {}, 6).gamma, Connection(3, {}, 6).scale) == ({}, 1)
+
+
 @pytest.mark.parametrize("alg", [HOPF4, NIL8])
 def test_curvature_operators_against_naive(alg):
     lc = levi_civita(alg)
-    ops = curvature_operators(lc, alg)
-    for (i, j), op in ops.items():
+    curvature = curvature_operators(lc, alg)
+    for (i, j), op in curvature_values(curvature).items():
         assert dense_matrix(op, alg.dim) == naive_curvature_operator(lc, alg, i, j)
 
 
@@ -335,3 +367,69 @@ def test_rebase_scaling():
     rebased = rebase_algebra(HOPF4, frame, invert(base_change))
     assert structure_constant(rebased, 1, 2, 3) == 1
     assert validate_lie_algebra(rebased) is None
+
+
+# ---------------------------------------------------------------------------
+# the integer-scaled connections, difference tensor, curvature operators and
+# holonomy generators against the Fraction implementations they replaced
+
+
+def assert_scaled_connection_matches(conn, want_gamma, alg, name):
+    """conn holds the values want_gamma in canonical form, and its torsion,
+    curvature operators and holonomy generators are those of the Fraction
+    references on those values, each in canonical form too."""
+    assert is_canonical(conn.gamma.values(), conn.scale), name
+    assert conn_values(conn) == want_gamma, name
+    assert torsion_cube(conn, alg) == fraction_torsion_cube(want_gamma, alg), name
+    curvature = curvature_operators(conn, alg)
+    want_curvature = fraction_curvature_operators(want_gamma, alg)
+    assert curvature_is_canonical(curvature), name
+    assert curvature_values(curvature) == want_curvature, name
+    hol = holonomy_algebra(conn, curvature)
+    want_hol = fraction_holonomy_algebra(fraction_operators(want_gamma, alg.dim), want_curvature)
+    assert all(is_canonical(matrix_entries(g), s) for g, s in zip(hol.generators, hol.scales)), name
+    assert (generator_values(hol), hol.dim) == (want_hol.generators, want_hol.dim), name
+
+
+@pytest.fixture(scope="module")
+def scaled_inputs(catalog, su3, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sums")
+    return list(catalog.values()) + [
+        su3,
+        direct_sum_entry(catalog["nil8"], catalog["hopf4"], tmp),
+        direct_sum_entry(catalog["hc_only8"], su3, tmp),
+    ]
+
+
+def test_scaled_connections_match_fraction_references(scaled_inputs):
+    # Levi-Civita, skew-torsion, both torsion-free routes and the difference
+    # tensor on the builtins, su3 (Fraction brackets), nil8+hopf4 and the
+    # curved non-HKT hc_only8+su3
+    for entry in scaled_inputs:
+        alg, h = entry.lie, entry.structure
+        lc, want_lc = levi_civita(alg), fraction_levi_civita(alg)
+        assert_scaled_connection_matches(lc, want_lc, alg, (entry.name, "levicivita"))
+        res = hkt_check(h, alg)
+        if res.ok:
+            skew = bismut_connection(res.torsion, lc)
+            want_skew = fraction_bismut_connection(res.torsion, want_lc)
+            assert_scaled_connection_matches(skew, want_skew, alg, (entry.name, "bismut"))
+            a = difference_tensor(res.torsion, h)
+            want_a = fraction_difference_tensor(res.torsion, h)
+            assert is_canonical(a.entries.values(), a.scale), entry.name
+            assert scaled_values(a) == want_a, entry.name
+            built = obata_from_difference(skew, a, h, alg)
+            want_built = cube_add(want_skew, want_a)
+            assert_scaled_connection_matches(built, want_built, alg, (entry.name, "difference"))
+        if res.first_nonintegrable is None:
+            solved, _ = obata_oracle_solver(h, alg)
+            want_solved = fraction_obata_oracle_solver(h, alg)
+            assert_scaled_connection_matches(solved, want_solved, alg, (entry.name, "solver"))
+
+
+@given(bracket_tables())
+@settings(max_examples=60, deadline=None)
+def test_scaled_levi_civita_matches_fraction_references_on_random_brackets(alg):
+    # int and Fraction constants, most tables failing the Jacobi identity:
+    # the Koszul sum, torsion, curvature and closure need none of it
+    assert_scaled_connection_matches(levi_civita(alg), fraction_levi_civita(alg), alg, alg)

@@ -26,12 +26,15 @@ from oracle_impl import (
     commutator,
     dense,
     dense_matrix,
+    fraction_solve_unique,
     invert,
+    is_canonical,
     naive_det,
     naive_nullspace,
     naive_rref,
     naive_solve_unique,
     rank,
+    rational,
     sparse,
     trace,
 )
@@ -70,8 +73,9 @@ def test_rank_and_nullspace():
 
 def test_solve_unique_exact():
     a = [[2, 1], [1, 3]]
-    x, _ = solve_unique(system(a, [5, 10]), 2)
-    assert mat_vec(a, dense(x, 2)) == [Fraction(5), Fraction(10)]
+    x, scale, _ = solve_unique(system(a, [5, 10]), 2)
+    assert (x, scale) == ({0: 1, 1: 3}, 1)
+    assert mat_vec(a, dense(rational(x, scale), 2)) == [Fraction(5), Fraction(10)]
 
 
 def test_solve_inconsistent():
@@ -272,8 +276,8 @@ def test_solve_unique_matches_dense_oracle(system_ab):
             solve_unique(system(a, b), cols)
         assert str(got.value) == str(exc)
         return
-    x, solved_rank = solve_unique(system(a, b), cols)
-    assert dense(x, cols) == want
+    x, scale, solved_rank = solve_unique(system(a, b), cols)
+    assert dense(rational(x, scale), cols) == want
     assert 0 not in x.values()
     assert solved_rank == cols
 
@@ -304,13 +308,17 @@ def test_span_readers_return_fractions(a):
 
 @given(sparse_systems())
 @settings(max_examples=40)
-def test_solve_unique_returns_fractions(system_ab):
+def test_solve_unique_returns_canonical_ints(system_ab):
+    """The solution is int entries over the least positive int scale, and
+    its values are those of the per-entry Fraction read-off."""
     a, b = system_ab
     try:
-        x, _ = solve_unique(system(a, b), len(a[0]))
+        want, want_rank = fraction_solve_unique(system(a, b), len(a[0]))
     except LinAlgError:
         return
-    assert all(type(v) is Fraction for v in x.values())
+    x, scale, solved_rank = solve_unique(system(a, b), len(a[0]))
+    assert is_canonical(x.values(), scale)
+    assert rational(x, scale) == want and solved_rank == want_rank
 
 
 def assert_fraction_free_echelon(span):
@@ -390,8 +398,8 @@ def test_hilbert_matrix_against_dense_oracles():
     assert inverse[0][0] == 36 and inverse[5][5] == 698544
     assert mat_mul(h, inverse) == [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     b = [1, 0, -1, 2, 0, Fraction(1, 3)]
-    x, solved_rank = solve_unique(system(h, b), 6)
-    assert dense(x, 6) == naive_solve_unique(h, b) and solved_rank == 6
+    x, scale, solved_rank = solve_unique(system(h, b), 6)
+    assert dense(rational(x, scale), 6) == naive_solve_unique(h, b) and solved_rank == 6
     span = RowSpan(6)
     for row in h:
         span.add(sparse(row))

@@ -16,12 +16,13 @@ from hktlab.obata import (
     trace_identities,
 )
 from hktlab.curvature import lee_form
-from hktlab.tensors import KForm, cube_add, form_to_cube
+from hktlab.tensors import KForm, cube_add, form_to_cube, integer_scaled
 
 from oracle_impl import (
     HKT_NAMES,
     ALL_NAMES,
     cayley_rotated,
+    conn_values,
     dense_matrix,
     difference_tensor_invariance,
     direct_sum_entry,
@@ -32,6 +33,7 @@ from oracle_impl import (
     naive_trace_identities,
     obata_b_tensor,
     obata_formula,
+    scaled_values,
 )
 
 
@@ -86,7 +88,7 @@ def test_commutant_members_commute(commutant_inputs):
 
 
 def test_difference_tensor_hopf4_values(cat, torsions):
-    a = difference_tensor(torsions["hopf4"], cat["hopf4"].structure)
+    a = scaled_values(difference_tensor(torsions["hopf4"], cat["hopf4"].structure))
     assert a[(1, 2, 3)] == 1
     assert a[(0, 1, 1)] == 1
     assert a[(1, 1, 0)] == -1
@@ -96,7 +98,7 @@ def test_difference_tensor_hopf4_values(cat, torsions):
 
 def test_difference_tensor_invariance_on_hkt(cat, torsions):
     for name in HKT_NAMES:
-        a = difference_tensor(torsions[name], cat[name].structure)
+        a = scaled_values(difference_tensor(torsions[name], cat[name].structure))
         assert difference_tensor_invariance(a, cat[name].structure), name
 
 
@@ -106,7 +108,7 @@ def test_general_route_agrees_with_hkt_route(cat, torsions):
     for name in HKT_NAMES:
         h = cat[name].structure
         t_cube = form_to_cube(torsions[name])
-        assert obata_b_tensor(t_cube, h) == difference_tensor(torsions[name], h), name
+        assert obata_b_tensor(t_cube, h) == scaled_values(difference_tensor(torsions[name], h)), name
 
 
 def test_obata_routes_agree_everywhere(cat, torsions):
@@ -117,7 +119,7 @@ def test_obata_routes_agree_everywhere(cat, torsions):
         solved, cert = obata_oracle_solver(entry.structure, entry.lie)
         assert cert.unique, name
         assert cert.rank == cert.unknowns, name
-        assert built.gamma == solved.gamma, name
+        assert built == solved, name
 
 
 def test_solver_certificates(cat):
@@ -146,13 +148,14 @@ def test_obata_is_bismut_plus_difference(cat, torsions):
         skew = bismut_connection(t, levi_civita(entry.lie))
         a = difference_tensor(t, entry.structure)
         conn = obata_connection(entry.structure, entry.lie, t)
-        assert conn.gamma == cube_add(skew.gamma, a), name
+        assert conn_values(conn) == cube_add(conn_values(skew), scaled_values(a)), name
 
 
 def test_hc_only8_connection_values(cat):
     conn, _ = obata_oracle_solver(cat["hc_only8"].structure, cat["hc_only8"].lie)
     nonzero = {idx: v for idx, v in conn.gamma.items() if v}
     assert nonzero == {(0, 4, 4): 1, (0, 5, 5): 1, (0, 6, 6): 1, (0, 7, 7): 1}
+    assert conn.scale == 1
 
 
 def test_builtin_cubes_store_no_zero(cat, torsions):
@@ -166,8 +169,8 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
         if t is not None:
             skew = bismut_connection(t, levi_civita(alg))
             a = difference_tensor(t, h)
-            cubes += [skew.gamma, torsion_cube(skew, alg), a, obata_b_tensor(form_to_cube(t), h)]
-            cubes += [covariant_derivative_cube(op, a) for op in skew.operators]
+            cubes += [skew.gamma, torsion_cube(skew, alg), a.entries, obata_b_tensor(form_to_cube(t), h)]
+            cubes += [covariant_derivative_cube(op, a.entries) for op in skew.operators]
         for cube in cubes:
             assert 0 not in cube.values(), name
 
@@ -179,7 +182,7 @@ def test_solver_matches_dense_oracle(cat, su3):
     for entry in entries:
         conn, cert = obata_oracle_solver(entry.structure, entry.lie)
         want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
-        assert conn.gamma == want_conn.gamma, entry.name
+        assert conn == want_conn, entry.name
         assert cert == want_cert, entry.name
 
 
@@ -194,7 +197,7 @@ def test_solver_matches_obata_formula(cat, su3, tmp_path):
     ]
     for entry in entries:
         conn, _ = obata_oracle_solver(entry.structure, entry.lie)
-        assert conn.gamma == obata_formula(entry.structure, entry.lie), entry.name
+        assert conn_values(conn) == obata_formula(entry.structure, entry.lie), entry.name
 
 
 def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
@@ -203,7 +206,7 @@ def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
     entry = direct_sum_entry(cat["hc_only8"], cat["torus4"], tmp_path)
     conn, cert = obata_oracle_solver(entry.structure, entry.lie)
     want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
-    assert conn.gamma == want_conn.gamma
+    assert conn == want_conn
     assert cert == want_cert
     assert cert.unknowns == 12 * 36 and cert.rank == cert.unknowns
 
@@ -257,7 +260,7 @@ def test_trace_identities_match_dense_oracle(cat, su3, name, data):
     # random cubes and Lee forms: the twisted traces are J-traces of A(X, ., .)
     h = su3.structure if name == "su3" else cat[name].structure
     a, theta = _random_cube_and_theta(data, h)
-    real, _ = trace_identities(a, h, theta)
+    real, _ = trace_identities(integer_scaled(a), h, theta)
     assert repr(real) == repr(naive_trace_identities(a, h, theta))
 
 
@@ -269,5 +272,5 @@ def test_complex_trace_matches_frame_oracle(cat, su3, name, data):
     # and J1 trace) equals the sum over the J1-adapted pairs (e_a, J1 e_a)
     h = su3.structure if name == "su3" else cat[name].structure
     a, theta = _random_cube_and_theta(data, h)
-    _, cplx = trace_identities(a, h, theta)
+    _, cplx = trace_identities(integer_scaled(a), h, theta)
     assert repr(cplx) == repr(naive_complex_trace_A(a, h, theta))

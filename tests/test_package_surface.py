@@ -20,6 +20,11 @@ values, and the report decides how a rational is written.
 
 Only the modules in DENSE_MATRIX may import the dense `linalg.Matrix`:
 every other endomorphism and bilinear form is a `linalg.SparseMatrix`.
+
+The connections, difference tensors, curvature operators and holonomy
+generators that the analysis and `hktlab holonomy` build hold int entries
+over an int scale, and the closure keeps no rescaling helper: a Fraction
+is built only where a value leaves one of them.
 """
 
 import ast
@@ -30,6 +35,10 @@ from pathlib import Path
 import pytest
 
 import hktlab
+from hktlab import cli, holonomy
+from hktlab.analyze import analyze_entry
+
+from oracle_impl import direct_sum_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
@@ -183,4 +192,56 @@ def test_dense_matrix_stays_at_the_boundary():
         names = _package_names(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         if path.stem not in DENSE_MATRIX and ("linalg", "Matrix") in names.values():
             found.append(path.stem)
+    assert found == []
+
+
+def _leaves(x):
+    """Every value inside nested dicts and tuples."""
+    if isinstance(x, (dict, tuple)):
+        for y in x.values() if isinstance(x, dict) else x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def _int_entries(obj) -> list[object]:
+    """The entries and scales an integer-scaled object holds."""
+    if hasattr(obj, "gamma"):  # invariant.Connection
+        return [*_leaves(obj.gamma), *_leaves(obj.operators), obj.scale]
+    if hasattr(obj, "entries"):  # tensors.Scaled: a difference tensor or a curvature
+        return [*_leaves(obj.entries), obj.scale]
+    return [*_leaves(obj.generators), *obj.scales]  # holonomy.HolonomyAlgebra
+
+
+def test_engine_builds_only_integer_scaled_objects(catalog, su3, su3_path, tmp_path, monkeypatch):
+    assert not hasattr(holonomy, "_integer_scaled")
+    from hktlab.holonomy import HolonomyAlgebra
+    from hktlab.invariant import Connection
+    from hktlab.tensors import Scaled
+
+    built = []
+    for cls in (Connection, Scaled, HolonomyAlgebra):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    sums = [
+        direct_sum_entry(catalog[first], second, tmp_path)
+        for first, second in (
+            ("nil8", catalog["hopf4"]), ("hc_only8", catalog["torus4"]), ("hc_only8", su3)
+        )
+    ]
+    paths = [tmp_path / f"{entry.name}.json" for entry in sums] + [su3_path]
+    for entry in [*catalog.values(), su3, *sums]:
+        analyze_entry(entry)
+    for path in paths:
+        for connection in ("levicivita", "bismut", "obata"):
+            cli.main(["holonomy", str(path), "--connection", connection])
+    # connections, difference tensors and curvatures (both `Scaled`), holonomy algebras
+    assert {type(obj).__name__ for obj in built} == {"Connection", "Scaled", "HolonomyAlgebra"}
+    keys = [next(iter(obj.entries)) for obj in built if getattr(obj, "entries", None)]
+    # curvatures {(i, j): R} and cubes {(i, j, k): A} among them
+    assert {len(key) for key in keys if isinstance(key, tuple)} == {2, 3}
+    found = [(type(obj).__name__, x) for obj in built for x in _int_entries(obj) if type(x) is not int]
     assert found == []

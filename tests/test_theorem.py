@@ -2,8 +2,12 @@
 tests: the holonomy of the torsion-free hypercomplex connection lies in
 sl(n, H) (every generator real-trace-free) exactly when d(theta) = 0. The
 builtins all have a flat torsion-free connection; su3 is the input on which
-the theorem is not vacuous."""
+the theorem is not vacuous. hc_only8+su3 is the curved input outside it:
+not HKT, so its torsion-free connection comes from the solver."""
 
+import json
+
+from hktlab import cli
 from hktlab.analyze import analyze_entry
 
 from oracle_impl import HKT_NAMES, direct_sum_entry
@@ -30,3 +34,18 @@ def test_holonomy_is_trace_free_exactly_when_lee_form_is_closed(catalog, su3, tm
             not_sl.append((entry.name, report["holonomy"]["obata_dim"], report["verdict"]["sl_tier"]))
     assert not_sl == [("su3", 16, "not_SL"), ("su3+hopf4", 16, "not_SL")]
 
+
+
+def test_curved_non_hkt_sum_takes_the_solver_route(catalog, su3, tmp_path, capsys):
+    # the one input with the solver route, a curved torsion-free connection
+    # and Fraction structure constants (from su3); pinned as it stands
+    entry = direct_sum_entry(catalog["hc_only8"], su3, tmp_path)
+    path = tmp_path / f"{entry.name}.json"
+    assert cli.main(["analyze", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["hkt"]["ok"] is False
+    assert report["theorem_violations"] == []
+    assert (report["obata"]["route"], report["obata"]["flat"]) == ("solver", False)
+    assert report["holonomy"]["obata_dim"] == 16
+    assert report["holonomy"]["certificate"]["first_violation"] == [0, "nonzero trace", "2"]
+    assert report["obstruction"]["flags"] == []
