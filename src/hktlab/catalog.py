@@ -17,15 +17,13 @@ Wire schema (version "1"): UTF-8 JSON object with keys
     expected        optional map of expected classifier outcomes
 
 Unknown keys are rejected unless the loader is told to tolerate them.
-Entries whose metric is not the identity are rebased to an exact
-orthonormal frame at load time; when that needs an irrational square
-root the file is rejected (supply an orthonormal basis instead). The
-loaded structure keeps no metric: it is the identity in that frame, and
-`serialize` writes the identity rows.
-
 Each distinct wire string of the matrix fields is parsed once per
-document. The J's are made sparse before the quaternion relations are
-checked, and the structure keeps those sparse matrices.
+document. The Jacobi identity, the metric's symmetry, the quaternion
+relations and J^T g J = g are checked on the wire; then every entry is
+rebased, with sparse arithmetic, to one g-orthonormal frame of
+quaternionic blocks (`_quaternionic_frame`), in which every J is a signed
+permutation and the metric is the identity. `serialize` writes the
+identity rows.
 """
 
 from __future__ import annotations
@@ -34,13 +32,15 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
-from .exact import Scalar, format_scalar, parse_scalar
+from .exact import Scalar, format_scalar, four_squares, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
-from .linalg import Matrix, SparseMatrix, identity, mat_mul, sparse_matrix
-from .tensors import MAX_DIM, is_symmetric, orthonormal_frame
+from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
+from .linalg import sparse_product, sparse_subtract, sparse_transpose
+from .tensors import MAX_DIM
 
 
 class CatalogError(Exception):
@@ -183,28 +183,63 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
     if defect is not None:
         triple, vec = defect
         raise CatalogError(f"structure_constants: Jacobi identity fails at {triple}: defect {vec}")
-    if not is_symmetric(metric):
+    g = sparse_matrix(metric)
+    if sparse_transpose(g) != g:
         raise CatalogError("metric: not symmetric")
-    if metric != identity(dim):
-        try:
-            frame = orthonormal_frame(metric)
-        except ValueError as exc:
-            raise CatalogError(f"metric: non-orthonormal basis rejected: {exc}") from None
-        base_change = [[frame[a][i] for a in range(dim)] for i in range(dim)]
-        # B = base_change is g-orthonormal (B^T g B = I), so B^-1 = B^T g:
-        # the frame vectors, as rows, times g
-        inverse = mat_mul(frame, metric)
-        lie = rebase_algebra(lie, frame, inverse)
-        j_rows = tuple(mat_mul(inverse, mat_mul(j, base_change)) for j in j_rows)
-    j_sparse = tuple(map(sparse_matrix, j_rows))
-    issues = quaternionic_check(j_sparse, dim)
+    js = tuple(map(sparse_matrix, j_rows))
+    issues = quaternionic_check(js, dim, g)
     relations = [issue for issue in issues if not issue.startswith("metric ")]
     if relations:
         raise CatalogError("quaternion relations: " + "; ".join(relations))
-    if issues:  # J^T J = I fails: the metric is not J-invariant
+    if issues:  # J^T g J = g fails
         raise CatalogError("metric: " + "; ".join(x.removeprefix("metric ") for x in issues))
+    frame, inverse = _quaternionic_frame(g, js, dim)
+    base_change = sparse_transpose(frame)
+    lie = rebase_algebra(lie, frame, inverse)
+    j_sparse = tuple(sparse_product(inverse, sparse_product(j, base_change)) for j in js)
     structure = HyperhermitianStructure(dim, j_sparse)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
+
+
+def _quaternionic_frame(
+    g: SparseMatrix, js: tuple[SparseMatrix, ...], dim: int
+) -> tuple[SparseMatrix, SparseMatrix]:
+    """The rows f_a (old coordinates) of a g-orthonormal frame, and its
+    inverse, whose rows are g f_a. Step k projects e_k off the frame so far
+    (a J-invariant span) and, unless nothing is left, adds with w = g(v, v)
+    and 1/w = a^2 + b^2 + c^2 + d^2 the block u = (a + b J1 + c J2 + d J3) v,
+    J1 u, J2 u, J3 u, orthonormal as g is J-invariant. Each vector is made
+    positive at its highest nonzero index, and the frame is sorted stably by
+    that index: the identity metric with signed-permutation J's gets the
+    standard basis, and so loads with the wire values and scalar types."""
+    j_columns = [sparse_transpose(j) for j in js]  # g is symmetric: its own columns
+    frame: list[Row] = []
+    lowered: list[Row] = []  # g f_a, so g(e_k, f_a) = lowered[a][k]
+    for k in range(dim):
+        v: SparseMatrix = {0: {k: 1}}  # one row
+        for f, gf in zip(frame, lowered):
+            if k in gf:
+                sparse_subtract(v, gf[k], {0: f})
+        if not v:
+            continue
+        gv = sparse_apply(g, v[0])
+        w = sum(x * gv.get(i, 0) for i, x in v[0].items())
+        if w <= 0:
+            raise CatalogError("metric: not positive-definite")
+        try:
+            coefficients = four_squares(Fraction(1, w))
+        except ValueError as exc:
+            raise CatalogError(f"metric: weight {format_scalar(w)}: {exc}") from None
+        u: SparseMatrix = {}
+        for x, image in zip(coefficients, [v[0], *(sparse_apply(jc, v[0]) for jc in j_columns)]):
+            sparse_subtract(u, -x, {0: image})
+        for f in (u[0], *(sparse_apply(jc, u[0]) for jc in j_columns)):
+            if f[max(f)] < 0:
+                f = {i: -x for i, x in f.items()}
+            frame.append(f)
+            lowered.append(sparse_apply(g, f))
+    order = sorted(range(dim), key=lambda a: max(frame[a]))
+    return dict(enumerate(frame[a] for a in order)), dict(enumerate(lowered[a] for a in order))
 
 
 def load(path: str | Path, allow_unknown: bool = False) -> CatalogEntry:

@@ -10,10 +10,12 @@ B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
 `tensors.cube_j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
 `tensors.j_pullback`, each Ric pullback built once per J in the
 `RicciPackage`, on first read: only the torsion-free connection's are
-read. The double J1-trace of dT that the *-scalar identities use is -4h,
-read off `dt_traces`. Identity checks return outcome records carrying the
-first counterexample, the least nonzero cell of a sparse residual, so
-reports can point at exact basis tuples.
+read. rho and the rho_s are summed in one loop (`_traced_forms`), which
+the *-scalar runs for the Levi-Civita rho_s alone. The double J1-trace
+of dT that the *-scalar identities use is -4h, read off `dt_traces`.
+Identity checks return outcome records carrying the first
+counterexample, the least nonzero cell of a sparse residual, so reports
+can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -78,33 +80,42 @@ class RicciPackage:
         return tuple(j_pullback(self.ric, j) for j in self.j_sparse)
 
 
+def _traced_forms(
+    curvature: Curvature, traced: list[tuple[SparseMatrix, int]], dim: int
+) -> list[KForm]:
+    """For each (M, d) in traced, the 2-form (i, j) -> 1/d sum v M[l][k],
+    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]."""
+    scale = curvature.scale
+    forms: list[dict[tuple[int, ...], Scalar]] = [{} for _ in traced]
+    for (i, j), op in curvature.entries.items():
+        sums: list[Scalar] = [0] * len(traced)
+        for l, row in op.items():
+            m_rows = [m.get(l, {}) for m, _ in traced]
+            for k, v in row.items():
+                for s, m_row in enumerate(m_rows):
+                    if k in m_row:
+                        sums[s] += v * m_row[k]
+        for s, total in enumerate(sums):
+            if total:
+                forms[s][(i, j)] = Fraction(total, traced[s][1] * scale)
+    return [KForm(dim, 2, comps) for comps in forms]
+
+
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
     """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
     rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
     dim, scale = h.dim, curvature.scale
     sums_ric: SparseMatrix = {}
-    forms: list[dict[tuple[int, ...], Scalar]] = [{}, {}, {}, {}]  # rho, rho_1..rho_3
     for (i, j), op in curvature.entries.items():
-        sums: list[Scalar] = [0, 0, 0, 0]
         # from r[a][x][y][a]: row j of Ric gains row i of R(e_i, e_j), row i loses row j
         sparse_subtract(sums_ric, -1, {j: op.get(i, {})})
         sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
-        for l, row in op.items():
-            j_rows = [jm.get(l, {}) for jm in h.j_sparse]
-            for k, v in row.items():
-                if l == k:
-                    sums[0] += v
-                for s, j_row in enumerate(j_rows, 1):
-                    if k in j_row:
-                        sums[s] += v * j_row[k]
-        for s, total in enumerate(sums):
-            if total:
-                forms[s][(i, j)] = Fraction(total, 2 * scale if s else scale)
     ric = {x: {y: Fraction(v, scale) for y, v in row.items()} for x, row in sums_ric.items()}
     ric_t = sparse_transpose(ric)
     scal_s = tuple(j_trace(ric_t, jm) for jm in h.j_sparse)
-    rho, *rho_s = (KForm(dim, 2, comps) for comps in forms)
+    eye = {l: {l: 1} for l in range(dim)}
+    rho, *rho_s = _traced_forms(curvature, [(eye, 1), *((j, 2) for j in h.j_sparse)], dim)
     return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.j_sparse)
 
 
@@ -274,9 +285,9 @@ def star_scalar(
     scalar identities tying it to torsion, dT and Lee-form data. The double
     trace sum_{a,b} dT(e_a, J1 e_a, e_b, J1 e_b) is -4h, read off `dtt`.
     """
-    pkg = ricci_package(lc_curvature, h)
     # sum_a rho_s(J_s e_a, e_a) = -sum_a rho_s(e_a, J_s e_a)
-    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(pkg.rho_s, h.j_sparse)]
+    rho_s = _traced_forms(lc_curvature, [(j, 2) for j in h.j_sparse], h.dim)
+    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(rho_s, h.j_sparse)]
     double_trace = -4 * dtt.h_value
     div = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     delta_theta = Fraction(div, lc.scale)

@@ -6,14 +6,13 @@ the test for a single common torsion shared by all three complex
 structures. A structure holds J1, J2, J3 only as sparse matrices
 (`j_sparse`, no zero stored), built once where the structure is built;
 every reader here takes them in that format, `quaternionic_check`
-included, which validates the loader's sparse J's through
+included, which validates the loader's sparse wire J's and metric through
 `linalg.sparse_product` before a structure exists. The structure holds
 no metric: the engine works in the orthonormal frame that the loader
-builds, so the metric is the identity there, J is compatible with it when
-J^T J = I, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
-nonzeros. `nijenhuis` and the type identities are pullbacks of sparse
-cubes (`tensors.cube_pullback`): the Nijenhuis tensor is built from the
-bracket cube c^k_ij and J.
+builds, so the metric is the identity there, and `fundamental_form` reads
+F(e_x, e_y) = J[x][y] off J's nonzeros. `nijenhuis` and the type
+identities are pullbacks of sparse cubes (`tensors.cube_pullback`): the
+Nijenhuis tensor is built from the bracket cube c^k_ij and J.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .tensors import (
     form_add,
     form_to_cube,
     form_to_matrix,
+    j_pullback,
     j_twist,
 )
 
@@ -47,13 +47,13 @@ class HyperhermitianStructure:
 
 
 def quaternionic_check(
-    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], dim: int
+    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], dim: int, g: SparseMatrix
 ) -> list[str]:
     """All quaternion-relation and compatibility violations of the sparse
-    J1, J2, J3 in an orthonormal frame, [] when clean. Each relation
+    J1, J2, J3 and the sparse metric g, [] when clean. Each relation
     compares two sparse products, which store no zero, so `==` is the
-    matrix equality. The metric is the identity in the frame, so J^T g J = g
-    reads J^T J = I."""
+    matrix equality; compatibility is J^T g J = g. The loader checks the
+    wire J's and metric; in an orthonormal frame g is the identity."""
     j1, j2, j3 = j_sparse
     violations: list[str] = []
     minus_id = {i: {i: -1} for i in range(dim)}
@@ -65,7 +65,7 @@ def quaternionic_check(
     if sparse_product(j2, j1) != {i: {k: -x for k, x in row.items()} for i, row in j3.items()}:
         violations.append("J2*J1 != -J3")
     for s, j in enumerate(j_sparse, 1):
-        if sparse_product(sparse_transpose(j), j) != {i: {i: 1} for i in range(dim)}:
+        if j_pullback(g, j) != g:
             violations.append(f"metric not J{s}-invariant")
     return violations
 

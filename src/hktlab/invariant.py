@@ -33,7 +33,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .exact import Scalar
-from .linalg import Matrix, SparseMatrix, Vector, sparse_commutator, sparse_subtract
+from .linalg import SparseMatrix, Vector, sparse_apply, sparse_commutator, sparse_subtract
+from .linalg import sparse_transpose
 from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_add, cube_pullback, cube_to_form
 from .tensors import integer_scaled
 
@@ -66,13 +67,6 @@ class LieAlgebra:
     def jacobi_defect(self) -> tuple[tuple[int, int, int], Vector] | None:
         """`validate_lie_algebra` of this algebra, walked once, on first read."""
         return validate_lie_algebra(self)
-
-
-def _bracket(alg: LieAlgebra, i: int, j: int) -> dict[int, Scalar]:
-    """[e_i, e_j] as {k: c^k_ij}, antisymmetrized in (i, j)."""
-    if i <= j:
-        return alg.brackets.get((i, j), {})
-    return {k: -v for k, v in alg.brackets.get((j, i), {}).items()}
 
 
 def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector] | None:
@@ -263,31 +257,27 @@ def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
     return {idx: -v for idx, v in cube_add(total, cube_pullback(a, None, None, op)).items()}
 
 
-def rebase_algebra(alg: LieAlgebra, frame: list[Vector], frame_inv: Matrix) -> LieAlgebra:
+def rebase_algebra(alg: LieAlgebra, frame: SparseMatrix, inverse: SparseMatrix) -> LieAlgebra:
     """Structure constants in a new frame f_a = sum_i frame[a][i] e_i.
 
-    frame_inv is the inverse of the matrix whose columns are the frame
+    inverse is the inverse of the matrix whose columns are the frame
     vectors; it converts old coordinates to new ones. [f_a, f_b] is summed
-    in old coordinates from the nonzero frame entries and the stored brackets.
-    A change of basis keeps the Jacobi identity exactly, so a known valid
-    `alg` passes its `jacobi_defect` of None on, and no walk repeats.
+    in old coordinates from the stored brackets and the frame entries at
+    their indices, then taken to new coordinates through the columns of
+    inverse, all over nonzeros. A change of basis keeps the Jacobi identity
+    exactly, so a known valid `alg` passes its `jacobi_defect` of None on,
+    and no walk repeats.
     """
-    dim = alg.dim
-    brackets: BracketTable = {}
-    for a, b in combinations(range(dim), 2):
-        vec: Vector = [0] * dim
-        for i, x in enumerate(frame[a]):
-            for j, y in enumerate(frame[b]):
-                if x and y:
-                    for k, v in _bracket(alg, i, j).items():
-                        vec[k] += x * y * v
-        if not any(vec):
-            continue
-        new = [sum(frame_inv[c][i] * vec[i] for i in range(dim) if vec[i]) for c in range(dim)]
-        comps = {c: v for c, v in enumerate(new) if v}
-        if comps:
-            brackets[(a, b)] = comps
-    rebased = LieAlgebra(dim, brackets)
+    at_index, to_new = sparse_transpose(frame), sparse_transpose(inverse)
+    old: BracketTable = {}  # [f_a, f_b] in old coordinates
+    for (i, j), comps in alg.brackets.items():
+        for a, x in at_index.get(i, {}).items():
+            for b, y in at_index.get(j, {}).items():
+                if a != b:
+                    key, f = ((a, b), x * y) if a < b else ((b, a), -x * y)
+                    sparse_subtract(old, -f, {key: comps})
+    brackets = {key: sparse_apply(to_new, vec) for key, vec in old.items()}
+    rebased = LieAlgebra(alg.dim, brackets)
     if "jacobi_defect" in vars(alg) and alg.jacobi_defect is None:
         vars(rebased)["jacobi_defect"] = None
     return rebased

@@ -1,8 +1,11 @@
 """Exact linear algebra over rational scalars.
 
-Matrices are lists of row lists; vectors are flat lists. Entries are ints
-or Fractions. The one Gaussian elimination is `RowSpan`, which keeps a
-row space in sparse, fraction-free reduced echelon form. Its input rows
+Dense matrices (lists of row lists) exist only at the wire: the loader
+parses its rows densely and `sparse_matrix` converts them once, and
+`serialize` writes `identity` rows; `rref`, `det` and
+`leading_minors_positive` take dense rows. Entries are ints or Fractions.
+The one Gaussian elimination is `RowSpan`, which keeps a row space in
+sparse, fraction-free reduced echelon form. Its input rows
 are sparse rows, {column: value} dicts without zeros (the idiom of
 `KForm.comps` and of the cubes), because the solver systems and holonomy
 generators are almost all zeros; its stored rows are primitive integer
@@ -22,9 +25,9 @@ curvature operators and the holonomy generators are int matrices over a
 scale held beside them, which no zero, commutation or skewness test and
 no span rank depends on. `sparse_commutator` and `sparse_product` are the
 product kernels, both summed by one accumulation over the nonzeros;
-`sparse_subtract` is the one linear update, `sparse_trace` the trace and
-`sparse_transpose` the column view; `sparse_matrix` converts the loader's
-dense J rows once.
+`sparse_subtract` is the one linear update, `sparse_trace` the trace,
+`sparse_transpose` the column view and `sparse_apply` a matrix, given by
+its columns, on a sparse vector.
 """
 
 from __future__ import annotations
@@ -47,44 +50,8 @@ class LinAlgError(Exception):
     """Raised when a linear system has no solution or no unique one."""
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        row_a = a[i]
-        row_o = out[i]
-        for k in range(inner):
-            x = row_a[k]
-            if x:
-                row_b = b[k]
-                for j in range(cols):
-                    if row_b[j]:
-                        row_o[j] += x * row_b[j]
-    return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
-
-
-def dot(u: Vector, v: Vector) -> Scalar:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(u: Vector, s: Scalar) -> Vector:
-    return [s * x for x in u]
 
 
 def _sparse(row: Vector) -> Row:
@@ -141,6 +108,15 @@ def sparse_transpose(m: SparseMatrix) -> SparseMatrix:
         for j, x in m[i].items():
             out.setdefault(j, {})[i] = x
     return out
+
+
+def sparse_apply(columns: SparseMatrix, v: Row) -> Row:
+    """M v for the sparse vector v, with M given by its columns."""
+    out: Row = {}
+    for c, x in v.items():
+        for r, y in columns.get(c, {}).items():
+            out[r] = out.get(r, 0) + x * y
+    return {r: x for r, x in out.items() if x}
 
 
 def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:

@@ -7,10 +7,10 @@ Endomorphisms are matrices with the column convention M[i][j] =
 coefficient of e_i in (M e_j), held in the sparse `linalg.SparseMatrix`
 format, and each bilinear form B as B[x][y] = B(e_x, e_y). The engine
 works in an orthonormal frame, where the metric is the identity and is not
-stored; only the loader reads a dense metric, through the metric helpers at
-the end of this module. `j_pullback` gives B(J ., J .) = J^T B J, `j_trace`
-the J-trace sum_{a,m} J[m][a] B(e_a, e_m) and `cube_j_trace` the same
-trace of the last two slots of a cube, each summed over nonzeros.
+stored; the loader builds that frame (see `catalog`). `j_pullback` gives
+B(J ., J .) = J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m)
+and `cube_j_trace` the same trace of the last two slots of a cube, each
+summed over nonzeros.
 `form_to_matrix` reads a 2-form as its antisymmetric matrix, as
 `form_to_cube` reads a 3-form.
 
@@ -28,22 +28,11 @@ tensor are held `integer_scaled`, as int entries over one least scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd, lcm
 
-from .exact import Scalar, exact_sqrt
-from .linalg import (
-    Matrix,
-    SparseMatrix,
-    Vector,
-    dot,
-    mat_vec,
-    sparse_product,
-    sparse_transpose,
-    vec_scale,
-    vec_sub,
-)
+from .exact import Scalar
+from .linalg import SparseMatrix, sparse_product, sparse_transpose
 
 MAX_DIM = 16
 
@@ -276,41 +265,3 @@ def cube_pullback(
 def cube_norm_sq(cube: Cube) -> Scalar:
     """Full-index-sum squared norm (no reweighting: the sum is literal)."""
     return sum(v * v for v in cube.values())
-
-
-# ---------------------------------------------------------------------------
-# metric helpers
-
-def is_symmetric(g: Matrix) -> bool:
-    n = len(g)
-    return all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
-
-
-def orthonormal_frame(g: Matrix) -> list[Vector]:
-    """Exact Gram-Schmidt frame for g, or an error when roots go irrational.
-
-    Returns vectors f_a (coordinates in the input basis) with
-    g(f_a, f_b) = delta_ab. Catalog entries ship pre-orthonormalized
-    (identity metric), where this is the standard basis.
-    """
-    n = len(g)
-    frame: list[Vector] = []
-    for a in range(n):
-        v: Vector = [Fraction(1) if i == a else Fraction(0) for i in range(n)]
-        for f in frame:
-            # subtract g-projection onto the established frame vectors
-            coeff = dot(mat_vec(g, v), f)
-            if coeff:
-                v = vec_sub(v, vec_scale(f, coeff))
-        length_sq = dot(mat_vec(g, v), v)
-        if length_sq <= 0:
-            raise ValueError("metric is not positive-definite")
-        try:
-            length = exact_sqrt(length_sq)
-        except ValueError:
-            raise ValueError(
-                "orthonormalization requires an irrational scalar; "
-                "supply orthonormal input"
-            ) from None
-        frame.append(vec_scale(v, 1 / length))
-    return frame

@@ -15,12 +15,12 @@ import json
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from pathlib import Path
 from typing import Callable, Iterable
 
 from hktlab.catalog import CatalogEntry, load, serialize
-from hktlab.exact import Scalar
+from hktlab.exact import Scalar, parse_scalar
 from hktlab.curvature import (
     _ORDERINGS_4,
     CheckOutcome,
@@ -32,6 +32,7 @@ from hktlab.curvature import (
 from hktlab.holonomy import HolonomyAlgebra
 from hktlab.hyperhermitian import HyperhermitianStructure, fundamental_form
 from hktlab.invariant import (
+    BracketTable,
     Connection,
     Curvature,
     CurvatureTensor,
@@ -47,14 +48,11 @@ from hktlab.linalg import (
     SparseMatrix,
     Vector,
     identity,
-    mat_mul,
-    mat_vec,
     rref,
     sparse_commutator,
     sparse_matrix,
     sparse_subtract,
     sparse_transpose,
-    zeros,
 )
 from hktlab.obata import SolverCertificate, TraceReport, commutant_basis
 from hktlab.tensors import (
@@ -110,6 +108,42 @@ def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 # ---------------------------------------------------------------------------
 # dense matrices and the test-only tensor functions
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return [[0] * cols for _ in range(rows)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    rows, inner, cols = len(a), len(b), len(b[0])
+    out = zeros(rows, cols)
+    for i in range(rows):
+        row_a = a[i]
+        row_o = out[i]
+        for k in range(inner):
+            x = row_a[k]
+            if x:
+                row_b = b[k]
+                for j in range(cols):
+                    if row_b[j]:
+                        row_o[j] += x * row_b[j]
+    return out
+
+
+def mat_vec(a: Matrix, v: Vector) -> Vector:
+    return [sum(row[j] * v[j] for j in range(len(v)) if v[j]) for row in a]
+
+
+def dot(u: Vector, v: Vector) -> Scalar:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def vec_sub(u: Vector, v: Vector) -> Vector:
+    return [x - y for x, y in zip(u, v)]
+
+
+def vec_scale(u: Vector, s: Scalar) -> Vector:
+    return [s * x for x in u]
+
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
@@ -1309,12 +1343,73 @@ def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
     q = mat_mul(mat_sub(eye, s), invert(eye_plus_s))
     # Q is orthogonal: the rows of Q^T are the new basis vectors, Q^-1 = Q^T
     q_t = transpose(q)
-    lie = rebase_algebra(entry.lie, q_t, q_t)
+    lie = rebase_algebra(entry.lie, sparse_matrix(q_t), sparse_matrix(q_t))
     j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(entry.structure))
     return CatalogEntry(
         f"{entry.name}_cayley", f"{entry.name} in a rotated basis", entry.n, dim, lie,
         HyperhermitianStructure(dim, j_ops), {},
     )
+
+
+def is_signed_permutation(j: SparseMatrix, dim: int) -> bool:
+    """J sends each basis vector to plus or minus another one."""
+    return sorted(c for row in j.values() for c in row) == list(range(dim)) and all(
+        len(row) == 1 and abs(x) == 1 for row in j.values() for x in row.values()
+    )
+
+
+def parsed_wire(doc: dict) -> tuple[BracketTable, tuple[SparseMatrix, SparseMatrix, SparseMatrix]]:
+    """The brackets (keys i < j) and the sparse J's of a wire document, each
+    value parsed from its cell."""
+    brackets: BracketTable = {}
+    for i, j, k, v in doc["structure_constants"]:
+        value = parse_scalar(v)
+        brackets.setdefault((min(i, j), max(i, j)), {})[k] = value if i < j else -value
+    js = tuple(
+        sparse_matrix([[parse_scalar(cell) for cell in row] for row in doc[f"j{s}"]])
+        for s in (1, 2, 3)
+    )
+    return brackets, js
+
+
+def naive_four_squares(q: Scalar) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The first (a, b, c, d), a >= b >= c >= d >= 0, with a^2 + b^2 + c^2 +
+    d^2 = q in descending lexicographic order, by plain enumeration of the
+    parts of pr over r, q = p/r in lowest terms."""
+    q = Fraction(q)
+    r = q.denominator
+    n = q.numerator * r
+    for a in range(isqrt(n), -1, -1):
+        for b in range(min(a, isqrt(n - a * a)), -1, -1):
+            for c in range(min(b, isqrt(n - a * a - b * b)), -1, -1):
+                rest = n - a * a - b * b - c * c
+                d = isqrt(rest)
+                if d <= c and d * d == rest:
+                    return tuple(Fraction(x, r) for x in (a, b, c, d))
+    raise AssertionError(f"no four squares sum to {q}")
+
+
+def naive_quaternionic_frame(metric: Matrix, js: tuple[Matrix, Matrix, Matrix]) -> list[Vector]:
+    """The loader's frame from dense products: Gram-Schmidt over e_0, e_1,
+    ..., where each vector v left after the projection brings in the block
+    u = (a + b J1 + c J2 + d J3) v, J1 u, J2 u, J3 u, with (a, b, c, d)
+    the `naive_four_squares` of 1/g(v, v); each frame vector is made positive
+    at its highest nonzero index and the frame is sorted by that index."""
+    dim = len(metric)
+    frame: list[Vector] = []
+    for k in range(dim):
+        v: Vector = [int(i == k) for i in range(dim)]
+        for f in frame:
+            v = vec_sub(v, vec_scale(f, dot(mat_vec(metric, f), v)))
+        if not any(v):
+            continue
+        coefficients = naive_four_squares(Fraction(1) / dot(mat_vec(metric, v), v))
+        images = [v] + [mat_vec(j, v) for j in js]
+        u = [sum(x * y for x, y in zip(coefficients, column)) for column in zip(*images)]
+        for f in [u] + [mat_vec(j, u) for j in js]:
+            top = max(i for i, x in enumerate(f) if x)
+            frame.append(f if f[top] > 0 else vec_scale(f, -1))
+    return sorted(frame, key=lambda f: max(i for i, x in enumerate(f) if x))
 
 
 def direct_sum_entry(first: CatalogEntry, second: CatalogEntry, directory: Path) -> CatalogEntry:

@@ -16,12 +16,23 @@ from hktlab.catalog import (
     save,
     serialize,
 )
+from hktlab import cli
+from hktlab.exact import FOUR_SQUARES_STEPS
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import mat_mul, sparse_matrix
-from hktlab.tensors import orthonormal_frame
+from hktlab.linalg import sparse_matrix
 
-from oracle_impl import ALL_NAMES, dense_js, invert, transpose
+from oracle_impl import (
+    ALL_NAMES,
+    dense_js,
+    direct_sum,
+    invert,
+    is_signed_permutation,
+    mat_mul,
+    naive_quaternionic_frame,
+    parsed_wire,
+    transpose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -225,16 +236,60 @@ def test_load_rejects_asymmetric_metric(tmp_path, hopf4_doc):
 def test_load_rejects_indefinite_metric(tmp_path, hopf4_doc):
     for i in range(4):
         hopf4_doc["metric"][i][i] = "-1"
-    with pytest.raises(CatalogError, match="metric: non-orthonormal basis rejected"):
+    with pytest.raises(CatalogError, match="metric: not positive-definite"):
         load(write_doc(tmp_path, hopf4_doc))
 
 
-def test_load_rejects_irrational_rescaling(tmp_path, hopf4_doc):
-    # conformal factor 2 needs 1/sqrt(2), which has no exact representation
+def test_load_rejects_degenerate_metric(tmp_path, cat):
+    # diag(I, 0) is J-invariant and semidefinite: w = g(e4, e4) = 0 at step 4
+    doc = serialize(cat["hopf8"])
+    for i in range(4, 8):
+        doc["metric"][i][i] = "0"
+    with pytest.raises(CatalogError, match="metric: not positive-definite"):
+        load(write_doc(tmp_path, doc))
+
+
+def test_load_accepts_metric_without_rational_square_root(tmp_path, hopf4_doc, cat):
+    # conformal factor 2: 1/2 = (1/2)^2 + (1/2)^2, so the frame starts with
+    # u = (e0 + J1 e0) / 2 and needs no square root of 2
     for i in range(4):
         hopf4_doc["metric"][i][i] = "2"
-    with pytest.raises(CatalogError, match="non-orthonormal basis rejected"):
-        load(write_doc(tmp_path, hopf4_doc))
+    entry = load(write_doc(tmp_path, hopf4_doc))
+    assert serialize(entry)["metric"] == identity_rows(4)
+    assert all(is_signed_permutation(j, 4) for j in entry.structure.j_sparse)
+    assert hkt_check(entry.structure, entry.lie).ok
+    assert entry.lie.brackets != cat["hopf4"].lie.brackets
+
+
+def _scaled_hopf4(tmp_path, doc, n):
+    # metric I / n: the weight of e0 is 1/n, so the search writes n as a sum
+    # of four squares
+    for i in range(4):
+        doc["metric"][i][i] = f"1/{n}"
+    return write_doc(tmp_path, doc, f"hopf4_{n}.json")
+
+
+# n whose four-squares search takes 96094 steps, and one that takes 102756
+WEIGHT_INSIDE_BOUND = 960476884977240127846462501292923
+WEIGHT_PAST_BOUND = 126478651745802162712388576466247
+
+
+def test_load_accepts_weight_inside_the_search_bound(tmp_path, hopf4_doc):
+    assert FOUR_SQUARES_STEPS == 100_000
+    entry = load(_scaled_hopf4(tmp_path, hopf4_doc, WEIGHT_INSIDE_BOUND))
+    assert hkt_check(entry.structure, entry.lie).ok
+
+
+def test_load_rejects_weight_past_the_search_bound(tmp_path, hopf4_doc, capsys):
+    path = _scaled_hopf4(tmp_path, hopf4_doc, WEIGHT_PAST_BOUND)
+    with pytest.raises(CatalogError) as info:
+        load(path)
+    assert str(info.value) == (
+        f"metric: weight 1/{WEIGHT_PAST_BOUND}:"
+        " the four-squares search took over 100000 steps"
+    )
+    assert cli.main(["check", str(path)]) == 1
+    assert "four-squares search" in capsys.readouterr().err
 
 
 def test_load_rejects_broken_quaternion_relations(tmp_path, hopf4_doc):
@@ -292,7 +347,7 @@ def _in_basis(entry, p):
     metric is p^T p, and its Lie algebra."""
     doc = serialize(entry)
     p_inv = invert(p)
-    lie = rebase_algebra(entry.lie, transpose(p), p_inv)
+    lie = rebase_algebra(entry.lie, sparse_matrix(transpose(p)), sparse_matrix(p_inv))
     doc["structure_constants"] = [
         [i, j, k, str(v)] for (i, j), comps in sorted(lie.brackets.items()) for k, v in comps.items()
     ]
@@ -305,9 +360,9 @@ def _in_basis(entry, p):
 @pytest.mark.parametrize("name, seed", [("hopf4", 1), ("hopf4", 2), ("nil8", 3), ("hopf8", 4)])
 def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, seed):
     # g = P^T P with P rational upper-triangular: the loader's inverse B^T g
-    # of the Gram-Schmidt frame B gives the brackets and J's that inverting
-    # B by elimination gives, and, the diagonal of P being positive, the
-    # entry P was built from
+    # of its quaternionic frame B (built here from dense products) gives the
+    # brackets and J's that inverting B by elimination gives, and, the
+    # diagonal of P being positive, the entry P was built from
     rng = random.Random(seed)
     entry = cat[name]
     dim = entry.dim
@@ -324,17 +379,38 @@ def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, s
     metric = [[Fraction(x) for x in row] for row in doc["metric"]]
     assert any(metric[i][j] for i in range(dim) for j in range(dim) if i != j)
     loaded = load(write_doc(tmp_path, doc))
-    frame = orthonormal_frame(metric)
+    doc_js = [[[Fraction(x) for x in row] for row in doc[f"j{s}"]] for s in (1, 2, 3)]
+    frame = naive_quaternionic_frame(metric, doc_js)
     base_change = transpose(frame)
     inverse = invert(base_change)
-    assert loaded.lie.brackets == rebase_algebra(doc_lie, frame, inverse).brackets
-    doc_js = [[[Fraction(x) for x in row] for row in doc[f"j{s}"]] for s in (1, 2, 3)]
+    rebased = rebase_algebra(doc_lie, sparse_matrix(frame), sparse_matrix(inverse))
+    assert loaded.lie.brackets == rebased.brackets
     assert loaded.structure.j_sparse == tuple(
         sparse_matrix(mat_mul(inverse, mat_mul(j, base_change))) for j in doc_js
     )
     assert loaded.lie.brackets == entry.lie.brackets
     assert loaded.structure.j_sparse == entry.structure.j_sparse
     assert serialize(loaded)["metric"] == identity_rows(dim)
+
+
+def _typed(table):
+    return {key: {k: (v, type(v)) for k, v in row.items()} for key, row in table.items()}
+
+
+def test_identity_metric_and_signed_permutations_load_unchanged(tmp_path, cat, su3_path):
+    # the frame of an identity metric and signed-permutation J's is the
+    # standard basis: the loaded brackets and J's are the wire values, each
+    # with the scalar type its cell parses to
+    docs = [serialize(entry) for entry in cat.values()]
+    docs.append(json.loads(su3_path.read_text(encoding="utf-8")))
+    by_name = {doc["name"]: doc for doc in docs}
+    for first, second in (("nil8", "hopf4"), ("hopf8", "hopf8"), ("hc_only8", "hc_only8")):
+        docs.append(direct_sum(by_name[first], by_name[second]))
+    for doc in docs:
+        entry = load(write_doc(tmp_path, doc))
+        brackets, js = parsed_wire(doc)
+        assert _typed(entry.lie.brackets) == _typed(brackets), doc["name"]
+        assert tuple(map(_typed, entry.structure.j_sparse)) == tuple(map(_typed, js)), doc["name"]
 
 
 def test_available_entries_env_dir(tmp_path, monkeypatch, cat):

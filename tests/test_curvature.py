@@ -27,7 +27,7 @@ from hktlab.invariant import (
     curvature_operators,
     levi_civita,
 )
-from hktlab.linalg import mat_mul, sparse_matrix
+from hktlab.linalg import sparse_matrix
 from hktlab.obata import difference_tensor, obata_connection
 from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, integer_scaled, norm_sq
 
@@ -40,6 +40,7 @@ from oracle_impl import (
     dense_js,
     direct_sum_entry,
     double_j_trace,
+    mat_mul,
     naive_covariant_derivative,
     naive_curvature_relation,
     naive_double_j_trace,

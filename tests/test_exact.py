@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hktlab.exact import exact_sqrt, format_scalar, parse_scalar
+from hktlab.exact import format_scalar, four_squares, parse_scalar
+
+from oracle_impl import naive_four_squares
 
 
 def test_parse_plain_integers():
@@ -59,23 +61,39 @@ def test_format_parse_round_trip(q):
     assert parse_scalar(format_scalar(q)) == q
 
 
-def test_exact_sqrt_values():
-    assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert exact_sqrt(Fraction(0)) == 0
-    assert exact_sqrt(Fraction(49)) == 7
+def test_four_squares_values():
+    # the largest part first: a square gives its root and three int zeros
+    assert four_squares(Fraction(9, 4)) == (Fraction(3, 2), 0, 0, 0)
+    assert four_squares(Fraction(0)) == (0, 0, 0, 0)
+    assert four_squares(Fraction(49)) == (7, 0, 0, 0)
+    assert [type(x) for x in four_squares(49)] == [int] * 4
+    assert four_squares(7) == (2, 1, 1, 1)
 
 
-@pytest.mark.parametrize("bad", [Fraction(2), Fraction(1, 3), Fraction(8, 9)])
-def test_exact_sqrt_irrational(bad):
-    with pytest.raises(ValueError, match="no exact rational square root"):
-        exact_sqrt(bad)
+@pytest.mark.parametrize(
+    "q, want",
+    [
+        (Fraction(2), (1, 1, 0, 0)),
+        (Fraction(1, 3), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3), 0)),
+        (Fraction(8, 9), (Fraction(8, 9), Fraction(2, 9), Fraction(2, 9), 0)),
+    ],
+)
+def test_four_squares_of_non_squares(q, want):
+    assert four_squares(q) == want
 
 
-def test_exact_sqrt_negative():
+def test_four_squares_negative():
     with pytest.raises(ValueError):
-        exact_sqrt(Fraction(-4))
+        four_squares(Fraction(-4))
 
 
 @given(st.fractions(min_value=0))
-def test_exact_sqrt_squares(q):
-    assert exact_sqrt(q * q) == abs(q)
+def test_four_squares_squares(q):
+    assert four_squares(q * q) == (q, 0, 0, 0)
+
+
+@given(st.fractions(min_value=0, max_value=50, max_denominator=40))
+def test_four_squares_match_plain_enumeration(q):
+    got = four_squares(q)
+    assert sum(x * x for x in got) == q
+    assert got == naive_four_squares(q)

@@ -19,7 +19,7 @@ from hktlab.hyperhermitian import (
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.holonomy import is_g_skew
-from hktlab.linalg import identity, mat_mul, sparse_matrix
+from hktlab.linalg import identity, sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -38,6 +38,7 @@ from oracle_impl import (
     direct_sum_entry,
     form_scale,
     fundamental_forms,
+    mat_mul,
     naive_j_twist,
     naive_nijenhuis,
     naive_nijenhuis_vec,
@@ -45,7 +46,12 @@ from oracle_impl import (
     naive_quaternionic_check,
     p_minus,
     pullback_fundamental_form,
+    transpose,
 )
+
+
+def eye(dim):
+    return sparse_matrix(identity(dim))
 
 
 @pytest.fixture(scope="module")
@@ -55,28 +61,31 @@ def cat():
 
 def test_quaternionic_check_clean(cat):
     for entry in cat.values():
-        assert quaternionic_check(entry.structure.j_sparse, entry.dim) == []
+        assert quaternionic_check(entry.structure.j_sparse, entry.dim, eye(entry.dim)) == []
 
 
 def test_quaternionic_check_reports_violations(cat):
     h = cat["torus4"].structure
     _, j2, j3 = h.j_sparse
-    issues = quaternionic_check((sparse_matrix(identity(4)), j2, j3), h.dim)
+    issues = quaternionic_check((eye(4), j2, j3), h.dim, eye(4))
     assert "J1^2 != -identity" in issues
     assert any("J1*J2" in msg for msg in issues)
 
 
 def test_quaternionic_check_metric_compatibility(cat):
-    # torus4's J's in the basis (e0, 2 e1, e2, 2 e3), whose metric
-    # diag(1, 4, 1, 4) is not J-invariant: still a quaternion triple, but
-    # not orthogonal
+    # torus4's J's in the basis (e0, 2 e1, e2, 2 e3): still a quaternion
+    # triple, orthogonal for that basis's metric diag(1, 4, 1, 4) but not for
+    # the identity
     half = Fraction(1, 2)
     p = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]
     p_inv = [[1, 0, 0, 0], [0, half, 0, 0], [0, 0, 1, 0], [0, 0, 0, half]]
     js = tuple(
         sparse_matrix(mat_mul(p_inv, mat_mul(j, p))) for j in dense_js(cat["torus4"].structure)
     )
-    assert quaternionic_check(js, 4) == ["metric not J1-invariant", "metric not J3-invariant"]
+    assert quaternionic_check(js, 4, eye(4)) == [
+        "metric not J1-invariant", "metric not J3-invariant"
+    ]
+    assert quaternionic_check(js, 4, sparse_matrix(mat_mul(transpose(p), p))) == []
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -107,7 +116,7 @@ def perturbed_js(draw, names=ALL_NAMES):
 @settings(max_examples=80)
 def test_quaternionic_check_matches_dense_oracle(inputs):
     dim, js = inputs
-    got = quaternionic_check(tuple(map(sparse_matrix, js)), dim)
+    got = quaternionic_check(tuple(map(sparse_matrix, js)), dim, eye(dim))
     assert got == naive_quaternionic_check(js, identity(dim))
 
 

@@ -19,6 +19,7 @@ from hktlab.invariant import (
 )
 from hktlab.holonomy import holonomy_algebra, is_g_skew
 from hktlab.hyperhermitian import bismut_connection, hkt_check
+from hktlab.linalg import sparse_matrix
 from hktlab.obata import (
     difference_tensor,
     obata_connection,
@@ -364,7 +365,7 @@ def test_rebase_scaling():
     # halving the basis vectors of su(2)-like brackets halves the constants
     frame = [[Fraction(1, 2) if i == a else 0 for i in range(4)] for a in range(4)]
     base_change = [[frame[a][i] for a in range(4)] for i in range(4)]
-    rebased = rebase_algebra(HOPF4, frame, invert(base_change))
+    rebased = rebase_algebra(HOPF4, sparse_matrix(frame), sparse_matrix(invert(base_change)))
     assert structure_constant(rebased, 1, 2, 3) == 1
     assert validate_lie_algebra(rebased) is None
 

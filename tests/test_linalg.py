@@ -11,8 +11,6 @@ from hktlab.linalg import (
     RowSpan,
     det,
     leading_minors_positive,
-    mat_mul,
-    mat_vec,
     nullspace,
     rref,
     solve_unique,
@@ -23,6 +21,8 @@ from hktlab.linalg import (
     sparse_trace,
 )
 from oracle_impl import (
+    mat_mul,
+    mat_vec,
     commutator,
     dense,
     dense_matrix,

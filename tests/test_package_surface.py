@@ -46,9 +46,8 @@ SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
 # the wire format, RowSpan's int fast path and the report boundary
 TYPE_TESTING = {"exact", "linalg", "analyze"}
 
-# the linear algebra, the metric's helpers, the loader and the change of
-# frame (`rebase_algebra`, `curvature_tensor`)
-DENSE_MATRIX = {"linalg", "tensors", "catalog", "invariant"}
+# the linear algebra and the loader, which parses the wire's dense rows
+DENSE_MATRIX = {"linalg", "catalog"}
 
 KEPT = {
     "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.linalg import mat_mul, sparse_matrix
+from hktlab.linalg import sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -20,12 +20,18 @@ from hktlab.tensors import (
     j_twist,
     norm_sq,
     norm_weight,
-    orthonormal_frame,
     perm_sign,
     wedge,
 )
 
-from oracle_impl import basis_form, cube_map_output, form_scale, naive_wedge_eval, transpose
+from oracle_impl import (
+    basis_form,
+    cube_map_output,
+    form_scale,
+    mat_mul,
+    naive_wedge_eval,
+    transpose,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -188,28 +194,35 @@ def test_j_twist_known():
     assert tw.evaluate((1, 2, 3)) == -a.evaluate((0, 3, 2)) * -1
 
 
-def test_orthonormal_frame_diagonal():
-    frame = orthonormal_frame([[4, 0], [0, 9]])
-    assert frame == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 3)]]
-
-
 def test_orthonormal_frame_off_diagonal():
-    g = [[1, 1], [1, 2]]
-    frame = orthonormal_frame(g)
-    for a, fa in enumerate(frame):
-        for b, fb in enumerate(frame):
-            val = sum(fa[i] * g[i][j] * fb[j] for i in range(2) for j in range(2))
+    # g = [[1, 1], [1, 2]] + I_2 = P^T P in the basis given by the columns of
+    # P = I + E_01, with the block J's carried along (P^-1 J P): the frame
+    # the loader rebases to is g-orthonormal, its inverse rows are g f_a,
+    # and every J becomes a signed permutation in it
+    from hktlab.catalog import _quaternionic_frame, builtin_by_name
+
+    p = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    p_inv = [[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    g = mat_mul(transpose(p), p)
+    assert g[0][1] == g[1][0] == 1 and g[1][1] == 2
+    block = [
+        [[j.get(r, {}).get(c, 0) for c in range(4)] for r in range(4)]
+        for j in builtin_by_name()["hopf4"].structure.j_sparse
+    ]
+    js = [mat_mul(p_inv, mat_mul(j, p)) for j in block]
+    frame, inverse = _quaternionic_frame(sparse_matrix(g), tuple(map(sparse_matrix, js)), 4)
+    rows = [[frame[a].get(i, 0) for i in range(4)] for a in range(4)]
+    for a, fa in enumerate(rows):
+        for b, fb in enumerate(rows):
+            val = sum(fa[i] * g[i][j] * fb[j] for i in range(4) for j in range(4))
             assert val == (1 if a == b else 0)
-
-
-def test_orthonormal_frame_irrational():
-    with pytest.raises(ValueError, match="irrational"):
-        orthonormal_frame([[2, 0], [0, 2]])
-
-
-def test_orthonormal_frame_not_positive():
-    with pytest.raises(ValueError, match="positive-definite"):
-        orthonormal_frame([[1, 0], [0, -1]])
+        assert inverse[a] == sparse_matrix([[sum(g[i][j] * fa[j] for j in range(4))
+                                             for i in range(4)]])[0]
+    lowered = [[inverse[a].get(i, 0) for i in range(4)] for a in range(4)]
+    for j in js:
+        rebased = mat_mul(lowered, mat_mul(j, transpose(rows)))
+        for row in rebased:
+            assert sorted(map(abs, row)) == [0, 0, 0, 1]
 
 
 mixed_cells = st.sampled_from([0, 0, 0, Fraction(0), 1, -1, 2, Fraction(1), Fraction(-1, 2)])
