@@ -114,7 +114,7 @@ def _parse_structure_constants(raw: object, dim: int) -> BracketTable:
     if not isinstance(raw, list):
         raise CatalogError("structure_constants: expected a list")
     brackets: BracketTable = {}
-    seen: dict[tuple[int, int, int], Scalar] = {}
+    seen: dict[tuple[int, int, int], tuple[Scalar, bool]] = {}  # key -> (value, given as i < j)
     for t, item in enumerate(raw):
         path = f"structure_constants[{t}]"
         if not isinstance(item, list) or len(item) != 4:
@@ -135,11 +135,14 @@ def _parse_structure_constants(raw: object, dim: int) -> BracketTable:
         key = (i, j, k) if i < j else (j, i, k)
         canon = value if i < j else -value
         if key in seen:
-            if seen[key] == canon:
+            held, ordered = seen[key]
+            if held == canon:
                 raise CatalogError(f"{path}: duplicate structure constant at {key}")
+            if ordered == (i < j):
+                raise CatalogError(f"{path}: conflicting duplicate structure constant at {key}")
             raise CatalogError(f"{path}: antisymmetry violation at {key}")
-        seen[key] = canon
-    for (i, j, k), value in seen.items():
+        seen[key] = canon, i < j
+    for (i, j, k), (value, _) in seen.items():
         if value:
             brackets.setdefault((i, j), {})[k] = value
     return brackets

@@ -4,15 +4,16 @@ Quaternion relations, Nijenhuis tensors, integrability, fundamental forms,
 torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
 structures. A structure holds J1, J2, J3 only as sparse matrices
-(`j_sparse`, no zero stored), built once where the structure is built;
-every reader here takes them in that format, `quaternionic_check`
-included, which validates the loader's sparse wire J's and metric through
-`linalg.sparse_product` before a structure exists. The structure holds
-no metric: the engine works in the orthonormal frame that the loader
-builds, so the metric is the identity there, and `fundamental_form` reads
-F(e_x, e_y) = J[x][y] off J's nonzeros. `nijenhuis` and the type
-identities are pullbacks of sparse cubes (`tensors.cube_pullback`): the
-Nijenhuis tensor is built from the bracket cube c^k_ij and J.
+(`j_sparse`, no zero stored), each a signed permutation of the frame,
+checked where the structure is built; every reader here takes them in
+that format, `quaternionic_check` included, which validates the loader's
+sparse wire J's and metric through `linalg.sparse_product` before a
+structure exists. The structure holds no metric: the engine works in
+the orthonormal frame that the loader builds, so the metric is the
+identity there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off
+J's nonzeros. `nijenhuis` and the type identities are pullbacks of sparse
+cubes (`tensors.cube_pullback`): the Nijenhuis tensor is built from the
+bracket cube c^k_ij and J.
 """
 
 from __future__ import annotations
@@ -40,10 +41,18 @@ from .tensors import (
 @dataclass(frozen=True)
 class HyperhermitianStructure:
     """An ordered triple of anticommuting complex structures, held as sparse
-    matrices in an orthonormal frame of the metric."""
+    matrices in an orthonormal frame of the metric in which each J is a
+    signed permutation: every row and every column holds one nonzero, +-1."""
 
     dim: int
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
+
+    def __post_init__(self):
+        indices = list(range(self.dim))
+        for s, j in enumerate(self.j_sparse, 1):
+            units = [c for row in j.values() if len(row) == 1 for c, x in row.items() if x in (1, -1)]
+            if sorted(j) != indices or sorted(units) != indices:
+                raise ValueError(f"J{s} is not a signed permutation of the frame")
 
 
 def quaternionic_check(

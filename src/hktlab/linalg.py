@@ -11,10 +11,11 @@ are sparse rows, {column: value} dicts without zeros (the idiom of
 generators are almost all zeros; its stored rows are primitive integer
 rows, so the elimination runs on Python ints. A row of plain ints enters
 as it is and a row that reduces to one entry is stored as a unit without
-a gcd; Fraction rows are rescaled to ints once, on entry. `nullspace`,
-`solve_unique`, `rref` and `det` read their answers off the stored rows:
-`nullspace` and `rref` as Fractions, `solve_unique` as int entries over
-one least scale, `det` as the product of the pivot values.
+a gcd; Fraction rows are rescaled to ints once, on entry. `nullspace`
+(no package reader; kept for the HKT-metric cone), `solve_unique`, `rref`
+and `det` read their answers off the stored rows: `nullspace` and `rref`
+as Fractions, `solve_unique` as int entries over one least scale, `det`
+as the product of the pivot values.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy

@@ -5,9 +5,9 @@ Two independent construction routes:
 * from the skew-torsion connection of an HKT structure via the explicit
   difference tensor A built out of the torsion, and
 * a linear-system solver that imposes torsion-freeness on connections whose
-  operators lie in the commutant of the complex structures (an integer
-  sparse-matrix basis); its rank certifies uniqueness. The equations are
-  integer sparse rows read off the basis nonzeros.
+  operators lie in gl(n, H), the commutant of the complex structures,
+  written down from the signed-permutation J's; its rank certifies
+  uniqueness. Each equation reads each cell's one basis element and sign.
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
 `tensors.cube_j_trace` of A), and their complex-frame form, whose real
@@ -22,14 +22,7 @@ from fractions import Fraction
 
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
-from .linalg import (
-    LinAlgError,
-    Row,
-    SparseMatrix,
-    nullspace,
-    solve_unique,
-    sparse_transpose,
-)
+from .linalg import LinAlgError, Row, SparseMatrix, solve_unique
 from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
 from .tensors import form_to_cube, integer_scaled
 
@@ -50,29 +43,25 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
-    """Integer sparse-matrix basis of {M : M J_s = J_s M for s = 1,2,3}.
+    """Integer sparse-matrix basis of gl(n, H) = {M : M J_s = J_s M, s = 1, 2, 3},
+    read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)}.
 
-    Entry (p, q) of M J_s - J_s M is one sparse equation over the unknowns
-    M[a][b] (column a * dim + b), for J1 and J2 only: requires J3 = J1 J2,
-    which `quaternionic_check` enforces at load, so the nullspace is the
-    same. Each nullspace vector is made int once (`tensors.integer_scaled`).
+    M commutes with J_s exactly when M[sigma_s(a)][sigma_s(b)] =
+    eps_s(a) eps_s(b) M[a][b], so a cell and its images under J1, J2, J3
+    span one element, with 1 at the cell. Taking each orbit at its last
+    cell a * dim + b gives the reduced-echelon nullspace basis, in order.
     """
     dim = h.dim
-    rows: list[Row] = []
-    for j in h.j_sparse[:2]:
-        columns = sparse_transpose(j)
-        for p in range(dim):
-            for q in range(dim):
-                row: Row = {p * dim + r: x for r, x in columns.get(q, {}).items()}
-                for r, x in j.get(p, {}).items():
-                    row[r * dim + q] = row.get(r * dim + q, 0) - x
-                rows.append({col: x for col, x in row.items() if x})
+    images = [{x: (y, v) for y, row in j.items() for x, v in row.items()} for j in h.j_sparse]
     basis: list[SparseMatrix] = []
-    for vec in nullspace(rows, dim * dim):
-        m: SparseMatrix = {}
-        for col, x in integer_scaled(vec).entries.items():
-            m.setdefault(col // dim, {})[col % dim] = x
-        basis.append(m)
+    for a in range(dim):
+        for b in range(dim):
+            m: SparseMatrix = {a: {b: 1}}
+            for image in images:
+                (p, x), (q, y) = image[a], image[b]
+                m.setdefault(p, {})[q] = 1 if x == y else -1  # eps_s(a) eps_s(b), an int
+            if max((p, q) for p, row in m.items() for q in row) == (a, b):
+                basis.append(m)
     return basis
 
 
@@ -104,21 +93,18 @@ def obata_oracle_solver(
     cbasis = commutant_basis(h)
     d_c = len(cbasis)
     unknowns = dim * d_c
-    # t -> [(l, j, c_t[l][j])] and (l, j) -> [(t, c_t[l][j])], nonzeros only
-    support = [[(a, b, x) for a, row in c.items() for b, x in row.items()] for c in cbasis]
-    by_entry: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t, entries in enumerate(support):
-        for a, b, x in entries:
-            by_entry.setdefault((a, b), []).append((t, x))
+    # each cell (l, j) lies in exactly one element c_t: (l, j) -> (t, c_t[l][j])
+    owner = {
+        (a, b): (t, v) for t, c in enumerate(cbasis) for a, row in c.items() for b, v in row.items()
+    }
     rows: list[Row] = []
     for i in range(dim):
         for j in range(i + 1, dim):
             bracket = alg.brackets.get((i, j), {})
             for l in range(dim):
+                (t, v), (u, w) = owner[(l, j)], owner[(l, i)]
                 # the two blocks of unknowns (i and j) never share a column
-                row: Row = {i * d_c + t: x for t, x in by_entry.get((l, j), ())}
-                for t, x in by_entry.get((l, i), ()):
-                    row[j * d_c + t] = -x
+                row: Row = {i * d_c + t: v, j * d_c + u: -w}
                 if l in bracket:
                     row[unknowns] = bracket[l]
                 rows.append(row)
@@ -131,13 +117,13 @@ def obata_oracle_solver(
                 " complex structures"
             ) from exc
         raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
-    # scale * Gamma_i = sum_t x[i * d_c + t] c_t, stored as gamma[(i, j, k)] = Gamma_i[k][j]
-    sums: dict[tuple[int, int, int], int] = {}
-    for col, coeff in x.items():
-        i, t = divmod(col, d_c)
-        for a, b, value in support[t]:
-            sums[(i, b, a)] = sums.get((i, b, a), 0) + coeff * value
-    gamma = {idx: sums[idx] for idx in sorted(sums) if sums[idx]}
+    # scale * Gamma_i[a][b] = x[i * d_c + t] c_t[a][b], stored as gamma[(i, b, a)]
+    gamma = {
+        (i, b, a): x[i * d_c + t] * v
+        for (a, b), (t, v) in owner.items()
+        for i in range(dim)
+        if i * d_c + t in x
+    }
     certificate = SolverCertificate(
         commutant_dim=d_c, unknowns=unknowns, equations=len(rows), rank=rank, unique=True
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import factorial, gcd, isqrt
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from hktlab.catalog import CatalogEntry, load, serialize
-from hktlab.exact import Scalar, parse_scalar
+from hktlab.exact import Scalar, format_scalar, parse_scalar
 from hktlab.curvature import (
     _ORDERINGS_4,
     CheckOutcome,
@@ -1328,11 +1329,12 @@ def direct_sum(first: dict, second: dict) -> dict:
     return doc
 
 
-def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
-    """entry in the rational orthonormal basis given by the columns of the
-    Cayley transform Q = (I - S)(I + S)^-1, for the skew S with superdiagonal
-    1/2, 1/3, 1, 1/2, ... J1 is no signed permutation of that basis, so
-    its vectors split into no pairs (e_a, J1 e_a)."""
+def cayley_rotated(entry: CatalogEntry) -> dict:
+    """The wire document of entry in the rational orthonormal basis given by
+    the columns of the Cayley transform Q = (I - S)(I + S)^-1, for the skew
+    S with superdiagonal 1/2, 1/3, 1, 1/2, ... J1 is no signed permutation
+    of that basis, so its vectors split into no pairs (e_a, J1 e_a); the
+    loader brings the document back to a frame of quaternionic blocks."""
     dim = entry.dim
     cycle = (Fraction(1, 2), Fraction(1, 3), 1)
     s = zeros(dim, dim)
@@ -1344,11 +1346,11 @@ def cayley_rotated(entry: CatalogEntry) -> CatalogEntry:
     # Q is orthogonal: the rows of Q^T are the new basis vectors, Q^-1 = Q^T
     q_t = transpose(q)
     lie = rebase_algebra(entry.lie, sparse_matrix(q_t), sparse_matrix(q_t))
-    j_ops = tuple(sparse_matrix(mat_mul(q_t, mat_mul(j, q))) for j in dense_js(entry.structure))
-    return CatalogEntry(
-        f"{entry.name}_cayley", f"{entry.name} in a rotated basis", entry.n, dim, lie,
-        HyperhermitianStructure(dim, j_ops), {},
-    )
+    name, description = f"{entry.name}_cayley", f"{entry.name} in a rotated basis"
+    doc = serialize(replace(entry, name=name, description=description, lie=lie, expected={}))
+    for key, j in zip(("j1", "j2", "j3"), dense_js(entry.structure)):
+        doc[key] = [[format_scalar(x) for x in row] for row in mat_mul(q_t, mat_mul(j, q))]
+    return doc
 
 
 def is_signed_permutation(j: SparseMatrix, dim: int) -> bool:
@@ -1412,12 +1414,17 @@ def naive_quaternionic_frame(metric: Matrix, js: tuple[Matrix, Matrix, Matrix]) 
     return sorted(frame, key=lambda f: max(i for i, x in enumerate(f) if x))
 
 
+def load_document(doc: dict, directory: Path) -> CatalogEntry:
+    """doc written to `directory` and loaded back through the catalog loader."""
+    path = directory / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load(path)
+
+
 def direct_sum_entry(first: CatalogEntry, second: CatalogEntry, directory: Path) -> CatalogEntry:
     """first + second, written as a wire document to `directory` and loaded
     back through the catalog loader."""
-    path = directory / f"{first.name}+{second.name}.json"
-    path.write_text(json.dumps(direct_sum(serialize(first), serialize(second))), encoding="utf-8")
-    return load(path)
+    return load_document(direct_sum(serialize(first), serialize(second)), directory)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from hktlab.invariant import Connection, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan
 from hktlab.obata import obata_connection
 
+from oracle_impl import direct_sum_entry
+
 MODULES = [hktlab] + [
     importlib.import_module(f"hktlab.{info.name}")
     for info in pkgutil.iter_modules(hktlab.__path__)
@@ -36,22 +38,29 @@ COUNTED = (
     "obata_oracle_solver",
     "commutant_basis",
     "rref",
-    "mat_mul",
-    "mat_vec",
-    "commutator",
-    "dense_matrix",
+    "nullspace",
     "sparse_commutator",
     "sparse_matrix",
     "j_pullback",
-    "_double_j_trace",
     "_j_partial_trace",
     "validate_lie_algebra",
 )
 
 
+def _binders(*names: str) -> list[str]:
+    """The package namespaces that bind any of the names."""
+    return [
+        f"{module.__name__}.{name}" for module in MODULES for name in names if name in vars(module)
+    ]
+
+
 @pytest.fixture()
 def calls(monkeypatch):
-    """Counts calls of COUNTED through every module namespace that binds them."""
+    """Counts calls of COUNTED through every module namespace that binds them;
+    a name that no module binds would count nothing, so it fails the test."""
+    unbound = [name for name in COUNTED if not _binders(name)]
+    if unbound:
+        pytest.fail(f"COUNTED names that no package module binds: {unbound}")
     counts = Counter()
     for module in MODULES:
         for name in COUNTED:
@@ -105,7 +114,7 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     # d(theta)(J., J.) (3); the fundamental forms read g J off the nonzeros
     assert calls["j_pullback"] == 6
     # the double J1-trace of dT is read off the J1 partial trace
-    assert calls["_double_j_trace"] == 0
+    assert _binders("_double_j_trace") == []
     assert calls["_j_partial_trace"] == 3
 
 
@@ -135,22 +144,27 @@ def test_solver_stays_off_dense_rref(calls, cat, name):
 
 
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8"])
-def test_commutant_imposes_j1_and_j2_only(monkeypatch, cat, name):
-    # one nullspace per analysis, over the 2 dim^2 commutator equations of
-    # J1 and J2 (hopf8: 128; the three J's gave 192)
-    fed = []
-    for module in MODULES:
-        original = vars(module).get("nullspace")
-        if original is None:
-            continue
-
-        def counted(rows, cols, _fn=original):
-            fed.append(len(rows))
-            return _fn(rows, cols)
-
-        monkeypatch.setattr(module, "nullspace", counted)
+def test_commutant_calls_no_nullspace(calls, cat, name):
+    # gl(n, H) is read off the signed-permutation J's, with no elimination
     analyze_entry(cat[name])
-    assert fed == [2 * 8 * 8]
+    assert calls["commutant_basis"] == 1
+    assert calls["nullspace"] == 0
+
+
+def test_non_hkt_solver_feeds_only_torsion_equations(monkeypatch, cat, tmp_path):
+    # hc16: the C(16, 2) * 16 = 1920 torsion-free equations, and no
+    # commutant equation, go into RowSpan
+    entry = direct_sum_entry(cat["hc_only8"], cat["hc_only8"], tmp_path)
+    rows = []
+    insert = RowSpan._insert
+
+    def counted(self, row):
+        rows.append(row)
+        return insert(self, row)
+
+    monkeypatch.setattr(RowSpan, "_insert", counted)
+    analyze_entry(entry)
+    assert len(rows) == 1920
 
 
 def test_holonomy_closure_brackets_with_connection_operators_only(calls, cat):
@@ -174,8 +188,10 @@ def test_operator_algebra_stays_off_dense_products(calls, cat):
     calls.clear()
     holonomy_algebra(lc, curvature_operators(lc, alg))
     assert all(glnh_membership(op, h) for op in ob.operators)
-    assert calls["mat_mul"] == 0
-    assert calls["commutator"] == 0
+    # R(e_i, e_j) for 28 pairs, the closure's 8 * 21 brackets and 8 * 3
+    # commutators with the J's, all on the sparse kernel
+    assert calls["sparse_commutator"] == 28 + 8 * 21 + 8 * 3
+    assert _binders("mat_mul", "commutator") == []
 
 
 def test_each_connection_builds_its_operators_once(calls, cat):
@@ -196,15 +212,16 @@ def test_structure_holds_its_sparse_complex_structures(calls, cat):
 
 def test_analysis_stays_off_dense_operators(calls, cat):
     analyze_entry(cat["nil8"])
-    assert calls["commutator"] == 0
-    assert calls["dense_matrix"] == 0
+    assert calls["sparse_matrix"] == 0
+    assert _binders("commutator", "dense_matrix") == []
 
 
 @pytest.mark.parametrize("name", ["hopf8", "nil8", "hc_only8"])
 def test_analysis_reads_only_sparse_complex_structures(calls, cat, name):
     # the fundamental forms and every J-contraction read the sparse J's
     analyze_entry(cat[name])
-    assert calls["mat_mul"] == 0
+    assert calls["sparse_matrix"] == 0
+    assert _binders("mat_mul") == []
 
 
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8", "nil8"])
@@ -212,7 +229,7 @@ def test_hkt_check_stays_off_dense_mat_vec(calls, cat, name):
     entry = cat[name]
     hkt_check(entry.structure, entry.lie)
     assert calls["nijenhuis"] == 3
-    assert calls["mat_vec"] == 0
+    assert _binders("mat_vec") == []
 
 
 def test_load_and_analysis_walk_the_jacobi_triples_once(calls, cat, tmp_path, su3_path):

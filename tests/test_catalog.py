@@ -212,6 +212,17 @@ def test_load_rejects_antisymmetry_conflict(tmp_path, hopf4_doc):
         load(write_doc(tmp_path, hopf4_doc))
 
 
+def test_load_rejects_conflicting_duplicate(tmp_path, hopf4_doc):
+    # a second value for the same ordered triple is no antisymmetry question
+    i, j, k, value = hopf4_doc["structure_constants"][0]
+    hopf4_doc["structure_constants"].append([i, j, k, "5"])
+    with pytest.raises(CatalogError) as info:
+        load(write_doc(tmp_path, hopf4_doc))
+    assert str(info.value) == (
+        f"structure_constants[3]: conflicting duplicate structure constant at {(i, j, k)}"
+    )
+
+
 def test_load_accepts_swapped_index_order(tmp_path, hopf4_doc, cat):
     # [j, i, k, -v] is the same bracket; the loader canonicalizes it
     triples = [[j, i, k, "-" + v if not v.startswith("-") else v[1:]]

@@ -323,9 +323,8 @@ def test_check_non_utf8_file_is_invalid_input(capsys, tmp_path):
 def test_analyze_cayley_rotated_hopf4_exits_zero(capsys, tmp_path, cat):
     # hopf4 in a rotated rational orthonormal basis, where J1 is no signed
     # permutation: the saved document analyzes to hopf4's verdict
-    entry = cayley_rotated(cat["hopf4"])
     path = tmp_path / "hopf4_cayley.json"
-    save(entry, path)
+    path.write_text(json.dumps(cayley_rotated(cat["hopf4"])), encoding="utf-8")
     rc, out, err = run(capsys, "check", str(path))
     assert rc == 0 and out.startswith("ok: hopf4_cayley")
     rc, out, err = run(capsys, "analyze", str(path), "--format", "json")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hktlab.catalog import builtin_by_name
 from hktlab.hyperhermitian import (
     MIXED_TRIPLES,
+    HyperhermitianStructure,
     bismut_connection,
     fundamental_form,
     glnh_membership,
@@ -32,6 +33,7 @@ from hktlab.tensors import (
 from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
+    cayley_rotated,
     dense_glnh_membership,
     dense_js,
     dense_matrix,
@@ -45,6 +47,7 @@ from oracle_impl import (
     naive_preserves_endomorphism,
     naive_quaternionic_check,
     p_minus,
+    parsed_wire,
     pullback_fundamental_form,
     transpose,
 )
@@ -62,6 +65,23 @@ def cat():
 def test_quaternionic_check_clean(cat):
     for entry in cat.values():
         assert quaternionic_check(entry.structure.j_sparse, entry.dim, eye(entry.dim)) == []
+
+
+def test_structure_rejects_dense_complex_structures(cat):
+    # the Cayley-rotated hopf4's J's satisfy every quaternion relation and
+    # are orthogonal, but they are no signed permutations of the basis
+    _, js = parsed_wire(cayley_rotated(cat["hopf4"]))
+    assert quaternionic_check(js, 4, eye(4)) == []
+    with pytest.raises(ValueError, match="J1 is not a signed permutation"):
+        HyperhermitianStructure(4, js)
+
+
+def test_structure_rejects_scaled_signed_permutations(cat):
+    # one nonzero per row and column is not enough: each must be +-1
+    j1, j2, j3 = cat["torus4"].structure.j_sparse
+    doubled = {r: {c: 2 * x for c, x in row.items()} for r, row in j2.items()}
+    with pytest.raises(ValueError, match="J2 is not a signed permutation"):
+        HyperhermitianStructure(4, (j1, doubled, j3))
 
 
 def test_quaternionic_check_reports_violations(cat):

@@ -35,7 +35,7 @@ import pytest
 
 from hktlab import cli
 from hktlab.analyze import _outcome, analyze_entry
-from hktlab.catalog import builtin_by_name, load, save, serialize
+from hktlab.catalog import builtin_by_name, load, serialize
 from hktlab.curvature import CheckOutcome
 from hktlab.exact import format_scalar, parse_scalar
 from hktlab.hyperhermitian import HyperhermitianStructure, quaternionic_check
@@ -64,7 +64,7 @@ def _invariants(report: dict) -> dict:
 def test_cayley_rotation_keeps_the_report(name, tmp_path):
     entry = builtin_by_name()[name]
     path = tmp_path / f"{name}_cayley.json"
-    save(cayley_rotated(entry), path)
+    path.write_text(json.dumps(cayley_rotated(entry)), encoding="utf-8")
     loaded = load(path)
     assert all(is_signed_permutation(j, entry.dim) for j in loaded.structure.j_sparse)
     rotated = analyze_entry(loaded)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import chain
 
 import pytest
@@ -27,6 +26,7 @@ from oracle_impl import (
     difference_tensor_invariance,
     direct_sum_entry,
     form_scale,
+    load_document,
     naive_commutant_basis,
     naive_complex_trace_A,
     naive_obata_oracle_solver,
@@ -49,36 +49,27 @@ def test_commutant_dimension(cat):
 
 
 @pytest.fixture(scope="module")
-def commutant_inputs(cat, su3):
-    """Every builtin, su3, and hopf4 and hc_only8 in a Cayley-rotated basis
-    (dense rational J's; the rotated hc_only8's nullspace vectors carry
-    denominators, the rotated hopf4's do not)."""
+def commutant_inputs(cat, su3, tmp_path_factory):
+    """Every builtin, su3, and hopf4 and hc_only8 rotated by a Cayley
+    transform and loaded back into the loader's quaternionic frame, where
+    their brackets carry denominators."""
     structures = {name: cat[name].structure for name in ALL_NAMES}
     structures["su3"] = su3.structure
+    directory = tmp_path_factory.mktemp("cayley")
     for name in ("hopf4", "hc_only8"):
-        structures[f"{name}_cayley"] = cayley_rotated(cat[name]).structure
+        structures[f"{name}_cayley"] = load_document(cayley_rotated(cat[name]), directory).structure
     return structures
 
 
 def test_commutant_basis_matches_dense_oracle(commutant_inputs):
-    # the sparse basis imposes J1 and J2 only, the oracle all three J's
-    scaled = []
+    # the basis read off the signed-permutation J's is the oracle's nullspace
+    # basis of the commutator equations of all three J's, in order
     for name, h in commutant_inputs.items():
         got = [dense_matrix(m, h.dim) for m in commutant_basis(h)]
         want = naive_commutant_basis(h)
         assert all(type(x) is int for m in got for x in chain.from_iterable(m)), name
         assert len(got) == len(want), name
-        if name in ALL_NAMES:
-            assert got == want, name
-            continue
-        for m, w in zip(got, want):
-            entry = next(x for x in chain.from_iterable(w) if x)
-            scale = Fraction(next(x for x in chain.from_iterable(m) if x)) / entry
-            assert scale.denominator == 1 and scale > 0, name
-            assert m == [[scale * x for x in row] for row in w], name
-            scaled.append(scale > 1)
-    # the rotated hc_only8 exercises the integer scaling
-    assert any(scaled)
+        assert got == want, name
 
 
 def test_commutant_members_commute(commutant_inputs):
@@ -175,10 +166,11 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
             assert 0 not in cube.values(), name
 
 
-def test_solver_matches_dense_oracle(cat, su3):
-    # su3 has Fraction brackets and a non-flat Obata connection; the rotated
-    # hopf4 has dense rational J's
-    entries = [cat[name] for name in ALL_NAMES] + [su3, cayley_rotated(cat["hopf4"])]
+def test_solver_matches_dense_oracle(cat, su3, tmp_path):
+    # su3 has Fraction brackets and a non-flat Obata connection; the Cayley
+    # rotation of hopf4, loaded back, has brackets with denominators
+    rotated = load_document(cayley_rotated(cat["hopf4"]), tmp_path)
+    entries = [cat[name] for name in ALL_NAMES] + [su3, rotated]
     for entry in entries:
         conn, cert = obata_oracle_solver(entry.structure, entry.lie)
         want_conn, want_cert = naive_obata_oracle_solver(entry.structure, entry.lie)
@@ -187,9 +179,10 @@ def test_solver_matches_dense_oracle(cat, su3):
 
 
 def test_solver_matches_obata_formula(cat, su3, tmp_path):
-    # Obata's explicit formula is a solver-free third route; the rotated
-    # hc_only8 has commutant vectors scaled by an lcm > 1
-    entries = [cat[name] for name in ALL_NAMES] + [su3, cayley_rotated(cat["hc_only8"])]
+    # Obata's explicit formula is a solver-free third route; the Cayley
+    # rotation of hc_only8, loaded back, has brackets with large denominators
+    rotated = load_document(cayley_rotated(cat["hc_only8"]), tmp_path)
+    entries = [cat[name] for name in ALL_NAMES] + [su3, rotated]
     entries += [
         direct_sum_entry(cat["nil8"], cat["hopf4"], tmp_path),
         direct_sum_entry(cat["hc_only8"], cat["torus4"], tmp_path),
