@@ -39,7 +39,7 @@ from .exact import Scalar, format_scalar, four_squares, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
 from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
-from .linalg import sparse_product, sparse_subtract, sparse_transpose
+from .linalg import sparse_subtract, sparse_transpose
 from .tensors import MAX_DIM
 
 
@@ -196,28 +196,27 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         raise CatalogError("quaternion relations: " + "; ".join(relations))
     if issues:  # J^T g J = g fails
         raise CatalogError("metric: " + "; ".join(x.removeprefix("metric ") for x in issues))
-    frame, inverse = _quaternionic_frame(g, js, dim)
-    base_change = sparse_transpose(frame)
+    frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
     lie = rebase_algebra(lie, frame, inverse)
-    j_sparse = tuple(sparse_product(inverse, sparse_product(j, base_change)) for j in js)
-    structure = HyperhermitianStructure(dim, j_sparse)
+    structure = HyperhermitianStructure(dim, j_frame)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 
 
 def _quaternionic_frame(
     g: SparseMatrix, js: tuple[SparseMatrix, ...], dim: int
-) -> tuple[SparseMatrix, SparseMatrix]:
-    """The rows f_a (old coordinates) of a g-orthonormal frame, and its
-    inverse, whose rows are g f_a. Step k projects e_k off the frame so far
-    (a J-invariant span) and, unless nothing is left, adds with w = g(v, v)
-    and 1/w = a^2 + b^2 + c^2 + d^2 the block u = (a + b J1 + c J2 + d J3) v,
-    J1 u, J2 u, J3 u, orthonormal as g is J-invariant. Each vector is made
-    positive at its highest nonzero index, and the frame is sorted stably by
-    that index: the identity metric with signed-permutation J's gets the
-    standard basis, and so loads with the wire values and scalar types."""
+) -> tuple[SparseMatrix, SparseMatrix, tuple[SparseMatrix, ...]]:
+    """The rows f_a (old coordinates) of a g-orthonormal frame, its inverse,
+    whose rows are g f_a, and J1, J2, J3 in it. Step k projects e_k off the
+    frame so far (a J-invariant span) and, unless nothing is left, adds with
+    w = g(v, v) and 1/w = a^2 + b^2 + c^2 + d^2 the block u = (a + b J1 +
+    c J2 + d J3) v, J1 u, J2 u, J3 u, orthonormal as g is J-invariant. Each
+    vector is made positive at its highest nonzero index, and the frame is
+    sorted stably by that index: the identity metric with signed-permutation
+    J's gets the standard basis, and so loads with the wire values and types."""
     j_columns = [sparse_transpose(j) for j in js]  # g is symmetric: its own columns
     frame: list[Row] = []
     lowered: list[Row] = []  # g f_a, so g(e_k, f_a) = lowered[a][k]
+    flips: list[int] = []  # frame[a] = flips[a] J_r u for a = 4 i + r
     for k in range(dim):
         v: SparseMatrix = {0: {k: 1}}  # one row
         for f, gf in zip(frame, lowered):
@@ -237,12 +236,17 @@ def _quaternionic_frame(
         for x, image in zip(coefficients, [v[0], *(sparse_apply(jc, v[0]) for jc in j_columns)]):
             sparse_subtract(u, -x, {0: image})
         for f in (u[0], *(sparse_apply(jc, u[0]) for jc in j_columns)):
-            if f[max(f)] < 0:
-                f = {i: -x for i, x in f.items()}
-            frame.append(f)
-            lowered.append(sparse_apply(g, f))
+            flips.append(1 if f[max(f)] > 0 else -1)
+            frame.append({i: flips[-1] * x for i, x in f.items()})
+            lowered.append(sparse_apply(g, frame[-1]))
     order = sorted(range(dim), key=lambda a: max(frame[a]))
-    return dict(enumerate(frame[a] for a in order)), dict(enumerate(lowered[a] for a in order))
+    position = {a: p for p, a in enumerate(order)}
+    j_frame = tuple(
+        {position[a]: {position[a ^ s]: flips[a ^ s] * signs[a % 4 ^ s] * flips[a]} for a in order}
+        for s, signs in enumerate(_BLOCK_SIGNS, 1)
+    )
+    rows = dict(enumerate(frame[a] for a in order))
+    return rows, dict(enumerate(lowered[a] for a in order)), j_frame
 
 
 def load(path: str | Path, allow_unknown: bool = False) -> CatalogEntry:
@@ -290,6 +294,9 @@ def save(entry: CatalogEntry, path: str | Path) -> None:
 _J1_BLOCK = ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
 _J2_BLOCK = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 _J3_BLOCK = ((0, 0, 0, 1), (0, 0, -1, 0), (0, 1, 0, 0), (-1, 0, 0, 0))
+# J_s J_r u = _BLOCK_SIGNS[s - 1][r] J_(r xor s) u for the loader's blocks
+# u, J1 u, J2 u, J3 u (J_0 = 1), by J_s^2 = -1, J1 J2 = J3 and J2 J1 = -J3
+_BLOCK_SIGNS = ((1, -1, 1, -1), (1, -1, -1, 1), (1, 1, -1, -1))
 
 
 def _block_j(block: tuple[tuple[int, ...], ...], n: int) -> SparseMatrix:

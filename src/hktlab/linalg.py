@@ -5,17 +5,16 @@ parses its rows densely and `sparse_matrix` converts them once, and
 `serialize` writes `identity` rows; `rref`, `det` and
 `leading_minors_positive` take dense rows. Entries are ints or Fractions.
 The one Gaussian elimination is `RowSpan`, which keeps a row space in
-sparse, fraction-free reduced echelon form. Its input rows
-are sparse rows, {column: value} dicts without zeros (the idiom of
-`KForm.comps` and of the cubes), because the solver systems and holonomy
-generators are almost all zeros; its stored rows are primitive integer
-rows, so the elimination runs on Python ints. A row of plain ints enters
-as it is and a row that reduces to one entry is stored as a unit without
-a gcd; Fraction rows are rescaled to ints once, on entry. `nullspace`
-(no package reader; kept for the HKT-metric cone), `solve_unique`, `rref`
-and `det` read their answers off the stored rows: `nullspace` and `rref`
-as Fractions, `solve_unique` as int entries over one least scale, `det`
-as the product of the pivot values.
+sparse, fraction-free reduced echelon form. Its input rows are sparse
+rows, {column: value} dicts without zeros (the idiom of `KForm.comps` and
+of the cubes), because the holonomy generators are almost all zeros; its
+stored rows are primitive integer rows, so the elimination runs on Python
+ints. A row of plain ints enters as it is and a row that reduces to one
+entry is stored as a unit without a gcd; Fraction rows are rescaled to
+ints once, on entry. The holonomy closure grows it; `nullspace` (no
+package reader; kept for the HKT-metric cone), `rref` and `det` read
+their answers off its stored rows. `solve_pairs` solves the torsion-free
+system, a signed graph, by one walk per component with no elimination.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy
@@ -166,22 +165,38 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
     return list(basis.values())
 
 
-def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int, int]:
-    """Solve a x = b, requiring the solution to exist and be unique.
-
-    Each sparse row holds one equation over columns 0..cols-1, with its
-    right-hand side in column `cols`. Returns the nonzero entries of
-    scale * x, all int, the least such scale and the rank of the system.
-    """
-    span = _span_of(rows, cols + 1)
-    if cols in span._rows:
-        raise LinAlgError("inconsistent system: no solution")
-    if span.rank < cols:
-        raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
-    held = [(pivot, row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row]
-    scale = lcm(*[d for _, _, d in held])
-    g = gcd(scale, *[v * (scale // d) for _, v, d in held])
-    return {pivot: v * (scale // d) // g for pivot, v, d in held}, scale // g, span.rank
+def solve_pairs(edges: list[tuple[int, int, int, Scalar]], cols: int) -> tuple[Row, int, int]:
+    """The unique x with x_p + s x_q = b for each edge (p, q, s, b), p != q,
+    s = +-1, as ints over the least scale, and the rank: cols minus the
+    signed graph's balanced components (Zaslavsky 1982). With b scaled to
+    even ints, a walk puts each unknown at sign * y + offset in its root y;
+    a closing edge checks the offsets, or, where its signs add, sets or checks y."""
+    scale = 2 * lcm(*{b.denominator for _, _, _, b in edges})
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(cols)]
+    for p, q, s, b in edges:
+        b = b.numerator * (scale // b.denominator) if b else 0
+        adjacent[p].append((q, s, b))
+        adjacent[q].append((p, s, s * b))  # x_q + s x_p = s b
+    sign, offset, x, balanced = [0] * cols, [0] * cols, {}, 0  # sign 0: not reached yet
+    for root in (r for r in range(cols) if not sign[r]):  # read after each walk
+        sign[root], component, y = 1, [root], None
+        for p in component:  # the walk appends what it reaches
+            for q, s, b in adjacent[p]:
+                if not sign[q]:
+                    sign[q], offset[q] = -s * sign[p], s * (b - offset[p])
+                    component.append(q)
+                    continue
+                twice, rest = sign[p] + s * sign[q], b - offset[p] - s * offset[q]
+                if twice and y is None:  # the signs add: twice * y = rest
+                    y = rest // twice
+                if twice * (y or 0) != rest:
+                    raise LinAlgError("inconsistent system: no solution")
+        balanced += y is None  # y left free, an isolated unknown's too
+        x.update((p, v) for p in component if y is not None and (v := sign[p] * y + offset[p]))
+    if balanced:
+        raise LinAlgError(f"solution not unique: rank {cols - balanced} < {cols} unknowns")
+    g = gcd(scale, *x.values())
+    return {p: v // g for p, v in x.items()}, scale // g, cols
 
 
 def det(a: Matrix) -> Fraction:
@@ -225,7 +240,7 @@ class RowSpan:
     integer row {column: int} keyed by its pivot: gcd 1, a positive entry
     at its own pivot, 0 at every other pivot and left of its pivot. So the
     stored row divided by its pivot entry is the row of the reduced echelon
-    form, which the readers (`rref`, `nullspace`, `solve_unique`) read as
+    form, which the readers (`rref`, `nullspace`) read as
     row[j] / row[pivot]. A reduction step is
     v <- d*v - c*r for the stored row r with pivot entry d and the entry c
     of v at that pivot, both divided by gcd(c, d); no Fraction is built

@@ -7,7 +7,8 @@ Two independent construction routes:
 * a linear-system solver that imposes torsion-freeness on connections whose
   operators lie in gl(n, H), the commutant of the complex structures,
   written down from the signed-permutation J's; its rank certifies
-  uniqueness. Each equation reads each cell's one basis element and sign.
+  uniqueness. Each equation holds two unknowns, with coefficients +-1: a
+  signed graph, solved by one walk per component (`linalg.solve_pairs`).
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
 `tensors.cube_j_trace` of A), and their complex-frame form, whose real
@@ -20,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
-from .linalg import LinAlgError, Row, SparseMatrix, solve_unique
+from .linalg import LinAlgError, SparseMatrix, solve_pairs
 from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
 from .tensors import form_to_cube, integer_scaled
 
@@ -84,10 +86,10 @@ def obata_oracle_solver(
 
     Unknown i * d_c + t is the coefficient of the t-th commutant basis
     element c_t in the operator of e_i. Equation (i < j, l) is the e_l
-    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one sparse row of
-    integer coefficients c_t[l][j] and -c_t[l][i], with the structure
-    constant in the right-hand-side column. The solution, int over one
-    scale, is summed with the int basis on ints.
+    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one edge
+    v x[i, t] - w x[j, u] = c^l_ij for the elements c_t and c_u holding the
+    cells (l, j) and (l, i), v = c_t[l][j] and w = c_u[l][i]. The solution,
+    int over one scale, times the int basis gives the connection on ints.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
@@ -97,19 +99,15 @@ def obata_oracle_solver(
     owner = {
         (a, b): (t, v) for t, c in enumerate(cbasis) for a, row in c.items() for b, v in row.items()
     }
-    rows: list[Row] = []
+    columns = [[owner[(l, j)] for l in range(dim)] for j in range(dim)]
+    edges: list[tuple[int, int, int, Scalar]] = []
     for i in range(dim):
         for j in range(i + 1, dim):
             bracket = alg.brackets.get((i, j), {})
-            for l in range(dim):
-                (t, v), (u, w) = owner[(l, j)], owner[(l, i)]
-                # the two blocks of unknowns (i and j) never share a column
-                row: Row = {i * d_c + t: v, j * d_c + u: -w}
-                if l in bracket:
-                    row[unknowns] = bracket[l]
-                rows.append(row)
+            for l, ((t, v), (u, w)) in enumerate(zip(columns[j], columns[i])):
+                edges.append((i * d_c + t, j * d_c + u, -v * w, v * bracket.get(l, 0)))
     try:
-        x, scale, rank = solve_unique(rows, unknowns)
+        x, scale, rank = solve_pairs(edges, unknowns)
     except LinAlgError as exc:
         if "inconsistent" in str(exc):
             raise ValueError(
@@ -125,7 +123,7 @@ def obata_oracle_solver(
         if i * d_c + t in x
     }
     certificate = SolverCertificate(
-        commutant_dim=d_c, unknowns=unknowns, equations=len(rows), rank=rank, unique=True
+        commutant_dim=d_c, unknowns=unknowns, equations=len(edges), rank=rank, unique=True
     )
     return Connection(dim, gamma, scale), certificate
 

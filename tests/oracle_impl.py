@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, lcm
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -1414,6 +1414,17 @@ def naive_quaternionic_frame(metric: Matrix, js: tuple[Matrix, Matrix, Matrix]) 
     return sorted(frame, key=lambda f: max(i for i, x in enumerate(f) if x))
 
 
+def with_diagonal_metric(entry: CatalogEntry, diagonal: tuple[str, str]) -> dict:
+    """The wire document of `entry` under the diagonal metric with entries
+    diagonal[0] on the first half of the basis and diagonal[1] on the second."""
+    doc = serialize(entry)
+    dim = entry.dim
+    doc["metric"] = [
+        [diagonal[2 * r // dim] if r == c else "0" for c in range(dim)] for r in range(dim)
+    ]
+    return doc
+
+
 def load_document(doc: dict, directory: Path) -> CatalogEntry:
     """doc written to `directory` and loaded back through the catalog loader."""
     path = directory / f"{doc['name']}.json"
@@ -1507,6 +1518,27 @@ def fraction_difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     return cube_scale(total, Fraction(-1, 2))
 
 
+def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int, int]:
+    """Solve a x = b by `RowSpan` elimination, requiring the solution to
+    exist and be unique: the reference for `linalg.solve_pairs`.
+
+    Each sparse row holds one equation over columns 0..cols-1, with its
+    right-hand side in column `cols`. Returns the nonzero entries of
+    scale * x, all int, the least such scale and the rank of the system.
+    """
+    span = RowSpan(cols + 1)
+    for row in rows:
+        span.add(row)
+    if cols in span._rows:
+        raise LinAlgError("inconsistent system: no solution")
+    if span.rank < cols:
+        raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
+    held = [(pivot, row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row]
+    scale = lcm(*[d for _, _, d in held])
+    g = gcd(scale, *[v * (scale // d) for _, v, d in held])
+    return {pivot: v * (scale // d) // g for pivot, v, d in held}, scale // g, span.rank
+
+
 def fraction_solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
     """solve_unique with a Fraction read off per solved entry."""
     span = RowSpan(cols + 1)
@@ -1518,6 +1550,40 @@ def fraction_solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
         raise LinAlgError(f"solution not unique: rank {span.rank} < {cols} unknowns")
     x = {pivot: Fraction(row[cols], row[pivot]) for pivot, row in span._rows.items() if cols in row}
     return x, span.rank
+
+
+def rowspan_obata_oracle_solver(
+    h: HyperhermitianStructure, alg: LieAlgebra
+) -> tuple[Connection, SolverCertificate]:
+    """`obata.obata_oracle_solver` with its system solved by `RowSpan`
+    elimination (`solve_unique`) in place of the signed-graph walk."""
+    dim = h.dim
+    cbasis = commutant_basis(h)
+    d_c = len(cbasis)
+    unknowns = dim * d_c
+    owner = {
+        (a, b): (t, v) for t, c in enumerate(cbasis) for a, row in c.items() for b, v in row.items()
+    }
+    rows: list[Row] = []
+    for i, j in combinations(range(dim), 2):
+        bracket = alg.brackets.get((i, j), {})
+        for l in range(dim):
+            (t, v), (u, w) = owner[(l, j)], owner[(l, i)]
+            row: Row = {i * d_c + t: v, j * d_c + u: -w}
+            if l in bracket:
+                row[unknowns] = bracket[l]
+            rows.append(row)
+    x, scale, rank = solve_unique(rows, unknowns)
+    gamma = {
+        (i, b, a): x[i * d_c + t] * v
+        for (a, b), (t, v) in owner.items()
+        for i in range(dim)
+        if i * d_c + t in x
+    }
+    certificate = SolverCertificate(
+        commutant_dim=d_c, unknowns=unknowns, equations=len(rows), rank=rank, unique=True
+    )
+    return Connection(dim, gamma, scale), certificate
 
 
 def fraction_obata_oracle_solver(h: HyperhermitianStructure, alg: LieAlgebra) -> Cube:

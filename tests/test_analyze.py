@@ -152,8 +152,9 @@ def test_commutant_calls_no_nullspace(calls, cat, name):
 
 
 def test_non_hkt_solver_feeds_only_torsion_equations(monkeypatch, cat, tmp_path):
-    # hc16: the C(16, 2) * 16 = 1920 torsion-free equations, and no
-    # commutant equation, go into RowSpan
+    # hc16: the certificate counts the C(16, 2) * 16 = 1920 torsion-free
+    # equations over 16 * 64 unknowns, solved as a signed graph with no
+    # elimination: the analysis inserts no row into a RowSpan
     entry = direct_sum_entry(cat["hc_only8"], cat["hc_only8"], tmp_path)
     rows = []
     insert = RowSpan._insert
@@ -163,8 +164,15 @@ def test_non_hkt_solver_feeds_only_torsion_equations(monkeypatch, cat, tmp_path)
         return insert(self, row)
 
     monkeypatch.setattr(RowSpan, "_insert", counted)
-    analyze_entry(entry)
-    assert len(rows) == 1920
+    report = analyze_entry(entry)
+    assert report["obata"]["solver_certificate"] == {
+        "commutant_dim": 64,
+        "unknowns": 1024,
+        "equations": 1920,
+        "rank": 1024,
+        "unique": True,
+    }
+    assert rows == []
 
 
 def test_holonomy_closure_brackets_with_connection_operators_only(calls, cat):

@@ -9,6 +9,7 @@ import pytest
 from hktlab.analyze import expected_mismatches
 from hktlab.catalog import (
     CatalogError,
+    _quaternionic_frame,
     available_entries,
     builtin_by_name,
     builtin_catalog,
@@ -17,13 +18,14 @@ from hktlab.catalog import (
     serialize,
 )
 from hktlab import cli
-from hktlab.exact import FOUR_SQUARES_STEPS
+from hktlab.exact import FOUR_SQUARES_STEPS, parse_scalar
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import rebase_algebra
-from hktlab.linalg import sparse_matrix
+from hktlab.linalg import sparse_matrix, sparse_product, sparse_transpose
 
 from oracle_impl import (
     ALL_NAMES,
+    cayley_rotated,
     dense_js,
     direct_sum,
     invert,
@@ -32,6 +34,7 @@ from oracle_impl import (
     naive_quaternionic_frame,
     parsed_wire,
     transpose,
+    with_diagonal_metric,
 )
 
 
@@ -368,16 +371,10 @@ def _in_basis(entry, p):
     return doc, lie
 
 
-@pytest.mark.parametrize("name, seed", [("hopf4", 1), ("hopf4", 2), ("nil8", 3), ("hopf8", 4)])
-def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, seed):
-    # g = P^T P with P rational upper-triangular: the loader's inverse B^T g
-    # of its quaternionic frame B (built here from dense products) gives the
-    # brackets and J's that inverting B by elimination gives, and, the
-    # diagonal of P being positive, the entry P was built from
+def _upper_triangular(dim, seed):
+    """A rational upper-triangular matrix with a positive diagonal."""
     rng = random.Random(seed)
-    entry = cat[name]
-    dim = entry.dim
-    p = [
+    return [
         [
             Fraction(rng.randint(1, 3), rng.randint(1, 3)) if i == j
             else Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if i < j
@@ -386,7 +383,17 @@ def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, s
         ]
         for i in range(dim)
     ]
-    doc, doc_lie = _in_basis(entry, p)
+
+
+@pytest.mark.parametrize("name, seed", [("hopf4", 1), ("hopf4", 2), ("nil8", 3), ("hopf8", 4)])
+def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, seed):
+    # g = P^T P with P rational upper-triangular: the loader's inverse B^T g
+    # of its quaternionic frame B (built here from dense products) gives the
+    # brackets and J's that inverting B by elimination gives, and, the
+    # diagonal of P being positive, the entry P was built from
+    entry = cat[name]
+    dim = entry.dim
+    doc, doc_lie = _in_basis(entry, _upper_triangular(dim, seed))
     metric = [[Fraction(x) for x in row] for row in doc["metric"]]
     assert any(metric[i][j] for i in range(dim) for j in range(dim) if i != j)
     loaded = load(write_doc(tmp_path, doc))
@@ -402,6 +409,26 @@ def test_rebase_non_diagonal_metric_matches_invert_oracle(tmp_path, cat, name, s
     assert loaded.lie.brackets == entry.lie.brackets
     assert loaded.structure.j_sparse == entry.structure.j_sparse
     assert serialize(loaded)["metric"] == identity_rows(dim)
+
+
+def test_frame_js_match_the_product_form(tmp_path, cat, su3):
+    # the loader reads each J in its frame off the blocks; the product
+    # inverse * J * B of that frame B gives the same sparse matrices, key
+    # order included, on Cayley-rotated J's and on non-identity metrics
+    docs = [cayley_rotated(entry) for entry in (*cat.values(), su3)]
+    for name, diagonal in [("hopf8", ("7/5", "7/5")), ("hopf8", ("2", "3")), ("nil8", ("1/3", "5"))]:
+        docs.append(with_diagonal_metric(cat[name], diagonal))
+    for name, seed in [("hopf4", 1), ("hopf8", 4)]:
+        docs.append(_in_basis(cat[name], _upper_triangular(cat[name].dim, seed))[0])
+    for doc in docs:
+        dim = doc["dim"]
+        g = sparse_matrix([[parse_scalar(x) for x in row] for row in doc["metric"]])
+        _, js = parsed_wire(doc)
+        frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
+        base_change = sparse_transpose(frame)
+        products = tuple(sparse_product(inverse, sparse_product(j, base_change)) for j in js)
+        assert [list(j.items()) for j in j_frame] == [list(j.items()) for j in products]
+        assert load(write_doc(tmp_path, doc)).structure.j_sparse == products, doc["name"]
 
 
 def _typed(table):

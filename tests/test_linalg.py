@@ -13,7 +13,7 @@ from hktlab.linalg import (
     leading_minors_positive,
     nullspace,
     rref,
-    solve_unique,
+    solve_pairs,
     sparse_commutator,
     sparse_matrix,
     sparse_product,
@@ -35,6 +35,7 @@ from oracle_impl import (
     naive_solve_unique,
     rank,
     rational,
+    solve_unique,
     sparse,
     trace,
 )
@@ -319,6 +320,79 @@ def test_solve_unique_returns_canonical_ints(system_ab):
     x, scale, solved_rank = solve_unique(system(a, b), len(a[0]))
     assert is_canonical(x.values(), scale)
     assert rational(x, scale) == want and solved_rank == want_rank
+
+
+def pair_rows(edges, cols):
+    """The sparse rows of x_p + s x_q = b for `solve_unique`."""
+    rows = []
+    for p, q, s, b in edges:
+        row = {p: 1, q: s}
+        if b:
+            row[cols] = b
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def pair_systems(draw):
+    """Edges (p, q, s, b) over up to 7 unknowns: random signed graphs, so
+    components balanced and not, isolated unknowns and parallel edges, with
+    b = x_p + s x_q for a drawn x (consistent) or, on some edges, drawn
+    freely (an inconsistent cycle when one closes); ints and Fractions."""
+    cols = draw(st.integers(min_value=1, max_value=7))
+    values = st.one_of(st.integers(-4, 4), rationals)
+    x = draw(st.lists(values, min_size=cols, max_size=cols))
+    free = draw(st.booleans())
+    edges = []
+    count = draw(st.integers(min_value=0, max_value=12)) if cols > 1 else 0
+    for _ in range(count):
+        p = draw(st.integers(0, cols - 1))
+        q = draw(st.integers(0, cols - 2))
+        q += q >= p
+        s = draw(st.sampled_from((1, -1)))
+        b = draw(values) if free and draw(st.booleans()) else x[p] + s * x[q]
+        edges.append((p, q, s, b))
+    return edges, cols
+
+
+@given(pair_systems())
+@settings(max_examples=300)
+def test_solve_pairs_matches_rowspan_reference(system_pairs):
+    edges, cols = system_pairs
+    try:
+        want = solve_unique(pair_rows(edges, cols), cols)
+    except LinAlgError as exc:
+        with pytest.raises(LinAlgError) as got:
+            solve_pairs(edges, cols)
+        assert str(got.value) == str(exc)
+        return
+    x, scale, solved_rank = solve_pairs(edges, cols)
+    assert (x, scale, solved_rank) == want
+    assert all(type(v) is int for v in x.values()) and type(scale) is int
+
+
+def test_solve_pairs_known():
+    # an odd cycle fixes its root: x0 + x1 = 3, x1 + x2 = 5, x2 + x0 = 4
+    assert solve_pairs([(0, 1, 1, 3), (1, 2, 1, 5), (2, 0, 1, 4)], 3) == ({0: 1, 1: 2, 2: 3}, 1, 3)
+    # x0 - x1 = 1/2, x0 + x1 = 1 (parallel edges of opposite sign)
+    edges = [(0, 1, -1, Fraction(1, 2)), (1, 0, 1, 1)]
+    assert solve_pairs(edges, 2) == ({0: 3, 1: 1}, 4, 2)
+    with pytest.raises(LinAlgError, match="^inconsistent system: no solution$"):
+        solve_pairs([(0, 1, -1, 1), (1, 2, -1, 1), (2, 0, -1, 1)], 3)
+
+
+def test_solve_pairs_non_unique_rank():
+    # an unbalanced triangle on 0, 1, 2; the balanced edge 3 - 4 and the
+    # isolated unknown 5 each leave one root free: rank 6 - 2
+    edges = [(0, 1, 1, 2), (1, 2, 1, 2), (2, 0, 1, 2), (3, 4, -1, 1)]
+    message = "^solution not unique: rank 4 < 6 unknowns$"
+    with pytest.raises(LinAlgError, match=message):
+        solve_pairs(edges, 6)
+    with pytest.raises(LinAlgError, match=message):
+        solve_unique(pair_rows(edges, 6), 6)
+    # inconsistency is reported first, whatever the rank
+    with pytest.raises(LinAlgError, match="^inconsistent system"):
+        solve_pairs(edges + [(4, 3, -1, 1)], 6)
 
 
 def assert_fraction_free_echelon(span):

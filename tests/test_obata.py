@@ -33,7 +33,9 @@ from oracle_impl import (
     naive_trace_identities,
     obata_b_tensor,
     obata_formula,
+    rowspan_obata_oracle_solver,
     scaled_values,
+    with_diagonal_metric,
 )
 
 
@@ -202,6 +204,22 @@ def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
     assert conn == want_conn
     assert cert == want_cert
     assert cert.unknowns == 12 * 36 and cert.rank == cert.unknowns
+
+
+def test_solver_matches_rowspan_route_on_metamorphic_inputs(cat, su3, tmp_path):
+    # the signed-graph solve against RowSpan elimination of the same system:
+    # Cayley-rotated and re-metrized entries loaded back, and su3 and
+    # hc_only8 + su3, whose brackets hold Fractions and whose Obata
+    # connections are curved
+    docs = [cayley_rotated(cat[name]) for name in ("hopf8", "nil8", "hc_only8")]
+    docs += [with_diagonal_metric(cat["hopf8"], diagonal) for diagonal in (("7/5", "7/5"), ("2", "3"))]
+    entries = [load_document(doc, tmp_path) for doc in docs]
+    entries += [su3, direct_sum_entry(cat["hc_only8"], su3, tmp_path)]
+    for entry in entries:
+        conn, cert = obata_oracle_solver(entry.structure, entry.lie)
+        want_conn, want_cert = rowspan_obata_oracle_solver(entry.structure, entry.lie)
+        assert conn == want_conn, entry.name
+        assert cert == want_cert, entry.name
 
 
 def test_solver_rejects_nonintegrable():

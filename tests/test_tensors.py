@@ -198,7 +198,7 @@ def test_orthonormal_frame_off_diagonal():
     # g = [[1, 1], [1, 2]] + I_2 = P^T P in the basis given by the columns of
     # P = I + E_01, with the block J's carried along (P^-1 J P): the frame
     # the loader rebases to is g-orthonormal, its inverse rows are g f_a,
-    # and every J becomes a signed permutation in it
+    # and every J becomes a signed permutation in it, the one it returns
     from hktlab.catalog import _quaternionic_frame, builtin_by_name
 
     p = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -210,7 +210,7 @@ def test_orthonormal_frame_off_diagonal():
         for j in builtin_by_name()["hopf4"].structure.j_sparse
     ]
     js = [mat_mul(p_inv, mat_mul(j, p)) for j in block]
-    frame, inverse = _quaternionic_frame(sparse_matrix(g), tuple(map(sparse_matrix, js)), 4)
+    frame, inverse, j_frame = _quaternionic_frame(sparse_matrix(g), tuple(map(sparse_matrix, js)), 4)
     rows = [[frame[a].get(i, 0) for i in range(4)] for a in range(4)]
     for a, fa in enumerate(rows):
         for b, fb in enumerate(rows):
@@ -219,10 +219,11 @@ def test_orthonormal_frame_off_diagonal():
         assert inverse[a] == sparse_matrix([[sum(g[i][j] * fa[j] for j in range(4))
                                              for i in range(4)]])[0]
     lowered = [[inverse[a].get(i, 0) for i in range(4)] for a in range(4)]
-    for j in js:
+    for j, read_off in zip(js, j_frame):
         rebased = mat_mul(lowered, mat_mul(j, transpose(rows)))
         for row in rebased:
             assert sorted(map(abs, row)) == [0, 0, 0, 1]
+        assert sparse_matrix(rebased) == read_off
 
 
 mixed_cells = st.sampled_from([0, 0, 0, Fraction(0), 1, -1, 2, Fraction(1), Fraction(-1, 2)])
