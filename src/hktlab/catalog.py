@@ -250,10 +250,11 @@ def _quaternionic_frame(
 
 
 def load(path: str | Path, allow_unknown: bool = False) -> CatalogEntry:
-    """Parse and fully validate one wire document."""
+    """Parse and fully validate one wire document. Text that does not decode
+    or parse is a parse error, a RecursionError on deep nesting included."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CatalogError(f"{path}: parse error: {exc}") from None
     return _document_to_entry(doc, str(path), allow_unknown)
 

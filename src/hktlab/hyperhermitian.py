@@ -11,9 +11,9 @@ sparse wire J's and metric through `linalg.sparse_product` before a
 structure exists. The structure holds no metric: the engine works in
 the orthonormal frame that the loader builds, so the metric is the
 identity there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off
-J's nonzeros. `nijenhuis` and the type identities are pullbacks of sparse
-cubes (`tensors.cube_pullback`): the Nijenhuis tensor is built from the
-bracket cube c^k_ij and J.
+J's nonzeros. `nijenhuis` and each family of type identities is one
+term table of J-pullbacks for `tensors.cube_pullback`, of the bracket
+cube c^k_ij and of the torsion cube respectively.
 """
 
 from __future__ import annotations
@@ -99,18 +99,17 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
 
     Returns the cube n[(i, j, k)] = N(e_i, e_j)^k and its 3-form reading
     when totally skew (the cube lowered in the orthonormal frame), else
-    None. Each term is a pullback of the bracket cube c[(i, j, k)] = c^k_ij
-    (both orders of i, j): J on an argument slot, and J applied to the
-    value slot as the pullback through J^T.
+    None. The four terms are one pullback table of the bracket cube
+    c[(i, j, k)] = c^k_ij (both orders of i, j): J on an argument slot, and
+    J applied to the value slot as the pullback through J^T.
     """
     c: Cube = {}
     for (a, b), comps in alg.brackets.items():
         for k, v in comps.items():
             c[(a, b, k)], c[(b, a, k)] = v, -v
     jt = sparse_transpose(j)
-    n = cube_add(
-        cube_add(cube_pullback(c, j, j, None), cube_scale(c, -1)),
-        cube_scale(cube_add(cube_pullback(c, j, None, jt), cube_pullback(c, None, j, jt)), -1),
+    n = cube_pullback(
+        c, (1, j, j, None), (-1, None, None, None), (-1, j, None, jt), (-1, None, j, jt)
     )
     return n, cube_to_form(n, alg.dim)
 
@@ -191,39 +190,25 @@ class TypeCheckResult:
     value: Scalar | None = None
 
 
-def _first_nonzero(cube: Cube) -> tuple[tuple[int, int, int], Scalar] | None:
-    if not cube:
-        return None
-    idx = min(cube)
-    return idx, cube[idx]
-
-
 def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
-    """Both families of (1,2)+(2,1)-type identities for the torsion form."""
+    """Both families of (1,2)+(2,1)-type identities for the torsion form,
+    each residual one term table; a failure reports its least nonzero cell."""
     c = form_to_cube(t)
     for s, j in enumerate(h.j_sparse, 1):
-        residual = cube_add(
-            c,
-            cube_scale(
-                cube_add(
-                    cube_add(cube_pullback(c, j, j, None), cube_pullback(c, j, None, j)),
-                    cube_pullback(c, None, j, j),
-                ),
-                -1,
-            ),
+        residual = cube_pullback(
+            c, (1, None, None, None), (-1, j, j, None), (-1, j, None, j), (-1, None, j, j)
         )
-        hit = _first_nonzero(residual)
-        if hit:
-            return TypeCheckResult(False, "single", (s,), hit[0], hit[1])
+        if residual:
+            idx = min(residual)
+            return TypeCheckResult(False, "single", (s,), idx, residual[idx])
     for i, j, k in MIXED_TRIPLES:
         ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
-        residual = cube_add(
-            cube_add(cube_pullback(c, ji, ji, None), cube_scale(cube_pullback(c, jk, jk, None), -1)),
-            cube_scale(cube_add(cube_pullback(c, jk, ji, jj), cube_pullback(c, ji, jk, jj)), -1),
+        residual = cube_pullback(
+            c, (1, ji, ji, None), (-1, jk, jk, None), (-1, jk, ji, jj), (-1, ji, jk, jj)
         )
-        hit = _first_nonzero(residual)
-        if hit:
-            return TypeCheckResult(False, "mixed", (i, j, k), hit[0], hit[1])
+        if residual:
+            idx = min(residual)
+            return TypeCheckResult(False, "mixed", (i, j, k), idx, residual[idx])
     return TypeCheckResult(True)
 
 

@@ -35,7 +35,7 @@ from math import gcd, lcm
 from .exact import Scalar
 from .linalg import SparseMatrix, Vector, sparse_apply, sparse_commutator, sparse_subtract
 from .linalg import sparse_transpose
-from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_add, cube_pullback, cube_to_form
+from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_to_form
 from .tensors import integer_scaled
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
@@ -250,11 +250,17 @@ def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
     connection operator L = nabla_{e_i} (`Connection.operators[i]`).
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U). On int operators
-    and entries the result is int, over the product of their scales.
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U), summed in one
+    pass over A's entries and L's rows at each slot. On int operators and
+    entries the result is int, over the product of their scales.
     """
-    total = cube_add(cube_pullback(a, op, None, None), cube_pullback(a, None, op, None))
-    return {idx: -v for idx, v in cube_add(total, cube_pullback(a, None, None, op)).items()}
+    out: Cube = {}
+    for idx, v in a.items():
+        for slot, i in enumerate(idx):
+            for t, f in op.get(i, {}).items():
+                key = idx[:slot] + (t,) + idx[slot + 1 :]
+                out[key] = out.get(key, 0) - v * f
+    return {idx: v for idx, v in out.items() if v}
 
 
 def rebase_algebra(alg: LieAlgebra, frame: SparseMatrix, inverse: SparseMatrix) -> LieAlgebra:

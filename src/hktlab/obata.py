@@ -37,11 +37,10 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
     """
     ct = form_to_cube(t)
     j1, j2, j3 = h.j_sparse
-    total = cube_add(
-        cube_add(cube_pullback(ct, None, j1, j1), cube_pullback(ct, j1, j1, None)),
-        cube_add(cube_pullback(ct, None, j3, j3), cube_pullback(ct, j1, j3, j2)),
+    twice = cube_pullback(
+        ct, (-1, None, j1, j1), (-1, j1, j1, None), (-1, None, j3, j3), (-1, j1, j3, j2)
     )
-    return integer_scaled(cube_scale(total, -1), 2)
+    return integer_scaled(twice, 2)
 
 
 def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
@@ -49,22 +48,26 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)}.
 
     M commutes with J_s exactly when M[sigma_s(a)][sigma_s(b)] =
-    eps_s(a) eps_s(b) M[a][b], so a cell and its images under J1, J2, J3
-    span one element, with 1 at the cell. Taking each orbit at its last
-    cell a * dim + b gives the reduced-echelon nullspace basis, in order.
+    eps_s(a) eps_s(b) M[a][b], so a cell and its images under J1, J2, J3,
+    four cells, span one element. Walking the cells backwards builds each
+    orbit once, from its first unvisited cell: its last cell a * dim + b,
+    with 1 there. In the order of those cells this is the reduced-echelon
+    nullspace basis.
     """
-    dim = h.dim
     images = [{x: (y, v) for y, row in j.items() for x, v in row.items()} for j in h.j_sparse]
     basis: list[SparseMatrix] = []
-    for a in range(dim):
-        for b in range(dim):
+    seen: set[tuple[int, int]] = set()
+    for a in reversed(range(h.dim)):
+        for b in reversed(range(h.dim)):
+            if (a, b) in seen:
+                continue
             m: SparseMatrix = {a: {b: 1}}
             for image in images:
                 (p, x), (q, y) = image[a], image[b]
                 m.setdefault(p, {})[q] = 1 if x == y else -1  # eps_s(a) eps_s(b), an int
-            if max((p, q) for p, row in m.items() for q in row) == (a, b):
-                basis.append(m)
-    return basis
+            seen.update((p, q) for p, row in m.items() for q in row)
+            basis.append(m)
+    return basis[::-1]
 
 
 @dataclass(frozen=True)

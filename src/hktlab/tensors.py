@@ -23,6 +23,10 @@ and `==` compares two tensors entry for entry. A stored value is an int or
 a Fraction as the arithmetic leaves it (the report writes each rational by
 value, see `exact`); the connection coefficients and the difference
 tensor are held `integer_scaled`, as int entries over one least scale.
+The paper's identities are signed sums of pullbacks of one cube through
+the J's; `cube_pullback` takes such a sum as its term table
+(f, M1, M2, M3) and builds it in one pass, and `j_twist` is its one-term
+case on a 3-form's stored components.
 """
 
 from __future__ import annotations
@@ -125,28 +129,19 @@ def wedge(a: KForm, b: KForm) -> KForm:
 def j_twist(a: KForm, j: SparseMatrix) -> KForm:
     """The 3-form (X,Y,Z) -> -a(JX, JY, JZ).
 
-    Each stored component a_I is pushed through the nonzeros of the rows
-    i in I of J: a choice of distinct columns (c0, c1, c2), one nonzero per
-    row, adds the signed product to the 3x3 minor det J[I][sorted cols].
-    An output component sums a_I * minor over the nonzero minors.
+    The one-term pullback (-1, J, J, J) of the stored components a_I: each
+    image (c0, c1, c2) with distinct entries is folded onto its sorted
+    index with the sign perm_sign, which sums a_I times the 3x3 minor
+    det J[I][sorted cols] at every output component.
     """
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
-    totals: dict[tuple[int, int, int], Scalar] = {}
-    for idx, v in a.comps.items():
-        rows = [j.get(i, {}).items() for i in idx]
-        minors: dict[tuple[int, int, int], Scalar] = {}
-        for c0, x0 in rows[0]:
-            for c1, x1 in rows[1]:
-                for c2, x2 in rows[2]:
-                    sign = perm_sign((c0, c1, c2))
-                    if sign:
-                        out = tuple(sorted((c0, c1, c2)))
-                        minors[out] = minors.get(out, 0) + sign * x0 * x1 * x2
-        for out, d in minors.items():
-            if d:
-                totals[out] = totals.get(out, 0) + v * d
-    return KForm(a.dim, 3, {out: -totals[out] for out in sorted(totals)})
+    totals: dict[tuple[int, ...], Scalar] = {}
+    for idx, v in cube_pullback(a.comps, (-1, j, j, j)).items():
+        if sign := perm_sign(idx):
+            out = tuple(sorted(idx))
+            totals[out] = totals.get(out, 0) + sign * v
+    return KForm(a.dim, 3, {out: totals[out] for out in sorted(totals)})
 
 
 def form_to_matrix(a: KForm) -> SparseMatrix:
@@ -241,27 +236,25 @@ def cube_scale(a: Cube, s: Scalar) -> Cube:
     return {idx: s * v for idx, v in a.items()} if s else {}
 
 
-def _contract_slot(cube: Cube, m: SparseMatrix, slot: int) -> Cube:
-    """Replace slot arguments by M-images: out(.., e_t, ..) = in(.., M e_t, ..)."""
+_IDENTITY: SparseMatrix = {i: {i: 1} for i in range(MAX_DIM)}  # of every frame, dim <= MAX_DIM
+
+PullbackTerm = tuple[Scalar, SparseMatrix | None, SparseMatrix | None, SparseMatrix | None]
+
+
+def cube_pullback(cube: Cube, *terms: PullbackTerm) -> Cube:
+    """sum_t f_t * in(M1_t X, M2_t Y, M3_t Z) over the terms (f, M1, M2, M3),
+    each M_s sparse or None for the identity: an entry in(a, b, c) adds
+    f M1[a][x] M2[b][y] M3[c][z] in(a, b, c) at (x, y, z), in one pass over
+    the nonzeros per term, and the zeros go once at the end."""
     out: Cube = {}
-    for idx, v in cube.items():
-        for t, f in m.get(idx[slot], {}).items():
-            key = idx[:slot] + (t,) + idx[slot + 1 :]
-            out[key] = out.get(key, 0) + v * f
+    for f, *maps in terms:
+        m1, m2, m3 = (_IDENTITY if m is None else m for m in maps)
+        for (a, b, c), v in cube.items():
+            for x, p in m1.get(a, {}).items():
+                fp = f * p
+                for y, q in m2.get(b, {}).items():
+                    fpq = fp * q
+                    for z, r in m3.get(c, {}).items():
+                        key = (x, y, z)
+                        out[key] = out.get(key, 0) + fpq * r * v
     return {idx: v for idx, v in out.items() if v}
-
-
-def cube_pullback(
-    cube: Cube, m1: SparseMatrix | None, m2: SparseMatrix | None, m3: SparseMatrix | None
-) -> Cube:
-    """out(X,Y,Z) = in(M1 X, M2 Y, M3 Z) for sparse M_s; None means the identity."""
-    out = cube
-    for slot, m in enumerate((m1, m2, m3)):
-        if m is not None:
-            out = _contract_slot(out, m, slot)
-    return out
-
-
-def cube_norm_sq(cube: Cube) -> Scalar:
-    """Full-index-sum squared norm (no reweighting: the sum is literal)."""
-    return sum(v * v for v in cube.values())

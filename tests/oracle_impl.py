@@ -320,8 +320,8 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
     """
     c = form_to_cube(a)
     mixed = cube_add(
-        cube_add(cube_pullback(c, sj, sj, None), cube_pullback(c, sj, None, sj)),
-        cube_pullback(c, None, sj, sj),
+        cube_add(cube_pullback(c, (1, sj, sj, None)), cube_pullback(c, (1, sj, None, sj))),
+        cube_pullback(c, (1, None, sj, sj)),
     )
     combined = cube_scale(cube_add(c, cube_scale(mixed, -1)), Fraction(1, 4))
     form = cube_to_form(combined, a.dim)
@@ -332,7 +332,7 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
 
 def cube_map_output(cube: Cube, m: Matrix) -> Cube:
     """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
-    return cube_pullback(cube, None, None, sparse_matrix(transpose(m)))
+    return cube_pullback(cube, (1, None, None, sparse_matrix(transpose(m))))
 
 
 def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
@@ -348,13 +348,13 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
     s1, s2, s3 = h.j_sparse
     terms = [
         t_cube,
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, s1, None), j1), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, s2, None), j2), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, None, s3, None), j3), -1),
-        cube_pullback(t_cube, s1, s1, None),
-        cube_map_output(cube_pullback(t_cube, s1, None, None), j1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, s1, s3, None), j2), -1),
-        cube_map_output(cube_pullback(t_cube, s1, s2, None), j3),
+        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s1, None)), j1), -1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s2, None)), j2), -1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s3, None)), j3), -1),
+        cube_pullback(t_cube, (1, s1, s1, None)),
+        cube_map_output(cube_pullback(t_cube, (1, s1, None, None)), j1),
+        cube_scale(cube_map_output(cube_pullback(t_cube, (1, s1, s3, None)), j2), -1),
+        cube_map_output(cube_pullback(t_cube, (1, s1, s2, None)), j3),
     ]
     total = terms[0]
     for term in terms[1:]:
@@ -362,9 +362,24 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
     return cube_scale(total, Fraction(-1, 4))
 
 
+def naive_cube_pullback(cube: Cube, m1: Matrix, m2: Matrix, m3: Matrix) -> Cube:
+    """out(X, Y, Z) = in(M1 X, M2 Y, M3 Z) on dense matrices: every output
+    entry sums M1[a][x] M2[b][y] M3[c][z] in(a, b, c), zero cells of the
+    matrices included, over the stored entries of the cube."""
+    dim = len(m1)
+    out: Cube = {}
+    for x in range(dim):
+        for y in range(dim):
+            for z in range(dim):
+                total = sum(m1[a][x] * m2[b][y] * m3[c][z] * v for (a, b, c), v in cube.items())
+                if total:
+                    out[(x, y, z)] = total
+    return out
+
+
 def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
     """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
-    return all(cube_pullback(a, None, j, j) == a for j in h.j_sparse)
+    return all(cube_pullback(a, (1, None, j, j)) == a for j in h.j_sparse)
 
 
 def sparse(row: Vector) -> Row:
@@ -1512,8 +1527,8 @@ def fraction_difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     ct = form_to_cube(t)
     j1, j2, j3 = h.j_sparse
     total = cube_add(
-        cube_add(cube_pullback(ct, None, j1, j1), cube_pullback(ct, j1, j1, None)),
-        cube_add(cube_pullback(ct, None, j3, j3), cube_pullback(ct, j1, j3, j2)),
+        cube_add(cube_pullback(ct, (1, None, j1, j1)), cube_pullback(ct, (1, j1, j1, None))),
+        cube_add(cube_pullback(ct, (1, None, j3, j3)), cube_pullback(ct, (1, j1, j3, j2))),
     )
     return cube_scale(total, Fraction(-1, 2))
 

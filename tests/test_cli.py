@@ -320,6 +320,25 @@ def test_check_non_utf8_file_is_invalid_input(capsys, tmp_path):
     assert "invalid input:" in err and "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000 + "]" * 200000, '{"n": ' + "7" * 5000 + "}"],
+    ids=["nesting-past-recursion-limit", "integer-past-digit-limit"],
+)
+def test_unparseable_document_is_invalid_input(capsys, tmp_path, monkeypatch, text):
+    # json.loads raises RecursionError and ValueError here, not
+    # JSONDecodeError: both are parse errors (exit 1), never exit 3
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(path))
+    assert rc == 1
+    assert "invalid input:" in err and "parse error" in err
+    monkeypatch.setenv("HKTLAB_CATALOG_DIR", str(tmp_path))
+    rc, out, err = run(capsys, "check", "--builtin", "hopf4")
+    assert rc == 0 and out.startswith("ok: hopf4")
+    assert err.count("warning:") == 1 and "bad.json" in err and "parse error" in err
+
+
 def test_analyze_cayley_rotated_hopf4_exits_zero(capsys, tmp_path, cat):
     # hopf4 in a rotated rational orthonormal basis, where J1 is no signed
     # permutation: the saved document analyzes to hopf4's verdict

@@ -328,12 +328,12 @@ def test_mixed_family_orientation_pin(cat, torsions):
         ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
         return cube_add(
             cube_add(
-                cube_pullback(c, ji, ji, None),
-                cube_scale(cube_pullback(c, jk, jk, None), -1),
+                cube_pullback(c, (1, ji, ji, None)),
+                cube_scale(cube_pullback(c, (1, jk, jk, None)), -1),
             ),
             cube_add(
-                cube_scale(cube_pullback(c, jk, ji, jj), -1),
-                cube_scale(cube_pullback(c, ji, jk, jj), -1),
+                cube_scale(cube_pullback(c, (1, jk, ji, jj)), -1),
+                cube_scale(cube_pullback(c, (1, ji, jk, jj)), -1),
             ),
         )
 

@@ -14,6 +14,9 @@ A function that meets none of them is called by nothing in the package:
 move it next to the tests that use it (`tests/oracle_impl.py`) or delete
 it.
 
+Every name a package module imports (apart from `__future__` features) is
+read in that module; `__init__.py` is exempt, since it imports to export.
+
 Only the modules in TYPE_TESTING may test a scalar's Python type
 (`isinstance(..., Fraction)`, `type(...) is int`): the engine computes
 values, and the report decides how a rational is written.
@@ -132,6 +135,48 @@ def test_kept_functions_need_keeping():
     for name in KEPT:
         assert name in public, name
         assert not _covered(public[name], name, readers, benchmarked), name
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """The names the module imports (not `__future__` features) that no
+    `ast.Name` in it loads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    loaded = {
+        sub.id
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+    return sorted(imported - loaded)
+
+
+def test_every_import_is_read():
+    found = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        if path.stem != "__init__"
+        for name in _unread_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "code, unread",
+    [
+        ("from .tensors import cube_add, cube_scale\ncube_add({}, {})", ["cube_scale"]),
+        ("import json\njson.loads('1')", []),
+        ("import os.path\nos.path.join", []),
+        ("from fractions import Fraction as F\nx: F", []),
+        ("from __future__ import annotations", []),
+        ("import sys", ["sys"]),
+    ],
+)
+def test_unread_imports_are_found(code, unread):
+    assert _unread_imports(ast.parse(code)) == unread
 
 
 def _names(node: ast.AST) -> set[str]:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.linalg import sparse_matrix
+from hktlab.linalg import identity, sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -29,6 +29,7 @@ from oracle_impl import (
     cube_map_output,
     form_scale,
     mat_mul,
+    naive_cube_pullback,
     naive_wedge_eval,
     transpose,
 )
@@ -147,9 +148,13 @@ def test_cube_to_form_rejects_non_skew():
 def test_cube_pullback_identity_slots():
     f = basis_form(4, (0, 1, 2))
     cube = form_to_cube(f)
-    assert cube_pullback(cube, None, None, None) == cube
+    assert cube_pullback(cube, (1, None, None, None)) == cube
     minus = {i: {i: -1} for i in range(4)}
-    assert cube_pullback(cube, minus, minus, minus)[(0, 1, 2)] == -1
+    assert cube_pullback(cube, (1, minus, minus, minus))[(0, 1, 2)] == -1
+    # {} is the zero map, None the identity; no term is the zero cube
+    assert cube_pullback(cube, (1, {}, None, None)) == {}
+    assert cube_pullback(cube, (1, None, None, None), (1, None, {}, None)) == cube
+    assert cube_pullback(cube) == {}
 
 
 # small values, so that sums of products cancel often
@@ -172,15 +177,33 @@ def test_cube_results_store_no_zero(cube, form, m1, m2, s):
         cube_scale(cube, 0),
         negated,
         cube_add(cube, form_to_cube(form)),
-        cube_add(cube, cube_pullback(cube, s1, s1, s1)),
-        cube_pullback(cube, s1, None, None),
-        cube_pullback(cube, None, s1, s2),
-        cube_pullback(cube, s2, s1, s2),
+        cube_add(cube, cube_pullback(cube, (1, s1, s1, s1))),
+        cube_pullback(cube, (1, s1, None, None)),
+        cube_pullback(cube, (1, None, s1, s2)),
+        cube_pullback(cube, (1, s2, s1, s2)),
         cube_map_output(cube, m1),
-        cube_map_output(cube_pullback(cube, s2, None, None), m1),
+        cube_map_output(cube_pullback(cube, (1, s2, None, None)), m1),
     ]
     for result in results:
         assert 0 not in result.values()
+
+
+# a map of a pullback term: None (the identity), the zero map, a dense one
+pullback_map = st.sampled_from([None, [[0] * 4] * 4]) | random_matrix
+pullback_term = st.tuples(small | rationals, pullback_map, pullback_map, pullback_map)
+
+
+@given(random_cube, st.lists(pullback_term, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_cube_pullback_matches_dense_oracle(cube, terms):
+    # the sum of one dense pullback per term, each scaled by its coefficient
+    eye = identity(4)
+    want, sparse_terms = {}, []
+    for f, *maps in terms:
+        dense = (eye if m is None else m for m in maps)
+        want = cube_add(want, cube_scale(naive_cube_pullback(cube, *dense), f))
+        sparse_terms.append((f, *(None if m is None else sparse_matrix(m) for m in maps)))
+    assert cube_pullback(cube, *sparse_terms) == want
 
 
 def test_j_twist_known():
