@@ -185,7 +185,10 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
     defect = lie.jacobi_defect
     if defect is not None:
         triple, vec = defect
-        raise CatalogError(f"structure_constants: Jacobi identity fails at {triple}: defect {vec}")
+        written = ", ".join(map(format_scalar, vec))
+        raise CatalogError(
+            f"structure_constants: Jacobi identity fails at {triple}: defect [{written}]"
+        )
     g = sparse_matrix(metric)
     if sparse_transpose(g) != g:
         raise CatalogError("metric: not symmetric")

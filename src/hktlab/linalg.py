@@ -1,20 +1,16 @@
 """Exact linear algebra over rational scalars.
 
 Dense matrices (lists of row lists) exist only at the wire: the loader
-parses its rows densely and `sparse_matrix` converts them once, and
-`serialize` writes `identity` rows; `rref`, `det` and
-`leading_minors_positive` take dense rows. Entries are ints or Fractions.
-The one Gaussian elimination is `RowSpan`, which keeps a row space in
-sparse, fraction-free reduced echelon form. Its input rows are sparse
-rows, {column: value} dicts without zeros (the idiom of `KForm.comps` and
-of the cubes), because the holonomy generators are almost all zeros; its
-stored rows are primitive integer rows, so the elimination runs on Python
-ints. A row of plain ints enters as it is and a row that reduces to one
-entry is stored as a unit without a gcd; Fraction rows are rescaled to
-ints once, on entry. The holonomy closure grows it; `nullspace` (no
-package reader; kept for the HKT-metric cone), `rref` and `det` read
-their answers off its stored rows. `solve_pairs` solves the torsion-free
-system, a signed graph, by one walk per component with no elimination.
+parses its rows densely and `sparse_matrix` converts them once,
+`serialize` writes `identity` rows, and `rref` takes dense rows. Entries
+are ints or Fractions. The one Gaussian elimination is `RowSpan`, a
+fraction-free reduced echelon form over sparse rows, {column: value} dicts
+without zeros (the idiom of `KForm.comps` and of the cubes), since the
+holonomy generators are almost all zeros. The holonomy closure grows it;
+`nullspace` (no package reader; kept for the HKT-metric cone) and `rref`
+read their answers off its stored rows. `solve_pairs` solves the
+torsion-free system, a signed graph, by one walk per component with no
+elimination.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy
@@ -199,27 +195,6 @@ def solve_pairs(edges: list[tuple[int, int, int, Scalar]], cols: int) -> tuple[R
     return {p: v // g for p, v in x.items()}, scale // g, cols
 
 
-def det(a: Matrix) -> Fraction:
-    """Product of the pivot values, signed by the order the pivots appear."""
-    span = RowSpan(len(a))
-    order: list[int] = []
-    num = den = 1
-    for row in a:
-        step = span._insert(_sparse(row))
-        if step is None:
-            return Fraction(0)
-        order.append(step[0])
-        num *= step[1]
-        den *= step[2]
-    inversions = sum(p > q for i, p in enumerate(order) for q in order[i + 1 :])
-    return Fraction(-num if inversions % 2 else num, den)
-
-
-def leading_minors_positive(a: Matrix) -> bool:
-    """Exact positive-definiteness test for a symmetric matrix."""
-    return all(det([row[: k + 1] for row in a[: k + 1]]) > 0 for k in range(len(a)))
-
-
 def _subtract(target: Row, f: Scalar, row: Row) -> None:
     """target -= f * row in place, dropping entries that cancel."""
     for j, y in row.items():
@@ -228,6 +203,34 @@ def _subtract(target: Row, f: Scalar, row: Row) -> None:
             target[j] = x
         else:
             del target[j]
+
+
+def _eliminate(v: dict[int, int], row: dict[int, int], pivot: int) -> None:
+    """v <- m*v - c*row in place, with c = v[pivot] and m = row[pivot],
+    both divided by gcd(c, m): v then vanishes at the pivot of `row`. A
+    pivot entry is positive, so m > 0 keeps the signs of v's other entries."""
+    c, d = v[pivot], row[pivot]
+    if d != 1:
+        g = gcd(c, d)
+        c //= g
+        m = d // g
+        if m != 1:
+            for j in v:
+                v[j] *= m
+    _subtract(v, c, row)
+
+
+def _make_primitive(row: dict[int, int], pivot: int) -> None:
+    """Divide row in place by the gcd of its entries, signed so that its
+    pivot entry comes out positive."""
+    lead = row[pivot]
+    if lead != 1:
+        g = gcd(*row.values())
+        if lead < 0:
+            g = -g
+        if g != 1:
+            for j in row:
+                row[j] //= g
 
 
 class RowSpan:
@@ -241,32 +244,27 @@ class RowSpan:
     at its own pivot, 0 at every other pivot and left of its pivot. So the
     stored row divided by its pivot entry is the row of the reduced echelon
     form, which the readers (`rref`, `nullspace`) read as
-    row[j] / row[pivot]. A reduction step is
-    v <- d*v - c*r for the stored row r with pivot entry d and the entry c
-    of v at that pivot, both divided by gcd(c, d); no Fraction is built
-    inside the elimination. A column index lists, for each column, the
-    stored rows with a nonzero there off their own pivot, so a new pivot
-    is back-substituted into exactly the rows that hold its column.
+    row[j] / row[pivot]. One step, `_eliminate`, clears a pivot column
+    with integer arithmetic; no Fraction is built inside the elimination.
+    It reduces a new row against the stored rows, and back-substitutes a
+    new pivot into each stored row that holds its column.
 
     The holonomy closure uses `add` for exact rank growth (True when the
-    row enlarges the span); the module's other eliminations are built on
-    `_insert`.
+    row enlarges the span); `rref` and `nullspace` are built on `_insert`.
     """
 
     def __init__(self, length: int):
         self.length = length
         self._rows: dict[int, dict[int, int]] = {}
-        self._holders: dict[int, set[int]] = {}  # column -> pivots of the rows holding it
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Row) -> tuple[dict[int, int], int]:
-        """vec reduced against the stored rows, as an integer row that is
-        `scale` times the rational reduced vector, and that scale."""
+    def _reduce(self, vec: Row) -> dict[int, int]:
+        """vec reduced against the stored rows, as an integer row: a
+        positive multiple of the rational reduced vector."""
         if _INT.issuperset(map(type, vec.values())):  # every type(x) is int
-            scale = 1
             v = dict(vec)
         else:
             scale = lcm(*[x.denominator for x in vec.values()])
@@ -274,77 +272,23 @@ class RowSpan:
         rows = self._rows
         # Stored rows vanish at every other pivot, so one pass clears them all.
         for pivot in [j for j in v if j in rows]:
-            row = rows[pivot]
-            c, d = v[pivot], row[pivot]
-            if d != 1:
-                g = gcd(c, d)
-                c //= g
-                m = d // g
-                if m != 1:
-                    scale *= m
-                    for j in v:
-                        v[j] *= m
-            for j, y in row.items():
-                x = v.get(j, 0) - c * y
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
-        return v, scale
+            _eliminate(v, rows[pivot], pivot)
+        return v
 
-    def _insert(self, vec: Row) -> tuple[int, int, int] | None:
-        """Add vec; return (new pivot, value, scale), where value / scale is
-        the pivot entry of the reduced vec, or None when vec already lies in
+    def _insert(self, vec: Row) -> int | None:
+        """Add vec; return its new pivot, or None when vec already lies in
         the span."""
-        v, scale = self._reduce(vec)
+        v = self._reduce(vec)
         if not v:
             return None
         pivot = min(v)
-        value = v[pivot]
-        if len(v) == 1:
-            v[pivot] = 1
-        else:
-            g = gcd(*v.values())
-            if value < 0:
-                g = -g
-            if g != 1:
-                for j in v:
-                    v[j] //= g
-        d = v[pivot]
-        rows, holders = self._rows, self._holders
-        for p in holders.pop(pivot, ()):
-            row = rows[p]
-            c = row[pivot]
-            if d != 1:
-                g = gcd(c, d)
-                c //= g
-                m = d // g
-                if m != 1:
-                    for j in row:
-                        row[j] *= m
-            for j, y in v.items():
-                x = row.get(j, 0) - c * y
-                if not x:
-                    del row[j]
-                    if j != pivot:
-                        holders[j].discard(p)
-                else:
-                    if j not in row:
-                        holders.setdefault(j, set()).add(p)
-                    row[j] = x
-            if row[p] != 1:
-                g = gcd(*row.values())
-                if g != 1:
-                    for j in row:
-                        row[j] //= g
-        for j in v:
-            if j != pivot:
-                holders.setdefault(j, set()).add(pivot)
-        rows[pivot] = v
-        return pivot, value, scale
-
-    def contains(self, vec: Row) -> bool:
-        return not self._reduce(vec)[0]
+        _make_primitive(v, pivot)
+        for p, row in self._rows.items():
+            if pivot in row:
+                _eliminate(row, v, pivot)
+                _make_primitive(row, p)
+        self._rows[pivot] = v
+        return pivot
 
     def add(self, vec: Row) -> bool:
         return self._insert(vec) is not None

@@ -430,18 +430,6 @@ def naive_solve_unique(a: Matrix, b: Vector) -> Vector:
     return x
 
 
-def naive_det(a: Matrix) -> Fraction:
-    """Leibniz formula: signed sum over all permutations."""
-    n = len(a)
-    total = Fraction(0)
-    for sigma in permutations(range(n)):
-        term = Fraction(perm_parity(sigma))
-        for i in range(n):
-            term *= a[i][sigma[i]]
-        total += term
-    return total
-
-
 def naive_wedge_eval(a: KForm, b: KForm, idx: tuple[int, ...]) -> Fraction:
     """(a ^ b)(X_idx) via the full permutation sum divided by p! q!."""
     p, q = a.degree, b.degree

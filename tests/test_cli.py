@@ -183,6 +183,47 @@ def test_usage_errors_exit_one(capsys):
     assert rc == 1 and "usage error:" in err
 
 
+# each call's options differ from the last one's, so an option or default
+# kept from an earlier call would show; the fourth is a parser usage error
+ONE_PROCESS_CALLS = [
+    ("check", "--builtin", "hopf4"),
+    ("analyze", "--all"),
+    ("holonomy", "--builtin", "nil8", "--connection", "bismut"),
+    ("holonomy", "--builtin", "nil8"),
+    ("analyze", "--builtin", "hopf4", "--format", "xml"),
+    ("catalog", "--list"),
+    ("check", "--builtin", "nil8"),
+]
+
+
+def test_main_calls_share_one_parser(capsys):
+    fresh = []
+    for argv in ONE_PROCESS_CALLS:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [rc for rc, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0]
+    parser = cli._build_parser()
+    assert [run(capsys, *argv) for argv in ONE_PROCESS_CALLS] == fresh
+    assert cli._build_parser() is parser
+
+
+@pytest.mark.parametrize(
+    "constant, message",
+    [
+        ([0, 1, 1, "1/2"], "fails at (0, 1, 2): defect [0, 0, 0, 1]"),
+        ([0, 1, 2, "1/3"], "fails at (0, 1, 3): defect [0, 2/3, 0, 0]"),
+    ],
+)
+def test_jacobi_defect_written_in_wire_format(capsys, tmp_path, cat, constant, message):
+    doc = serialize(cat["hopf4"])
+    doc["structure_constants"].append(constant)
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run(capsys, "check", str(path))
+    assert (rc, out) == (1, "")
+    assert err == f"invalid input: structure_constants: Jacobi identity {message}\n"
+
+
 def test_holonomy_default_obata(capsys):
     rc, out, err = run(capsys, "holonomy", "--builtin", "hopf4")
     assert rc == 0

@@ -9,8 +9,6 @@ from hktlab import linalg
 from hktlab.linalg import (
     LinAlgError,
     RowSpan,
-    det,
-    leading_minors_positive,
     nullspace,
     rref,
     solve_pairs,
@@ -29,7 +27,6 @@ from oracle_impl import (
     fraction_solve_unique,
     invert,
     is_canonical,
-    naive_det,
     naive_nullspace,
     naive_rref,
     naive_solve_unique,
@@ -89,12 +86,6 @@ def test_solve_underdetermined():
         solve_unique(system([[1, 1], [2, 2]], [1, 2]), 2)
 
 
-def test_det_known():
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([[2, 0, 0], [0, 3, 0], [0, 0, 4]]) == 24
-    assert det([[1, 2], [2, 4]]) == 0
-
-
 def test_invert_known():
     a = [[2, 1], [1, 1]]
     assert mat_mul(a, invert(a)) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
@@ -103,12 +94,6 @@ def test_invert_known():
 def test_invert_singular():
     with pytest.raises(LinAlgError):
         invert([[1, 1], [1, 1]])
-
-
-def test_leading_minors():
-    assert leading_minors_positive([[2, 1], [1, 2]])
-    assert not leading_minors_positive([[1, 2], [2, 1]])
-    assert not leading_minors_positive([[-1, 0], [0, 1]])
 
 
 @given(square(3))
@@ -120,15 +105,9 @@ def test_rank_bounds_and_nullity(a):
 
 
 @given(square(3))
-@settings(max_examples=40)
-def test_det_zero_iff_rank_deficient(a):
-    assert (det(a) == 0) == (rank(a) < 3)
-
-
-@given(square(3))
 @settings(max_examples=30)
 def test_invert_round_trip(a):
-    if det(a) == 0:
+    if rank(a) < 3:
         return
     assert mat_mul(a, invert(a)) == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
@@ -189,14 +168,21 @@ def test_sparse_kernels_match_dense(pair, f):
     assert target == {}
 
 
+def in_span(span, row):
+    """Whether the dense row lies in the row space of the span's stored
+    rows, by the rank oracle."""
+    stored = [dense(r, span.length) for r in span._rows.values()]
+    return rank(stored + [row]) == rank(stored)
+
+
 def test_rowspan_incremental_matches_batch_rank():
     rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]]
     span = RowSpan(3)
     added = [span.add(sparse(r)) for r in rows]
     assert added == [True, False, True, False]
     assert span.rank == rank(rows)
-    assert span.contains(sparse([3, 7, 1]))
-    assert not span.contains(sparse([0, 0, 1]))
+    assert in_span(span, [3, 7, 1])
+    assert not in_span(span, [0, 0, 1])
 
 
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=6))
@@ -207,7 +193,7 @@ def test_rowspan_rank_agrees_with_rref(rows):
         span.add(sparse(r))
     assert span.rank == rank(rows)
     for r in rows:
-        assert span.contains(sparse(r))
+        assert in_span(span, r) and not span.add(sparse(r))
 
 
 @st.composite
@@ -224,12 +210,6 @@ def test_rref_matches_dense_oracle(a):
     assert rref(a) == naive_rref(a)
 
 
-@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: square(n, sparse_rationals)))
-@settings(max_examples=80)
-def test_det_matches_leibniz(a):
-    assert det(a) == naive_det(a)
-
-
 def test_rref_and_det_bypass_rowspan_add(monkeypatch):
     calls = []
     original = linalg.RowSpan.add
@@ -241,9 +221,9 @@ def test_rref_and_det_bypass_rowspan_add(monkeypatch):
     monkeypatch.setattr(linalg.RowSpan, "add", counting_add)
     a = [[0, 2, 1], [1, 0, 3], [4, 1, 0]]
     rref(a)
-    det(a)
     rank(a)
     invert(a)
+    nullspace([sparse(r) for r in a], 3)
     assert calls == []
     assert RowSpan(3).add(sparse([1, 0, 0]))
     assert len(calls) == 1
@@ -398,18 +378,12 @@ def test_solve_pairs_non_unique_rank():
 def assert_fraction_free_echelon(span):
     """Each stored row is a primitive integer row: ints only, gcd 1, a
     positive entry at its own pivot, nothing left of it and 0 at every
-    other pivot; the column index lists exactly the rows holding a column
-    off their pivot."""
-    holders = {}
+    other pivot."""
     for pivot, row in span._rows.items():
         assert row and all(type(x) is int and x for x in row.values())
         assert min(row) == pivot and row[pivot] > 0
         assert gcd(*row.values()) == 1
         assert not any(j in span._rows for j in row if j != pivot)
-        for j in row:
-            if j != pivot:
-                holders.setdefault(j, set()).add(pivot)
-    assert {j: s for j, s in span._holders.items() if s} == holders
 
 
 @given(st.lists(st.lists(sparse_rationals, min_size=6, max_size=6), min_size=1, max_size=8))
@@ -437,23 +411,24 @@ def test_rowspan_int_rows_match_integral_fraction_rows(rows):
     ints, fractions = RowSpan(6), RowSpan(6)
     for row in rows:
         as_fractions = {j: Fraction(x) for j, x in row.items()}
-        assert ints.contains(row) == fractions.contains(as_fractions)
+        member = in_span(ints, dense(row, 6))
         got, want = ints._insert(row), fractions._insert(as_fractions)
-        assert repr(got) == repr(want)
+        assert got == want and (got is None) == member
         assert row == as_fractions  # the int path reduces a copy
         assert repr(ints._rows) == repr(fractions._rows)
-        assert ints._holders == fractions._holders
         assert_fraction_free_echelon(ints)
     assert ints.rank == rank([dense(row, 6) for row in rows])
 
 
 def test_rowspan_single_entry_rows_store_unit_pivots():
     span = RowSpan(3)
-    assert span._insert({1: 2, 2: 4}) == (1, 2, 1)
-    assert span._insert({2: -6}) == (2, -6, 1)
+    assert span._insert({1: 2, 2: 4}) == 1
+    assert span._rows == {1: {1: 1, 2: 2}}
+    assert span._insert({2: -6}) == 2
     assert span._rows == {1: {1: 1}, 2: {2: 1}}
-    assert span._insert({0: Fraction(-3, 2)}) == (0, -3, 2)
+    assert span._insert({0: Fraction(-3, 2)}) == 0
     assert span._rows[0] == {0: 1}
+    assert span._insert({0: 5, 2: Fraction(1, 7)}) is None
     assert_fraction_free_echelon(span)
 
 
@@ -462,9 +437,8 @@ HILBERT6 = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
 
 def test_hilbert_matrix_against_dense_oracles():
     """An ill-conditioned pinned example: the 6 x 6 Hilbert matrix has
-    entries 1/(i+j+1), an integer inverse and a tiny determinant."""
+    entries 1/(i+j+1) and an integer inverse."""
     h = HILBERT6
-    assert det(h) == naive_det(h) == Fraction(1, 186313420339200000)
     inverse = invert(h)
     augmented = [row + [Fraction(int(i == j)) for j in range(6)] for i, row in enumerate(h)]
     assert inverse == [row[6:] for row in naive_rref(augmented)[0]]

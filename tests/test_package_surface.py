@@ -53,8 +53,6 @@ TYPE_TESTING = {"exact", "linalg", "analyze"}
 DENSE_MATRIX = {"linalg", "catalog"}
 
 KEPT = {
-    "leading_minors_positive": "the positive-definiteness witness of the HKT-metric cone"
-    " (ROADMAP direction 3)",
     "nullspace": "the subspace of invariant HKT metrics under the HKT-metric cone"
     " (ROADMAP direction 4) and the integrable brackets of the seeded input generator",
 }
