@@ -3,10 +3,12 @@
 Produces a JSON-ready report with stable key order: validation, the common
 skew-torsion check, Lee form, both constructions of the torsion-free
 hypercomplex connection, every identity suite, trace data, holonomy, and
-the final structure verdict. All scalars are exact. Each named rational
-field (forms, scalars, norms, traces) is a wire-format string; the engine
-scalars inside a counterexample or a first difference are written by
-value, an integral one as a JSON integer (see `exact`).
+the final structure verdict. Each identity check, a `classify` failure
+included, is one (holds, label) row added by the stage that runs it;
+`theorem_violations` lists the failing labels in that order. All scalars
+are exact. Each named rational field (forms, scalars, norms, traces) is a
+wire-format string; the engine scalars inside a counterexample or a first
+difference are written by value, an integral one as a JSON integer.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ _SECTIONS = (
     "identity_suites", "dt_traces", "bismut", "obata",
     "holonomy", "verdict", "obstruction", "theorem_checks",
 )
+_Row = tuple[bool, str]  # one identity check: (it holds, its violation label)
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
     """
     start = time.perf_counter()
     alg, h = entry.lie, entry.structure
-    violations: list[str] = []
+    rows: list[_Row] = []  # each stage adds its checks, in report order
 
     hkt = hkt_check(h, alg)
     report = _validation_stage(entry, hkt)
@@ -135,10 +138,10 @@ def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
         tor = _Torsion(t, dt, lee, lc, bismut_connection(t, lc), difference_tensor(t, h))
     tf = None
     if hkt.first_nonintegrable is None:
-        tf = _torsion_free_stage(tor, h, alg, report, violations)
-    dtt = _identity_stage(tor, tf, h, alg, report, violations) if tor else None
-    report["verdict"] = _verdict_stage(tor, tf, dtt, violations)
-    report["theorem_violations"] = violations
+        tf = _torsion_free_stage(tor, h, alg, report, rows)
+    dtt = _identity_stage(tor, tf, h, alg, report, rows) if tor else None
+    report["verdict"] = _verdict_stage(tor, tf, dtt, rows)
+    report["theorem_violations"] = [label for ok, label in rows if not ok]
     report["elapsed_ms"] = int(round((time.perf_counter() - start) * 1000))
     return report
 
@@ -178,7 +181,7 @@ def _torsion_free_stage(
     h: HyperhermitianStructure,
     alg: LieAlgebra,
     report: dict[str, object],
-    violations: list[str],
+    rows: list[_Row],
 ) -> _TorsionFree:
     """The solver always runs, for its uniqueness certificate. With a common
     torsion the connection comes from the difference tensor and must agree
@@ -189,17 +192,18 @@ def _torsion_free_stage(
     else:
         ob = obata_from_difference(tor.skew, tor.a, h, alg)
         routes_agree = ob == solver_conn
-        if not routes_agree:
-            violations.append("difference-tensor and solver connections disagree")
     r_ob = curvature_operators(ob, alg)
     pkg_ob = ricci_package(r_ob, h)
     hol_ob = holonomy_algebra(ob, r_ob)
     sl_ok, sl_cert = slnh_membership(hol_ob, h)
-    if not sl_cert.all_quaternion_linear:
-        violations.append(
+    rows += [
+        (routes_agree is not False, "difference-tensor and solver connections disagree"),
+        (
+            sl_cert.all_quaternion_linear,
             "structural defect: holonomy generator of the torsion-free"
-            " connection is not quaternion-linear"
-        )
+            " connection is not quaternion-linear",
+        ),
+    ]
     obstruction = hkt_obstruction_report(pkg_ob, h)
     first = sl_cert.first_violation  # (generator, reason, trace or None)
     if first is not None and first[2] is not None:
@@ -227,10 +231,10 @@ def _identity_stage(
     h: HyperhermitianStructure,
     alg: LieAlgebra,
     report: dict[str, object],
-    violations: list[str],
+    rows: list[_Row],
 ) -> DtTraces:
     """HKT only: the Lee form, identity suite, dT trace, skew-torsion
-    connection and detector sections."""
+    connection and detector sections, and the rows of their checks."""
     t, lee, skew, a = tor.t, tor.lee, tor.skew, tor.a
     report["lee"] = {
         "theta": _wire_form(lee.theta),
@@ -242,8 +246,7 @@ def _identity_stage(
     curv_rel = curvature_relation_check(r_b, tf.curvature, a, form_to_cube(t), skew)
     dtt = dt_traces(tor.dt, h)
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
-    type_res = type_check_12_21(t, h)
-    type_cex = (type_res.family, type_res.label, type_res.indices, type_res.value)
+    type_cex = type_check_12_21(t, h)
     trace_res, ctrace_res = trace_identities(a, h, lee.theta)
     chern = chern_norm_check(t, h)
     report["identity_suites"] = {
@@ -254,7 +257,7 @@ def _identity_stage(
             "components": {k: format_scalar(v) for k, v in star.components.items()},
             "checks": {key: _outcome(val) for key, val in star.checks.items()},
         },
-        "torsion_type": _outcome(CheckOutcome(type_res.ok, type_cex)),
+        "torsion_type": _outcome(CheckOutcome(type_cex is None, type_cex)),
         "difference_trace": {"ok": trace_res.ok, "failures": list(trace_res.failures)},
         "difference_trace_complex": {
             "ok": ctrace_res.ok,
@@ -266,57 +269,50 @@ def _identity_stage(
             "torsion_norm_sq": format_scalar(chern.torsion_norm_sq),
         },
     }
-    for key, val in suite.items():
-        if not val.ok:
-            violations.append(f"obata identity failed: {key}")
-    for key, val in star.checks.items():
-        if not val.ok:
-            violations.append(f"scalar identity failed: {key}")
-    for flag, label in (
-        (curv_rel.ok, "curvature relation"),
-        (type_res.ok, "torsion type decomposition"),
-        (trace_res.ok, "difference-tensor trace"),
-        (ctrace_res.ok, "complex difference-tensor trace"),
-        (chern.ok, "chern norm relation"),
-    ):
-        if not flag:
-            violations.append(f"identity failed: {label}")
-
     report["dt_traces"] = {
         "h": format_scalar(dtt.h_value),
         "strong": dtt.strong,
         "almost_strong": dtt.almost_strong,
         "traces_coincide": dtt.traces_coincide,
     }
-    if not dtt.traces_coincide:
-        violations.append("dT partial traces differ across the three complex structures")
 
     pkg_b = ricci_package(r_b, h)
     hol_b = holonomy_algebra(skew, r_b)
-    bismut_section = {
+    report["bismut"] = bismut = {
         "holonomy_dim": hol_b.dim,
         "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),
         "generators_quaternion_linear": all(glnh_membership(g, h) for g in hol_b.generators),
         "rho_zero": pkg_b.rho.is_zero(),
         "rho_s_zero": all(f.is_zero() for f in pkg_b.rho_s),
     }
-    report["bismut"] = bismut_section
-    if not bismut_section["rho_zero"] or not bismut_section["rho_s_zero"]:
-        violations.append("skew-torsion connection has nonvanishing Ricci 2-forms")
 
     detector = hyperkahler_detector(
         lee.theta.is_zero(), dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
     )
-    if detector.verdict == "THEOREM VIOLATION":
-        violations.append(
-            "vanishing Lee form with a vanishing trace condition but nonzero torsion"
-        )
     report["theorem_checks"] = {"hyperkahler_detector": _jsonify(asdict(detector))}
+    rows += [(val.ok, f"obata identity failed: {key}") for key, val in suite.items()]
+    rows += [(val.ok, f"scalar identity failed: {key}") for key, val in star.checks.items()]
+    rows += [
+        (curv_rel.ok, "identity failed: curvature relation"),
+        (type_cex is None, "identity failed: torsion type decomposition"),
+        (trace_res.ok, "identity failed: difference-tensor trace"),
+        (ctrace_res.ok, "identity failed: complex difference-tensor trace"),
+        (chern.ok, "identity failed: chern norm relation"),
+        (dtt.traces_coincide, "dT partial traces differ across the three complex structures"),
+        (
+            bismut["rho_zero"] and bismut["rho_s_zero"],
+            "skew-torsion connection has nonvanishing Ricci 2-forms",
+        ),
+        (
+            detector.consistent,
+            "vanishing Lee form with a vanishing trace condition but nonzero torsion",
+        ),
+    ]
     return dtt
 
 
 def _verdict_stage(
-    tor: _Torsion | None, tf: _TorsionFree | None, dtt: DtTraces | None, violations: list[str]
+    tor: _Torsion | None, tf: _TorsionFree | None, dtt: DtTraces | None, rows: list[_Row]
 ) -> dict[str, object]:
     hol_dim = tf.holonomy_dim if tf else 0
     obstruction = tf.obstruction_verdict if tf else "inconclusive"
@@ -337,7 +333,7 @@ def _verdict_stage(
             obstruction,
         )
     except RuntimeError as exc:
-        violations.append(str(exc))
+        rows.append((False, str(exc)))
         return {"error": str(exc)}
     return _jsonify(asdict(verdict))
 

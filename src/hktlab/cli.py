@@ -16,6 +16,7 @@ from functools import cache
 
 from .analyze import analyze_entry
 from .catalog import CatalogEntry, CatalogError, available_entries, load, save
+from .exact import format_scalar
 from .holonomy import holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from .invariant import curvature_operators, levi_civita
@@ -241,12 +242,15 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
     print(f"quaternion-linear: {all(glnh_membership(g, h) for g in hol.generators)}")
     if args.connection == "obata":
         ok, cert = slnh_membership(hol, h)
+        first = cert.first_violation  # (generator, reason, trace or None)
+        if first is not None and first[2] is not None:
+            first = f"({first[0]}, {first[1]!r}, {format_scalar(first[2])})"
         print(f"special quaternionic: {ok}")
         print(
             "certificate: generators={0.generator_count}"
             " quaternion_linear={0.all_quaternion_linear}"
             " trace_free={0.all_trace_free}"
-            " first_violation={0.first_violation}".format(cert)
+            " first_violation={1}".format(cert, first)
         )
     return EXIT_OK
 

@@ -115,16 +115,16 @@ def slnh_membership(
 
 @dataclass(frozen=True)
 class StructureVerdict:
-    hkt: bool
-    hyperkahler: bool | None
-    balanced: bool | None
-    d_theta_zero: bool | None
-    sl_tier: str  # invariant_SL | restricted_SL | not_SL | not_applicable
-    hopf_caveat: bool
-    strong: bool | None
-    almost_strong: bool | None
-    holonomy_dim: int
-    obstruction_verdict: str
+    hkt: bool  # each later field defaults to its value for a structure that is not HKT
+    hyperkahler: bool | None = None
+    balanced: bool | None = None
+    d_theta_zero: bool | None = None
+    sl_tier: str = "not_applicable"  # invariant_SL | restricted_SL | not_SL | not_applicable
+    hopf_caveat: bool = False
+    strong: bool | None = None
+    almost_strong: bool | None = None
+    holonomy_dim: int = 0
+    obstruction_verdict: str = "inconclusive"
     caveat_text: str | None = None
 
 
@@ -153,16 +153,7 @@ def classify(
     """
     if not hkt_ok:
         return StructureVerdict(
-            hkt=False,
-            hyperkahler=None,
-            balanced=None,
-            d_theta_zero=None,
-            sl_tier="not_applicable",
-            hopf_caveat=False,
-            strong=None,
-            almost_strong=None,
-            holonomy_dim=holonomy_dim,
-            obstruction_verdict=obstruction_verdict,
+            False, holonomy_dim=holonomy_dim, obstruction_verdict=obstruction_verdict
         )
     chain = (
         (not theta_zero or d_theta_zero, "balanced structure with non-closed Lee form"),

@@ -181,18 +181,10 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
 MIXED_TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
 
 
-@dataclass(frozen=True)
-class TypeCheckResult:
-    ok: bool
-    family: str | None = None
-    label: tuple | None = None
-    indices: tuple[int, int, int] | None = None
-    value: Scalar | None = None
-
-
-def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
-    """Both families of (1,2)+(2,1)-type identities for the torsion form,
-    each residual one term table; a failure reports its least nonzero cell."""
+def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
+    """Both families of (1,2)+(2,1)-type identities for the torsion form, each
+    residual one term table. The first failure is (family, label, cell, value),
+    at the residual's least nonzero cell; None when every identity holds."""
     c = form_to_cube(t)
     for s, j in enumerate(h.j_sparse, 1):
         residual = cube_pullback(
@@ -200,7 +192,7 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
         )
         if residual:
             idx = min(residual)
-            return TypeCheckResult(False, "single", (s,), idx, residual[idx])
+            return "single", (s,), idx, residual[idx]
     for i, j, k in MIXED_TRIPLES:
         ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
         residual = cube_pullback(
@@ -208,8 +200,8 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> TypeCheckResult:
         )
         if residual:
             idx = min(residual)
-            return TypeCheckResult(False, "mixed", (i, j, k), idx, residual[idx])
-    return TypeCheckResult(True)
+            return "mixed", (i, j, k), idx, residual[idx]
+    return None
 
 
 def bismut_connection(t: KForm, lc: Connection) -> Connection:

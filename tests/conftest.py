@@ -16,9 +16,9 @@ def catalog() -> dict[str, CatalogEntry]:
 @pytest.fixture(scope="session")
 def su3_path() -> Path:
     """su(3) with Joyce's hypercomplex structure: HKT, with a non-flat Obata
-    connection whose holonomy is all of gl(2, H). A wire document under
-    tests/data, not a builtin."""
-    return Path(__file__).parent / "data" / "su3.json"
+    connection whose holonomy is all of gl(2, H). The shipped example
+    input examples/su3.json, not a builtin."""
+    return Path(__file__).parent.parent / "examples" / "su3.json"
 
 
 @pytest.fixture(scope="session")

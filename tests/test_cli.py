@@ -1,11 +1,13 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hktlab import cli
 from hktlab.catalog import builtin_by_name, load, save, serialize
+from hktlab.holonomy import SlCertificate
 
 from oracle_impl import ALL_NAMES, cayley_rotated
 
@@ -256,7 +258,7 @@ SU3_HOLONOMY = {
         "quaternion-linear: True\n"
         "special quaternionic: False\n"
         "certificate: generators=16 quaternion_linear=True trace_free=False"
-        " first_violation=(0, 'nonzero trace', Fraction(2, 1))\n"
+        " first_violation=(0, 'nonzero trace', 2)\n"
     ),
     "levicivita": (
         "connection: levicivita\n"
@@ -278,9 +280,25 @@ SU3_HOLONOMY = {
 @pytest.mark.parametrize("connection", sorted(SU3_HOLONOMY))
 def test_holonomy_su3_output(capsys, su3_path, connection):
     # the Obata holonomy of su3 is gl(2, H): its first generator has real
-    # trace 2, which the certificate reports as a Fraction
+    # trace 2, which the certificate writes in wire format
     rc, out, err = run(capsys, "holonomy", str(su3_path), "--connection", connection)
     assert (rc, out, err) == (0, SU3_HOLONOMY[connection], "")
+
+
+@pytest.mark.parametrize(
+    "first, written",
+    [
+        ((0, "nonzero trace", Fraction(-1, 2)), "(0, 'nonzero trace', -1/2)"),
+        ((3, "not quaternion-linear", None), "(3, 'not quaternion-linear', None)"),
+        (None, "None"),
+    ],
+)
+def test_holonomy_certificate_writes_its_trace_in_wire_format(capsys, monkeypatch, first, written):
+    cert = SlCertificate(4, first is None or first[2] is not None, first is None, first)
+    monkeypatch.setattr(cli, "slnh_membership", lambda hol, h: (first is None, cert))
+    rc, out, err = run(capsys, "holonomy", "--builtin", "hopf4", "--connection", "obata")
+    assert (rc, err) == (0, "")
+    assert out.endswith(f" first_violation={written}\n")
 
 
 def test_holonomy_bismut_rejected_without_common_torsion(capsys):

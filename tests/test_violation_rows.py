@@ -1,0 +1,178 @@
+"""Every identity check of the analysis is one (holds, label) row, and a
+failing row is a theorem violation: exit 3, its label in
+`theorem_violations`. Each case makes one row fail by patching the one
+function in the `hktlab.analyze` namespace that produces it, then runs
+`analyze --builtin hopf4 --format json` through the CLI."""
+
+import json
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from hktlab import analyze, cli
+from hktlab.curvature import CheckOutcome
+from hktlab.invariant import levi_civita
+from hktlab.obata import TraceReport
+
+
+def run_hopf4(capsys) -> tuple[int, dict]:
+    rc = cli.main(["analyze", "--builtin", "hopf4", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return rc, json.loads(out)
+
+
+def patch(monkeypatch, name, edit, call=None):
+    """Replace analyze.<name> by a wrapper that passes the real result, and
+    the arguments, through edit; with call set, only that call (0-based)
+    within the run is edited."""
+    real, calls = getattr(analyze, name), []
+
+    def wrapper(*args):
+        result = real(*args)
+        calls.append(None)
+        return edit(result, *args) if call in (None, len(calls) - 1) else result
+
+    monkeypatch.setattr(analyze, name, wrapper)
+
+
+def failing_key(mapping, key, counterexample):
+    assert mapping[key].ok
+    return {**mapping, key: CheckOutcome(False, counterexample)}
+
+
+# a rotation of the (e0, e1) plane: metric-skew, trace-free, and not
+# commuting with the J's of hopf4
+NOT_QUATERNION_LINEAR = {0: {1: -1}, 1: {0: 1}}
+
+ROWS = {
+    "identity-suite key": (
+        "obata_identity_suite",
+        lambda suite, *_: failing_key(suite, "ricci-equals-d-lee", (0, 1)),
+        None,
+        "obata identity failed: ricci-equals-d-lee",
+    ),
+    "star-scalar key": (
+        "star_scalar",
+        lambda star, *_: replace(
+            star, checks=failing_key(star.checks, "star-scalar-from-lee", (1, 2))
+        ),
+        None,
+        "scalar identity failed: star-scalar-from-lee",
+    ),
+    "curvature relation": (
+        "curvature_relation_check",
+        lambda res, *_: CheckOutcome(False, (0, 1, 2, 3)),
+        None,
+        "identity failed: curvature relation",
+    ),
+    "torsion type": (
+        "type_check_12_21",
+        lambda res, *_: ("single", (1,), (0, 1, 2), Fraction(3, 2)),
+        None,
+        "identity failed: torsion type decomposition",
+    ),
+    "difference trace": (
+        "trace_identities",
+        lambda res, *_: (TraceReport(False, ("injected",)), res[1]),
+        None,
+        "identity failed: difference-tensor trace",
+    ),
+    "complex difference trace": (
+        "trace_identities",
+        lambda res, *_: (res[0], TraceReport(False, ("injected",))),
+        None,
+        "identity failed: complex difference-tensor trace",
+    ),
+    "chern norms": (
+        "chern_norm_check",
+        lambda res, *_: replace(res, ok=False),
+        None,
+        "identity failed: chern norm relation",
+    ),
+    "dT traces": (
+        "dt_traces",
+        lambda res, *_: replace(res, traces_coincide=False),
+        None,
+        "dT partial traces differ across the three complex structures",
+    ),
+    # the skew-torsion connection's package is the second one built
+    "skew-torsion Ricci forms": (
+        "ricci_package",
+        lambda pkg, *_: replace(pkg, rho=replace(pkg.rho, comps={(0, 1): 1})),
+        1,
+        "skew-torsion connection has nonvanishing Ricci 2-forms",
+    ),
+    "detector": (
+        "hyperkahler_detector",
+        lambda res, *_: replace(res, consistent=False),
+        None,
+        "vanishing Lee form with a vanishing trace condition but nonzero torsion",
+    ),
+    "routes disagree": (
+        "obata_oracle_solver",
+        lambda res, h, alg: (levi_civita(alg), res[1]),
+        None,
+        "difference-tensor and solver connections disagree",
+    ),
+    # the torsion-free connection's closure is the first one run
+    "generator not quaternion-linear": (
+        "holonomy_algebra",
+        lambda hol, *_: replace(hol, generators=(NOT_QUATERNION_LINEAR,), scales=(1,), dim=1),
+        0,
+        "structural defect: holonomy generator of the torsion-free"
+        " connection is not quaternion-linear",
+    ),
+}
+
+
+def test_hopf4_has_no_failing_row(capsys):
+    rc, report = run_hopf4(capsys)
+    assert (rc, report["theorem_violations"]) == (0, [])
+
+
+@pytest.mark.parametrize("kind", sorted(ROWS))
+def test_each_failing_row_exits_3_with_its_label(kind, monkeypatch, capsys):
+    name, edit, call, label = ROWS[kind]
+    patch(monkeypatch, name, edit, call)
+    rc, report = run_hopf4(capsys)
+    assert (rc, report["theorem_violations"]) == (cli.EXIT_VIOLATION, [label])
+
+
+def test_torsion_type_row_writes_its_counterexample(monkeypatch, capsys):
+    name, edit, call, _ = ROWS["torsion type"]
+    patch(monkeypatch, name, edit, call)
+    _, report = run_hopf4(capsys)
+    assert report["identity_suites"]["torsion_type"] == {
+        "ok": False,
+        "counterexample": ["single", [1], [0, 1, 2], "3/2"],
+    }
+
+
+def test_classify_failure_is_a_row_with_its_message(monkeypatch, capsys):
+    message = "classification consistency violation: injected"
+
+    def classify(*args):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(analyze, "classify", classify)
+    rc, report = run_hopf4(capsys)
+    assert (rc, report["theorem_violations"]) == (cli.EXIT_VIOLATION, [message])
+    assert report["verdict"] == {"error": message}
+
+
+def test_failing_rows_keep_the_stage_order(monkeypatch, capsys):
+    # patched in the opposite order to the stages that add the rows
+    for kind in ("detector", "curvature relation", "routes disagree"):
+        name, edit, call, _ = ROWS[kind]
+        patch(monkeypatch, name, edit, call)
+    rc, report = run_hopf4(capsys)
+    assert (rc, report["theorem_violations"]) == (
+        cli.EXIT_VIOLATION,
+        [
+            "difference-tensor and solver connections disagree",
+            "identity failed: curvature relation",
+            "vanishing Lee form with a vanishing trace condition but nonzero torsion",
+        ],
+    )
