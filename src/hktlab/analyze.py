@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .curvature import (
-    CheckOutcome,
     DtTraces,
     LeeForm,
     RicciPackage,
@@ -81,11 +80,10 @@ def _wire_form(form: KForm) -> dict[str, object]:
     return {"degree": form.degree, "components": components}
 
 
-def _outcome(check: CheckOutcome) -> dict[str, object]:
-    out: dict[str, object] = {"ok": check.ok}
-    if not check.ok:
-        out["counterexample"] = _jsonify(check.counterexample)
-    return out
+def _outcome(counterexample: object) -> dict[str, object]:
+    if counterexample is None:
+        return {"ok": True}
+    return {"ok": False, "counterexample": _jsonify(counterexample)}
 
 
 # Sections that a stage fills in; one that no stage reaches stays None.
@@ -195,7 +193,7 @@ def _torsion_free_stage(
     r_ob = curvature_operators(ob, alg)
     pkg_ob = ricci_package(r_ob, h)
     hol_ob = holonomy_algebra(ob, r_ob)
-    sl_ok, sl_cert = slnh_membership(hol_ob, h)
+    sl_cert = slnh_membership(hol_ob, h)
     rows += [
         (routes_agree is not False, "difference-tensor and solver connections disagree"),
         (
@@ -218,7 +216,7 @@ def _torsion_free_stage(
     report["holonomy"] = {
         "obata_dim": hol_ob.dim,
         "gl_membership": sl_cert.all_quaternion_linear,
-        "sl_membership": sl_ok,
+        "sl_membership": sl_cert.first_violation is None,
         "certificate": _jsonify({**asdict(sl_cert), "first_violation": first}),
     }
     report["obstruction"] = {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
@@ -247,7 +245,7 @@ def _identity_stage(
     dtt = dt_traces(tor.dt, h)
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
     type_cex = type_check_12_21(t, h)
-    trace_res, ctrace_res = trace_identities(a, h, lee.theta)
+    real, cplx = trace_identities(a, h, lee.theta)  # the failures of each
     chern = chern_norm_check(t, h)
     report["identity_suites"] = {
         "obata_suite": {key: _outcome(val) for key, val in suite.items()},
@@ -257,12 +255,9 @@ def _identity_stage(
             "components": {k: format_scalar(v) for k, v in star.components.items()},
             "checks": {key: _outcome(val) for key, val in star.checks.items()},
         },
-        "torsion_type": _outcome(CheckOutcome(type_cex is None, type_cex)),
-        "difference_trace": {"ok": trace_res.ok, "failures": list(trace_res.failures)},
-        "difference_trace_complex": {
-            "ok": ctrace_res.ok,
-            "failures": list(ctrace_res.failures),
-        },
+        "torsion_type": _outcome(type_cex),
+        "difference_trace": {"ok": not real, "failures": list(real)},
+        "difference_trace_complex": {"ok": not cplx, "failures": list(cplx)},
         "chern_norms": {
             "ok": chern.ok,
             "norms": [format_scalar(x) for x in chern.norms],
@@ -290,13 +285,13 @@ def _identity_stage(
         lee.theta.is_zero(), dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
     )
     report["theorem_checks"] = {"hyperkahler_detector": _jsonify(asdict(detector))}
-    rows += [(val.ok, f"obata identity failed: {key}") for key, val in suite.items()]
-    rows += [(val.ok, f"scalar identity failed: {key}") for key, val in star.checks.items()]
+    rows += [(cex is None, f"obata identity failed: {key}") for key, cex in suite.items()]
+    rows += [(cex is None, f"scalar identity failed: {key}") for key, cex in star.checks.items()]
     rows += [
-        (curv_rel.ok, "identity failed: curvature relation"),
+        (curv_rel is None, "identity failed: curvature relation"),
         (type_cex is None, "identity failed: torsion type decomposition"),
-        (trace_res.ok, "identity failed: difference-tensor trace"),
-        (ctrace_res.ok, "identity failed: complex difference-tensor trace"),
+        (not real, "identity failed: difference-tensor trace"),
+        (not cplx, "identity failed: complex difference-tensor trace"),
         (chern.ok, "identity failed: chern norm relation"),
         (dtt.traces_coincide, "dT partial traces differ across the three complex structures"),
         (

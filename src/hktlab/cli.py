@@ -241,11 +241,11 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
     print(f"metric-skew: {all(is_g_skew(g) for g in hol.generators)}")
     print(f"quaternion-linear: {all(glnh_membership(g, h) for g in hol.generators)}")
     if args.connection == "obata":
-        ok, cert = slnh_membership(hol, h)
+        cert = slnh_membership(hol, h)
         first = cert.first_violation  # (generator, reason, trace or None)
         if first is not None and first[2] is not None:
             first = f"({first[0]}, {first[1]!r}, {format_scalar(first[2])})"
-        print(f"special quaternionic: {ok}")
+        print(f"special quaternionic: {cert.first_violation is None}")
         print(
             "certificate: generators={0.generator_count}"
             " quaternion_linear={0.all_quaternion_linear}"

@@ -13,9 +13,9 @@ B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
 read. rho and the rho_s are summed in one loop (`_traced_forms`), which
 the *-scalar runs for the Levi-Civita rho_s alone. The double J1-trace
 of dT that the *-scalar identities use is -4h, read off `dt_traces`.
-Identity checks return outcome records carrying the first
-counterexample, the least nonzero cell of a sparse residual, so reports
-can point at exact basis tuples.
+An identity check returns its evidence: the first counterexample, the
+least nonzero cell of a sparse residual, or `None` when it holds, so
+reports can point at exact basis tuples.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ from .tensors import (
     norm_sq,
     perm_sign,
 )
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    counterexample: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -169,11 +163,11 @@ def _least_per_j(terms_by_j) -> tuple[int, int, int] | None:
     return next(cells, None)
 
 
-def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, CheckOutcome]:
+def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, tuple | None]:
     """Exact identity suite tying the torsion-free hypercomplex connection's
-    Ricci data to the Lee form. Keys are stable descriptive ids; each check
-    reports its first failing index tuple in (s, x, y) order: the least
-    nonzero cell of its residual, for the least failing s.
+    Ricci data to the Lee form. Keys are stable descriptive ids, each mapped
+    to None or to its first failing index tuple in (s, x, y) order: the
+    least nonzero cell of its residual, for the least failing s.
     """
     ric, ric_j = pkg.ric, pkg.ric_j
     ric_t = sparse_transpose(ric)
@@ -185,7 +179,7 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, CheckOutc
     ]
     d_theta_j = [j_pullback(d_theta, j) for j in pkg.j_sparse]
     scalars = [("scal", pkg.scal)] + [(f"scal_{s}", v) for s, v in enumerate(pkg.scal_s, 1)]
-    counterexamples = {
+    return {
         "ricci-j-conjugation": _least_per_j(
             ((1, pulled), (1, ric_t), (-2, r)) for pulled, r in zip(ric_j, rho_j)
         ),
@@ -202,7 +196,6 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, CheckOutc
             None,
         ),
     }
-    return {key: CheckOutcome(ce is None, ce) for key, ce in counterexamples.items()}
 
 
 def curvature_relation_check(
@@ -211,7 +204,7 @@ def curvature_relation_check(
     a: Scaled,
     t_cube: Cube,
     skew_conn: Connection,
-) -> CheckOutcome:
+) -> tuple[int, int, int, int] | None:
     """Reconstruct the torsion-free connection's curvature from the
     skew-torsion connection's curvature plus difference-tensor terms:
 
@@ -220,8 +213,8 @@ def curvature_relation_check(
 
     verified on every basis quadruple. The residual R_ob - R - correction
     is summed from the nonzeros of both curvatures and of A, T and nabla A,
-    on ints over the lcm of their scales; the first failing quadruple is its
-    least nonzero key.
+    on ints over the lcm of their scales. Returns the first failing
+    quadruple, its least nonzero key, or None when the relation holds.
     """
     cube, t = a.entries, integer_scaled(t_cube)
     scale = lcm(ob_curvature.scale, skew_curvature.scale, skew_conn.scale * a.scale)
@@ -255,8 +248,7 @@ def curvature_relation_check(
         for q, l, w in by_middle[m]:
             residual[(q, p, k, l)] -= f * v * w
             residual[(p, q, k, l)] += f * v * w
-    failures = [idx for idx, v in residual.items() if v]
-    return CheckOutcome(False, min(failures)) if failures else CheckOutcome(True)
+    return min((idx for idx, v in residual.items() if v), default=None)
 
 
 # each reordering of four slots with its sign
@@ -267,7 +259,7 @@ _ORDERINGS_4 = tuple((order, perm_sign(order)) for order in permutations(range(4
 class StarScalarReport:
     value: Scalar
     components: dict[str, Scalar]
-    checks: dict[str, CheckOutcome]
+    checks: dict[str, tuple | None]  # None, or the three stars, or (got, want)
 
 
 def star_scalar(
@@ -291,14 +283,14 @@ def star_scalar(
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)
     coincide = stars[0] == stars[1] == stars[2]
-    checks = {"star-scalars-coincide": CheckOutcome(coincide, None if coincide else tuple(stars))}
+    checks = {"star-scalars-coincide": None if coincide else tuple(stars)}
     t_12 = Fraction(torsion_sq, 12)
     for key, got, want in (
         ("star-scalar-from-torsion", stars[0], Fraction(double_trace, 8) + t_12),
         ("star-scalar-from-lee", stars[0], delta_theta + theta_sq - t_12),
         ("dt-double-trace-vs-lee", double_trace, 8 * (delta_theta + theta_sq) - 16 * t_12),
     ):
-        checks[key] = CheckOutcome(got == want, None if got == want else (got, want))
+        checks[key] = None if got == want else (got, want)
     components = {
         "delta_theta": delta_theta,
         "theta_norm_sq": theta_sq,

@@ -89,12 +89,10 @@ class SlCertificate:
     first_violation: tuple[int, str, Scalar | None] | None
 
 
-def slnh_membership(
-    hol: HolonomyAlgebra, h: HyperhermitianStructure
-) -> tuple[bool, SlCertificate]:
+def slnh_membership(hol: HolonomyAlgebra, h: HyperhermitianStructure) -> SlCertificate:
     """Special quaternionic membership of the holonomy algebra: every
     generator quaternion-linear with zero real trace. The certificate
-    records the first violating generator, if any, and its trace.
+    records the first violating generator and its trace, None for a member.
     """
     first: tuple[int, str, Scalar | None] | None = None
     all_ql = True
@@ -109,8 +107,7 @@ def slnh_membership(
             all_tf = False
             if first is None:
                 first = (idx, "nonzero trace", Fraction(tr, scale))
-    ok = all_ql and all_tf
-    return ok, SlCertificate(len(hol.generators), all_ql, all_tf, first)
+    return SlCertificate(len(hol.generators), all_ql, all_tf, first)
 
 
 @dataclass(frozen=True)

@@ -168,22 +168,17 @@ def _verified(conn: Connection, h: HyperhermitianStructure, alg: LieAlgebra) -> 
     return conn
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 def trace_identities(
     a: Scaled, h: HyperhermitianStructure, theta: KForm
-) -> tuple[TraceReport, TraceReport]:
-    """The trace identities of A in a real frame and in a complex one.
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The failures of the trace identities of A in a real frame and in a
+    complex one, each tuple empty when its identities hold.
 
     Real frame: sum_a A(X, e_a, e_a) = -2 theta(X) and
     sum_a A(X, e_a, J_s e_a) = 0. Over any orthonormal frame of pairs
     (f, J1 f) the complex trace has the plain trace as its real part and
     the J1 trace as its imaginary part, both frame-independent, so the
-    complex report reads the same numbers: real part -2 theta(X),
+    complex identities read the same numbers: real part -2 theta(X),
     imaginary part 0. Each trace is summed on A's ints, then divided once.
     """
     dim, cube, scale = h.dim, a.entries, a.scale
@@ -202,7 +197,4 @@ def trace_identities(
     for s, traces in enumerate(twisted, 1):
         for x, value in sorted(traces.items()):
             failures.append(f"J{s} trace at X=e{x}: {Fraction(value, scale)} != 0")
-    return (
-        TraceReport(ok=not failures, failures=tuple(failures)),
-        TraceReport(ok=not complex_failures, failures=tuple(complex_failures)),
-    )
+    return tuple(failures), tuple(complex_failures)

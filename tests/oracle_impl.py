@@ -24,7 +24,6 @@ from hktlab.catalog import CatalogEntry, load, serialize
 from hktlab.exact import Scalar, format_scalar, parse_scalar
 from hktlab.curvature import (
     _ORDERINGS_4,
-    CheckOutcome,
     DtTraces,
     LeeForm,
     ObstructionReport,
@@ -55,7 +54,7 @@ from hktlab.linalg import (
     sparse_subtract,
     sparse_transpose,
 )
-from hktlab.obata import SolverCertificate, TraceReport, commutant_basis
+from hktlab.obata import SolverCertificate, commutant_basis
 from hktlab.tensors import (
     Cube,
     KForm,
@@ -1071,14 +1070,15 @@ def naive_lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> Lee
 
 def naive_obata_identity_suite(
     pkg: RicciPackage, lee: LeeForm, h: HyperhermitianStructure
-) -> dict[str, CheckOutcome]:
+) -> dict[str, tuple | None]:
     """Exact identity suite tying the torsion-free hypercomplex connection's
-    Ricci data to the Lee form. Keys are stable descriptive ids.
+    Ricci data to the Lee form. Keys are stable descriptive ids, each mapped
+    to its first failing index tuple, or to None when the check holds.
     """
     dim = h.dim
     ric, rho, rho_s = dense_matrix(pkg.ric, dim), pkg.rho, pkg.rho_s
     d_theta = lee.d_theta
-    suite: dict[str, CheckOutcome] = {}
+    suite: dict[str, tuple | None] = {}
 
     def first_fail(predicate) -> tuple | None:
         for args in predicate():
@@ -1095,9 +1095,7 @@ def naive_obata_identity_suite(
                     if lhs != rhs:
                         yield (s, x, y)
 
-    suite["ricci-j-conjugation"] = CheckOutcome(
-        (ce := first_fail(ricci_j_conjugation)) is None, ce
-    )
+    suite["ricci-j-conjugation"] = first_fail(ricci_j_conjugation)
 
     def ricci_antisym_rho():
         for x in range(dim):
@@ -1105,9 +1103,7 @@ def naive_obata_identity_suite(
                 if ric[x][y] - ric[y][x] != -rho.evaluate((x, y)):
                     yield (x, y)
 
-    suite["ricci-antisymmetry-vs-rho"] = CheckOutcome(
-        (ce := first_fail(ricci_antisym_rho)) is None, ce
-    )
+    suite["ricci-antisymmetry-vs-rho"] = first_fail(ricci_antisym_rho)
 
     def ricci_equals_d_lee():
         for x in range(dim):
@@ -1115,9 +1111,7 @@ def naive_obata_identity_suite(
                 if ric[x][y] != d_theta.evaluate((x, y)):
                     yield (x, y)
 
-    suite["ricci-equals-d-lee"] = CheckOutcome(
-        (ce := first_fail(ricci_equals_d_lee)) is None, ce
-    )
+    suite["ricci-equals-d-lee"] = first_fail(ricci_equals_d_lee)
 
     def rho_minus_2_d_lee():
         for x in range(dim):
@@ -1125,16 +1119,14 @@ def naive_obata_identity_suite(
                 if rho.evaluate((x, y)) != -2 * d_theta.evaluate((x, y)):
                     yield (x, y)
 
-    suite["rho-equals-minus-2-d-lee"] = CheckOutcome(
-        (ce := first_fail(rho_minus_2_d_lee)) is None, ce
-    )
+    suite["rho-equals-minus-2-d-lee"] = first_fail(rho_minus_2_d_lee)
 
     def rho_s_vanish():
         for s in (1, 2, 3):
             if not rho_s[s - 1].is_zero():
                 yield (s,)
 
-    suite["rho-s-vanish"] = CheckOutcome((ce := first_fail(rho_s_vanish)) is None, ce)
+    suite["rho-s-vanish"] = first_fail(rho_s_vanish)
 
     def d_lee_j_invariant():
         for s in (1, 2, 3):
@@ -1151,9 +1143,7 @@ def naive_obata_identity_suite(
                     if pulled != d_theta.evaluate((x, y)):
                         yield (s, x, y)
 
-    suite["d-lee-j-invariant"] = CheckOutcome(
-        (ce := first_fail(d_lee_j_invariant)) is None, ce
-    )
+    suite["d-lee-j-invariant"] = first_fail(d_lee_j_invariant)
 
     def ricci_j_invariant():
         for s in (1, 2, 3):
@@ -1163,9 +1153,7 @@ def naive_obata_identity_suite(
                     if _ric_j_pull(ric, j, x, y) != ric[x][y]:
                         yield (s, x, y)
 
-    suite["ricci-j-invariant"] = CheckOutcome(
-        (ce := first_fail(ricci_j_invariant)) is None, ce
-    )
+    suite["ricci-j-invariant"] = first_fail(ricci_j_invariant)
 
     def scalars_vanish():
         if pkg.scal:
@@ -1174,7 +1162,7 @@ def naive_obata_identity_suite(
             if pkg.scal_s[s - 1]:
                 yield (f"scal_{s}", pkg.scal_s[s - 1])
 
-    suite["scalars-vanish"] = CheckOutcome((ce := first_fail(scalars_vanish)) is None, ce)
+    suite["scalars-vanish"] = first_fail(scalars_vanish)
 
     def d_lee_trace_free():
         for s in (1, 2, 3):
@@ -1188,9 +1176,7 @@ def naive_obata_identity_suite(
             if total:
                 yield (s, total)
 
-    suite["d-lee-trace-free"] = CheckOutcome(
-        (ce := first_fail(d_lee_trace_free)) is None, ce
-    )
+    suite["d-lee-trace-free"] = first_fail(d_lee_trace_free)
     return suite
 
 
@@ -1240,8 +1226,9 @@ def naive_star_traces(pkg: RicciPackage, h: HyperhermitianStructure) -> list[Sca
     return stars
 
 
-def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
-    """sum_a A(X, e_a, e_a) = -2 theta(X) and sum_a A(X, e_a, J_s e_a) = 0."""
+def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> tuple[str, ...]:
+    """The failures of sum_a A(X, e_a, e_a) = -2 theta(X) and
+    sum_a A(X, e_a, J_s e_a) = 0, empty when they hold."""
     dim = h.dim
     failures: list[str] = []
     for x in range(dim):
@@ -1257,7 +1244,7 @@ def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) ->
             )
             if twisted:
                 failures.append(f"J{s} trace at X=e{x}: {twisted} != 0")
-    return TraceReport(ok=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
@@ -1270,8 +1257,8 @@ def _eval_cube(a: Cube, x: int, u: Vector, v: Vector) -> Scalar:
     )
 
 
-def naive_complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> TraceReport:
-    """Complex-frame trace of A over the J1-adapted frame of pairs
+def naive_complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> tuple[str, ...]:
+    """The failures of the complex-frame trace identities of A over the J1-adapted frame of pairs
     (e_a, J1 e_a), built from the columns of J1; requires J1 a signed
     basis permutation.
 
@@ -1301,7 +1288,7 @@ def naive_complex_trace_A(a: Cube, h: HyperhermitianStructure, theta: KForm) -> 
             failures.append(f"real part at X=e{x}: {real} != {want}")
         if imag:
             failures.append(f"imaginary part at X=e{x}: {imag} != 0")
-    return TraceReport(ok=not failures, failures=tuple(failures))
+    return tuple(failures)
 
 
 def _block_diag(a: list[list], b: list[list]) -> list[list]:

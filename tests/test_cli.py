@@ -295,7 +295,7 @@ def test_holonomy_su3_output(capsys, su3_path, connection):
 )
 def test_holonomy_certificate_writes_its_trace_in_wire_format(capsys, monkeypatch, first, written):
     cert = SlCertificate(4, first is None or first[2] is not None, first is None, first)
-    monkeypatch.setattr(cli, "slnh_membership", lambda hol, h: (first is None, cert))
+    monkeypatch.setattr(cli, "slnh_membership", lambda hol, h: cert)
     rc, out, err = run(capsys, "holonomy", "--builtin", "hopf4", "--connection", "obata")
     assert (rc, err) == (0, "")
     assert out.endswith(f" first_violation={written}\n")

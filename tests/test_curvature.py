@@ -161,8 +161,8 @@ def test_scalar_table(cat, torsions):
         assert rep.components["delta_theta"] == delta, name
         assert rep.components["dt_double_trace"] == double, name
         assert rep.value == star, name
-        for key, check in rep.checks.items():
-            assert check.ok, (name, key, check.counterexample)
+        for key, evidence in rep.checks.items():
+            assert evidence is None, (name, key, evidence)
 
 
 def test_star_scalar_identities_fail_with_halved_norm(cat, torsions):
@@ -288,8 +288,8 @@ def test_obata_identity_suite_all_green(cat, torsions):
         conn = obata_connection(entry.structure, entry.lie, t)
         pkg = ricci_package(curvature_operators(conn, entry.lie), entry.structure)
         suite = obata_identity_suite(pkg, lee)
-        for key, outcome in suite.items():
-            assert outcome.ok, (name, key, outcome.counterexample)
+        for key, counterexample in suite.items():
+            assert counterexample is None, (name, key, counterexample)
 
 
 def test_obata_ricci_matches_d_lee_exactly(cat, torsions):
@@ -311,14 +311,14 @@ def test_curvature_relation_on_all_hkt(cat, torsions):
         t = torsions[name]
         skew = bismut_connection(t, levi_civita(entry.lie))
         conn = obata_connection(entry.structure, entry.lie, t)
-        outcome = curvature_relation_check(
+        counterexample = curvature_relation_check(
             curvature_operators(skew, entry.lie),
             curvature_operators(conn, entry.lie),
             difference_tensor(t, entry.structure),
             form_to_cube(t),
             skew,
         )
-        assert outcome.ok, (name, outcome.counterexample)
+        assert counterexample is None, (name, counterexample)
 
 
 def test_curvature_relation_detects_corruption(cat, torsions):
@@ -328,15 +328,14 @@ def test_curvature_relation_detects_corruption(cat, torsions):
     conn = obata_connection(entry.structure, entry.lie, t)
     a = difference_tensor(t, entry.structure)
     wrong = integer_scaled(cube_scale(a.entries, 2), a.scale)
-    outcome = curvature_relation_check(
+    counterexample = curvature_relation_check(
         curvature_operators(skew, entry.lie),
         curvature_operators(conn, entry.lie),
         wrong,
         form_to_cube(t),
         skew,
     )
-    assert not outcome.ok
-    assert outcome.counterexample is not None
+    assert counterexample is not None
 
 
 def test_covariant_derivative_matches_dense_oracle(cat, torsions):
@@ -374,14 +373,14 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
             row[3] = row.get(3, 0) + 1
         else:
             t_cube = cube_add(t_cube, {(0, 1, 2): 1})
-        outcome = curvature_relation_check(r_skew, r_ob, a, t_cube, skew)
+        cex = curvature_relation_check(r_skew, r_ob, a, t_cube, skew)
         dense = (dense_curvature(r_skew, entry.dim), dense_curvature(r_ob, entry.dim))
         want = naive_curvature_relation(*dense, scaled_values(a), t_cube, skew, entry.lie)
-        assert (outcome.ok, outcome.counterexample) == want, name
+        assert (cex is None, cex) == want, name
         # on the torus entries A = 0, so only the curvature corruption shows
-        assert outcome.ok == (name.startswith("torus") and corruption != "r_ob_entry"), name
+        assert (cex is None) == (name.startswith("torus") and corruption != "r_ob_entry"), name
         if corruption == "r_ob_entry":
-            assert outcome.counterexample == (1, 2, 3, 0), name
+            assert cex == (1, 2, 3, 0), name
 
 
 def test_bismut_ricci_forms_vanish(cat, torsions):
@@ -529,10 +528,9 @@ def test_star_traces_match_dense_oracle(structures, name, data):
     zero = LeeForm(KForm(dim, 1), KForm(dim, 2), "balanced")
     report = star_scalar(curvature, h, KForm(dim, 3), zero, conn, dt_traces(KForm(dim, 4), h))
     want = naive_star_traces(ricci_package(curvature, h), h)
-    coincide = report.checks["star-scalars-coincide"]
+    coincide = want[0] == want[1] == want[2]
     assert repr(report.value) == repr(want[0])
-    assert repr(coincide.counterexample) == repr(None if coincide.ok else tuple(want))
-    assert coincide.ok == (want[0] == want[1] == want[2])
+    assert repr(report.checks["star-scalars-coincide"]) == repr(None if coincide else tuple(want))
 
 
 @pytest.mark.parametrize("name", STRUCTURES)

@@ -17,7 +17,7 @@ from hktlab.holonomy import (
 from hktlab.hyperhermitian import bismut_connection, glnh_membership, hkt_check
 from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan, identity, sparse_commutator, sparse_matrix, sparse_trace
-from hktlab.obata import obata_connection
+from hktlab.obata import commutant_basis, obata_connection
 
 from oracle_impl import (
     ALL_NAMES,
@@ -299,8 +299,7 @@ def test_sparse_membership_matches_dense_oracle_on_direct_sum(cat, tmp_path):
 
 def test_slnh_certificate_trivial_algebra(cat):
     hol = HolonomyAlgebra((), (), 0)
-    ok, cert = slnh_membership(hol, cat["torus4"].structure)
-    assert ok
+    cert = slnh_membership(hol, cat["torus4"].structure)
     assert cert.generator_count == 0
     assert cert.all_quaternion_linear and cert.all_trace_free
     assert cert.first_violation is None
@@ -309,15 +308,14 @@ def test_slnh_certificate_trivial_algebra(cat):
 def test_slnh_certificate_traceful_generator(cat):
     h4 = cat["hopf4"].structure
     hol = HolonomyAlgebra((sparse_matrix(identity(4)),), (1,), 1)
-    ok, cert = slnh_membership(hol, h4)
-    assert not ok
+    cert = slnh_membership(hol, h4)
     assert cert.all_quaternion_linear
     assert not cert.all_trace_free
     assert cert.first_violation == (0, "nonzero trace", 4)
     # an int generator's trace is reported as a Fraction too
     assert repr(cert.first_violation) == "(0, 'nonzero trace', Fraction(4, 1))"
     # and divided by the generator's scale
-    _, cert = slnh_membership(HolonomyAlgebra((sparse_matrix(identity(4)),), (6,), 1), h4)
+    cert = slnh_membership(HolonomyAlgebra((sparse_matrix(identity(4)),), (6,), 1), h4)
     assert repr(cert.first_violation) == "(0, 'nonzero trace', Fraction(2, 3))"
 
 
@@ -325,10 +323,39 @@ def test_slnh_certificate_non_quaternion_linear(cat):
     h4 = cat["hopf4"].structure
     bad = {0: {1: 1}, 1: {0: -1}}
     hol = HolonomyAlgebra((bad,), (1,), 1)
-    ok, cert = slnh_membership(hol, h4)
-    assert not ok
+    cert = slnh_membership(hol, h4)
     assert not cert.all_quaternion_linear
     assert cert.first_violation == (0, "not quaternion-linear", None)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_slnh_first_violation_is_the_least_failing_generator(cat, data):
+    # 0-3 int generators on hopf4, each a multiple of a gl(1, H) basis
+    # element (the identity among them is traceful), a trace-free rotation
+    # or a traceful cell, neither quaternion-linear: there is no violation
+    # exactly when all are quaternion-linear and trace-free, and the first
+    # names the least failing generator, read off the dense oracle
+    h4 = cat["hopf4"].structure
+    bases = commutant_basis(h4) + [{0: {1: -1}, 1: {0: 1}}, {0: {0: 1}}]
+    count = data.draw(st.integers(0, 3))
+    generators, scales, failing = [], [], []
+    for k in range(count):
+        f, base = data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.sampled_from(bases))
+        gen = {i: {j: f * x for j, x in row.items()} for i, row in base.items()}
+        scale = data.draw(st.integers(1, 6))
+        generators.append(gen)
+        scales.append(scale)
+        dense = dense_matrix(gen, 4)
+        if not dense_glnh_membership(dense, h4):
+            failing.append((k, "not quaternion-linear", None))
+        elif trace(dense):
+            failing.append((k, "nonzero trace", Fraction(trace(dense), scale)))
+    hol = HolonomyAlgebra(tuple(generators), tuple(scales), count)
+    cert = slnh_membership(hol, h4)
+    assert (cert.first_violation is None) == (cert.all_quaternion_linear and cert.all_trace_free)
+    assert cert.first_violation == (failing[0] if failing else None)
+    assert cert.generator_count == count
 
 
 def test_slnh_on_catalog_holonomies(cat, torsions):
@@ -336,8 +363,7 @@ def test_slnh_on_catalog_holonomies(cat, torsions):
         entry = cat[name]
         conn = obata_connection(entry.structure, entry.lie, torsions[name])
         hol = holonomy_algebra(conn, curvature_operators(conn, entry.lie))
-        ok, cert = slnh_membership(hol, entry.structure)
-        assert ok, name
+        cert = slnh_membership(hol, entry.structure)
         assert cert.first_violation is None, name
 
 

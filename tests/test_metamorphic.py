@@ -36,7 +36,6 @@ import pytest
 from hktlab import cli
 from hktlab.analyze import _outcome, analyze_entry
 from hktlab.catalog import builtin_by_name, load, serialize
-from hktlab.curvature import CheckOutcome
 from hktlab.exact import format_scalar, parse_scalar
 from hktlab.hyperhermitian import HyperhermitianStructure, quaternionic_check
 from hktlab.invariant import LieAlgebra, ce_differential
@@ -258,5 +257,5 @@ def test_fraction_scalars_keep_the_report(name, su3):
 
 
 def test_counterexample_scalars_are_written_by_value():
-    check = CheckOutcome(False, (1, Fraction(2), Fraction(1, 2)))
-    assert _outcome(check) == {"ok": False, "counterexample": [1, 2, "1/2"]}
+    counterexample = (1, Fraction(2), Fraction(1, 2))
+    assert _outcome(counterexample) == {"ok": False, "counterexample": [1, 2, "1/2"]}

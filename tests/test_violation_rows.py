@@ -2,7 +2,9 @@
 failing row is a theorem violation: exit 3, its label in
 `theorem_violations`. Each case makes one row fail by patching the one
 function in the `hktlab.analyze` namespace that produces it, then runs
-`analyze --builtin hopf4 --format json` through the CLI."""
+`analyze --builtin hopf4 --format json` through the CLI. A check returns
+its evidence, and the report alone writes `ok` from it: a failing check's
+section holds its counterexample or its failures."""
 
 import json
 from dataclasses import replace
@@ -11,9 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hktlab import analyze, cli
-from hktlab.curvature import CheckOutcome
 from hktlab.invariant import levi_civita
-from hktlab.obata import TraceReport
 
 
 def run_hopf4(capsys) -> tuple[int, dict]:
@@ -38,8 +38,8 @@ def patch(monkeypatch, name, edit, call=None):
 
 
 def failing_key(mapping, key, counterexample):
-    assert mapping[key].ok
-    return {**mapping, key: CheckOutcome(False, counterexample)}
+    assert mapping[key] is None
+    return {**mapping, key: counterexample}
 
 
 # a rotation of the (e0, e1) plane: metric-skew, trace-free, and not
@@ -63,7 +63,7 @@ ROWS = {
     ),
     "curvature relation": (
         "curvature_relation_check",
-        lambda res, *_: CheckOutcome(False, (0, 1, 2, 3)),
+        lambda res, *_: (0, 1, 2, 3),
         None,
         "identity failed: curvature relation",
     ),
@@ -75,13 +75,13 @@ ROWS = {
     ),
     "difference trace": (
         "trace_identities",
-        lambda res, *_: (TraceReport(False, ("injected",)), res[1]),
+        lambda res, *_: (("injected",), res[1]),
         None,
         "identity failed: difference-tensor trace",
     ),
     "complex difference trace": (
         "trace_identities",
-        lambda res, *_: (res[0], TraceReport(False, ("injected",))),
+        lambda res, *_: (res[0], ("injected",)),
         None,
         "identity failed: complex difference-tensor trace",
     ),
@@ -140,14 +140,43 @@ def test_each_failing_row_exits_3_with_its_label(kind, monkeypatch, capsys):
     assert (rc, report["theorem_violations"]) == (cli.EXIT_VIOLATION, [label])
 
 
-def test_torsion_type_row_writes_its_counterexample(monkeypatch, capsys):
-    name, edit, call, _ = ROWS["torsion type"]
+# the section of identity_suites that each failing row writes, as a path of
+# keys, and its exact JSON
+SECTIONS = {
+    "identity-suite key": (
+        ("obata_suite", "ricci-equals-d-lee"),
+        {"ok": False, "counterexample": [0, 1]},
+    ),
+    "star-scalar key": (
+        ("star_scalar", "checks", "star-scalar-from-lee"),
+        {"ok": False, "counterexample": [1, 2]},
+    ),
+    "curvature relation": (
+        ("curvature_relation",),
+        {"ok": False, "counterexample": [0, 1, 2, 3]},
+    ),
+    "torsion type": (
+        ("torsion_type",),
+        {"ok": False, "counterexample": ["single", [1], [0, 1, 2], "3/2"]},
+    ),
+    "difference trace": (("difference_trace",), {"ok": False, "failures": ["injected"]}),
+    "complex difference trace": (
+        ("difference_trace_complex",),
+        {"ok": False, "failures": ["injected"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SECTIONS))
+def test_torsion_type_row_writes_its_counterexample(kind, monkeypatch, capsys):
+    name, edit, call, _ = ROWS[kind]
     patch(monkeypatch, name, edit, call)
     _, report = run_hopf4(capsys)
-    assert report["identity_suites"]["torsion_type"] == {
-        "ok": False,
-        "counterexample": ["single", [1], [0, 1, 2], "3/2"],
-    }
+    path, want = SECTIONS[kind]
+    section = report["identity_suites"]
+    for key in path:
+        section = section[key]
+    assert section == want
 
 
 def test_classify_failure_is_a_row_with_its_message(monkeypatch, capsys):

@@ -1,14 +1,16 @@
-"""Seeded wire mutations of the builtins never reach exit 3.
+"""Seeded wire mutations never reach exit 3.
 
-Exit code 3 is reserved for an exact identity that failed. Each builtin is
-exported to the wire format and mutated with a fixed seed: a structure
-constant is added, changed or dropped, a symmetric pair of metric cells is
-changed, or a J cell is changed. Every mutated document goes through
-`cli.main` as `analyze --format json` and as `holonomy` with the Obata and
-the Bismut connection. The loader rejects most mutations, since few keep
-the Jacobi identity, the quaternion relations and a positive J-invariant
-metric; what it accepts must be analyzed. Either way the exit code is 0
-or 1, and no exception leaves `main`.
+Exit code 3 is reserved for an exact identity that failed. The inputs are
+the builtins, exported to the wire format, and the two with a curved Obata
+connection: examples/su3.json and hc_only8+su3. Each is mutated with a
+fixed seed: a structure constant is added, changed or dropped, a
+symmetric pair of metric cells is changed, or a J cell is changed. Every
+mutated document goes through `cli.main` as `analyze --format json` and
+as `holonomy` with the Obata and the Bismut connection. The loader
+rejects most mutations, since few keep the Jacobi identity, the
+quaternion relations and a positive J-invariant metric; what it accepts
+must be analyzed. Either way the exit code is 0 or 1, and no exception
+leaves `main`.
 """
 
 import json
@@ -19,7 +21,7 @@ import pytest
 from hktlab import cli
 from hktlab.catalog import builtin_by_name, serialize
 
-from oracle_impl import ALL_NAMES
+from oracle_impl import ALL_NAMES, direct_sum
 
 MUTATIONS_PER_ENTRY = 34
 VALUES = ("0", "1", "-1", "2", "-2", "1/2", "-1/2", "3/2")
@@ -55,9 +57,17 @@ def mutate(doc: dict, rng: random.Random) -> str:
     return f"{s} cell ({r}, {c}) to {value}"
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_mutated_builtins_exit_zero_or_one(capsys, tmp_path, name):
-    original = json.dumps(serialize(builtin_by_name()[name]))
+def wire_document(name: str, su3_path) -> dict:
+    """The wire document of a builtin, of su3, or of hc_only8+su3."""
+    if name in ALL_NAMES:
+        return serialize(builtin_by_name()[name])
+    su3 = json.loads(su3_path.read_text(encoding="utf-8"))
+    return su3 if name == "su3" else direct_sum(serialize(builtin_by_name()["hc_only8"]), su3)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ("su3", "hc_only8+su3"))
+def test_mutated_builtins_exit_zero_or_one(capsys, tmp_path, su3_path, name):
+    original = json.dumps(wire_document(name, su3_path))
     rng = random.Random(f"wire-mutation-{name}")
     path = tmp_path / "mutated.json"
     for index in range(MUTATIONS_PER_ENTRY):
