@@ -4,15 +4,19 @@ of the structure.
 The algebra is generated by the curvature operators and closed under
 brackets with the connection operators only (Kostant's description of the
 holonomy algebra of an invariant connection); rank growth is tracked
-exactly by a `RowSpan` over the flattened entries. The closure works on
-sparse matrices ({row: {column: value}}, no zero stored) with the one
-kernel `linalg.sparse_commutator`, on the int operators of the connection
-and the curvature, so the brackets and the rank growth run on Python
-ints; a nonzero integer factor leaves the span unchanged. Each generator
-is an int matrix with its least scale beside it, and the membership tests
-read the int matrix: quaternion-linear (`hyperhermitian.glnh_membership`,
-commutes with the sparse J1, J2, J3), metric-skew, and additionally
-real-trace-free for the special quaternionic algebra.
+exactly by a `RowSpan`. The closure keeps its basis as the flat int rows
+{i * n + j: x} that `RowSpan.add` reads, so no bracket builds, prunes or
+flattens a matrix: [L_k, m] is summed from the images [L_k, E_ab] of m's
+cells, each built on first use from L_k's column view and rows and kept
+for the rest of the call, and a bracket whose products vanish by support
+(`linalg.support`) is skipped. It runs on the int operators of the
+connection and the curvature, so the brackets and the rank growth run on
+Python ints; a nonzero integer factor leaves the span unchanged. Each
+generator is an int matrix with its least scale beside it, and the
+membership tests read the int matrix: quaternion-linear
+(`hyperhermitian.glnh_membership`, commutes with J1, J2, J3, read as
+signed permutations), metric-skew, and additionally real-trace-free for
+the special quaternionic algebra.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from math import gcd
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, glnh_membership
 from .invariant import Connection, Curvature
-from .linalg import RowSpan, SparseMatrix, sparse_commutator, sparse_trace
+from .linalg import Row, RowSpan, SparseMatrix, sparse_trace, sparse_transpose, support
 
 
 @dataclass(frozen=True)
@@ -40,12 +44,20 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     """Smallest space h containing the curvature operators and closed under
     commutators with the connection operators L_k; `curvature` must be
     `curvature_operators(conn, alg)`. Each basis element is bracketed once
-    with each L_k, `dim * hol_dim` commutators in all, and the generators
+    with each L_k whose products with it can be nonzero, and the generators
     come back in the order they entered the basis.
 
     The closure runs on ints: a basis element m over scale t gives
     [ops_k, m] over s t, with L_k = ops_k / s; each element enters the basis
-    divided by the gcd of its entries and its scale.
+    divided by the gcd of its entries and its scale. Basis elements are flat
+    rows, entry (i, j) at column i * n + j, and [ops_k, m] is the sum over
+    m's cells of m_ab [ops_k, E_ab] = m_ab (sum_i ops_k[i][a] E_ib -
+    sum_j ops_k[b][j] E_aj). Those cell images are memoised per k for this
+    call only, built once the first element is queued. The bracket is
+    skipped when the columns of ops_k miss the rows of m and the columns of
+    m miss the rows of ops_k: both products are then zero, and a zero row
+    never enlarges the span. The generators become sparse matrices once, at
+    the end.
 
     h is closed under its own commutators too: for A in h the Jacobi
     identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
@@ -55,24 +67,49 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     """
     n, ops, s = conn.dim, conn.operators, conn.scale
     span = RowSpan(n * n)
-    basis: list[tuple[SparseMatrix, int]] = []  # (scale * generator, scale)
-    queue: list[tuple[SparseMatrix, int]] = []
+    basis: list[tuple[Row, int]] = []  # (scale * generator as a flat row, scale)
+    queue: list[tuple[Row, int]] = []
 
-    def offer(m: SparseMatrix, scale: int) -> None:
-        if m and span.add({i * n + j: x for i, row in m.items() for j, x in row.items()}):
-            g = gcd(scale, *(x for row in m.values() for x in row.values()))
-            m = {i: {j: x // g for j, x in row.items()} for i, row in m.items()}
-            basis.append((m, scale // g))
+    def offer(row: Row, scale: int) -> None:
+        if row and span.add(row):
+            g = gcd(scale, *row.values())
+            basis.append(({c: x // g for c, x in row.items()}, scale // g))
             queue.append(basis[-1])
 
     for seed in curvature.entries.values():
-        offer(seed, curvature.scale)
+        offer({i * n + j: x for i, row in seed.items() for j, x in row.items()}, curvature.scale)
+    if queue:
+        columns = [sparse_transpose(op) for op in ops]
+        supports = [support(op) for op in ops]
+        images: list[dict[int, tuple[tuple[int, int], ...]]] = [{} for _ in ops]
     while queue:
         current, scale = queue.pop()
-        for op in ops:
-            offer(sparse_commutator(op, current), s * scale)
-    generators, scales = zip(*basis) if basis else ((), ())
-    return HolonomyAlgebra(generators, scales, span.rank)
+        rows = cols = 0
+        for c in current:
+            rows |= 1 << c // n
+            cols |= 1 << c % n
+        for k, (op_rows, op_cols) in enumerate(supports):
+            if not (op_cols & rows or cols & op_rows):
+                continue
+            memo, acc = images[k], {}
+            for c, x in current.items():
+                image = memo.get(c)
+                if image is None:
+                    a, b = divmod(c, n)
+                    cell = {i * n + b: y for i, y in columns[k].get(a, {}).items()}
+                    for j, y in ops[k].get(b, {}).items():
+                        cell[a * n + j] = cell.get(a * n + j, 0) - y
+                    image = memo[c] = tuple((t, y) for t, y in cell.items() if y)
+                for t, y in image:
+                    acc[t] = acc.get(t, 0) + x * y
+            offer({t: x for t, x in acc.items() if x}, s * scale)
+    generators: list[SparseMatrix] = []
+    for row, _ in basis:
+        m: SparseMatrix = {}
+        for c in sorted(row):
+            m.setdefault(c // n, {})[c % n] = row[c]
+        generators.append(m)
+    return HolonomyAlgebra(tuple(generators), tuple(t for _, t in basis), span.rank)
 
 
 def is_g_skew(m: SparseMatrix) -> bool:

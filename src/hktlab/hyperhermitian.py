@@ -8,12 +8,14 @@ structures. A structure holds J1, J2, J3 only as sparse matrices
 checked where the structure is built; every reader here takes them in
 that format, `quaternionic_check` included, which validates the loader's
 sparse wire J's and metric through `linalg.sparse_product` before a
-structure exists. The structure holds no metric: the engine works in
-the orthonormal frame that the loader builds, so the metric is the
-identity there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off
-J's nonzeros. `nijenhuis` and each family of type identities is one
-term table of J-pullbacks for `tensors.cube_pullback`, of the bracket
-cube c^k_ij and of the torsion cube respectively.
+structure exists. `glnh_membership` reads each J as the signed
+permutation it is (`signed_permutation`) and forms no product. The
+structure holds no metric: the engine works in the orthonormal frame that
+the loader builds, so the metric is the identity there, and
+`fundamental_form` reads F(e_x, e_y) = J[x][y] off J's nonzeros.
+`nijenhuis` and each family of type identities is one term table of
+J-pullbacks for `tensors.cube_pullback`, of the bracket cube c^k_ij and of
+the torsion cube respectively.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
-from .linalg import SparseMatrix, sparse_commutator, sparse_product, sparse_transpose
+from .linalg import SparseMatrix, sparse_product, sparse_transpose
 from .tensors import (
     Cube,
     KForm,
@@ -79,10 +81,32 @@ def quaternionic_check(
     return violations
 
 
+def signed_permutation(j: SparseMatrix) -> dict[int, tuple[int, Scalar]]:
+    """J e_x = eps(x) e_sigma(x), read off the signed permutation J as
+    {x: (sigma(x), eps(x))}."""
+    return {x: (y, v) for y, row in j.items() for x, v in row.items()}
+
+
 def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     """Quaternion-linearity: m commutes with J1, J2, J3 exactly. On the
-    operators L_i of a connection it says the connection preserves all three."""
-    return all(not sparse_commutator(m, j) for j in h.j_sparse)
+    operators L_i of a connection it says the connection preserves all three.
+
+    No product is formed: m commutes with J_s exactly when J_s m J_s^-1 = m,
+    that is m[sigma(c)][sigma(x)] = eps(c) eps(x) m[c][x] for every cell,
+    with sigma, eps the signed permutation of J_s (the rule of
+    `obata.commutant_basis`). Checking the nonzeros of m suffices: the
+    cell map is a bijection, so if it sends every nonzero of m to a
+    nonzero, it sends every zero to a zero."""
+    for j in h.j_sparse:
+        image = signed_permutation(j)
+        for c, row in m.items():
+            p, e = image[c]
+            target = m.get(p, {})
+            for x, v in row.items():
+                q, f = image[x]
+                if target.get(q, 0) != (v if e == f else -v):
+                    return False
+    return True
 
 
 def fundamental_form(j: SparseMatrix, dim: int) -> KForm:

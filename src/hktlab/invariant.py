@@ -11,8 +11,10 @@ scale s (`tensors.integer_scaled`): gamma[(i, j, k)] / s =
 <nabla_{e_i} e_j, e_k>, and the operator of nabla_{e_i} on coordinate
 vectors is L_i[k][j] = gamma[(i, j, k)] / s. `Connection.operators` (built
 once per connection, on first read) and `curvature_operators` hold the int
-operators as `linalg.SparseMatrix`, built from the nonzeros with
-`linalg.sparse_commutator`. The curvature operators {(i, j): R(e_i, e_j)},
+operators as `linalg.SparseMatrix`; `curvature_operators` brackets them
+with `linalg.sparse_commutator`, summed over the nonzeros, where their
+supports meet (`linalg.support`), and sums nothing where both products
+vanish by support. The curvature operators {(i, j): R(e_i, e_j)},
 i < j, int over one least scale, are the one curvature format every reader
 takes; a reader sums over the ints and divides once, and
 `curvature_tensor` is their dense dim^4 nested-list view.
@@ -34,7 +36,7 @@ from math import gcd, lcm
 
 from .exact import Scalar
 from .linalg import SparseMatrix, Vector, sparse_apply, sparse_commutator, sparse_subtract
-from .linalg import sparse_transpose
+from .linalg import sparse_transpose, support
 from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_to_form
 from .tensors import integer_scaled
 
@@ -207,13 +209,17 @@ def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
     """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]}, keys i < j; the lowered
     curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]. With L_i = ops_i / s
     and d the lcm of the bracket denominators, d s^2 R(e_i, e_j) =
-    [d ops_i, ops_j] - sum_m (d c^m_ij) s ops_m on ints, then reduced."""
+    [d ops_i, ops_j] - sum_m (d c^m_ij) s ops_m on ints, then reduced. The
+    commutator is not summed where both products vanish by support
+    (`linalg.support`)."""
     ops, s = conn.operators, conn.scale
     d = lcm(*[c.denominator for comps in alg.brackets.values() for c in comps.values()])
     left = [{k: {j: d * x for j, x in row.items()} for k, row in op.items()} for op in ops]
+    supports = [support(op) for op in ops]
     out: dict[tuple[int, int], SparseMatrix] = {}
     for i, j in combinations(range(conn.dim), 2):
-        out[(i, j)] = r = sparse_commutator(left[i], ops[j])
+        (ri, ci), (rj, cj) = supports[i], supports[j]
+        out[(i, j)] = r = sparse_commutator(left[i], ops[j]) if ci & rj or cj & ri else {}
         for m, c in alg.brackets.get((i, j), {}).items():
             sparse_subtract(r, c.numerator * (d // c.denominator) * s, ops[m])
     g = gcd(d * s * s, *(x for r in out.values() for row in r.values() for x in row.values()))

@@ -21,9 +21,12 @@ curvature operators and the holonomy generators are int matrices over a
 scale held beside them, which no zero, commutation or skewness test and
 no span rank depends on. `sparse_commutator` and `sparse_product` are the
 product kernels, both summed by one accumulation over the nonzeros;
-`sparse_subtract` is the one linear update, `sparse_trace` the trace,
-`sparse_transpose` the column view and `sparse_apply` a matrix, given by
-its columns, on a sparse vector.
+`sparse_commutator` brackets the connection operators into the curvature,
+while the holonomy closure brackets flat rows itself (see `holonomy`).
+`support` gives the row and column bitmasks that show a product or a
+bracket vanishing before it is summed. `sparse_subtract` is the one linear
+update, `sparse_trace` the trace, `sparse_transpose` the column view and
+`sparse_apply` a matrix, given by its columns, on a sparse vector.
 """
 
 from __future__ import annotations
@@ -104,6 +107,17 @@ def sparse_transpose(m: SparseMatrix) -> SparseMatrix:
         for j, x in m[i].items():
             out.setdefault(j, {})[i] = x
     return out
+
+
+def support(m: SparseMatrix) -> tuple[int, int]:
+    """Bitmasks of the rows and of the columns that hold a nonzero of m.
+    With (ra, ca) and (rb, cb) those of a and b, ab = 0 when ca & rb == 0,
+    so [a, b] = 0 when also cb & ra == 0."""
+    cols = 0
+    for row in m.values():
+        for j in row:
+            cols |= 1 << j
+    return sum(1 << i for i in m), cols
 
 
 def sparse_apply(columns: SparseMatrix, v: Row) -> Row:

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
+from .hyperhermitian import signed_permutation
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, SparseMatrix, solve_pairs
 from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
@@ -54,7 +55,7 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     with 1 there. In the order of those cells this is the reduced-echelon
     nullspace basis.
     """
-    images = [{x: (y, v) for y, row in j.items() for x, v in row.items()} for j in h.j_sparse]
+    images = [signed_permutation(j) for j in h.j_sparse]
     basis: list[SparseMatrix] = []
     seen: set[tuple[int, int]] = set()
     for a in reversed(range(h.dim)):

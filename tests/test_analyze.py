@@ -17,7 +17,7 @@ from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
 from hktlab.hyperhermitian import glnh_membership, hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
-from hktlab.linalg import RowSpan
+from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
 
 from oracle_impl import direct_sum_entry
@@ -40,6 +40,7 @@ COUNTED = (
     "rref",
     "nullspace",
     "sparse_commutator",
+    "sparse_product",
     "sparse_matrix",
     "j_pullback",
     "_j_partial_trace",
@@ -180,11 +181,22 @@ def test_holonomy_closure_brackets_with_connection_operators_only(calls, cat):
     conn = levi_civita(alg)
     curvature = curvature_operators(conn, alg)
     calls.clear()
-    assert holonomy_algebra(conn, curvature).dim == 21
-    # one bracket per connection operator and basis element: dim * hol_dim;
-    # the dense closure, which also brackets both orders of each pair of
-    # basis elements, offered 532 rows
-    assert calls["sparse_commutator"] == 8 * 21
+    hol = holonomy_algebra(conn, curvature)
+    assert hol.dim == 21
+    # one bracket per connection operator and basis element whose supports
+    # meet: 147 of the dim * hol_dim = 8 * 21 pairs, the other 21 vanish by
+    # support and are skipped; the dense closure, which also brackets both
+    # orders of each pair of basis elements, offered 532 rows. The closure
+    # sums its brackets itself, on flat rows, and calls no matrix kernel.
+    supports = [support(op) for op in conn.operators]
+    brackets = [
+        (g, k)
+        for g in map(support, hol.generators)
+        for k, op in enumerate(supports)
+        if op[1] & g[0] or g[1] & op[0]
+    ]
+    assert len(brackets) == 147
+    assert calls["sparse_commutator"] == 0
     assert calls["RowSpan.add"] == 147
 
 
@@ -196,9 +208,11 @@ def test_operator_algebra_stays_off_dense_products(calls, cat):
     calls.clear()
     holonomy_algebra(lc, curvature_operators(lc, alg))
     assert all(glnh_membership(op, h) for op in ob.operators)
-    # R(e_i, e_j) for 28 pairs, the closure's 8 * 21 brackets and 8 * 3
-    # commutators with the J's, all on the sparse kernel
-    assert calls["sparse_commutator"] == 28 + 8 * 21 + 8 * 3
+    # R(e_i, e_j) for the 21 of 28 pairs whose supports meet, on the sparse
+    # kernel; the closure sums its brackets on flat rows and the
+    # quaternion-linearity test relabels cells, so neither forms a product
+    assert calls["sparse_commutator"] == 21
+    assert calls["sparse_product"] == 0
     assert _binders("mat_mul", "commutator") == []
 
 

@@ -6,7 +6,8 @@ connection: examples/su3.json and hc_only8+su3. Each is mutated with a
 fixed seed: a structure constant is added, changed or dropped, a
 symmetric pair of metric cells is changed, or a J cell is changed. Every
 mutated document goes through `cli.main` as `analyze --format json` and
-as `holonomy` with the Obata and the Bismut connection. The loader
+as `holonomy` with the Obata, the Bismut and the Levi-Civita connection;
+the last is the closure with the most brackets. The loader
 rejects most mutations, since few keep the Jacobi identity, the
 quaternion relations and a positive J-invariant metric; what it accepts
 must be analyzed. Either way the exit code is 0 or 1, and no exception
@@ -29,6 +30,7 @@ COMMANDS = (
     ("analyze", "--format", "json"),
     ("holonomy", "--connection", "obata"),
     ("holonomy", "--connection", "bismut"),
+    ("holonomy", "--connection", "levicivita"),
 )
 
 
