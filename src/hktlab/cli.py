@@ -235,13 +235,15 @@ def _cmd_holonomy(args: argparse.Namespace) -> int:
             return EXIT_INPUT
         conn = obata_connection(h, alg, res.torsion)
     hol = holonomy_algebra(conn, curvature_operators(conn, alg))
+    cert = slnh_membership(hol, h) if args.connection == "obata" else None
     print(f"connection: {args.connection}")
     print(f"generators: {len(hol.generators)}")
     print(f"holonomy dimension: {hol.dim}")
     print(f"metric-skew: {all(is_g_skew(g) for g in hol.generators)}")
-    print(f"quaternion-linear: {all(glnh_membership(g, h) for g in hol.generators)}")
-    if args.connection == "obata":
-        cert = slnh_membership(hol, h)
+    if cert is None:
+        print(f"quaternion-linear: {all(glnh_membership(g, h) for g in hol.generators)}")
+    else:  # the certificate tested every generator
+        print(f"quaternion-linear: {cert.all_quaternion_linear}")
         first = cert.first_violation  # (generator, reason, trace or None)
         if first is not None and first[2] is not None:
             first = f"({first[0]}, {first[1]!r}, {format_scalar(first[2])})"

@@ -214,7 +214,9 @@ def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
     (`linalg.support`)."""
     ops, s = conn.operators, conn.scale
     d = lcm(*[c.denominator for comps in alg.brackets.values() for c in comps.values()])
-    left = [{k: {j: d * x for j, x in row.items()} for k, row in op.items()} for op in ops]
+    left = ops  # d ops_i, copied only when d > 1
+    if d > 1:
+        left = [{k: {j: d * x for j, x in row.items()} for k, row in op.items()} for op in ops]
     supports = [support(op) for op in ops]
     out: dict[tuple[int, int], SparseMatrix] = {}
     for i, j in combinations(range(conn.dim), 2):

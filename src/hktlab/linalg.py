@@ -9,8 +9,10 @@ without zeros (the idiom of `KForm.comps` and of the cubes), since the
 holonomy generators are almost all zeros. The holonomy closure grows it;
 `nullspace` (no package reader; kept for the HKT-metric cone) and `rref`
 read their answers off its stored rows. `solve_pairs` solves the
-torsion-free system, a signed graph, by one walk per component with no
-elimination.
+torsion-free system with no elimination: a signed graph, given by signs
+alone, and a sparse right-hand side; every component gets a sign-only
+walk, and only those holding a nonzero right-hand side a second walk
+with offsets.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy
@@ -175,34 +177,63 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
     return list(basis.values())
 
 
-def solve_pairs(edges: list[tuple[int, int, int, Scalar]], cols: int) -> tuple[Row, int, int]:
-    """The unique x with x_p + s x_q = b for each edge (p, q, s, b), p != q,
-    s = +-1, as ints over the least scale, and the rank: cols minus the
-    signed graph's balanced components (Zaslavsky 1982). With b scaled to
-    even ints, a walk puts each unknown at sign * y + offset in its root y;
-    a closing edge checks the offsets, or, where its signs add, sets or checks y."""
-    scale = 2 * lcm(*{b.denominator for _, _, _, b in edges})
-    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(cols)]
-    for p, q, s, b in edges:
-        b = b.numerator * (scale // b.denominator) if b else 0
-        adjacent[p].append((q, s, b))
-        adjacent[q].append((p, s, s * b))  # x_q + s x_p = s b
-    sign, offset, x, balanced = [0] * cols, [0] * cols, {}, 0  # sign 0: not reached yet
+def solve_pairs(
+    adjacent: list[list[tuple[int, int, int]]], rhs: dict[int, tuple[int, int, int, Scalar]]
+) -> tuple[Row, int, int]:
+    """The unique x with x_p + s x_q = b_e for each equation e of a signed
+    graph, as ints over the least scale, and the rank: unknowns minus the
+    balanced components (Zaslavsky 1982).
+
+    The graph holds signs only: adjacent[p] lists each equation at the
+    unknown p once as (q, s, e), parallel edges included. The right-hand
+    side is sparse: rhs[e] = (p, q, s, b) for each equation with b != 0,
+    every other b being 0. A sign-only walk covers every component and
+    counts the balanced ones. With b scaled to even ints, a second walk,
+    only over the components holding a nonzero b, balanced ones included
+    (an inconsistent system is reported as such, whatever its rank), puts
+    each unknown at sign * y + offset in its root y; a closing edge checks
+    the offsets or, where its signs add, sets or checks y. Every other
+    unknown is 0: with b = 0 throughout, every offset is 0 and a closing
+    edge whose signs add reads twice * y = 0."""
+    cols = len(adjacent)
+    scale = 2 * lcm(*{b.denominator for _, _, _, b in rhs.values()})
+    sign, balanced = [0] * cols, 0  # sign 0: not reached yet
     for root in (r for r in range(cols) if not sign[r]):  # read after each walk
-        sign[root], component, y = 1, [root], None
+        sign[root], component, unbalanced = 1, [root], False
         for p in component:  # the walk appends what it reaches
-            for q, s, b in adjacent[p]:
+            sp = sign[p]
+            for q, s, _ in adjacent[p]:
                 if not sign[q]:
-                    sign[q], offset[q] = -s * sign[p], s * (b - offset[p])
+                    sign[q] = -s * sp
+                    component.append(q)
+                elif sp + s * sign[q]:
+                    unbalanced = True
+        balanced += not unbalanced  # an isolated unknown's root is free too
+    at: dict[int, dict[int, int]] = {}  # unknown -> {equation: b as read from it}
+    for e, (p, q, s, b) in rhs.items():
+        b = b.numerator * (scale // b.denominator)
+        at.setdefault(p, {})[e] = b
+        at.setdefault(q, {})[e] = s * b  # x_q + s x_p = s b
+    x: Row = {}
+    placed: dict[int, tuple[int, int]] = {}  # unknown -> (sign, offset) in its root
+    for root in (r for r in at if r not in placed):
+        placed[root], component, y = (1, 0), [root], None
+        for p in component:
+            (sp, op), here = placed[p], at.get(p, {})
+            for q, s, e in adjacent[p]:
+                b = here.get(e, 0)
+                if q not in placed:
+                    placed[q] = -s * sp, s * (b - op)
                     component.append(q)
                     continue
-                twice, rest = sign[p] + s * sign[q], b - offset[p] - s * offset[q]
+                sq, oq = placed[q]
+                twice, rest = sp + s * sq, b - op - s * oq
                 if twice and y is None:  # the signs add: twice * y = rest
                     y = rest // twice
                 if twice * (y or 0) != rest:
                     raise LinAlgError("inconsistent system: no solution")
-        balanced += y is None  # y left free, an isolated unknown's too
-        x.update((p, v) for p in component if y is not None and (v := sign[p] * y + offset[p]))
+        if y is not None:
+            x.update((p, v) for p in component if (v := placed[p][0] * y + placed[p][1]))
     if balanced:
         raise LinAlgError(f"solution not unique: rank {cols - balanced} < {cols} unknowns")
     g = gcd(scale, *x.values())

@@ -8,7 +8,9 @@ Two independent construction routes:
   operators lie in gl(n, H), the commutant of the complex structures,
   written down from the signed-permutation J's; its rank certifies
   uniqueness. Each equation holds two unknowns, with coefficients +-1: a
-  signed graph, solved by one walk per component (`linalg.solve_pairs`).
+  signed graph, which depends on the J's alone. The brackets enter only
+  as a sparse right-hand side, one entry per nonzero structure constant
+  (`linalg.solve_pairs`).
 
 Plus the trace identities tying A to the Lee form (the twisted ones are
 `tensors.cube_j_trace` of A), and their complex-frame form, whose real
@@ -92,26 +94,38 @@ def obata_oracle_solver(
     element c_t in the operator of e_i. Equation (i < j, l) is the e_l
     component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one edge
     v x[i, t] - w x[j, u] = c^l_ij for the elements c_t and c_u holding the
-    cells (l, j) and (l, i), v = c_t[l][j] and w = c_u[l][i]. The solution,
-    int over one scale, times the int basis gives the connection on ints.
+    cells (l, j) and (l, i), v = c_t[l][j] and w = c_u[l][i]. The edges,
+    signs -v w, come from the J's alone; c^l_ij, times v, is the
+    right-hand side, given only where it is nonzero. The solution, int over
+    one scale, times the int basis gives the connection on ints.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
     d_c = len(cbasis)
     unknowns = dim * d_c
-    # each cell (l, j) lies in exactly one element c_t: (l, j) -> (t, c_t[l][j])
-    owner = {
-        (a, b): (t, v) for t, c in enumerate(cbasis) for a, row in c.items() for b, v in row.items()
-    }
-    columns = [[owner[(l, j)] for l in range(dim)] for j in range(dim)]
-    edges: list[tuple[int, int, int, Scalar]] = []
+    # each cell (l, j) lies in exactly one element c_t: columns[j][l] = (t, c_t[l][j])
+    columns: list[list[tuple[int, int]]] = [[(0, 0)] * dim for _ in range(dim)]
+    for t, c in enumerate(cbasis):
+        for l, row in c.items():
+            for j, v in row.items():
+                columns[j][l] = (t, v)
+    # the graph is the J's alone; equation (i, j, l) is numbered (i * dim + j) * dim + l
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(unknowns)]
     for i in range(dim):
         for j in range(i + 1, dim):
-            bracket = alg.brackets.get((i, j), {})
-            for l, ((t, v), (u, w)) in enumerate(zip(columns[j], columns[i])):
-                edges.append((i * d_c + t, j * d_c + u, -v * w, v * bracket.get(l, 0)))
+            pairs = enumerate(zip(columns[j], columns[i]), (i * dim + j) * dim)
+            for e, ((t, v), (u, w)) in pairs:
+                p, q, s = i * d_c + t, j * d_c + u, -v * w
+                adjacent[p].append((q, s, e))
+                adjacent[q].append((p, s, e))
+    # the brackets are the right-hand side, nonzero only at their nonzero c^l_ij
+    rhs: dict[int, tuple[int, int, int, Scalar]] = {}
+    for (i, j), bracket in alg.brackets.items():
+        for l, c in bracket.items():
+            (t, v), (u, w) = columns[j][l], columns[i][l]
+            rhs[(i * dim + j) * dim + l] = (i * d_c + t, j * d_c + u, -v * w, v * c)
     try:
-        x, scale, rank = solve_pairs(edges, unknowns)
+        x, scale, rank = solve_pairs(adjacent, rhs)
     except LinAlgError as exc:
         if "inconsistent" in str(exc):
             raise ValueError(
@@ -121,13 +135,18 @@ def obata_oracle_solver(
         raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
     # scale * Gamma_i[a][b] = x[i * d_c + t] c_t[a][b], stored as gamma[(i, b, a)]
     gamma = {
-        (i, b, a): x[i * d_c + t] * v
-        for (a, b), (t, v) in owner.items()
-        for i in range(dim)
-        if i * d_c + t in x
+        (i, b, a): y * v
+        for p, y in sorted(x.items())
+        for i, t in [divmod(p, d_c)]
+        for a, row in cbasis[t].items()
+        for b, v in row.items()
     }
     certificate = SolverCertificate(
-        commutant_dim=d_c, unknowns=unknowns, equations=len(edges), rank=rank, unique=True
+        commutant_dim=d_c,
+        unknowns=unknowns,
+        equations=dim * (dim - 1) // 2 * dim,
+        rank=rank,
+        unique=True,
     )
     return Connection(dim, gamma, scale), certificate
 

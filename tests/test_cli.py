@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hktlab import cli
+from hktlab import cli, holonomy
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.holonomy import SlCertificate
 
@@ -283,6 +283,20 @@ def test_holonomy_su3_output(capsys, su3_path, connection):
     # trace 2, which the certificate writes in wire format
     rc, out, err = run(capsys, "holonomy", str(su3_path), "--connection", connection)
     assert (rc, out, err) == (0, SU3_HOLONOMY[connection], "")
+
+
+def test_holonomy_obata_tests_each_generator_once(capsys, monkeypatch, su3_path):
+    # `quaternion-linear:` reads the certificate, whose membership test
+    # already ran on every generator
+    calls = []
+    for module in (cli, holonomy):
+        original = module.glnh_membership
+        monkeypatch.setattr(
+            module, "glnh_membership", lambda m, h, _f=original: calls.append(m) or _f(m, h)
+        )
+    rc, out, err = run(capsys, "holonomy", str(su3_path), "--connection", "obata")
+    assert (rc, out, err) == (0, SU3_HOLONOMY["obata"], "")
+    assert len(calls) == 16
 
 
 @pytest.mark.parametrize(

@@ -313,6 +313,17 @@ def pair_rows(edges, cols):
     return rows
 
 
+def pair_graph(edges, cols):
+    """The signed graph and sparse right-hand side of `solve_pairs` for the
+    edges (p, q, s, b): equation e is the e-th edge, listed at both its
+    unknowns, and only the edges with b != 0 enter the right-hand side."""
+    adjacent = [[] for _ in range(cols)]
+    for e, (p, q, s, _) in enumerate(edges):
+        adjacent[p].append((q, s, e))
+        adjacent[q].append((p, s, e))
+    return adjacent, {e: edge for e, edge in enumerate(edges) if edge[3]}
+
+
 @st.composite
 def pair_systems(draw):
     """Edges (p, q, s, b) over up to 7 unknowns: random signed graphs, so
@@ -343,22 +354,23 @@ def test_solve_pairs_matches_rowspan_reference(system_pairs):
         want = solve_unique(pair_rows(edges, cols), cols)
     except LinAlgError as exc:
         with pytest.raises(LinAlgError) as got:
-            solve_pairs(edges, cols)
+            solve_pairs(*pair_graph(edges, cols))
         assert str(got.value) == str(exc)
         return
-    x, scale, solved_rank = solve_pairs(edges, cols)
+    x, scale, solved_rank = solve_pairs(*pair_graph(edges, cols))
     assert (x, scale, solved_rank) == want
     assert all(type(v) is int for v in x.values()) and type(scale) is int
 
 
 def test_solve_pairs_known():
     # an odd cycle fixes its root: x0 + x1 = 3, x1 + x2 = 5, x2 + x0 = 4
-    assert solve_pairs([(0, 1, 1, 3), (1, 2, 1, 5), (2, 0, 1, 4)], 3) == ({0: 1, 1: 2, 2: 3}, 1, 3)
+    edges = [(0, 1, 1, 3), (1, 2, 1, 5), (2, 0, 1, 4)]
+    assert solve_pairs(*pair_graph(edges, 3)) == ({0: 1, 1: 2, 2: 3}, 1, 3)
     # x0 - x1 = 1/2, x0 + x1 = 1 (parallel edges of opposite sign)
     edges = [(0, 1, -1, Fraction(1, 2)), (1, 0, 1, 1)]
-    assert solve_pairs(edges, 2) == ({0: 3, 1: 1}, 4, 2)
+    assert solve_pairs(*pair_graph(edges, 2)) == ({0: 3, 1: 1}, 4, 2)
     with pytest.raises(LinAlgError, match="^inconsistent system: no solution$"):
-        solve_pairs([(0, 1, -1, 1), (1, 2, -1, 1), (2, 0, -1, 1)], 3)
+        solve_pairs(*pair_graph([(0, 1, -1, 1), (1, 2, -1, 1), (2, 0, -1, 1)], 3))
 
 
 def test_solve_pairs_non_unique_rank():
@@ -367,12 +379,59 @@ def test_solve_pairs_non_unique_rank():
     edges = [(0, 1, 1, 2), (1, 2, 1, 2), (2, 0, 1, 2), (3, 4, -1, 1)]
     message = "^solution not unique: rank 4 < 6 unknowns$"
     with pytest.raises(LinAlgError, match=message):
-        solve_pairs(edges, 6)
+        solve_pairs(*pair_graph(edges, 6))
     with pytest.raises(LinAlgError, match=message):
         solve_unique(pair_rows(edges, 6), 6)
     # inconsistency is reported first, whatever the rank
     with pytest.raises(LinAlgError, match="^inconsistent system"):
-        solve_pairs(edges + [(4, 3, -1, 1)], 6)
+        solve_pairs(*pair_graph(edges + [(4, 3, -1, 1)], 6))
+
+
+@st.composite
+def sparse_pair_systems(draw):
+    """Edges (p, q, s, b) over up to 9 unknowns with b mostly 0, the shape
+    of the torsion-free system. A drawn signature sigma makes an edge
+    balanced, s = -sigma_p sigma_q, except on a few drawn edges, so
+    components come balanced and not; parallel edges of both signs and
+    isolated unknowns occur. b = x_p + s x_q for an x that is 0 off at most
+    two unknowns, and a few edges take a free b instead, which makes a
+    component that closes a cycle through them inconsistent, balanced or
+    not."""
+    cols = draw(st.integers(min_value=1, max_value=9))
+    sigma = draw(st.lists(st.sampled_from((1, -1)), min_size=cols, max_size=cols))
+    values = st.one_of(st.integers(-4, 4), rationals)
+    support = draw(st.sets(st.integers(0, cols - 1), max_size=2))
+    x = [draw(values) if p in support else 0 for p in range(cols)]
+    count = draw(st.integers(min_value=cols - 1, max_value=16)) if cols > 1 else 0
+    flipped = draw(st.sets(st.integers(0, 15), max_size=5))
+    free = draw(st.sets(st.integers(0, 15), max_size=2))
+    edges = []
+    for e in range(count):
+        p = draw(st.integers(0, cols - 1))
+        q = draw(st.integers(0, cols - 2))
+        q += q >= p
+        s = -sigma[p] * sigma[q] * (-1 if e in flipped else 1)
+        edges.append((p, q, s, draw(values) if e in free else x[p] + s * x[q]))
+        if draw(st.integers(0, 5)) == 0:  # a parallel edge, either sign, either way round
+            s = draw(st.sampled_from((1, -1)))
+            edges.append((q, p, s, x[q] + s * x[p]))
+    return edges, cols
+
+
+@given(sparse_pair_systems())
+@settings(max_examples=300)
+def test_solve_pairs_on_sparse_right_hand_sides(system_pairs):
+    # the walk with offsets covers only components holding a nonzero b,
+    # balanced ones included; every other unknown is 0
+    edges, cols = system_pairs
+    try:
+        want = solve_unique(pair_rows(edges, cols), cols)
+    except LinAlgError as exc:
+        with pytest.raises(LinAlgError) as got:
+            solve_pairs(*pair_graph(edges, cols))
+        assert str(got.value) == str(exc)
+        return
+    assert solve_pairs(*pair_graph(edges, cols)) == want
 
 
 def assert_fraction_free_echelon(span):

@@ -208,13 +208,15 @@ def test_solver_matches_dense_oracle_on_direct_sum(cat, tmp_path):
 
 def test_solver_matches_rowspan_route_on_metamorphic_inputs(cat, su3, tmp_path):
     # the signed-graph solve against RowSpan elimination of the same system:
-    # Cayley-rotated and re-metrized entries loaded back, and su3 and
+    # Cayley-rotated and re-metrized entries loaded back, su3 and
     # hc_only8 + su3, whose brackets hold Fractions and whose Obata
-    # connections are curved
+    # connections are curved, and the dim-16 rung hopf8 + hopf8 and
+    # hc_only8 + hc_only8, where most components hold no bracket
     docs = [cayley_rotated(cat[name]) for name in ("hopf8", "nil8", "hc_only8")]
     docs += [with_diagonal_metric(cat["hopf8"], diagonal) for diagonal in (("7/5", "7/5"), ("2", "3"))]
     entries = [load_document(doc, tmp_path) for doc in docs]
     entries += [su3, direct_sum_entry(cat["hc_only8"], su3, tmp_path)]
+    entries += [direct_sum_entry(cat[name], cat[name], tmp_path) for name in ("hopf8", "hc_only8")]
     for entry in entries:
         conn, cert = obata_oracle_solver(entry.structure, entry.lie)
         want_conn, want_cert = rowspan_obata_oracle_solver(entry.structure, entry.lie)
