@@ -33,12 +33,11 @@ from .curvature import (
     star_scalar,
 )
 from .exact import format_scalar
-from .holonomy import classify, holonomy_algebra, is_g_skew, slnh_membership
+from .holonomy import StructureVerdict, classify, holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import (
     HktResult,
     HyperhermitianStructure,
     bismut_connection,
-    glnh_membership,
     hkt_check,
     type_check_12_21,
 )
@@ -276,7 +275,7 @@ def _identity_stage(
     report["bismut"] = bismut = {
         "holonomy_dim": hol_b.dim,
         "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),
-        "generators_quaternion_linear": all(glnh_membership(g, h) for g in hol_b.generators),
+        "generators_quaternion_linear": slnh_membership(hol_b, h).all_quaternion_linear,
         "rho_zero": pkg_b.rho.is_zero(),
         "rho_s_zero": all(f.is_zero() for f in pkg_b.rho_s),
     }
@@ -312,11 +311,10 @@ def _verdict_stage(
     hol_dim = tf.holonomy_dim if tf else 0
     obstruction = tf.obstruction_verdict if tf else "inconclusive"
     if tor is None:
-        verdict = classify(False, None, None, None, None, None, hol_dim, True, True, obstruction)
+        verdict = StructureVerdict(False, holonomy_dim=hol_dim, obstruction_verdict=obstruction)
         return _jsonify(asdict(verdict))
     try:
         verdict = classify(
-            True,
             tor.t.is_zero(),
             tor.lee.theta.is_zero(),
             tor.lee.d_theta.is_zero(),

@@ -13,10 +13,12 @@ for the rest of the call, and a bracket whose products vanish by support
 connection and the curvature, so the brackets and the rank growth run on
 Python ints; a nonzero integer factor leaves the span unchanged. Each
 generator is an int matrix with its least scale beside it, and the
-membership tests read the int matrix: quaternion-linear
-(`hyperhermitian.glnh_membership`, commutes with J1, J2, J3, read as
-signed permutations), metric-skew, and additionally real-trace-free for
-the special quaternionic algebra.
+membership tests read the int matrix: metric-skew, and `slnh_membership`,
+the one quaternionic test of every closure, whose certificate records
+both quaternion-linearity (`hyperhermitian.glnh_membership`, commutes
+with J1, J2, J3, read as signed permutations) and zero real trace, the
+special quaternionic algebra. `classify` gives the verdict of an HKT
+structure; one that is not HKT keeps `StructureVerdict`'s defaults.
 """
 
 from __future__ import annotations
@@ -170,25 +172,21 @@ HOPF_CAVEAT_TEXT = (
 
 
 def classify(
-    hkt_ok: bool,
-    torsion_zero: bool | None,
-    theta_zero: bool | None,
-    d_theta_zero: bool | None,
-    strong: bool | None,
-    almost_strong: bool | None,
+    torsion_zero: bool,
+    theta_zero: bool,
+    d_theta_zero: bool,
+    strong: bool,
+    almost_strong: bool,
     holonomy_dim: int,
     ricci_zero: bool,
     generators_trace_free: bool,
     obstruction_verdict: str,
 ) -> StructureVerdict:
-    """Final verdict record. The consistency chain
+    """Final verdict record of an HKT structure; a structure that is not HKT
+    has `StructureVerdict`'s defaults. The consistency chain
     balanced => closed Lee form => vanishing Ricci => trace-free generators
     is asserted; a violation is a build-stopping engine defect.
     """
-    if not hkt_ok:
-        return StructureVerdict(
-            False, holonomy_dim=holonomy_dim, obstruction_verdict=obstruction_verdict
-        )
     chain = (
         (not theta_zero or d_theta_zero, "balanced structure with non-closed Lee form"),
         (not d_theta_zero or ricci_zero, "closed Lee form with nonvanishing Ricci"),

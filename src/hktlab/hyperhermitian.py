@@ -8,19 +8,22 @@ structures. A structure holds J1, J2, J3 only as sparse matrices
 checked where the structure is built; every reader here takes them in
 that format, `quaternionic_check` included, which validates the loader's
 sparse wire J's and metric through `linalg.sparse_product` before a
-structure exists. `glnh_membership` reads each J as the signed
-permutation it is (`signed_permutation`) and forms no product. The
-structure holds no metric: the engine works in the orthonormal frame that
-the loader builds, so the metric is the identity there, and
-`fundamental_form` reads F(e_x, e_y) = J[x][y] off J's nonzeros.
+structure exists. A structure derives each J's signed permutation once,
+on first read (`permutations`); `glnh_membership` reads those and forms
+no product. The structure holds no metric: the engine works in the
+orthonormal frame that the loader builds, so the metric is the identity
+there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
+nonzeros.
 `nijenhuis` and each family of type identities is one term table of
 J-pullbacks for `tensors.cube_pullback`, of the bracket cube c^k_ij and of
-the torsion cube respectively.
+the torsion cube respectively; `hkt_check` hands each Nijenhuis 3-form to
+`kt_torsion`, so each tensor is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
@@ -56,6 +59,14 @@ class HyperhermitianStructure:
             if sorted(j) != indices or sorted(units) != indices:
                 raise ValueError(f"J{s} is not a signed permutation of the frame")
 
+    @cached_property
+    def permutations(self) -> tuple[dict[int, tuple[int, Scalar]], ...]:
+        """J_s e_x = eps_s(x) e_sigma_s(x), read off each J_s once, on first
+        read, as {x: (sigma_s(x), eps_s(x))}."""
+        return tuple(
+            {x: (y, v) for y, row in j.items() for x, v in row.items()} for j in self.j_sparse
+        )
+
 
 def quaternionic_check(
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix], dim: int, g: SparseMatrix
@@ -81,24 +92,17 @@ def quaternionic_check(
     return violations
 
 
-def signed_permutation(j: SparseMatrix) -> dict[int, tuple[int, Scalar]]:
-    """J e_x = eps(x) e_sigma(x), read off the signed permutation J as
-    {x: (sigma(x), eps(x))}."""
-    return {x: (y, v) for y, row in j.items() for x, v in row.items()}
-
-
 def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     """Quaternion-linearity: m commutes with J1, J2, J3 exactly. On the
     operators L_i of a connection it says the connection preserves all three.
 
     No product is formed: m commutes with J_s exactly when J_s m J_s^-1 = m,
     that is m[sigma(c)][sigma(x)] = eps(c) eps(x) m[c][x] for every cell,
-    with sigma, eps the signed permutation of J_s (the rule of
-    `obata.commutant_basis`). Checking the nonzeros of m suffices: the
-    cell map is a bijection, so if it sends every nonzero of m to a
+    with sigma, eps the signed permutation of J_s (`h.permutations`, the
+    rule of `obata.commutant_basis`). Checking the nonzeros of m suffices:
+    the cell map is a bijection, so if it sends every nonzero of m to a
     nonzero, it sends every zero to a zero."""
-    for j in h.j_sparse:
-        image = signed_permutation(j)
+    for image in h.permutations:
         for c, row in m.items():
             p, e = image[c]
             target = m.get(p, {})
@@ -138,14 +142,11 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     return n, cube_to_form(n, alg.dim)
 
 
-def kt_torsion(j: SparseMatrix, alg: LieAlgebra) -> KForm:
+def kt_torsion(j: SparseMatrix, alg: LieAlgebra, n_form: KForm | None) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
-    T = J dF + N, valid exactly when N is totally skew.
+    T = J dF + N, valid exactly when N is totally skew. `n_form` is the
+    3-form reading of J's Nijenhuis tensor, `nijenhuis(alg, j)[1]`.
     """
-    return _kt_torsion(j, alg, nijenhuis(alg, j)[1])
-
-
-def _kt_torsion(j: SparseMatrix, alg: LieAlgebra, n_form: KForm | None) -> KForm:
     if n_form is None:
         raise ValueError(
             "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
@@ -174,7 +175,7 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     candidates: list[KForm] = []
     for s, (_, n_form) in enumerate(tensors, 1):
         try:
-            candidates.append(_kt_torsion(h.j_sparse[s - 1], alg, n_form))
+            candidates.append(kt_torsion(h.j_sparse[s - 1], alg, n_form))
         except ValueError as exc:
             return HktResult(ok=False, first_nonintegrable=first_bad, reason=f"J{s}: {exc}")
     base = candidates[0]

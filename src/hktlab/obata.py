@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
-from .hyperhermitian import signed_permutation
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, SparseMatrix, solve_pairs
 from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
@@ -48,7 +47,8 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
 
 def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     """Integer sparse-matrix basis of gl(n, H) = {M : M J_s = J_s M, s = 1, 2, 3},
-    read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)}.
+    read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)}
+    (`h.permutations`).
 
     M commutes with J_s exactly when M[sigma_s(a)][sigma_s(b)] =
     eps_s(a) eps_s(b) M[a][b], so a cell and its images under J1, J2, J3,
@@ -57,7 +57,6 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     with 1 there. In the order of those cells this is the reduced-echelon
     nullspace basis.
     """
-    images = [signed_permutation(j) for j in h.j_sparse]
     basis: list[SparseMatrix] = []
     seen: set[tuple[int, int]] = set()
     for a in reversed(range(h.dim)):
@@ -65,7 +64,7 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
             if (a, b) in seen:
                 continue
             m: SparseMatrix = {a: {b: 1}}
-            for image in images:
+            for image in h.permutations:
                 (p, x), (q, y) = image[a], image[b]
                 m.setdefault(p, {})[q] = 1 if x == y else -1  # eps_s(a) eps_s(b), an int
             seen.update((p, q) for p, row in m.items() for q in row)

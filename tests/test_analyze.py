@@ -4,7 +4,9 @@ the expensive builders during one analysis or one CLI call."""
 import importlib
 import json
 import pkgutil
+import re
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -15,7 +17,7 @@ from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
-from hktlab.hyperhermitian import glnh_membership, hkt_check
+from hktlab.hyperhermitian import HyperhermitianStructure, glnh_membership, hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
@@ -29,6 +31,8 @@ MODULES = [hktlab] + [
 
 COUNTED = (
     "nijenhuis",
+    "kt_torsion",
+    "glnh_membership",
     "levi_civita",
     "curvature_operators",
     "curvature_tensor",
@@ -90,6 +94,15 @@ def calls(monkeypatch):
     operators = cached_property(counted_build)
     operators.__set_name__(Connection, "operators")
     monkeypatch.setattr(Connection, "operators", operators)
+    derive = HyperhermitianStructure.permutations.func
+
+    def counted_derive(self):
+        counts["HyperhermitianStructure.permutations"] += 1
+        return derive(self)
+
+    permutations = cached_property(counted_derive)
+    permutations.__set_name__(HyperhermitianStructure, "permutations")
+    monkeypatch.setattr(HyperhermitianStructure, "permutations", permutations)
     return counts
 
 
@@ -101,6 +114,8 @@ def cat():
 def test_hkt_analysis_builds_each_object_once(calls, cat):
     analyze_entry(cat["hopf8"])
     assert calls["nijenhuis"] == 3
+    # one torsion per complex structure, from the Nijenhuis form hkt_check holds
+    assert calls["kt_torsion"] == 3
     assert calls["bismut_connection"] <= 1
     assert calls["difference_tensor"] == 1
     assert calls["levi_civita"] == 1
@@ -117,6 +132,19 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     # the double J1-trace of dT is read off the J1 partial trace
     assert _binders("_double_j_trace") == []
     assert calls["_j_partial_trace"] == 3
+    # each J's signed permutation is a view of the structure, derived on read
+    assert _binders("signed_permutation") == []
+
+
+def test_structure_derives_its_permutations_once(calls, cat):
+    # a fresh structure, so no earlier test has derived its permutations;
+    # the commutant and the membership tests of the 8 torsion-free
+    # operators (both holonomy closures of hopf8 are 0) share them
+    entry = replace(cat["hopf8"], structure=replace(cat["hopf8"].structure))
+    analyze_entry(entry)
+    assert calls["commutant_basis"] == 1
+    assert calls["glnh_membership"] == 8
+    assert calls["HyperhermitianStructure.permutations"] == 1
 
 
 def test_non_hkt_analysis_skips_levi_civita(calls, cat):
@@ -135,6 +163,16 @@ def test_holonomy_obata_uses_difference_route(calls, capsys):
     assert calls["obata_oracle_solver"] == 0
     # the postcondition check, the curvature and the closure share one build
     assert calls["Connection.operators"] == 1
+
+
+@pytest.mark.parametrize("connection", ["bismut", "levicivita"])
+def test_holonomy_tests_each_generator_once(calls, capsys, su3_path, connection):
+    # `quaternion-linear:` reads the certificate of every connection's closure
+    assert cli.main(["holonomy", str(su3_path), "--connection", connection]) == 0
+    generators = re.search(r"^generators: (\d+)$", capsys.readouterr().out, re.M)
+    assert int(generators.group(1)) > 0
+    assert calls["glnh_membership"] == int(generators.group(1))
+    assert calls["nijenhuis"] == (3 if connection == "bismut" else 0)
 
 
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8"])

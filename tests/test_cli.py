@@ -9,7 +9,7 @@ from hktlab import cli, holonomy
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.holonomy import SlCertificate
 
-from oracle_impl import ALL_NAMES, cayley_rotated
+from oracle_impl import ALL_NAMES, cayley_rotated, direct_sum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -285,15 +285,68 @@ def test_holonomy_su3_output(capsys, su3_path, connection):
     assert (rc, out, err) == (0, SU3_HOLONOMY[connection], "")
 
 
+# the dim-12 and dim-16 direct sums of the holonomy benchmark inputs
+SUMS = {"nil12": ("nil8", "hopf4"), "nil16": ("nil8", "nil8")}
+FLAT_OBATA = (
+    "connection: obata\n"
+    "generators: 0\n"
+    "holonomy dimension: 0\n"
+    "metric-skew: True\n"
+    "quaternion-linear: True\n"
+    "special quaternionic: True\n"
+    "certificate: generators=0 quaternion_linear=True trace_free=True first_violation=None\n"
+)
+SUM_HOLONOMY = {
+    ("nil12", "levicivita"): (
+        "connection: levicivita\n"
+        "generators: 24\n"
+        "holonomy dimension: 24\n"
+        "metric-skew: True\n"
+        "quaternion-linear: False\n"
+    ),
+    ("nil12", "bismut"): (
+        "connection: bismut\n"
+        "generators: 3\n"
+        "holonomy dimension: 3\n"
+        "metric-skew: True\n"
+        "quaternion-linear: True\n"
+    ),
+    ("nil12", "obata"): FLAT_OBATA,
+    ("nil16", "levicivita"): (
+        "connection: levicivita\n"
+        "generators: 42\n"
+        "holonomy dimension: 42\n"
+        "metric-skew: True\n"
+        "quaternion-linear: False\n"
+    ),
+    ("nil16", "bismut"): (
+        "connection: bismut\n"
+        "generators: 6\n"
+        "holonomy dimension: 6\n"
+        "metric-skew: True\n"
+        "quaternion-linear: True\n"
+    ),
+    ("nil16", "obata"): FLAT_OBATA,
+}
+
+
+@pytest.mark.parametrize("name, connection", sorted(SUM_HOLONOMY))
+def test_holonomy_direct_sum_output(capsys, tmp_path, cat, name, connection):
+    first, second = (serialize(cat[summand]) for summand in SUMS[name])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(direct_sum(first, second)), encoding="utf-8")
+    rc, out, err = run(capsys, "holonomy", str(path), "--connection", connection)
+    assert (rc, out, err) == (0, SUM_HOLONOMY[name, connection], "")
+
+
 def test_holonomy_obata_tests_each_generator_once(capsys, monkeypatch, su3_path):
     # `quaternion-linear:` reads the certificate, whose membership test
     # already ran on every generator
     calls = []
-    for module in (cli, holonomy):
-        original = module.glnh_membership
-        monkeypatch.setattr(
-            module, "glnh_membership", lambda m, h, _f=original: calls.append(m) or _f(m, h)
-        )
+    original = holonomy.glnh_membership
+    monkeypatch.setattr(
+        holonomy, "glnh_membership", lambda m, h, _f=original: calls.append(m) or _f(m, h)
+    )
     rc, out, err = run(capsys, "holonomy", str(su3_path), "--connection", "obata")
     assert (rc, out, err) == (0, SU3_HOLONOMY["obata"], "")
     assert len(calls) == 16

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name
 from hktlab.holonomy import (
     HOPF_CAVEAT_TEXT,
@@ -505,35 +506,36 @@ def test_slnh_on_catalog_holonomies(cat, torsions):
 
 
 def test_classify_tiers():
-    v = classify(True, True, True, True, True, True, 0, True, True, "inconclusive")
+    v = classify(True, True, True, True, True, 0, True, True, "inconclusive")
     assert v.sl_tier == "invariant_SL"
     assert v.hyperkahler and v.balanced
     assert not v.hopf_caveat and v.caveat_text is None
 
-    v = classify(True, False, False, True, True, True, 0, True, True, "inconclusive")
+    v = classify(False, False, True, True, True, 0, True, True, "inconclusive")
     assert v.sl_tier == "restricted_SL"
     assert v.hopf_caveat
     assert v.caveat_text == HOPF_CAVEAT_TEXT
     assert not v.hyperkahler and not v.balanced
 
-    v = classify(True, False, False, False, False, False, 5, False, False, "inconclusive")
+    v = classify(False, False, False, False, False, 5, False, False, "inconclusive")
     assert v.sl_tier == "not_SL"
     assert not v.hopf_caveat and v.caveat_text is None
 
 
-def test_classify_non_hkt():
-    v = classify(False, None, None, None, None, None, 0, True, True, "inconclusive")
-    assert not v.hkt
-    assert v.sl_tier == "not_applicable"
-    assert v.hyperkahler is None and v.balanced is None
-    assert v.strong is None and v.almost_strong is None
-    assert not v.hopf_caveat
+def test_classify_non_hkt(cat):
+    # classify sees HKT structures only; the not-HKT verdict keeps the defaults
+    v = analyze_entry(cat["hc_only8"])["verdict"]
+    assert not v["hkt"]
+    assert v["sl_tier"] == "not_applicable"
+    assert v["hyperkahler"] is None and v["balanced"] is None
+    assert v["strong"] is None and v["almost_strong"] is None
+    assert not v["hopf_caveat"]
 
 
 def test_classify_consistency_violations():
     with pytest.raises(RuntimeError, match="balanced structure with non-closed Lee form"):
-        classify(True, False, True, False, True, True, 0, True, True, "inconclusive")
+        classify(False, True, False, True, True, 0, True, True, "inconclusive")
     with pytest.raises(RuntimeError, match="closed Lee form with nonvanishing Ricci"):
-        classify(True, False, False, True, True, True, 0, False, True, "inconclusive")
+        classify(False, False, True, True, True, 0, False, True, "inconclusive")
     with pytest.raises(RuntimeError, match="vanishing Ricci with traceful holonomy generator"):
-        classify(True, False, False, False, True, True, 0, True, False, "inconclusive")
+        classify(False, False, False, True, True, 0, True, False, "inconclusive")

@@ -237,9 +237,9 @@ def test_kt_torsion_requires_skew_nijenhuis():
     assert hkt_check(h, heis).first_nonintegrable == 1
     j1, j2, j3 = h.j_sparse
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(j1, heis)
+        kt_torsion(j1, heis, nijenhuis(heis, j1)[1])
     with pytest.raises(ValueError, match="not totally skew"):
-        kt_torsion(j2, heis)
+        kt_torsion(j2, heis, nijenhuis(heis, j2)[1])
     # the third complex structure happens to be integrable here
     cube, form = nijenhuis(heis, j3)
     assert cube == {}

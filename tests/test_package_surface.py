@@ -17,6 +17,9 @@ it.
 Every name a package module imports (apart from `__future__` features) is
 read in that module; `__init__.py` is exempt, since it imports to export.
 
+No module defines both `f` and a private twin `_f` at the top level: an
+object has one builder, and the public one is the one the package calls.
+
 Only the modules in TYPE_TESTING may test a scalar's Python type
 (`isinstance(..., Fraction)`, `type(...) is int`): the engine computes
 values, and the report decides how a rational is written.
@@ -175,6 +178,36 @@ def test_every_import_is_read():
 )
 def test_unread_imports_are_found(code, unread):
     assert _unread_imports(ast.parse(code)) == unread
+
+
+def _private_twins(tree: ast.Module) -> list[str]:
+    """The top-level functions `f` of the module that sit beside a
+    top-level function `_f`."""
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return sorted(name for name in defined if f"_{name}" in defined)
+
+
+def test_no_private_twin():
+    found = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _private_twins(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "code, twins",
+    [
+        ("def f(x): ...\ndef _f(x, n): ...", ["f"]),
+        ("def _f(): ...\ndef f(): ...\ndef g(): ...", ["f"]),
+        ("def f(): ...\ndef _g(): ...", []),
+        ("def f(): ...\nclass C:\n    def _f(self): ...", []),  # a method is not top level
+        ("def f():\n    def _f(): ...", []),
+    ],
+)
+def test_private_twins_are_found(code, twins):
+    assert _private_twins(ast.parse(code)) == twins
 
 
 def _names(node: ast.AST) -> set[str]:
