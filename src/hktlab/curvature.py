@@ -3,16 +3,17 @@
 Curvature arrives as the int operators of `invariant.curvature_operators`
 over one scale, with the lowered curvature r[i][j][k][l] =
 R(e_i, e_j)[l][k]; every trace below is summed from their nonzeros on ints
-and divided by the scale once. Every endomorphism and bilinear form here
-(the J's, Ric, the Ricci 2-forms and d(theta) through
-`tensors.form_to_matrix`, the dT partial traces) is a sparse matrix with
-B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
-`tensors.cube_j_trace`, and Ric(J., J.) and d(theta)(J., J.) through
-`tensors.j_pullback`, each Ric pullback built once per J in the
-`RicciPackage`, on first read: only the torsion-free connection's are
-read. rho and the rho_s are summed in one loop (`_traced_forms`), which
-the *-scalar runs for the Levi-Civita rho_s alone. The double J1-trace
-of dT that the *-scalar identities use is -4h, read off `dt_traces`.
+and divided by the scale once, and a zero operator R(e_i, e_j) is skipped
+before any work. Every endomorphism and bilinear form here (the J's, Ric,
+the Ricci 2-forms and d(theta) through `tensors.form_to_matrix`, the dT
+partial traces) is a sparse matrix with B[x][y] = B(e_x, e_y). The
+J-traces go through `tensors.j_trace` and `tensors.cube_j_trace`, and
+Ric(J., J.) and d(theta)(J., J.) through `tensors.j_pullback`, each Ric
+pullback built once per J in the `RicciPackage`, on first read: only the
+torsion-free connection's are read. rho and the rho_s are summed in one
+loop (`_traced_forms`), which the *-scalar runs for the Levi-Civita rho_s
+alone. The double J1-trace of dT that the *-scalar identities use is -4h,
+read off `dt_traces`.
 An identity check returns its evidence: the first counterexample, the
 least nonzero cell of a sparse residual, or `None` when it holds, so
 reports can point at exact basis tuples.
@@ -75,10 +76,13 @@ def _traced_forms(
     curvature: Curvature, traced: list[tuple[SparseMatrix, int]], dim: int
 ) -> list[KForm]:
     """For each (M, d) in traced, the 2-form (i, j) -> 1/d sum v M[l][k],
-    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]."""
+    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]; a zero
+    R(e_i, e_j) adds nothing and is skipped."""
     scale = curvature.scale
     forms: list[dict[tuple[int, ...], Scalar]] = [{} for _ in traced]
     for (i, j), op in curvature.entries.items():
+        if not op:
+            continue
         sums: list[Scalar] = [0] * len(traced)
         for l, row in op.items():
             m_rows = [m.get(l, {}) for m, _ in traced]
@@ -95,10 +99,13 @@ def _traced_forms(
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
     """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
-    rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
+    rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric. A
+    zero R(e_i, e_j) adds nothing to any of them and is skipped."""
     dim, scale = h.dim, curvature.scale
     sums_ric: SparseMatrix = {}
     for (i, j), op in curvature.entries.items():
+        if not op:
+            continue
         # from r[a][x][y][a]: row j of Ric gains row i of R(e_i, e_j), row i loses row j
         sparse_subtract(sums_ric, -1, {j: op.get(i, {})})
         sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
@@ -213,8 +220,10 @@ def curvature_relation_check(
 
     verified on every basis quadruple. The residual R_ob - R - correction
     is summed from the nonzeros of both curvatures and of A, T and nabla A,
-    on ints over the lcm of their scales. Returns the first failing
-    quadruple, its least nonzero key, or None when the relation holds.
+    on ints over the lcm of their scales; nabla_{e_i} A is formed only for
+    the nonzero operators of the skew-torsion connection, since a zero one
+    gives zero. Returns the first failing quadruple, its least nonzero key,
+    or None when the relation holds.
     """
     cube, t = a.entries, integer_scaled(t_cube)
     scale = lcm(ob_curvature.scale, skew_curvature.scale, skew_conn.scale * a.scale)
@@ -234,6 +243,8 @@ def curvature_relation_check(
     # (nabla_X A)(Y,Z,U) - (nabla_Y A)(X,Z,U)
     f = scale // (skew_conn.scale * a.scale)
     for i, op in enumerate(skew_conn.operators):
+        if not op:
+            continue
         for (j, k, l), v in covariant_derivative_cube(op, cube).items():
             residual[(i, j, k, l)] -= f * v
             residual[(j, i, k, l)] += f * v

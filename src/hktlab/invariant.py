@@ -21,8 +21,10 @@ takes; a reader sums over the ints and divides once, and
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
 the sparse bracket table; the Jacobi check completes it antisymmetrically
-once, up front. `LieAlgebra.jacobi_defect` holds its result, walked once
-per algebra on first read, for the loader and the report.
+once, up front, and walks only the triples where a cyclic term
+[[e_a, e_b], e_c] can be nonzero by support. `LieAlgebra.jacobi_defect`
+holds its result, walked once per algebra on first read, for the loader
+and the report.
 """
 
 from __future__ import annotations
@@ -77,19 +79,29 @@ def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector]
     The defect is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
     summed from the nonzero structure constants, read off a table that
     holds both orders of each stored pair, and returned as a dense vector
-    whose untouched entries are int zeros. Only triples holding a pair
-    with a nonzero bracket can have a nonzero defect, so only those are
-    walked, in sorted order.
+    whose untouched entries are int zeros. A cyclic term [[e_a, e_b], e_c]
+    can be nonzero only when some m in [e_a, e_b] has [e_m, e_c] nonzero,
+    so only the triples {a, b, c}, c not in {a, b}, that meet such a chain
+    are walked, in sorted order; every other triple has defect 0. The
+    pairs (a, b) are the stored ones, since [e_b, e_a] has the support of
+    [e_a, e_b]; the partners c of m are read off both orders.
 
     Antisymmetry is structural here (only i < j keys are stored); wire-level
     antisymmetry conflicts are reported by the catalog loader.
     """
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    partners: dict[int, list[int]] = defaultdict(list)  # m -> every c with [e_m, e_c] != 0
     for (i, j), comps in alg.brackets.items():
         table[(i, j)] = comps
         table[(j, i)] = {k: -v for k, v in comps.items()}
+        partners[i].append(j)
+        partners[j].append(i)
     triples = {
-        tuple(sorted((i, j, k))) for i, j in alg.brackets for k in range(alg.dim) if k not in (i, j)
+        tuple(sorted((a, b, c)))
+        for (a, b), comps in alg.brackets.items()
+        for m in comps
+        for c in partners.get(m, ())
+        if c != a and c != b
     }
     for i, j, k in sorted(triples):
         defect: dict[int, Scalar] = {}

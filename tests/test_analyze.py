@@ -12,12 +12,13 @@ from functools import cached_property
 import pytest
 
 import hktlab
-from hktlab import cli
+from hktlab import cli, curvature
 from hktlab.analyze import analyze_entry
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
-from hktlab.hyperhermitian import HyperhermitianStructure, glnh_membership, hkt_check
+from hktlab.hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
+from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
@@ -49,6 +50,7 @@ COUNTED = (
     "j_pullback",
     "_j_partial_trace",
     "validate_lie_algebra",
+    "covariant_derivative_cube",
 )
 
 
@@ -307,3 +309,36 @@ def test_load_and_analysis_walk_the_jacobi_triples_once(calls, cat, tmp_path, su
         calls.clear()
         assert analyze_entry(load(path))["validation"]["jacobi"] is True
         assert calls["validate_lie_algebra"] == 1
+
+
+@pytest.mark.parametrize("name", ["hopf8", "nil8"])
+def test_curvature_relation_differentiates_nonzero_skew_operators_only(calls, cat, name):
+    # nabla_{e_i} A is formed once per nonzero skew-torsion operator: hopf8's
+    # skew-torsion connection is zero (none of 8), nil8's has 3 of 8
+    entry = cat[name]
+    skew = bismut_connection(hkt_check(entry.structure, entry.lie).torsion, levi_civita(entry.lie))
+    nonzero = sum(1 for op in skew.operators if op)
+    assert nonzero == {"hopf8": 0, "nil8": 3}[name]
+    calls.clear()
+    analyze_entry(entry)
+    assert calls["covariant_derivative_cube"] == nonzero
+
+
+def test_ricci_package_skips_zero_curvature_operators(monkeypatch, cat):
+    # hopf8's torsion-free connection is flat: its 28 operators R(e_i, e_j)
+    # are all empty, and none of them reaches the Ricci sums
+    entry = cat["hopf8"]
+    ob = obata_connection(entry.structure, entry.lie)
+    r_ob = curvature_operators(ob, entry.lie)
+    assert len(r_ob.entries) == 28 and not any(r_ob.entries.values())
+    subtracted = []
+    subtract = curvature.sparse_subtract
+
+    def counted(*args):
+        subtracted.append(args)
+        return subtract(*args)
+
+    monkeypatch.setattr(curvature, "sparse_subtract", counted)
+    pkg = curvature.ricci_package(r_ob, entry.structure)
+    assert subtracted == []
+    assert pkg.ric == {} and pkg.scal == 0 and pkg.rho.is_zero()

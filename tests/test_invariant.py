@@ -161,6 +161,27 @@ def test_jacobi_check_matches_per_lookup_walk(alg):
         assert repr(got) == repr(want)
 
 
+# Tables whose first failing triple (i, j, k) has one nonzero cyclic term,
+# reached only through a reversed pair: [[e_k, e_i], e_j] with k > i, or an
+# inner [e_m, e_c] stored as (c, m), c < m, or both.
+REVERSED_PAIR_TABLES = {
+    # [[e_3, e_0], e_2] = -[e_1, e_2] = -e_4 at (0, 2, 3)
+    "outer (k, i)": LieAlgebra(5, {(0, 3): {1: 1}, (1, 2): {4: 1}}),
+    # [[e_0, e_1], e_2] = [e_3, e_2] = -e_4 / 2 at (0, 1, 2), [e_3, e_2] stored as (2, 3)
+    "inner (m, c), c < m": LieAlgebra(5, {(0, 1): {3: 1}, (2, 3): {4: Fraction(1, 2)}}),
+    # [[e_2, e_0], e_1] = [-e_3, e_1] = e_0 at (0, 1, 2), then (1, 2, 3) fails too
+    "both": LieAlgebra(4, {(0, 2): {3: 1}, (1, 3): {0: 1}}),
+}
+
+
+@pytest.mark.parametrize("alg", REVERSED_PAIR_TABLES.values(), ids=REVERSED_PAIR_TABLES)
+def test_jacobi_check_finds_defects_behind_reversed_pairs(alg):
+    got, want = validate_lie_algebra(alg), naive_validate_lie_algebra(alg)
+    assert want is not None
+    assert got == want
+    assert repr(got) == repr(want)
+
+
 def test_differential_sign_pin():
     # d e^3 (e1, e2) = -c^3_{12} = -2 on the Hopf-type algebra
     d_e3 = ce_differential(HOPF4, basis_form(4, (3,)))
