@@ -209,7 +209,7 @@ def _torsion_free_stage(
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
         "solver_certificate": asdict(certificate),
-        "flat": not any(r_ob.entries.values()),
+        "flat": not r_ob.entries,
         "holonomy_dim": hol_ob.dim,
     }
     report["holonomy"] = {

@@ -1,19 +1,19 @@
 """Ricci-type curvature data, the Lee form, and the identity suites.
 
-Curvature arrives as the int operators of `invariant.curvature_operators`
-over one scale, with the lowered curvature r[i][j][k][l] =
-R(e_i, e_j)[l][k]; every trace below is summed from their nonzeros on ints
-and divided by the scale once, and a zero operator R(e_i, e_j) is skipped
-before any work. Every endomorphism and bilinear form here (the J's, Ric,
-the Ricci 2-forms and d(theta) through `tensors.form_to_matrix`, the dT
-partial traces) is a sparse matrix with B[x][y] = B(e_x, e_y). The
-J-traces go through `tensors.j_trace` and `tensors.cube_j_trace`, and
-Ric(J., J.) and d(theta)(J., J.) through `tensors.j_pullback`, each Ric
-pullback built once per J in the `RicciPackage`, on first read: only the
-torsion-free connection's are read. rho and the rho_s are summed in one
-loop (`_traced_forms`), which the *-scalar runs for the Levi-Civita rho_s
-alone. The double J1-trace of dT that the *-scalar identities use is -4h,
-read off `dt_traces`.
+Curvature arrives as the nonzero int operators of
+`invariant.curvature_operators` over one scale, with the lowered curvature
+r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is summed from their
+nonzeros on ints and divided by the scale once. Every endomorphism and
+bilinear form here (the J's, Ric, the Ricci 2-forms and d(theta) through
+`tensors.form_to_matrix`, the dT partial traces) is a sparse matrix with
+B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
+`tensors.cube_j_trace` (the Lee form too, pulled back by
+`linalg.sparse_apply`), and Ric(J., J.) and d(theta)(J., J.) through
+`tensors.j_pullback`, each Ric pullback built once per J in the
+`RicciPackage`, on first read: only the torsion-free connection's are
+read. rho and the rho_s are summed in one loop (`_traced_forms`), which
+the *-scalar runs for the Levi-Civita rho_s alone. The double J1-trace of
+dT that the *-scalar identities use is -4h, read off `dt_traces`.
 An identity check returns its evidence: the first counterexample, the
 least nonzero cell of a sparse residual, or `None` when it holds, so
 reports can point at exact basis tuples.
@@ -37,7 +37,8 @@ from .invariant import (
     ce_differential,
     covariant_derivative_cube,
 )
-from .linalg import SparseMatrix, sparse_product, sparse_subtract, sparse_trace, sparse_transpose
+from .linalg import SparseMatrix, sparse_apply, sparse_product, sparse_subtract, sparse_trace
+from .linalg import sparse_transpose
 from .tensors import (
     Cube,
     KForm,
@@ -76,13 +77,10 @@ def _traced_forms(
     curvature: Curvature, traced: list[tuple[SparseMatrix, int]], dim: int
 ) -> list[KForm]:
     """For each (M, d) in traced, the 2-form (i, j) -> 1/d sum v M[l][k],
-    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]; a zero
-    R(e_i, e_j) adds nothing and is skipped."""
+    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]."""
     scale = curvature.scale
     forms: list[dict[tuple[int, ...], Scalar]] = [{} for _ in traced]
     for (i, j), op in curvature.entries.items():
-        if not op:
-            continue
         sums: list[Scalar] = [0] * len(traced)
         for l, row in op.items():
             m_rows = [m.get(l, {}) for m, _ in traced]
@@ -99,13 +97,10 @@ def _traced_forms(
 def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPackage:
     """Ricci traces summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]:
     ric[x][y] = sum_a r[a][x][y][a], rho(i, j) = tr R(e_i, e_j) and
-    rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric. A
-    zero R(e_i, e_j) adds nothing to any of them and is skipped."""
+    rho_s(i, j) = 1/2 sum v J_s[l][k]; scal_s is the J_s-trace of Ric."""
     dim, scale = h.dim, curvature.scale
     sums_ric: SparseMatrix = {}
     for (i, j), op in curvature.entries.items():
-        if not op:
-            continue
         # from r[a][x][y][a]: row j of Ric gains row i of R(e_i, e_j), row i loses row j
         sparse_subtract(sums_ric, -1, {j: op.get(i, {})})
         sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
@@ -126,23 +121,17 @@ class LeeForm:
 
 def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     """theta(X) = -1/2 sum_a T(J_s X, e_a, J_s e_a), required to agree for
-    s = 1, 2, 3. Classification is at the invariant level, where exactness
-    of a 1-form means vanishing.
+    s = 1, 2, 3: with S = `cube_j_trace` of T by J_s, theta(e_x) =
+    -1/2 S(J_s e_x) = -1/2 (J_s^T S)_x, which `sparse_apply` gives with J_s's
+    rows as the columns of J_s^T. Classification is at the invariant level,
+    where exactness of a 1-form means vanishing.
     """
-    dim = h.dim
     ct = form_to_cube(t)
-    candidates: list[list[Scalar]] = []
-    for j in h.j_sparse:
-        # S[r] = sum_{a,m} T(e_r, e_a, e_m) J[m][a], then theta(e_x) = -1/2 S(J e_x)
-        contracted = cube_j_trace(ct, j)
-        pulled: list[Scalar] = [0] * dim
-        for r, row in j.items():
-            for x, v in row.items():
-                pulled[x] += v * contracted.get(r, 0)
-        candidates.append([Fraction(-total, 2) for total in pulled])
+    candidates = [sparse_apply(j, cube_j_trace(ct, j)) for j in h.j_sparse]
     if not (candidates[0] == candidates[1] == candidates[2]):
         raise ValueError("not HKT torsion: the three Lee form candidates differ")
-    theta = KForm(dim, 1, {(x,): v for x, v in enumerate(candidates[0]) if v})
+    pulled = candidates[0]
+    theta = KForm(h.dim, 1, {(x,): Fraction(-pulled[x], 2) for x in sorted(pulled)})
     d_theta = ce_differential(alg, theta)
     if theta.is_zero():
         classification = "balanced"

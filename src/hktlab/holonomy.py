@@ -45,10 +45,10 @@ class HolonomyAlgebra:
 def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     """Smallest space h containing the curvature operators and closed under
     commutators with the connection operators L_k; `curvature` must be
-    `curvature_operators(conn, alg)`, whose zero operators seed nothing
-    and are skipped. Each basis element is bracketed once with each L_k
-    whose products with it can be nonzero, and the generators come back in
-    the order they entered the basis.
+    `curvature_operators(conn, alg)`, whose stored operators, all nonzero,
+    are the seeds. Each basis element is bracketed once with each L_k whose
+    products with it can be nonzero, and the generators come back in the
+    order they entered the basis.
 
     The closure runs on ints: a basis element m over scale t gives
     [ops_k, m] over s t, with L_k = ops_k / s; each element enters the basis
@@ -80,8 +80,6 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
             queue.append(basis[-1])
 
     for seed in curvature.entries.values():
-        if not seed:
-            continue
         offer({i * n + j: x for i, row in seed.items() for j, x in row.items()}, curvature.scale)
     if queue:
         columns = [sparse_transpose(op) for op in ops]

@@ -14,10 +14,11 @@ once per connection, on first read) and `curvature_operators` hold the int
 operators as `linalg.SparseMatrix`; `curvature_operators` brackets them
 with `linalg.sparse_commutator`, summed over the nonzeros, where their
 supports meet (`linalg.support`), and sums nothing where both products
-vanish by support. The curvature operators {(i, j): R(e_i, e_j)},
+vanish by support. The nonzero curvature operators {(i, j): R(e_i, e_j)},
 i < j, int over one least scale, are the one curvature format every reader
-takes; a reader sums over the ints and divides once, and
-`curvature_tensor` is their dense dim^4 nested-list view.
+takes: as in every sparse container here no zero is stored, so a flat
+connection's curvature is empty. A reader sums over the ints and divides
+once, and `curvature_tensor` is their dense dim^4 nested-list view.
 
 `levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
 the sparse bracket table; the Jacobi check completes it antisymmetrically
@@ -214,16 +215,16 @@ def torsion(conn: Connection, alg: LieAlgebra) -> tuple[Cube, KForm | None]:
     return cube, cube_to_form(cube, conn.dim)
 
 
-Curvature = Scaled  # entries {(i, j): R(e_i, e_j) * scale}, i < j
+Curvature = Scaled  # entries {(i, j): R(e_i, e_j) * scale}, i < j, R(e_i, e_j) != 0
 
 
 def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
-    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]}, keys i < j; the lowered
-    curvature is r[i][j][k][l] = R(e_i, e_j)[l][k]. With L_i = ops_i / s
-    and d the lcm of the bracket denominators, d s^2 R(e_i, e_j) =
-    [d ops_i, ops_j] - sum_m (d c^m_ij) s ops_m on ints, then reduced. The
-    commutator is not summed where both products vanish by support
-    (`linalg.support`)."""
+    """R(e_i, e_j) = [L_i, L_j] - L_{[e_i, e_j]}, keys i < j, stored only
+    where nonzero; the lowered curvature is r[i][j][k][l] =
+    R(e_i, e_j)[l][k]. With L_i = ops_i / s and d the lcm of the bracket
+    denominators, d s^2 R(e_i, e_j) = [d ops_i, ops_j] -
+    sum_m (d c^m_ij) s ops_m on ints, then reduced. The commutator is not
+    summed where both products vanish by support (`linalg.support`)."""
     ops, s = conn.operators, conn.scale
     d = lcm(*[c.denominator for comps in alg.brackets.values() for c in comps.values()])
     left = ops  # d ops_i, copied only when d > 1
@@ -233,9 +234,11 @@ def curvature_operators(conn: Connection, alg: LieAlgebra) -> Curvature:
     out: dict[tuple[int, int], SparseMatrix] = {}
     for i, j in combinations(range(conn.dim), 2):
         (ri, ci), (rj, cj) = supports[i], supports[j]
-        out[(i, j)] = r = sparse_commutator(left[i], ops[j]) if ci & rj or cj & ri else {}
+        r = sparse_commutator(left[i], ops[j]) if ci & rj or cj & ri else {}
         for m, c in alg.brackets.get((i, j), {}).items():
             sparse_subtract(r, c.numerator * (d // c.denominator) * s, ops[m])
+        if r:
+            out[(i, j)] = r
     g = gcd(d * s * s, *(x for r in out.values() for row in r.values() for x in row.values()))
     for row in (row for r in out.values() for row in r.values()):
         for k in row:

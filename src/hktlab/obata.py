@@ -12,9 +12,10 @@ Two independent construction routes:
   as a sparse right-hand side, one entry per nonzero structure constant
   (`linalg.solve_pairs`).
 
-Plus the trace identities tying A to the Lee form (the twisted ones are
-`tensors.cube_j_trace` of A), and their complex-frame form, whose real
-and imaginary parts are the plain and the J1 trace, so no frame is built.
+Plus the trace identities tying A to the Lee form (each trace is
+`tensors.cube_j_trace` of A, by the identity or by a J), and their
+complex-frame form, whose real and imaginary parts are the plain and the
+J1 trace, so no frame is built.
 A and both connections are int over one scale each (`tensors.Scaled`).
 """
 
@@ -198,19 +199,16 @@ def trace_identities(
     (f, J1 f) the complex trace has the plain trace as its real part and
     the J1 trace as its imaginary part, both frame-independent, so the
     complex identities read the same numbers: real part -2 theta(X),
-    imaginary part 0. Each trace is summed on A's ints, then divided once;
-    the plain traces are summed in one pass over A's nonzeros (x, i, i).
+    imaginary part 0. Each trace is summed on A's ints by `cube_j_trace`,
+    the plain one as the trace by the identity, then divided once.
     """
     dim, cube, scale = h.dim, a.entries, a.scale
-    twisted = [cube_j_trace(cube, j) for j in h.j_sparse]
-    plains: list[int] = [0] * dim
-    for (x, i, k), v in cube.items():
-        if i == k:
-            plains[x] += v
+    eye = {l: {l: 1} for l in range(dim)}
+    plains, *twisted = (cube_j_trace(cube, m) for m in (eye, *h.j_sparse))
     failures: list[str] = []
     complex_failures: list[str] = []
     for x in range(dim):
-        plain = Fraction(plains[x], scale)
+        plain = Fraction(plains.get(x, 0), scale)
         want = -2 * theta.evaluate((x,))
         if plain != want:
             failures.append(f"plain trace at X=e{x}: {plain} != {want}")

@@ -369,7 +369,7 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
             a = integer_scaled(cube_scale(a.entries, 2), a.scale)
         elif corruption == "r_ob_entry":
             # the lowered entry r_ob[1][2][3][0] is R_(1,2)[0][3]
-            row = r_ob.entries[(1, 2)].setdefault(0, {})
+            row = r_ob.entries.setdefault((1, 2), {}).setdefault(0, {})
             row[3] = row.get(3, 0) + 1
         else:
             t_cube = cube_add(t_cube, {(0, 1, 2): 1})

@@ -126,12 +126,19 @@ def applicable_connections(entry):
     return conns
 
 
+def nonzero_dense_operators(conn, alg):
+    """The dense reference operators R(e_i, e_j), i < j, with the all-zero
+    ones dropped: the curvature stores only its nonzero operators."""
+    ops = naive_curvature_operators(conn, alg)
+    return {key: m for key, m in ops.items() if any(any(row) for row in m)}
+
+
 def assert_matches_dense_oracle(entry):
     for label, conn in applicable_connections(entry).items():
         name = f"{entry.name} {label}"
         curvature = curvature_operators(conn, entry.lie)
         ops = curvature_values(curvature)
-        want_ops = naive_curvature_operators(conn, entry.lie)
+        want_ops = nonzero_dense_operators(conn, entry.lie)
         assert list(ops) == list(want_ops), name
         assert [dense_matrix(m, entry.dim) for m in ops.values()] == list(want_ops.values()), name
         got, want = holonomy_algebra(conn, curvature), naive_holonomy_algebra(conn, entry.lie)
@@ -253,7 +260,7 @@ def test_support_skip_on_block_diagonal_connections(first, second):
     conn, alg = block_sum(first, second)
     curvature = curvature_operators(conn, alg)
     ops = curvature_values(curvature)
-    want_ops = naive_curvature_operators(conn, alg)
+    want_ops = nonzero_dense_operators(conn, alg)
     assert list(ops) == list(want_ops)
     assert [dense_matrix(m, alg.dim) for m in ops.values()] == list(want_ops.values())
     got = holonomy_algebra(conn, curvature)
@@ -341,7 +348,7 @@ def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
         curvature = curvature_operators(conn, alg)
         seen.clear()
         assert holonomy_algebra(conn, curvature).dim, name
-        assert len(seen) > len(curvature.entries), name
+        assert len(seen) > alg.dim * (alg.dim - 1) // 2, name
         assert all(type(x) is int for row in seen for x in row.values()), name
 
 

@@ -406,7 +406,8 @@ def assert_scaled_connection_matches(conn, want_gamma, alg, name):
     curvature = curvature_operators(conn, alg)
     want_curvature = fraction_curvature_operators(want_gamma, alg)
     assert curvature_is_canonical(curvature), name
-    assert curvature_values(curvature) == want_curvature, name
+    nonzero = [(key, r) for key, r in want_curvature.items() if r]  # stored in key order
+    assert list(curvature_values(curvature).items()) == nonzero, name
     hol = holonomy_algebra(conn, curvature)
     want_hol = fraction_holonomy_algebra(fraction_operators(want_gamma, alg.dim), want_curvature)
     assert all(is_canonical(matrix_entries(g), s) for g, s in zip(hol.generators, hol.scales)), name

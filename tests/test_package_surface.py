@@ -281,6 +281,13 @@ def _leaves(x):
         yield x
 
 
+def _holds_zero(x) -> bool:
+    """Whether x is a zero, or nested dicts below x hold an empty dict or a zero."""
+    if isinstance(x, dict):
+        return not x or any(_holds_zero(y) for y in x.values())
+    return not x
+
+
 def _int_entries(obj) -> list[object]:
     """The entries and scales an integer-scaled object holds."""
     if hasattr(obj, "gamma"):  # invariant.Connection
@@ -322,3 +329,12 @@ def test_engine_builds_only_integer_scaled_objects(catalog, su3, su3_path, tmp_p
     assert {len(key) for key in keys if isinstance(key, tuple)} == {2, 3}
     found = [(type(obj).__name__, x) for obj in built for x in _int_entries(obj) if type(x) is not int]
     assert found == []
+    # no zero is stored: a flat curvature or a zero difference tensor is {}
+    stored_zero = [
+        (key, value)
+        for obj in built
+        if type(obj).__name__ == "Scaled"
+        for key, value in obj.entries.items()
+        if _holds_zero(value)
+    ]
+    assert stored_zero == []
