@@ -55,7 +55,7 @@ from .obata import (
     obata_oracle_solver,
     trace_identities,
 )
-from .tensors import KForm, Scaled, form_to_cube
+from .tensors import KForm, Scaled
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -240,7 +240,7 @@ def _identity_stage(
     }
     suite = obata_identity_suite(tf.ricci, lee)
     r_b = curvature_operators(skew, alg)
-    curv_rel = curvature_relation_check(r_b, tf.curvature, a, form_to_cube(t), skew)
+    curv_rel = curvature_relation_check(r_b, tf.curvature, a, t.cube, skew)
     dtt = dt_traces(tor.dt, h)
     star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
     type_cex = type_check_12_21(t, h)

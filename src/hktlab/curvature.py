@@ -40,18 +40,19 @@ from .invariant import (
 from .linalg import SparseMatrix, sparse_apply, sparse_product, sparse_subtract, sparse_trace
 from .linalg import sparse_transpose
 from .tensors import (
+    IDENTITY,
     Cube,
     KForm,
     Scaled,
     cube_j_trace,
     cube_pullback,
-    form_to_cube,
     form_to_matrix,
     integer_scaled,
     j_pullback,
     j_trace,
     norm_sq,
     perm_sign,
+    row_images,
 )
 
 
@@ -107,8 +108,7 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
     ric = {x: {y: Fraction(v, scale) for y, v in row.items()} for x, row in sums_ric.items()}
     ric_t = sparse_transpose(ric)
     scal_s = tuple(j_trace(ric_t, jm) for jm in h.j_sparse)
-    eye = {l: {l: 1} for l in range(dim)}
-    rho, *rho_s = _traced_forms(curvature, [(eye, 1), *((j, 2) for j in h.j_sparse)], dim)
+    rho, *rho_s = _traced_forms(curvature, [(IDENTITY, 1), *((j, 2) for j in h.j_sparse)], dim)
     return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.j_sparse)
 
 
@@ -126,8 +126,7 @@ def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     rows as the columns of J_s^T. Classification is at the invariant level,
     where exactness of a 1-form means vanishing.
     """
-    ct = form_to_cube(t)
-    candidates = [sparse_apply(j, cube_j_trace(ct, j)) for j in h.j_sparse]
+    candidates = [sparse_apply(j, cube_j_trace(t.cube, j)) for j in h.j_sparse]
     if not (candidates[0] == candidates[1] == candidates[2]):
         raise ValueError("not HKT torsion: the three Lee form candidates differ")
     pulled = candidates[0]
@@ -346,11 +345,10 @@ def chern_norm_check(t: KForm, h: HyperhermitianStructure) -> ChernReport:
     C_s(X,Y,Z) = (1/2) T(X, J_s Y, J_s Z) + (1/2) T(J_s X, Y, J_s Z),
     pulled back as the int table of 2 C_s and divided once.
     """
-    ct = form_to_cube(t)
     torsion_sq = norm_sq(t)
     norms = []
-    for j in h.j_sparse:
-        twice = cube_pullback(ct, (1, None, j, j), (1, j, None, j))
+    for j in map(row_images, h.j_sparse):
+        twice = cube_pullback(t.cube, (1, None, j, j), (1, j, None, j))
         norms.append(Fraction(sum(v * v for v in twice.values()), 4))
     target = Fraction(torsion_sq, 3)
     return ChernReport(tuple(norms), torsion_sq, all(n == target for n in norms))

@@ -16,8 +16,9 @@ there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
 nonzeros.
 `nijenhuis` and each family of type identities is one term table of
 J-pullbacks for `tensors.cube_pullback`, of the bracket cube c^k_ij and of
-the torsion cube respectively; `hkt_check` hands each Nijenhuis 3-form to
-`kt_torsion`, so each tensor is built once.
+the torsion's cube view (`KForm.cube`) respectively, each J converted to
+its `tensors.row_images` once per call; `hkt_check` hands each Nijenhuis
+3-form to `kt_torsion`, so each tensor is built once.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from .tensors import (
     cube_scale,
     cube_to_form,
     form_add,
-    form_to_cube,
     form_to_matrix,
     j_pullback,
     j_twist,
+    row_images,
 )
 
 
@@ -135,9 +136,9 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     for (a, b), comps in alg.brackets.items():
         for k, v in comps.items():
             c[(a, b, k)], c[(b, a, k)] = v, -v
-    jt = sparse_transpose(j)
+    rj, rjt = row_images(j), row_images(sparse_transpose(j))
     n = cube_pullback(
-        c, (1, j, j, None), (-1, None, None, None), (-1, j, None, jt), (-1, None, j, jt)
+        c, (1, rj, rj, None), (-1, None, None, None), (-1, rj, None, rjt), (-1, None, rj, rjt)
     )
     return n, cube_to_form(n, alg.dim)
 
@@ -210,8 +211,8 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
     """Both families of (1,2)+(2,1)-type identities for the torsion form, each
     residual one term table. The first failure is (family, label, cell, value),
     at the residual's least nonzero cell; None when every identity holds."""
-    c = form_to_cube(t)
-    for s, j in enumerate(h.j_sparse, 1):
+    c, rows = t.cube, tuple(map(row_images, h.j_sparse))
+    for s, j in enumerate(rows, 1):
         residual = cube_pullback(
             c, (1, None, None, None), (-1, j, j, None), (-1, j, None, j), (-1, None, j, j)
         )
@@ -219,7 +220,7 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
             idx = min(residual)
             return "single", (s,), idx, residual[idx]
     for i, j, k in MIXED_TRIPLES:
-        ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
+        ji, jj, jk = (rows[x - 1] for x in (i, j, k))
         residual = cube_pullback(
             c, (1, ji, ji, None), (-1, jk, jk, None), (-1, jk, ji, jj), (-1, ji, jk, jj)
         )
@@ -232,5 +233,5 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
 def bismut_connection(t: KForm, lc: Connection) -> Connection:
     """Levi-Civita `lc` plus half the (totally skew) torsion, lowered: with
     lc = gamma / s, the cube 2 gamma + s T over the scale 2 s."""
-    twice = cube_add(cube_scale(lc.gamma, 2), cube_scale(form_to_cube(t), lc.scale))
+    twice = cube_add(cube_scale(lc.gamma, 2), cube_scale(t.cube, lc.scale))
     return Connection(lc.dim, twice, 2 * lc.scale)

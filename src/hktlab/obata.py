@@ -28,8 +28,8 @@ from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, SparseMatrix, solve_pairs
-from .tensors import KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
-from .tensors import form_to_cube, integer_scaled
+from .tensors import IDENTITY, KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
+from .tensors import integer_scaled, row_images
 
 
 def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
@@ -38,10 +38,9 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
 
     2A(X,Y,Z) = -T(X,J1Y,J1Z) - T(J1X,J1Y,Z) - T(X,J3Y,J3Z) - T(J1X,J3Y,J2Z).
     """
-    ct = form_to_cube(t)
-    j1, j2, j3 = h.j_sparse
+    j1, j2, j3 = map(row_images, h.j_sparse)
     twice = cube_pullback(
-        ct, (-1, None, j1, j1), (-1, j1, j1, None), (-1, None, j3, j3), (-1, j1, j3, j2)
+        t.cube, (-1, None, j1, j1), (-1, j1, j1, None), (-1, None, j3, j3), (-1, j1, j3, j2)
     )
     return integer_scaled(twice, 2)
 
@@ -203,8 +202,7 @@ def trace_identities(
     the plain one as the trace by the identity, then divided once.
     """
     dim, cube, scale = h.dim, a.entries, a.scale
-    eye = {l: {l: 1} for l in range(dim)}
-    plains, *twisted = (cube_j_trace(cube, m) for m in (eye, *h.j_sparse))
+    plains, *twisted = (cube_j_trace(cube, m) for m in (IDENTITY, *h.j_sparse))
     failures: list[str] = []
     complex_failures: list[str] = []
     for x in range(dim):

@@ -11,8 +11,9 @@ stored; the loader builds that frame (see `catalog`). `j_pullback` gives
 B(J ., J .) = J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m)
 and `cube_j_trace` the same trace of the last two slots of a cube, each
 summed over nonzeros.
-`form_to_matrix` reads a 2-form as its antisymmetric matrix, as
-`form_to_cube` reads a 3-form.
+`form_to_matrix` reads a 2-form as its antisymmetric matrix. A 3-form's
+cube is its view `KForm.cube`, derived once, on first read, and shared by
+every reader, which never mutates it.
 
 Degree-3 tensors that are not antisymmetric (torsion variants, difference
 tensors, connection coefficients) are kept as "cubes": dicts
@@ -26,12 +27,16 @@ tensor are held `integer_scaled`, as int entries over one least scale.
 The paper's identities are signed sums of pullbacks of one cube through
 the J's; `cube_pullback` takes such a sum as its term table
 (f, M1, M2, M3) and builds it in one pass, and `j_twist` is its one-term
-case on a 3-form's stored components.
+case on a 3-form's stored components. Each map of a term is given as its
+row images {a: ((x, M[a][x]), ...)} (`row_images`), None for the identity
+(the row images of the sparse `IDENTITY`, MAX_DIM rows) and {} for the
+zero map; a caller converts each J once per call, never per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from math import factorial, gcd, lcm
 
@@ -91,6 +96,16 @@ class KForm:
             return 0
         return sign * self.comps.get(tuple(sorted(idx)), 0)
 
+    @cached_property
+    def cube(self) -> Cube:
+        """A 3-form as its cube, every index order of each component with
+        its permutation sign, derived once, on first read. Readers share it
+        and never mutate it."""
+        if self.degree != 3:
+            raise ValueError("expected a 3-form")
+        comps = self.comps.items()
+        return {tgt: perm_sign(tgt) * v for idx, v in comps for tgt in permutations(idx)}
+
 
 def form_add(a: KForm, b: KForm) -> KForm:
     if (a.dim, a.degree) != (b.dim, b.degree):
@@ -137,7 +152,8 @@ def j_twist(a: KForm, j: SparseMatrix) -> KForm:
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
     totals: dict[tuple[int, ...], Scalar] = {}
-    for idx, v in cube_pullback(a.comps, (-1, j, j, j)).items():
+    rj = row_images(j)
+    for idx, v in cube_pullback(a.comps, (-1, rj, rj, rj)).items():
         if sign := perm_sign(idx):
             out = tuple(sorted(idx))
             totals[out] = totals.get(out, 0) + sign * v
@@ -182,12 +198,6 @@ def norm_sq(a: KForm) -> Scalar:
 # ---------------------------------------------------------------------------
 # cubes (3-index tensors, not necessarily antisymmetric)
 
-def form_to_cube(a: KForm) -> Cube:
-    if a.degree != 3:
-        raise ValueError("expected a 3-form")
-    return {tgt: perm_sign(tgt) * v for idx, v in a.comps.items() for tgt in permutations(idx)}
-
-
 @dataclass(frozen=True)
 class Scaled:
     """entries / scale: int entries over the least positive int scale, as a
@@ -208,7 +218,7 @@ def integer_scaled(cube: Cube, scale: int = 1) -> Scaled:
 def cube_to_form(cube: Cube, dim: int) -> KForm | None:
     """Reinterpret a cube as a 3-form, or None when not totally skew."""
     form = KForm(dim, 3, {idx: v for idx, v in cube.items() if idx[0] < idx[1] < idx[2]})
-    return form if form_to_cube(form) == cube else None
+    return form if form.cube == cube else None
 
 
 def cube_j_trace(cube: Cube, j: SparseMatrix) -> dict[int, Scalar]:
@@ -236,25 +246,37 @@ def cube_scale(a: Cube, s: Scalar) -> Cube:
     return {idx: s * v for idx, v in a.items()} if s else {}
 
 
-_IDENTITY: SparseMatrix = {i: {i: 1} for i in range(MAX_DIM)}  # of every frame, dim <= MAX_DIM
+RowImages = dict[int, tuple[tuple[int, Scalar], ...]]
 
-PullbackTerm = tuple[Scalar, SparseMatrix | None, SparseMatrix | None, SparseMatrix | None]
+PullbackTerm = tuple[Scalar, RowImages | None, RowImages | None, RowImages | None]
+
+
+def row_images(m: SparseMatrix) -> RowImages:
+    """M's nonzeros by row, {a: ((x, M[a][x]), ...)}: the images (x, M[a][x])
+    that a pullback through M sends an entry with index a to, the map format
+    of `cube_pullback`."""
+    return {a: tuple(row.items()) for a, row in m.items()}
+
+
+IDENTITY: SparseMatrix = {i: {i: 1} for i in range(MAX_DIM)}  # of every frame, dim <= MAX_DIM
+_IDENTITY_ROWS = row_images(IDENTITY)
 
 
 def cube_pullback(cube: Cube, *terms: PullbackTerm) -> Cube:
     """sum_t f_t * in(M1_t X, M2_t Y, M3_t Z) over the terms (f, M1, M2, M3),
-    each M_s sparse or None for the identity: an entry in(a, b, c) adds
-    f M1[a][x] M2[b][y] M3[c][z] in(a, b, c) at (x, y, z), in one pass over
-    the nonzeros per term, and the zeros go once at the end."""
+    each M_s as its `row_images` or None for the identity: an entry
+    in(a, b, c) adds f M1[a][x] M2[b][y] M3[c][z] in(a, b, c) at (x, y, z),
+    in one pass over the nonzeros per term, and the zeros go once at the
+    end."""
     out: Cube = {}
     for f, *maps in terms:
-        m1, m2, m3 = (_IDENTITY if m is None else m for m in maps)
+        m1, m2, m3 = (_IDENTITY_ROWS if m is None else m for m in maps)
         for (a, b, c), v in cube.items():
-            for x, p in m1.get(a, {}).items():
+            for x, p in m1.get(a, ()):
                 fp = f * p
-                for y, q in m2.get(b, {}).items():
+                for y, q in m2.get(b, ()):
                     fpq = fp * q
-                    for z, r in m3.get(c, {}).items():
+                    for z, r in m3.get(c, ()):
                         key = (x, y, z)
                         out[key] = out.get(key, 0) + fpq * r * v
     return {idx: v for idx, v in out.items() if v}

@@ -63,7 +63,7 @@ from hktlab.tensors import (
     cube_pullback,
     cube_scale,
     cube_to_form,
-    form_to_cube,
+    row_images,
 )
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
@@ -317,7 +317,7 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
     """Projection of a 3-form onto its (3,0)+(0,3) part for a sparse J:
     (1/4)[a(X,Y,Z) - a(JX,JY,Z) - a(JX,Y,JZ) - a(X,JY,JZ)].
     """
-    c = form_to_cube(a)
+    c, sj = a.cube, row_images(sj)
     mixed = cube_add(
         cube_add(cube_pullback(c, (1, sj, sj, None)), cube_pullback(c, (1, sj, None, sj))),
         cube_pullback(c, (1, None, sj, sj)),
@@ -331,7 +331,7 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
 
 def cube_map_output(cube: Cube, m: Matrix) -> Cube:
     """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
-    return cube_pullback(cube, (1, None, None, sparse_matrix(transpose(m))))
+    return cube_pullback(cube, (1, None, None, row_images(sparse_matrix(transpose(m)))))
 
 
 def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
@@ -344,7 +344,7 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
     Input and output are lowered cubes over the orthonormal frame.
     """
     j1, j2, j3 = dense_js(h)
-    s1, s2, s3 = h.j_sparse
+    s1, s2, s3 = map(row_images, h.j_sparse)
     terms = [
         t_cube,
         cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s1, None)), j1), -1),
@@ -378,7 +378,7 @@ def naive_cube_pullback(cube: Cube, m1: Matrix, m2: Matrix, m3: Matrix) -> Cube:
 
 def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
     """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
-    return all(cube_pullback(a, (1, None, j, j)) == a for j in h.j_sparse)
+    return all(cube_pullback(a, (1, None, j, j)) == a for j in map(row_images, h.j_sparse))
 
 
 def sparse(row: Vector) -> Row:
@@ -1041,7 +1041,7 @@ def naive_lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> Lee
     of a 1-form means vanishing.
     """
     dim = h.dim
-    ct = form_to_cube(t)
+    ct = t.cube
     candidates: list[list[Scalar]] = []
     for s in (1, 2, 3):
         j = dense_js(h)[s - 1]
@@ -1494,13 +1494,13 @@ def fraction_levi_civita(alg: LieAlgebra) -> Cube:
 
 def fraction_bismut_connection(t: KForm, lc: Cube) -> Cube:
     """Levi-Civita coefficients plus half the torsion, in Fractions."""
-    return cube_add(lc, cube_scale(form_to_cube(t), Fraction(1, 2)))
+    return cube_add(lc, cube_scale(t.cube, Fraction(1, 2)))
 
 
 def fraction_difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     """-1/2 of the four torsion pullbacks, in Fractions."""
-    ct = form_to_cube(t)
-    j1, j2, j3 = h.j_sparse
+    ct = t.cube
+    j1, j2, j3 = map(row_images, h.j_sparse)
     total = cube_add(
         cube_add(cube_pullback(ct, (1, None, j1, j1)), cube_pullback(ct, (1, j1, j1, None))),
         cube_add(cube_pullback(ct, (1, None, j3, j3)), cube_pullback(ct, (1, j1, j3, j2))),

@@ -36,7 +36,7 @@ from hktlab.obata import (
     obata_oracle_solver,
     trace_identities,
 )
-from hktlab.tensors import form_to_cube, norm_sq, wedge
+from hktlab.tensors import norm_sq, wedge
 
 from oracle_impl import (
     ALL_NAMES,
@@ -123,7 +123,7 @@ def test_criterion_04_curvature_relation(bundles):
             curvature_operators(skew, b.entry.lie),
             b.r_ob,
             difference_tensor(b.torsion, b.entry.structure),
-            form_to_cube(b.torsion),
+            b.torsion.cube,
             skew,
         )
         assert counterexample is None, (name, counterexample)

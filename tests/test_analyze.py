@@ -22,6 +22,7 @@ from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import Connection, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
+from hktlab.tensors import KForm
 
 from oracle_impl import direct_sum_entry
 
@@ -51,6 +52,7 @@ COUNTED = (
     "_j_partial_trace",
     "validate_lie_algebra",
     "covariant_derivative_cube",
+    "row_images",
 )
 
 
@@ -105,6 +107,15 @@ def calls(monkeypatch):
     permutations = cached_property(counted_derive)
     permutations.__set_name__(HyperhermitianStructure, "permutations")
     monkeypatch.setattr(HyperhermitianStructure, "permutations", permutations)
+    to_cube = KForm.cube.func
+
+    def counted_cube(self):
+        counts["KForm.cube"] += 1
+        return to_cube(self)
+
+    cube = cached_property(counted_cube)
+    cube.__set_name__(KForm, "cube")
+    monkeypatch.setattr(KForm, "cube", cube)
     return counts
 
 
@@ -136,6 +147,13 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["_j_partial_trace"] == 3
     # each J's signed permutation is a view of the structure, derived on read
     assert _binders("signed_permutation") == []
+    # each 3-form derives its cube once: the torsion's, which every identity
+    # reads, and one per Nijenhuis skew check (3)
+    assert calls["KForm.cube"] == 4
+    # each J becomes its row images once per call, never per term: the
+    # Nijenhuis tensors (J and J^T, 6), the J-twists of dF (3), the type
+    # identities (3), the difference tensor (3) and the Chern norms (3)
+    assert calls["row_images"] == 18
 
 
 def test_structure_derives_its_permutations_once(calls, cat):
@@ -156,6 +174,8 @@ def test_non_hkt_analysis_skips_levi_civita(calls, cat):
     assert calls["obata_oracle_solver"] == 1
     assert calls["curvature_operators"] == 1
     assert calls["curvature_tensor"] == 0
+    # the Nijenhuis tensors (J and J^T, 6) and the three candidate torsions' J-twists
+    assert calls["row_images"] == 9
 
 
 def test_holonomy_obata_uses_difference_route(calls, capsys):
@@ -324,9 +344,10 @@ def test_curvature_relation_differentiates_nonzero_skew_operators_only(calls, ca
     assert calls["covariant_derivative_cube"] == nonzero
 
 
-def test_ricci_package_skips_zero_curvature_operators(monkeypatch, cat):
-    # hopf8's torsion-free connection is flat: its curvature stores none of
-    # its 28 operators R(e_i, e_j), and nothing reaches the Ricci sums
+def test_flat_connection_stores_no_curvature_and_a_zero_ricci_package(monkeypatch, cat):
+    # hopf8's torsion-free connection is flat: its curvature stores no
+    # operator R(e_i, e_j), and its Ricci package is zero, with no Ricci
+    # sum formed
     entry = cat["hopf8"]
     ob = obata_connection(entry.structure, entry.lie)
     r_ob = curvature_operators(ob, entry.lie)

@@ -29,7 +29,7 @@ from hktlab.invariant import (
 )
 from hktlab.linalg import sparse_matrix
 from hktlab.obata import difference_tensor, obata_connection
-from hktlab.tensors import KForm, cube_add, cube_scale, form_to_cube, integer_scaled, norm_sq
+from hktlab.tensors import KForm, cube_add, cube_scale, integer_scaled, norm_sq
 
 from oracle_impl import (
     ALL_NAMES,
@@ -315,7 +315,7 @@ def test_curvature_relation_on_all_hkt(cat, torsions):
             curvature_operators(skew, entry.lie),
             curvature_operators(conn, entry.lie),
             difference_tensor(t, entry.structure),
-            form_to_cube(t),
+            t.cube,
             skew,
         )
         assert counterexample is None, (name, counterexample)
@@ -332,7 +332,7 @@ def test_curvature_relation_detects_corruption(cat, torsions):
         curvature_operators(skew, entry.lie),
         curvature_operators(conn, entry.lie),
         wrong,
-        form_to_cube(t),
+        t.cube,
         skew,
     )
     assert counterexample is not None
@@ -364,7 +364,7 @@ def test_curvature_relation_matches_dense_oracle(cat, torsions, corruption):
         r_skew = curvature_operators(skew, entry.lie)
         r_ob = curvature_operators(obata_connection(entry.structure, entry.lie, t), entry.lie)
         a = difference_tensor(t, entry.structure)
-        t_cube = form_to_cube(t)
+        t_cube = t.cube
         if corruption == "double_a":
             a = integer_scaled(cube_scale(a.entries, 2), a.scale)
         elif corruption == "r_ob_entry":

@@ -26,8 +26,8 @@ from hktlab.tensors import (
     cube_add,
     cube_pullback,
     cube_scale,
-    form_to_cube,
     j_twist,
+    row_images,
 )
 
 from oracle_impl import (
@@ -322,10 +322,10 @@ def test_mixed_family_orientation_pin(cat, torsions):
     # the mixed three-structure identity holds exactly for the anti-cyclic
     # triples and fails for the cyclic ones; hopf4 is the witness
     h = cat["hopf4"].structure
-    c = form_to_cube(torsions["hopf4"])
+    c = torsions["hopf4"].cube
 
     def residual(i, j, k):
-        ji, jj, jk = (h.j_sparse[x - 1] for x in (i, j, k))
+        ji, jj, jk = (row_images(h.j_sparse[x - 1]) for x in (i, j, k))
         return cube_add(
             cube_add(
                 cube_pullback(c, (1, ji, ji, None)),

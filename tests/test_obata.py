@@ -15,7 +15,7 @@ from hktlab.obata import (
     trace_identities,
 )
 from hktlab.curvature import lee_form
-from hktlab.tensors import KForm, cube_add, form_to_cube, integer_scaled
+from hktlab.tensors import KForm, cube_add, integer_scaled
 
 from oracle_impl import (
     HKT_NAMES,
@@ -100,7 +100,7 @@ def test_general_route_agrees_with_hkt_route(cat, torsions):
     # to the direct formula when fed the skew torsion
     for name in HKT_NAMES:
         h = cat[name].structure
-        t_cube = form_to_cube(torsions[name])
+        t_cube = torsions[name].cube
         assert obata_b_tensor(t_cube, h) == scaled_values(difference_tensor(torsions[name], h)), name
 
 
@@ -162,7 +162,7 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
         if t is not None:
             skew = bismut_connection(t, levi_civita(alg))
             a = difference_tensor(t, h)
-            cubes += [skew.gamma, torsion_cube(skew, alg), a.entries, obata_b_tensor(form_to_cube(t), h)]
+            cubes += [skew.gamma, torsion_cube(skew, alg), a.entries, obata_b_tensor(t.cube, h)]
             cubes += [covariant_derivative_cube(op, a.entries) for op in skew.operators]
         for cube in cubes:
             assert 0 not in cube.values(), name

@@ -13,7 +13,6 @@ from hktlab.tensors import (
     cube_scale,
     cube_to_form,
     form_add,
-    form_to_cube,
     form_to_matrix,
     j_pullback,
     j_trace,
@@ -21,6 +20,7 @@ from hktlab.tensors import (
     norm_sq,
     norm_weight,
     perm_sign,
+    row_images,
     wedge,
 )
 
@@ -134,7 +134,7 @@ def test_norm_convention_is_full_index_sum():
 
 def test_form_cube_round_trip():
     f = KForm(4, 3, {(0, 1, 2): Fraction(5, 2), (1, 2, 3): -1})
-    cube = form_to_cube(f)
+    cube = f.cube
     assert cube[(0, 1, 2)] == Fraction(5, 2)
     assert cube[(1, 0, 2)] == Fraction(-5, 2)
     assert cube_to_form(cube, 4).comps == f.comps
@@ -147,13 +147,14 @@ def test_cube_to_form_rejects_non_skew():
 
 def test_cube_pullback_identity_slots():
     f = basis_form(4, (0, 1, 2))
-    cube = form_to_cube(f)
+    cube = f.cube
     assert cube_pullback(cube, (1, None, None, None)) == cube
-    minus = {i: {i: -1} for i in range(4)}
+    minus = row_images({i: {i: -1} for i in range(4)})
     assert cube_pullback(cube, (1, minus, minus, minus))[(0, 1, 2)] == -1
     # {} is the zero map, None the identity; no term is the zero cube
-    assert cube_pullback(cube, (1, {}, None, None)) == {}
-    assert cube_pullback(cube, (1, None, None, None), (1, None, {}, None)) == cube
+    zero = row_images({})
+    assert cube_pullback(cube, (1, zero, None, None)) == {}
+    assert cube_pullback(cube, (1, None, None, None), (1, None, zero, None)) == cube
     assert cube_pullback(cube) == {}
 
 
@@ -170,13 +171,13 @@ random_matrix = st.lists(st.lists(small, min_size=4, max_size=4), min_size=4, ma
 def test_cube_results_store_no_zero(cube, form, m1, m2, s):
     negated = cube_scale(cube, -1)
     assert cube_add(cube, negated) == {}
-    s1, s2 = sparse_matrix(m1), sparse_matrix(m2)
+    s1, s2 = row_images(sparse_matrix(m1)), row_images(sparse_matrix(m2))
     results = [
-        form_to_cube(form),
+        form.cube,
         cube_scale(cube, s),
         cube_scale(cube, 0),
         negated,
-        cube_add(cube, form_to_cube(form)),
+        cube_add(cube, form.cube),
         cube_add(cube, cube_pullback(cube, (1, s1, s1, s1))),
         cube_pullback(cube, (1, s1, None, None)),
         cube_pullback(cube, (1, None, s1, s2)),
@@ -202,7 +203,7 @@ def test_cube_pullback_matches_dense_oracle(cube, terms):
     for f, *maps in terms:
         dense = (eye if m is None else m for m in maps)
         want = cube_add(want, cube_scale(naive_cube_pullback(cube, *dense), f))
-        sparse_terms.append((f, *(None if m is None else sparse_matrix(m) for m in maps)))
+        sparse_terms.append((f, *(None if m is None else row_images(sparse_matrix(m)) for m in maps)))
     assert cube_pullback(cube, *sparse_terms) == want
 
 
