@@ -69,7 +69,7 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     element of h from a seed gives [h, h] in h.
     """
     n, ops, s = conn.dim, conn.operators, conn.scale
-    span = RowSpan(n * n)
+    span = RowSpan()
     basis: list[tuple[Row, int]] = []  # (scale * generator as a flat row, scale)
     queue: list[tuple[Row, int]] = []
 

@@ -15,10 +15,11 @@ orthonormal frame that the loader builds, so the metric is the identity
 there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
 nonzeros.
 `nijenhuis` and each family of type identities is one term table of
-J-pullbacks for `tensors.cube_pullback`, of the bracket cube c^k_ij and of
-the torsion's cube view (`KForm.cube`) respectively, each J converted to
-its `tensors.row_images` once per call; `hkt_check` hands each Nijenhuis
-3-form to `kt_torsion`, so each tensor is built once.
+J-pullbacks for `tensors.cube_pullback`, of the bracket cube view
+(`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively, each
+J converted to its `tensors.row_images` once per call; nabla A
+(`invariant.covariant_derivative_cube`) is one more such table. `hkt_check`
+hands each Nijenhuis 3-form to `kt_torsion`, so each tensor is built once.
 """
 
 from __future__ import annotations
@@ -128,17 +129,14 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
 
     Returns the cube n[(i, j, k)] = N(e_i, e_j)^k and its 3-form reading
     when totally skew (the cube lowered in the orthonormal frame), else
-    None. The four terms are one pullback table of the bracket cube
-    c[(i, j, k)] = c^k_ij (both orders of i, j): J on an argument slot, and
-    J applied to the value slot as the pullback through J^T.
+    None. The four terms are one pullback table of the shared bracket cube
+    `alg.cube`, c[(i, j, k)] = c^k_ij: J on an argument slot, and J applied
+    to the value slot as the pullback through J^T.
     """
-    c: Cube = {}
-    for (a, b), comps in alg.brackets.items():
-        for k, v in comps.items():
-            c[(a, b, k)], c[(b, a, k)] = v, -v
     rj, rjt = row_images(j), row_images(sparse_transpose(j))
     n = cube_pullback(
-        c, (1, rj, rj, None), (-1, None, None, None), (-1, rj, None, rjt), (-1, None, rj, rjt)
+        alg.cube, (1, rj, rj, None), (-1, None, None, None), (-1, rj, None, rjt),
+        (-1, None, rj, rjt),
     )
     return n, cube_to_form(n, alg.dim)
 

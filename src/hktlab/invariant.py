@@ -2,7 +2,7 @@
 left-invariant connections, their torsion and curvature.
 
 Brackets are stored sparsely as c[(i, j)] = {k: c^k_ij} with i < j; the
-antisymmetric completion is implicit. All tensor work happens in an
+view `LieAlgebra.cube` completes them over both orders. All work is in an
 orthonormal frame (the loader rebases inputs), so raising and lowering
 indices is free and every trace below is a plain index sum.
 
@@ -20,12 +20,12 @@ takes: as in every sparse container here no zero is stored, so a flat
 connection's curvature is empty. A reader sums over the ints and divides
 once, and `curvature_tensor` is their dense dim^4 nested-list view.
 
-`levi_civita`, `ce_differential`, `torsion_cube` and the Jacobi check read
-the sparse bracket table; the Jacobi check completes it antisymmetrically
-once, up front, and walks only the triples where a cyclic term
-[[e_a, e_b], e_c] can be nonzero by support. `LieAlgebra.jacobi_defect`
-holds its result, walked once per algebra on first read, for the loader
-and the report.
+`levi_civita`, `torsion_cube`, the Jacobi check and the Nijenhuis tensors
+read the bracket cube; the readers that need one order read the stored
+table. The Jacobi check walks only the triples where a cyclic term
+[[e_a, e_b], e_c] can be nonzero by support; `LieAlgebra.jacobi_defect`
+holds its result, walked once per algebra on first read. nabla A
+(`covariant_derivative_cube`) is a term table of `tensors.cube_pullback`.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from math import gcd, lcm
 from .exact import Scalar
 from .linalg import SparseMatrix, Vector, sparse_apply, sparse_commutator, sparse_subtract
 from .linalg import sparse_transpose, support
-from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_to_form
-from .tensors import integer_scaled
+from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_pullback, cube_to_form
+from .tensors import integer_scaled, row_images
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
 
@@ -69,6 +69,16 @@ class LieAlgebra:
         object.__setattr__(self, "brackets", clean)
 
     @cached_property
+    def cube(self) -> Cube:
+        """{(i, j, k): c^k_ij} over both orders of i and j, derived once, on
+        first read. Readers share it and never mutate it."""
+        out: Cube = {}
+        for (i, j), comps in self.brackets.items():
+            for k, v in comps.items():
+                out[(i, j, k)], out[(j, i, k)] = v, -v
+        return out
+
+    @cached_property
     def jacobi_defect(self) -> tuple[tuple[int, int, int], Vector] | None:
         """`validate_lie_algebra` of this algebra, walked once, on first read."""
         return validate_lie_algebra(self)
@@ -78,25 +88,24 @@ def validate_lie_algebra(alg: LieAlgebra) -> tuple[tuple[int, int, int], Vector]
     """First Jacobi violation as ((i,j,k), defect vector), or None when valid.
 
     The defect is [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j],
-    summed from the nonzero structure constants, read off a table that
-    holds both orders of each stored pair, and returned as a dense vector
-    whose untouched entries are int zeros. A cyclic term [[e_a, e_b], e_c]
-    can be nonzero only when some m in [e_a, e_b] has [e_m, e_c] nonzero,
-    so only the triples {a, b, c}, c not in {a, b}, that meet such a chain
-    are walked, in sorted order; every other triple has defect 0. The
-    pairs (a, b) are the stored ones, since [e_b, e_a] has the support of
-    [e_a, e_b]; the partners c of m are read off both orders.
+    summed from the nonzero structure constants, read off `alg.cube` by
+    pair, and returned as a dense vector whose untouched entries are int
+    zeros. A cyclic term [[e_a, e_b], e_c] can be nonzero only when some m
+    in [e_a, e_b] has [e_m, e_c] nonzero, so only the triples {a, b, c},
+    c not in {a, b}, that meet such a chain are walked, in sorted order;
+    every other triple has defect 0. The pairs (a, b) are the stored ones,
+    since [e_b, e_a] has the support of [e_a, e_b]; the partners c of m are
+    read off both orders.
 
     Antisymmetry is structural here (only i < j keys are stored); wire-level
     antisymmetry conflicts are reported by the catalog loader.
     """
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    table: dict[tuple[int, int], dict[int, Scalar]] = defaultdict(dict)  # [e_a, e_b]
+    for (a, b, k), v in alg.cube.items():
+        table[(a, b)][k] = v
     partners: dict[int, list[int]] = defaultdict(list)  # m -> every c with [e_m, e_c] != 0
-    for (i, j), comps in alg.brackets.items():
-        table[(i, j)] = comps
-        table[(j, i)] = {k: -v for k, v in comps.items()}
-        partners[i].append(j)
-        partners[j].append(i)
+    for m, c in table:
+        partners[m].append(c)
     triples = {
         tuple(sorted((a, b, c)))
         for (a, b), comps in alg.brackets.items()
@@ -179,33 +188,29 @@ class Connection:
 def levi_civita(alg: LieAlgebra) -> Connection:
     """Koszul formula in an orthonormal frame:
     Gamma_ijk = (c_ijk - c_jki + c_kij) / 2 with c_ijk = <[e_i,e_j], e_k>,
-    read off the stored brackets: each c^k_ab (a < b) lands in six slots of
-    the cube of 2 Gamma, held at scale 2.
+    read off the bracket cube (`LieAlgebra.cube`): each entry c_abk lands
+    in three slots of the cube of 2 Gamma, held at scale 2.
     """
     twice: dict[tuple[int, int, int], Scalar] = defaultdict(int)
-    for (a, b), comps in alg.brackets.items():
-        for k, v in comps.items():
-            for key, sign in (
-                ((a, b, k), 1), ((b, a, k), -1), ((k, a, b), -1),
-                ((k, b, a), 1), ((b, k, a), 1), ((a, k, b), -1),
-            ):
-                twice[key] += sign * v
+    for (a, b, k), v in alg.cube.items():
+        twice[(a, b, k)] += v
+        twice[(k, a, b)] -= v
+        twice[(b, k, a)] += v
     return Connection(alg.dim, {key: v for key, v in sorted(twice.items()) if v}, 2)
 
 
 def torsion_cube(conn: Connection, alg: LieAlgebra) -> Cube:
     """Lowered torsion t[(i, j, k)] = <T(e_i,e_j), e_k>
     = (gamma[(i, j, k)] - gamma[(j, i, k)] - s c^k_ij) / s, summed from the
-    nonzeros of gamma and of the bracket table, s the connection's scale."""
+    nonzeros of gamma and of the bracket cube (`LieAlgebra.cube`), s the
+    connection's scale."""
     s = conn.scale
     out: dict[tuple[int, int, int], Scalar] = defaultdict(int)
     for (i, j, k), v in conn.gamma.items():
         out[(i, j, k)] += v
         out[(j, i, k)] -= v
-    for (i, j), comps in alg.brackets.items():
-        for k, c in comps.items():
-            out[(i, j, k)] -= s * c
-            out[(j, i, k)] += s * c
+    for key, c in alg.cube.items():
+        out[key] -= s * c
     return {key: Fraction(v, s) for key, v in sorted(out.items()) if v}
 
 
@@ -273,17 +278,12 @@ def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
     connection operator L = nabla_{e_i} (`Connection.operators[i]`).
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U), summed in one
-    pass over A's entries and L's rows at each slot. On int operators and
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U), one term table
+    of `tensors.cube_pullback` on L's `row_images`. On int operators and
     entries the result is int, over the product of their scales.
     """
-    out: Cube = {}
-    for idx, v in a.items():
-        for slot, i in enumerate(idx):
-            for t, f in op.get(i, {}).items():
-                key = idx[:slot] + (t,) + idx[slot + 1 :]
-                out[key] = out.get(key, 0) - v * f
-    return {idx: v for idx, v in out.items() if v}
+    rows = row_images(op)
+    return cube_pullback(a, (-1, rows, None, None), (-1, None, rows, None), (-1, None, None, rows))
 
 
 def rebase_algebra(alg: LieAlgebra, frame: SparseMatrix, inverse: SparseMatrix) -> LieAlgebra:

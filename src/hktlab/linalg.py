@@ -145,7 +145,7 @@ def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form. Returns (R, pivot column list)."""
     cols = len(a[0]) if a else 0
-    span = _span_of([_sparse(row) for row in a], cols)
+    span = _span_of([_sparse(row) for row in a])
     pivots = sorted(span._rows)
     reduced = [[Fraction(0)] * cols for _ in a]
     for out, pivot in zip(reduced, pivots):
@@ -156,8 +156,8 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, pivots
 
 
-def _span_of(rows: list[Row], length: int) -> RowSpan:
-    span = RowSpan(length)
+def _span_of(rows: list[Row]) -> RowSpan:
+    span = RowSpan()
     for row in rows:
         span._insert(row)
     return span
@@ -167,7 +167,7 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
     """Basis of the right nullspace of the sparse rows over `cols` columns,
     one vector per free column f, in column order: {f: 1} and -row_p[f]
     at each pivot p."""
-    span = _span_of(rows, cols)
+    span = _span_of(rows)
     basis: dict[int, Row] = {f: {f: 1} for f in range(cols) if f not in span._rows}
     for pivot, row in span._rows.items():
         d = row[pivot]
@@ -298,8 +298,7 @@ class RowSpan:
     row enlarges the span); `rref` and `nullspace` are built on `_insert`.
     """
 
-    def __init__(self, length: int):
-        self.length = length
+    def __init__(self):
         self._rows: dict[int, dict[int, int]] = {}
 
     @property

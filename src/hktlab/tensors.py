@@ -27,10 +27,12 @@ tensor are held `integer_scaled`, as int entries over one least scale.
 The paper's identities are signed sums of pullbacks of one cube through
 the J's; `cube_pullback` takes such a sum as its term table
 (f, M1, M2, M3) and builds it in one pass, and `j_twist` is its one-term
-case on a 3-form's stored components. Each map of a term is given as its
-row images {a: ((x, M[a][x]), ...)} (`row_images`), None for the identity
-(the row images of the sparse `IDENTITY`, MAX_DIM rows) and {} for the
-zero map; a caller converts each J once per call, never per term.
+case on a 3-form's stored components; nabla A is the table of L on one
+slot each (`invariant.covariant_derivative_cube`). Each map of a term is
+given as its row images {a: ((x, M[a][x]), ...)} (`row_images`), None for
+the identity (the row images of the sparse `IDENTITY`, MAX_DIM rows) and
+{} for the zero map; a caller converts each J once per call, never per
+term.
 """
 
 from __future__ import annotations
@@ -116,28 +118,19 @@ def form_add(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree, comps)
 
 
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    # number of transpositions moving the concatenation of two sorted
-    # disjoint tuples into sorted order
-    inversions = sum(1 for x in left for y in right if x > y)
-    return -1 if inversions % 2 else 1
-
-
 def wedge(a: KForm, b: KForm) -> KForm:
-    """Exterior product, shuffle convention: e^1^e^2 on (e_1,e_2) gives 1."""
+    """Exterior product, shuffle convention: e^1^e^2 on (e_1,e_2) gives 1;
+    a pair of components has the `perm_sign` of its joined indices."""
     if a.dim != b.dim:
         raise ValueError("form dimension mismatch")
     if a.degree + b.degree > a.dim:
         raise ValueError("degree exceeds dimension")
     comps: dict[tuple[int, ...], Scalar] = {}
     for ia, va in a.comps.items():
-        set_a = set(ia)
         for ib, vb in b.comps.items():
-            if set_a & set(ib):
-                continue
-            merged = tuple(sorted(ia + ib))
-            term = _merge_sign(ia, ib) * va * vb
-            comps[merged] = comps.get(merged, 0) + term
+            if sign := perm_sign(ia + ib):
+                merged = tuple(sorted(ia + ib))
+                comps[merged] = comps.get(merged, 0) + sign * va * vb
     return KForm(a.dim, a.degree + b.degree, comps)
 
 

@@ -579,9 +579,8 @@ def naive_flatten(m: Matrix) -> Row:
 def naive_holonomy_algebra(conn: Connection, alg: LieAlgebra) -> HolonomyAlgebra:
     """Dense closure: every basis element bracketed with every connection
     operator and with every basis element present when it is popped."""
-    n = conn.dim
     ops = naive_connection_operators(conn)
-    span = RowSpan(n * n)
+    span = RowSpan()
     basis: list[Matrix] = []
     queue: list[Matrix] = []
     for seed in naive_curvature_operators(conn, alg).values():
@@ -606,7 +605,7 @@ def fraction_holonomy_algebra(
     included: each basis element bracketed once with each connection
     operator; every generator at scale 1."""
     n = len(ops)
-    span = RowSpan(n * n)
+    span = RowSpan()
     basis: list[SparseMatrix] = []
     queue: list[SparseMatrix] = []
 
@@ -1516,7 +1515,7 @@ def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int, int]:
     right-hand side in column `cols`. Returns the nonzero entries of
     scale * x, all int, the least such scale and the rank of the system.
     """
-    span = RowSpan(cols + 1)
+    span = RowSpan()
     for row in rows:
         span.add(row)
     if cols in span._rows:
@@ -1531,7 +1530,7 @@ def solve_unique(rows: list[Row], cols: int) -> tuple[Row, int, int]:
 
 def fraction_solve_unique(rows: list[Row], cols: int) -> tuple[Row, int]:
     """solve_unique with a Fraction read off per solved entry."""
-    span = RowSpan(cols + 1)
+    span = RowSpan()
     for row in rows:
         span.add(row)
     if cols in span._rows:

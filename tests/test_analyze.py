@@ -19,7 +19,7 @@ from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
 from hktlab.hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from hktlab.hyperhermitian import hkt_check
-from hktlab.invariant import Connection, curvature_operators, levi_civita
+from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
 from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
 from hktlab.tensors import KForm
@@ -116,6 +116,15 @@ def calls(monkeypatch):
     cube = cached_property(counted_cube)
     cube.__set_name__(KForm, "cube")
     monkeypatch.setattr(KForm, "cube", cube)
+    to_bracket_cube = LieAlgebra.cube.func
+
+    def counted_bracket_cube(self):
+        counts["LieAlgebra.cube"] += 1
+        return to_bracket_cube(self)
+
+    bracket_cube = cached_property(counted_bracket_cube)
+    bracket_cube.__set_name__(LieAlgebra, "cube")
+    monkeypatch.setattr(LieAlgebra, "cube", bracket_cube)
     return counts
 
 
@@ -157,14 +166,18 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
 
 
 def test_structure_derives_its_permutations_once(calls, cat):
-    # a fresh structure, so no earlier test has derived its permutations;
-    # the commutant and the membership tests of the 8 torsion-free
-    # operators (both holonomy closures of hopf8 are 0) share them
-    entry = replace(cat["hopf8"], structure=replace(cat["hopf8"].structure))
+    # a fresh structure and algebra, so no earlier test has derived their
+    # views; the commutant and the membership tests of the 8 torsion-free
+    # operators (both holonomy closures of hopf8 are 0) share the
+    # permutations, and the Jacobi walk, the three Nijenhuis tensors,
+    # levi_civita and torsion_cube share one bracket cube
+    hopf8 = cat["hopf8"]
+    entry = replace(hopf8, lie=replace(hopf8.lie), structure=replace(hopf8.structure))
     analyze_entry(entry)
     assert calls["commutant_basis"] == 1
     assert calls["glnh_membership"] == 8
     assert calls["HyperhermitianStructure.permutations"] == 1
+    assert calls["LieAlgebra.cube"] == 1
 
 
 def test_non_hkt_analysis_skips_levi_civita(calls, cat):

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -182,6 +182,29 @@ def test_load_rejects_wrong_row_count(tmp_path, hopf4_doc):
     hopf4_doc["metric"] = hopf4_doc["metric"][:3]
     with pytest.raises(CatalogError, match="metric: expected 4 rows"):
         load(write_doc(tmp_path, hopf4_doc))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["metric"][0].pop(), "metric[0]: expected 4 entries"),
+        (lambda doc: doc.update(structure_constants={}), "structure_constants: expected a list"),
+        (
+            lambda doc: doc["structure_constants"][0].__setitem__(3, 1.5),
+            "structure_constants[0][3]: not a rational: 1.5",
+        ),
+        (lambda doc: doc.update(description=7), "description: expected a string"),
+    ],
+    ids=["short_row", "constants_not_a_list", "float_constant", "description_not_a_string"],
+)
+def test_load_rejects_malformed_fields(tmp_path, hopf4_doc, capsys, edit, message):
+    edit(hopf4_doc)
+    path = write_doc(tmp_path, hopf4_doc)
+    with pytest.raises(CatalogError) as info:
+        load(path)
+    assert str(info.value) == message
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
 
 
 def test_load_rejects_malformed_triple(tmp_path, hopf4_doc):
@@ -466,3 +489,11 @@ def test_available_entries_env_dir(tmp_path, monkeypatch, cat):
 def test_expected_maps_match_analysis(cat, analyses):
     for name in ALL_NAMES:
         assert expected_mismatches(cat[name], analyses[name]) == [], name
+
+
+def test_expected_mismatches_name_each_unmet_expectation(cat, analyses):
+    entry = replace(cat["hopf4"], expected={"no_such_flag": True, "hkt": True, "strong": False})
+    assert expected_mismatches(entry, analyses["hopf4"]) == [
+        "no_such_flag: no analyzer output for this expectation",
+        "strong: expected False, analyzer produced True",
+    ]

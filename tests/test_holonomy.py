@@ -92,7 +92,7 @@ def test_obata_holonomy_trivial_on_catalog(cat, torsions):
 
 def assert_span_is_closed(conn, alg, hol, name=None):
     # adding any further bracket must not grow the span
-    span = RowSpan(alg.dim * alg.dim)
+    span = RowSpan()
     generators = [dense_matrix(g, alg.dim) for g in generator_values(hol)]
     for g in generators:
         span.add(sparse([x for row in g for x in row]))
@@ -222,7 +222,7 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
     want = naive_holonomy_algebra(conn, alg)
     assert got.dim == want.dim
     assert len(got.generators) == len(got.scales) == got.dim
-    span = RowSpan(alg.dim * alg.dim)
+    span = RowSpan()
     for g in want.generators:
         span.add(naive_flatten(g))
     assert not any(span.add(naive_flatten(dense_matrix(g, alg.dim))) for g in generator_values(got))

@@ -41,6 +41,7 @@ from oracle_impl import (
     form_scale,
     fundamental_forms,
     mat_mul,
+    naive_cube_pullback,
     naive_j_twist,
     naive_nijenhuis,
     naive_nijenhuis_vec,
@@ -316,6 +317,26 @@ def test_type_identities_hold_on_hkt_entries(cat, torsions):
     for name in HKT_NAMES:
         res = type_check_12_21(torsions[name], cat[name].structure)
         assert res is None, (name, res)
+
+
+def test_single_family_failure_is_the_least_cell_of_the_dense_residual(cat):
+    # e^{014} on hopf8's structure fails the J2 identity first; the row's
+    # counterexample is the least nonzero cell of the dense residual
+    # c - c(J., J., .) - c(J., ., J.) - c(., J., J.)
+    h, t = cat["hopf8"].structure, KForm(8, 3, {(0, 1, 4): 1})
+    got = type_check_12_21(t, h)
+    assert got == ("single", (2,), (0, 1, 4), 1)
+    one = identity(8)
+    residuals = []
+    for j in dense_js(h):
+        terms = ((1, one, one, one), (-1, j, j, one), (-1, j, one, j), (-1, one, j, j))
+        residual: dict = {}
+        for f, *maps in terms:
+            residual = cube_add(residual, cube_scale(naive_cube_pullback(t.cube, *maps), f))
+        residuals.append(residual)
+    assert residuals[0] == {} and residuals[1] != {}
+    least = min(residuals[1])
+    assert got == ("single", (2,), least, residuals[1][least])
 
 
 def test_mixed_family_orientation_pin(cat, torsions):

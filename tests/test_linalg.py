@@ -171,13 +171,13 @@ def test_sparse_kernels_match_dense(pair, f):
 def in_span(span, row):
     """Whether the dense row lies in the row space of the span's stored
     rows, by the rank oracle."""
-    stored = [dense(r, span.length) for r in span._rows.values()]
+    stored = [dense(r, len(row)) for r in span._rows.values()]
     return rank(stored + [row]) == rank(stored)
 
 
 def test_rowspan_incremental_matches_batch_rank():
     rows = [[1, 2, 0], [2, 4, 0], [0, 1, 1], [1, 3, 1]]
-    span = RowSpan(3)
+    span = RowSpan()
     added = [span.add(sparse(r)) for r in rows]
     assert added == [True, False, True, False]
     assert span.rank == rank(rows)
@@ -188,7 +188,7 @@ def test_rowspan_incremental_matches_batch_rank():
 @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=6))
 @settings(max_examples=40)
 def test_rowspan_rank_agrees_with_rref(rows):
-    span = RowSpan(4)
+    span = RowSpan()
     for r in rows:
         span.add(sparse(r))
     assert span.rank == rank(rows)
@@ -225,7 +225,7 @@ def test_rref_and_det_bypass_rowspan_add(monkeypatch):
     invert(a)
     nullspace([sparse(r) for r in a], 3)
     assert calls == []
-    assert RowSpan(3).add(sparse([1, 0, 0]))
+    assert RowSpan().add(sparse([1, 0, 0]))
     assert len(calls) == 1
 
 
@@ -448,7 +448,7 @@ def assert_fraction_free_echelon(span):
 @given(st.lists(st.lists(sparse_rationals, min_size=6, max_size=6), min_size=1, max_size=8))
 @settings(max_examples=80)
 def test_rowspan_stores_primitive_integer_rows(rows):
-    span = RowSpan(6)
+    span = RowSpan()
     for r in rows:
         span.add(sparse(r))
         assert_fraction_free_echelon(span)
@@ -467,7 +467,7 @@ int_rows = st.lists(
 def test_rowspan_int_rows_match_integral_fraction_rows(rows):
     # two-term and single-entry int rows (the solver's rows) take the int
     # path; the same rows as integral Fractions take the rescaling path
-    ints, fractions = RowSpan(6), RowSpan(6)
+    ints, fractions = RowSpan(), RowSpan()
     for row in rows:
         as_fractions = {j: Fraction(x) for j, x in row.items()}
         member = in_span(ints, dense(row, 6))
@@ -480,7 +480,7 @@ def test_rowspan_int_rows_match_integral_fraction_rows(rows):
 
 
 def test_rowspan_single_entry_rows_store_unit_pivots():
-    span = RowSpan(3)
+    span = RowSpan()
     assert span._insert({1: 2, 2: 4}) == 1
     assert span._rows == {1: {1: 1, 2: 2}}
     assert span._insert({2: -6}) == 2
@@ -507,7 +507,7 @@ def test_hilbert_matrix_against_dense_oracles():
     b = [1, 0, -1, 2, 0, Fraction(1, 3)]
     x, scale, solved_rank = solve_unique(system(h, b), 6)
     assert dense(rational(x, scale), 6) == naive_solve_unique(h, b) and solved_rank == 6
-    span = RowSpan(6)
+    span = RowSpan()
     for row in h:
         span.add(sparse(row))
     assert_fraction_free_echelon(span)

@@ -189,6 +189,23 @@ def test_classify_failure_is_a_row_with_its_message(monkeypatch, capsys):
     rc, report = run_hopf4(capsys)
     assert (rc, report["theorem_violations"]) == (cli.EXIT_VIOLATION, [message])
     assert report["verdict"] == {"error": message}
+    rc = cli.main(["analyze", "--builtin", "hopf4", "--format", "text"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (cli.EXIT_VIOLATION, "")
+    assert f"verdict: ERROR {message}" in out.splitlines()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_engine_defect_exits_3_with_its_message(error, monkeypatch, capsys):
+    # an exception escaping the analysis is no report: exit 3, stdout empty
+    def hkt_check(*args):
+        raise error("injected defect")
+
+    monkeypatch.setattr(analyze, "hkt_check", hkt_check)
+    rc = cli.main(["analyze", "--builtin", "hopf4", "--format", "json"])
+    assert (rc, *capsys.readouterr()) == (
+        cli.EXIT_VIOLATION, "", "theorem violation or engine defect: injected defect\n"
+    )
 
 
 def test_failing_rows_keep_the_stage_order(monkeypatch, capsys):
