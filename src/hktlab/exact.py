@@ -52,8 +52,10 @@ def parse_scalar(raw: object) -> Scalar:
 
 
 def format_scalar(value: Scalar) -> str:
-    """Render a scalar in wire format ("p" or "p/q", lowest terms)."""
-    return str(Fraction(value))
+    """Render a scalar in wire format ("p" or "p/q", lowest terms). An int
+    is written directly; a bool, an int subclass, goes through Fraction
+    with the rest and is written as 0 or 1."""
+    return str(value) if type(value) is int else str(Fraction(value))
 
 
 # Steps the four-squares search may take, one per candidate part: the

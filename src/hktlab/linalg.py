@@ -10,9 +10,11 @@ holonomy generators are almost all zeros. The holonomy closure grows it;
 `nullspace` (no package reader; kept for the HKT-metric cone) and `rref`
 read their answers off its stored rows. `solve_pairs` solves the
 torsion-free system with no elimination: a signed graph, given by signs
-alone, and a sparse right-hand side; every component gets a sign-only
-walk, and only those holding a nonzero right-hand side a second walk
-with offsets.
+alone through a neighbour function, and a sparse right-hand side. The
+graph splits into classes that no edge leaves; one listed class per
+shape gets a sign-only walk, counted once per class of that shape, and
+only the components holding a nonzero right-hand side a second walk with
+offsets.
 
 Every endomorphism and bilinear form the engine brackets or tests (the
 complex structures, the connection and curvature operators, the holonomy
@@ -34,6 +36,7 @@ update, `sparse_trace` the trace, `sparse_transpose` the column view and
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,6 +46,7 @@ Vector = list[Scalar]
 Matrix = list[list[Scalar]]
 Row = dict[int, Scalar]  # sparse row: {column: value}, no zero stored
 SparseMatrix = dict[int, Row]  # {row: sparse row}, no zero and no empty row stored
+Neighbours = Callable[[int], Iterable[tuple[int, int, int]]]  # unknown -> its (q, s, e)
 
 _INT = frozenset({int})
 
@@ -178,37 +182,48 @@ def nullspace(rows: list[Row], cols: int) -> list[Row]:
 
 
 def solve_pairs(
-    adjacent: list[list[tuple[int, int, int]]], rhs: dict[int, tuple[int, int, int, Scalar]]
+    neighbours: Neighbours,
+    rhs: dict[int, tuple[int, int, int, Scalar]],
+    classes: Sequence[tuple[dict[int, list[tuple[int, int, int]]], int]],
 ) -> tuple[Row, int, int]:
     """The unique x with x_p + s x_q = b_e for each equation e of a signed
     graph, as ints over the least scale, and the rank: unknowns minus the
     balanced components (Zaslavsky 1982).
 
-    The graph holds signs only: adjacent[p] lists each equation at the
-    unknown p once as (q, s, e), parallel edges included. The right-hand
-    side is sparse: rhs[e] = (p, q, s, b) for each equation with b != 0,
-    every other b being 0. A sign-only walk covers every component and
-    counts the balanced ones. With b scaled to even ints, a second walk,
-    only over the components holding a nonzero b, balanced ones included
-    (an inconsistent system is reported as such, whatever its rank), puts
-    each unknown at sign * y + offset in its root y; a closing edge checks
-    the offsets or, where its signs add, sets or checks y. Every other
-    unknown is 0: with b = 0 throughout, every offset is 0 and a closing
-    edge whose signs add reads twice * y = 0."""
-    cols = len(adjacent)
-    scale = 2 * lcm(*{b.denominator for _, _, _, b in rhs.values()})
+    The graph holds signs only: neighbours(p) lists each equation at the
+    unknown p once as (q, s, e), parallel edges included. Its unknowns,
+    0..cols-1, fall into classes that no edge leaves, and `classes` holds
+    one class per shape as (graph, copies): the class's unknowns, each
+    with its list of (q, s, e), and the number of classes, itself
+    included, that share its size and balanced count. A sign-only walk
+    covers each listed class and counts its balanced components once per
+    copy, and cols is the sum of copies times class size. The right-hand
+    side is sparse:
+    rhs[e] = (p, q, s, b) for each equation with b != 0, every other b
+    being 0. With b scaled to even ints, a second walk, along `neighbours`
+    and only over the components holding a nonzero b, balanced ones
+    included (an inconsistent system is reported as such, whatever its
+    rank), puts each unknown at sign * y + offset in its root y; a closing
+    edge checks the offsets or, where its signs add, sets or checks y.
+    Every other unknown is 0: with b = 0 throughout, every offset is 0 and
+    a closing edge whose signs add reads twice * y = 0."""
+    cols = sum(copies * len(graph) for graph, copies in classes)  # numbered 0..cols-1
     sign, balanced = [0] * cols, 0  # sign 0: not reached yet
-    for root in (r for r in range(cols) if not sign[r]):  # read after each walk
-        sign[root], component, unbalanced = 1, [root], False
-        for p in component:  # the walk appends what it reaches
-            sp = sign[p]
-            for q, s, _ in adjacent[p]:
-                if not sign[q]:
-                    sign[q] = -s * sp
-                    component.append(q)
-                elif sp + s * sign[q]:
-                    unbalanced = True
-        balanced += not unbalanced  # an isolated unknown's root is free too
+    for graph, copies in classes:
+        for root in graph:
+            if sign[root]:
+                continue
+            sign[root], component, unbalanced = 1, [root], False
+            for p in component:  # the walk appends what it reaches
+                sp = sign[p]
+                for q, s, _ in graph[p]:
+                    if not sign[q]:
+                        sign[q] = -s * sp
+                        component.append(q)
+                    elif sp + s * sign[q]:
+                        unbalanced = True
+            balanced += copies * (not unbalanced)  # an isolated unknown's root is free too
+    scale = 2 * lcm(*{b.denominator for _, _, _, b in rhs.values()})
     at: dict[int, dict[int, int]] = {}  # unknown -> {equation: b as read from it}
     for e, (p, q, s, b) in rhs.items():
         b = b.numerator * (scale // b.denominator)
@@ -220,7 +235,7 @@ def solve_pairs(
         placed[root], component, y = (1, 0), [root], None
         for p in component:
             (sp, op), here = placed[p], at.get(p, {})
-            for q, s, e in adjacent[p]:
+            for q, s, e in neighbours(p):
                 b = here.get(e, 0)
                 if q not in placed:
                     placed[q] = -s * sp, s * (b - op)

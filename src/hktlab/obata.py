@@ -8,9 +8,11 @@ Two independent construction routes:
   operators lie in gl(n, H), the commutant of the complex structures,
   written down from the signed-permutation J's; its rank certifies
   uniqueness. Each equation holds two unknowns, with coefficients +-1: a
-  signed graph, which depends on the J's alone. The brackets enter only
-  as a sparse right-hand side, one entry per nonzero structure constant
-  (`linalg.solve_pairs`).
+  signed graph, which depends on the J's alone. It splits into classes,
+  one per line and pair of lines, and the rank walks one class per
+  J-type key. The brackets enter only as a sparse right-hand side, one
+  entry per nonzero structure constant, and the solution walks only the
+  components they reach (`linalg.solve_pairs`).
 
 Plus the trace identities tying A to the Lee form (each trace is
 `tensors.cube_j_trace` of A, by the identity or by a J), and their
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .exact import Scalar
 from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
@@ -57,17 +60,19 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     with 1 there. In the order of those cells this is the reduced-echelon
     nullspace basis.
     """
+    dim = h.dim
     basis: list[SparseMatrix] = []
-    seen: set[tuple[int, int]] = set()
-    for a in reversed(range(h.dim)):
-        for b in reversed(range(h.dim)):
-            if (a, b) in seen:
+    seen = bytearray(dim * dim)  # cell (p, q) at p * dim + q
+    for a in reversed(range(dim)):
+        images = [image[a] for image in h.permutations]
+        for b in reversed(range(dim)):
+            if seen[a * dim + b]:
                 continue
             m: SparseMatrix = {a: {b: 1}}
-            for image in h.permutations:
-                (p, x), (q, y) = image[a], image[b]
+            for (p, x), image in zip(images, h.permutations):
+                q, y = image[b]
                 m.setdefault(p, {})[q] = 1 if x == y else -1  # eps_s(a) eps_s(b), an int
-            seen.update((p, q) for p, row in m.items() for q in row)
+                seen[p * dim + q] = 1
             basis.append(m)
     return basis[::-1]
 
@@ -95,36 +100,66 @@ def obata_oracle_solver(
     v x[i, t] - w x[j, u] = c^l_ij for the elements c_t and c_u holding the
     cells (l, j) and (l, i), v = c_t[l][j] and w = c_u[l][i]. The edges,
     signs -v w, come from the J's alone; c^l_ij, times v, is the
-    right-hand side, given only where it is nonzero. The solution, int over
-    one scale, times the int basis gives the connection on ints.
+    right-hand side, given only where it is nonzero.
+
+    No edge leaves a class (`_classes`), and classes of one key have one
+    balanced count, so the rank walks one class per key, its edges listed
+    in one pass. The solution walk reads each unknown's edges off the
+    cells of its element, only on the components that hold a bracket. The
+    solution, int over one scale, times the int basis gives the
+    connection on ints.
     """
     dim = h.dim
     cbasis = commutant_basis(h)
     d_c = len(cbasis)
-    unknowns = dim * d_c
     # each cell (l, j) lies in exactly one element c_t: columns[j][l] = (t, c_t[l][j])
     columns: list[list[tuple[int, int]]] = [[(0, 0)] * dim for _ in range(dim)]
+    cells: list[list[tuple[int, int, int, int]]] = []  # cells[t]: each (l, j, j * d_c, c_t[l][j])
     for t, c in enumerate(cbasis):
-        for l, row in c.items():
-            for j, v in row.items():
-                columns[j][l] = (t, v)
-    # the graph is the J's alone; equation (i, j, l) is numbered (i * dim + j) * dim + l
-    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(unknowns)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            pairs = enumerate(zip(columns[j], columns[i]), (i * dim + j) * dim)
-            for e, ((t, v), (u, w)) in pairs:
-                p, q, s = i * d_c + t, j * d_c + u, -v * w
-                adjacent[p].append((q, s, e))
-                adjacent[q].append((p, s, e))
+        cells.append([(l, j, j * d_c, v) for l, row in c.items() for j, v in row.items()])
+        for l, j, _, v in cells[t]:
+            columns[j][l] = (t, v)
+    # equation (i, j, l), i < j, is numbered (i * dim + j) * dim + l
+    listed: dict[int, list[tuple[int, int, int]]] = {}  # the walked classes' edges, read first
+
+    def neighbours(p: int) -> list[tuple[int, int, int]]:
+        if p in listed:
+            return listed[p]
+        i, t = divmod(p, d_c)
+        column = columns[i]
+        return [
+            (jd + u, -v * w, ((i * dim + j if i < j else j * dim + i) * dim + l))
+            for l, j, jd, v in cells[t]
+            if j != i
+            for u, w in [column[l]]
+        ]
+
+    lines, keys = _classes(h)
+    walked: list[tuple[dict[int, list[tuple[int, int, int]]], int]] = []
+    for (big, a, b), copies in keys.items():
+        # the class (L; {A, B}), its edges listed at both ends; each unknown
+        # has one, as the cells of an element hold four distinct columns
+        graph: dict[int, list[tuple[int, int, int]]] = {}
+        for i in lines[a]:
+            column_i = columns[i]
+            for j in lines[b]:
+                if a != b or i < j:
+                    column_j, e = columns[j], (i * dim + j if i < j else j * dim + i) * dim
+                    for l in lines[big]:
+                        (t, v), (u, w) = column_j[l], column_i[l]
+                        p, q, s = i * d_c + t, j * d_c + u, -v * w
+                        graph.setdefault(p, []).append((q, s, e + l))
+                        graph.setdefault(q, []).append((p, s, e + l))
+        listed.update(graph)
+        walked.append((graph, copies))
     # the brackets are the right-hand side, nonzero only at their nonzero c^l_ij
     rhs: dict[int, tuple[int, int, int, Scalar]] = {}
     for (i, j), bracket in alg.brackets.items():
         for l, c in bracket.items():
             (t, v), (u, w) = columns[j][l], columns[i][l]
-            rhs[(i * dim + j) * dim + l] = (i * d_c + t, j * d_c + u, -v * w, v * c)
+            rhs[(i * dim + j) * dim + l] = (i * d_c + t, j * d_c + u, -v * w, c if v > 0 else -c)
     try:
-        x, scale, rank = solve_pairs(adjacent, rhs)
+        x, scale, rank = solve_pairs(neighbours, rhs, walked)
     except LinAlgError as exc:
         if "inconsistent" in str(exc):
             raise ValueError(
@@ -137,17 +172,53 @@ def obata_oracle_solver(
         (i, b, a): y * v
         for p, y in sorted(x.items())
         for i, t in [divmod(p, d_c)]
-        for a, row in cbasis[t].items()
-        for b, v in row.items()
+        for a, b, _, v in cells[t]
     }
     certificate = SolverCertificate(
         commutant_dim=d_c,
-        unknowns=unknowns,
+        unknowns=dim * d_c,
         equations=dim * (dim - 1) // 2 * dim,
         rank=rank,
         unique=True,
     )
     return Connection(dim, gamma, scale), certificate
+
+
+def _classes(
+    h: HyperhermitianStructure,
+) -> tuple[list[list[int]], dict[tuple[int, int, int], int]]:
+    """The lines, and one class of the torsion-free system per key, (L, A, B)
+    with A <= B, with the number of classes that share its key.
+
+    The lines are the orbits of sigma_1, sigma_2, sigma_3, quaternionic
+    4-sets, and each c_t lies in the cells of two lines, L x M. The class
+    (L; {A, B}) holds the unknowns (i, t) with i in A and c_t in L x B,
+    and those with i in B and c_t in L x A. An edge from (i, t), through a
+    cell (l, j) of c_t, ends at (j, u) with c_u holding the cell (l, i), so
+    no edge leaves a class. Up to relabelling and the signs of the
+    elements, a class's signed graph is fixed by its key: the J's on L, A
+    and B as local signed permutations of their sorted members (the line's
+    type), and whether A = B. So is its balanced count.
+    """
+    lines: list[list[int]] = []
+    seen: set[int] = set()
+    for x in range(h.dim):
+        if x not in seen:
+            lines.append(sorted({x, *(image[x][0] for image in h.permutations)}))
+            seen.update(lines[-1])
+    named: dict[tuple[tuple[int, Scalar], ...], int] = {}  # each distinct type, numbered
+    types = []
+    for line in lines:
+        local = {x: k for k, x in enumerate(line)}
+        signed = tuple((local[image[x][0]], image[x][1]) for image in h.permutations for x in line)
+        types.append(named.setdefault(signed, len(named)))
+    first: dict[tuple[int, int, int, bool], tuple[int, int, int]] = {}  # key -> its first class
+    copies: dict[tuple[int, int, int], int] = {}
+    for big, a, b in product(range(len(lines)), repeat=3):
+        if a <= b:
+            walked = first.setdefault((types[big], types[a], types[b], a == b), (big, a, b))
+            copies[walked] = copies.get(walked, 0) + 1
+    return lines, copies
 
 
 def obata_connection(

@@ -1575,6 +1575,146 @@ def rowspan_obata_oracle_solver(
     return Connection(dim, gamma, scale), certificate
 
 
+def whole_graph_solve_pairs(
+    adjacent: list[list[tuple[int, int, int]]], rhs: dict[int, tuple[int, int, int, Scalar]]
+) -> tuple[Row, int, int]:
+    """`linalg.solve_pairs` on one listed graph whose every component is
+    sign-walked: the whole-graph reference for its walk of one class per
+    shape.
+
+    The unique x with x_p + s x_q = b_e for each equation e of a signed
+    graph, as ints over the least scale, and the rank: unknowns minus the
+    balanced components (Zaslavsky 1982).
+
+    The graph holds signs only: adjacent[p] lists each equation at the
+    unknown p once as (q, s, e), parallel edges included. The right-hand
+    side is sparse: rhs[e] = (p, q, s, b) for each equation with b != 0,
+    every other b being 0. A sign-only walk covers every component and
+    counts the balanced ones. With b scaled to even ints, a second walk,
+    only over the components holding a nonzero b, balanced ones included
+    (an inconsistent system is reported as such, whatever its rank), puts
+    each unknown at sign * y + offset in its root y; a closing edge checks
+    the offsets or, where its signs add, sets or checks y. Every other
+    unknown is 0: with b = 0 throughout, every offset is 0 and a closing
+    edge whose signs add reads twice * y = 0."""
+    cols = len(adjacent)
+    scale = 2 * lcm(*{b.denominator for _, _, _, b in rhs.values()})
+    sign, balanced = [0] * cols, 0  # sign 0: not reached yet
+    for root in (r for r in range(cols) if not sign[r]):  # read after each walk
+        sign[root], component, unbalanced = 1, [root], False
+        for p in component:  # the walk appends what it reaches
+            sp = sign[p]
+            for q, s, _ in adjacent[p]:
+                if not sign[q]:
+                    sign[q] = -s * sp
+                    component.append(q)
+                elif sp + s * sign[q]:
+                    unbalanced = True
+        balanced += not unbalanced  # an isolated unknown's root is free too
+    at: dict[int, dict[int, int]] = {}  # unknown -> {equation: b as read from it}
+    for e, (p, q, s, b) in rhs.items():
+        b = b.numerator * (scale // b.denominator)
+        at.setdefault(p, {})[e] = b
+        at.setdefault(q, {})[e] = s * b  # x_q + s x_p = s b
+    x: Row = {}
+    placed: dict[int, tuple[int, int]] = {}  # unknown -> (sign, offset) in its root
+    for root in (r for r in at if r not in placed):
+        placed[root], component, y = (1, 0), [root], None
+        for p in component:
+            (sp, op), here = placed[p], at.get(p, {})
+            for q, s, e in adjacent[p]:
+                b = here.get(e, 0)
+                if q not in placed:
+                    placed[q] = -s * sp, s * (b - op)
+                    component.append(q)
+                    continue
+                sq, oq = placed[q]
+                twice, rest = sp + s * sq, b - op - s * oq
+                if twice and y is None:  # the signs add: twice * y = rest
+                    y = rest // twice
+                if twice * (y or 0) != rest:
+                    raise LinAlgError("inconsistent system: no solution")
+        if y is not None:
+            x.update((p, v) for p in component if (v := placed[p][0] * y + placed[p][1]))
+    if balanced:
+        raise LinAlgError(f"solution not unique: rank {cols - balanced} < {cols} unknowns")
+    g = gcd(scale, *x.values())
+    return {p: v // g for p, v in x.items()}, scale // g, cols
+
+
+def whole_graph_obata_oracle_solver(
+    h: HyperhermitianStructure, alg: LieAlgebra
+) -> tuple[Connection, SolverCertificate]:
+    """`obata.obata_oracle_solver` with its whole signed graph listed and
+    every component sign-walked (`whole_graph_solve_pairs`): the reference
+    for the solver's walk of one class per key.
+
+    Solve directly for the torsion-free connection with quaternion-linear
+    operators. Each operator is constrained to the commutant of the three
+    complex structures; torsion-freeness then becomes a linear system whose
+    unique solvability certifies the connection's uniqueness.
+
+    Unknown i * d_c + t is the coefficient of the t-th commutant basis
+    element c_t in the operator of e_i. Equation (i < j, l) is the e_l
+    component of Gamma_i e_j - Gamma_j e_i = [e_i, e_j], one edge
+    v x[i, t] - w x[j, u] = c^l_ij for the elements c_t and c_u holding the
+    cells (l, j) and (l, i), v = c_t[l][j] and w = c_u[l][i]. The edges,
+    signs -v w, come from the J's alone; c^l_ij, times v, is the
+    right-hand side, given only where it is nonzero. The solution, int over
+    one scale, times the int basis gives the connection on ints.
+    """
+    dim = h.dim
+    cbasis = commutant_basis(h)
+    d_c = len(cbasis)
+    unknowns = dim * d_c
+    # each cell (l, j) lies in exactly one element c_t: columns[j][l] = (t, c_t[l][j])
+    columns: list[list[tuple[int, int]]] = [[(0, 0)] * dim for _ in range(dim)]
+    for t, c in enumerate(cbasis):
+        for l, row in c.items():
+            for j, v in row.items():
+                columns[j][l] = (t, v)
+    # the graph is the J's alone; equation (i, j, l) is numbered (i * dim + j) * dim + l
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(unknowns)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            pairs = enumerate(zip(columns[j], columns[i]), (i * dim + j) * dim)
+            for e, ((t, v), (u, w)) in pairs:
+                p, q, s = i * d_c + t, j * d_c + u, -v * w
+                adjacent[p].append((q, s, e))
+                adjacent[q].append((p, s, e))
+    # the brackets are the right-hand side, nonzero only at their nonzero c^l_ij
+    rhs: dict[int, tuple[int, int, int, Scalar]] = {}
+    for (i, j), bracket in alg.brackets.items():
+        for l, c in bracket.items():
+            (t, v), (u, w) = columns[j][l], columns[i][l]
+            rhs[(i * dim + j) * dim + l] = (i * d_c + t, j * d_c + u, -v * w, v * c)
+    try:
+        x, scale, rank = whole_graph_solve_pairs(adjacent, rhs)
+    except LinAlgError as exc:
+        if "inconsistent" in str(exc):
+            raise ValueError(
+                "not hypercomplex: no torsion-free connection preserves all three"
+                " complex structures"
+            ) from exc
+        raise ValueError(f"torsion-free hypercomplex system: {exc}") from exc
+    # scale * Gamma_i[a][b] = x[i * d_c + t] c_t[a][b], stored as gamma[(i, b, a)]
+    gamma = {
+        (i, b, a): y * v
+        for p, y in sorted(x.items())
+        for i, t in [divmod(p, d_c)]
+        for a, row in cbasis[t].items()
+        for b, v in row.items()
+    }
+    certificate = SolverCertificate(
+        commutant_dim=d_c,
+        unknowns=unknowns,
+        equations=dim * (dim - 1) // 2 * dim,
+        rank=rank,
+        unique=True,
+    )
+    return Connection(dim, gamma, scale), certificate
+
+
 def fraction_obata_oracle_solver(h: HyperhermitianStructure, alg: LieAlgebra) -> Cube:
     """The solver route's coefficients, summed from Fraction solutions."""
     dim = h.dim

@@ -56,6 +56,21 @@ def test_format_canonical():
     assert format_scalar(3) == "3"
 
 
+@given(
+    st.one_of(
+        st.integers(),
+        st.integers(min_value=2**64, max_value=2**80),
+        st.integers(min_value=-(2**80), max_value=-(2**64)),
+        st.just(0),
+        st.fractions(),
+        st.booleans(),
+    )
+)
+def test_format_matches_the_fraction_form(value):
+    # ints are written directly; bools and Fractions go through Fraction
+    assert format_scalar(value) == str(Fraction(value))
+
+
 @given(st.fractions())
 def test_format_parse_round_trip(q):
     assert parse_scalar(format_scalar(q)) == q

@@ -35,6 +35,7 @@ from oracle_impl import (
     solve_unique,
     sparse,
     trace,
+    whole_graph_solve_pairs,
 )
 
 rationals = st.fractions(
@@ -313,15 +314,23 @@ def pair_rows(edges, cols):
     return rows
 
 
-def pair_graph(edges, cols):
-    """The signed graph and sparse right-hand side of `solve_pairs` for the
-    edges (p, q, s, b): equation e is the e-th edge, listed at both its
-    unknowns, and only the edges with b != 0 enter the right-hand side."""
+def adjacency(edges, cols):
+    """The edges (p, q, s, b) as lists of (q, s, e): equation e is the e-th
+    edge, listed at both its unknowns."""
     adjacent = [[] for _ in range(cols)]
     for e, (p, q, s, _) in enumerate(edges):
         adjacent[p].append((q, s, e))
         adjacent[q].append((p, s, e))
-    return adjacent, {e: edge for e, edge in enumerate(edges) if edge[3]}
+    return adjacent
+
+
+def pair_graph(edges, cols):
+    """The neighbours, sparse right-hand side and classes of `solve_pairs`
+    for the edges (p, q, s, b): the whole graph is one class, and only the
+    edges with b != 0 enter the right-hand side."""
+    adjacent = adjacency(edges, cols)
+    rhs = {e: edge for e, edge in enumerate(edges) if edge[3]}
+    return adjacent.__getitem__, rhs, [(dict(enumerate(adjacent)), 1)]
 
 
 @st.composite
@@ -432,6 +441,33 @@ def test_solve_pairs_on_sparse_right_hand_sides(system_pairs):
         assert str(got.value) == str(exc)
         return
     assert solve_pairs(*pair_graph(edges, cols)) == want
+
+
+def outcome(solve, *args):
+    """solve(*args), or the message of the LinAlgError it raises."""
+    try:
+        return solve(*args)
+    except LinAlgError as exc:
+        return str(exc)
+
+
+@given(sparse_pair_systems(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=300)
+def test_solve_pairs_counts_each_class_once_per_copy(system_pairs, copies):
+    # the drawn system and copies - 1 relabelled copies of its graph with
+    # b = 0, listed as one class with its number of copies: the same
+    # solution, rank or message as the whole-graph walk of the union
+    edges, cols = system_pairs
+    union = edges + [
+        (p + k * cols, q + k * cols, s, 0) for k in range(1, copies) for p, q, s, _ in edges
+    ]
+    whole = adjacency(union, copies * cols)
+    rhs = {e: edge for e, edge in enumerate(union) if edge[3]}
+    want = outcome(whole_graph_solve_pairs, whole, rhs)
+    first = {p: whole[p] for p in range(cols)}
+    assert outcome(solve_pairs, whole.__getitem__, rhs, [(first, copies)]) == want
+    if copies == 1:
+        assert outcome(solve_pairs, *pair_graph(edges, cols)) == want
 
 
 def assert_fraction_free_echelon(span):

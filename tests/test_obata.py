@@ -1,11 +1,18 @@
+import random
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.catalog import builtin_by_name
-from hktlab.hyperhermitian import bismut_connection, glnh_membership, nijenhuis
+from hktlab import obata
+from hktlab.catalog import _standard_structure, builtin_by_name
+from hktlab.hyperhermitian import (
+    HyperhermitianStructure,
+    bismut_connection,
+    glnh_membership,
+    nijenhuis,
+)
 from hktlab.invariant import LieAlgebra, covariant_derivative_cube, levi_civita, torsion_cube
 from hktlab.obata import (
     commutant_basis,
@@ -35,6 +42,7 @@ from oracle_impl import (
     obata_formula,
     rowspan_obata_oracle_solver,
     scaled_values,
+    whole_graph_obata_oracle_solver,
     with_diagonal_metric,
 )
 
@@ -222,6 +230,118 @@ def test_solver_matches_rowspan_route_on_metamorphic_inputs(cat, su3, tmp_path):
         want_conn, want_cert = rowspan_obata_oracle_solver(entry.structure, entry.lie)
         assert conn == want_conn, entry.name
         assert cert == want_cert, entry.name
+
+
+def _relabelled(h, alg, seed, pool=None):
+    """h and alg in the frame f_pi(x) = eps_x e_x for a seeded signed
+    permutation (pi, eps), which acts on the J's and on the brackets:
+    J f_pi(x) = eps_x eps_s(x) eps_sigma(x) f_pi(sigma(x)) and
+    c'^pi(k)_pi(i) pi(j) = eps_i eps_j eps_k c^k_ij. With no pool, pi and
+    eps are drawn freely, so the lines scatter and their J-types differ.
+    With a pool of local signed permutations of the 4 members of a line,
+    each line of h takes one from the pool onto 4 drawn positions in
+    order, so the lines scatter but their types repeat."""
+    rng = random.Random(seed)
+    dim = h.dim
+    pi, eps = list(range(dim)), [rng.choice((1, -1)) for _ in range(dim)]
+    rng.shuffle(pi)
+    if pool is not None:
+        spots = list(range(dim))
+        rng.shuffle(spots)
+        for k in range(0, dim, 4):  # the lines of the standard and catalog frames
+            local = rng.choice(pool)
+            places = sorted(spots[k : k + 4])
+            for r, (target, sign) in enumerate(local):
+                pi[k + r], eps[k + r] = places[target], sign
+    js = tuple(
+        {pi[y]: {pi[x]: eps[x] * v * eps[y] for x, v in row.items()} for y, row in j.items()}
+        for j in h.j_sparse
+    )
+    brackets = {}
+    for (i, j), comps in alg.brackets.items():
+        a, b, sign = (pi[i], pi[j], 1) if pi[i] < pi[j] else (pi[j], pi[i], -1)
+        brackets[(a, b)] = {pi[k]: sign * eps[i] * eps[j] * eps[k] * c for k, c in comps.items()}
+    return HyperhermitianStructure(dim, js), LieAlgebra(dim, brackets)
+
+
+def _sign_scrambled(h, seed):
+    """h with each J entry's sign drawn: the lines and their permutations
+    stay, the quaternion relations break, and the torsion-free system
+    can have balanced components."""
+    rng = random.Random(seed)
+    return HyperhermitianStructure(
+        h.dim,
+        tuple(
+            {y: {x: v * rng.choice((1, -1)) for x, v in row.items()} for y, row in j.items()}
+            for j in h.j_sparse
+        ),
+    )
+
+
+def _solver_outcome(solve, h, alg):
+    """The connection and certificate, or the message of the error."""
+    try:
+        return solve(h, alg)
+    except ValueError as exc:
+        return str(exc)
+
+
+# local signed permutations of a line's members, (target, sign) per member:
+# the identity, a swap of the first two members (it moves the permutations
+# of J2 and J3) and a sign flip of the first (it keeps every permutation)
+LINE_POOL = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, 1), (2, 1), (3, 1)),
+    ((0, -1), (1, 1), (2, 1), (3, 1)),
+)
+
+
+def test_solver_matches_whole_graph_walk_under_signed_relabels(cat, su3):
+    # the standard structure of H^n, n = 1..4, and hopf8, nil8, hc_only8 and
+    # su3 under seeded signed permutations: the walk of one class per key
+    # gives the connection and the certificate of the whole-graph walk, and
+    # on sign-scrambled J's (with no bracket) the same rank, so its
+    # class-summed balanced count is the whole-graph count
+    inputs = [(_standard_structure(n), LieAlgebra(4 * n)) for n in range(1, 5)]
+    inputs += [(cat[name].structure, cat[name].lie) for name in ("hopf8", "nil8", "hc_only8")]
+    inputs += [(su3.structure, su3.lie)]
+    keys, balanced = set(), set()
+    for h, alg in inputs:
+        for seed in range(3):
+            for pool in (None, LINE_POOL):
+                rh, ralg = _relabelled(h, alg, seed, pool)
+                got = obata_oracle_solver(rh, ralg)
+                assert got == whole_graph_obata_oracle_solver(rh, ralg), (h.dim, seed, pool)
+                keys.add((h.dim, len(obata._classes(rh)[1])))
+                scrambled, flat = _sign_scrambled(rh, seed), LieAlgebra(h.dim)
+                want = _solver_outcome(whole_graph_obata_oracle_solver, scrambled, flat)
+                assert _solver_outcome(obata_oracle_solver, scrambled, flat) == want
+                balanced.add(want if isinstance(want, str) else "unique")
+    # lines of one type share keys, and lines of distinct types give one
+    # key per class (n^2 (n + 1) / 2 classes); a scramble leaves balanced
+    # components, up to 16 at dim 16
+    assert {(8, 2), (8, 6), (12, 8), (16, 10), (16, 21), (16, 40)} <= keys
+    assert "torsion-free hypercomplex system: solution not unique: rank 1008 < 1024 unknowns" in (
+        balanced
+    )
+
+
+def test_solver_walks_48_unknowns_for_the_rank_of_hc16(monkeypatch, cat, tmp_path):
+    # hc16's 4 lines have one J-type: its 40 classes have 2 keys, A = B (16
+    # unknowns) and A != B (32), so the rank walks 48 of the 1024 unknowns
+    entry = direct_sum_entry(cat["hc_only8"], cat["hc_only8"], tmp_path)
+    seen = []
+    solve = obata.solve_pairs
+
+    def recorded(neighbours, rhs, classes):
+        seen.extend((len(graph), copies) for graph, copies in classes)
+        return solve(neighbours, rhs, classes)
+
+    monkeypatch.setattr(obata, "solve_pairs", recorded)
+    _, cert = obata_oracle_solver(entry.structure, entry.lie)
+    assert sorted(seen) == [(16, 16), (32, 24)]
+    assert sum(size for size, _ in seen) == 48
+    assert cert.unknowns == cert.rank == sum(size * copies for size, copies in seen) == 1024
 
 
 def test_solver_rejects_nonintegrable():
