@@ -294,6 +294,10 @@ def _identity_stage(
         (chern.ok, "identity failed: chern norm relation"),
         (dtt.traces_coincide, "dT partial traces differ across the three complex structures"),
         (
+            bismut["generators_metric_skew"] and bismut["generators_quaternion_linear"],
+            "skew-torsion holonomy generator not in sp(n)",
+        ),
+        (
             bismut["rho_zero"] and bismut["rho_s_zero"],
             "skew-torsion connection has nonvanishing Ricci 2-forms",
         ),

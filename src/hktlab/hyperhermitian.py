@@ -14,7 +14,7 @@ no product. The structure holds no metric: the engine works in the
 orthonormal frame that the loader builds, so the metric is the identity
 there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
 nonzeros.
-`nijenhuis` and each family of type identities is one term table of
+`nijenhuis` and each J_s's torsion-type identity is one term table of
 J-pullbacks for `tensors.cube_pullback`, of the bracket cube view
 (`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively, each
 J converted to its `tensors.row_images` once per call; nabla A
@@ -198,33 +198,19 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     return HktResult(ok=True, first_nonintegrable=None, torsion=base)
 
 
-# Mixed-family index triples. The three-structure type identity couples the
-# torsion across pairs of complex structures; the orientation of {i, j, k}
-# is calibrated on the catalog torsions (the opposite orientation fails
-# exactly, pinned in the tests).
-MIXED_TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
-
-
 def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
-    """Both families of (1,2)+(2,1)-type identities for the torsion form, each
-    residual one term table. The first failure is (family, label, cell, value),
-    at the residual's least nonzero cell; None when every identity holds."""
-    c, rows = t.cube, tuple(map(row_images, h.j_sparse))
-    for s, j in enumerate(rows, 1):
+    """The (1,2)+(2,1)-type identity of the torsion form for each J_s, each
+    residual one term table. The first failure is ("single", (s,), cell,
+    value), at the residual's least nonzero cell; None when every identity
+    holds."""
+    c = t.cube
+    for s, j in enumerate(map(row_images, h.j_sparse), 1):
         residual = cube_pullback(
             c, (1, None, None, None), (-1, j, j, None), (-1, j, None, j), (-1, None, j, j)
         )
         if residual:
             idx = min(residual)
             return "single", (s,), idx, residual[idx]
-    for i, j, k in MIXED_TRIPLES:
-        ji, jj, jk = (rows[x - 1] for x in (i, j, k))
-        residual = cube_pullback(
-            c, (1, ji, ji, None), (-1, jk, jk, None), (-1, jk, ji, jj), (-1, ji, jk, jj)
-        )
-        if residual:
-            idx = min(residual)
-            return "mixed", (i, j, k), idx, residual[idx]
     return None
 
 

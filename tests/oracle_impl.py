@@ -329,6 +329,24 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
     return form
 
 
+# Mixed-family index triples (i, j, k) of the three-structure type identity
+# c(J_i, J_i, .) - c(J_k, J_k, .) - c(J_k, J_i, J_j) - c(J_i, J_k, J_j) = 0,
+# which couples the torsion across pairs of complex structures. The
+# anti-cyclic orientation holds on the catalog torsions and the cyclic one
+# fails exactly (pinned in the tests). On every supported structure the
+# single-family identities imply these, so the package checks only those.
+MIXED_TRIPLES: tuple[tuple[int, int, int], ...] = ((1, 3, 2), (2, 1, 3), (3, 2, 1))
+
+
+def mixed_type_residual(c: Cube, h: HyperhermitianStructure, triple: tuple[int, int, int]) -> Cube:
+    """The residual cube of the mixed type identity of `triple` for the
+    antisymmetric cube c; empty exactly when the identity holds."""
+    ji, jj, jk = (row_images(h.j_sparse[x - 1]) for x in triple)
+    return cube_pullback(
+        c, (1, ji, ji, None), (-1, jk, jk, None), (-1, jk, ji, jj), (-1, ji, jk, jj)
+    )
+
+
 def cube_map_output(cube: Cube, m: Matrix) -> Cube:
     """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
     return cube_pullback(cube, (1, None, None, row_images(sparse_matrix(transpose(m)))))

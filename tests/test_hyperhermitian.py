@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.catalog import builtin_by_name
+from hktlab.catalog import _standard_structure, builtin_by_name
 from hktlab.hyperhermitian import (
-    MIXED_TRIPLES,
     HyperhermitianStructure,
     bismut_connection,
     fundamental_form,
@@ -20,7 +19,7 @@ from hktlab.hyperhermitian import (
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.holonomy import is_g_skew
-from hktlab.linalg import identity, sparse_matrix
+from hktlab.linalg import identity, nullspace, sparse_matrix
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -33,6 +32,7 @@ from hktlab.tensors import (
 from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
+    MIXED_TRIPLES,
     cayley_rotated,
     dense_glnh_membership,
     dense_js,
@@ -41,6 +41,7 @@ from oracle_impl import (
     form_scale,
     fundamental_forms,
     mat_mul,
+    mixed_type_residual,
     naive_cube_pullback,
     naive_j_twist,
     naive_nijenhuis,
@@ -344,27 +345,60 @@ def test_mixed_family_orientation_pin(cat, torsions):
     # triples and fails for the cyclic ones; hopf4 is the witness
     h = cat["hopf4"].structure
     c = torsions["hopf4"].cube
-
-    def residual(i, j, k):
-        ji, jj, jk = (row_images(h.j_sparse[x - 1]) for x in (i, j, k))
-        return cube_add(
-            cube_add(
-                cube_pullback(c, (1, ji, ji, None)),
-                cube_scale(cube_pullback(c, (1, jk, jk, None)), -1),
-            ),
-            cube_add(
-                cube_scale(cube_pullback(c, (1, jk, ji, jj)), -1),
-                cube_scale(cube_pullback(c, (1, ji, jk, jj)), -1),
-            ),
-        )
-
     assert MIXED_TRIPLES == ((1, 3, 2), (2, 1, 3), (3, 2, 1))
     for triple in MIXED_TRIPLES:
-        assert residual(*triple) == {}, triple
-    cyclic_residual = residual(1, 2, 3)
+        assert mixed_type_residual(c, h, triple) == {}, triple
+    cyclic_residual = mixed_type_residual(c, h, (1, 2, 3))
     assert cyclic_residual[(0, 1, 1)] == 4
     for triple in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        assert residual(*triple) != {}, triple
+        assert mixed_type_residual(c, h, triple) != {}, triple
+
+
+def single_family_solutions(h):
+    """A basis of the 3-forms that satisfy the (1,2)+(2,1)-type identity for
+    every J_s: the nullspace, over the basis 3-forms, of one equation per
+    J_s and sorted cell of the residual (a 3-form, so the sorted cells
+    carry it), each basis form's residual computed once per J_s."""
+    triples = list(combinations(range(h.dim), 3))
+    js = tuple(map(row_images, h.j_sparse))
+    equations: dict = {}
+    for m, idx in enumerate(triples):
+        c = KForm(h.dim, 3, {idx: 1}).cube
+        for s, j in enumerate(js):
+            residual = cube_pullback(
+                c, (1, None, None, None), (-1, j, j, None), (-1, j, None, j), (-1, None, j, j)
+            )
+            for cell, value in residual.items():
+                if cell[0] < cell[1] < cell[2]:
+                    equations.setdefault((s, cell), {})[m] = value
+    basis = nullspace(list(equations.values()), len(triples))
+    return [KForm(h.dim, 3, {triples[m]: x for m, x in vec.items()}) for vec in basis]
+
+
+@pytest.mark.parametrize(
+    "name, solutions",
+    [("H1", 4), ("H2", 40), ("H3", 140), ("H4", 336), ("hopf8", 40), ("su3", 40)],
+)
+def test_single_family_implies_the_mixed_family(cat, su3, name, solutions):
+    # the package checks only the single family: on the standard structure
+    # of H^n, n = 1..4, and on two entries with their own J's, every 3-form
+    # that satisfies it satisfies the mixed family of the oracle too
+    own = {"hopf8": cat["hopf8"].structure, "su3": su3.structure}
+    h = own[name] if name in own else _standard_structure(int(name[1:]))
+    basis = single_family_solutions(h)
+    assert len(basis) == solutions
+    for form in basis:
+        assert type_check_12_21(form, h) is None, form.comps
+        for triple in MIXED_TRIPLES:
+            assert mixed_type_residual(form.cube, h, triple) == {}, (triple, form.comps)
+
+
+def test_the_cyclic_mixed_family_is_not_implied():
+    # the certificate above is not vacuous: on H^1 the single family does not
+    # imply the cyclic orientation, which hopf4's torsion already breaks
+    h = _standard_structure(1)
+    basis = single_family_solutions(h)
+    assert any(mixed_type_residual(form.cube, h, (1, 2, 3)) for form in basis)
 
 
 def assert_same_nijenhuis(got, want):

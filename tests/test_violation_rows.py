@@ -104,6 +104,13 @@ ROWS = {
         1,
         "skew-torsion connection has nonvanishing Ricci 2-forms",
     ),
+    # the skew-torsion connection's closure is the second one run
+    "skew-torsion generator not in sp(n)": (
+        "holonomy_algebra",
+        lambda hol, *_: replace(hol, generators=(NOT_QUATERNION_LINEAR,), scales=(1,), dim=1),
+        1,
+        "skew-torsion holonomy generator not in sp(n)",
+    ),
     "detector": (
         "hyperkahler_detector",
         lambda res, *_: replace(res, consistent=False),
