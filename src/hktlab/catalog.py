@@ -19,8 +19,11 @@ Wire schema (version "1"): UTF-8 JSON object with keys
 Unknown keys are rejected unless the loader is told to tolerate them.
 Each distinct wire string of the matrix fields is parsed once per
 document. The Jacobi identity, the metric's symmetry, the quaternion
-relations and J^T g J = g are checked on the wire; then every entry is
-rebased, with sparse arithmetic, to one g-orthonormal frame of
+relations and J^T g J = g are checked on the wire. A document whose
+metric is the identity and whose J's are signed permutations
+(`hyperhermitian.is_signed_permutation`) is already in such a frame, as
+every builtin and export is, and keeps its wire values and types. Any
+other is rebased, with sparse arithmetic, to one g-orthonormal frame of
 quaternionic blocks (`_quaternionic_frame`), in which every J is a signed
 permutation and the metric is the identity. `serialize` writes the
 identity rows.
@@ -36,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exact import Scalar, format_scalar, four_squares, parse_scalar
-from .hyperhermitian import HyperhermitianStructure, quaternionic_check
+from .hyperhermitian import HyperhermitianStructure, is_signed_permutation, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
 from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
 from .linalg import sparse_subtract, sparse_transpose
@@ -199,9 +202,13 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         raise CatalogError("quaternion relations: " + "; ".join(relations))
     if issues:  # J^T g J = g fails
         raise CatalogError("metric: " + "; ".join(x.removeprefix("metric ") for x in issues))
-    frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
-    lie = rebase_algebra(lie, frame, inverse)
-    structure = HyperhermitianStructure(dim, j_frame)
+    if g == {i: {i: 1} for i in range(dim)} and all(is_signed_permutation(j, dim) for j in js):
+        # the frame is the standard basis: the wire values and types load as they are
+        structure = HyperhermitianStructure(dim, js)
+    else:
+        frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
+        lie = rebase_algebra(lie, frame, inverse)
+        structure = HyperhermitianStructure(dim, j_frame)
     return CatalogEntry(name, description, n, dim, lie, structure, dict(expected))
 
 
@@ -215,7 +222,7 @@ def _quaternionic_frame(
     c J2 + d J3) v, J1 u, J2 u, J3 u, orthonormal as g is J-invariant. Each
     vector is made positive at its highest nonzero index, and the frame is
     sorted stably by that index: the identity metric with signed-permutation
-    J's gets the standard basis, and so loads with the wire values and types."""
+    J's would get the standard basis, so the loader skips this walk there."""
     j_columns = [sparse_transpose(j) for j in js]  # g is symmetric: its own columns
     frame: list[Row] = []
     lowered: list[Row] = []  # g f_a, so g(e_k, f_a) = lowered[a][k]

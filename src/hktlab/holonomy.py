@@ -9,9 +9,13 @@ exactly by a `RowSpan`. The closure keeps its basis as the flat int rows
 flattens a matrix: [L_k, m] is summed from the images [L_k, E_ab] of m's
 cells, each built on first use from L_k's column view and rows and kept
 for the rest of the call, and a bracket whose products vanish by support
-(`linalg.support`) is skipped. It runs on the int operators of the
-connection and the curvature, so the brackets and the rank growth run on
-Python ints; a nonzero integer factor leaves the span unchanged. Each
+(`linalg.support`) is skipped. When every connection operator is skew (a
+metric connection, such as Levi-Civita or the skew-torsion one), the
+holonomy lies in so(n), and a row holds only the entries above the
+diagonal, the cells i < j; any other connection keeps all n^2 cells. It
+runs on the int operators of the connection and the curvature, so the
+brackets and the rank growth run on Python ints; a nonzero integer
+factor leaves the span unchanged. Each
 generator is an int matrix with its least scale beside it, and the
 membership tests read the int matrix: metric-skew, and `slnh_membership`,
 the one quaternionic test of every closure, whose certificate records
@@ -55,12 +59,19 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     divided by the gcd of its entries and its scale. Basis elements are flat
     rows, entry (i, j) at column i * n + j, and [ops_k, m] is the sum over
     m's cells of m_ab [ops_k, E_ab] = m_ab (sum_i ops_k[i][a] E_ib -
-    sum_j ops_k[b][j] E_aj). Those cell images are memoised per k for this
-    call only, built once the first element is queued. The bracket is
-    skipped when the columns of ops_k miss the rows of m and the columns of
-    m miss the rows of ops_k: both products are then zero, and a zero row
-    never enlarges the span. The generators become sparse matrices once, at
-    the end.
+    sum_j ops_k[b][j] E_aj). When every ops_k is skew, m is skew too and is
+    kept by its entries with i < j, m = sum_(a < b) m_ab (E_ab - E_ba); the
+    image of cell (a, b) is then the part of [ops_k, E_ab - E_ba] above the
+    diagonal, a term y E_ij of [ops_k, E_ab] landing at (i, j) or as -y at
+    (j, i), as [ops_k, E_ba] is the transpose of [ops_k, E_ab]. Reading a
+    skew matrix off its upper cells is linear and one to one, so the span
+    grows at the same offers, and the gcd is the same. Those cell images are
+    memoised per k for this call only, built once the first element is
+    queued. The bracket is skipped when the columns of ops_k miss the rows
+    of m and the columns of m miss the rows of ops_k: both products are then
+    zero, and a zero row never enlarges the span. The generators become
+    sparse matrices once, at the end, a skew one with its mirrored entries
+    restored.
 
     h is closed under its own commutators too: for A in h the Jacobi
     identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
@@ -69,6 +80,7 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     element of h from a seed gives [h, h] in h.
     """
     n, ops, s = conn.dim, conn.operators, conn.scale
+    skew = all(map(is_g_skew, ops))
     span = RowSpan()
     basis: list[tuple[Row, int]] = []  # (scale * generator as a flat row, scale)
     queue: list[tuple[Row, int]] = []
@@ -80,7 +92,8 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
             queue.append(basis[-1])
 
     for seed in curvature.entries.values():
-        offer({i * n + j: x for i, row in seed.items() for j, x in row.items()}, curvature.scale)
+        cells = {i * n + j: x for i, row in seed.items() for j, x in row.items()}
+        offer({c: x for c, x in cells.items() if not skew or c // n < c % n}, curvature.scale)
     if queue:
         columns = [sparse_transpose(op) for op in ops]
         supports = [support(op) for op in ops]
@@ -102,12 +115,22 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
                     cell = {i * n + b: y for i, y in columns[k].get(a, {}).items()}
                     for j, y in ops[k].get(b, {}).items():
                         cell[a * n + j] = cell.get(a * n + j, 0) - y
+                    if skew:  # less its transpose: y at (i, j) is -y at (j, i)
+                        upper: Row = {}
+                        for t, y in cell.items():
+                            i, j = divmod(t, n)
+                            if i != j:
+                                t, y = (t, y) if i < j else (j * n + i, -y)
+                                upper[t] = upper.get(t, 0) + y
+                        cell = upper
                     image = memo[c] = tuple((t, y) for t, y in cell.items() if y)
                 for t, y in image:
                     acc[t] = acc.get(t, 0) + x * y
             offer({t: x for t, x in acc.items() if x}, s * scale)
     generators: list[SparseMatrix] = []
     for row, _ in basis:
+        if skew:
+            row = {**row, **{c % n * n + c // n: -x for c, x in row.items()}}
         m: SparseMatrix = {}
         for c in sorted(row):
             m.setdefault(c // n, {})[c % n] = row[c]

@@ -5,15 +5,16 @@ torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
 structures. A structure holds J1, J2, J3 only as sparse matrices
 (`j_sparse`, no zero stored), each a signed permutation of the frame,
-checked where the structure is built; every reader here takes them in
-that format, `quaternionic_check` included, which validates the loader's
-sparse wire J's and metric through `linalg.sparse_product` before a
-structure exists. A structure derives each J's signed permutation once,
-on first read (`permutations`); `glnh_membership` reads those and forms
-no product. The structure holds no metric: the engine works in the
-orthonormal frame that the loader builds, so the metric is the identity
-there, and `fundamental_form` reads F(e_x, e_y) = J[x][y] off J's
-nonzeros.
+checked where the structure is built by `is_signed_permutation`, the test
+the loader also reads to keep a standard-basis document as it is; every
+reader here takes them in that format, `quaternionic_check` included,
+which validates the loader's sparse wire J's and metric through
+`linalg.sparse_product` before a structure exists. A structure derives
+each J's signed permutation once, on first read (`permutations`);
+`glnh_membership` reads those and forms no product. The structure holds
+no metric: the engine works in the orthonormal frame that the loader
+builds, so the metric is the identity there, and `fundamental_form` reads
+F(e_x, e_y) = J[x][y] off J's nonzeros.
 `nijenhuis` and each J_s's torsion-type identity is one term table of
 J-pullbacks for `tensors.cube_pullback`, of the bracket cube view
 (`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively, each
@@ -55,10 +56,8 @@ class HyperhermitianStructure:
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
     def __post_init__(self):
-        indices = list(range(self.dim))
         for s, j in enumerate(self.j_sparse, 1):
-            units = [c for row in j.values() if len(row) == 1 for c, x in row.items() if x in (1, -1)]
-            if sorted(j) != indices or sorted(units) != indices:
+            if not is_signed_permutation(j, self.dim):
                 raise ValueError(f"J{s} is not a signed permutation of the frame")
 
     @cached_property
@@ -68,6 +67,14 @@ class HyperhermitianStructure:
         return tuple(
             {x: (y, v) for y, row in j.items() for x, v in row.items()} for j in self.j_sparse
         )
+
+
+def is_signed_permutation(j: SparseMatrix, dim: int) -> bool:
+    """Every row and every column of j, over indices 0..dim-1, holds one
+    nonzero, +-1."""
+    indices = list(range(dim))
+    units = [c for row in j.values() if len(row) == 1 for c, x in row.items() if x in (1, -1)]
+    return sorted(j) == indices and sorted(units) == indices
 
 
 def quaternionic_check(

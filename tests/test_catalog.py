@@ -17,10 +17,10 @@ from hktlab.catalog import (
     save,
     serialize,
 )
-from hktlab import cli
+from hktlab import catalog, cli
 from hktlab.exact import FOUR_SQUARES_STEPS, parse_scalar
 from hktlab.hyperhermitian import hkt_check
-from hktlab.invariant import rebase_algebra
+from hktlab.invariant import LieAlgebra, rebase_algebra
 from hktlab.linalg import sparse_matrix, sparse_product, sparse_transpose
 
 from oracle_impl import (
@@ -454,24 +454,48 @@ def test_frame_js_match_the_product_form(tmp_path, cat, su3):
         assert load(write_doc(tmp_path, doc)).structure.j_sparse == products, doc["name"]
 
 
-def _typed(table):
-    return {key: {k: (v, type(v)) for k, v in row.items()} for key, row in table.items()}
+def _ordered(table):
+    return [(key, [(k, v, type(v)) for k, v in row.items()]) for key, row in table.items()]
 
 
-def test_identity_metric_and_signed_permutations_load_unchanged(tmp_path, cat, su3_path):
+def test_identity_metric_and_signed_permutations_load_unchanged(
+    tmp_path, cat, su3_path, monkeypatch
+):
     # the frame of an identity metric and signed-permutation J's is the
-    # standard basis: the loaded brackets and J's are the wire values, each
-    # with the scalar type its cell parses to
+    # standard basis, so the loader walks no frame there: the loaded
+    # brackets and J's are the wire values, each with the scalar type its
+    # cell parses to, and what `_quaternionic_frame` and `rebase_algebra`
+    # give on the parsed document, item by item and in order. A rotated
+    # basis and a scaled metric still take the frame walk, once each
     docs = [serialize(entry) for entry in cat.values()]
     docs.append(json.loads(su3_path.read_text(encoding="utf-8")))
     by_name = {doc["name"]: doc for doc in docs}
     for first, second in (("nil8", "hopf4"), ("hopf8", "hopf8"), ("hc_only8", "hc_only8")):
         docs.append(direct_sum(by_name[first], by_name[second]))
+    wire = []
     for doc in docs:
-        entry = load(write_doc(tmp_path, doc))
         brackets, js = parsed_wire(doc)
-        assert _typed(entry.lie.brackets) == _typed(brackets), doc["name"]
-        assert tuple(map(_typed, entry.structure.j_sparse)) == tuple(map(_typed, js)), doc["name"]
+        dim = doc["dim"]
+        g = sparse_matrix([[parse_scalar(x) for x in row] for row in doc["metric"]])
+        frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
+        lie = rebase_algebra(LieAlgebra(dim, brackets), frame, inverse)
+        wire.append((_ordered(brackets), list(map(_ordered, js))))
+        assert (_ordered(lie.brackets), list(map(_ordered, j_frame))) == wire[-1], doc["name"]
+    calls = []
+    for name in ("_quaternionic_frame", "rebase_algebra"):
+        spied = getattr(catalog, name)
+        monkeypatch.setattr(
+            catalog, name, lambda *args, name=name, spied=spied: calls.append(name) or spied(*args)
+        )
+    for doc, want in zip(docs, wire):
+        entry = load(write_doc(tmp_path, doc))
+        got = (_ordered(entry.lie.brackets), list(map(_ordered, entry.structure.j_sparse)))
+        assert got == want, doc["name"]
+        assert calls == [], doc["name"]
+    for doc in (cayley_rotated(cat["hopf8"]), with_diagonal_metric(cat["hopf8"], ("2", "3"))):
+        load(write_doc(tmp_path, doc))
+        assert calls == ["_quaternionic_frame", "rebase_algebra"], doc["name"]
+        calls.clear()
 
 
 def test_available_entries_env_dir(tmp_path, monkeypatch, cat):

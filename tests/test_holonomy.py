@@ -147,9 +147,59 @@ def assert_matches_dense_oracle(entry):
         assert got_generators == want.generators, name
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_holonomy_matches_dense_oracle(cat, name):
-    assert_matches_dense_oracle(cat[name])
+def holonomy_entry(cat, su3, name, directory):
+    """A builtin by name, su3, or nil16 = nil8 + nil8 through the loader."""
+    if name == "nil16":
+        return direct_sum_entry(cat["nil8"], cat["nil8"], directory)
+    return su3 if name == "su3" else cat[name]
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "nil16"])
+def test_holonomy_matches_dense_oracle(cat, su3, name, tmp_path):
+    assert_matches_dense_oracle(holonomy_entry(cat, su3, name, tmp_path))
+
+
+def test_holonomy_matches_the_fraction_closure_on_su3(su3):
+    # on su3 the dense oracle, which also brackets basis elements with each
+    # other, enters its basis in another order, so the generators are held
+    # in order against the Fraction closure on the connection operators and
+    # in span against the dense oracle
+    for label, conn in applicable_connections(su3).items():
+        got = holonomy_algebra(conn, curvature_operators(conn, su3.lie))
+        gamma = conn_values(conn)
+        want = fraction_holonomy_algebra(
+            fraction_operators(gamma, su3.dim), fraction_curvature_operators(gamma, su3.lie)
+        )
+        assert generator_values(got) == want.generators, label
+        oracle = naive_holonomy_algebra(conn, su3.lie)
+        span = RowSpan()
+        for g in oracle.generators:
+            span.add(naive_flatten(g))
+        got_rows = [naive_flatten(dense_matrix(g, su3.dim)) for g in generator_values(got)]
+        assert got.dim == oracle.dim and not any(map(span.add, got_rows)), label
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "su3", "nil16"])
+def test_metric_closures_offer_the_cells_above_the_diagonal(cat, su3, name, tmp_path, monkeypatch):
+    # a connection with skew operators has its holonomy in so(n), and the
+    # closure offers the span each element's entries above the diagonal
+    # only; su3's torsion-free connection is curved and not skew, so its
+    # closure offers cells below the diagonal too
+    entry = holonomy_entry(cat, su3, name, tmp_path)
+    seen = []
+    add = RowSpan.add
+    monkeypatch.setattr(RowSpan, "add", lambda self, row: seen.append(row) or add(self, row))
+    for label, conn in applicable_connections(entry).items():
+        curvature = curvature_operators(conn, entry.lie)
+        seen.clear()
+        hol = holonomy_algebra(conn, curvature)
+        cells = [divmod(c, entry.dim) for row in seen for c in row]
+        assert len(seen) >= hol.dim, (name, label)
+        if label != "obata":
+            assert all(i < j for i, j in cells), (name, label)
+        elif name == "su3":
+            assert hol.dim == 16 and not all(map(is_g_skew, conn.operators))
+            assert any(i > j for i, j in cells)
 
 
 @pytest.mark.parametrize("summands", [("nil8", "hopf4"), ("hc_only8", "torus4")])
