@@ -20,13 +20,14 @@ Unknown keys are rejected unless the loader is told to tolerate them.
 Each distinct wire string of the matrix fields is parsed once per
 document. The Jacobi identity, the metric's symmetry, the quaternion
 relations and J^T g J = g are checked on the wire. A document whose
-metric is the identity and whose J's are signed permutations
-(`hyperhermitian.is_signed_permutation`) is already in such a frame, as
-every builtin and export is, and keeps its wire values and types. Any
-other is rebased, with sparse arithmetic, to one g-orthonormal frame of
-quaternionic blocks (`_quaternionic_frame`), in which every J is a signed
-permutation and the metric is the identity. `serialize` writes the
-identity rows.
+metric is the identity and whose J's are signed permutations is already
+in such a frame, as every builtin and export is: its structure keeps the
+wire values and types, its permutations are derived (and so validated)
+once, and its relations are composed on them. Any other is checked on
+sparse products and rebased, with sparse arithmetic, to one g-orthonormal
+frame of quaternionic blocks (`_quaternionic_frame`), in which every J is
+a signed permutation and the metric is the identity. `serialize` writes
+the identity rows.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .exact import Scalar, format_scalar, four_squares, parse_scalar
-from .hyperhermitian import HyperhermitianStructure, is_signed_permutation, quaternionic_check
+from .hyperhermitian import HyperhermitianStructure, quaternion_relations, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
 from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
 from .linalg import sparse_subtract, sparse_transpose
@@ -196,16 +198,17 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
     if sparse_transpose(g) != g:
         raise CatalogError("metric: not symmetric")
     js = tuple(map(sparse_matrix, j_rows))
-    issues = quaternionic_check(js, dim, g)
+    structure = None
+    with suppress(ValueError):  # a J that is no signed permutation takes the frame walk
+        if g == {i: {i: 1} for i in range(dim)}:  # the standard basis: wire values and types stay
+            structure = HyperhermitianStructure(dim, js)
+    issues = quaternion_relations(structure) if structure else quaternionic_check(js, dim, g)
     relations = [issue for issue in issues if not issue.startswith("metric ")]
     if relations:
         raise CatalogError("quaternion relations: " + "; ".join(relations))
     if issues:  # J^T g J = g fails
         raise CatalogError("metric: " + "; ".join(x.removeprefix("metric ") for x in issues))
-    if g == {i: {i: 1} for i in range(dim)} and all(is_signed_permutation(j, dim) for j in js):
-        # the frame is the standard basis: the wire values and types load as they are
-        structure = HyperhermitianStructure(dim, js)
-    else:
+    if structure is None:
         frame, inverse, j_frame = _quaternionic_frame(g, js, dim)
         lie = rebase_algebra(lie, frame, inverse)
         structure = HyperhermitianStructure(dim, j_frame)

@@ -3,17 +3,17 @@
 Curvature arrives as the nonzero int operators of
 `invariant.curvature_operators` over one scale, with the lowered curvature
 r[i][j][k][l] = R(e_i, e_j)[l][k]; every trace below is summed from their
-nonzeros on ints and divided by the scale once. Every endomorphism and
-bilinear form here (the J's, Ric, the Ricci 2-forms and d(theta) through
-`tensors.form_to_matrix`, the dT partial traces) is a sparse matrix with
-B[x][y] = B(e_x, e_y). The J-traces go through `tensors.j_trace` and
-`tensors.cube_j_trace` (the Lee form too, pulled back by
-`linalg.sparse_apply`), and Ric(J., J.) and d(theta)(J., J.) through
-`tensors.j_pullback`, each Ric pullback built once per J in the
-`RicciPackage`, on first read: only the torsion-free connection's are
-read. rho and the rho_s are summed in one loop (`_traced_forms`), which
-the *-scalar runs for the Levi-Civita rho_s alone. The double J1-trace of
-dT that the *-scalar identities use is -4h, read off `dt_traces`.
+nonzeros on ints and divided by the scale once. Every bilinear form here
+(Ric, the Ricci 2-forms and d(theta) through `tensors.form_to_matrix`,
+the dT partial traces) is a sparse matrix with B[x][y] = B(e_x, e_y).
+Each J is read as its signed permutation (`h.permutations`), so every
+J-contraction is a relabel with a sign: the J-traces through
+`tensors.j_trace` and `tensors.cube_j_trace`, Ric(J., J.) and
+d(theta)(J., J.) through `tensors.j_pullback`, each Ric pullback built
+once per J in the `RicciPackage`, on first read. rho and the rho_s are
+summed in one loop (`_traced_forms`), which the *-scalar runs for the
+Levi-Civita rho_s alone. The double J1-trace of dT that the *-scalar
+identities use is -4h, read off `dt_traces`.
 An identity check returns its evidence: the first counterexample, the
 least nonzero cell of a sparse residual, or `None` when it holds, so
 reports can point at exact basis tuples.
@@ -37,61 +37,43 @@ from .invariant import (
     ce_differential,
     covariant_derivative_cube,
 )
-from .linalg import SparseMatrix, sparse_apply, sparse_product, sparse_subtract, sparse_trace
-from .linalg import sparse_transpose
-from .tensors import (
-    IDENTITY,
-    Cube,
-    KForm,
-    Scaled,
-    cube_j_trace,
-    cube_pullback,
-    form_to_matrix,
-    integer_scaled,
-    j_pullback,
-    j_trace,
-    norm_sq,
-    perm_sign,
-    row_images,
-)
+from .linalg import SparseMatrix, sparse_subtract, sparse_trace, sparse_transpose
+from .tensors import IDENTITY, Cube, KForm, Scaled, SignedPermutation, cube_j_trace, cube_pullback
+from .tensors import form_to_matrix, integer_scaled, j_pullback, j_trace, norm_sq, perm_sign
 
 
 @dataclass(frozen=True)
 class RicciPackage:
     """All Ricci-type traces of one curvature tensor, and the pullbacks
     ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read, built from
-    the sparse J's on first read."""
+    the structure's permutations on first read."""
 
     ric: SparseMatrix
     rho: KForm
     rho_s: tuple[KForm, KForm, KForm]
     scal: Scalar
     scal_s: tuple[Scalar, Scalar, Scalar]
-    j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
+    permutations: tuple[SignedPermutation, ...]
 
     @cached_property
     def ric_j(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
-        return tuple(j_pullback(self.ric, j) for j in self.j_sparse)
+        return tuple(j_pullback(self.ric, j) for j in self.permutations)
 
 
 def _traced_forms(
-    curvature: Curvature, traced: list[tuple[SparseMatrix, int]], dim: int
+    curvature: Curvature, traced: list[tuple[SignedPermutation, int]], dim: int
 ) -> list[KForm]:
     """For each (M, d) in traced, the 2-form (i, j) -> 1/d sum v M[l][k],
-    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]."""
+    summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]: row l
+    of M holds one nonzero, M[l][k] at (k, M[l][k]) = rows[l]."""
     scale = curvature.scale
     forms: list[dict[tuple[int, ...], Scalar]] = [{} for _ in traced]
     for (i, j), op in curvature.entries.items():
-        sums: list[Scalar] = [0] * len(traced)
-        for l, row in op.items():
-            m_rows = [m.get(l, {}) for m, _ in traced]
-            for k, v in row.items():
-                for s, m_row in enumerate(m_rows):
-                    if k in m_row:
-                        sums[s] += v * m_row[k]
-        for s, total in enumerate(sums):
+        for comps, (m, d) in zip(forms, traced):
+            rows = m.rows
+            total = sum(v * e for l, row in op.items() for k, e in [rows[l]] if (v := row.get(k)))
             if total:
-                forms[s][(i, j)] = Fraction(total, traced[s][1] * scale)
+                comps[(i, j)] = Fraction(total, d * scale)
     return [KForm(dim, 2, comps) for comps in forms]
 
 
@@ -107,9 +89,9 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
         sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
     ric = {x: {y: Fraction(v, scale) for y, v in row.items()} for x, row in sums_ric.items()}
     ric_t = sparse_transpose(ric)
-    scal_s = tuple(j_trace(ric_t, jm) for jm in h.j_sparse)
-    rho, *rho_s = _traced_forms(curvature, [(IDENTITY, 1), *((j, 2) for j in h.j_sparse)], dim)
-    return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.j_sparse)
+    scal_s = tuple(j_trace(ric_t, jm) for jm in h.permutations)
+    rho, *rho_s = _traced_forms(curvature, [(IDENTITY, 1), *((j, 2) for j in h.permutations)], dim)
+    return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.permutations)
 
 
 @dataclass(frozen=True)
@@ -122,11 +104,14 @@ class LeeForm:
 def lee_form(t: KForm, h: HyperhermitianStructure, alg: LieAlgebra) -> LeeForm:
     """theta(X) = -1/2 sum_a T(J_s X, e_a, J_s e_a), required to agree for
     s = 1, 2, 3: with S = `cube_j_trace` of T by J_s, theta(e_x) =
-    -1/2 S(J_s e_x) = -1/2 (J_s^T S)_x, which `sparse_apply` gives with J_s's
-    rows as the columns of J_s^T. Classification is at the invariant level,
+    -1/2 S(J_s e_x) = -1/2 (J_s^T S)_x, S_a moved to x with the sign J[a][x]
+    for rows[a] = (x, J[a][x]). Classification is at the invariant level,
     where exactness of a 1-form means vanishing.
     """
-    candidates = [sparse_apply(j, cube_j_trace(t.cube, j)) for j in h.j_sparse]
+    candidates = [
+        {x: v * e for a, v in cube_j_trace(t.cube, j).items() for x, e in [j.rows[a]]}
+        for j in h.permutations
+    ]
     if not (candidates[0] == candidates[1] == candidates[2]):
         raise ValueError("not HKT torsion: the three Lee form candidates differ")
     pulled = candidates[0]
@@ -167,12 +152,13 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, tuple | N
     ric, ric_j = pkg.ric, pkg.ric_j
     ric_t = sparse_transpose(ric)
     rho, d_theta = form_to_matrix(pkg.rho), form_to_matrix(lee.d_theta)
-    # rho_s(J_s X, Y) and d(theta)(J_s X, J_s Y)
+    # rho_s(J_s X, Y): row a of rho_s moves to x with the sign J[a][x] = rows[a]
     rho_j = [
-        sparse_product(sparse_transpose(j), form_to_matrix(f))
-        for f, j in zip(pkg.rho_s, pkg.j_sparse)
+        {x: {y: e * v for y, v in row.items()} for a, row in form_to_matrix(f).items()
+         for x, e in [j.rows[a]]}
+        for f, j in zip(pkg.rho_s, pkg.permutations)
     ]
-    d_theta_j = [j_pullback(d_theta, j) for j in pkg.j_sparse]
+    d_theta_j = [j_pullback(d_theta, j) for j in pkg.permutations]
     scalars = [("scal", pkg.scal)] + [(f"scal_{s}", v) for s, v in enumerate(pkg.scal_s, 1)]
     return {
         "ricci-j-conjugation": _least_per_j(
@@ -187,8 +173,7 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, tuple | N
         "ricci-j-invariant": _least_per_j(((1, pulled), (-1, ric)) for pulled in ric_j),
         "scalars-vanish": next((item for item in scalars if item[1]), None),
         "d-lee-trace-free": next(
-            ((s, total) for s, j in enumerate(pkg.j_sparse, 1) if (total := j_trace(d_theta, j))),
-            None,
+            ((s, t) for s, j in enumerate(pkg.permutations, 1) if (t := j_trace(d_theta, j))), None
         ),
     }
 
@@ -274,8 +259,8 @@ def star_scalar(
     trace sum_{a,b} dT(e_a, J1 e_a, e_b, J1 e_b) is -4h, read off `dtt`.
     """
     # sum_a rho_s(J_s e_a, e_a) = -sum_a rho_s(e_a, J_s e_a)
-    rho_s = _traced_forms(lc_curvature, [(j, 2) for j in h.j_sparse], h.dim)
-    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(rho_s, h.j_sparse)]
+    rho_s = _traced_forms(lc_curvature, [(j, 2) for j in h.permutations], h.dim)
+    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(rho_s, h.permutations)]
     double_trace = -4 * dtt.h_value
     div = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
     delta_theta = Fraction(div, lc.scale)
@@ -312,24 +297,27 @@ def dt_traces(dt: KForm, h: HyperhermitianStructure) -> DtTraces:
     the almost-strong test (full partial-trace 2-tensor vanishes), and the
     strong test dT = 0. The three J-versions of the partial trace must agree.
     """
-    partials = [_j_partial_trace(dt, j) for j in h.j_sparse]
+    partials = [_j_partial_trace(dt, j) for j in h.permutations]
     coincide = partials[0] == partials[1] == partials[2]
     h_value = Fraction(-sparse_trace(partials[0]), 4)
     return DtTraces(h_value, dt.is_zero(), not partials[0], coincide)
 
 
-def _j_partial_trace(form4: KForm, j: SparseMatrix) -> SparseMatrix:
+def _j_partial_trace(form4: KForm, j: SignedPermutation) -> SparseMatrix:
     """P[x][y] = sum_a form4(e_a, J e_a, e_x, J e_y), built from the stored
-    components of form4, each in every signed slot order, and the nonzeros
-    of J."""
+    components of form4, each in every signed slot order: the slots (a, r)
+    meet J when (r, J[r][a]) = cols[a], and J e_y sits at m for
+    (y, J[m][y]) = rows[m]."""
     out: SparseMatrix = {}
     for idx, value in form4.comps.items():
         for order, sign in _ORDERINGS_4:
             a, r, x, m = (idx[o] for o in order)
-            jra, row_m = j.get(r, {}).get(a), j.get(m)
-            if jra and row_m:
-                sparse_subtract(out, -sign * value * jra, {x: row_m})
-    return out
+            p, e = j.cols[a]
+            if p == r:
+                y, f = j.rows[m]
+                row = out.setdefault(x, {})
+                row[y] = row.get(y, 0) + sign * value * e * f
+    return {x: kept for x, row in out.items() if (kept := {y: v for y, v in row.items() if v})}
 
 
 @dataclass(frozen=True)
@@ -347,8 +335,8 @@ def chern_norm_check(t: KForm, h: HyperhermitianStructure) -> ChernReport:
     """
     torsion_sq = norm_sq(t)
     norms = []
-    for j in map(row_images, h.j_sparse):
-        twice = cube_pullback(t.cube, (1, None, j, j), (1, j, None, j))
+    for j in h.permutations:
+        twice = cube_pullback(t.cube, (1, None, j.rows, j.rows), (1, j.rows, None, j.rows))
         norms.append(Fraction(sum(v * v for v in twice.values()), 4))
     target = Fraction(torsion_sq, 3)
     return ChernReport(tuple(norms), torsion_sq, all(n == target for n in norms))

@@ -3,24 +3,18 @@
 Quaternion relations, Nijenhuis tensors, integrability, fundamental forms,
 torsion construction for metric connections with totally skew torsion, and
 the test for a single common torsion shared by all three complex
-structures. A structure holds J1, J2, J3 only as sparse matrices
-(`j_sparse`, no zero stored), each a signed permutation of the frame,
-checked where the structure is built by `is_signed_permutation`, the test
-the loader also reads to keep a standard-basis document as it is; every
-reader here takes them in that format, `quaternionic_check` included,
-which validates the loader's sparse wire J's and metric through
-`linalg.sparse_product` before a structure exists. A structure derives
-each J's signed permutation once, on first read (`permutations`);
-`glnh_membership` reads those and forms no product. The structure holds
-no metric: the engine works in the orthonormal frame that the loader
-builds, so the metric is the identity there, and `fundamental_form` reads
-F(e_x, e_y) = J[x][y] off J's nonzeros.
-`nijenhuis` and each J_s's torsion-type identity is one term table of
-J-pullbacks for `tensors.cube_pullback`, of the bracket cube view
-(`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively, each
-J converted to its `tensors.row_images` once per call; nabla A
-(`invariant.covariant_derivative_cube`) is one more such table. `hkt_check`
-hands each Nijenhuis 3-form to `kt_torsion`, so each tensor is built once.
+structures. A structure is built from J1, J2, J3 as sparse matrices
+(`j_sparse`) and derives, where it is built, each J's signed permutation
+(`permutations`), which validates it; every reader here takes those
+relabels. `quaternionic_check` reads the loader's sparse wire J's and
+metric where a frame walk follows; `quaternion_relations` composes the
+permutations. The structure holds no metric: in the loader's orthonormal
+frame it is the identity, and `fundamental_form` reads F(e_x, e_y) =
+J[x][y] off J's rows. `nijenhuis` and each J_s's torsion-type identity is
+one term table of `tensors.cube_pullback`, of the bracket cube view
+(`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively.
+`hkt_check` hands each Nijenhuis 3-form to `kt_torsion`, so each tensor is
+built once.
 """
 
 from __future__ import annotations
@@ -31,24 +25,13 @@ from functools import cached_property
 from .exact import Scalar
 from .invariant import Connection, LieAlgebra, ce_differential
 from .linalg import SparseMatrix, sparse_product, sparse_transpose
-from .tensors import (
-    Cube,
-    KForm,
-    cube_add,
-    cube_pullback,
-    cube_scale,
-    cube_to_form,
-    form_add,
-    form_to_matrix,
-    j_pullback,
-    j_twist,
-    row_images,
-)
+from .tensors import Cube, KForm, Relabel, SignedPermutation, cube_add, cube_pullback, cube_scale
+from .tensors import cube_to_form, form_add, j_twist
 
 
 @dataclass(frozen=True)
 class HyperhermitianStructure:
-    """An ordered triple of anticommuting complex structures, held as sparse
+    """An ordered triple of anticommuting complex structures, given as sparse
     matrices in an orthonormal frame of the metric in which each J is a
     signed permutation: every row and every column holds one nonzero, +-1."""
 
@@ -56,25 +39,20 @@ class HyperhermitianStructure:
     j_sparse: tuple[SparseMatrix, SparseMatrix, SparseMatrix]
 
     def __post_init__(self):
-        for s, j in enumerate(self.j_sparse, 1):
-            if not is_signed_permutation(j, self.dim):
-                raise ValueError(f"J{s} is not a signed permutation of the frame")
+        self.permutations  # derived, and so validated, once, here
 
     @cached_property
-    def permutations(self) -> tuple[dict[int, tuple[int, Scalar]], ...]:
-        """J_s e_x = eps_s(x) e_sigma_s(x), read off each J_s once, on first
-        read, as {x: (sigma_s(x), eps_s(x))}."""
-        return tuple(
-            {x: (y, v) for y, row in j.items() for x, v in row.items()} for j in self.j_sparse
-        )
-
-
-def is_signed_permutation(j: SparseMatrix, dim: int) -> bool:
-    """Every row and every column of j, over indices 0..dim-1, holds one
-    nonzero, +-1."""
-    indices = list(range(dim))
-    units = [c for row in j.values() if len(row) == 1 for c, x in row.items() if x in (1, -1)]
-    return sorted(j) == indices and sorted(units) == indices
+    def permutations(self) -> tuple[SignedPermutation, SignedPermutation, SignedPermutation]:
+        """Each J_s's relabels, read off its nonzeros; a J whose rows are
+        not each one +-1, at distinct columns 0..dim-1, is rejected."""
+        indices, maps = list(range(self.dim)), []
+        for s, j in enumerate(self.j_sparse, 1):
+            rows = {a: x for a, row in j.items() if len(row) == 1 for x in row.items()}
+            cols = {x: (a, e) for a, (x, e) in rows.items() if e in (1, -1)}
+            if sorted(rows) != indices or len(j) != self.dim or sorted(cols) != indices:
+                raise ValueError(f"J{s} is not a signed permutation of the frame")
+            maps.append(SignedPermutation(rows, cols))
+        return tuple(maps)
 
 
 def quaternionic_check(
@@ -84,7 +62,7 @@ def quaternionic_check(
     J1, J2, J3 and the sparse metric g, [] when clean. Each relation
     compares two sparse products, which store no zero, so `==` is the
     matrix equality; compatibility is J^T g J = g. The loader checks the
-    wire J's and metric; in an orthonormal frame g is the identity."""
+    wire J's and metric of a document that takes the frame walk."""
     j1, j2, j3 = j_sparse
     violations: list[str] = []
     minus_id = {i: {i: -1} for i in range(dim)}
@@ -96,8 +74,29 @@ def quaternionic_check(
     if sparse_product(j2, j1) != {i: {k: -x for k, x in row.items()} for i, row in j3.items()}:
         violations.append("J2*J1 != -J3")
     for s, j in enumerate(j_sparse, 1):
-        if j_pullback(g, j) != g:
+        if sparse_product(sparse_transpose(j), sparse_product(g, j)) != g:
             violations.append(f"metric not J{s}-invariant")
+    return violations
+
+
+def quaternion_relations(h: HyperhermitianStructure) -> list[str]:
+    """The quaternion-relation violations of `quaternionic_check`, in its
+    order and wording, composed on the permutations: J e_x = e e_a for
+    cols[x] = (a, e). A signed permutation is orthogonal, so with the
+    identity metric no compatibility violation can follow."""
+
+    def compose(p: Relabel, q: Relabel, sign: int = 1) -> Relabel:  # sign * P Q
+        return {x: (p[a][0], sign * e * p[a][1]) for x, (a, e) in q.items()}
+
+    c1, c2, c3 = (j.cols for j in h.permutations)
+    minus_id = {x: (x, -1) for x in range(h.dim)}
+    violations = [
+        f"J{s}^2 != -identity" for s, c in enumerate((c1, c2, c3), 1) if compose(c, c) != minus_id
+    ]
+    if compose(c1, c2) != c3:
+        violations.append("J1*J2 != J3")
+    if compose(c2, c1, -1) != c3:
+        violations.append("J2*J1 != -J3")
     return violations
 
 
@@ -107,11 +106,11 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
 
     No product is formed: m commutes with J_s exactly when J_s m J_s^-1 = m,
     that is m[sigma(c)][sigma(x)] = eps(c) eps(x) m[c][x] for every cell,
-    with sigma, eps the signed permutation of J_s (`h.permutations`, the
-    rule of `obata.commutant_basis`). Checking the nonzeros of m suffices:
-    the cell map is a bijection, so if it sends every nonzero of m to a
+    with (sigma(x), eps(x)) = cols[x] of J_s (`h.permutations`, the rule
+    of `obata.commutant_basis`). Checking the nonzeros of m suffices: the
+    cell map is a bijection, so if it sends every nonzero of m to a
     nonzero, it sends every zero to a zero."""
-    for image in h.permutations:
+    for image in (j.cols for j in h.permutations):
         for c, row in m.items():
             p, e = image[c]
             target = m.get(p, {})
@@ -122,25 +121,26 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     return True
 
 
-def fundamental_form(j: SparseMatrix, dim: int) -> KForm:
+def fundamental_form(j: SignedPermutation) -> KForm:
     """F(X, Y) = g(X, J Y) as a 2-form. In the orthonormal frame
-    F(e_x, e_y) = J[x][y], read off J's nonzeros above the diagonal."""
-    f = KForm(dim, 2, {(x, y): v for x in sorted(j) for y, v in sorted(j[x].items()) if x < y})
-    if form_to_matrix(f) != j:
+    F(e_x, e_y) = J[x][y], read off J's rows above the diagonal; J must
+    be skew, J[y][x] = -J[x][y]."""
+    rows = j.rows
+    if any(rows[y] != (x, -v) for x, (y, v) in rows.items()):
         raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
-    return f
+    return KForm(len(rows), 2, {(x, y): v for x, (y, v) in sorted(rows.items()) if x < y})
 
 
-def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
+def nijenhuis(alg: LieAlgebra, j: SignedPermutation) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
     Returns the cube n[(i, j, k)] = N(e_i, e_j)^k and its 3-form reading
     when totally skew (the cube lowered in the orthonormal frame), else
     None. The four terms are one pullback table of the shared bracket cube
     `alg.cube`, c[(i, j, k)] = c^k_ij: J on an argument slot, and J applied
-    to the value slot as the pullback through J^T.
+    to the value slot as the pullback through J^T (J's cols).
     """
-    rj, rjt = row_images(j), row_images(sparse_transpose(j))
+    rj, rjt = j.rows, j.cols
     n = cube_pullback(
         alg.cube, (1, rj, rj, None), (-1, None, None, None), (-1, rj, None, rjt),
         (-1, None, rj, rjt),
@@ -148,7 +148,7 @@ def nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
     return n, cube_to_form(n, alg.dim)
 
 
-def kt_torsion(j: SparseMatrix, alg: LieAlgebra, n_form: KForm | None) -> KForm:
+def kt_torsion(j: SignedPermutation, alg: LieAlgebra, n_form: KForm | None) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
     T = J dF + N, valid exactly when N is totally skew. `n_form` is the
     3-form reading of J's Nijenhuis tensor, `nijenhuis(alg, j)[1]`.
@@ -157,7 +157,7 @@ def kt_torsion(j: SparseMatrix, alg: LieAlgebra, n_form: KForm | None) -> KForm:
         raise ValueError(
             "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
         )
-    df = ce_differential(alg, fundamental_form(j, alg.dim))
+    df = ce_differential(alg, fundamental_form(j))
     return form_add(j_twist(df, j), n_form)
 
 
@@ -176,12 +176,12 @@ def hkt_check(h: HyperhermitianStructure, alg: LieAlgebra) -> HktResult:
     non-integrable J_s, or None). On success returns the common torsion and
     asserts integrability (a common torsion with nonvanishing Nijenhuis
     tensors is contradictory)."""
-    tensors = [nijenhuis(alg, j) for j in h.j_sparse]
+    tensors = [nijenhuis(alg, j) for j in h.permutations]
     first_bad = next((s for s, (cube, _) in enumerate(tensors, 1) if cube), None)
     candidates: list[KForm] = []
     for s, (_, n_form) in enumerate(tensors, 1):
         try:
-            candidates.append(kt_torsion(h.j_sparse[s - 1], alg, n_form))
+            candidates.append(kt_torsion(h.permutations[s - 1], alg, n_form))
         except ValueError as exc:
             return HktResult(ok=False, first_nonintegrable=first_bad, reason=f"J{s}: {exc}")
     base = candidates[0]
@@ -211,9 +211,9 @@ def type_check_12_21(t: KForm, h: HyperhermitianStructure) -> tuple | None:
     value), at the residual's least nonzero cell; None when every identity
     holds."""
     c = t.cube
-    for s, j in enumerate(map(row_images, h.j_sparse), 1):
+    for s, rj in enumerate((j.rows for j in h.permutations), 1):
         residual = cube_pullback(
-            c, (1, None, None, None), (-1, j, j, None), (-1, j, None, j), (-1, None, j, j)
+            c, (1, None, None, None), (-1, rj, rj, None), (-1, rj, None, rj), (-1, None, rj, rj)
         )
         if residual:
             idx = min(residual)

@@ -25,7 +25,8 @@ read the bracket cube; the readers that need one order read the stored
 table. The Jacobi check walks only the triples where a cyclic term
 [[e_a, e_b], e_c] can be nonzero by support; `LieAlgebra.jacobi_defect`
 holds its result, walked once per algebra on first read. nabla A
-(`covariant_derivative_cube`) is a term table of `tensors.cube_pullback`.
+(`covariant_derivative_cube`) is the one pullback through a general
+matrix, a connection operator, one slot at a time over its rows.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from math import gcd, lcm
 from .exact import Scalar
 from .linalg import SparseMatrix, Vector, sparse_apply, sparse_commutator, sparse_subtract
 from .linalg import sparse_transpose, support
-from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_pullback, cube_to_form
-from .tensors import integer_scaled, row_images
+from .tensors import Cube, KForm, MAX_DIM, Scaled, cube_to_form, integer_scaled
 
 BracketTable = dict[tuple[int, int], dict[int, Scalar]]
 
@@ -278,12 +278,20 @@ def covariant_derivative_cube(op: SparseMatrix, a: Cube) -> Cube:
     connection operator L = nabla_{e_i} (`Connection.operators[i]`).
 
     The scalar components are constant, so only the argument derivatives
-    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U), one term table
-    of `tensors.cube_pullback` on L's `row_images`. On int operators and
-    entries the result is int, over the product of their scales.
+    survive: -A(L Y, Z, U) - A(Y, L Z, U) - A(Y, Z, L U), one slot at a
+    time over L's rows: A(p, q, r) adds -L[p][x] A(p, q, r) at (x, q, r).
+    On int operators and entries the result is int, over the product of
+    their scales.
     """
-    rows = row_images(op)
-    return cube_pullback(a, (-1, rows, None, None), (-1, None, rows, None), (-1, None, None, rows))
+    out: Cube = defaultdict(int)
+    for (p, q, r), v in a.items():
+        for x, w in op.get(p, {}).items():
+            out[(x, q, r)] -= w * v
+        for x, w in op.get(q, {}).items():
+            out[(p, x, r)] -= w * v
+        for x, w in op.get(r, {}).items():
+            out[(p, q, x)] -= w * v
+    return {idx: v for idx, v in out.items() if v}
 
 
 def rebase_algebra(alg: LieAlgebra, frame: SparseMatrix, inverse: SparseMatrix) -> LieAlgebra:

@@ -32,7 +32,7 @@ from .hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_mem
 from .invariant import Connection, LieAlgebra, levi_civita, torsion_cube
 from .linalg import LinAlgError, SparseMatrix, solve_pairs
 from .tensors import IDENTITY, KForm, Scaled, cube_add, cube_j_trace, cube_pullback, cube_scale
-from .tensors import integer_scaled, row_images
+from .tensors import integer_scaled
 
 
 def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
@@ -41,7 +41,7 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
 
     2A(X,Y,Z) = -T(X,J1Y,J1Z) - T(J1X,J1Y,Z) - T(X,J3Y,J3Z) - T(J1X,J3Y,J2Z).
     """
-    j1, j2, j3 = map(row_images, h.j_sparse)
+    j1, j2, j3 = (j.rows for j in h.permutations)
     twice = cube_pullback(
         t.cube, (-1, None, j1, j1), (-1, j1, j1, None), (-1, None, j3, j3), (-1, j1, j3, j2)
     )
@@ -50,8 +50,8 @@ def difference_tensor(t: KForm, h: HyperhermitianStructure) -> Scaled:
 
 def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     """Integer sparse-matrix basis of gl(n, H) = {M : M J_s = J_s M, s = 1, 2, 3},
-    read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)}
-    (`h.permutations`).
+    read off the signed permutations J_s e_x = eps_s(x) e_{sigma_s(x)},
+    (sigma_s(x), eps_s(x)) = cols[x] of `h.permutations`.
 
     M commutes with J_s exactly when M[sigma_s(a)][sigma_s(b)] =
     eps_s(a) eps_s(b) M[a][b], so a cell and its images under J1, J2, J3,
@@ -64,13 +64,13 @@ def commutant_basis(h: HyperhermitianStructure) -> list[SparseMatrix]:
     basis: list[SparseMatrix] = []
     seen = bytearray(dim * dim)  # cell (p, q) at p * dim + q
     for a in reversed(range(dim)):
-        images = [image[a] for image in h.permutations]
+        images = [j.cols[a] for j in h.permutations]
         for b in reversed(range(dim)):
             if seen[a * dim + b]:
                 continue
             m: SparseMatrix = {a: {b: 1}}
-            for (p, x), image in zip(images, h.permutations):
-                q, y = image[b]
+            for (p, x), j in zip(images, h.permutations):
+                q, y = j.cols[b]
                 m.setdefault(p, {})[q] = 1 if x == y else -1  # eps_s(a) eps_s(b), an int
                 seen[p * dim + q] = 1
             basis.append(m)
@@ -204,13 +204,13 @@ def _classes(
     seen: set[int] = set()
     for x in range(h.dim):
         if x not in seen:
-            lines.append(sorted({x, *(image[x][0] for image in h.permutations)}))
+            lines.append(sorted({x, *(j.cols[x][0] for j in h.permutations)}))
             seen.update(lines[-1])
     named: dict[tuple[tuple[int, Scalar], ...], int] = {}  # each distinct type, numbered
     types = []
     for line in lines:
         local = {x: k for k, x in enumerate(line)}
-        signed = tuple((local[image[x][0]], image[x][1]) for image in h.permutations for x in line)
+        signed = tuple((local[j.cols[x][0]], j.cols[x][1]) for j in h.permutations for x in line)
         types.append(named.setdefault(signed, len(named)))
     first: dict[tuple[int, int, int, bool], tuple[int, int, int]] = {}  # key -> its first class
     copies: dict[tuple[int, int, int], int] = {}
@@ -273,7 +273,7 @@ def trace_identities(
     the plain one as the trace by the identity, then divided once.
     """
     dim, cube, scale = h.dim, a.entries, a.scale
-    plains, *twisted = (cube_j_trace(cube, m) for m in (IDENTITY, *h.j_sparse))
+    plains, *twisted = (cube_j_trace(cube, m) for m in (IDENTITY, *h.permutations))
     failures: list[str] = []
     complex_failures: list[str] = []
     for x in range(dim):

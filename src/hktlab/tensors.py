@@ -7,10 +7,7 @@ Endomorphisms are matrices with the column convention M[i][j] =
 coefficient of e_i in (M e_j), held in the sparse `linalg.SparseMatrix`
 format, and each bilinear form B as B[x][y] = B(e_x, e_y). The engine
 works in an orthonormal frame, where the metric is the identity and is not
-stored; the loader builds that frame (see `catalog`). `j_pullback` gives
-B(J ., J .) = J^T B J, `j_trace` the J-trace sum_{a,m} J[m][a] B(e_a, e_m)
-and `cube_j_trace` the same trace of the last two slots of a cube, each
-summed over nonzeros.
+stored; the loader builds that frame (see `catalog`).
 `form_to_matrix` reads a 2-form as its antisymmetric matrix. A 3-form's
 cube is its view `KForm.cube`, derived once, on first read, and shared by
 every reader, which never mutates it.
@@ -24,15 +21,16 @@ and `==` compares two tensors entry for entry. A stored value is an int or
 a Fraction as the arithmetic leaves it (the report writes each rational by
 value, see `exact`); the connection coefficients and the difference
 tensor are held `integer_scaled`, as int entries over one least scale.
-The paper's identities are signed sums of pullbacks of one cube through
-the J's; `cube_pullback` takes such a sum as its term table
-(f, M1, M2, M3) and builds it in one pass, and `j_twist` is its one-term
-case on a 3-form's stored components; nabla A is the table of L on one
-slot each (`invariant.covariant_derivative_cube`). Each map of a term is
-given as its row images {a: ((x, M[a][x]), ...)} (`row_images`), None for
-the identity (the row images of the sparse `IDENTITY`, MAX_DIM rows) and
-{} for the zero map; a caller converts each J once per call, never per
-term.
+
+After the loader each J is a signed permutation, held as its
+`SignedPermutation` (derived once per structure), and every J-contraction
+is a relabel with a sign: `j_pullback` gives B(J ., J .), `j_trace` the
+J-trace sum_x J[sigma x][x] B[x][sigma x] and `cube_j_trace` the same
+trace of a cube's last two slots. The paper's identities are signed sums
+of pullbacks of one cube through the J's; `cube_pullback` takes such a
+sum as its term table (f, M1, M2, M3), each M_s a J's rows or cols
+relabel or None for the identity, and builds it in one pass; `j_twist`
+is its one-term case on a 3-form's stored components.
 """
 
 from __future__ import annotations
@@ -41,13 +39,28 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .exact import Scalar
-from .linalg import SparseMatrix, sparse_product, sparse_transpose
+from .linalg import SparseMatrix
 
 MAX_DIM = 16
 
 Cube = dict[tuple[int, int, int], Scalar]
+Relabel = dict[int, tuple[int, Scalar]]  # a -> (x, e): index a goes to x with the sign e
+
+
+class SignedPermutation(NamedTuple):
+    """A signed permutation J by its one nonzero per row and per column:
+    rows[a] = (x, J[a][x]) and cols[x] = (a, J[a][x]), so J e_x = e e_a for
+    cols[x] = (a, e), and cols is the rows relabel of J^T."""
+
+    rows: Relabel
+    cols: Relabel
+
+
+_UNIT = {a: (a, 1) for a in range(MAX_DIM)}
+IDENTITY = SignedPermutation(_UNIT, _UNIT)  # of every frame, dim <= MAX_DIM
 
 
 def perm_sign(seq: tuple[int, ...]) -> int:
@@ -134,22 +147,19 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(a.dim, a.degree + b.degree, comps)
 
 
-def j_twist(a: KForm, j: SparseMatrix) -> KForm:
+def j_twist(a: KForm, j: SignedPermutation) -> KForm:
     """The 3-form (X,Y,Z) -> -a(JX, JY, JZ).
 
     The one-term pullback (-1, J, J, J) of the stored components a_I: each
-    image (c0, c1, c2) with distinct entries is folded onto its sorted
-    index with the sign perm_sign, which sums a_I times the 3x3 minor
-    det J[I][sorted cols] at every output component.
+    image (c0, c1, c2), distinct entries as J permutes, is folded onto its
+    sorted index with the sign perm_sign.
     """
     if a.degree != 3:
         raise ValueError("j_twist requires a 3-form")
     totals: dict[tuple[int, ...], Scalar] = {}
-    rj = row_images(j)
-    for idx, v in cube_pullback(a.comps, (-1, rj, rj, rj)).items():
-        if sign := perm_sign(idx):
-            out = tuple(sorted(idx))
-            totals[out] = totals.get(out, 0) + sign * v
+    for idx, v in cube_pullback(a.comps, (-1, j.rows, j.rows, j.rows)).items():
+        out = tuple(sorted(idx))
+        totals[out] = totals.get(out, 0) + perm_sign(idx) * v
     return KForm(a.dim, 3, {out: totals[out] for out in sorted(totals)})
 
 
@@ -164,14 +174,20 @@ def form_to_matrix(a: KForm) -> SparseMatrix:
     return out
 
 
-def j_pullback(b: SparseMatrix, j: SparseMatrix) -> SparseMatrix:
-    """The bilinear form B(J ., J .), the matrix J^T B J."""
-    return sparse_product(sparse_transpose(j), sparse_product(b, j))
+def j_pullback(b: SparseMatrix, j: SignedPermutation) -> SparseMatrix:
+    """The bilinear form B(J ., J .): B[a][c] moves to (x, y) with the sign
+    J[a][x] J[c][y], for rows[a] = (x, J[a][x]) and rows[c] = (y, J[c][y])."""
+    rows, out = j.rows, {}
+    for a, row in b.items():
+        x, p = rows[a]
+        out[x] = {y: p * q * v for c, v in row.items() for y, q in [rows[c]]}
+    return out
 
 
-def j_trace(b: SparseMatrix, j: SparseMatrix) -> Scalar:
-    """sum_{a,m} J[m][a] * B[a][m], summed over the nonzeros of J and B."""
-    return sum(x * v for m, row in j.items() for a, x in row.items() if (v := b.get(a, {}).get(m)))
+def j_trace(b: SparseMatrix, j: SignedPermutation) -> Scalar:
+    """sum_{a,m} J[m][a] * B[a][m]: one term per a, at cols[a] = (m, J[m][a])."""
+    cols = j.cols
+    return sum(e * v for a, row in b.items() for m, e in [cols[a]] if (v := row.get(m)))
 
 
 # |a|^2 sums over ALL index tuples of an orthonormal frame, not just the
@@ -214,13 +230,14 @@ def cube_to_form(cube: Cube, dim: int) -> KForm | None:
     return form if form.cube == cube else None
 
 
-def cube_j_trace(cube: Cube, j: SparseMatrix) -> dict[int, Scalar]:
-    """The nonzero values of r -> sum_{a,m} cube[(r, a, m)] * J[m][a]."""
-    out: dict[int, Scalar] = {}
+def cube_j_trace(cube: Cube, j: SignedPermutation) -> dict[int, Scalar]:
+    """The nonzero values of r -> sum_{a,m} cube[(r, a, m)] * J[m][a], one
+    entry per a: m and J[m][a] are cols[a]."""
+    cols, out = j.cols, {}
     for (r, a, m), v in cube.items():
-        x = j.get(m, {}).get(a)
-        if x:
-            out[r] = out.get(r, 0) + v * x
+        p, e = cols[a]
+        if p == m:
+            out[r] = out.get(r, 0) + v * e
     return {r: v for r, v in out.items() if v}
 
 
@@ -239,37 +256,20 @@ def cube_scale(a: Cube, s: Scalar) -> Cube:
     return {idx: s * v for idx, v in a.items()} if s else {}
 
 
-RowImages = dict[int, tuple[tuple[int, Scalar], ...]]
-
-PullbackTerm = tuple[Scalar, RowImages | None, RowImages | None, RowImages | None]
-
-
-def row_images(m: SparseMatrix) -> RowImages:
-    """M's nonzeros by row, {a: ((x, M[a][x]), ...)}: the images (x, M[a][x])
-    that a pullback through M sends an entry with index a to, the map format
-    of `cube_pullback`."""
-    return {a: tuple(row.items()) for a, row in m.items()}
-
-
-IDENTITY: SparseMatrix = {i: {i: 1} for i in range(MAX_DIM)}  # of every frame, dim <= MAX_DIM
-_IDENTITY_ROWS = row_images(IDENTITY)
+PullbackTerm = tuple[Scalar, Relabel | None, Relabel | None, Relabel | None]
 
 
 def cube_pullback(cube: Cube, *terms: PullbackTerm) -> Cube:
     """sum_t f_t * in(M1_t X, M2_t Y, M3_t Z) over the terms (f, M1, M2, M3),
-    each M_s as its `row_images` or None for the identity: an entry
-    in(a, b, c) adds f M1[a][x] M2[b][y] M3[c][z] in(a, b, c) at (x, y, z),
-    in one pass over the nonzeros per term, and the zeros go once at the
-    end."""
+    each M_s a signed permutation's relabel, M[a] = (x, M[a][x]), or None
+    for the identity: an entry in(a, b, c) adds f M1[a][x] M2[b][y]
+    M3[c][z] in(a, b, c) at (x, y, z), one lookup per slot, and the zeros
+    go once at the end."""
     out: Cube = {}
     for f, *maps in terms:
-        m1, m2, m3 = (_IDENTITY_ROWS if m is None else m for m in maps)
+        m1, m2, m3 = (_UNIT if m is None else m for m in maps)
         for (a, b, c), v in cube.items():
-            for x, p in m1.get(a, ()):
-                fp = f * p
-                for y, q in m2.get(b, ()):
-                    fpq = fp * q
-                    for z, r in m3.get(c, ()):
-                        key = (x, y, z)
-                        out[key] = out.get(key, 0) + fpq * r * v
+            (x, p), (y, q), (z, r) = m1[a], m2[b], m3[c]
+            key = (x, y, z)
+            out[key] = out.get(key, 0) + f * p * q * r * v
     return {idx: v for idx, v in out.items() if v}

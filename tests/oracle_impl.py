@@ -12,6 +12,7 @@ sparse J's.
 from __future__ import annotations
 
 import json
+import random
 from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -20,7 +21,7 @@ from math import factorial, gcd, isqrt, lcm
 from pathlib import Path
 from typing import Callable, Iterable
 
-from hktlab.catalog import CatalogEntry, load, serialize
+from hktlab.catalog import CatalogEntry, _standard_structure, builtin_by_name, load, serialize
 from hktlab.exact import Scalar, format_scalar, parse_scalar
 from hktlab.curvature import (
     _ORDERINGS_4,
@@ -51,6 +52,7 @@ from hktlab.linalg import (
     rref,
     sparse_commutator,
     sparse_matrix,
+    sparse_product,
     sparse_subtract,
     sparse_transpose,
 )
@@ -58,12 +60,13 @@ from hktlab.obata import SolverCertificate, commutant_basis
 from hktlab.tensors import (
     Cube,
     KForm,
+    MAX_DIM,
     Scaled,
+    SignedPermutation,
     cube_add,
-    cube_pullback,
     cube_scale,
     cube_to_form,
-    row_images,
+    perm_sign,
 )
 
 HKT_NAMES = ("torus4", "torus8", "hopf4", "hopf8", "nil8")
@@ -252,7 +255,7 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
 
 
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
-    return tuple(fundamental_form(j, h.dim) for j in h.j_sparse)
+    return tuple(fundamental_form(j) for j in h.permutations)
 
 
 def naive_quaternionic_check(j_rows: tuple[Matrix, Matrix, Matrix], metric: Matrix) -> list[str]:
@@ -319,8 +322,10 @@ def p_minus(a: KForm, sj: SparseMatrix) -> KForm:
     """
     c, sj = a.cube, row_images(sj)
     mixed = cube_add(
-        cube_add(cube_pullback(c, (1, sj, sj, None)), cube_pullback(c, (1, sj, None, sj))),
-        cube_pullback(c, (1, None, sj, sj)),
+        cube_add(
+            matrix_cube_pullback(c, (1, sj, sj, None)), matrix_cube_pullback(c, (1, sj, None, sj))
+        ),
+        matrix_cube_pullback(c, (1, None, sj, sj)),
     )
     combined = cube_scale(cube_add(c, cube_scale(mixed, -1)), Fraction(1, 4))
     form = cube_to_form(combined, a.dim)
@@ -342,14 +347,14 @@ def mixed_type_residual(c: Cube, h: HyperhermitianStructure, triple: tuple[int, 
     """The residual cube of the mixed type identity of `triple` for the
     antisymmetric cube c; empty exactly when the identity holds."""
     ji, jj, jk = (row_images(h.j_sparse[x - 1]) for x in triple)
-    return cube_pullback(
+    return matrix_cube_pullback(
         c, (1, ji, ji, None), (-1, jk, jk, None), (-1, jk, ji, jj), (-1, ji, jk, jj)
     )
 
 
 def cube_map_output(cube: Cube, m: Matrix) -> Cube:
     """Apply M to the vector-valued slot: out(X, Y, .) = M (in(X, Y, .))."""
-    return cube_pullback(cube, (1, None, None, row_images(sparse_matrix(transpose(m)))))
+    return matrix_cube_pullback(cube, (1, None, None, row_images(sparse_matrix(transpose(m)))))
 
 
 def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
@@ -365,18 +370,100 @@ def obata_b_tensor(t_cube: Cube, h: HyperhermitianStructure) -> Cube:
     s1, s2, s3 = map(row_images, h.j_sparse)
     terms = [
         t_cube,
-        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s1, None)), j1), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s2, None)), j2), -1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, (1, None, s3, None)), j3), -1),
-        cube_pullback(t_cube, (1, s1, s1, None)),
-        cube_map_output(cube_pullback(t_cube, (1, s1, None, None)), j1),
-        cube_scale(cube_map_output(cube_pullback(t_cube, (1, s1, s3, None)), j2), -1),
-        cube_map_output(cube_pullback(t_cube, (1, s1, s2, None)), j3),
+        cube_scale(cube_map_output(matrix_cube_pullback(t_cube, (1, None, s1, None)), j1), -1),
+        cube_scale(cube_map_output(matrix_cube_pullback(t_cube, (1, None, s2, None)), j2), -1),
+        cube_scale(cube_map_output(matrix_cube_pullback(t_cube, (1, None, s3, None)), j3), -1),
+        matrix_cube_pullback(t_cube, (1, s1, s1, None)),
+        cube_map_output(matrix_cube_pullback(t_cube, (1, s1, None, None)), j1),
+        cube_scale(cube_map_output(matrix_cube_pullback(t_cube, (1, s1, s3, None)), j2), -1),
+        cube_map_output(matrix_cube_pullback(t_cube, (1, s1, s2, None)), j3),
     ]
     total = terms[0]
     for term in terms[1:]:
         total = cube_add(total, term)
     return cube_scale(total, Fraction(-1, 4))
+
+
+# ---------------------------------------------------------------------------
+# matrix references: the J-kernels as the package ran them before every J
+# became a signed relabel, for any rational matrix. The package's kernels
+# are compared with these on signed permutations; the tests of a rational
+# J's contracts run on these.
+
+RowImages = dict[int, tuple[tuple[int, Scalar], ...]]
+
+
+def row_images(m: SparseMatrix) -> RowImages:
+    """M's nonzeros by row, {a: ((x, M[a][x]), ...)}: the images (x, M[a][x])
+    that a pullback through M sends an entry with index a to."""
+    return {a: tuple(row.items()) for a, row in m.items()}
+
+
+_IDENTITY_ROWS = row_images({i: {i: 1} for i in range(MAX_DIM)})
+
+
+def matrix_cube_pullback(cube: Cube, *terms) -> Cube:
+    """sum_t f_t * in(M1_t X, M2_t Y, M3_t Z) over the terms (f, M1, M2, M3),
+    each M_s as its `row_images` or None for the identity ({} is the zero
+    map): an entry in(a, b, c) adds f M1[a][x] M2[b][y] M3[c][z] in(a, b, c)
+    at (x, y, z), and the zeros go once at the end."""
+    out: Cube = {}
+    for f, *maps in terms:
+        m1, m2, m3 = (_IDENTITY_ROWS if m is None else m for m in maps)
+        for (a, b, c), v in cube.items():
+            for x, p in m1.get(a, ()):
+                fp = f * p
+                for y, q in m2.get(b, ()):
+                    fpq = fp * q
+                    for z, r in m3.get(c, ()):
+                        key = (x, y, z)
+                        out[key] = out.get(key, 0) + fpq * r * v
+    return {idx: v for idx, v in out.items() if v}
+
+
+def matrix_j_twist(a: KForm, j: SparseMatrix) -> KForm:
+    """-a(JX, JY, JZ) for any rational J: each image of a stored component
+    folded onto its sorted index with perm_sign, repeated indices dropped."""
+    if a.degree != 3:
+        raise ValueError("j_twist requires a 3-form")
+    totals: dict[tuple[int, ...], Scalar] = {}
+    rj = row_images(j)
+    for idx, v in matrix_cube_pullback(a.comps, (-1, rj, rj, rj)).items():
+        if sign := perm_sign(idx):
+            out = tuple(sorted(idx))
+            totals[out] = totals.get(out, 0) + sign * v
+    return KForm(a.dim, 3, {out: totals[out] for out in sorted(totals)})
+
+
+def matrix_j_pullback(b: SparseMatrix, j: SparseMatrix) -> SparseMatrix:
+    """B(J ., J .) = J^T B J for any rational J, by sparse products."""
+    return sparse_product(sparse_transpose(j), sparse_product(b, j))
+
+
+def matrix_j_trace(b: SparseMatrix, j: SparseMatrix) -> Scalar:
+    """sum_{a,m} J[m][a] * B[a][m], summed over the nonzeros of J and B."""
+    return sum(x * v for m, row in j.items() for a, x in row.items() if (v := b.get(a, {}).get(m)))
+
+
+def matrix_cube_j_trace(cube: Cube, j: SparseMatrix) -> dict[int, Scalar]:
+    """The nonzero values of r -> sum_{a,m} cube[(r, a, m)] * J[m][a]."""
+    out: dict[int, Scalar] = {}
+    for (r, a, m), v in cube.items():
+        x = j.get(m, {}).get(a)
+        if x:
+            out[r] = out.get(r, 0) + v * x
+    return {r: v for r, v in out.items() if v}
+
+
+def matrix_nijenhuis(alg: LieAlgebra, j: SparseMatrix) -> tuple[Cube, KForm | None]:
+    """`nijenhuis` for any rational J: the four terms as one pullback table
+    of the bracket cube, J^T's rows on the value slot."""
+    rj, rjt = row_images(j), row_images(sparse_transpose(j))
+    n = matrix_cube_pullback(
+        alg.cube, (1, rj, rj, None), (-1, None, None, None), (-1, rj, None, rjt),
+        (-1, None, rj, rjt),
+    )
+    return n, cube_to_form(n, alg.dim)
 
 
 def naive_cube_pullback(cube: Cube, m1: Matrix, m2: Matrix, m3: Matrix) -> Cube:
@@ -396,7 +483,7 @@ def naive_cube_pullback(cube: Cube, m1: Matrix, m2: Matrix, m3: Matrix) -> Cube:
 
 def difference_tensor_invariance(a: Cube, h: HyperhermitianStructure) -> bool:
     """A(X, J_s Y, J_s Z) = A(X, Y, Z) for s = 1, 2, 3."""
-    return all(cube_pullback(a, (1, None, j, j)) == a for j in map(row_images, h.j_sparse))
+    return all(matrix_cube_pullback(a, (1, None, j, j)) == a for j in map(row_images, h.j_sparse))
 
 
 def sparse(row: Vector) -> Row:
@@ -839,7 +926,7 @@ def naive_ricci_package(r: CurvatureTensor, h: HyperhermitianStructure) -> Ricci
     scal_s = tuple(
         sum(j[m][a] * ric[m][a] for a in range(dim) for m in range(dim) if j[m][a]) for j in js
     )
-    return RicciPackage(sparse_matrix(ric), rho, tuple(rho_s_forms), scal, scal_s, h.j_sparse)
+    return RicciPackage(sparse_matrix(ric), rho, tuple(rho_s_forms), scal, scal_s, h.permutations)
 
 
 def naive_ric_j(
@@ -1367,6 +1454,91 @@ def is_signed_permutation(j: SparseMatrix, dim: int) -> bool:
     )
 
 
+def j_maps(j: SparseMatrix, dim: int) -> SignedPermutation:
+    """One signed permutation's relabels, derived as a structure derives
+    them (a structure checks no quaternion relation)."""
+    return HyperhermitianStructure(dim, (j, j, j)).permutations[0]
+
+
+BREAKS = ("none", "sign", "negate", "swap", "free")
+
+
+def seeded_signed_triple(dim: int, seed: int) -> tuple[str, tuple[SparseMatrix, ...]]:
+    """A seeded triple of sparse signed permutations of 0..dim-1 and how it
+    was made: the standard structure of H^(dim/4) conjugated by a drawn
+    signed permutation P, J -> P J P^-1, which keeps every quaternion
+    relation, then one of BREAKS: kept, one entry's sign flipped, one J
+    negated, two J's swapped, or one J replaced by a free signed
+    permutation."""
+    rng = random.Random(seed)
+    pi, eps = list(range(dim)), [rng.choice((1, -1)) for _ in range(dim)]
+    rng.shuffle(pi)
+    js = [
+        {pi[y]: {pi[x]: eps[x] * v * eps[y] for x, v in row.items()} for y, row in j.items()}
+        for j in _standard_structure(dim // 4).j_sparse
+    ]
+    kind, s = BREAKS[seed % len(BREAKS)], rng.randrange(3)
+    if kind == "sign":
+        r = rng.randrange(dim)
+        js[s][r] = {c: -x for c, x in js[s][r].items()}
+    elif kind == "negate":
+        js[s] = {r: {c: -x for c, x in row.items()} for r, row in js[s].items()}
+    elif kind == "swap":
+        t = (s + rng.randrange(1, 3)) % 3
+        js[s], js[t] = js[t], js[s]
+    elif kind == "free":
+        columns = list(range(dim))
+        rng.shuffle(columns)
+        js[s] = {r: {columns[r]: rng.choice((1, -1))} for r in range(dim)}
+    return kind, tuple(js)
+
+
+def seeded_signed_permutation(seed: int, dim: int) -> tuple[Matrix, SignedPermutation]:
+    """A seeded signed permutation: its dense matrix and its relabels."""
+    rng = random.Random(seed)
+    columns, signs = rng.sample(range(dim), dim), [rng.choice((1, -1)) for _ in range(dim)]
+    dense = [[signs[r] if c == columns[r] else 0 for c in range(dim)] for r in range(dim)]
+    rows = {r: (columns[r], signs[r]) for r in range(dim)}
+    return dense, SignedPermutation(rows, {x: (r, e) for r, (x, e) in rows.items()})
+
+
+# every catalog structure, su3, and seeded signed-permutation triples at
+# dims 4, 8 and 16, one per way of BREAKS, so most break a relation
+KERNEL_CASES = ALL_NAMES + ("su3",) + tuple(
+    f"seeded{dim}-{seed}" for dim in (4, 8, 16) for seed in range(len(BREAKS))
+)
+
+
+def kernel_structure(
+    name: str, su3: CatalogEntry
+) -> tuple[HyperhermitianStructure, list[LieAlgebra]]:
+    """The structure of one of KERNEL_CASES, with its own algebra when it
+    has one."""
+    if name.startswith("seeded"):
+        dim, seed = map(int, name.removeprefix("seeded").split("-"))
+        return HyperhermitianStructure(dim, seeded_signed_triple(dim, seed)[1]), []
+    entry = su3 if name == "su3" else builtin_by_name()[name]
+    return entry.structure, [entry.lie]
+
+
+def standard_document(name: str, js: tuple[SparseMatrix, ...]) -> dict:
+    """An abelian wire document with the identity metric and these J's."""
+    dim = max(js[0]) + 1
+    rows = [dense_matrix(j, dim) for j in js]
+    doc: dict = {
+        "schema_version": "1",
+        "name": name,
+        "description": "seeded signed-permutation triple",
+        "n": dim // 4,
+        "dim": dim,
+        "structure_constants": [],
+        "metric": [["1" if r == c else "0" for c in range(dim)] for r in range(dim)],
+    }
+    for s, j in enumerate(rows, 1):
+        doc[f"j{s}"] = [[str(x) for x in row] for row in j]
+    return doc
+
+
 def parsed_wire(doc: dict) -> tuple[BracketTable, tuple[SparseMatrix, SparseMatrix, SparseMatrix]]:
     """The brackets (keys i < j) and the sparse J's of a wire document, each
     value parsed from its cell."""
@@ -1518,9 +1690,8 @@ def fraction_difference_tensor(t: KForm, h: HyperhermitianStructure) -> Cube:
     """-1/2 of the four torsion pullbacks, in Fractions."""
     ct = t.cube
     j1, j2, j3 = map(row_images, h.j_sparse)
-    total = cube_add(
-        cube_add(cube_pullback(ct, (1, None, j1, j1)), cube_pullback(ct, (1, j1, j1, None))),
-        cube_add(cube_pullback(ct, (1, None, j3, j3)), cube_pullback(ct, (1, j1, j3, j2))),
+    total = matrix_cube_pullback(
+        ct, (1, None, j1, j1), (1, j1, j1, None), (1, None, j3, j3), (1, j1, j3, j2)
     )
     return cube_scale(total, Fraction(-1, 2))
 

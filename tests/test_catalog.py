@@ -21,18 +21,23 @@ from hktlab import catalog, cli
 from hktlab.exact import FOUR_SQUARES_STEPS, parse_scalar
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import LieAlgebra, rebase_algebra
-from hktlab.linalg import sparse_matrix, sparse_product, sparse_transpose
+from hktlab.linalg import identity, sparse_matrix, sparse_product, sparse_transpose
 
 from oracle_impl import (
     ALL_NAMES,
+    BREAKS,
     cayley_rotated,
     dense_js,
+    dense_matrix,
     direct_sum,
     invert,
     is_signed_permutation,
     mat_mul,
+    naive_quaternionic_check,
     naive_quaternionic_frame,
     parsed_wire,
+    seeded_signed_triple,
+    standard_document,
     transpose,
     with_diagonal_metric,
 )
@@ -331,8 +336,32 @@ def test_load_rejects_weight_past_the_search_bound(tmp_path, hopf4_doc, capsys):
 
 def test_load_rejects_broken_quaternion_relations(tmp_path, hopf4_doc):
     hopf4_doc["j2"], hopf4_doc["j3"] = hopf4_doc["j3"], hopf4_doc["j2"]
-    with pytest.raises(CatalogError, match="quaternion relations:"):
+    with pytest.raises(CatalogError) as info:
         load(write_doc(tmp_path, hopf4_doc))
+    assert str(info.value) == "quaternion relations: J1*J2 != J3; J2*J1 != -J3"
+
+
+@pytest.mark.parametrize("dim", [4, 8, 16])
+def test_standard_documents_load_exactly_when_the_relations_hold(tmp_path, dim):
+    # seeded signed-permutation triples as standard-basis documents, most of
+    # them with a relation broken: the loader composes the relations on the
+    # permutations, and accepts exactly when the dense products find no
+    # violation; otherwise its message lists the dense violations in order
+    kinds = set()
+    for seed in range(3 * len(BREAKS)):
+        kind, js = seeded_signed_triple(dim, seed)
+        doc = standard_document(f"triple{seed}", js)
+        want = naive_quaternionic_check([dense_matrix(j, dim) for j in js], identity(dim))
+        assert not any(issue.startswith("metric ") for issue in want)
+        path = write_doc(tmp_path, doc)
+        if want:
+            with pytest.raises(CatalogError) as info:
+                load(path)
+            assert str(info.value) == "quaternion relations: " + "; ".join(want), (seed, kind)
+        else:
+            assert load(path).structure.j_sparse == js, (seed, kind)
+        kinds.add((kind, not want))
+    assert {accepted for _, accepted in kinds} == {True, False}
 
 
 def test_load_rejects_metric_that_is_not_j_invariant(tmp_path, hopf4_doc):

@@ -413,7 +413,7 @@ def test_obstruction_report_flags_fabricated_data(cat):
         rho_s=pkg.rho_s,
         scal=4,
         scal_s=pkg.scal_s,
-        j_sparse=pkg.j_sparse,
+        permutations=pkg.permutations,
     )
     rep = hkt_obstruction_report(fake, entry.structure)
     assert "ricci not skew-symmetric" in rep.flags
@@ -506,7 +506,7 @@ def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, da
         tuple(random_two_form(data, dim) for _ in range(3)),
         data.draw(scalar),
         tuple(data.draw(scalar) for _ in range(3)),
-        h.j_sparse,
+        h.permutations,
     )
     theta = KForm(dim, 1, data.draw(st.dictionaries(st.tuples(st.integers(0, dim - 1)), nonzero)))
     lee = LeeForm(theta, d_theta, "nonclosed")

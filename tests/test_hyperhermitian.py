@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,24 +15,19 @@ from hktlab.hyperhermitian import (
     hkt_check,
     kt_torsion,
     nijenhuis,
+    quaternion_relations,
     quaternionic_check,
     type_check_12_21,
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.holonomy import is_g_skew
 from hktlab.linalg import identity, nullspace, sparse_matrix
-from hktlab.tensors import (
-    KForm,
-    cube_add,
-    cube_pullback,
-    cube_scale,
-    j_twist,
-    row_images,
-)
+from hktlab.tensors import KForm, cube_add, cube_pullback, cube_scale, j_twist
 
 from oracle_impl import (
     ALL_NAMES,
     HKT_NAMES,
+    KERNEL_CASES,
     MIXED_TRIPLES,
     cayley_rotated,
     dense_glnh_membership,
@@ -40,7 +36,12 @@ from oracle_impl import (
     direct_sum_entry,
     form_scale,
     fundamental_forms,
+    is_signed_permutation,
+    j_maps,
+    kernel_structure,
     mat_mul,
+    matrix_j_twist,
+    matrix_nijenhuis,
     mixed_type_residual,
     naive_cube_pullback,
     naive_j_twist,
@@ -157,8 +158,13 @@ def form_or_error(build, *args):
 def test_fundamental_form_matches_pullback_oracle(name, data):
     dim, js = data.draw(perturbed_js((name,)))
     for j in map(sparse_matrix, js):
+        if not is_signed_permutation(j, dim):
+            # outside the package's domain: no structure holds such a J
+            with pytest.raises(ValueError, match="not a signed permutation"):
+                j_maps(j, dim)
+            continue
         # the same comps, types and key order, or a compatibility error
-        got = form_or_error(fundamental_form, j, dim)
+        got = form_or_error(fundamental_form, j_maps(j, dim))
         assert got == form_or_error(pullback_fundamental_form, identity(dim), j)
 
 
@@ -173,7 +179,7 @@ def test_fundamental_forms_hopf4(cat):
 def test_nijenhuis_vanishes_on_catalog(cat):
     for name in HKT_NAMES + ("hc_only8",):
         entry = cat[name]
-        for j in entry.structure.j_sparse:
+        for j in entry.structure.permutations:
             cube, form = nijenhuis(entry.lie, j)
             assert cube == {}
             assert form is not None and form.is_zero()
@@ -206,7 +212,7 @@ def swap_structure():
 
 def test_nijenhuis_against_naive():
     alg, j = swap_structure()
-    cube, form = nijenhuis(alg, sparse_matrix(j))
+    cube, form = nijenhuis(alg, j_maps(sparse_matrix(j), 8))
     assert form is not None and not form.is_zero()
     for a in range(8):
         for b in range(8):
@@ -219,10 +225,11 @@ def test_nijenhuis_normalization_pin():
     # j_twist(P^-(dF), J) = -(3/4) N fixes the factor-1 Nijenhuis convention
     alg, j = swap_structure()
     j = sparse_matrix(j)
-    _, n_form = nijenhuis(alg, j)
-    f = fundamental_form(j, 8)
+    maps = j_maps(j, 8)
+    _, n_form = nijenhuis(alg, maps)
+    f = fundamental_form(maps)
     minus_part = p_minus(ce_differential(alg, f), j)
-    assert j_twist(minus_part, j).comps == form_scale(n_form, Fraction(-3, 4)).comps
+    assert j_twist(minus_part, maps).comps == form_scale(n_form, Fraction(-3, 4)).comps
 
 
 def test_p_minus_projects_out_mixed_part(cat):
@@ -237,7 +244,7 @@ def test_kt_torsion_requires_skew_nijenhuis():
     heis = LieAlgebra(4, {(1, 2): {3: 1}})
     h = builtin_by_name()["torus4"].structure
     assert hkt_check(h, heis).first_nonintegrable == 1
-    j1, j2, j3 = h.j_sparse
+    j1, j2, j3 = h.permutations
     with pytest.raises(ValueError, match="not totally skew"):
         kt_torsion(j1, heis, nijenhuis(heis, j1)[1])
     with pytest.raises(ValueError, match="not totally skew"):
@@ -360,7 +367,7 @@ def single_family_solutions(h):
     J_s and sorted cell of the residual (a 3-form, so the sorted cells
     carry it), each basis form's residual computed once per J_s."""
     triples = list(combinations(range(h.dim), 3))
-    js = tuple(map(row_images, h.j_sparse))
+    js = tuple(j.rows for j in h.permutations)
     equations: dict = {}
     for m, idx in enumerate(triples):
         c = KForm(h.dim, 3, {idx: 1}).cube
@@ -411,11 +418,11 @@ def assert_same_nijenhuis(got, want):
 
 
 def assert_hkt_tensors_match_dense_oracle(alg, h):
-    """nijenhuis and the j_twist of each dF, read from the sparse J, against
-    the dense oracles on its dense copy, by value."""
-    for j, dense in zip(h.j_sparse, dense_js(h)):
+    """nijenhuis and the j_twist of each dF, read from the J's relabels,
+    against the dense oracles on its dense copy, by value."""
+    for j, dense in zip(h.permutations, dense_js(h)):
         assert_same_nijenhuis(nijenhuis(alg, j), naive_nijenhuis(alg, dense))
-        df = ce_differential(alg, fundamental_form(j, h.dim))
+        df = ce_differential(alg, fundamental_form(j))
         assert j_twist(df, j).comps == naive_j_twist(df, dense).comps
 
 
@@ -433,9 +440,9 @@ def test_hkt_tensors_match_dense_oracle_on_sums(cat, tmp_path, first, second):
 
 def test_swap_structure_tensors_match_dense_oracle():
     alg, j = swap_structure()
-    sj = sparse_matrix(j)
+    sj = j_maps(sparse_matrix(j), 8)
     assert_same_nijenhuis(nijenhuis(alg, sj), naive_nijenhuis(alg, j))
-    df = ce_differential(alg, fundamental_form(sj, 8))
+    df = ce_differential(alg, fundamental_form(sj))
     assert j_twist(df, sj).comps == naive_j_twist(df, j).comps
 
 
@@ -462,7 +469,33 @@ def rational_inputs(draw):
 @given(rational_inputs())
 @settings(max_examples=80, deadline=None)
 def test_hkt_tensors_match_dense_oracle_on_rational_j(inputs):
+    # the matrix references, which the package's relabel kernels are
+    # compared with on signed permutations below
     alg, j, form = inputs
     sj, dense = sparse_matrix(j), [[x or 0 for x in row] for row in j]
-    assert_same_nijenhuis(nijenhuis(alg, sj), naive_nijenhuis(alg, dense))
-    assert j_twist(form, sj).comps == naive_j_twist(form, dense).comps
+    assert_same_nijenhuis(matrix_nijenhuis(alg, sj), naive_nijenhuis(alg, dense))
+    assert matrix_j_twist(form, sj).comps == naive_j_twist(form, dense).comps
+
+
+def seeded_algebra(dim, seed):
+    """A seeded bracket table (no Jacobi identity needed by the kernels)."""
+    rng = random.Random(seed)
+    brackets: dict = {}
+    for _ in range(2 * dim):
+        i, j = sorted(rng.sample(range(dim), 2))
+        value = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        brackets.setdefault((i, j), {})[rng.randrange(dim)] = value
+    return LieAlgebra(dim, brackets)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_nijenhuis_and_relations_match_matrix_references(su3, name):
+    # nijenhuis and the relations on the J's relabels against the matrix
+    # reference and sparse products on the J's sparse matrices: on every
+    # catalog structure, su3 and seeded signed-permutation triples, most of
+    # which break a quaternion relation
+    h, algs = kernel_structure(name, su3)
+    for alg in algs + [seeded_algebra(h.dim, k) for k in range(3)]:
+        for maps, j in zip(h.permutations, h.j_sparse):
+            assert_same_nijenhuis(nijenhuis(alg, maps), matrix_nijenhuis(alg, j))
+    assert quaternion_relations(h) == quaternionic_check(h.j_sparse, h.dim, eye(h.dim))

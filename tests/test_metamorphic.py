@@ -136,11 +136,11 @@ def _twisted_differentials(doc, metric):
     brackets, js = parsed_wire(doc)
     alg = LieAlgebra(doc["dim"], brackets)
     out = []
-    for j in js:
+    for j, maps in zip(js, HyperhermitianStructure(doc["dim"], js).permutations):
         gj = {x: {y: metric[x] * v for y, v in row.items()} for x, row in j.items()}
         comps = {(x, y): v for x, row in gj.items() for y, v in row.items() if x < y}
         f = KForm(doc["dim"], 2, comps)
-        out.append(j_twist(ce_differential(alg, f), j))
+        out.append(j_twist(ce_differential(alg, f), maps))
     return out
 
 

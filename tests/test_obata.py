@@ -165,7 +165,7 @@ def test_builtin_cubes_store_no_zero(cat, torsions):
         alg, h = entry.lie, entry.structure
         t = torsions.get(name)
         solved, _ = obata_oracle_solver(h, alg)
-        cubes = [nijenhuis(alg, j)[0] for j in h.j_sparse]
+        cubes = [nijenhuis(alg, j)[0] for j in h.permutations]
         cubes += [c.gamma for c in (levi_civita(alg), solved, obata_connection(h, alg, t))]
         if t is not None:
             skew = bismut_connection(t, levi_civita(alg))

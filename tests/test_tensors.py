@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hktlab.linalg import identity, sparse_matrix
+from hktlab.catalog import builtin_by_name
+from hktlab.linalg import identity, sparse_matrix, sparse_transpose
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -20,17 +22,26 @@ from hktlab.tensors import (
     norm_sq,
     norm_weight,
     perm_sign,
-    row_images,
     wedge,
 )
 
 from oracle_impl import (
+    KERNEL_CASES,
     basis_form,
     cube_map_output,
+    dense_matrix,
     form_scale,
+    kernel_structure,
     mat_mul,
+    matrix_cube_j_trace,
+    matrix_cube_pullback,
+    matrix_j_pullback,
+    matrix_j_trace,
+    matrix_j_twist,
     naive_cube_pullback,
     naive_wedge_eval,
+    row_images,
+    seeded_signed_permutation,
     transpose,
 )
 
@@ -149,13 +160,13 @@ def test_cube_pullback_identity_slots():
     f = basis_form(4, (0, 1, 2))
     cube = f.cube
     assert cube_pullback(cube, (1, None, None, None)) == cube
-    minus = row_images({i: {i: -1} for i in range(4)})
+    minus = {i: (i, -1) for i in range(4)}
     assert cube_pullback(cube, (1, minus, minus, minus))[(0, 1, 2)] == -1
-    # {} is the zero map, None the identity; no term is the zero cube
-    zero = row_images({})
-    assert cube_pullback(cube, (1, zero, None, None)) == {}
-    assert cube_pullback(cube, (1, None, None, None), (1, None, zero, None)) == cube
     assert cube_pullback(cube) == {}
+    # the matrix reference also takes {} as the zero map
+    zero = row_images({})
+    assert matrix_cube_pullback(cube, (1, zero, None, None)) == {}
+    assert matrix_cube_pullback(cube, (1, None, None, None), (1, None, zero, None)) == cube
 
 
 # small values, so that sums of products cancel often
@@ -166,24 +177,29 @@ random_cube = st.dictionaries(
 random_matrix = st.lists(st.lists(small, min_size=4, max_size=4), min_size=4, max_size=4)
 
 
-@given(random_cube, random_form(4, 3), random_matrix, random_matrix, small | rationals)
+@given(
+    random_cube, random_form(4, 3), random_matrix, random_matrix, small | rationals, st.integers()
+)
 @settings(max_examples=60)
-def test_cube_results_store_no_zero(cube, form, m1, m2, s):
+def test_cube_results_store_no_zero(cube, form, m1, m2, s, seed):
     negated = cube_scale(cube, -1)
     assert cube_add(cube, negated) == {}
     s1, s2 = row_images(sparse_matrix(m1)), row_images(sparse_matrix(m2))
+    (_, r1), (_, r2) = (seeded_signed_permutation(seed + k, 4) for k in range(2))
     results = [
         form.cube,
         cube_scale(cube, s),
         cube_scale(cube, 0),
         negated,
         cube_add(cube, form.cube),
-        cube_add(cube, cube_pullback(cube, (1, s1, s1, s1))),
-        cube_pullback(cube, (1, s1, None, None)),
-        cube_pullback(cube, (1, None, s1, s2)),
-        cube_pullback(cube, (1, s2, s1, s2)),
+        cube_add(cube, matrix_cube_pullback(cube, (1, s1, s1, s1))),
+        matrix_cube_pullback(cube, (1, s1, None, None)),
+        matrix_cube_pullback(cube, (1, None, s1, s2)),
+        matrix_cube_pullback(cube, (1, s2, s1, s2)),
         cube_map_output(cube, m1),
-        cube_map_output(cube_pullback(cube, (1, s2, None, None)), m1),
+        cube_map_output(matrix_cube_pullback(cube, (1, s2, None, None)), m1),
+        cube_add(cube, cube_pullback(cube, (1, r1.rows, r1.rows, r1.rows))),
+        cube_pullback(cube, (1, r1.rows, None, r2.cols), (-1, None, r2.rows, r1.cols)),
     ]
     for result in results:
         assert 0 not in result.values()
@@ -197,23 +213,42 @@ pullback_term = st.tuples(small | rationals, pullback_map, pullback_map, pullbac
 @given(random_cube, st.lists(pullback_term, max_size=4))
 @settings(max_examples=80, deadline=None)
 def test_cube_pullback_matches_dense_oracle(cube, terms):
-    # the sum of one dense pullback per term, each scaled by its coefficient
+    # the matrix reference: the sum of one dense pullback per term, each
+    # scaled by its coefficient
     eye = identity(4)
     want, sparse_terms = {}, []
     for f, *maps in terms:
         dense = (eye if m is None else m for m in maps)
         want = cube_add(want, cube_scale(naive_cube_pullback(cube, *dense), f))
         sparse_terms.append((f, *(None if m is None else row_images(sparse_matrix(m)) for m in maps)))
-    assert cube_pullback(cube, *sparse_terms) == want
+    assert matrix_cube_pullback(cube, *sparse_terms) == want
+
+
+@given(random_cube, st.lists(st.tuples(small | rationals, st.integers(0, 2**16)), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_cube_pullback_on_relabels_matches_the_matrix_reference(cube, terms):
+    # the package's relabel kernel on seeded signed permutations, each slot
+    # through J (its rows) or J^T (its cols), against the matrix reference,
+    # which the test above holds to the dense pullbacks
+    want_terms, relabel_terms = [], []
+    for k, (f, seed) in enumerate(terms):
+        transposed = k % 2 == 1
+        # a slot whose seed is 0 mod 4 is the identity
+        seeds = [seed + m for m in range(3)]
+        maps = [None if n % 4 == 0 else seeded_signed_permutation(n, 4) for n in seeds]
+        dense = [None if m is None else transpose(m[0]) if transposed else m[0] for m in maps]
+        rows = [None if m is None else row_images(sparse_matrix(m)) for m in dense]
+        want_terms.append((f, *rows))
+        relabels = [None if m is None else m[1].cols if transposed else m[1].rows for m in maps]
+        relabel_terms.append((f, *relabels))
+    assert cube_pullback(cube, *relabel_terms) == matrix_cube_pullback(cube, *want_terms)
 
 
 def test_j_twist_known():
     # out(X,Y,Z) = -a(JX, JY, JZ) for the quaternionic block J1
-    from hktlab.catalog import builtin_by_name
-
     h = builtin_by_name()["hopf4"].structure
     a = basis_form(4, (0, 2, 3), 2)
-    tw = j_twist(a, h.j_sparse[0])
+    tw = j_twist(a, h.permutations[0])
     # J1: e0 -> -e1, e2 -> e3, e3 -> -e2; -a(J e1, J e2, J e3) = -a(e0, e3, -e2)
     assert tw.evaluate((1, 2, 3)) == -a.evaluate((0, 3, 2)) * -1
 
@@ -223,7 +258,7 @@ def test_orthonormal_frame_off_diagonal():
     # P = I + E_01, with the block J's carried along (P^-1 J P): the frame
     # the loader rebases to is g-orthonormal, its inverse rows are g f_a,
     # and every J becomes a signed permutation in it, the one it returns
-    from hktlab.catalog import _quaternionic_frame, builtin_by_name
+    from hktlab.catalog import _quaternionic_frame
 
     p = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     p_inv = [[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -263,24 +298,68 @@ def square_triples(draw):
 @given(square_triples(), st.data())
 @settings(max_examples=60)
 def test_bilinear_contractions_match_dense_sums(matrices, data):
-    # sparse B (not antisymmetric) and J: the J-trace and J^T B J against
-    # dense sums, the cube J-contraction against a sum over every index, and
-    # a 2-form read as its matrix against KForm.evaluate
+    # sparse B (not antisymmetric) and a rational J: the matrix references'
+    # J-trace and J^T B J against dense sums, their cube J-contraction
+    # against a sum over every index, and a 2-form read as its matrix
+    # against KForm.evaluate; the package's relabel kernels on a drawn
+    # signed permutation against the same sums
     b, j, _ = matrices
     dim = len(b)
     sb, sj = sparse_matrix(b), sparse_matrix(j)
-    assert j_trace(sb, sj) == sum(j[m][a] * b[a][m] for a in range(dim) for m in range(dim))
-    assert j_pullback(sb, sj) == sparse_matrix(mat_mul(transpose(j), mat_mul(b, j)))
     index = st.integers(0, dim - 1)
     nonzero = rationals.filter(bool)
     cube = data.draw(st.dictionaries(st.tuples(index, index, index), nonzero, max_size=2 * dim))
-    want = {
-        r: total
-        for r in range(dim)
-        if (total := sum(cube.get((r, a, m), 0) * j[m][a] for a in range(dim) for m in range(dim)))
-    }
-    assert cube_j_trace(cube, sj) == want
+    perm, maps = seeded_signed_permutation(data.draw(st.integers()), dim)
+    for kernels, m in (((matrix_j_trace, matrix_j_pullback, matrix_cube_j_trace), sj),
+                       ((j_trace, j_pullback, cube_j_trace), maps)):
+        trace, pullback, contraction = kernels
+        dense = j if m is sj else perm
+        assert trace(sb, m) == sum(dense[p][a] * b[a][p] for a in range(dim) for p in range(dim))
+        assert pullback(sb, m) == sparse_matrix(mat_mul(transpose(dense), mat_mul(b, dense)))
+        want = {
+            r: total
+            for r in range(dim)
+            if (total := sum(
+                cube.get((r, a, p), 0) * dense[p][a] for a in range(dim) for p in range(dim)
+            ))
+        }
+        assert contraction(cube, m) == want
     pairs = st.sampled_from([(x, y) for x in range(dim) for y in range(x + 1, dim)])
     form = KForm(dim, 2, data.draw(st.dictionaries(pairs, nonzero, max_size=dim)))
     dense = [[form.evaluate((x, y)) for y in range(dim)] for x in range(dim)]
     assert form_to_matrix(form) == sparse_matrix(dense)
+
+
+def drawn_data(h, seed):
+    """A seeded cube, bilinear form and 3-form over the structure's frame."""
+    rng = random.Random(seed)
+    dim = h.dim
+
+    def value():
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+
+    cube = {tuple(rng.randrange(dim) for _ in range(3)): value() for _ in range(3 * dim)}
+    b: dict = {}
+    for _ in range(2 * dim):
+        b.setdefault(rng.randrange(dim), {})[rng.randrange(dim)] = value()
+    form = KForm(dim, 3, {tuple(sorted(rng.sample(range(dim), 3))): value() for _ in range(dim)})
+    return cube, b, form
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_j_kernels_match_matrix_references(su3, name):
+    # each relabel kernel against its matrix reference on each J of the
+    # structure, on seeded data: a cube, a bilinear form and a 3-form
+    h, _ = kernel_structure(name, su3)
+    for seed in range(5):
+        cube, b, form = drawn_data(h, seed)
+        for maps, j in zip(h.permutations, h.j_sparse):
+            rows, cols = row_images(j), row_images(sparse_transpose(j))
+            rj, cj = maps
+            terms = [(1, rj, None, cj), (-1, rj, rj, None), (2, None, None, None)]
+            matrix_terms = [(1, rows, None, cols), (-1, rows, rows, None), (2, None, None, None)]
+            assert cube_pullback(cube, *terms) == matrix_cube_pullback(cube, *matrix_terms)
+            assert j_pullback(b, maps) == matrix_j_pullback(b, j)
+            assert j_trace(b, maps) == matrix_j_trace(b, j)
+            assert cube_j_trace(cube, maps) == matrix_cube_j_trace(cube, j)
+            assert j_twist(form, maps).comps == matrix_j_twist(form, j).comps
