@@ -8,13 +8,15 @@ included, is one (holds, label) row added by the stage that runs it;
 `theorem_violations` lists the failing labels in that order. All scalars
 are exact. Each named rational field (forms, scalars, norms, traces) is a
 wire-format string; the engine scalars inside a counterexample or a first
-difference are written by value, an integral one as a JSON integer.
+difference are written by value, an integral one as a JSON integer. The
+flat records of the solver certificate, the SL certificate, the verdict
+and the detector are read shallowly, field by field (`_record`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import CatalogEntry
@@ -72,6 +74,14 @@ def _jsonify(value: object) -> object:
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _record(record: object) -> dict[str, object]:
+    """A flat report record (`SolverCertificate`, `SlCertificate`,
+    `StructureVerdict`, `DetectorReport`) as its fields in order: a shallow
+    copy, since no field holds a dataclass, dict or list for
+    `dataclasses.asdict` to copy deeply."""
+    return dict(vars(record))
 
 
 def _wire_form(form: KForm) -> dict[str, object]:
@@ -208,7 +218,7 @@ def _torsion_free_stage(
     report["obata"] = {
         "route": "solver" if tor is None else "difference-tensor",
         "routes_agree": routes_agree,
-        "solver_certificate": asdict(certificate),
+        "solver_certificate": _record(certificate),
         "flat": not r_ob.entries,
         "holonomy_dim": hol_ob.dim,
     }
@@ -216,7 +226,7 @@ def _torsion_free_stage(
         "obata_dim": hol_ob.dim,
         "gl_membership": sl_cert.all_quaternion_linear,
         "sl_membership": sl_cert.first_violation is None,
-        "certificate": _jsonify({**asdict(sl_cert), "first_violation": first}),
+        "certificate": _jsonify({**_record(sl_cert), "first_violation": first}),
     }
     report["obstruction"] = {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
     return _TorsionFree(r_ob, pkg_ob, hol_ob.dim, sl_cert.all_trace_free, obstruction.verdict)
@@ -283,7 +293,7 @@ def _identity_stage(
     detector = hyperkahler_detector(
         lee.theta.is_zero(), dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
     )
-    report["theorem_checks"] = {"hyperkahler_detector": _jsonify(asdict(detector))}
+    report["theorem_checks"] = {"hyperkahler_detector": _jsonify(_record(detector))}
     rows += [(cex is None, f"obata identity failed: {key}") for key, cex in suite.items()]
     rows += [(cex is None, f"scalar identity failed: {key}") for key, cex in star.checks.items()]
     rows += [
@@ -316,7 +326,7 @@ def _verdict_stage(
     obstruction = tf.obstruction_verdict if tf else "inconclusive"
     if tor is None:
         verdict = StructureVerdict(False, holonomy_dim=hol_dim, obstruction_verdict=obstruction)
-        return _jsonify(asdict(verdict))
+        return _jsonify(_record(verdict))
     try:
         verdict = classify(
             tor.t.is_zero(),
@@ -332,7 +342,7 @@ def _verdict_stage(
     except RuntimeError as exc:
         rows.append((False, str(exc)))
         return {"error": str(exc)}
-    return _jsonify(asdict(verdict))
+    return _jsonify(_record(verdict))
 
 
 def expected_mismatches(entry: CatalogEntry, report: dict[str, object]) -> list[str]:

@@ -27,7 +27,11 @@ once, and its relations are composed on them. Any other is checked on
 sparse products and rebased, with sparse arithmetic, to one g-orthonormal
 frame of quaternionic blocks (`_quaternionic_frame`), in which every J is
 a signed permutation and the metric is the identity. `serialize` writes
-the identity rows.
+the identity rows, and each J's nonzeros into rows of "0"; `save` writes
+that document with `exact.json_text`, as `json.dumps(doc, indent=2)`
+would. `builtin_catalog` builds the standard structure of each
+quaternionic dimension once per call and hands it to the entries of that
+dimension.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import Scalar, format_scalar, four_squares, parse_scalar
+from .exact import Scalar, format_scalar, four_squares, json_text, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternion_relations, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
 from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
@@ -287,20 +291,19 @@ def serialize(entry: CatalogEntry) -> dict[str, object]:
         "structure_constants": triples,
         "metric": [[format_scalar(x) for x in row] for row in identity(entry.dim)],
     }
-    dim = entry.dim
     for s, j in enumerate(entry.structure.j_sparse, 1):
-        doc[f"j{s}"] = [
-            [format_scalar(j.get(r, {}).get(c, 0)) for c in range(dim)] for r in range(dim)
-        ]
+        rows = [["0"] * entry.dim for _ in range(entry.dim)]
+        for r, row in j.items():
+            for c, x in row.items():
+                rows[r][c] = format_scalar(x)
+        doc[f"j{s}"] = rows
     if entry.expected:
         doc["expected"] = entry.expected
     return doc
 
 
 def save(entry: CatalogEntry, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(serialize(entry), indent=2, sort_keys=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(serialize(entry)) + "\n", encoding="utf-8")
 
 
 # one quaternionic block, column j = image of e_j; right multiplication by
@@ -330,12 +333,13 @@ def _standard_structure(n: int) -> HyperhermitianStructure:
 def _entry(
     name: str,
     description: str,
-    n: int,
+    structure: HyperhermitianStructure,
     brackets: BracketTable,
     expected: dict[str, object],
 ) -> CatalogEntry:
+    dim = structure.dim
     return CatalogEntry(
-        name, description, n, 4 * n, LieAlgebra(4 * n, brackets), _standard_structure(n), expected
+        name, description, dim // 4, dim, LieAlgebra(dim, brackets), structure, expected
     )
 
 
@@ -369,42 +373,45 @@ _HOPF_EXPECTED: dict[str, object] = {
 
 
 def builtin_catalog() -> list[CatalogEntry]:
-    """The shipped examples, already in an orthonormal adapted basis."""
+    """The shipped examples, already in an orthonormal adapted basis. The
+    entries of one quaternionic dimension share the standard structure that
+    this call builds; no two calls share one."""
+    h1, h2 = _standard_structure(1), _standard_structure(2)
     hopf8_brackets: BracketTable = dict(_HOPF_BRACKETS)
     hopf8_brackets.update({(5, 6): {7: 2}, (5, 7): {6: -2}, (6, 7): {5: 2}})
     return [
         _entry(
             "torus4",
             "abelian algebra in quaternionic dimension one; flat model",
-            1,
+            h1,
             {},
             dict(_FLAT_EXPECTED),
         ),
         _entry(
             "torus8",
             "abelian algebra in quaternionic dimension two; flat model",
-            2,
+            h2,
             {},
             dict(_FLAT_EXPECTED),
         ),
         _entry(
             "hopf4",
             "central extension of su(2) by a line; closed nonvanishing Lee form",
-            1,
+            h1,
             dict(_HOPF_BRACKETS),
             dict(_HOPF_EXPECTED),
         ),
         _entry(
             "hopf8",
             "two commuting copies of the dimension-four Hopf-type algebra",
-            2,
+            h2,
             hopf8_brackets,
             dict(_HOPF_EXPECTED),
         ),
         _entry(
             "nil8",
             "two-step nilpotent algebra with an abelian hypercomplex structure",
-            2,
+            h2,
             {
                 (0, 1): {5: 1},
                 (0, 2): {6: 1},
@@ -430,7 +437,7 @@ def builtin_catalog() -> list[CatalogEntry]:
             "hc_only8",
             "solvable algebra whose hypercomplex structure admits no common"
             " skew-torsion connection for the flat metric",
-            2,
+            h2,
             {(0, 4): {4: 1}, (0, 5): {5: 1}, (0, 6): {6: 1}, (0, 7): {7: 1}},
             {
                 "hkt": False,

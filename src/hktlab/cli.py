@@ -2,7 +2,9 @@
 and manage the example catalog. `analyze --all` runs the entries one after
 another, in name order. `holonomy` reads `quaternion-linear:` off the
 `slnh_membership` certificate of every connection's closure, and prints
-the whole certificate for the torsion-free one.
+the whole certificate for the torsion-free one. `analyze --format json`
+prints its payload with `exact.json_text`, the text of
+`json.dumps(payload, indent=2)`.
 
 Exit codes: 0 success, 1 input error (a malformed document or a usage
 error), 2 I/O error, 3 theorem violation (an exact identity the engine
@@ -12,13 +14,12 @@ guarantees failed, meaning a defect, not a property of the input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 
 from .analyze import analyze_entry
 from .catalog import CatalogEntry, CatalogError, available_entries, load, save
-from .exact import format_scalar
+from .exact import format_scalar, json_text
 from .holonomy import holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import bismut_connection, hkt_check
 from .invariant import curvature_operators, levi_civita
@@ -211,7 +212,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         reports = [analyze_entry(_resolve_entry(args))]
     if args.format == "json":
         payload = reports[0] if len(reports) == 1 and not args.all else {"reports": reports}
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print("\n\n".join(_render_text(r) for r in reports))
     if any(r["theorem_violations"] for r in reports):

@@ -20,12 +20,18 @@ no trailing newline).
 `four_squares` writes a nonnegative rational as a sum of four rational
 squares; the loader builds its orthonormal frame with it and so never
 takes a square root.
+
+`json_text` is the one writer of JSON text, for reports and exports: the
+text of `json.dumps(value, indent=2)`, byte for byte, without the
+pure-Python encoder that an `indent` argument selects.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import isqrt
 
 Scalar = int | Fraction
@@ -56,6 +62,42 @@ def format_scalar(value: Scalar) -> str:
     is written directly; a bool, an int subclass, goes through Fraction
     with the rest and is written as 0 or 1."""
     return str(value) if type(value) is int else str(Fraction(value))
+
+
+def json_text(value: object) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte. Containers are dicts,
+    with `str` keys, and lists (a tuple is written as a list, as json
+    writes it); a str leaf is escaped to ASCII, an int, bool or None leaf
+    is written directly, and any other leaf, a float say, goes through
+    `json.dumps`."""
+    return _json_lines(value, "\n")
+
+
+def _json_lines(value: object, newline: str) -> str:
+    """`value` as JSON text; each line inside it starts with `newline`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [encode_basestring_ascii(k) + ": " + _json_lines(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_lines(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 # Steps the four-squares search may take, one per candidate part: the

@@ -6,14 +6,14 @@ import json
 import pkgutil
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from functools import cached_property
 
 import pytest
 
 import hktlab
-from hktlab import cli, curvature
-from hktlab.analyze import analyze_entry
+from hktlab import analyze, cli, curvature
+from hktlab.analyze import _jsonify, analyze_entry
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.exact import format_scalar, parse_scalar
 from hktlab.holonomy import holonomy_algebra
@@ -383,3 +383,29 @@ def test_flat_connection_stores_no_curvature_and_a_zero_ricci_package(monkeypatc
     pkg = curvature.ricci_package(r_ob, entry.structure)
     assert subtracted == []
     assert pkg.ric == {} and pkg.scal == 0 and pkg.rho.is_zero()
+
+
+def _flat(value):
+    """A report record field that `dataclasses.asdict` would not copy deeply:
+    a leaf, or a tuple of flat values."""
+    if isinstance(value, tuple):
+        return all(map(_flat, value))
+    return not isinstance(value, (dict, list)) and not is_dataclass(value)
+
+
+def test_shallow_record_read_loses_nothing(monkeypatch, cat, su3):
+    # the report reads its flat records shallowly; every record it writes
+    # reads as `asdict` reads it, and no field holds a nested object that
+    # `asdict` would have copied
+    records = []
+    read = analyze._record
+    monkeypatch.setattr(analyze, "_record", lambda record: records.append(record) or read(record))
+    for entry in [*cat.values(), su3]:
+        analyze_entry(entry)
+    assert {type(r).__name__ for r in records} == {
+        "SolverCertificate", "SlCertificate", "StructureVerdict", "DetectorReport"
+    }
+    for record in records:
+        assert all(map(_flat, vars(record).values())), record
+        assert list(read(record).items()) == list(asdict(record).items()), record
+        assert _jsonify(read(record)) == _jsonify(asdict(record)), record

@@ -10,6 +10,7 @@ from hktlab.analyze import expected_mismatches
 from hktlab.catalog import (
     CatalogError,
     _quaternionic_frame,
+    _standard_structure,
     available_entries,
     builtin_by_name,
     builtin_catalog,
@@ -69,6 +70,26 @@ def test_builtin_names_and_dims(cat):
         assert entry.dim == 4 * entry.n
         assert [f.name for f in fields(entry.structure)] == ["dim", "j_sparse"]
         assert serialize(entry)["metric"] == identity_rows(entry.dim)
+
+
+def built_objects(entry):
+    """The objects a builtin entry is made of."""
+    h = entry.structure
+    return [entry, entry.lie, entry.lie.brackets, entry.expected, h, *h.j_sparse, h.permutations]
+
+
+def test_builtin_catalog_builds_one_structure_per_n_per_call():
+    # the entries of one call with equal n share one standard structure;
+    # a second call builds all of its objects anew, so nothing is cached
+    # past a call (the command line runs one call per process)
+    first, second = builtin_catalog(), builtin_catalog()
+    for entries in (first, second):
+        structures = {entry.n: entry.structure for entry in entries}
+        assert sorted(structures) == [1, 2]
+        assert all(entry.structure is structures[entry.n] for entry in entries)
+        assert all(h == _standard_structure(n) for n, h in structures.items())
+    ids = [{id(x) for entry in entries for x in built_objects(entry)} for entries in (first, second)]
+    assert not ids[0] & ids[1]
 
 
 def test_round_trip_all_builtins(cat, tmp_path):

@@ -89,12 +89,34 @@ def test_su3_round_trip_reproduces_golden(capsys, tmp_path, su3):
     assert without_elapsed(out) == golden_text("su3")
 
 
-def test_analyze_all_json(capsys):
+def test_analyze_all_json(capsys, monkeypatch):
+    reports = []
+    analyze = cli.analyze_entry
+
+    def recording(entry):
+        reports.append(analyze(entry))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "analyze_entry", recording)
     rc, out, err = run(capsys, "analyze", "--all", "--format", "json")
     assert rc == 0
     payload = json.loads(out)
     assert [r["entry"] for r in payload["reports"]] == sorted(ALL_NAMES)
     assert all(r["theorem_violations"] == [] for r in payload["reports"])
+    # the printed text is that of the indenting encoder on the payload
+    assert out == json.dumps({"reports": reports}, indent=2) + "\n"
+
+
+def test_catalog_export_writes_the_indented_dumps_text(capsys, tmp_path, cat, su3):
+    for name, entry in cat.items():
+        path = tmp_path / f"{name}.json"
+        rc, out, err = run(capsys, "catalog", "--export", name, str(path))
+        assert rc == 0 and err == ""
+        want = json.dumps(serialize(entry), indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == want, name
+    save(su3, tmp_path / "su3.json")
+    want = json.dumps(serialize(su3), indent=2) + "\n"
+    assert (tmp_path / "su3.json").read_text(encoding="utf-8") == want
 
 
 def test_analyze_text_hopf4(capsys):

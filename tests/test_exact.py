@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hktlab.exact import format_scalar, four_squares, parse_scalar
+from hktlab.exact import format_scalar, four_squares, json_text, parse_scalar
 
 from oracle_impl import naive_four_squares
 
@@ -112,3 +113,43 @@ def test_four_squares_match_plain_enumeration(q):
     got = four_squares(q)
     assert sum(x * x for x in got) == q
     assert got == naive_four_squares(q)
+
+
+# strings with quotes, backslashes, control characters and non-ASCII text,
+# astral characters (written as surrogate pairs) included
+TRICKY_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀ab: ,{}[]')) | st.text()
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**30, max_value=10**60).map(lambda x: x * (-1) ** (x % 2))
+    | st.floats()
+    | TRICKY_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TRICKY_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"": [{}, [], [[]], {"a": {}}]})
+@example(float("nan"))
+@example([float("inf"), -float("inf"), -0.0, 1e300, 5e-324])
+@example({"k\u2028\"": "\ud800", "é": 10**100})
+@settings(max_examples=100, deadline=None)
+def test_json_text_is_indented_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_rejects_what_dumps_rejects():
+    for value in (Fraction(1, 2), {1}, b"x"):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            json_text(value)
