@@ -252,7 +252,7 @@ def _identity_stage(
     r_b = curvature_operators(skew, alg)
     curv_rel = curvature_relation_check(r_b, tf.curvature, a, t.cube, skew)
     dtt = dt_traces(tor.dt, h)
-    star = star_scalar(curvature_operators(tor.lc, alg), h, t, lee, tor.lc, dtt)
+    star = star_scalar(alg, h, t, lee, tor.lc, dtt)
     type_cex = type_check_12_21(t, h)
     real, cplx = trace_identities(a, h, lee.theta)  # the failures of each
     chern = chern_norm_check(t, h)

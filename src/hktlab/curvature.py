@@ -11,9 +11,10 @@ J-contraction is a relabel with a sign: the J-traces through
 `tensors.j_trace` and `tensors.cube_j_trace`, Ric(J., J.) and
 d(theta)(J., J.) through `tensors.j_pullback`, each Ric pullback built
 once per J in the `RicciPackage`, on first read. rho and the rho_s are
-summed in one loop (`_traced_forms`), which the *-scalar runs for the
-Levi-Civita rho_s alone. The double J1-trace of dT that the *-scalar
-identities use is -4h, read off `dt_traces`.
+summed in one loop (`_traced_forms`). The *-scalar builds no curvature: it
+reads the Levi-Civita operators at the J_s-pairs alone. The double
+J1-trace of dT that the *-scalar identities use is -4h, read off
+`dt_traces`.
 An identity check returns its evidence: the first counterexample, the
 least nonzero cell of a sparse residual, or `None` when it holds, so
 reports can point at exact basis tuples.
@@ -65,7 +66,8 @@ def _traced_forms(
 ) -> list[KForm]:
     """For each (M, d) in traced, the 2-form (i, j) -> 1/d sum v M[l][k],
     summed from the nonzeros v = r[i][j][k][l] = R(e_i, e_j)[l][k]: row l
-    of M holds one nonzero, M[l][k] at (k, M[l][k]) = rows[l]."""
+    of M holds one nonzero, M[l][k] at (k, M[l][k]) = rows[l]. The Ricci
+    package's rho (M the identity) and rho_s (M = J_s, d = 2)."""
     scale = curvature.scale
     forms: list[dict[tuple[int, ...], Scalar]] = [{} for _ in traced]
     for (i, j), op in curvature.entries.items():
@@ -246,24 +248,53 @@ class StarScalarReport:
     checks: dict[str, tuple | None]  # None, or the three stars, or (got, want)
 
 
+def _j_trace_product(a: SparseMatrix, b: SparseMatrix, j: SignedPermutation) -> int:
+    """`j_trace` of the product ab of int matrices, summed from the
+    nonzeros: a[x][y] meets b[y][m] at cols[x] = (m, J[m][x])."""
+    total, cols = 0, j.cols
+    for x, row in a.items():
+        m, e = cols[x]
+        for y, v in row.items():
+            w = b.get(y)
+            if w and m in w:
+                total += e * v * w[m]
+    return total
+
+
 def star_scalar(
-    lc_curvature: Curvature,
+    alg: LieAlgebra,
     h: HyperhermitianStructure,
     t: KForm,
     lee: LeeForm,
     lc: Connection,
     dtt: DtTraces,
 ) -> StarScalarReport:
-    """The *-scalar curvature of the Levi-Civita connection and the exact
+    """The *-scalar curvature of the Levi-Civita connection lc and the exact
     scalar identities tying it to torsion, dT and Lee-form data. The double
     trace sum_{a,b} dT(e_a, J1 e_a, e_b, J1 e_b) is -4h, read off `dtt`.
+
+    With rho_s = -1/2 `j_trace`(R, J_s), s*_s = sum_a rho_s(J_s e_a, e_a)
+    is the sum of e `j_trace`(R(e_a, e_b), J_s) over the pairs a < b,
+    (b, e) = cols[a], since J_s^2 = -1 makes each pair enter twice. It is
+    summed on ints from the operators of lc (any connection), no curvature
+    built: with d and s as in `curvature_operators`, d s^2 R(e_a, e_b) =
+    d [ops_a, ops_b] - sum_m (d c^m_ab) s ops_m.
     """
-    # sum_a rho_s(J_s e_a, e_a) = -sum_a rho_s(e_a, J_s e_a)
-    rho_s = _traced_forms(lc_curvature, [(j, 2) for j in h.permutations], h.dim)
-    stars = [-j_trace(form_to_matrix(rho), j) for rho, j in zip(rho_s, h.permutations)]
+    ops, s = lc.operators, lc.scale
+    d = lcm(*[c.denominator for comps in alg.brackets.values() for c in comps.values()])
+    stars = []
+    for j in h.permutations:
+        total = 0
+        for a, (b, e) in j.cols.items():
+            if a < b:
+                r = d * (_j_trace_product(ops[a], ops[b], j) - _j_trace_product(ops[b], ops[a], j))
+                for m, c in alg.brackets.get((a, b), {}).items():
+                    r -= c.numerator * (d // c.denominator) * s * j_trace(ops[m], j)
+                total += e * r
+        stars.append(Fraction(total, d * s * s))
     double_trace = -4 * dtt.h_value
     div = sum(v * lee.theta.evaluate((m,)) for (a, b, m), v in lc.gamma.items() if a == b)
-    delta_theta = Fraction(div, lc.scale)
+    delta_theta = Fraction(div, s)
     theta_sq = norm_sq(lee.theta)
     torsion_sq = norm_sq(t)
     coincide = stars[0] == stars[1] == stars[2]

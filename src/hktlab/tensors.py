@@ -88,17 +88,25 @@ class KForm:
             raise ValueError(f"dimension {self.dim} outside 1..{MAX_DIM}")
         if not 0 <= self.degree <= self.dim:
             raise ValueError(f"degree {self.degree} outside 0..{self.dim}")
+        dim, degree = self.dim, self.degree
         clean: dict[tuple[int, ...], Scalar] = {}
         for idx, value in self.comps.items():
-            idx = tuple(idx)
-            if len(idx) != self.degree:
+            idx, last = tuple(idx), -1
+            for i in idx:  # one pass: each index in 0..dim-1 and above the last
+                if not last < i < dim or i < 0:
+                    break
+                last = i
+            else:
+                if len(idx) == degree:
+                    if value:
+                        clean[idx] = value
+                    continue
+            # rejected: the message names the length, else the range, else the order
+            if len(idx) != degree:
                 raise ValueError(f"index tuple {idx} has wrong length")
-            if any(not 0 <= i < self.dim for i in idx):
+            if any(not 0 <= i < dim for i in idx):
                 raise ValueError(f"index tuple {idx} out of range")
-            if any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} not strictly increasing")
-            if value:
-                clean[idx] = value
+            raise ValueError(f"index tuple {idx} not strictly increasing")
         object.__setattr__(self, "comps", clean)
 
     def is_zero(self) -> bool:

@@ -254,6 +254,24 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
     return KForm(a.dim, a.degree, {idx: s * v for idx, v in a.comps.items()})
 
 
+def naive_kform_comps(dim: int, degree: int, comps: dict) -> dict[tuple[int, ...], Scalar]:
+    """The components a KForm stores, checked one tuple at a time by three
+    scans (length, range, order) as the KForm validator did before its one
+    pass; a rejected tuple raises ValueError with the validator's message."""
+    clean: dict[tuple[int, ...], Scalar] = {}
+    for idx, value in comps.items():
+        idx = tuple(idx)
+        if len(idx) != degree:
+            raise ValueError(f"index tuple {idx} has wrong length")
+        if any(not 0 <= i < dim for i in idx):
+            raise ValueError(f"index tuple {idx} out of range")
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError(f"index tuple {idx} not strictly increasing")
+        if value:
+            clean[idx] = value
+    return clean
+
+
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
     return tuple(fundamental_form(j) for j in h.permutations)
 
@@ -671,7 +689,10 @@ def naive_curvature_operators(conn: Connection, alg: LieAlgebra) -> dict[tuple[i
         for m, c in (alg.brackets.get((i, j), {})).items():
             if c:
                 lm = ops[m]
-                r = [[rv - c * lv for rv, lv in zip(rrow, lrow)] for rrow, lrow in zip(r, lm)]
+                r = [
+                    [rv - c * lv if lv else rv for rv, lv in zip(rrow, lrow)]
+                    for rrow, lrow in zip(r, lm)
+                ]
         out[(i, j)] = r
     return out
 
@@ -1313,21 +1334,27 @@ def naive_hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) 
     return ObstructionReport(tuple(flags), verdict)
 
 
-def naive_star_traces(pkg: RicciPackage, h: HyperhermitianStructure) -> list[Scalar]:
-    """The three J_s-traces of rho_s that star_scalar compares, summed densely."""
+def naive_star_traces(
+    conn: Connection, alg: LieAlgebra, h: HyperhermitianStructure
+) -> list[Scalar]:
+    """The three *-traces sum_{a,m} J_s[m][a] rho_s(e_m, e_a) that star_scalar
+    compares, with rho_s(e_x, e_y) = 1/2 sum_{l,k} J_s[l][k] R(e_x, e_y)[l][k],
+    summed densely over every cell of the dense curvature operators
+    (`naive_curvature_operators`) of conn, each an exact Fraction."""
     dim = h.dim
-    stars = []
-    for s in (1, 2, 3):
-        j = dense_js(h)[s - 1]
-        stars.append(
-            sum(
-                j[m][a] * pkg.rho_s[s - 1].evaluate((m, a))
-                for a in range(dim)
-                for m in range(dim)
-                if j[m][a]
-            )
-        )
-    return stars
+    curvature = naive_curvature_operators(conn, alg)
+
+    def rho(j: Matrix, x: int, y: int) -> Scalar:
+        if x == y:
+            return 0
+        sign, r = (1, curvature[(x, y)]) if x < y else (-1, curvature[(y, x)])
+        inner = sum(j[l][k] * r[l][k] for l in range(dim) for k in range(dim) if j[l][k])
+        return sign * Fraction(inner, 2)
+
+    return [
+        Fraction(sum(j[m][a] * rho(j, m, a) for a in range(dim) for m in range(dim) if j[m][a]))
+        for j in dense_js(h)
+    ]
 
 
 def naive_trace_identities(a: Cube, h: HyperhermitianStructure, theta: KForm) -> tuple[str, ...]:

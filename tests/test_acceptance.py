@@ -243,7 +243,7 @@ def test_criterion_06_scalar_identities(bundles):
         assert star == Fraction(doubles[0], 8) + Fraction(t_sq, 12), name
 
         dtt = dt_traces(ce_differential(entry.lie, t), h)
-        engine = star_scalar(curvature_operators(lc, entry.lie), h, t, b.lee, lc, dtt)
+        engine = star_scalar(entry.lie, h, t, b.lee, lc, dtt)
         assert engine.value == star, name
         assert all(c is None for c in engine.checks.values()), name
 
@@ -299,7 +299,7 @@ def test_criterion_09_hyperkahler_detector(bundles):
         dt = ce_differential(b.entry.lie, b.torsion)
         traces = dt_traces(dt, b.entry.structure)
         star = star_scalar(
-            curvature_operators(lc, b.entry.lie),
+            b.entry.lie,
             b.entry.structure,
             b.torsion,
             b.lee,

@@ -24,7 +24,7 @@ from hktlab.linalg import RowSpan, support
 from hktlab.obata import obata_connection
 from hktlab.tensors import KForm
 
-from oracle_impl import direct_sum_entry
+from oracle_impl import HKT_NAMES, direct_sum_entry
 
 MODULES = [hktlab] + [
     importlib.import_module(f"hktlab.{info.name}")
@@ -147,9 +147,10 @@ def test_hkt_analysis_builds_each_object_once(calls, cat):
     assert calls["difference_tensor"] == 1
     assert calls["levi_civita"] == 1
     assert calls["obata_oracle_solver"] == 1
-    # one curvature per connection (torsion-free, skew-torsion, Levi-Civita),
-    # never the dense tensor; dT once beside the three dF and d(theta)
-    assert calls["curvature_operators"] == 3
+    # the curvatures of the torsion-free and skew-torsion connections only:
+    # the *-scalar reads the Levi-Civita operators, not a curvature; never
+    # the dense tensor; dT once beside the three dF and d(theta)
+    assert calls["curvature_operators"] == 2
     assert calls["curvature_tensor"] == 0
     assert calls["ce_differential"] == 5
     # Ric(J., J.) only for the torsion-free connection, whose package the
@@ -196,6 +197,38 @@ def test_non_hkt_analysis_skips_levi_civita(calls, cat):
     # the Nijenhuis tensors and the three candidate torsions' J-twists read
     # the J maps the structure derived once
     assert calls["HyperhermitianStructure.permutations"] == 1
+
+
+@pytest.mark.parametrize("name", HKT_NAMES + ("su3", "nil16"))
+def test_hkt_analysis_builds_no_levi_civita_curvature(cat, su3, name, monkeypatch, tmp_path):
+    # the *-scalar reads the Levi-Civita operators at the J-pairs, so the two
+    # curvatures built are the torsion-free and the skew-torsion ones: never
+    # of the connection levi_civita returned, nor, where the torsion is
+    # nonzero, of one equal to it (with zero torsion, on the tori, all three
+    # connections are equal)
+    entries = {**cat, "su3": su3}
+    if name == "nil16":
+        entries[name] = direct_sum_entry(cat["nil8"], cat["nil8"], tmp_path)
+    entry = entries[name]
+    made, seen = [], []
+    for module in MODULES:
+        if "levi_civita" in vars(module):
+            def spied_lc(alg, _fn=vars(module)["levi_civita"]):
+                made.append(_fn(alg))
+                return made[-1]
+
+            monkeypatch.setattr(module, "levi_civita", spied_lc)
+        if "curvature_operators" in vars(module):
+            def spied_curvature(conn, alg, _fn=vars(module)["curvature_operators"]):
+                seen.append(conn)
+                return _fn(conn, alg)
+
+            monkeypatch.setattr(module, "curvature_operators", spied_curvature)
+    analyze_entry(entry)
+    assert made and all(conn is not lc for conn in seen for lc in made)
+    assert len(seen) == 2
+    if not hkt_check(entry.structure, entry.lie).torsion.is_zero():
+        assert made[0] not in seen
 
 
 def test_holonomy_obata_uses_difference_route(calls, capsys):

@@ -155,7 +155,7 @@ def test_scalar_table(cat, torsions):
         lc = levi_civita(entry.lie)
         dt = ce_differential(entry.lie, t)
         dtt = dt_traces(dt, entry.structure)
-        rep = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, dtt)
+        rep = star_scalar(entry.lie, entry.structure, t, lee, lc, dtt)
         assert norm_sq(t) == t_sq, name
         assert norm_sq(lee.theta) == theta_sq, name
         assert rep.components["delta_theta"] == delta, name
@@ -438,7 +438,7 @@ def test_detector_consistent_on_catalog(cat, torsions):
         lc = levi_civita(entry.lie)
         dt = ce_differential(entry.lie, t)
         traces = dt_traces(dt, entry.structure)
-        star = star_scalar(curvature_operators(lc, entry.lie), entry.structure, t, lee, lc, traces)
+        star = star_scalar(entry.lie, entry.structure, t, lee, lc, traces)
         rep = hyperkahler_detector(
             lee.theta.is_zero(), traces.h_value, star.value, traces.almost_strong, t.is_zero()
         )
@@ -514,20 +514,35 @@ def test_identity_suite_and_obstruction_match_dense_oracles(structures, name, da
     assert repr(hkt_obstruction_report(pkg, h)) == repr(naive_hkt_obstruction_report(pkg, h))
 
 
-@pytest.mark.parametrize("name", STRUCTURES)
+@pytest.fixture(scope="module")
+def star_structures(structures, tmp_path_factory):
+    """STRUCTURES and three sums: nil12, hopf16 and su3+hopf8, whose bracket
+    denominators make the lcm d > 1."""
+    directory = tmp_path_factory.mktemp("star")
+    sums = {"nil12": ("nil8", "hopf4"), "hopf16": ("hopf8", "hopf8"), "su3+hopf8": ("su3", "hopf8")}
+    return {
+        **structures,
+        **{
+            name: direct_sum_entry(structures[a], structures[b], directory)
+            for name, (a, b) in sums.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("name", STRUCTURES + ("nil12", "hopf16", "su3+hopf8"))
 @given(data=st.data())
 @settings(max_examples=15, deadline=None)
-def test_star_traces_match_dense_oracle(structures, name, data):
-    # random, usually non-metric connections give nonzero rho_s
-    entry = structures[name]
+def test_star_traces_match_dense_oracle(star_structures, name, data):
+    # random, usually non-metric connections give nonzero rho_s; the
+    # reference sums the dense curvature operators of the same connection
+    entry = star_structures[name]
     h, dim = entry.structure, entry.dim
     index = st.integers(0, dim - 1)
     cells = data.draw(st.dictionaries(st.tuples(index, index, index), nonzero, max_size=dim))
     conn = Connection(dim, cells)
-    curvature = curvature_operators(conn, entry.lie)
     zero = LeeForm(KForm(dim, 1), KForm(dim, 2), "balanced")
-    report = star_scalar(curvature, h, KForm(dim, 3), zero, conn, dt_traces(KForm(dim, 4), h))
-    want = naive_star_traces(ricci_package(curvature, h), h)
+    report = star_scalar(entry.lie, h, KForm(dim, 3), zero, conn, dt_traces(KForm(dim, 4), h))
+    want = naive_star_traces(conn, entry.lie, h)
     coincide = want[0] == want[1] == want[2]
     assert repr(report.value) == repr(want[0])
     assert repr(report.checks["star-scalars-coincide"]) == repr(None if coincide else tuple(want))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from oracle_impl import (
     matrix_j_trace,
     matrix_j_twist,
     naive_cube_pullback,
+    naive_kform_comps,
     naive_wedge_eval,
     row_images,
     seeded_signed_permutation,
@@ -66,12 +68,72 @@ def test_perm_sign():
 
 
 def test_kform_validates_indices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("index tuple (0, 3) out of range")):
         KForm(3, 2, {(0, 3): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("index tuple (1, 0) not strictly increasing")):
         KForm(3, 2, {(1, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("index tuple (0,) has wrong length")):
         KForm(3, 2, {(0,): 1})
+
+
+@pytest.mark.parametrize(
+    "dim, degree, idx, message",
+    [
+        # length before range and order, range before order
+        (3, 2, (0,), "index tuple (0,) has wrong length"),
+        (16, 2, (5, 20, 3), "index tuple (5, 20, 3) has wrong length"),
+        (16, 3, (5, 20, 3), "index tuple (5, 20, 3) out of range"),
+        (4, 2, (-1, 0), "index tuple (-1, 0) out of range"),
+        (4, 2, (2, 2), "index tuple (2, 2) not strictly increasing"),
+        (4, 2, (3, 1), "index tuple (3, 1) not strictly increasing"),
+        (4, 2, (), "index tuple () has wrong length"),
+    ],
+)
+def test_kform_rejects_with_the_first_failing_rule(dim, degree, idx, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KForm(dim, degree, {tuple(range(degree)): 1, idx: 1})
+
+
+def test_kform_accepts_the_empty_tuple_at_degree_zero():
+    assert KForm(4, 0, {(): 3}).comps == {(): 3}
+    assert KForm(4, 0, {(): 0}).comps == {}
+
+
+@st.composite
+def index_tables(draw):
+    """A dim, a degree 0..4 and index tuples: sorted valid ones, ones with
+    one entry moved to a negative, too large, repeated or swapped value,
+    and free ones of length degree - 1..degree + 1."""
+    dim = draw(st.integers(1, 16))
+    degree = draw(st.integers(0, min(4, dim)))
+    valid = st.sets(st.integers(0, dim - 1), min_size=degree, max_size=degree).map(sorted)
+
+    def perturbed(idx):
+        if not idx:
+            return st.just(())
+        k = st.integers(0, len(idx) - 1)
+        values = st.sampled_from([-2, -1, dim, dim + 1, *idx])
+        moved = st.tuples(k, values).map(lambda kv: (*idx[: kv[0]], kv[1], *idx[kv[0] + 1 :]))
+        return st.one_of(moved, st.permutations(idx).map(tuple))
+
+    free = st.lists(st.integers(-2, dim + 1), min_size=max(degree - 1, 0), max_size=degree + 1)
+    keys = st.one_of(valid.map(tuple), valid.flatmap(perturbed), free.map(tuple))
+    comps = draw(st.dictionaries(keys, st.one_of(st.just(0), rationals), max_size=6))
+    return dim, degree, comps
+
+
+@given(index_tables())
+@settings(max_examples=100, deadline=None)
+def test_kform_validator_matches_the_three_scan_reference(table):
+    dim, degree, comps = table
+    try:
+        want = naive_kform_comps(dim, degree, comps)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            KForm(dim, degree, comps)
+    else:
+        got = KForm(dim, degree, comps).comps
+        assert list(got.items()) == list(want.items())
 
 
 def test_kform_drops_zero_components():
