@@ -17,21 +17,21 @@ Wire schema (version "1"): UTF-8 JSON object with keys
     expected        optional map of expected classifier outcomes
 
 Unknown keys are rejected unless the loader is told to tolerate them.
-Each distinct wire string of the matrix fields is parsed once per
-document. The Jacobi identity, the metric's symmetry, the quaternion
-relations and J^T g J = g are checked on the wire. A document whose
-metric is the identity and whose J's are signed permutations is already
-in such a frame, as every builtin and export is: its structure keeps the
-wire values and types, its permutations are derived (and so validated)
-once, and its relations are composed on them. Any other is checked on
-sparse products and rebased, with sparse arithmetic, to one g-orthonormal
-frame of quaternionic blocks (`_quaternionic_frame`), in which every J is
-a signed permutation and the metric is the identity. `serialize` writes
-the identity rows, and each J's nonzeros into rows of "0"; `save` writes
-that document with `exact.json_text`, as `json.dumps(doc, indent=2)`
-would. `builtin_catalog` builds the standard structure of each
-quaternionic dimension once per call and hands it to the entries of that
-dimension.
+The matrix fields parse straight into sparse rows, each distinct wire
+string once per document, "0" cells unread. The Jacobi identity, the
+metric's symmetry, the quaternion relations and J^T g J = g are checked
+on the wire. A document whose metric is the identity and whose J's are
+signed permutations is already in such a frame, as every builtin and
+export is: its structure keeps the wire values and types, its
+permutations are derived (and so validated) once, and its relations are
+composed on them. Any other is checked on sparse products and rebased,
+with sparse arithmetic, to one g-orthonormal frame of quaternionic
+blocks (`_quaternionic_frame`), in which every J is a signed permutation
+and the metric is the identity. `serialize` writes the identity rows,
+and each J's nonzeros into rows of "0"; `save` writes that document with
+`exact.json_text`, as `json.dumps(doc, indent=2)` would.
+`builtin_catalog` builds the standard structure of each quaternionic
+dimension once per call and hands it to the entries of that dimension.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from pathlib import Path
 from .exact import Scalar, format_scalar, four_squares, json_text, parse_scalar
 from .hyperhermitian import HyperhermitianStructure, quaternion_relations, quaternionic_check
 from .invariant import BracketTable, LieAlgebra, rebase_algebra
-from .linalg import Matrix, Row, SparseMatrix, identity, sparse_apply, sparse_matrix
-from .linalg import sparse_subtract, sparse_transpose
+from .linalg import Row, SparseMatrix, identity, sparse_apply, sparse_subtract, sparse_transpose
 from .tensors import MAX_DIM
 
 
@@ -100,22 +99,29 @@ def _parse_cell(cell: object, memo: dict[str, Scalar], path: str, r: int, c: int
     return value
 
 
-def _parse_matrix(raw: object, dim: int, path: str, memo: dict[str, Scalar]) -> Matrix:
-    """The dense rows of one matrix field. `memo` maps the wire strings
-    already parsed in this document to their values, so a row whose cells
-    were all seen is read off it. It holds `str` keys only: a JSON `true`
-    equals and hashes like 1, so storing int cells would let it in, while
-    no non-str cell can equal a str key."""
+def _parse_matrix(raw: object, dim: int, path: str, memo: dict[str, Scalar]) -> SparseMatrix:
+    """The sparse rows of one matrix field, zeros dropped and "0" cells not
+    read. `memo` maps the wire strings already parsed in this document to
+    their values, so a row whose cells were all seen is read off it. It
+    holds `str` keys only: a JSON `true` equals and hashes like 1, so
+    storing int cells would let it in, while no non-str cell can equal a
+    str key."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise CatalogError(f"{path}: expected {dim} rows")
-    out: Matrix = []
+    out: SparseMatrix = {}
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != dim:
             raise CatalogError(f"{path}[{r}]: expected {dim} entries")
         try:
-            out.append([memo[cell] for cell in row])
+            parsed = {c: v for c, cell in enumerate(row) if cell != "0" and (v := memo[cell])}
         except (KeyError, TypeError):  # a new string, a non-str or an unhashable cell
-            out.append([_parse_cell(cell, memo, path, r, c) for c, cell in enumerate(row)])
+            parsed = {
+                c: v
+                for c, cell in enumerate(row)
+                if cell != "0" and (v := _parse_cell(cell, memo, path, r, c))
+            }
+        if parsed:
+            out[r] = parsed
     return out
 
 
@@ -183,8 +189,8 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
     if dim > MAX_DIM:
         raise CatalogError(f"dim: {dim} exceeds the supported maximum {MAX_DIM}")
     memo: dict[str, Scalar] = {}
-    metric = _parse_matrix(doc["metric"], dim, "metric", memo)
-    j_rows = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}", memo) for s in (1, 2, 3))
+    g = _parse_matrix(doc["metric"], dim, "metric", memo)
+    js = tuple(_parse_matrix(doc[f"j{s}"], dim, f"j{s}", memo) for s in (1, 2, 3))
     brackets = _parse_structure_constants(doc["structure_constants"], dim)
     expected = doc.get("expected", {})
     if not isinstance(expected, dict):
@@ -198,10 +204,8 @@ def _document_to_entry(doc: object, source: str, allow_unknown: bool) -> Catalog
         raise CatalogError(
             f"structure_constants: Jacobi identity fails at {triple}: defect [{written}]"
         )
-    g = sparse_matrix(metric)
     if sparse_transpose(g) != g:
         raise CatalogError("metric: not symmetric")
-    js = tuple(map(sparse_matrix, j_rows))
     structure = None
     with suppress(ValueError):  # a J that is no signed permutation takes the frame walk
         if g == {i: {i: 1} for i in range(dim)}:  # the standard basis: wire values and types stay

@@ -1,20 +1,21 @@
 """Hypercomplex and hyperhermitian structure layer.
 
-Quaternion relations, Nijenhuis tensors, integrability, fundamental forms,
-torsion construction for metric connections with totally skew torsion, and
-the test for a single common torsion shared by all three complex
-structures. A structure is built from J1, J2, J3 as sparse matrices
-(`j_sparse`) and derives, where it is built, each J's signed permutation
+Quaternion relations, Nijenhuis tensors, integrability, torsion
+construction for metric connections with totally skew torsion, and the
+test for a single common torsion shared by all three complex structures.
+A structure is built from J1, J2, J3 as sparse matrices (`j_sparse`) and
+derives, where it is built, each J's signed permutation
 (`permutations`), which validates it; every reader here takes those
 relabels. `quaternionic_check` reads the loader's sparse wire J's and
 metric where a frame walk follows; `quaternion_relations` composes the
 permutations. The structure holds no metric: in the loader's orthonormal
-frame it is the identity, and `fundamental_form` reads F(e_x, e_y) =
-J[x][y] off J's rows. `nijenhuis` and each J_s's torsion-type identity is
-one term table of `tensors.cube_pullback`, of the bracket cube view
+frame it is the identity, so the fundamental form F(e_x, e_y) = J[x][y]
+is J's rows. `nijenhuis` and each J_s's torsion-type identity is one
+term table of `tensors.cube_pullback`, of the bracket cube view
 (`LieAlgebra.cube`) and of the torsion's (`KForm.cube`) respectively.
-`hkt_check` hands each Nijenhuis 3-form to `kt_torsion`, so each tensor is
-built once.
+`kt_torsion` builds T = J dF + N without forming F or dF: J dF is one
+fold of the stored brackets through J's rows. `hkt_check` hands each
+Nijenhuis 3-form to `kt_torsion`, so each tensor is built once.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exact import Scalar
-from .invariant import Connection, LieAlgebra, ce_differential
+from .invariant import Connection, LieAlgebra
 from .linalg import SparseMatrix, sparse_product, sparse_transpose
 from .tensors import Cube, KForm, Relabel, SignedPermutation, cube_add, cube_pullback, cube_scale
-from .tensors import cube_to_form, form_add, j_twist
+from .tensors import cube_to_form
 
 
 @dataclass(frozen=True)
@@ -121,16 +122,6 @@ def glnh_membership(m: SparseMatrix, h: HyperhermitianStructure) -> bool:
     return True
 
 
-def fundamental_form(j: SignedPermutation) -> KForm:
-    """F(X, Y) = g(X, J Y) as a 2-form. In the orthonormal frame
-    F(e_x, e_y) = J[x][y], read off J's rows above the diagonal; J must
-    be skew, J[y][x] = -J[x][y]."""
-    rows = j.rows
-    if any(rows[y] != (x, -v) for x, (y, v) in rows.items()):
-        raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
-    return KForm(len(rows), 2, {(x, y): v for x, (y, v) in sorted(rows.items()) if x < y})
-
-
 def nijenhuis(alg: LieAlgebra, j: SignedPermutation) -> tuple[Cube, KForm | None]:
     """N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] on basis pairs.
 
@@ -151,14 +142,32 @@ def nijenhuis(alg: LieAlgebra, j: SignedPermutation) -> tuple[Cube, KForm | None
 def kt_torsion(j: SignedPermutation, alg: LieAlgebra, n_form: KForm | None) -> KForm:
     """Totally skew torsion of the metric connection preserving (g, J):
     T = J dF + N, valid exactly when N is totally skew. `n_form` is the
-    3-form reading of J's Nijenhuis tensor, `nijenhuis(alg, j)[1]`.
+    3-form reading of J's Nijenhuis tensor, `nijenhuis(alg, j)[1]`. For a
+    skew signed permutation J dF(X, Y, Z) = -sum_cyc g([JX, JY], Z), so each
+    c^k_ab, a < b, with rows[a] = (x, p) and rows[b] = (y, q), adds
+    -p q perm_sign((x, y, k)) c^k_ab at the sorted (x, y, k), k not x or y.
     """
     if n_form is None:
         raise ValueError(
             "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
         )
-    df = ce_differential(alg, fundamental_form(j))
-    return form_add(j_twist(df, j), n_form)
+    rows = j.rows
+    if any(rows[y] != (x, -v) for x, (y, v) in rows.items()):
+        raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
+    totals: dict[tuple[int, int, int], Scalar] = {}
+    for (a, b), targets in alg.brackets.items():
+        (x, p), (y, q) = rows[a], rows[b]
+        if x > y:
+            x, y, p = y, x, -p
+        plus = p * q < 0
+        for k, c in targets.items():
+            if k != x and k != y:  # perm_sign((x, y, k)) = -1 exactly when x < k < y
+                key = (k, x, y) if k < x else (x, k, y) if k < y else (x, y, k)
+                totals[key] = totals.get(key, 0) + (c if plus != (x < k < y) else -c)
+    comps = {key: totals[key] for key in sorted(totals) if totals[key]}
+    for key, v in n_form.comps.items():
+        comps[key] = comps.get(key, 0) + v
+    return KForm(alg.dim, 3, comps)
 
 
 @dataclass(frozen=True)

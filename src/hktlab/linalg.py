@@ -1,9 +1,9 @@
 """Exact linear algebra over rational scalars.
 
-Dense matrices (lists of row lists) exist only at the wire: the loader
-parses its rows densely and `sparse_matrix` converts them once,
-`serialize` writes `identity` rows, and `rref` takes dense rows. Entries
-are ints or Fractions. The one Gaussian elimination is `RowSpan`, a
+Dense matrices (lists of row lists) exist only at the edges: `serialize`
+writes `identity` rows and `rref` takes dense rows, while the loader
+parses the wire's matrix fields straight into sparse rows. Entries are
+ints or Fractions. The one Gaussian elimination is `RowSpan`, a
 fraction-free reduced echelon form over sparse rows, {column: value} dicts
 without zeros (the idiom of `KForm.comps` and of the cubes), since the
 holonomy generators are almost all zeros. The holonomy closure grows it;
@@ -57,14 +57,6 @@ class LinAlgError(Exception):
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _sparse(row: Vector) -> Row:
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def sparse_matrix(a: Matrix) -> SparseMatrix:
-    return {i: row for i, row in enumerate(map(_sparse, a)) if row}
 
 
 def _accumulate(acc: SparseMatrix, left: SparseMatrix, right: SparseMatrix, combine) -> None:
@@ -149,7 +141,7 @@ def sparse_subtract(target: SparseMatrix, f: Scalar, m: SparseMatrix) -> None:
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form. Returns (R, pivot column list)."""
     cols = len(a[0]) if a else 0
-    span = _span_of([_sparse(row) for row in a])
+    span = _span_of([{j: x for j, x in enumerate(row) if x} for row in a])
     pivots = sorted(span._rows)
     reduced = [[Fraction(0)] * cols for _ in a]
     for out, pivot in zip(reduced, pivots):

@@ -23,14 +23,16 @@ value, see `exact`); the connection coefficients and the difference
 tensor are held `integer_scaled`, as int entries over one least scale.
 
 After the loader each J is a signed permutation, held as its
-`SignedPermutation` (derived once per structure), and every J-contraction
-is a relabel with a sign: `j_pullback` gives B(J ., J .), `j_trace` the
-J-trace sum_x J[sigma x][x] B[x][sigma x] and `cube_j_trace` the same
-trace of a cube's last two slots. The paper's identities are signed sums
-of pullbacks of one cube through the J's; `cube_pullback` takes such a
-sum as its term table (f, M1, M2, M3), each M_s a J's rows or cols
-relabel or None for the identity, and builds it in one pass; `j_twist`
-is its one-term case on a 3-form's stored components.
+`SignedPermutation` (derived once per structure), and every
+J-contraction is a relabel with a sign: `j_pullback` gives B(J ., J .),
+`j_trace` the J-trace sum_x J[sigma x][x] B[x][sigma x] and
+`cube_j_trace` the same trace of a cube's last two slots. The paper's
+identities are signed sums of pullbacks of one cube through the J's;
+`cube_pullback` takes such a sum as its term table (f, M1, M2, M3), each
+M_s a J's rows or cols relabel or None for the identity, and builds it
+in one pass; `j_twist` is its one-term case on a 3-form's stored
+components, with no package caller: the benchmark names it, and the
+tests compare it with the dense twist.
 """
 
 from __future__ import annotations
@@ -128,15 +130,6 @@ class KForm:
             raise ValueError("expected a 3-form")
         comps = self.comps.items()
         return {tgt: perm_sign(tgt) * v for idx, v in comps for tgt in permutations(idx)}
-
-
-def form_add(a: KForm, b: KForm) -> KForm:
-    if (a.dim, a.degree) != (b.dim, b.degree):
-        raise ValueError("form shape mismatch")
-    comps = dict(a.comps)
-    for idx, v in b.comps.items():
-        comps[idx] = comps.get(idx, 0) + v
-    return KForm(a.dim, a.degree, comps)
 
 
 def wedge(a: KForm, b: KForm) -> KForm:

@@ -21,7 +21,15 @@ from math import factorial, gcd, isqrt, lcm
 from pathlib import Path
 from typing import Callable, Iterable
 
-from hktlab.catalog import CatalogEntry, _standard_structure, builtin_by_name, load, serialize
+from hktlab.catalog import (
+    CatalogEntry,
+    CatalogError,
+    _parse_cell,
+    _standard_structure,
+    builtin_by_name,
+    load,
+    serialize,
+)
 from hktlab.exact import Scalar, format_scalar, parse_scalar
 from hktlab.curvature import (
     _ORDERINGS_4,
@@ -31,7 +39,7 @@ from hktlab.curvature import (
     RicciPackage,
 )
 from hktlab.holonomy import HolonomyAlgebra
-from hktlab.hyperhermitian import HyperhermitianStructure, fundamental_form
+from hktlab.hyperhermitian import HyperhermitianStructure
 from hktlab.invariant import (
     BracketTable,
     Connection,
@@ -51,7 +59,6 @@ from hktlab.linalg import (
     identity,
     rref,
     sparse_commutator,
-    sparse_matrix,
     sparse_product,
     sparse_subtract,
     sparse_transpose,
@@ -111,6 +118,29 @@ def naive_rref(a: Matrix) -> tuple[Matrix, list[int]]:
 
 # ---------------------------------------------------------------------------
 # dense matrices and the test-only tensor functions
+
+def sparse_matrix(a: Matrix) -> SparseMatrix:
+    """The sparse matrix of dense rows: zeros and empty rows dropped."""
+    return {i: row for i, row in enumerate(map(sparse, a)) if row}
+
+
+def dense_parse_matrix(raw: object, dim: int, path: str, memo: dict[str, Scalar]) -> SparseMatrix:
+    """A wire matrix field parsed as the loader parsed it before it read
+    sparse rows: every cell into dense rows, in order (a row whose cells
+    the memo all holds read off it), then `sparse_matrix` once. The
+    reference for `catalog._parse_matrix`'s entries and messages."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise CatalogError(f"{path}: expected {dim} rows")
+    out: Matrix = []
+    for r, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != dim:
+            raise CatalogError(f"{path}[{r}]: expected {dim} entries")
+        try:
+            out.append([memo[cell] for cell in row])
+        except (KeyError, TypeError):
+            out.append([_parse_cell(cell, memo, path, r, c) for c, cell in enumerate(row)])
+    return sparse_matrix(out)
+
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
@@ -254,6 +284,16 @@ def form_scale(a: KForm, s: Scalar) -> KForm:
     return KForm(a.dim, a.degree, {idx: s * v for idx, v in a.comps.items()})
 
 
+def form_add(a: KForm, b: KForm) -> KForm:
+    """a + b: a's components in its order, then b's new ones in b's order."""
+    if (a.dim, a.degree) != (b.dim, b.degree):
+        raise ValueError("form shape mismatch")
+    comps = dict(a.comps)
+    for idx, v in b.comps.items():
+        comps[idx] = comps.get(idx, 0) + v
+    return KForm(a.dim, a.degree, comps)
+
+
 def naive_kform_comps(dim: int, degree: int, comps: dict) -> dict[tuple[int, ...], Scalar]:
     """The components a KForm stores, checked one tuple at a time by three
     scans (length, range, order) as the KForm validator did before its one
@@ -270,6 +310,16 @@ def naive_kform_comps(dim: int, degree: int, comps: dict) -> dict[tuple[int, ...
         if value:
             clean[idx] = value
     return clean
+
+
+def fundamental_form(j: SignedPermutation) -> KForm:
+    """F(X, Y) = g(X, J Y) as a 2-form. In the orthonormal frame
+    F(e_x, e_y) = J[x][y], read off J's rows above the diagonal; J must
+    be skew, J[y][x] = -J[x][y]."""
+    rows = j.rows
+    if any(rows[y] != (x, -v) for x, (y, v) in rows.items()):
+        raise RuntimeError("fundamental form not antisymmetric; compatibility broken")
+    return KForm(len(rows), 2, {(x, y): v for x, (y, v) in sorted(rows.items()) if x < y})
 
 
 def fundamental_forms(h: HyperhermitianStructure) -> tuple[KForm, KForm, KForm]:
@@ -1518,6 +1568,24 @@ def seeded_signed_triple(dim: int, seed: int) -> tuple[str, tuple[SparseMatrix, 
         rng.shuffle(columns)
         js[s] = {r: {columns[r]: rng.choice((1, -1))} for r in range(dim)}
     return kind, tuple(js)
+
+
+def quaternionic_triples() -> list[tuple[SparseMatrix, SparseMatrix, SparseMatrix]]:
+    """Every triple of signed permutations of R^4 that is a quaternionic
+    structure: J_s skew with J_s^2 = -1, J1 J2 = J3 = -J2 J1. Each skew J
+    with J^2 = -1 pairs the four indices and signs each pair; J1 and J2
+    range over them, and J3 is their product."""
+    skew = []
+    for a, b, c, d in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        for e, f in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            skew.append({a: {b: e}, b: {a: -e}, c: {d: f}, d: {c: -f}})
+    triples = []
+    for j1 in skew:
+        for j2 in skew:
+            j3, j2j1 = sparse_product(j1, j2), sparse_product(j2, j1)
+            if j3 in skew and j3 == {i: {k: -x for k, x in row.items()} for i, row in j2j1.items()}:
+                triples.append((j1, j2, j3))
+    return triples
 
 
 def seeded_signed_permutation(seed: int, dim: int) -> tuple[Matrix, SignedPermutation]:

@@ -3,8 +3,11 @@ import random
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hktlab.analyze import expected_mismatches
 from hktlab.catalog import (
@@ -22,7 +25,7 @@ from hktlab import catalog, cli
 from hktlab.exact import FOUR_SQUARES_STEPS, parse_scalar
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import LieAlgebra, rebase_algebra
-from hktlab.linalg import identity, sparse_matrix, sparse_product, sparse_transpose
+from hktlab.linalg import identity, sparse_product, sparse_transpose
 
 from oracle_impl import (
     ALL_NAMES,
@@ -30,6 +33,7 @@ from oracle_impl import (
     cayley_rotated,
     dense_js,
     dense_matrix,
+    dense_parse_matrix,
     direct_sum,
     invert,
     is_signed_permutation,
@@ -38,6 +42,7 @@ from oracle_impl import (
     naive_quaternionic_frame,
     parsed_wire,
     seeded_signed_triple,
+    sparse_matrix,
     standard_document,
     transpose,
     with_diagonal_metric,
@@ -546,6 +551,80 @@ def test_identity_metric_and_signed_permutations_load_unchanged(
         load(write_doc(tmp_path, doc))
         assert calls == ["_quaternionic_frame", "rebase_algebra"], doc["name"]
         calls.clear()
+
+
+# Matrix-field faults for the loader parity test: cells that parse to a
+# value (some to zero, some to 1), cells the parser rejects, a nested list,
+# and a short row.
+FAULT_CELLS = (
+    True, False, 1.0, 0.0, 0, 1, -1, "-0", "0/7", "2/2", "-2/2", "1/0", " 1", [["1"]], ["0"]
+)
+RESPELLED = {"0": "-0", "1": "2/2", "-1": "-3/3"}
+faults = st.tuples(
+    st.sampled_from(("metric", "j1", "j2", "j3")),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.sampled_from(FAULT_CELLS + ("short row", "zero cell", "same value")),
+)
+
+
+@pytest.fixture(scope="module")
+def parity_docs(cat, su3_path):
+    """Wire documents of dim 8 and 16: standard-basis ones and, through
+    su3's and the rotated hopf8's, ones that take the frame walk."""
+    docs = {name: serialize(cat[name]) for name in ("hopf8", "nil8", "hc_only8")}
+    docs["su3"] = json.loads(su3_path.read_text(encoding="utf-8"))
+    docs["rotated hopf8"] = cayley_rotated(cat["hopf8"])
+    docs["nil8+hopf8"] = direct_sum(docs["nil8"], docs["hopf8"])
+    docs["hc_only8+su3"] = direct_sum(docs["hc_only8"], docs["su3"])
+    return docs
+
+
+def _load_outcome(path):
+    """The loaded entry's name, brackets and J's, each value with its type
+    and in order, or the loader's message."""
+    try:
+        entry = load(path)
+    except CatalogError as exc:
+        return str(exc)
+    return entry.name, _ordered(entry.lie.brackets), list(map(_ordered, entry.structure.j_sparse))
+
+
+@pytest.fixture(scope="module")
+def parity_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity")
+
+
+@given(
+    name=st.sampled_from(
+        ["hopf8", "nil8", "hc_only8", "su3", "rotated hopf8", "nil8+hopf8", "hc_only8+su3"]
+    ),
+    edits=st.lists(faults, min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_sparse_matrix_parse_matches_the_dense_parse(parity_docs, parity_dir, name, edits):
+    # the loader, which parses matrix fields into sparse rows, against the
+    # same loader on the dense parse it replaced: the same entry, value
+    # types included, or the same message
+    doc = json.loads(json.dumps(parity_docs[name]))
+    dim = doc["dim"]
+    for field, r, c, cell in edits:
+        row = doc[field][r % dim]
+        if not isinstance(row, list) or len(row) <= c % dim:
+            continue
+        if cell == "short row":
+            del row[c % dim]
+        elif cell == "zero cell":
+            row[c % dim] = "0"
+        elif cell == "same value":  # another spelling of a wire string's value
+            if isinstance(row[c % dim], str):
+                row[c % dim] = RESPELLED.get(row[c % dim], row[c % dim])
+        else:
+            row[c % dim] = cell
+    path = write_doc(parity_dir, doc)
+    got = _load_outcome(path)
+    with mock.patch.object(catalog, "_parse_matrix", dense_parse_matrix):
+        assert got == _load_outcome(path)
 
 
 def test_available_entries_env_dir(tmp_path, monkeypatch, cat):

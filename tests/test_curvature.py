@@ -27,7 +27,6 @@ from hktlab.invariant import (
     curvature_operators,
     levi_civita,
 )
-from hktlab.linalg import sparse_matrix
 from hktlab.obata import difference_tensor, obata_connection
 from hktlab.tensors import KForm, cube_add, cube_scale, integer_scaled, norm_sq
 
@@ -53,6 +52,7 @@ from oracle_impl import (
     naive_star_traces,
     rational,
     scaled_values,
+    sparse_matrix,
     transpose,
 )
 

@@ -17,7 +17,7 @@ from hktlab.holonomy import (
 from hktlab.hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
-from hktlab.linalg import RowSpan, identity, sparse_commutator, sparse_matrix, sparse_product
+from hktlab.linalg import RowSpan, identity, sparse_commutator, sparse_product
 from hktlab.linalg import sparse_subtract, sparse_trace
 from hktlab.obata import commutant_basis, obata_connection
 
@@ -41,6 +41,7 @@ from oracle_impl import (
     naive_flatten,
     naive_holonomy_algebra,
     sparse,
+    sparse_matrix,
     trace,
 )
 

@@ -10,7 +10,6 @@ from hktlab.catalog import _standard_structure, builtin_by_name
 from hktlab.hyperhermitian import (
     HyperhermitianStructure,
     bismut_connection,
-    fundamental_form,
     glnh_membership,
     hkt_check,
     kt_torsion,
@@ -21,7 +20,7 @@ from hktlab.hyperhermitian import (
 )
 from hktlab.invariant import LieAlgebra, ce_differential, levi_civita, torsion
 from hktlab.holonomy import is_g_skew
-from hktlab.linalg import identity, nullspace, sparse_matrix
+from hktlab.linalg import identity, nullspace
 from hktlab.tensors import KForm, cube_add, cube_pullback, cube_scale, j_twist
 
 from oracle_impl import (
@@ -34,7 +33,9 @@ from oracle_impl import (
     dense_js,
     dense_matrix,
     direct_sum_entry,
+    form_add,
     form_scale,
+    fundamental_form,
     fundamental_forms,
     is_signed_permutation,
     j_maps,
@@ -43,6 +44,7 @@ from oracle_impl import (
     matrix_j_twist,
     matrix_nijenhuis,
     mixed_type_residual,
+    naive_ce_differential,
     naive_cube_pullback,
     naive_j_twist,
     naive_nijenhuis,
@@ -52,6 +54,8 @@ from oracle_impl import (
     p_minus,
     parsed_wire,
     pullback_fundamental_form,
+    quaternionic_triples,
+    sparse_matrix,
     transpose,
 )
 
@@ -475,6 +479,97 @@ def test_hkt_tensors_match_dense_oracle_on_rational_j(inputs):
     sj, dense = sparse_matrix(j), [[x or 0 for x in row] for row in j]
     assert_same_nijenhuis(matrix_nijenhuis(alg, sj), naive_nijenhuis(alg, dense))
     assert matrix_j_twist(form, sj).comps == naive_j_twist(form, dense).comps
+
+
+# Candidate torsions against the dense route J dF + N: bracket tables with
+# int and Fraction constants, some of which cancel, and no Jacobi identity
+# (kt_torsion reads none), on every quaternionic signed-permutation triple
+# of R^4 and on relabelled block sums of two of them on R^8.
+TRIPLES_4 = quaternionic_triples()
+torsion_scalars = st.sampled_from(
+    [1, -1, 2, -3, Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+)
+
+
+def bracket_tables(dim):
+    pairs = st.sampled_from(list(combinations(range(dim), 2)))
+    targets = st.dictionaries(st.integers(0, dim - 1), torsion_scalars, min_size=1, max_size=3)
+    return st.dictionaries(pairs, targets, max_size=3 * dim).map(lambda b: LieAlgebra(dim, b))
+
+
+def three_forms(dim):
+    triples = st.sampled_from(list(combinations(range(dim), 3)))
+    return st.dictionaries(triples, torsion_scalars, max_size=6).map(lambda c: KForm(dim, 3, c))
+
+
+def dense_torsion(alg, j, dense, n_form):
+    """T = J dF + N by the dense route: dF read off every basis triple,
+    twisted through the dense J, then N added."""
+    if n_form is None:
+        raise ValueError(
+            "no compatible skew-torsion connection: Nijenhuis tensor is not totally skew"
+        )
+    return form_add(naive_j_twist(naive_ce_differential(alg, fundamental_form(j)), dense), n_form)
+
+
+def torsion_outcome(build, *args):
+    """The built form's components in order, each with its type, or the
+    error raised."""
+    try:
+        form = build(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return [(idx, type(v), v) for idx, v in form.comps.items()]
+
+
+def assert_torsion_matches_dense_route(alg, js, n_forms, flip):
+    """kt_torsion of each J, with J's own Nijenhuis reading (a form or None)
+    and with each of n_forms, equals the dense route, and so does each J
+    with the sign of row `flip` negated, which is no longer skew."""
+    dim = alg.dim
+    for j in js:
+        bent = {r: {c: -x if r == flip else x for c, x in row.items()} for r, row in j.items()}
+        for m in (j, bent):
+            maps, dense = j_maps(m, dim), dense_matrix(m, dim)
+            for n_form in (nijenhuis(alg, maps)[1], None, *n_forms):
+                got = torsion_outcome(kt_torsion, maps, alg, n_form)
+                assert got == torsion_outcome(dense_torsion, alg, maps, dense, n_form)
+
+
+@pytest.mark.parametrize("t", range(len(TRIPLES_4)))
+@given(
+    alg=bracket_tables(4),
+    n_forms=st.lists(three_forms(4), max_size=2),
+    flip=st.integers(0, 3),
+)
+@settings(max_examples=6, deadline=None)
+def test_kt_torsion_matches_dense_route_on_quaternionic_triples(t, alg, n_forms, flip):
+    assert len(TRIPLES_4) == 48
+    assert quaternion_relations(HyperhermitianStructure(4, TRIPLES_4[t])) == []
+    assert_torsion_matches_dense_route(alg, TRIPLES_4[t], n_forms, flip)
+
+
+@given(
+    pair=st.tuples(st.sampled_from(TRIPLES_4), st.sampled_from(TRIPLES_4)),
+    pi=st.permutations(range(8)),
+    eps=st.lists(st.sampled_from((1, -1)), min_size=8, max_size=8),
+    alg=bracket_tables(8),
+    n_forms=st.lists(three_forms(8), max_size=2),
+    flip=st.integers(0, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_kt_torsion_matches_dense_route_on_relabelled_block_sums(pair, pi, eps, alg, n_forms, flip):
+    # J1 + J2 block-diagonal, then P J P^-1 for the signed permutation
+    # e_x -> eps[x] e_pi[x]: a quaternionic triple of R^8
+    first, second = pair
+    js = []
+    for a, b in zip(first, second):
+        block = {**a, **{r + 4: {c + 4: x for c, x in row.items()} for r, row in b.items()}}
+        js.append(
+            {pi[y]: {pi[x]: eps[x] * v * eps[y] for x, v in row.items()} for y, row in block.items()}
+        )
+    assert quaternion_relations(HyperhermitianStructure(8, tuple(js))) == []
+    assert_torsion_matches_dense_route(alg, js, n_forms, flip)
 
 
 def seeded_algebra(dim, seed):

@@ -19,14 +19,13 @@ from hktlab.invariant import (
 )
 from hktlab.holonomy import holonomy_algebra, is_g_skew
 from hktlab.hyperhermitian import bismut_connection, hkt_check
-from hktlab.linalg import sparse_matrix
 from hktlab.obata import (
     difference_tensor,
     obata_connection,
     obata_from_difference,
     obata_oracle_solver,
 )
-from hktlab.tensors import KForm, cube_add, wedge, form_add
+from hktlab.tensors import KForm, cube_add, wedge
 
 from oracle_impl import (
     basis_form,
@@ -36,6 +35,7 @@ from oracle_impl import (
     curvature_values,
     dense_matrix,
     direct_sum_entry,
+    form_add,
     form_scale,
     fraction_bismut_connection,
     fraction_curvature_operators,
@@ -57,6 +57,7 @@ from oracle_impl import (
     naive_torsion_cube,
     naive_validate_lie_algebra,
     scaled_values,
+    sparse_matrix,
     structure_constant,
     walked_validate_lie_algebra,
 )

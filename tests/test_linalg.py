@@ -13,7 +13,6 @@ from hktlab.linalg import (
     rref,
     solve_pairs,
     sparse_commutator,
-    sparse_matrix,
     sparse_product,
     sparse_subtract,
     sparse_trace,
@@ -34,6 +33,7 @@ from oracle_impl import (
     rational,
     solve_unique,
     sparse,
+    sparse_matrix,
     trace,
     whole_graph_solve_pairs,
 )

@@ -52,8 +52,8 @@ SOURCES = sorted((ROOT / "src" / "hktlab").glob("*.py"))
 # the wire format, RowSpan's int fast path and the report boundary
 TYPE_TESTING = {"exact", "linalg", "analyze"}
 
-# the linear algebra and the loader, which parses the wire's dense rows
-DENSE_MATRIX = {"linalg", "catalog"}
+# the linear algebra; the loader parses the wire's rows straight into sparse ones
+DENSE_MATRIX = {"linalg"}
 
 KEPT = {
     "nullspace": "the subspace of invariant HKT metrics under the HKT-metric cone"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hktlab.catalog import builtin_by_name
-from hktlab.linalg import identity, sparse_matrix, sparse_transpose
+from hktlab.linalg import identity, sparse_transpose
 from hktlab.tensors import (
     KForm,
     cube_add,
@@ -15,7 +15,6 @@ from hktlab.tensors import (
     cube_pullback,
     cube_scale,
     cube_to_form,
-    form_add,
     form_to_matrix,
     j_pullback,
     j_trace,
@@ -31,6 +30,7 @@ from oracle_impl import (
     basis_form,
     cube_map_output,
     dense_matrix,
+    form_add,
     form_scale,
     kernel_structure,
     mat_mul,
@@ -44,6 +44,7 @@ from oracle_impl import (
     naive_wedge_eval,
     row_images,
     seeded_signed_permutation,
+    sparse_matrix,
     transpose,
 )
 
