@@ -1,10 +1,20 @@
 """Full analysis pipeline for one catalog entry.
 
+The objects of an entry are the stages of `Stages`, each built once, on
+first read, in the order of the chain: `hkt` (validation and the
+common-torsion check), `lc` and `skew` (the Levi-Civita and skew-torsion
+connections), `dt` and `lee` (dT and the Lee form), `difference` (the
+difference tensor), the two routes to the torsion-free connection
+(`solver`, `obata`), and one `holonomy_closure` per connection (curvature,
+holonomy algebra, its `slnh_membership` certificate, whether every
+generator is metric-skew). `analyze_entry` and `hktlab holonomy` read the
+same stages; the command builds only those its connection needs.
+
 Produces a JSON-ready report with stable key order: validation, the common
 skew-torsion check, Lee form, both constructions of the torsion-free
 hypercomplex connection, every identity suite, trace data, holonomy, and
 the final structure verdict. Each identity check, a `classify` failure
-included, is one (holds, label) row added by the stage that runs it;
+included, is one (holds, label) row returned by the stage that runs it;
 `theorem_violations` lists the failing labels in that order. All scalars
 are exact. Each named rational field (forms, scalars, norms, traces) is a
 wire-format string; the engine scalars inside a counterexample or a first
@@ -16,14 +26,12 @@ and the detector are read shallowly, field by field (`_record`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .catalog import CatalogEntry
 from .curvature import (
-    DtTraces,
-    LeeForm,
-    RicciPackage,
     chern_norm_check,
     curvature_relation_check,
     dt_traces,
@@ -35,7 +43,8 @@ from .curvature import (
     star_scalar,
 )
 from .exact import format_scalar
-from .holonomy import StructureVerdict, classify, holonomy_algebra, is_g_skew, slnh_membership
+from .holonomy import HolonomyAlgebra, SlCertificate, StructureVerdict, classify
+from .holonomy import holonomy_algebra, is_g_skew, slnh_membership
 from .hyperhermitian import (
     HktResult,
     HyperhermitianStructure,
@@ -57,7 +66,7 @@ from .obata import (
     obata_oracle_solver,
     trace_identities,
 )
-from .tensors import KForm, Scaled
+from .tensors import KForm
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -103,51 +112,74 @@ _SECTIONS = (
 _Row = tuple[bool, str]  # one identity check: (it holds, its violation label)
 
 
-@dataclass(frozen=True)
-class _Torsion:
-    """The common torsion and the objects built from it."""
-
-    t: KForm
-    dt: KForm
-    lee: LeeForm
-    lc: Connection
-    skew: Connection
-    a: Scaled
-
-
-@dataclass(frozen=True)
-class _TorsionFree:
-    """What later stages read of the torsion-free connection."""
+class Closure(NamedTuple):
+    """The closure stage of one connection (`holonomy_closure`)."""
 
     curvature: Curvature
-    ricci: RicciPackage
-    holonomy_dim: int
-    all_trace_free: bool
-    obstruction_verdict: str
+    holonomy: HolonomyAlgebra
+    certificate: SlCertificate
+    metric_skew: bool  # whether every generator is metric-skew
+
+
+def holonomy_closure(conn: Connection, alg: LieAlgebra, h: HyperhermitianStructure) -> Closure:
+    """The curvature operators of `conn`, the holonomy algebra they
+    generate, its special quaternionic certificate, and whether every
+    generator is metric-skew."""
+    curvature = curvature_operators(conn, alg)
+    hol = holonomy_algebra(conn, curvature)
+    return Closure(curvature, hol, slnh_membership(hol, h), all(map(is_g_skew, hol.generators)))
+
+
+class Stages:
+    """The objects of one entry, each built by its stage on first read. The
+    stages after `lc` need a common torsion, except `solver`, `obata` and
+    those read from `obata`, which need only an integrable structure."""
+
+    def __init__(self, entry: CatalogEntry):
+        self.alg, self.h = entry.lie, entry.structure
+
+    hkt = cached_property(lambda self: hkt_check(self.h, self.alg))
+    lc = cached_property(lambda self: levi_civita(self.alg))
+    skew = cached_property(lambda self: bismut_connection(self.hkt.torsion, self.lc))
+    dt = cached_property(lambda self: ce_differential(self.alg, self.hkt.torsion))
+    lee = cached_property(lambda self: lee_form(self.hkt.torsion, self.h, self.alg))
+    difference = cached_property(lambda self: difference_tensor(self.hkt.torsion, self.h))
+    solver = cached_property(lambda self: obata_oracle_solver(self.h, self.alg))
+
+    @cached_property
+    def obata(self) -> Connection:
+        """With a common torsion, the skew-torsion connection plus the
+        difference tensor, its postconditions verified; otherwise the
+        solver's connection, which the report reads as solved."""
+        if not self.hkt.ok:
+            return self.solver[0]
+        return obata_from_difference(self.skew, self.difference, self.h, self.alg)
+
+    obata_closure = cached_property(lambda self: holonomy_closure(self.obata, self.alg, self.h))
+    skew_closure = cached_property(lambda self: holonomy_closure(self.skew, self.alg, self.h))
+    # read by more than one section of the report
+    obata_ricci = cached_property(lambda self: ricci_package(self.obata_closure.curvature, self.h))
+    obstruction = cached_property(lambda self: hkt_obstruction_report(self.obata_ricci, self.h))
+    traces = cached_property(lambda self: dt_traces(self.dt, self.h))
 
 
 def analyze_entry(entry: CatalogEntry) -> dict[str, object]:
-    """The report for one entry. Stages run in order, and each builds its
-    objects once and hands them on: validation and Nijenhuis tensors, common
-    torsion and connections, the torsion-free block, the HKT identity suites
-    and the verdict.
+    """The report for one entry. Its sections read the entry's stages in
+    order: validation and the common torsion, the torsion-free connection,
+    the HKT identity suites, and the verdict; each returns the rows of the
+    checks it runs.
     """
     start = time.perf_counter()
-    alg, h = entry.lie, entry.structure
-    rows: list[_Row] = []  # each stage adds its checks, in report order
-
-    hkt = hkt_check(h, alg)
-    report = _validation_stage(entry, hkt)
-    tor = None
-    if hkt.ok:
-        t, lc = hkt.torsion, levi_civita(alg)
-        dt, lee = ce_differential(alg, t), lee_form(t, h, alg)
-        tor = _Torsion(t, dt, lee, lc, bismut_connection(t, lc), difference_tensor(t, h))
-    tf = None
-    if hkt.first_nonintegrable is None:
-        tf = _torsion_free_stage(tor, h, alg, report, rows)
-    dtt = _identity_stage(tor, tf, h, alg, report, rows) if tor else None
-    report["verdict"] = _verdict_stage(tor, tf, dtt, rows)
+    st = Stages(entry)
+    report = _validation_stage(entry, st.hkt)
+    if st.hkt.ok:  # the torsion's objects come ahead of the torsion-free routes
+        st.lc, st.dt, st.lee, st.skew, st.difference
+    rows = _torsion_free_stage(st, report) if st.hkt.first_nonintegrable is None else []
+    if st.hkt.ok:
+        rows += _identity_stage(st, report)
+    report["verdict"] = verdict = _verdict_stage(st)
+    if "error" in verdict:
+        rows.append((False, verdict["error"]))
     report["theorem_violations"] = [label for ok, label in rows if not ok]
     report["elapsed_ms"] = int(round((time.perf_counter() - start) * 1000))
     return report
@@ -183,40 +215,18 @@ def _validation_stage(entry: CatalogEntry, hkt: HktResult) -> dict[str, object]:
     return report
 
 
-def _torsion_free_stage(
-    tor: _Torsion | None,
-    h: HyperhermitianStructure,
-    alg: LieAlgebra,
-    report: dict[str, object],
-    rows: list[_Row],
-) -> _TorsionFree:
+def _torsion_free_stage(st: Stages, report: dict[str, object]) -> list[_Row]:
     """The solver always runs, for its uniqueness certificate. With a common
     torsion the connection comes from the difference tensor and must agree
     with the solver's."""
-    solver_conn, certificate = obata_oracle_solver(h, alg)
-    if tor is None:
-        ob, routes_agree = solver_conn, None
-    else:
-        ob = obata_from_difference(tor.skew, tor.a, h, alg)
-        routes_agree = ob == solver_conn
-    r_ob = curvature_operators(ob, alg)
-    pkg_ob = ricci_package(r_ob, h)
-    hol_ob = holonomy_algebra(ob, r_ob)
-    sl_cert = slnh_membership(hol_ob, h)
-    rows += [
-        (routes_agree is not False, "difference-tensor and solver connections disagree"),
-        (
-            sl_cert.all_quaternion_linear,
-            "structural defect: holonomy generator of the torsion-free"
-            " connection is not quaternion-linear",
-        ),
-    ]
-    obstruction = hkt_obstruction_report(pkg_ob, h)
+    solver_conn, certificate = st.solver
+    routes_agree = st.obata == solver_conn if st.hkt.ok else None
+    r_ob, hol_ob, sl_cert, _ = st.obata_closure
     first = sl_cert.first_violation  # (generator, reason, trace or None)
     if first is not None and first[2] is not None:
         first = (first[0], first[1], format_scalar(first[2]))
     report["obata"] = {
-        "route": "solver" if tor is None else "difference-tensor",
+        "route": "difference-tensor" if st.hkt.ok else "solver",
         "routes_agree": routes_agree,
         "solver_certificate": _record(certificate),
         "flat": not r_ob.entries,
@@ -228,31 +238,31 @@ def _torsion_free_stage(
         "sl_membership": sl_cert.first_violation is None,
         "certificate": _jsonify({**_record(sl_cert), "first_violation": first}),
     }
-    report["obstruction"] = {"flags": list(obstruction.flags), "verdict": obstruction.verdict}
-    return _TorsionFree(r_ob, pkg_ob, hol_ob.dim, sl_cert.all_trace_free, obstruction.verdict)
+    report["obstruction"] = {"flags": list(st.obstruction.flags), "verdict": st.obstruction.verdict}
+    return [
+        (routes_agree is not False, "difference-tensor and solver connections disagree"),
+        (
+            sl_cert.all_quaternion_linear,
+            "structural defect: holonomy generator of the torsion-free"
+            " connection is not quaternion-linear",
+        ),
+    ]
 
 
-def _identity_stage(
-    tor: _Torsion,
-    tf: _TorsionFree,
-    h: HyperhermitianStructure,
-    alg: LieAlgebra,
-    report: dict[str, object],
-    rows: list[_Row],
-) -> DtTraces:
+def _identity_stage(st: Stages, report: dict[str, object]) -> list[_Row]:
     """HKT only: the Lee form, identity suite, dT trace, skew-torsion
     connection and detector sections, and the rows of their checks."""
-    t, lee, skew, a = tor.t, tor.lee, tor.skew, tor.a
+    h, t, lee, skew, a = st.h, st.hkt.torsion, st.lee, st.skew, st.difference
     report["lee"] = {
         "theta": _wire_form(lee.theta),
         "d_theta": _wire_form(lee.d_theta),
         "classification": lee.classification,
     }
-    suite = obata_identity_suite(tf.ricci, lee)
-    r_b = curvature_operators(skew, alg)
-    curv_rel = curvature_relation_check(r_b, tf.curvature, a, t.cube, skew)
-    dtt = dt_traces(tor.dt, h)
-    star = star_scalar(alg, h, t, lee, tor.lc, dtt)
+    suite = obata_identity_suite(st.obata_ricci, lee)
+    r_b, hol_b, sl_b, metric_skew = st.skew_closure
+    curv_rel = curvature_relation_check(r_b, st.obata_closure.curvature, a, t.cube, skew)
+    dtt = st.traces
+    star = star_scalar(st.alg, h, t, lee, st.lc, dtt)
     type_cex = type_check_12_21(t, h)
     real, cplx = trace_identities(a, h, lee.theta)  # the failures of each
     chern = chern_norm_check(t, h)
@@ -281,11 +291,10 @@ def _identity_stage(
     }
 
     pkg_b = ricci_package(r_b, h)
-    hol_b = holonomy_algebra(skew, r_b)
     report["bismut"] = bismut = {
         "holonomy_dim": hol_b.dim,
-        "generators_metric_skew": all(is_g_skew(g) for g in hol_b.generators),
-        "generators_quaternion_linear": slnh_membership(hol_b, h).all_quaternion_linear,
+        "generators_metric_skew": metric_skew,
+        "generators_quaternion_linear": sl_b.all_quaternion_linear,
         "rho_zero": pkg_b.rho.is_zero(),
         "rho_s_zero": all(f.is_zero() for f in pkg_b.rho_s),
     }
@@ -294,9 +303,9 @@ def _identity_stage(
         lee.theta.is_zero(), dtt.h_value, star.value, dtt.almost_strong, t.is_zero()
     )
     report["theorem_checks"] = {"hyperkahler_detector": _jsonify(_record(detector))}
-    rows += [(cex is None, f"obata identity failed: {key}") for key, cex in suite.items()]
+    rows = [(cex is None, f"obata identity failed: {key}") for key, cex in suite.items()]
     rows += [(cex is None, f"scalar identity failed: {key}") for key, cex in star.checks.items()]
-    rows += [
+    return rows + [
         (curv_rel is None, "identity failed: curvature relation"),
         (type_cex is None, "identity failed: torsion type decomposition"),
         (not real, "identity failed: difference-tensor trace"),
@@ -316,31 +325,29 @@ def _identity_stage(
             "vanishing Lee form with a vanishing trace condition but nonzero torsion",
         ),
     ]
-    return dtt
 
 
-def _verdict_stage(
-    tor: _Torsion | None, tf: _TorsionFree | None, dtt: DtTraces | None, rows: list[_Row]
-) -> dict[str, object]:
-    hol_dim = tf.holonomy_dim if tf else 0
-    obstruction = tf.obstruction_verdict if tf else "inconclusive"
-    if tor is None:
-        verdict = StructureVerdict(False, holonomy_dim=hol_dim, obstruction_verdict=obstruction)
+def _verdict_stage(st: Stages) -> dict[str, object]:
+    if st.hkt.first_nonintegrable is not None:
+        return _jsonify(_record(StructureVerdict(False)))
+    _, hol, sl_cert, _ = st.obata_closure
+    obstruction = st.obstruction.verdict
+    if not st.hkt.ok:
+        verdict = StructureVerdict(False, holonomy_dim=hol.dim, obstruction_verdict=obstruction)
         return _jsonify(_record(verdict))
     try:
         verdict = classify(
-            tor.t.is_zero(),
-            tor.lee.theta.is_zero(),
-            tor.lee.d_theta.is_zero(),
-            dtt.strong,
-            dtt.almost_strong,
-            hol_dim,
-            not tf.ricci.ric,
-            tf.all_trace_free,
+            st.hkt.torsion.is_zero(),
+            st.lee.theta.is_zero(),
+            st.lee.d_theta.is_zero(),
+            st.traces.strong,
+            st.traces.almost_strong,
+            hol.dim,
+            not st.obata_ricci.ric,
+            sl_cert.all_trace_free,
             obstruction,
         )
     except RuntimeError as exc:
-        rows.append((False, str(exc)))
         return {"error": str(exc)}
     return _jsonify(_record(verdict))
 

@@ -9,8 +9,8 @@ the dT partial traces) is a sparse matrix with B[x][y] = B(e_x, e_y).
 Each J is read as its signed permutation (`h.permutations`), so every
 J-contraction is a relabel with a sign: the J-traces through
 `tensors.j_trace` and `tensors.cube_j_trace`, Ric(J., J.) and
-d(theta)(J., J.) through `tensors.j_pullback`, each Ric pullback built
-once per J in the `RicciPackage`, on first read. rho and the rho_s are
+d(theta)(J., J.) through `tensors.j_pullback`, each Ric pullback and
+Ric^T built once in the `RicciPackage`, on first read. rho and the rho_s are
 summed in one loop (`_traced_forms`). The *-scalar builds no curvature: it
 reads the Levi-Civita operators at the J_s-pairs alone. The double
 J1-trace of dT that the *-scalar identities use is -4h, read off
@@ -45,9 +45,9 @@ from .tensors import form_to_matrix, integer_scaled, j_pullback, j_trace, norm_s
 
 @dataclass(frozen=True)
 class RicciPackage:
-    """All Ricci-type traces of one curvature tensor, and the pullbacks
-    ric_j[s - 1] = Ric(J_s ., J_s .) that the (1,1) tests read, built from
-    the structure's permutations on first read."""
+    """All Ricci-type traces of one curvature tensor, the transpose ric_t
+    and the pullbacks ric_j[s - 1] = Ric(J_s ., J_s .) that the identity
+    tests read, each built once, on first read."""
 
     ric: SparseMatrix
     rho: KForm
@@ -55,6 +55,10 @@ class RicciPackage:
     scal: Scalar
     scal_s: tuple[Scalar, Scalar, Scalar]
     permutations: tuple[SignedPermutation, ...]
+
+    @cached_property
+    def ric_t(self) -> SparseMatrix:
+        return sparse_transpose(self.ric)
 
     @cached_property
     def ric_j(self) -> tuple[SparseMatrix, SparseMatrix, SparseMatrix]:
@@ -90,8 +94,8 @@ def ricci_package(curvature: Curvature, h: HyperhermitianStructure) -> RicciPack
         sparse_subtract(sums_ric, -1, {j: op.get(i, {})})
         sparse_subtract(sums_ric, 1, {i: op.get(j, {})})
     ric = {x: {y: Fraction(v, scale) for y, v in row.items()} for x, row in sums_ric.items()}
-    ric_t = sparse_transpose(ric)
-    scal_s = tuple(j_trace(ric_t, jm) for jm in h.permutations)
+    # the J_s-trace of Ric, tr(J_s Ric^T), is tr(J_s^T Ric), and J_s^T swaps rows and cols
+    scal_s = tuple(j_trace(ric, SignedPermutation(j.cols, j.rows)) for j in h.permutations)
     rho, *rho_s = _traced_forms(curvature, [(IDENTITY, 1), *((j, 2) for j in h.permutations)], dim)
     return RicciPackage(ric, rho, tuple(rho_s), sparse_trace(ric), scal_s, h.permutations)
 
@@ -151,8 +155,7 @@ def obata_identity_suite(pkg: RicciPackage, lee: LeeForm) -> dict[str, tuple | N
     to None or to its first failing index tuple in (s, x, y) order: the
     least nonzero cell of its residual, for the least failing s.
     """
-    ric, ric_j = pkg.ric, pkg.ric_j
-    ric_t = sparse_transpose(ric)
+    ric, ric_t, ric_j = pkg.ric, pkg.ric_t, pkg.ric_j
     rho, d_theta = form_to_matrix(pkg.rho), form_to_matrix(lee.d_theta)
     # rho_s(J_s X, Y): row a of rho_s moves to x with the sign J[a][x] = rows[a]
     rho_j = [
@@ -386,7 +389,7 @@ def hkt_obstruction_report(pkg: RicciPackage, h: HyperhermitianStructure) -> Obs
     """
     flags: list[str] = []
     ric = pkg.ric
-    if _least_cell((1, ric), (1, sparse_transpose(ric))):
+    if _least_cell((1, ric), (1, pkg.ric_t)):
         flags.append("ricci not skew-symmetric")
     elif any(pulled != ric for pulled in pkg.ric_j):
         flags.append("ricci skew but not (1,1)")

@@ -50,9 +50,10 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     """Smallest space h containing the curvature operators and closed under
     commutators with the connection operators L_k; `curvature` must be
     `curvature_operators(conn, alg)`, whose stored operators, all nonzero,
-    are the seeds. Each basis element is bracketed once with each L_k whose
-    products with it can be nonzero, and the generators come back in the
-    order they entered the basis.
+    are the seeds; the closure stage, `analyze.holonomy_closure`, the one
+    package caller, passes exactly that. Each basis element is bracketed
+    once with each L_k whose products with it can be nonzero, and the
+    generators come back in the order they entered the basis.
 
     The closure runs on ints: a basis element m over scale t gives
     [ops_k, m] over s t, with L_k = ops_k / s; each element enters the basis

@@ -250,6 +250,25 @@ def test_holonomy_tests_each_generator_once(calls, capsys, su3_path, connection)
     assert calls["nijenhuis"] == (3 if connection == "bismut" else 0)
 
 
+@pytest.mark.parametrize(
+    "connection, counts",
+    [
+        ("levicivita", {"nijenhuis": 0, "levi_civita": 1}),
+        ("bismut", {"ce_differential": 0, "difference_tensor": 0, "obata_oracle_solver": 0}),
+        ("obata", {"obata_oracle_solver": 0, "ce_differential": 0}),
+    ],
+)
+def test_holonomy_builds_only_the_stages_its_connection_reads(calls, capsys, connection, counts):
+    # the command reads the analysis' stages, and none that only the report
+    # reads: no common-torsion check for Levi-Civita; no dT, difference
+    # tensor or solver for the skew-torsion connection; and nil8's
+    # torsion-free connection comes from the difference tensor, without
+    # the solver or dT
+    assert cli.main(["holonomy", "--builtin", "nil8", "--connection", connection]) == 0
+    assert f"connection: {connection}" in capsys.readouterr().out
+    assert {name: calls[name] for name in counts} == counts
+
+
 @pytest.mark.parametrize("name", ["hopf8", "hc_only8"])
 def test_solver_stays_off_dense_rref(calls, cat, name):
     analyze_entry(cat[name])

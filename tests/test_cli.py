@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from hktlab import cli, holonomy
+from hktlab import analyze, cli, holonomy
 from hktlab.catalog import builtin_by_name, load, save, serialize
 from hktlab.holonomy import SlCertificate
 
-from oracle_impl import ALL_NAMES, cayley_rotated, direct_sum
+from oracle_impl import ALL_NAMES, cayley_rotated, direct_sum, direct_sum_entry
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -384,10 +384,60 @@ def test_holonomy_obata_tests_each_generator_once(capsys, monkeypatch, su3_path)
 )
 def test_holonomy_certificate_writes_its_trace_in_wire_format(capsys, monkeypatch, first, written):
     cert = SlCertificate(4, first is None or first[2] is not None, first is None, first)
-    monkeypatch.setattr(cli, "slnh_membership", lambda hol, h: cert)
+    monkeypatch.setattr(analyze, "slnh_membership", lambda hol, h: cert)
     rc, out, err = run(capsys, "holonomy", "--builtin", "hopf4", "--connection", "obata")
     assert (rc, err) == (0, "")
     assert out.endswith(f" first_violation={written}\n")
+
+
+# the builtins, su3, and direct sums on both sides of the HKT condition
+AGREEMENT_SUMS = {
+    "nil12": ("nil8", "hopf4"),
+    "hopf16": ("hopf8", "hopf8"),
+    "hc12": ("hc_only8", "torus4"),
+    "hc16": ("hc_only8", "hc_only8"),
+}
+
+
+def holonomy_fields(capsys, path, connection):
+    rc, out, err = run(capsys, "holonomy", str(path), "--connection", connection)
+    assert (rc, err) == (0, "")
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "su3", *AGREEMENT_SUMS])
+def test_holonomy_and_report_agree_on_each_connection(capsys, tmp_path, cat, su3_path, name):
+    # both read one closure stage per connection: the torsion-free one on
+    # every input, the skew-torsion one where the structure is HKT
+    if name in AGREEMENT_SUMS:
+        first, second = (cat[summand] for summand in AGREEMENT_SUMS[name])
+        path = tmp_path / f"{direct_sum_entry(first, second, tmp_path).name}.json"
+    elif name == "su3":
+        path = su3_path
+    else:
+        path = tmp_path / f"{name}.json"
+        save(cat[name], path)
+    rc, out, err = run(capsys, "analyze", str(path), "--format", "json")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    obata = holonomy_fields(capsys, path, "obata")
+    assert (
+        obata["holonomy dimension"], obata["quaternion-linear"], obata["special quaternionic"]
+    ) == (
+        str(report["obata"]["holonomy_dim"]),
+        str(report["holonomy"]["gl_membership"]),
+        str(report["holonomy"]["sl_membership"]),
+    )
+    assert report["hkt"]["ok"] == (name not in ("hc_only8", "hc12", "hc16"))
+    if report["hkt"]["ok"]:
+        bismut = holonomy_fields(capsys, path, "bismut")
+        assert (
+            bismut["holonomy dimension"], bismut["metric-skew"], bismut["quaternion-linear"]
+        ) == (
+            str(report["bismut"]["holonomy_dim"]),
+            str(report["bismut"]["generators_metric_skew"]),
+            str(report["bismut"]["generators_quaternion_linear"]),
+        )
 
 
 def test_holonomy_bismut_rejected_without_common_torsion(capsys):

@@ -20,6 +20,10 @@ read in that module; `__init__.py` is exempt, since it imports to export.
 No module defines both `f` and a private twin `_f` at the top level: an
 object has one builder, and the public one is the one the package calls.
 
+No package module imports a `_`-prefixed name from another package
+module: a module reads another through its public functions, such as the
+stages of `analyze.Stages`, not through its helpers.
+
 Only the modules in TYPE_TESTING may test a scalar's Python type
 (`isinstance(..., Fraction)`, `type(...) is int`): the engine computes
 values, and the report decides how a rational is written.
@@ -208,6 +212,45 @@ def test_no_private_twin():
 )
 def test_private_twins_are_found(code, twins):
     assert _private_twins(ast.parse(code)) == twins
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """The `_`-prefixed names the module imports from the package."""
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module == "hktlab" or node.module.startswith("hktlab."))
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_no_private_import():
+    found = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "code, names",
+    [
+        ("from .obata import _verified, obata_connection", ["_verified"]),
+        ("from hktlab.analyze import _record as record", ["_record"]),
+        ("from hktlab import _x", ["_x"]),
+        ("from . import _x", ["_x"]),
+        ("def f():\n    from .analyze import _jsonify", ["_jsonify"]),
+        ("from .analyze import Stages, holonomy_closure", []),
+        ("from json import _default_decoder", []),  # not a package module
+        ("from hktlabx import _x", []),
+        ("from __future__ import annotations", []),
+    ],
+)
+def test_private_imports_are_found(code, names):
+    assert _private_imports(ast.parse(code)) == names
 
 
 def _names(node: ast.AST) -> set[str]:
