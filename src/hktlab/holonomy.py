@@ -9,20 +9,22 @@ exactly by a `RowSpan`. The closure keeps its basis as the flat int rows
 flattens a matrix: [L_k, m] is summed from the images [L_k, E_ab] of m's
 cells, each built on first use from L_k's column view and rows and kept
 for the rest of the call, and a bracket whose products vanish by support
-(`linalg.support`) is skipped. When every connection operator is skew (a
-metric connection, such as Levi-Civita or the skew-torsion one), the
-holonomy lies in so(n), and a row holds only the entries above the
-diagonal, the cells i < j; any other connection keeps all n^2 cells. It
-runs on the int operators of the connection and the curvature, so the
-brackets and the rank growth run on Python ints; a nonzero integer
-factor leaves the span unchanged. Each
-generator is an int matrix with its least scale beside it, and the
-membership tests read the int matrix: metric-skew, and `slnh_membership`,
-the one quaternionic test of every closure, whose certificate records
-both quaternion-linearity (`hyperhermitian.glnh_membership`, commutes
-with J1, J2, J3, read as signed permutations) and zero real trace, the
-special quaternionic algebra. `classify` gives the verdict of an HKT
-structure; one that is not HKT keeps `StructureVerdict`'s defaults.
+(`linalg.support`) is skipped. Seeds that span every matrix on the
+cells they hold are closed, with no bracket formed, when the supports of
+the connection operators keep those cells held. When every connection
+operator is skew (a metric connection, such as Levi-Civita or the
+skew-torsion one), the holonomy lies in so(n), and a row holds only the
+entries above the diagonal, the cells i < j; any other connection keeps
+all n^2 cells. It runs on the int operators of the connection and the
+curvature, so the brackets and the rank growth run on Python ints; a
+nonzero integer factor leaves the span unchanged. Each generator is an
+int matrix with its least scale beside it, and the membership tests read
+the int matrix: metric-skew, and `slnh_membership`, the one quaternionic
+test of every closure, whose certificate records both quaternion-linearity
+(`hyperhermitian.glnh_membership`, commutes with J1, J2, J3, read as
+signed permutations) and zero real trace, the special quaternionic
+algebra. `classify` gives the verdict of an HKT structure; one that is not
+HKT keeps `StructureVerdict`'s defaults.
 """
 
 from __future__ import annotations
@@ -68,11 +70,19 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     skew matrix off its upper cells is linear and one to one, so the span
     grows at the same offers, and the gcd is the same. Those cell images are
     memoised per k for this call only, built once the first element is
-    queued. The bracket is skipped when the columns of ops_k miss the rows
-    of m and the columns of m miss the rows of ops_k: both products are then
-    zero, and a zero row never enlarges the span. The generators become
-    sparse matrices once, at the end, a skew one with its mirrored entries
-    restored.
+    queued, unless the seeds settle the closure: when their rank is the
+    number of cells their rows hold, they span every matrix on those cells,
+    closed exactly when each held (a, b) has (i, b) held for i in into[a]
+    and (a, j) for j in out_of[b], the rows of column a and the columns of
+    row b in the support of some L_k. Those cells of [L_k, E_ab] meet only
+    at (a, b), so no term cancels; a skew cell stands for its mirror, and
+    the diagonal of a skew image is zero. Every later offer would then be
+    rejected, so the queue is emptied and the generators are the seeds
+    either way. The bracket is skipped when the columns of ops_k miss the
+    rows of m and the columns of m miss the rows of ops_k: both products
+    are then zero, and a zero row never enlarges the span. The generators
+    become sparse matrices once, at the end, a skew one with its mirrored
+    entries restored.
 
     h is closed under its own commutators too: for A in h the Jacobi
     identity gives, as R(e_i, e_j) = [L_i, L_j] - sum_m c^m_ij L_m,
@@ -95,6 +105,20 @@ def holonomy_algebra(conn: Connection, curvature: Curvature) -> HolonomyAlgebra:
     for seed in curvature.entries.values():
         cells = {i * n + j: x for i, row in seed.items() for j, x in row.items()}
         offer({c: x for c, x in cells.items() if not skew or c // n < c % n}, curvature.scale)
+    held = set().union(*(row for row, _ in basis))
+    if queue and span.rank == len(held):  # whole cells: closed when the images stay on them
+        into, out_of = [set() for _ in range(n)], [set() for _ in range(n)]
+        for op in ops:
+            for i, row in op.items():
+                out_of[i].update(row)
+                for j in row:
+                    into[j].add(i)
+        reached = {i * n + c % n for c in held for i in into[c // n]}
+        reached.update(c // n * n + j for c in held for j in out_of[c % n])
+        if skew:  # a cell stands for its mirror, and the diagonal is zero
+            held |= {c % n * n + c // n for c in held} | set(range(0, n * n, n + 1))
+        if reached <= held:
+            queue.clear()
     if queue:
         columns = [sparse_transpose(op) for op in ops]
         supports = [support(op) for op in ops]
@@ -156,13 +180,14 @@ class SlCertificate:
 def slnh_membership(hol: HolonomyAlgebra, h: HyperhermitianStructure) -> SlCertificate:
     """Special quaternionic membership of the holonomy algebra: every
     generator quaternion-linear with zero real trace. The certificate
-    records the first violating generator and its trace, None for a member.
+    records the first violating generator and its trace, None for a member;
+    quaternion-linearity is tested up to the first generator that fails it.
     """
     first: tuple[int, str, Scalar | None] | None = None
     all_ql = True
     all_tf = True
     for idx, (gen, scale) in enumerate(zip(hol.generators, hol.scales)):
-        if not glnh_membership(gen, h):
+        if all_ql and not glnh_membership(gen, h):
             all_ql = False
             if first is None:
                 first = (idx, "not quaternion-linear", None)

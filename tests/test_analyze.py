@@ -20,7 +20,7 @@ from hktlab.holonomy import holonomy_algebra
 from hktlab.hyperhermitian import HyperhermitianStructure, bismut_connection, glnh_membership
 from hktlab.hyperhermitian import hkt_check
 from hktlab.invariant import Connection, LieAlgebra, curvature_operators, levi_civita
-from hktlab.linalg import RowSpan, support
+from hktlab.linalg import RowSpan, sparse_commutator, support
 from hktlab.obata import obata_connection
 from hktlab.tensors import KForm
 
@@ -241,12 +241,22 @@ def test_holonomy_obata_uses_difference_route(calls, capsys):
 
 
 @pytest.mark.parametrize("connection", ["bismut", "levicivita"])
-def test_holonomy_tests_each_generator_once(calls, capsys, su3_path, connection):
-    # `quaternion-linear:` reads the certificate of every connection's closure
+def test_holonomy_tests_each_generator_once(calls, capsys, su3, su3_path, connection):
+    # `quaternion-linear:` reads the certificate of every connection's
+    # closure, which tests each generator once, up to the first that fails:
+    # all of su3's skew-torsion generators pass, and a Levi-Civita one fails
+    conn = levi_civita(su3.lie)
+    if connection == "bismut":
+        conn = bismut_connection(hkt_check(su3.structure, su3.lie).torsion, conn)
+    hol = holonomy_algebra(conn, curvature_operators(conn, su3.lie))
+    passing = [glnh_membership(g, su3.structure) for g in hol.generators]
+    tested = passing.index(False) + 1 if False in passing else len(passing)
+    assert tested < len(passing) if connection == "levicivita" else tested == len(passing)
+    calls.clear()
     assert cli.main(["holonomy", str(su3_path), "--connection", connection]) == 0
     generators = re.search(r"^generators: (\d+)$", capsys.readouterr().out, re.M)
-    assert int(generators.group(1)) > 0
-    assert calls["glnh_membership"] == int(generators.group(1))
+    assert int(generators.group(1)) == len(hol.generators) > 0
+    assert calls["glnh_membership"] == tested
     assert calls["nijenhuis"] == (3 if connection == "bismut" else 0)
 
 
@@ -309,27 +319,67 @@ def test_non_hkt_solver_feeds_only_torsion_equations(monkeypatch, cat, tmp_path)
 
 
 def test_holonomy_closure_brackets_with_connection_operators_only(calls, cat):
-    alg = cat["nil8"].lie
-    conn = levi_civita(alg)
+    # nil8's skew-torsion closure: its 9 seeds have rank 3 on 6 cells, so
+    # the certificate does not settle it and the bracket loop runs
+    entry = cat["nil8"]
+    alg = entry.lie
+    conn = bismut_connection(hkt_check(entry.structure, alg).torsion, levi_civita(alg))
     curvature = curvature_operators(conn, alg)
     calls.clear()
     hol = holonomy_algebra(conn, curvature)
-    assert hol.dim == 21
+    assert hol.dim == 3
     # one bracket per connection operator and basis element whose supports
-    # meet: 147 of the dim * hol_dim = 8 * 21 pairs, the other 21 vanish by
-    # support and are skipped; the dense closure, which also brackets both
-    # orders of each pair of basis elements, offered 532 rows. The closure
-    # sums its brackets itself, on flat rows, and calls no matrix kernel.
+    # meet: 9 of the dim * hol_dim = 8 * 3 pairs, the other 15 vanish by
+    # support and are skipped. 6 of the 9 are nonzero, and each is offered
+    # after the 9 seeds. The closure sums its brackets itself, on flat
+    # rows, and calls no matrix kernel.
     supports = [support(op) for op in conn.operators]
     brackets = [
         (g, k)
-        for g in map(support, hol.generators)
+        for g, s in zip(hol.generators, map(support, hol.generators))
         for k, op in enumerate(supports)
-        if op[1] & g[0] or g[1] & op[0]
+        if op[1] & s[0] or s[1] & op[0]
     ]
-    assert len(brackets) == 147
+    assert len(brackets) == 9
     assert calls["sparse_commutator"] == 0
-    assert calls["RowSpan.add"] == 147
+    nonzero = [sparse_commutator(conn.operators[k], g) for g, k in brackets]
+    assert sum(map(bool, nonzero)) == 6
+    assert len(curvature.entries) == 9
+    assert calls["RowSpan.add"] == 15
+
+
+@pytest.mark.parametrize(
+    "name, connection, seeds, adds",
+    [
+        ("nil8", "levicivita", 21, 21),
+        ("hopf8", "levicivita", 6, 6),
+        ("hc_only8", "levicivita", 10, 10),
+        ("nil16", "levicivita", 42, 42),
+        ("nil8", "bismut", 9, 15),
+        ("su3", "levicivita", 25, 224),
+    ],
+)
+def test_holonomy_closure_offers_only_the_seeds_of_a_closed_whole_cell_span(
+    calls, cat, su3, tmp_path, name, connection, seeds, adds
+):
+    # Levi-Civita seeds that span every skew matrix on the cells they hold,
+    # which the connection operators keep, are certified closed from the
+    # supports: each seed is offered once and nothing is bracketed. nil8's
+    # skew-torsion seeds (rank 3 on 6 cells) and su3's Levi-Civita ones
+    # (a closure of dim 28) are not, and run the bracket loop
+    if name == "nil16":
+        entry = direct_sum_entry(cat["nil8"], cat["nil8"], tmp_path)
+    else:
+        entry = su3 if name == "su3" else cat[name]
+    conn = levi_civita(entry.lie)
+    if connection == "bismut":
+        conn = bismut_connection(hkt_check(entry.structure, entry.lie).torsion, conn)
+    curvature = curvature_operators(conn, entry.lie)
+    calls.clear()
+    holonomy_algebra(conn, curvature)
+    assert len(curvature.entries) == seeds
+    assert calls["RowSpan.add"] == adds
+    assert calls["sparse_commutator"] == 0
 
 
 def test_operator_algebra_stays_off_dense_products(calls, cat):

@@ -266,6 +266,25 @@ def random_connections(draw):
         LieAlgebra(3, {(0, 1): {2: 1}}),
     )
 )
+@example(
+    (
+        Connection(4, {(1, 2, 3): 1, (3, 0, 2): Fraction(1, 2)}),
+        LieAlgebra(4, {(1, 2): {3: 2}, (1, 3): {2: -2}, (2, 3): {1: 2}}),
+    )
+)
+@example(
+    (
+        Connection(3, {(1, 2, 0): 2, (1, 1, 2): 2, (2, 0, 0): 1}),
+        LieAlgebra(3, {(0, 1): {2: 1}}),
+    )
+)
+@example((Connection(3, {(2, 0, 2): 1, (0, 1, 0): 1, (1, 2, 1): 2}), LieAlgebra(3)))
+@example(
+    (
+        Connection(3, {(1, 2, 1): -1, (2, 1, 0): Fraction(-2, 3), (0, 2, 2): Fraction(-2, 3)}),
+        LieAlgebra(3, {(0, 1): {2: 1}}),
+    )
+)
 @settings(max_examples=100, deadline=None)
 def test_holonomy_matches_dense_oracle_on_random_connections(case):
     # the closure brackets with the connection operators only and the
@@ -274,7 +293,14 @@ def test_holonomy_matches_dense_oracle_on_random_connections(case):
     # skipping [current, b], for a b popped before current entered the
     # basis, loses a generator of the oracle's closure; the last two have
     # denominators 5 and 6, so the integer-scaled closure carries scales
-    # other than powers of 2 and 3. The generators equal, in order and by
+    # other than powers of 2 and 3. The next four test the certificate
+    # that seeds spanning every matrix on the cells they hold are closed:
+    # such a span that the supports of the L_k keep (rank 3 on 3 cells);
+    # one that only L_1 moves off its cells, and only through a row, from
+    # (0, 2) to (0, 1) (the closure grows from 2 to 3); one whose image
+    # holds a diagonal cell it lacks (3 cells, a closure of dim 8); and
+    # seeds of rank 2 on 3 cells, which the supports keep but which are
+    # not closed. The generators equal, in order and by
     # value, those of the closure on the operators' own Fraction entries,
     # and each is an int matrix over its least scale.
     conn, alg = case
@@ -393,10 +419,11 @@ def test_holonomy_dimension_adds_over_direct_sums(cat, su3, first, second, tmp_p
         assert got == {label: dims[a][label] + dims[b][label] for label in got}, (a, b)
 
 
-def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
+def test_closure_brackets_only_int_matrices(torsions, su3, monkeypatch):
     # the closure brackets the connection's int operators and int basis
     # elements: every row offered to the span holds only ints, even where
-    # the connection's values are halves (and 3/2 on su3)
+    # the connection's values are quarters (su3's Levi-Civita connection)
+    # or halves and 3/2 (its torsion-free one)
     seen = []
     add = RowSpan.add
 
@@ -405,9 +432,9 @@ def test_closure_brackets_only_int_matrices(cat, torsions, su3, monkeypatch):
         return add(self, row)
 
     monkeypatch.setattr(RowSpan, "add", recording)
-    nil8, h = cat["nil8"].lie, su3.structure
+    h = su3.structure
     cases = [
-        ("nil8 levicivita", levi_civita(nil8), nil8),
+        ("su3 levicivita", levi_civita(su3.lie), su3.lie),
         ("su3 obata", obata_connection(h, su3.lie, hkt_check(h, su3.lie).torsion), su3.lie),
     ]
     for name, conn, alg in cases:

@@ -60,7 +60,7 @@ def _invariants(report: dict) -> dict:
 
 
 @pytest.mark.parametrize("name", ["torus4", "hopf4", "hopf8", "nil8"])
-def test_cayley_rotation_keeps_the_report(name, tmp_path):
+def test_cayley_rotation_keeps_the_report(name, tmp_path, capsys):
     entry = builtin_by_name()[name]
     path = tmp_path / f"{name}_cayley.json"
     path.write_text(json.dumps(cayley_rotated(entry)), encoding="utf-8")
@@ -69,6 +69,14 @@ def test_cayley_rotation_keeps_the_report(name, tmp_path):
     rotated = analyze_entry(loaded)
     assert rotated["theorem_violations"] == []
     assert _invariants(rotated) == _invariants(analyze_entry(entry))
+    # the Levi-Civita closure is certified from the seeds' cells in the
+    # standard frame and, on the rotated seeds, which are not whole cells,
+    # runs the bracket loop: both print the same lines
+    printed = []
+    for source in (["--builtin", name], [str(path)]):
+        assert cli.main(["holonomy", *source, "--connection", "levicivita"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
 
 
 def _analyze_doc(doc, path, capsys) -> dict:
